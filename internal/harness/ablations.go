@@ -20,6 +20,9 @@ type ManagerRow struct {
 	Forwards  uint64 // probOwner chain hops + directory forwards
 	Packets   uint64
 	Bytes     uint64
+	// Digest is the FNV-1a hash of the solver's final result memory: every
+	// manager must leave the same bytes behind.
+	Digest uint64
 }
 
 // AblationManagers runs a sharing-heavy workload (the PDE solver, whose
@@ -49,6 +52,7 @@ func AblationManagers(procs int) ([]ManagerRow, error) {
 			Forwards:  res.Stats.Forwards,
 			Packets:   res.Stats.Packets,
 			Bytes:     res.Stats.NetBytes,
+			Digest:    res.Digest,
 		}}
 	})
 	rows := make([]ManagerRow, 0, len(outs))

@@ -289,3 +289,50 @@ func TestAblationSystemModeImproves(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationManagersGolden pins the 8-processor manager ablation to
+// its exact virtual-time and traffic numbers, per manager. Every other
+// manager test asserts a shape; this one is the proof that a refactor of
+// the fault path moved nothing. A changed number here is a behavior
+// change and needs its own justification, never a silent re-pin.
+func TestAblationManagersGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ablation sweep")
+	}
+	want := []struct {
+		alg                             ivy.Algorithm
+		elapsed                         time.Duration
+		faults, forwards, packets, size uint64
+	}{
+		{ivy.DynamicDistributed, 36258082412, 3754, 870, 12760, 4079826},
+		{ivy.ImprovedCentralized, 50568774938, 3776, 2160, 21125, 4255986},
+		{ivy.BasicCentralized, 60034015786, 3776, 2160, 27205, 4376562},
+		{ivy.FixedDistributed, 51363545943, 3776, 2841, 21854, 4266074},
+		{ivy.BroadcastManager, 347197539379, 3552, 0, 20557, 4007733},
+	}
+	rows, err := AblationManagers(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Algorithm != w.alg {
+			t.Fatalf("row %d is %v, want %v", i, r.Algorithm, w.alg)
+		}
+		// Elapsed is pinned to the nanosecond (the tables print it rounded:
+		// 36.258s, 50.569s, 1m0.034s, 51.364s, 5m47.198s).
+		if r.Elapsed != w.elapsed {
+			t.Errorf("%v: elapsed %d ns, want %d ns", w.alg, r.Elapsed, w.elapsed)
+		}
+		if r.Faults != w.faults || r.Forwards != w.forwards || r.Packets != w.packets || r.Bytes != w.size {
+			t.Errorf("%v: faults/forwards/packets/bytes = %d/%d/%d/%d, want %d/%d/%d/%d", w.alg,
+				r.Faults, r.Forwards, r.Packets, r.Bytes, w.faults, w.forwards, w.packets, w.size)
+		}
+		if r.Digest == 0 || r.Digest != rows[0].Digest {
+			t.Errorf("%v: final-memory digest %#x, want %#x (dynamic's)", w.alg, r.Digest, rows[0].Digest)
+		}
+	}
+}
