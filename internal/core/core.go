@@ -1,8 +1,11 @@
 // Package core implements the shared virtual memory itself: a paged
 // address space kept coherent across the simulated cluster with the
-// invalidation approach and the ownership-manager algorithms of Li's IVY
-// (improved centralized, fixed distributed, dynamic distributed, and — as
-// an ablation from the companion TOCS paper — a broadcast manager).
+// invalidation approach and the ownership-manager algorithms of Li's IVY:
+// the three the paper implements (improved centralized, fixed
+// distributed, dynamic distributed) and, as ablations from the companion
+// TOCS paper, the basic centralized and broadcast managers. All five run
+// one fault protocol (fault.go) and differ only in how they locate a
+// page's owner and confirm a transfer (manager.go).
 //
 // Each node runs one SVM instance holding the node's page table
 // (internal/mmu), frame pool (internal/memfs), paging disk
@@ -139,37 +142,6 @@ func (c *ChargeCtx) Flush() {
 	}
 }
 
-// chargeCPU stalls the fiber for d with the node CPU held — for
-// synchronous costs like the fault trap and page copies.
-func chargeCPU(f *sim.Fiber, cpu *sim.Resource, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	cpu.Acquire(f)
-	f.Sleep(d)
-	cpu.Release()
-}
-
-// Fault-retry backoff: when a remote operation inside a fault fails
-// (retransmissions exhausted, or a fast ErrNodeDown), the fault restarts
-// after an exponentially growing pause instead of immediately re-driving
-// the protocol — under a crashed peer an immediate retry would just
-// re-queue the same doomed request. The pause holds no lock beyond the
-// page's fault lock the caller already owns, and no CPU.
-const (
-	faultRetryBase = 100 * time.Millisecond
-	faultRetryCap  = 2 * time.Second
-)
-
-// retryPause sleeps the fiber for the attempt-th fault-retry backoff.
-func retryPause(f *sim.Fiber, attempt int) {
-	d := faultRetryBase << uint(min(attempt, 10))
-	if d > faultRetryCap {
-		d = faultRetryCap
-	}
-	f.Sleep(d)
-}
-
 // Config assembles one node's SVM.
 type Config struct {
 	Node         ring.NodeID
@@ -185,7 +157,10 @@ type Config struct {
 
 	// BroadcastInvalidation switches the write-fault invalidation from
 	// point-to-point requests to a broadcast with replies-from-all, the
-	// alternative the paper's remote-operation section describes.
+	// alternative the paper's remote-operation section describes. It
+	// applies to rounds the new owner drives itself; the rounds the
+	// BasicCentralized manager drives on a writer's behalf stay
+	// point-to-point (a broadcast would reach the writer and the owner).
 	BroadcastInvalidation bool
 }
 
@@ -478,7 +453,7 @@ func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
 	if dataPages <= 0 || dataPages > s.numPages {
 		panic(fmt.Sprintf("core: %d RC data pages out of range (space has %d)", dataPages, s.numPages))
 	}
-	s.rcn = rc.New(s.ep, s.cpu, s.table, &s.pool, s.tlbShoot, rc.Config{
+	s.rcn = rc.New(s.ep, s.table, &s.pool, s.tlbShoot, rc.Config{
 		DataPages: dataPages,
 		PageSize:  s.pageSize,
 		Dir:       dir,

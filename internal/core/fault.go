@@ -531,23 +531,31 @@ func (s *SVM) WriteU8(ctx Ctx, addr uint64, v uint8) {
 	frame[po] = v
 }
 
+// lockByte is the front half the four test-and-set primitives share: it
+// locates the byte at addr, refuses release-consistent data pages,
+// charges the instruction, and returns the page's frame with write
+// access held.
+func (s *SVM) lockByte(ctx Ctx, addr uint64, op string) (frame []byte, po int) {
+	p, po := s.scalarSpan(addr, 1)
+	if s.rcn != nil && s.rcn.IsData(p) {
+		// Atomicity relies on the single-writer SC protocol; on an RC data
+		// page two nodes could both "win" on their local copies.
+		panic(fmt.Sprintf("core: %s at %#x on a release-consistent data page — locks must live in the sync arena", op, addr))
+	}
+	// Charge before taking the frame: a charge can flush a compute
+	// quantum (yielding the engine), and the page must not be stolen
+	// between the access check and the read-modify-write.
+	ctx.Charge(s.costs.TestAndSet)
+	return s.frameForWrite(ctx, p), po
+}
+
 // TestAndSet atomically sets the byte at addr to 1, returning true if it
 // was 0 (the lock was acquired). Atomicity holds because the engine runs
 // one context at a time and the read-modify-write performs no blocking
 // operation once write access is held — the "pinned page plus
 // test-and-set instruction" of the paper's eventcount implementation.
 func (s *SVM) TestAndSet(ctx Ctx, addr uint64) bool {
-	p, po := s.scalarSpan(addr, 1)
-	if s.rcn != nil && s.rcn.IsData(p) {
-		// TAS atomicity relies on the single-writer SC protocol; on an RC
-		// data page two nodes could both "win" on their local copies.
-		panic(fmt.Sprintf("core: TestAndSet at %#x on a release-consistent data page — locks must live in the sync arena", addr))
-	}
-	// Charge before taking the frame: a charge can flush a compute
-	// quantum (yielding the engine), and the page must not be stolen
-	// between the access check and the read-modify-write.
-	ctx.Charge(s.costs.TestAndSet)
-	frame := s.frameForWrite(ctx, p)
+	frame, po := s.lockByte(ctx, addr, "TestAndSet")
 	if frame[po] != 0 {
 		return false
 	}
@@ -573,12 +581,7 @@ func (s *SVM) TestAndSet(ctx Ctx, addr uint64) bool {
 // ping-pong under contention. The happens-before edge (drace) is NOT
 // skipped — the latch still orders its critical sections.
 func (s *SVM) TestAndSetLatch(ctx Ctx, addr uint64) bool {
-	p, po := s.scalarSpan(addr, 1)
-	if s.rcn != nil && s.rcn.IsData(p) {
-		panic(fmt.Sprintf("core: TestAndSetLatch at %#x on a release-consistent data page — locks must live in the sync arena", addr))
-	}
-	ctx.Charge(s.costs.TestAndSet)
-	frame := s.frameForWrite(ctx, p)
+	frame, po := s.lockByte(ctx, addr, "TestAndSetLatch")
 	if frame[po] != 0 {
 		return false
 	}
@@ -591,12 +594,7 @@ func (s *SVM) TestAndSetLatch(ctx Ctx, addr uint64) bool {
 // ClearLatch is Clear minus the release-consistency release; see
 // TestAndSetLatch for when that is sound.
 func (s *SVM) ClearLatch(ctx Ctx, addr uint64) {
-	p, po := s.scalarSpan(addr, 1)
-	if s.rcn != nil && s.rcn.IsData(p) {
-		panic(fmt.Sprintf("core: ClearLatch at %#x on a release-consistent data page — locks must live in the sync arena", addr))
-	}
-	ctx.Charge(s.costs.TestAndSet)
-	frame := s.frameForWrite(ctx, p)
+	frame, po := s.lockByte(ctx, addr, "ClearLatch")
 	frame[po] = 0
 	s.profWrite(addr, 1)
 	s.RaceRelease(ctx, addr)
@@ -604,16 +602,11 @@ func (s *SVM) ClearLatch(ctx Ctx, addr uint64) {
 
 // Clear atomically resets the byte at addr to 0 (lock release).
 func (s *SVM) Clear(ctx Ctx, addr uint64) {
-	p, po := s.scalarSpan(addr, 1)
-	if s.rcn != nil && s.rcn.IsData(p) {
-		panic(fmt.Sprintf("core: Clear at %#x on a release-consistent data page — locks must live in the sync arena", addr))
-	}
 	// Under release consistency the buffered writes must be committed and
 	// their notices posted BEFORE the cleared byte becomes visible: a
 	// competing TestAndSet can win the instant the 0 lands.
 	s.RCRelease(ctx)
-	ctx.Charge(s.costs.TestAndSet) // before the frame, as in TestAndSet
-	frame := s.frameForWrite(ctx, p)
+	frame, po := s.lockByte(ctx, addr, "Clear")
 	frame[po] = 0
 	s.profWrite(addr, 1)
 	// Clearing the byte is the lock release: publish everything this
@@ -734,25 +727,18 @@ func (s *SVM) slowPath(ctx Ctx, p mmu.PageID, write bool) []byte {
 			} else {
 				e.Access = mmu.AccessRead
 			}
-		case !write:
-			s.readFault(ctx, p)
 		default:
-			s.writeFault(ctx, p)
+			s.fault(ctx, p, write)
 		}
 	}
 }
 
-// diskFault pages an owned page back in from the node's own disk (or
-// zero-fills a page that has never been materialized — demand-zero pages
-// cost no disk transfer). Restored access is write when no other node
-// holds a copy, read otherwise.
-func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
-	defer s.trace("diskFault", p)
-	f := ctx.Fiber()
+// pageIn brings an owned page's data into the pool from the node's own
+// disk, or zero-filled when the page has never been materialized —
+// demand-zero pages cost no disk transfer. Called with the page lock
+// held.
+func (s *SVM) pageIn(f *sim.Fiber, p mmu.PageID) []byte {
 	s.st.SVM.DiskFaults++
-	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseDiskFault, p)
-	e := s.table.Entry(p)
 	var data []byte
 	if s.dsk.Has(p) {
 		data = s.dsk.Read(f, p)
@@ -760,7 +746,18 @@ func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
 		data = make([]byte, s.pageSize)
 	}
 	s.install(f, p, data)
-	if e.Copyset.Empty() {
+	return data
+}
+
+// diskFault pages an owned page back in for a local access. Restored
+// access is write when no other node holds a copy, read otherwise.
+func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
+	defer s.trace("diskFault", p)
+	f := ctx.Fiber()
+	start := s.eng.Now()
+	span, prevTrc := s.beginFault(f, trace.PhaseDiskFault, p)
+	s.pageIn(f, p)
+	if e := s.table.Entry(p); e.Copyset.Empty() {
 		e.Access = mmu.AccessWrite
 	} else {
 		e.Access = mmu.AccessRead
@@ -781,116 +778,126 @@ func (s *SVM) upgradeFault(ctx Ctx, p mmu.PageID) {
 	s.profUpgrade(p)
 	start := s.eng.Now()
 	span, prevTrc := s.beginFault(f, trace.PhaseUpgrade, p)
-	chargeCPU(f, s.cpu, s.costs.FaultTrap)
+	s.ep.ChargeCPU(f, s.costs.FaultTrap)
 	s.mgr.upgrade(ctx, p)
 	s.endFault(f, span, prevTrc)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	s.lat.Upgrade.Record(s.eng.Now().Sub(start))
 }
 
-// readFault obtains a read copy of page p through the configured manager
-// algorithm. Called with the page lock held.
-func (s *SVM) readFault(ctx Ctx, p mmu.PageID) {
-	s.trace("readFault>", p)
-	defer s.trace("readFault<", p)
+// fault resolves a coherence fault on page p through the configured
+// manager algorithm: a read copy, or for a write, ownership with
+// exclusive access. Every algorithm runs this one protocol — locate the
+// owner, take the page it replies with, confirm — and differs only
+// inside manager.locate and manager.confirm. Called with the page lock
+// held.
+func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
+	enter, exit, phase, lat := "readFault>", "readFault<", trace.PhaseReadFault, &s.lat.ReadFault
+	if write {
+		enter, exit, phase, lat = "writeFault>", "writeFault<", trace.PhaseWriteFault, &s.lat.WriteFault
+		s.st.SVM.WriteFaults++
+		s.profWriteFault(p)
+	} else {
+		s.st.SVM.ReadFaults++
+		s.profReadFault(p)
+	}
+	s.trace(enter, p)
+	defer s.trace(exit, p)
 	f := ctx.Fiber()
-	s.st.SVM.ReadFaults++
-	s.profReadFault(p)
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseReadFault, p)
-	chargeCPU(f, s.cpu, s.costs.FaultTrap)
+	span, prevTrc := s.beginFault(f, phase, p)
+	s.ep.ChargeCPU(f, s.costs.FaultTrap)
 	e := s.table.Entry(p)
+	// One loop, two ways round it: a failed locate backs off and starts
+	// over, and a read copy that went stale in flight refaults at once.
+	// attempt counts both — a refault lengthens the next backoff, as it
+	// always has — which is why this is not a remop.Retry.
 	for attempt := 0; ; attempt++ {
 		loc, locPrev := s.beginPhase(f, trace.PhaseLocate, p, "")
-		reply, err := s.mgr.locateRead(ctx, p)
+		reply, err := s.mgr.locate(ctx, p, write)
 		s.endPhase(f, loc, locPrev)
 		if err != nil {
 			// Retransmissions exhausted or destination down: back off,
 			// then start the fault over (the owner may have moved, or the
 			// crashed node may be back).
 			s.st.SVM.FaultErrors++
-			retryPause(f, attempt)
+			f.Sleep(remop.RetryBackoff(attempt))
 			continue
 		}
-		chargeCPU(f, s.cpu, s.costs.PageCopy)
+		s.ep.ChargeCPU(f, s.costs.PageCopy)
+		if write {
+			// A poison flag here is harmless for writes: the received page
+			// came with ownership and is authoritative; the invalidation
+			// targeted the read copy we are replacing anyway.
+			e.InvalWhileFaulting = false
+			// Claim ownership BEFORE running the invalidation: the old owner
+			// relinquished when it replied, so the token is ours, and
+			// requests arriving during the invalidation phase then queue
+			// behind this (finite) operation instead of being bounced around
+			// as ownerless. Write access is granted only after every
+			// acknowledgement.
+			r := reply.(*wire.PageWriteReply)
+			s.becomeOwner(f, p, r.Data)
+			s.invalidate(f, p, mmu.Copyset(r.Copyset).Remove(s.node), s.node, s.bcastInval)
+			e.Access = mmu.AccessWrite
+			break
+		}
 		if e.InvalWhileFaulting {
 			// An invalidation overtook the page data (reordered
 			// retransmission): the copy is stale, discard and refault.
 			e.InvalWhileFaulting = false
 			s.st.SVM.FaultRetries++
-			s.mgr.confirmRead(p)
+			s.mgr.confirm(p, false)
 			continue
 		}
-		if ring.NodeID(reply.Owner) == s.node {
+		r := reply.(*wire.PageReadReply)
+		if ring.NodeID(r.Owner) == s.node {
 			panic(fmt.Sprintf("core: node %d served its own read fault for page %d", s.node, p))
 		}
-		s.install(f, p, reply.Data)
+		s.install(f, p, r.Data)
 		e.Access = mmu.AccessRead
 		e.Dirty = false
-		e.ProbOwner = ring.NodeID(reply.Owner)
+		e.ProbOwner = ring.NodeID(r.Owner)
 		s.st.SVM.PagesReceived++
 		break
 	}
-	s.mgr.confirmRead(p)
+	s.mgr.confirm(p, write)
 	s.endFault(f, span, prevTrc)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
-	s.lat.ReadFault.Record(s.eng.Now().Sub(start))
+	lat.Record(s.eng.Now().Sub(start))
 }
 
-// writeFault obtains ownership of page p with exclusive access. Called
-// with the page lock held.
-func (s *SVM) writeFault(ctx Ctx, p mmu.PageID) {
-	s.trace("writeFault>", p)
-	defer s.trace("writeFault<", p)
-	f := ctx.Fiber()
-	s.st.SVM.WriteFaults++
-	s.profWriteFault(p)
-	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseWriteFault, p)
-	chargeCPU(f, s.cpu, s.costs.FaultTrap)
+// becomeOwner installs data as page p's contents and claims the
+// ownership token a PageWriteReply carried — the one place a fault
+// makes this node an owner. Granting write access is left to the caller,
+// who may have copies to invalidate first.
+func (s *SVM) becomeOwner(f *sim.Fiber, p mmu.PageID, data []byte) {
 	e := s.table.Entry(p)
-	for attempt := 0; ; attempt++ {
-		loc, locPrev := s.beginPhase(f, trace.PhaseLocate, p, "")
-		reply, err := s.mgr.locateWrite(ctx, p)
-		s.endPhase(f, loc, locPrev)
-		if err != nil {
-			s.st.SVM.FaultErrors++
-			retryPause(f, attempt)
-			continue
-		}
-		chargeCPU(f, s.cpu, s.costs.PageCopy)
-		// A poison flag here is harmless for writes: the received page
-		// came with ownership and is authoritative; the invalidation
-		// targeted the read copy we are replacing anyway.
-		e.InvalWhileFaulting = false
-		// Claim ownership BEFORE running the invalidation: the old owner
-		// relinquished when it replied, so the token is ours, and
-		// requests arriving during the invalidation phase then queue
-		// behind this (finite) operation instead of being bounced around
-		// as ownerless. Write access is granted only after every
-		// acknowledgement.
-		s.install(f, p, reply.Data)
-		e.IsOwner = true
-		e.Copyset = 0
-		e.Dirty = true
-		e.ProbOwner = s.node
-		s.dsk.Drop(p) // any old disk image predates this ownership epoch
-		s.st.SVM.PagesReceived++
-		cs := mmu.Copyset(reply.Copyset).Remove(s.node)
-		s.invalidate(f, p, cs)
-		e.Access = mmu.AccessWrite
-		break
-	}
-	s.mgr.confirmWrite(p)
-	s.endFault(f, span, prevTrc)
-	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
-	s.lat.WriteFault.Record(s.eng.Now().Sub(start))
+	s.install(f, p, data)
+	e.IsOwner = true
+	e.Copyset = 0
+	e.Dirty = true
+	e.ProbOwner = s.node
+	s.dsk.Drop(p) // any old disk image predates this ownership epoch
+	s.st.SVM.PagesReceived++
 }
 
-// invalidate revokes every read copy in cs, waiting for all
-// acknowledgements before the caller proceeds to write. The writer-side
-// round trip is recorded in the invalidation latency histogram.
-func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset) {
+// call drives a point-to-point request through failures to its reply.
+func (s *SVM) call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (reply wire.Msg) {
+	remop.Retry(f, &s.st.SVM.FaultErrors, func() (err error) {
+		reply, err = s.ep.Call(f, dst, req)
+		return err
+	})
+	return reply
+}
+
+// invalidate revokes every read copy in cs in favour of newOwner,
+// waiting for all acknowledgements before the caller proceeds to write.
+// bcast selects the broadcast round with replies-from-all (non-holders
+// ack trivially), which only the new owner itself may use: everyone but
+// the sender receives it. The writer-side round trip is recorded in the
+// invalidation latency histogram.
+func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset, newOwner ring.NodeID, bcast bool) {
 	if cs.Empty() {
 		return
 	}
@@ -900,48 +907,20 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset) {
 	s.profInvalSent(p, len(members))
 	start := s.eng.Now()
 	span, prevTrc := s.beginPhase(f, trace.PhaseInval, p, "")
-	req := &wire.InvalidateReq{Page: uint32(p), NewOwner: uint16(s.node)}
-	if s.bcastInval {
-		// Broadcast with replies-from-all: non-holders ack trivially.
-		for attempt := 0; ; attempt++ {
-			if _, err := s.ep.BroadcastAll(f, req); err == nil {
-				break
-			}
-			s.st.SVM.FaultErrors++
-			retryPause(f, attempt)
+	req := &wire.InvalidateReq{Page: uint32(p), NewOwner: uint16(newOwner)}
+	remop.Retry(f, &s.st.SVM.FaultErrors, func() (err error) {
+		if bcast {
+			_, err = s.ep.BroadcastAll(f, req)
+		} else {
+			_, err = s.ep.CallMany(f, members, req)
 		}
-	} else {
-		for attempt := 0; ; attempt++ {
-			if _, err := s.ep.CallMany(f, members, req); err == nil {
-				break
-			}
-			s.st.SVM.FaultErrors++
-			retryPause(f, attempt)
-		}
-	}
+		return err
+	})
 	s.endPhase(f, span, prevTrc)
 	s.lat.Inval.Record(s.eng.Now().Sub(start))
 }
 
 // --- Owner-side service -------------------------------------------------
-
-// residentFrame brings an owned page's data into the pool (from disk or
-// by zero-fill) and returns the live frame. Called with the page lock
-// held by a serving handler.
-func (s *SVM) residentFrame(f *sim.Fiber, p mmu.PageID) []byte {
-	if frame := s.pool.Peek(p); frame != nil {
-		return frame
-	}
-	s.st.SVM.DiskFaults++
-	var data []byte
-	if s.dsk.Has(p) {
-		data = s.dsk.Read(f, p)
-	} else {
-		data = make([]byte, s.pageSize)
-	}
-	s.install(f, p, data)
-	return data
-}
 
 // takeData removes an owned page's data from this node on a write
 // transfer, avoiding a pointless frame install when the page is on disk.
@@ -959,13 +938,19 @@ func (s *SVM) takeData(f *sim.Fiber, p mmu.PageID) []byte {
 	return make([]byte, s.pageSize)
 }
 
-// serveRead services a read fault from origin if this node owns page p:
-// register the reader, downgrade write access to read, and return a copy
-// of the page. Returns nil when not the owner (the caller forwards or
-// declines according to the algorithm).
-func (s *SVM) serveRead(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.PageReadReply {
-	defer s.trace("serveRead", p)
-	if span, prev := s.beginPhase(f, trace.PhaseServe, p, "read"); span != 0 {
+// serve services a fault request from origin if this node owns page p,
+// and returns nil when it does not (the caller forwards or declines
+// according to the algorithm). A read registers the reader, downgrades
+// write access to read, and returns a copy of the page. A write
+// relinquishes ownership: it hands over the page data and copyset, and
+// points the probOwner hint at the new owner.
+func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) wire.Msg {
+	site, kind := "serveRead", "read"
+	if write {
+		site, kind = "serveWrite", "write"
+	}
+	defer s.trace(site, p)
+	if span, prev := s.beginPhase(f, trace.PhaseServe, p, kind); span != 0 {
 		defer s.endPhase(f, span, prev)
 	}
 	s.table.Lock(f, p)
@@ -974,51 +959,39 @@ func (s *SVM) serveRead(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.Pa
 	if !e.IsOwner {
 		return nil
 	}
-	frame := s.residentFrame(f, p)
+	if write {
+		data := s.takeData(f, p)
+		s.profTransfer(p) // ownership leaves this node: flush its dirty map
+		cs := e.Copyset
+		e.Copyset = 0
+		e.IsOwner = false
+		e.Access = mmu.AccessNil
+		s.tlbShoot() // all local rights revoked
+		e.Dirty = false
+		e.ProbOwner = origin
+		s.dsk.Drop(p)
+		s.ep.ChargeCPU(f, s.costs.PageCopy)
+		s.st.SVM.PagesSent++
+		return &wire.PageWriteReply{Page: uint32(p), Copyset: uint64(cs), Data: data}
+	}
+	frame := s.pool.Peek(p)
+	if frame == nil {
+		frame = s.pageIn(f, p)
+	}
 	e.Copyset = e.Copyset.Add(origin)
 	s.profCopysetAdd(p)
 	// The owner keeps the page with read access — downgraded from write,
-	// or restored after residentFrame paged an evicted page back in.
-	// Cached write-mode translations must not survive the downgrade.
+	// or restored after pageIn brought an evicted page back. Cached
+	// write-mode translations must not survive the downgrade.
 	if e.Access == mmu.AccessWrite {
 		s.tlbShoot()
 	}
 	e.Access = mmu.AccessRead
-	chargeCPU(f, s.cpu, s.costs.PageCopy)
+	s.ep.ChargeCPU(f, s.costs.PageCopy)
 	data := make([]byte, len(frame))
 	copy(data, frame)
 	s.st.SVM.PagesSent++
 	return &wire.PageReadReply{Page: uint32(p), Owner: uint16(s.node), Data: data}
-}
-
-// serveWrite services a write fault from origin if this node owns page
-// p: relinquish ownership, hand over the page data and copyset, and
-// point the probOwner hint at the new owner. Returns nil when not the
-// owner.
-func (s *SVM) serveWrite(f *sim.Fiber, origin ring.NodeID, p mmu.PageID) *wire.PageWriteReply {
-	defer s.trace("serveWrite", p)
-	if span, prev := s.beginPhase(f, trace.PhaseServe, p, "write"); span != 0 {
-		defer s.endPhase(f, span, prev)
-	}
-	s.table.Lock(f, p)
-	defer s.table.Unlock(p)
-	e := s.table.Entry(p)
-	if !e.IsOwner {
-		return nil
-	}
-	data := s.takeData(f, p)
-	s.profTransfer(p) // ownership leaves this node: flush its dirty map
-	cs := e.Copyset
-	e.Copyset = 0
-	e.IsOwner = false
-	e.Access = mmu.AccessNil
-	s.tlbShoot() // all local rights revoked
-	e.Dirty = false
-	e.ProbOwner = origin
-	s.dsk.Drop(p)
-	chargeCPU(f, s.cpu, s.costs.PageCopy)
-	s.st.SVM.PagesSent++
-	return &wire.PageWriteReply{Page: uint32(p), Copyset: uint64(cs), Data: data}
 }
 
 // --- Handlers ------------------------------------------------------------
@@ -1032,7 +1005,7 @@ func (s *SVM) installHandlers() {
 
 // handleInvalidate revokes this node's read copy. It deliberately does
 // NOT take the page lock: if a local fault on p is in flight, the entry
-// is poisoned instead (see readFault), because blocking here while the
+// is poisoned instead (see fault), because blocking here while the
 // new owner waits for our ack would deadlock the transfer.
 func (s *SVM) handleInvalidate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	m := env.Body.(*wire.InvalidateReq)

@@ -54,18 +54,18 @@ func (a Algorithm) String() string {
 	}
 }
 
-// manager abstracts how a fault locates the page owner and how transfers
-// are confirmed.
+// manager abstracts the two steps of the fault protocol the algorithms
+// disagree on: how the owner is located, and how the transfer is
+// confirmed. Everything else — the retry loop, taking the page, claiming
+// ownership, invalidating — is the one skeleton in fault.go.
 type manager interface {
-	// locateRead/locateWrite perform the algorithm's messaging for a
-	// fault on p and return the owner's reply. Called with the local
-	// page lock held.
-	locateRead(ctx Ctx, p mmu.PageID) (*wire.PageReadReply, error)
-	locateWrite(ctx Ctx, p mmu.PageID) (*wire.PageWriteReply, error)
-	// confirmRead/confirmWrite complete the fault (unlock the manager's
-	// entry where one exists).
-	confirmRead(p mmu.PageID)
-	confirmWrite(p mmu.PageID)
+	// locate performs the algorithm's messaging for a read or write
+	// fault on p and returns the owner's reply (*wire.PageReadReply or
+	// *wire.PageWriteReply). Called with the local page lock held.
+	locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error)
+	// confirm completes the fault: it unlocks the manager's entry where
+	// one exists and, for a write, records this node as the owner.
+	confirm(p mmu.PageID, write bool)
 	// install registers the algorithm's fault-request handlers.
 	install()
 	// migrateOwnership informs the directory that page p now belongs to
@@ -84,16 +84,54 @@ func newManager(a Algorithm, s *SVM, defaultOwner ring.NodeID) manager {
 	case DynamicDistributed:
 		return &dynamicMgr{svm: s}
 	case ImprovedCentralized:
-		return &directoryMgr{svm: s, fixed: false, central: defaultOwner}
+		return &directoryMgr{svm: s, central: defaultOwner}
 	case FixedDistributed:
-		return &directoryMgr{svm: s, fixed: true, central: defaultOwner}
+		return &directoryMgr{svm: s, central: defaultOwner, fixed: true}
 	case BroadcastManager:
 		return &broadcastMgr{svm: s}
 	case BasicCentralized:
-		return &basicMgr{svm: s, central: defaultOwner}
+		return &directoryMgr{svm: s, central: defaultOwner, basic: true}
 	default:
 		panic(fmt.Sprintf("core: unknown algorithm %d", a))
 	}
+}
+
+// faultReq builds the request a fault on p sends.
+func faultReq(p mmu.PageID, write bool) wire.Msg {
+	if write {
+		return &wire.WriteFaultReq{Page: uint32(p)}
+	}
+	return &wire.ReadFaultReq{Page: uint32(p)}
+}
+
+// faultOf decodes a fault request: its page, and whether it is a write
+// fault.
+func faultOf(m wire.Msg) (mmu.PageID, bool) {
+	if w, ok := m.(*wire.WriteFaultReq); ok {
+		return mmu.PageID(w.Page), true
+	}
+	return mmu.PageID(m.(*wire.ReadFaultReq).Page), false
+}
+
+// serveFaults registers h as the handler of both fault-request kinds.
+func (s *SVM) serveFaults(h func(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, write bool) wire.Msg) {
+	both := func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
+		p, write := faultOf(env.Body)
+		return h(ctx, env, p, write)
+	}
+	s.ep.SetHandler(wire.KindReadFaultReq, both)
+	s.ep.SetHandler(wire.KindWriteFaultReq, both)
+}
+
+// localUpgrade is the owner-side upgrade: invalidate the local copyset
+// and raise the protection. Used by every algorithm that tracks copysets
+// at owners.
+func (s *SVM) localUpgrade(ctx Ctx, p mmu.PageID) {
+	e := s.table.Entry(p)
+	s.invalidate(ctx.Fiber(), p, e.Copyset.Remove(s.node), s.node, s.bcastInval)
+	e.Copyset = 0
+	e.Access = mmu.AccessWrite
+	e.Dirty = true
 }
 
 // --- Dynamic distributed manager ----------------------------------------
@@ -102,40 +140,20 @@ type dynamicMgr struct {
 	svm *SVM
 }
 
-func (m *dynamicMgr) target(p mmu.PageID) ring.NodeID {
-	s := m.svm
-	e := s.table.Entry(p)
-	dst := e.ProbOwner
-	if dst == s.node {
-		panic(fmt.Sprintf("core: node %d probOwner hint for page %d points at itself while it is not the owner", s.node, p))
-	}
-	return dst
-}
-
 // stuckRetransmissions is how many retransmissions a fault request rides
 // a probOwner chain before falling back to an owner-query broadcast — a
 // liveness backstop for routing loops left by packet loss or hint churn.
 // Healthy runs essentially never reach it.
 const stuckRetransmissions = 6
 
-func (m *dynamicMgr) locateRead(ctx Ctx, p mmu.PageID) (*wire.PageReadReply, error) {
-	reply, err := m.svm.ep.CallRedirect(ctx.Fiber(), m.target(p),
-		&wire.ReadFaultReq{Page: uint32(p)}, stuckRetransmissions,
-		func(f *sim.Fiber) (ring.NodeID, bool) { return m.queryOwner(f, p) })
-	if err != nil {
-		return nil, err
+func (m *dynamicMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error) {
+	s := m.svm
+	dst := s.table.Entry(p).ProbOwner
+	if dst == s.node {
+		panic(fmt.Sprintf("core: node %d probOwner hint for page %d points at itself while it is not the owner", s.node, p))
 	}
-	return reply.(*wire.PageReadReply), nil
-}
-
-func (m *dynamicMgr) locateWrite(ctx Ctx, p mmu.PageID) (*wire.PageWriteReply, error) {
-	reply, err := m.svm.ep.CallRedirect(ctx.Fiber(), m.target(p),
-		&wire.WriteFaultReq{Page: uint32(p)}, stuckRetransmissions,
+	return s.ep.CallRedirect(ctx.Fiber(), dst, faultReq(p, write), stuckRetransmissions,
 		func(f *sim.Fiber) (ring.NodeID, bool) { return m.queryOwner(f, p) })
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageWriteReply), nil
 }
 
 // queryOwner broadcasts an owner query; only the node owning p at
@@ -149,24 +167,18 @@ func (m *dynamicMgr) queryOwner(f *sim.Fiber, p mmu.PageID) (ring.NodeID, bool) 
 	return ring.NodeID(reply.(*wire.OwnerQuery).Owner), true
 }
 
-func (m *dynamicMgr) confirmRead(mmu.PageID)  {}
-func (m *dynamicMgr) confirmWrite(mmu.PageID) {}
+func (m *dynamicMgr) confirm(mmu.PageID, bool) {}
 
 // migrateOwnership needs no directory update: the relinquishing node's
 // probOwner hint now points at the new owner, and stale hints elsewhere
 // chase the chain through it.
 func (m *dynamicMgr) migrateOwnership(mmu.PageID, ring.NodeID) {}
 
+func (m *dynamicMgr) upgrade(ctx Ctx, p mmu.PageID) { m.svm.localUpgrade(ctx, p) }
+
 func (m *dynamicMgr) install() {
 	s := m.svm
-	s.ep.SetHandler(wire.KindReadFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.ReadFaultReq).Page)
-		return m.handle(ctx, env, p, true)
-	})
-	s.ep.SetHandler(wire.KindWriteFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.WriteFaultReq).Page)
-		return m.handle(ctx, env, p, false)
-	})
+	s.serveFaults(m.handle)
 	// Owner queries: only the instantaneous owner participates (delivery
 	// gate), and the handler never takes page locks, so the fallback can
 	// always make progress.
@@ -198,21 +210,14 @@ func (m *dynamicMgr) install() {
 // requester never becomes owner; pointing hints at readers (whose own
 // hints may be arbitrarily stale) is what lets concurrent faulters'
 // chains cross and deadlock.
-func (m *dynamicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, read bool) wire.Msg {
+func (m *dynamicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, write bool) wire.Msg {
 	s := m.svm
 	origin := ring.NodeID(env.Origin)
 	if origin == s.node {
 		return nil // our own request circled back; the fallback recovers
 	}
-	f := ctx.Fiber()
-	if read {
-		if r := s.serveRead(f, origin, p); r != nil {
-			return r
-		}
-	} else {
-		if r := s.serveWrite(f, origin, p); r != nil {
-			return r
-		}
+	if r := s.serve(ctx.Fiber(), origin, p, write); r != nil {
+		return r
 	}
 	// Not the owner: forward toward the probable owner; for write
 	// faults, point the hint at the future owner.
@@ -228,24 +233,37 @@ func (m *dynamicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, re
 		return nil // degenerate; retransmission or the fallback recovers
 	}
 	ctx.Forward(dst)
-	if !read {
+	if write {
 		e.ProbOwner = origin
 	}
 	return nil
 }
 
-// --- Directory managers (improved centralized & fixed distributed) -------
+// --- Directory managers (improved & basic centralized, fixed distributed) --
 
-// directoryMgr implements both directory algorithms: with fixed=false a
-// single central node manages every page; with fixed=true page p is
-// managed by node p mod N.
+// directoryMgr implements the three directory algorithms over one
+// skeleton: a manager node holds page p's directory entry (its owner,
+// behind a lock held from a fault's arrival to the requester's
+// confirmation) and forwards each fault to the owner. fixed spreads
+// manager duty as H(p) = p mod N; otherwise one central node manages
+// every page.
+//
+// basic selects the TOCS companion paper's unimproved centralized
+// manager, kept so the improvement is measurable: the manager also holds
+// every page's copyset and performs the invalidations itself, so even an
+// owner's write upgrade is a round trip to it. It differs from the
+// improved manager in exactly three places — atManager, the grant in
+// handle, and upgrade.
 type directoryMgr struct {
 	svm     *SVM
-	fixed   bool
 	central ring.NodeID
+	fixed   bool
+	basic   bool
 	// dir is this node's directory (all pages when central, the H(p)=id
 	// subset when fixed; nil on non-manager nodes under central).
 	dir *mmu.OwnerTable
+	// copysets records page p's readers, at the basic manager only.
+	copysets map[mmu.PageID]mmu.Copyset
 }
 
 // managerOf is the mapping function H: under the fixed distributed
@@ -257,79 +275,82 @@ func (m *directoryMgr) managerOf(p mmu.PageID) ring.NodeID {
 	return m.central
 }
 
-func (m *directoryMgr) locateRead(ctx Ctx, p mmu.PageID) (*wire.PageReadReply, error) {
+func (m *directoryMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error) {
 	s := m.svm
+	f := ctx.Fiber()
 	mgr := m.managerOf(p)
-	if mgr == s.node {
-		// Local manager path: serialize on the directory entry, then ask
-		// the recorded owner directly.
-		m.dir.Lock(ctx.Fiber(), p)
-		owner := m.dir.Owner(p)
-		if owner == s.node {
-			panic(fmt.Sprintf("core: node %d read-faulting on page %d it owns per its own directory", s.node, p))
-		}
-		reply, err := s.ep.Call(ctx.Fiber(), owner, &wire.ReadFaultReq{Page: uint32(p)})
-		if err != nil {
-			m.dir.Unlock(p)
-			return nil, err
-		}
-		return reply.(*wire.PageReadReply), nil
+	if mgr != s.node {
+		return s.ep.Call(f, mgr, faultReq(p, write))
 	}
-	reply, err := s.ep.Call(ctx.Fiber(), mgr, &wire.ReadFaultReq{Page: uint32(p)})
+	// Local manager path: serialize on the directory entry, then ask the
+	// recorded owner directly.
+	m.dir.Lock(f, p)
+	m.atManager(f, p, s.node, write)
+	owner := m.dir.Owner(p)
+	if owner == s.node {
+		panic(fmt.Sprintf("core: node %d faulting on page %d it owns per its own directory", s.node, p))
+	}
+	reply, err := s.ep.Call(f, owner, faultReq(p, write))
 	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageReadReply), nil
-}
-
-func (m *directoryMgr) locateWrite(ctx Ctx, p mmu.PageID) (*wire.PageWriteReply, error) {
-	s := m.svm
-	mgr := m.managerOf(p)
-	if mgr == s.node {
-		m.dir.Lock(ctx.Fiber(), p)
-		owner := m.dir.Owner(p)
-		if owner == s.node {
-			panic(fmt.Sprintf("core: node %d write-faulting on page %d it owns per its own directory", s.node, p))
-		}
-		reply, err := s.ep.Call(ctx.Fiber(), owner, &wire.WriteFaultReq{Page: uint32(p)})
-		if err != nil {
-			m.dir.Unlock(p)
-			return nil, err
-		}
-		return reply.(*wire.PageWriteReply), nil
-	}
-	reply, err := s.ep.Call(ctx.Fiber(), mgr, &wire.WriteFaultReq{Page: uint32(p)})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageWriteReply), nil
-}
-
-// confirmRead completes a read fault: ownership is unchanged but the
-// manager's entry must unlock.
-func (m *directoryMgr) confirmRead(p mmu.PageID) {
-	s := m.svm
-	mgr := m.managerOf(p)
-	if mgr == s.node {
 		m.dir.Unlock(p)
+	}
+	return reply, err
+}
+
+// atManager is the basic manager's extra step under the directory lock,
+// before a fault from origin travels on to the owner: record a reader,
+// or revoke every read copy on behalf of a writer.
+func (m *directoryMgr) atManager(f *sim.Fiber, p mmu.PageID, origin ring.NodeID, write bool) {
+	if !m.basic {
 		return
 	}
-	// Ownership is unchanged by a read, and this node does not know the
-	// authoritative owner (only a probOwner hint, which a concurrent
-	// invalidation may have redirected mid-fault): unlock only.
-	s.ep.NotifyReliable(mgr, &wire.MgrConfirm{Page: uint32(p), ReadOnly: true})
-}
-
-// confirmWrite completes a write transfer: this node is the new owner.
-func (m *directoryMgr) confirmWrite(p mmu.PageID) {
-	s := m.svm
-	mgr := m.managerOf(p)
-	if mgr == s.node {
-		m.dir.SetOwner(p, s.node)
-		m.dir.Unlock(p)
+	if write {
+		m.managerInvalidate(f, p, origin)
 		return
 	}
-	s.ep.NotifyReliable(mgr, &wire.MgrConfirm{Page: uint32(p), NewOwner: uint16(s.node)})
+	m.copysets[p] = m.copysets[p].Add(origin)
+	m.svm.profCopysetAdd(p)
+}
+
+// managerInvalidate revokes every read copy of p recorded at the basic
+// manager, except keep (the upgrading/acquiring node). Runs on a fiber
+// at the manager with the directory entry locked. The round is always
+// point-to-point: a broadcast would also reach keep and the owner.
+func (m *directoryMgr) managerInvalidate(f *sim.Fiber, p mmu.PageID, keep ring.NodeID) {
+	s := m.svm
+	cs := m.copysets[p].Remove(keep)
+	if cs.Has(s.node) {
+		// The manager's own read copy dies locally.
+		if e := s.table.Entry(p); !e.IsOwner {
+			e.Access = mmu.AccessNil
+			s.tlbShoot() // the manager's read copy dies
+			s.pool.Drop(p)
+		}
+		cs = cs.Remove(s.node)
+	}
+	s.invalidate(f, p, cs, keep, false)
+	m.copysets[p] = 0
+}
+
+// confirm completes a fault at the manager: unlock the entry, after
+// recording this node as the owner if the fault was a write. A read
+// moves no ownership, and this node does not know the authoritative
+// owner (only a probOwner hint, which a concurrent invalidation may have
+// redirected mid-fault), so a read confirmation is unlock-only.
+func (m *directoryMgr) confirm(p mmu.PageID, write bool) {
+	s := m.svm
+	mgr := m.managerOf(p)
+	switch {
+	case mgr != s.node && write:
+		s.ep.NotifyReliable(mgr, &wire.MgrConfirm{Page: uint32(p), NewOwner: uint16(s.node)})
+	case mgr != s.node:
+		s.ep.NotifyReliable(mgr, &wire.MgrConfirm{Page: uint32(p), ReadOnly: true})
+	default:
+		if write {
+			m.dir.SetOwner(p, s.node)
+		}
+		m.dir.Unlock(p)
+	}
 }
 
 // migrateOwnership updates the directory outside the fault protocol.
@@ -347,15 +368,11 @@ func (m *directoryMgr) install() {
 	s := m.svm
 	if m.fixed || s.node == m.central {
 		m.dir = mmu.NewOwnerTable(s.node, s.defaultOwner)
+		if m.basic {
+			m.copysets = make(map[mmu.PageID]mmu.Copyset)
+		}
 	}
-	s.ep.SetHandler(wire.KindReadFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.ReadFaultReq).Page)
-		return m.handle(ctx, env, p, true)
-	})
-	s.ep.SetHandler(wire.KindWriteFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.WriteFaultReq).Page)
-		return m.handle(ctx, env, p, false)
-	})
+	s.serveFaults(m.handle)
 	s.ep.SetHandler(wire.KindMgrConfirm, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		c := env.Body.(*wire.MgrConfirm)
 		p := mmu.PageID(c.Page)
@@ -376,7 +393,7 @@ func (m *directoryMgr) install() {
 // owner or serve when the manager itself owns the page) and the
 // owner side (serve a request forwarded by the manager, or sent directly
 // by the manager node's own fault path).
-func (m *directoryMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, read bool) wire.Msg {
+func (m *directoryMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, write bool) wire.Msg {
 	s := m.svm
 	origin := ring.NodeID(env.Origin)
 	f := ctx.Fiber()
@@ -385,8 +402,15 @@ func (m *directoryMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, 
 	if isManagerRole {
 		m.dir.Lock(f, p)
 		owner := m.dir.Owner(p)
+		m.atManager(f, p, origin, write)
 		if owner == origin {
-			panic(fmt.Sprintf("core: directory says faulting node %d owns page %d", origin, p))
+			if !m.basic || !write {
+				panic(fmt.Sprintf("core: directory says faulting node %d owns page %d", origin, p))
+			}
+			// The owner itself asked the basic manager: a write upgrade.
+			// Grant without data; the directory entry stays locked until
+			// the confirmation.
+			return &wire.PageWriteReply{Page: uint32(p)}
 		}
 		if owner != s.node {
 			ctx.Forward(owner)
@@ -395,16 +419,7 @@ func (m *directoryMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, 
 		// The manager itself owns the page: serve inline. The directory
 		// entry stays locked until the requester's confirmation.
 	}
-	var reply wire.Msg
-	if read {
-		if r := s.serveRead(f, origin, p); r != nil {
-			reply = r
-		}
-	} else {
-		if r := s.serveWrite(f, origin, p); r != nil {
-			reply = r
-		}
-	}
+	reply := s.serve(f, origin, p, write)
 	if reply == nil {
 		// Ownership moved away outside the directory protocol (a
 		// migration's stack-page handoff). The relinquishing node's
@@ -414,253 +429,42 @@ func (m *directoryMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, 
 			panic(fmt.Sprintf("core: node %d cannot serve or re-forward page %d", s.node, p))
 		}
 		ctx.Forward(dst)
-		return nil
 	}
 	return reply
 }
 
-// --- Broadcast manager ----------------------------------------------------
-
-type broadcastMgr struct {
-	svm *SVM
-}
-
-func (m *broadcastMgr) locateRead(ctx Ctx, p mmu.PageID) (*wire.PageReadReply, error) {
-	reply, err := m.svm.ep.BroadcastAny(ctx.Fiber(), &wire.ReadFaultReq{Page: uint32(p)})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageReadReply), nil
-}
-
-func (m *broadcastMgr) locateWrite(ctx Ctx, p mmu.PageID) (*wire.PageWriteReply, error) {
-	reply, err := m.svm.ep.BroadcastAny(ctx.Fiber(), &wire.WriteFaultReq{Page: uint32(p)})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageWriteReply), nil
-}
-
-func (m *broadcastMgr) confirmRead(mmu.PageID)                   {}
-func (m *broadcastMgr) confirmWrite(mmu.PageID)                  {}
-func (m *broadcastMgr) migrateOwnership(mmu.PageID, ring.NodeID) {}
-
-func (m *broadcastMgr) install() {
+// upgrade is local except under the basic manager, where it is a write
+// fault to the manager, who holds the copyset. The page lock is RELEASED
+// for the duration of the manager round trip: the manager may
+// concurrently be driving a transfer of this very page toward us, whose
+// serve needs our lock — holding it while queueing on the manager's
+// directory lock deadlocks (dirLock -> our pageLock -> our upgrade ->
+// dirLock). Releasing it means we may lose ownership before the manager
+// processes our request, in which case the reply is a full data transfer
+// rather than a grant; both shapes are applied under the re-acquired
+// lock. No new reader can slip in during the window: read faults route
+// through the directory lock our request will hold.
+func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) {
 	s := m.svm
-	// Delivery gate: only the node that owns the page at the instant the
-	// broadcast lands participates. Without this, a handler parked on
-	// its page lock can serve the request much later, after another node
-	// already served it — relinquishing ownership a second time and
-	// losing it entirely.
-	gate := func(env *wire.Envelope) bool {
-		var page uint32
-		switch b := env.Body.(type) {
-		case *wire.ReadFaultReq:
-			page = b.Page
-		case *wire.WriteFaultReq:
-			page = b.Page
-		default:
-			return true
-		}
-		return s.table.Entry(mmu.PageID(page)).IsOwner
+	if !m.basic {
+		s.localUpgrade(ctx, p)
+		return
 	}
-	s.ep.SetGate(wire.KindReadFaultReq, gate)
-	s.ep.SetGate(wire.KindWriteFaultReq, gate)
-	s.ep.SetHandler(wire.KindReadFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.ReadFaultReq).Page)
-		if r := s.serveRead(ctx.Fiber(), ring.NodeID(env.Origin), p); r != nil {
-			return r
-		}
-		return nil // decline: not the owner
-	})
-	s.ep.SetHandler(wire.KindWriteFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.WriteFaultReq).Page)
-		if r := s.serveWrite(ctx.Fiber(), ring.NodeID(env.Origin), p); r != nil {
-			return r
-		}
-		return nil
-	})
-}
-
-// localUpgrade is the shared owner-side upgrade: invalidate the local
-// copyset and raise the protection. Used by every algorithm that tracks
-// copysets at owners.
-func (s *SVM) localUpgrade(ctx Ctx, p mmu.PageID) {
 	f := ctx.Fiber()
 	e := s.table.Entry(p)
-	cs := e.Copyset.Remove(s.node)
-	s.invalidate(f, p, cs)
-	e.Copyset = 0
-	e.Access = mmu.AccessWrite
-	e.Dirty = true
-}
-
-func (m *dynamicMgr) upgrade(ctx Ctx, p mmu.PageID)   { m.svm.localUpgrade(ctx, p) }
-func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) { m.svm.localUpgrade(ctx, p) }
-func (m *broadcastMgr) upgrade(ctx Ctx, p mmu.PageID) { m.svm.localUpgrade(ctx, p) }
-
-// --- Basic centralized manager ---------------------------------------------
-//
-// The TOCS companion paper's first algorithm: one manager node keeps,
-// for every page, the owner AND the copyset, and performs invalidations
-// itself. Owners do not track readers, so even an owner's write upgrade
-// is a round trip to the manager. The ICPP paper implemented the
-// *improved* variant (directoryMgr here); this one exists so the
-// improvement is measurable.
-type basicMgr struct {
-	svm     *SVM
-	central ring.NodeID
-	dir     *mmu.OwnerTable
-	// copysets lives on the manager node only.
-	copysets map[mmu.PageID]mmu.Copyset
-}
-
-func (m *basicMgr) isManager() bool { return m.svm.node == m.central }
-
-func (m *basicMgr) copysetOf(p mmu.PageID) mmu.Copyset {
-	if cs, ok := m.copysets[p]; ok {
-		return cs
-	}
-	return 0
-}
-
-// managerInvalidate revokes every read copy of p recorded at the
-// manager, except keep (the upgrading/acquiring node). Runs on a fiber
-// at the manager with the directory entry locked.
-func (m *basicMgr) managerInvalidate(f *sim.Fiber, p mmu.PageID, keep ring.NodeID) {
-	s := m.svm
-	cs := m.copysetOf(p).Remove(keep)
-	if cs.Has(s.node) {
-		// The manager's own read copy dies locally.
-		e := s.table.Entry(p)
-		if !e.IsOwner {
-			e.Access = mmu.AccessNil
-			s.tlbShoot() // the manager's read copy dies
-			s.pool.Drop(p)
-		}
-		cs = cs.Remove(s.node)
-	}
-	if !cs.Empty() {
-		s.st.SVM.InvalSent += uint64(cs.Count())
-		s.profInvalSent(p, cs.Count())
-		req := &wire.InvalidateReq{Page: uint32(p), NewOwner: uint16(keep)}
-		var buf [wire.MaxNodes]ring.NodeID
-		members := cs.AppendTo(buf[:0])
-		for attempt := 0; ; attempt++ {
-			if _, err := s.ep.CallMany(f, members, req); err == nil {
-				break
-			}
-			s.st.SVM.FaultErrors++
-			retryPause(f, attempt)
-		}
-	}
-	m.copysets[p] = 0
-}
-
-func (m *basicMgr) locateRead(ctx Ctx, p mmu.PageID) (*wire.PageReadReply, error) {
-	s := m.svm
-	if m.isManager() {
-		m.dir.Lock(ctx.Fiber(), p)
-		m.copysets[p] = m.copysetOf(p).Add(s.node)
-		s.profCopysetAdd(p)
-		owner := m.dir.Owner(p)
-		if owner == s.node {
-			panic(fmt.Sprintf("core: manager read-faulting on page %d it owns", p))
-		}
-		reply, err := s.ep.Call(ctx.Fiber(), owner, &wire.ReadFaultReq{Page: uint32(p)})
-		if err != nil {
-			m.dir.Unlock(p)
-			return nil, err
-		}
-		return reply.(*wire.PageReadReply), nil
-	}
-	reply, err := s.ep.Call(ctx.Fiber(), m.central, &wire.ReadFaultReq{Page: uint32(p)})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageReadReply), nil
-}
-
-func (m *basicMgr) locateWrite(ctx Ctx, p mmu.PageID) (*wire.PageWriteReply, error) {
-	s := m.svm
-	if m.isManager() {
-		m.dir.Lock(ctx.Fiber(), p)
-		m.managerInvalidate(ctx.Fiber(), p, s.node)
-		owner := m.dir.Owner(p)
-		if owner == s.node {
-			panic(fmt.Sprintf("core: manager write-faulting on page %d it owns", p))
-		}
-		reply, err := s.ep.Call(ctx.Fiber(), owner, &wire.WriteFaultReq{Page: uint32(p)})
-		if err != nil {
-			m.dir.Unlock(p)
-			return nil, err
-		}
-		return reply.(*wire.PageWriteReply), nil
-	}
-	reply, err := s.ep.Call(ctx.Fiber(), m.central, &wire.WriteFaultReq{Page: uint32(p)})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*wire.PageWriteReply), nil
-}
-
-func (m *basicMgr) confirmRead(p mmu.PageID) {
-	s := m.svm
-	if m.isManager() {
-		m.dir.Unlock(p)
-		return
-	}
-	// Unlock only: a read moves no ownership, and our probOwner hint may
-	// be stale (see directoryMgr.confirmRead).
-	s.ep.NotifyReliable(m.central, &wire.MgrConfirm{Page: uint32(p), ReadOnly: true})
-}
-
-func (m *basicMgr) confirmWrite(p mmu.PageID) {
-	s := m.svm
-	if m.isManager() {
-		m.dir.SetOwner(p, s.node)
-		m.dir.Unlock(p)
-		return
-	}
-	s.ep.NotifyReliable(m.central, &wire.MgrConfirm{Page: uint32(p), NewOwner: uint16(s.node)})
-}
-
-func (m *basicMgr) migrateOwnership(p mmu.PageID, newOwner ring.NodeID) {
-	s := m.svm
-	if m.isManager() {
-		m.dir.SetOwner(p, newOwner)
-		return
-	}
-	s.ep.NotifyReliable(m.central, &wire.MgrConfirm{Page: uint32(p), NewOwner: uint16(newOwner), Migration: true})
-}
-
-// upgrade under the basic manager is a write fault to the manager, who
-// holds the copyset. The page lock is RELEASED for the duration of the
-// manager round trip: the manager may concurrently be driving a
-// transfer of this very page toward us, whose serve needs our lock —
-// holding it while queueing on the manager's directory lock deadlocks
-// (dirLock -> our pageLock -> our upgrade -> dirLock). Releasing it
-// means we may lose ownership before the manager processes our request,
-// in which case the reply is a full data transfer rather than a grant;
-// both shapes are applied under the re-acquired lock. No new reader can
-// slip in during the window: read faults route through the directory
-// lock our request will hold.
-func (m *basicMgr) upgrade(ctx Ctx, p mmu.PageID) {
-	s := m.svm
-	f := ctx.Fiber()
-	e := s.table.Entry(p)
-	if m.isManager() {
+	s.table.Unlock(p)
+	var reply wire.Msg
+	if m.central == s.node {
 		// Lock order is directory lock BEFORE page lock everywhere on
 		// the manager node: a transfer in flight holds the directory
 		// lock and its inline serve needs our page lock, so an upgrade
 		// holding the page lock while queueing on the directory lock
 		// would deadlock. Release, re-acquire in order, and re-examine —
 		// ownership may have moved while we waited.
-		s.table.Unlock(p)
 		m.dir.Lock(f, p)
 		s.table.Lock(f, p)
+		m.managerInvalidate(f, p, s.node)
 		if e.IsOwner {
-			m.managerInvalidate(f, p, s.node)
 			e.Copyset = 0
 			e.Access = mmu.AccessWrite
 			e.Dirty = true
@@ -671,142 +475,52 @@ func (m *basicMgr) upgrade(ctx Ctx, p mmu.PageID) {
 		// directory lock. The current owner's page lock is never held
 		// across a directory wait (this very discipline), so its serve
 		// can always proceed.
-		m.managerInvalidate(f, p, s.node)
-		owner := m.dir.Owner(p)
-		for attempt := 0; ; attempt++ {
-			r, err := s.ep.Call(f, owner, &wire.WriteFaultReq{Page: uint32(p)})
-			if err != nil {
-				s.st.SVM.FaultErrors++
-				retryPause(f, attempt)
-				continue
-			}
-			reply := r.(*wire.PageWriteReply)
-			chargeCPU(f, s.cpu, s.costs.PageCopy)
-			s.install(f, p, reply.Data)
-			break
-		}
-		e.IsOwner = true
-		e.Copyset = 0
-		e.ProbOwner = s.node
-		e.Access = mmu.AccessWrite
-		e.Dirty = true
-		s.dsk.Drop(p)
-		s.st.SVM.PagesReceived++
-		m.dir.SetOwner(p, s.node)
-		m.dir.Unlock(p)
-		return
-	}
-	s.table.Unlock(p)
-	var reply *wire.PageWriteReply
-	for attempt := 0; ; attempt++ {
-		r, err := s.ep.Call(f, m.central, &wire.WriteFaultReq{Page: uint32(p)})
-		if err != nil {
-			s.st.SVM.FaultErrors++
-			retryPause(f, attempt)
-			continue
-		}
-		reply = r.(*wire.PageWriteReply)
-		break
-	}
-	s.table.Lock(f, p)
-	if len(reply.Data) == 0 {
-		// Grant: we were still the owner when the manager served us.
-		e.Copyset = 0
-		e.Access = mmu.AccessWrite
-		e.Dirty = true
+		reply = s.call(f, m.dir.Owner(p), faultReq(p, true))
 	} else {
-		// We lost ownership in the window; this is a full transfer.
-		chargeCPU(f, s.cpu, s.costs.PageCopy)
-		s.install(f, p, reply.Data)
-		e.IsOwner = true
-		e.Copyset = 0
-		e.ProbOwner = s.node
-		e.Access = mmu.AccessWrite
-		e.Dirty = true
-		s.dsk.Drop(p)
-		s.st.SVM.PagesReceived++
+		reply = s.call(f, m.central, faultReq(p, true))
+		s.table.Lock(f, p)
 	}
-	s.mgr.confirmWrite(p)
+	if data := reply.(*wire.PageWriteReply).Data; len(data) != 0 {
+		// Not a grant: we lost ownership in the window, and this is a
+		// full transfer.
+		s.ep.ChargeCPU(f, s.costs.PageCopy)
+		s.becomeOwner(f, p, data)
+	}
+	e.Copyset = 0
+	e.Access = mmu.AccessWrite
+	e.Dirty = true
+	m.confirm(p, true)
 }
 
-func (m *basicMgr) install() {
-	s := m.svm
-	if m.isManager() {
-		m.dir = mmu.NewOwnerTable(s.node, m.central)
-		m.copysets = make(map[mmu.PageID]mmu.Copyset)
-	}
-	s.ep.SetHandler(wire.KindReadFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.ReadFaultReq).Page)
-		return m.handle(ctx, env, p, true)
-	})
-	s.ep.SetHandler(wire.KindWriteFaultReq, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		p := mmu.PageID(env.Body.(*wire.WriteFaultReq).Page)
-		return m.handle(ctx, env, p, false)
-	})
-	s.ep.SetHandler(wire.KindMgrConfirm, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
-		c := env.Body.(*wire.MgrConfirm)
-		if !m.isManager() {
-			panic(fmt.Sprintf("core: node %d received confirm but is not the manager", s.node))
-		}
-		if !c.ReadOnly {
-			m.dir.SetOwner(mmu.PageID(c.Page), ring.NodeID(c.NewOwner))
-		}
-		if !c.Migration {
-			m.dir.Unlock(mmu.PageID(c.Page))
-		}
-		return &wire.MgrConfirm{Page: c.Page, NewOwner: c.NewOwner}
-	})
+// --- Broadcast manager ----------------------------------------------------
+
+type broadcastMgr struct {
+	svm *SVM
 }
 
-// handle implements both the manager role (lock, record reader /
-// invalidate, forward or grant) and the owner role (serve a forwarded
-// request).
-func (m *basicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, read bool) wire.Msg {
-	s := m.svm
-	origin := ring.NodeID(env.Origin)
-	f := ctx.Fiber()
-	managerRole := m.isManager() && env.Flags&wire.FlagForwarded == 0 && origin != s.node
+func (m *broadcastMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error) {
+	return m.svm.ep.BroadcastAny(ctx.Fiber(), faultReq(p, write))
+}
 
-	if managerRole {
-		m.dir.Lock(f, p)
-		owner := m.dir.Owner(p)
-		if read {
-			m.copysets[p] = m.copysetOf(p).Add(origin)
-			s.profCopysetAdd(p)
-		} else {
-			m.managerInvalidate(f, p, origin)
-			if owner == origin {
-				// The owner itself asked: a write upgrade. Grant without
-				// data; the directory entry stays locked until confirm.
-				return &wire.PageWriteReply{Page: uint32(p)}
-			}
-		}
-		if owner == s.node {
-			// The manager owns the page: serve inline; entry locked
-			// until the requester's confirmation.
-		} else {
-			ctx.Forward(owner)
-			return nil
-		}
+func (m *broadcastMgr) confirm(mmu.PageID, bool)                 {}
+func (m *broadcastMgr) migrateOwnership(mmu.PageID, ring.NodeID) {}
+func (m *broadcastMgr) upgrade(ctx Ctx, p mmu.PageID)            { m.svm.localUpgrade(ctx, p) }
+
+func (m *broadcastMgr) install() {
+	s := m.svm
+	// Delivery gate: only the node that owns the page at the instant the
+	// broadcast lands participates. Without this, a handler parked on
+	// its page lock can serve the request much later, after another node
+	// already served it — relinquishing ownership a second time and
+	// losing it entirely.
+	gate := func(env *wire.Envelope) bool {
+		p, _ := faultOf(env.Body)
+		return s.table.Entry(p).IsOwner
 	}
-	var reply wire.Msg
-	if read {
-		if r := s.serveRead(f, origin, p); r != nil {
-			reply = r
-		}
-	} else {
-		if r := s.serveWrite(f, origin, p); r != nil {
-			reply = r
-		}
-	}
-	if reply == nil {
-		// Ownership moved away via migration; chase the hint one hop.
-		dst := s.table.Entry(p).ProbOwner
-		if dst == s.node || managerRole {
-			panic(fmt.Sprintf("core: node %d cannot serve or re-forward page %d", s.node, p))
-		}
-		ctx.Forward(dst)
-		return nil
-	}
-	return reply
+	s.ep.SetGate(wire.KindReadFaultReq, gate)
+	s.ep.SetGate(wire.KindWriteFaultReq, gate)
+	// A nil serve declines: ownership moved between delivery and service.
+	s.serveFaults(func(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, write bool) wire.Msg {
+		return s.serve(ctx.Fiber(), ring.NodeID(env.Origin), p, write)
+	})
 }

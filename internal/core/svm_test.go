@@ -274,6 +274,56 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	})
 }
 
+// TestEveryInvalidationRoundIsRecorded pins the observability contract
+// of SVM.invalidate: whoever drives an invalidation round — the new
+// owner, or the basic centralized manager on a writer's behalf — the
+// round lands in the driver's Latency.Inval histogram. On a two-node
+// cluster every round has exactly one member, so rounds recorded must
+// equal invalidation messages sent. (The basic manager once ran its
+// rounds on a private path the histogram and PhaseInval spans never
+// saw.)
+func TestEveryInvalidationRoundIsRecorded(t *testing.T) {
+	forEachAlgorithm(t, func(t *testing.T, alg Algorithm) {
+		r := newRig(t, 2, 1, testConfig(alg))
+		addr := r.svms[0].Base()
+		// One node rewrites a word the other keeps re-reading, so every
+		// write after the first must revoke a read copy; halfway through
+		// the roles swap, so the writer is first the (central) manager
+		// node and then the other one.
+		for node := 0; node < 2; node++ {
+			node := node
+			r.proc(node, fmt.Sprintf("p%d", node), func(ctx Ctx) {
+				s := r.svms[node]
+				for i := 0; i < 8; i++ {
+					if writer := i / 4; writer == node {
+						s.WriteU64(ctx, addr, uint64(i))
+						ctx.Fiber().Sleep(time.Second)
+						continue
+					}
+					ctx.Fiber().Sleep(500 * time.Millisecond)
+					if v := s.ReadU64(ctx, addr); v != uint64(i) {
+						t.Errorf("node %d read %d in round %d", node, v, i)
+					}
+					ctx.Fiber().Sleep(500 * time.Millisecond)
+				}
+			})
+		}
+		r.run(t, time.Minute)
+		r.checkInvariants(t)
+		var sent, rounds uint64
+		for i, s := range r.svms {
+			sent += r.sts[i].SVM.InvalSent
+			rounds += s.Latency().Inval.Count()
+		}
+		if sent == 0 {
+			t.Fatal("workload sent no invalidations")
+		}
+		if rounds != sent {
+			t.Fatalf("%d invalidations sent in one-member rounds, but %d rounds recorded", sent, rounds)
+		}
+	})
+}
+
 func TestOwnershipChainThroughStaleHints(t *testing.T) {
 	// Force a probOwner chain: ownership moves 0 -> 1 -> 2; node 3's hint
 	// still points at 0, so its fault must be forwarded along the chain.

@@ -111,7 +111,6 @@ type notice struct {
 // directory node — the write-notice log.
 type Node struct {
 	ep    *remop.Endpoint
-	cpu   *sim.Resource
 	table *mmu.Table
 	pool  *memfs.Pool
 	shoot func() // the SVM's TLB shootdown
@@ -166,13 +165,12 @@ type Node struct {
 
 // New wires a node's RC state onto its endpoint, installing the four
 // request handlers. table/pool/shoot belong to the node's SVM.
-func New(ep *remop.Endpoint, cpu *sim.Resource, table *mmu.Table, pool *memfs.Pool, shoot func(), cfg Config) *Node {
+func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, shoot func(), cfg Config) *Node {
 	if cfg.DataPages <= 0 || cfg.DataPages > table.NumPages() {
 		panic(fmt.Sprintf("rc: %d data pages out of range (table has %d)", cfg.DataPages, table.NumPages()))
 	}
 	n := &Node{
 		ep:         ep,
-		cpu:        cpu,
 		table:      table,
 		pool:       pool,
 		shoot:      shoot,
@@ -241,33 +239,16 @@ func (n *Node) MasterPeek(p mmu.PageID) ([]byte, bool) {
 // bug; see the noticeDrop field. Passing nil restores correct behavior.
 func (n *Node) SetNoticeDropHook(fn func() bool) { n.noticeDrop = fn }
 
-// chargeCPU stalls the fiber for d with the node CPU held.
-func (n *Node) chargeCPU(f *sim.Fiber, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	n.cpu.Acquire(f)
-	f.Sleep(d)
-	n.cpu.Release()
-}
-
-// call drives a remote operation to completion, retrying with backoff
-// through retransmission give-ups (a crashed peer's outage ends; the
-// protocol state machines are idempotent under replay, so re-driving the
-// same logical operation is safe).
-func (n *Node) call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) wire.Msg {
-	backoff := 100 * time.Millisecond
-	for {
-		reply, err := n.ep.Call(f, dst, req)
-		if err == nil {
-			return reply
-		}
-		n.stats.CallErrors++
-		f.Sleep(backoff)
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
-	}
+// call drives a remote operation to completion, retrying on the shared
+// backoff schedule through retransmission give-ups (a crashed peer's
+// outage ends; the protocol state machines are idempotent under replay,
+// so re-driving the same logical operation is safe).
+func (n *Node) call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (reply wire.Msg) {
+	remop.Retry(f, &n.stats.CallErrors, func() (err error) {
+		reply, err = n.ep.Call(f, dst, req)
+		return err
+	})
+	return reply
 }
 
 // --- Fault side ----------------------------------------------------------
@@ -297,7 +278,7 @@ func (n *Node) Fault(f *sim.Fiber, p mmu.PageID, write bool) {
 func (n *Node) fetch(f *sim.Fiber, p mmu.PageID) {
 	n.stats.Fetches++
 	data, ver := n.fetchMaster(f, p)
-	n.chargeCPU(f, n.costs.PageCopy)
+	n.ep.ChargeCPU(f, n.costs.PageCopy)
 	e := n.table.Entry(p)
 	n.install(f, p, data)
 	e.Access = mmu.AccessRead
@@ -400,7 +381,7 @@ func (n *Node) Release(f *sim.Fiber) {
 		}
 		e.Dirty = false
 		// Diffing scans the whole page once.
-		n.chargeCPU(f, n.costs.PageCopy)
+		n.ep.ChargeCPU(f, n.costs.PageCopy)
 		if len(offsets) > 0 {
 			newVer := n.commitDiff(f, p, frame, offsets, words)
 			if newVer == n.haveVer[p]+1 {
@@ -439,7 +420,7 @@ func (n *Node) commitDiff(f *sim.Fiber, p mmu.PageID, frame []byte, offsets []ui
 			n.lastWriter[p] = n.self
 			n.streak[p] = 0
 			n.applyDiff(p, offsets, words)
-			n.chargeCPU(f, time.Duration(len(words))*n.costs.MemRef)
+			n.ep.ChargeCPU(f, time.Duration(len(words))*n.costs.MemRef)
 			return n.ver[p]
 		}
 		reply := n.call(f, h, &wire.RCDiffWriteReq{
@@ -562,7 +543,7 @@ func (n *Node) mergeStale(f *sim.Fiber, p mmu.PageID) {
 		return // our copy caught up in the meantime
 	}
 	n.stats.StaleMerged++
-	n.chargeCPU(f, n.costs.PageCopy)
+	n.ep.ChargeCPU(f, n.costs.PageCopy)
 	frame := n.pool.Peek(p)
 	newTwin := make([]byte, len(data))
 	copy(newTwin, data)
@@ -633,7 +614,7 @@ func (n *Node) handleFetch(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	data := make([]byte, len(n.master[p]))
 	copy(data, n.master[p])
 	ver := n.ver[p]
-	n.chargeCPU(ctx.Fiber(), n.costs.PageCopy)
+	n.ep.ChargeCPU(ctx.Fiber(), n.costs.PageCopy)
 	return &wire.RCFetchReply{Page: m.Page, Ver: ver, Redirect: wire.RCNoNode, Data: data}
 }
 
@@ -650,7 +631,7 @@ const rebindStreak = 2
 // horizon) re-applies identical words — harmless by idempotence of
 // content — and acquirers reconcile versions through fetch.
 //
-/// The hand-off policy lives here: a commit based on the current version
+// The hand-off policy lives here: a commit based on the current version
 // (m.HaveVer == ver) from the same remote node that made the previous
 // such commit rebinds mastership to that node, as does the very first
 // commit to a still-virgin page (ver 0) — the writer that populates a
@@ -695,7 +676,7 @@ func (n *Node) handleDiffWrite(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	}
 	n.applyDiff(p, m.Offsets, m.Words)
 	ver := n.ver[p]
-	n.chargeCPU(ctx.Fiber(), time.Duration(len(m.Words))*n.costs.MemRef)
+	n.ep.ChargeCPU(ctx.Fiber(), time.Duration(len(m.Words))*n.costs.MemRef)
 	return &wire.RCDiffWriteReply{Page: m.Page, Ver: ver, Redirect: wire.RCNoNode}
 }
 

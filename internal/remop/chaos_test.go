@@ -203,3 +203,34 @@ func TestBackoffSchedule(t *testing.T) {
 		t.Errorf("backoff not capped at high retry counts")
 	}
 }
+
+// TestRetryCountsFailuresAndBacksOff: Retry re-drives op until it
+// succeeds, counting each failure and pausing on the RetryBackoff
+// schedule between attempts — and not at all when op succeeds at once.
+func TestRetryCountsFailuresAndBacksOff(t *testing.T) {
+	r := newRig(t, 1, 1)
+	var failures uint64
+	var calls int
+	var elapsed time.Duration
+	r.eng.Go("retrier", func(f *sim.Fiber) {
+		start := f.Now()
+		Retry(f, &failures, func() error { return nil })
+		if f.Now() != start || failures != 0 {
+			t.Errorf("immediate success paused or counted: %v, %d failures", f.Now().Sub(start), failures)
+		}
+		Retry(f, &failures, func() error {
+			if calls++; calls <= 3 {
+				return ErrCallFailed
+			}
+			return nil
+		})
+		elapsed = f.Now().Sub(start)
+	})
+	r.run(t, time.Minute)
+	if calls != 4 || failures != 3 {
+		t.Fatalf("%d calls, %d failures; want 4 and 3", calls, failures)
+	}
+	if want := 700 * time.Millisecond; elapsed != want {
+		t.Fatalf("three failures paused %v, want %v (100+200+400 ms)", elapsed, want)
+	}
+}
