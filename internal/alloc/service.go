@@ -17,7 +17,7 @@ var ErrOutOfMemory = errors.New("alloc: out of shared memory")
 // is "put into a queue and will be awakened by an unlock operation".
 type fiberMutex struct {
 	held    bool
-	waiters []*sim.Fiber
+	waiters sim.WaitQueue
 }
 
 func (m *fiberMutex) lock(f *sim.Fiber) {
@@ -25,15 +25,12 @@ func (m *fiberMutex) lock(f *sim.Fiber) {
 		m.held = true
 		return
 	}
-	m.waiters = append(m.waiters, f)
+	m.waiters.Push(f)
 	f.Park("memory allocation lock")
 }
 
 func (m *fiberMutex) unlock() {
-	if len(m.waiters) > 0 {
-		next := m.waiters[0]
-		copy(m.waiters, m.waiters[1:])
-		m.waiters = m.waiters[:len(m.waiters)-1]
+	if next := m.waiters.Pop(); next != nil {
 		next.Unpark()
 		return
 	}

@@ -436,3 +436,81 @@ func TestSmokeMatrixUnderPressureAndLoss(t *testing.T) {
 		t.Fatalf("loss changed the answer: %v vs %v", r.Check, rc.Check)
 	}
 }
+
+// TestFalseShareJacobiGolden pins the falsely-shared Jacobi that _bench
+// measures (falseshare-sc and falseshare-rc: N=256, 48 iterations, 8
+// processors, 4 KB pages so every worker writes the same pages) to its
+// exact virtual time and traffic under both coherence protocols. With
+// harness.TestAblationManagersGolden it is the in-tree proof that a
+// change to the scheduler or the remote-request path moved no virtual
+// time: a changed number here is a behaviour change, never a re-pin.
+func TestFalseShareJacobiGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full false-sharing runs")
+	}
+	want := []struct {
+		coherence                    string
+		elapsed                      time.Duration
+		bytes, packets               uint64
+		writeFaults, readFaults, fwd uint64
+	}{
+		{ivy.CoherenceSC, 141310548632, 57601334, 47328, 12655, 1185, 17187},
+		{ivy.CoherenceRC, 33720993982, 9999830, 13064, 0, 0, 0},
+	}
+	var digests []uint64
+	for _, w := range want {
+		cfg := ivy.Config{Processors: 8, Seed: 1, PageSize: 4096, Coherence: w.coherence}
+		res, err := RunJacobi(cfg, JacobiParams{N: 256, Iters: 48, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", w.coherence, err)
+		}
+		if res.Elapsed != w.elapsed {
+			t.Errorf("%s: elapsed %d ns, want %d ns", w.coherence, res.Elapsed, w.elapsed)
+		}
+		if res.Stats.NetBytes != w.bytes || res.Stats.Packets != w.packets {
+			t.Errorf("%s: bytes/packets = %d/%d, want %d/%d", w.coherence,
+				res.Stats.NetBytes, res.Stats.Packets, w.bytes, w.packets)
+		}
+		if w.coherence == ivy.CoherenceSC {
+			tot := res.Stats.Total()
+			if tot.SVM.WriteFaults != w.writeFaults || tot.SVM.ReadFaults != w.readFaults || res.Stats.Forwards != w.fwd {
+				t.Errorf("sc: write/read faults, forwards = %d/%d/%d, want %d/%d/%d",
+					tot.SVM.WriteFaults, tot.SVM.ReadFaults, res.Stats.Forwards, w.writeFaults, w.readFaults, w.fwd)
+			}
+		}
+		digests = append(digests, res.Digest)
+	}
+	if digests[0] == 0 || digests[0] != digests[1] {
+		t.Errorf("final-memory digests differ: sc %#x, rc %#x", digests[0], digests[1])
+	}
+}
+
+// TestLossyConfirmIsIdempotent is the regression test for a manager
+// confirmation executing twice: on a lossy ring NotifyReliable keeps
+// retransmitting a MgrConfirm whose reply was lost, and once the
+// manager's reply cache has evicted that reply the duplicate re-executes.
+// Under the basic manager this very run (ivyrun -app jacobi -algorithm
+// basic -loss 0.02 -n 128) used to panic with "manager unlock of unheld
+// page 126 on node 0"; the other two directory managers share the
+// handler. The lossy run must finish and compute what the lossless one
+// does.
+func TestLossyConfirmIsIdempotent(t *testing.T) {
+	par := JacobiParams{N: 128, Iters: 12, Seed: 7}
+	for _, alg := range []ivy.Algorithm{ivy.BasicCentralized, ivy.ImprovedCentralized, ivy.FixedDistributed} {
+		clean, err := RunJacobi(ivy.Config{Processors: 4, Seed: 1, Algorithm: alg}, par)
+		if err != nil {
+			t.Fatalf("%v lossless: %v", alg, err)
+		}
+		lossy, err := RunJacobi(ivy.Config{Processors: 4, Seed: 1, Algorithm: alg, LossProbability: 0.02}, par)
+		if err != nil {
+			t.Fatalf("%v at 2%% loss: %v", alg, err)
+		}
+		if lossy.Stats.Retransmissions == 0 {
+			t.Errorf("%v: no retransmission at 2%% loss; the run does not exercise duplicates", alg)
+		}
+		if lossy.Check != clean.Check || lossy.Digest != clean.Digest {
+			t.Errorf("%v: lossy run computed %v (digest %#x), lossless %v (%#x)",
+				alg, lossy.Check, lossy.Digest, clean.Check, clean.Digest)
+		}
+	}
+}

@@ -264,6 +264,16 @@ type directoryMgr struct {
 	dir *mmu.OwnerTable
 	// copysets records page p's readers, at the basic manager only.
 	copysets map[mmu.PageID]mmu.Copyset
+	// confirmed is the request id of the last MgrConfirm applied, per
+	// origin, page and sort of confirm — what makes a confirmation
+	// idempotent here (see applyConfirm).
+	confirmed map[confirmKey]uint32
+}
+
+type confirmKey struct {
+	origin    uint16
+	page      mmu.PageID
+	migration bool
 }
 
 // managerOf is the mapping function H: under the fixed distributed
@@ -368,6 +378,7 @@ func (m *directoryMgr) install() {
 	s := m.svm
 	if m.fixed || s.node == m.central {
 		m.dir = mmu.NewOwnerTable(s.node, s.defaultOwner)
+		m.confirmed = make(map[confirmKey]uint32)
 		if m.basic {
 			m.copysets = make(map[mmu.PageID]mmu.Copyset)
 		}
@@ -379,14 +390,36 @@ func (m *directoryMgr) install() {
 		if m.dir == nil || m.managerOf(p) != s.node {
 			panic(fmt.Sprintf("core: node %d received confirm for page %d it does not manage", s.node, p))
 		}
-		if !c.ReadOnly {
-			m.dir.SetOwner(p, ring.NodeID(c.NewOwner))
-		}
-		if !c.Migration {
-			m.dir.Unlock(p)
-		}
+		m.applyConfirm(env.Origin, env.ReqID, p, c)
 		return &wire.MgrConfirm{Page: c.Page, NewOwner: c.NewOwner}
 	})
+}
+
+// applyConfirm applies a confirmation at most once. NotifyReliable
+// retransmits a confirm until its reply arrives, and the layer's reply
+// cache — bounded by count — may have dropped that reply by the time a
+// late duplicate lands; the duplicate then executes here a second time.
+// Unlocking again would release the directory entry under a later grant
+// (or panic on an unheld one), and re-recording the owner would undo
+// transfers made since. One origin's request ids only grow, and its
+// fault confirms for one page reach the manager in the order it sent
+// them (each follows a grant made under the directory lock the previous
+// one released), so a confirm whose id does not exceed the last one
+// applied for the same origin and page is a duplicate: acknowledge it,
+// change nothing. Migration confirms take no lock and may overtake a
+// fault confirm from the same node, so they are numbered apart.
+func (m *directoryMgr) applyConfirm(origin uint16, reqID uint32, p mmu.PageID, c *wire.MgrConfirm) {
+	key := confirmKey{origin, p, c.Migration}
+	if last, ok := m.confirmed[key]; ok && reqID <= last {
+		return
+	}
+	m.confirmed[key] = reqID
+	if !c.ReadOnly {
+		m.dir.SetOwner(p, ring.NodeID(c.NewOwner))
+	}
+	if !c.Migration {
+		m.dir.Unlock(p)
+	}
 }
 
 // handle implements the manager-node side (lock directory, forward to the

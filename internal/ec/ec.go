@@ -153,7 +153,7 @@ func (e *EC) Wait(p *proc.Process, target int64) {
 		s.WriteU32(p, rec+16, uint32(p.Node().ID()))
 		s.WriteU32(p, e.addr+offNWaiters, uint32(n+1))
 		e.unlock(p)
-		p.Suspend(fmt.Sprintf("ec wait %#x for %d", e.addr, target))
+		p.Suspend("ec wait %#x for %d", int(e.addr), int(target))
 		// Re-check: Advance removed our record before waking us, but a
 		// raced token wake must loop.
 	}

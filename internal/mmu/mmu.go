@@ -123,13 +123,7 @@ type Entry struct {
 type Table struct {
 	node    ring.NodeID
 	entries []Entry
-	locks   map[PageID]*pageLock
-}
-
-type pageLock struct {
-	held    bool
-	holder  string // diagnostic: who acquired it
-	waiters []*sim.Fiber
+	locks   pageLocks
 }
 
 // NewTable builds a page table for numPages shared pages. Every entry
@@ -140,7 +134,6 @@ func NewTable(node ring.NodeID, numPages int, defaultOwner ring.NodeID) *Table {
 	t := &Table{
 		node:    node,
 		entries: make([]Entry, numPages),
-		locks:   make(map[PageID]*pageLock),
 	}
 	for i := range t.entries {
 		t.entries[i].ProbOwner = defaultOwner
@@ -170,69 +163,39 @@ func (t *Table) Entry(p PageID) *Entry {
 // current holder. The lock serializes the local fault path with incoming
 // remote requests for the same page.
 func (t *Table) Lock(f *sim.Fiber, p PageID) {
-	l := t.locks[p]
-	if l == nil {
-		l = &pageLock{}
-		t.locks[p] = l
-	}
-	if !l.held {
-		l.held = true
-		l.holder = f.Name()
-		return
-	}
-	l.waiters = append(l.waiters, f)
-	f.Park(fmt.Sprintf("page %d lock on node %d", p, t.node))
-	l.holder = f.Name() // the lock was handed to us on wake
+	t.locks.acquire(f, p, "page %d lock on node %d", t.node)
 }
 
 // TryLock acquires the lock only if free.
 func (t *Table) TryLock(p PageID) bool {
-	l := t.locks[p]
-	if l == nil {
-		l = &pageLock{}
-		t.locks[p] = l
-	}
-	if l.held {
+	if t.locks.find(p) != nil {
 		return false
 	}
-	l.held = true
-	l.holder = "trylock"
+	t.locks.take(p, nil)
 	return true
 }
 
 // Unlock releases page p's fault lock, handing it to the longest-waiting
 // fiber if any.
 func (t *Table) Unlock(p PageID) {
-	l := t.locks[p]
-	if l == nil || !l.held {
+	if !t.locks.release(p) {
 		panic(fmt.Sprintf("mmu: unlock of unheld page %d on node %d", p, t.node))
-	}
-	if len(l.waiters) > 0 {
-		next := l.waiters[0]
-		copy(l.waiters, l.waiters[1:])
-		l.waiters = l.waiters[:len(l.waiters)-1]
-		next.Unpark()
-		return
-	}
-	l.held = false
-	if len(l.waiters) == 0 {
-		delete(t.locks, p) // keep the map proportional to active faults
 	}
 }
 
 // Locked reports whether page p's fault lock is currently held.
-func (t *Table) Locked(p PageID) bool {
-	l := t.locks[p]
-	return l != nil && l.held
-}
+func (t *Table) Locked(p PageID) bool { return t.locks.find(p) != nil }
 
 // LockHolder names the fiber holding page p's lock (diagnostics).
 func (t *Table) LockHolder(p PageID) string {
-	l := t.locks[p]
-	if l == nil || !l.held {
+	l := t.locks.find(p)
+	switch {
+	case l == nil:
 		return ""
+	case l.holder == nil:
+		return "trylock"
 	}
-	return l.holder
+	return l.holder.Name()
 }
 
 // OwnedPages returns the pages this node currently owns, ascending.

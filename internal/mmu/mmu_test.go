@@ -221,3 +221,115 @@ func TestAccessString(t *testing.T) {
 		t.Fatal("Access strings wrong")
 	}
 }
+
+// TestLockHolderRendersLazyName: the lock keeps its holder as a fiber,
+// not a name, and diagnostics render the name on demand — through a
+// handoff to a waiter, for a TryLock holder, and with other locks coming
+// and going in the held set around it.
+func TestLockHolderRendersLazyName(t *testing.T) {
+	eng := sim.New(1)
+	tab := NewTable(1, 2048, 0)
+	eng.Go("neighbour", func(f *sim.Fiber) {
+		tab.Lock(f, 7) // ahead of page 1000 in the held set, released first
+		f.Sleep(time.Microsecond)
+		tab.Unlock(7)
+	})
+	eng.Go("node%d/%s#%d", func(f *sim.Fiber) {
+		tab.Lock(f, 1000)
+		f.Sleep(time.Millisecond)
+		tab.Unlock(1000)
+	}, 1, "ReadFaultReq", 88)
+	eng.Go("waiter", func(f *sim.Fiber) {
+		f.Sleep(2 * time.Microsecond)
+		if got := tab.LockHolder(1000); got != "node1/ReadFaultReq#88" {
+			t.Errorf("LockHolder = %q, want the handler fiber's rendered name", got)
+		}
+		tab.Lock(f, 1000)
+		if got := tab.LockHolder(1000); got != "waiter" {
+			t.Errorf("LockHolder after handoff = %q, want \"waiter\"", got)
+		}
+		if got := eng.Parked(); len(got) != 0 {
+			t.Errorf("Parked() = %q with nobody waiting", got)
+		}
+		tab.Unlock(1000)
+	})
+	eng.Go("observer", func(f *sim.Fiber) {
+		f.Sleep(3 * time.Microsecond)
+		want := "waiter (page 1000 lock on node 1)"
+		if got := eng.Parked(); len(got) != 2 || got[1] != want {
+			t.Errorf("Parked() = %q, want it to list %q", got, want)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tab.LockHolder(1000) != "" || tab.Locked(1000) || tab.Locked(7) {
+		t.Fatal("locks still held after all released")
+	}
+	tab.TryLock(5)
+	if got := tab.LockHolder(5); got != "trylock" {
+		t.Fatalf("LockHolder of a TryLock = %q", got)
+	}
+}
+
+// lockAllocs measures one Lock/Unlock pair on a page number too large
+// for the runtime's small-integer boxing cache, free and then contended
+// (two fibers taking turns across a sleep, so every measured Lock parks
+// behind the other).
+func lockAllocs(t *testing.T, lock func(f *sim.Fiber), unlock func(), held func() bool) (free, contended float64) {
+	eng := sim.New(1)
+	turn := func(f *sim.Fiber) {
+		lock(f)
+		f.Sleep(time.Microsecond)
+		unlock()
+	}
+	eng.Go("free", func(f *sim.Fiber) {
+		free = testing.AllocsPerRun(200, func() {
+			lock(f)
+			unlock()
+		})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	eng.Go("other", func(f *sim.Fiber) {
+		for i := 0; i < 1000; i++ {
+			turn(f)
+		}
+	})
+	eng.Go("measured", func(f *sim.Fiber) {
+		turn(f)
+		contended = testing.AllocsPerRun(200, func() {
+			if !held() {
+				t.Error("a measured Lock found the page free")
+			}
+			turn(f)
+		})
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return free, contended
+}
+
+// TestLockAllocs pins page and manager locks at zero allocations per
+// acquire/release, uncontended and contended: no lock record is made or
+// dropped, waiters queue through their fibers, and the park reason is
+// data.
+func TestLockAllocs(t *testing.T) {
+	const page = PageID(70000)
+	tab := NewTable(1, 70001, 0)
+	free, contended := lockAllocs(t,
+		func(f *sim.Fiber) { tab.Lock(f, page) }, func() { tab.Unlock(page) },
+		func() bool { return tab.Locked(page) })
+	if free != 0 || contended != 0 {
+		t.Errorf("Table.Lock/Unlock allocates %v objects free, %v contended, want 0", free, contended)
+	}
+	ot := NewOwnerTable(1, 0)
+	free, contended = lockAllocs(t,
+		func(f *sim.Fiber) { ot.Lock(f, page) }, func() { ot.Unlock(page) },
+		func() bool { return ot.Locked(page) })
+	if free != 0 || contended != 0 {
+		t.Errorf("OwnerTable.Lock/Unlock allocates %v objects free, %v contended, want 0", free, contended)
+	}
+}

@@ -17,7 +17,7 @@ import (
 type OwnerTable struct {
 	node  ring.NodeID
 	owner map[PageID]ring.NodeID
-	locks map[PageID]*pageLock
+	locks pageLocks
 	def   ring.NodeID
 }
 
@@ -27,7 +27,6 @@ func NewOwnerTable(node ring.NodeID, defaultOwner ring.NodeID) *OwnerTable {
 	return &OwnerTable{
 		node:  node,
 		owner: make(map[PageID]ring.NodeID),
-		locks: make(map[PageID]*pageLock),
 		def:   defaultOwner,
 	}
 }
@@ -46,38 +45,15 @@ func (o *OwnerTable) SetOwner(p PageID, n ring.NodeID) { o.owner[p] = n }
 // Lock acquires the transfer lock for page p, parking the fiber behind
 // any in-flight transfer.
 func (o *OwnerTable) Lock(f *sim.Fiber, p PageID) {
-	l := o.locks[p]
-	if l == nil {
-		l = &pageLock{}
-		o.locks[p] = l
-	}
-	if !l.held {
-		l.held = true
-		return
-	}
-	l.waiters = append(l.waiters, f)
-	f.Park(fmt.Sprintf("manager lock page %d on node %d", p, o.node))
+	o.locks.acquire(f, p, "manager lock page %d on node %d", o.node)
 }
 
 // Unlock releases the transfer lock, waking the next waiter FIFO.
 func (o *OwnerTable) Unlock(p PageID) {
-	l := o.locks[p]
-	if l == nil || !l.held {
+	if !o.locks.release(p) {
 		panic(fmt.Sprintf("mmu: manager unlock of unheld page %d on node %d", p, o.node))
 	}
-	if len(l.waiters) > 0 {
-		next := l.waiters[0]
-		copy(l.waiters, l.waiters[1:])
-		l.waiters = l.waiters[:len(l.waiters)-1]
-		next.Unpark()
-		return
-	}
-	l.held = false
-	delete(o.locks, p)
 }
 
 // Locked reports whether a transfer is in flight for page p.
-func (o *OwnerTable) Locked(p PageID) bool {
-	l := o.locks[p]
-	return l != nil && l.held
-}
+func (o *OwnerTable) Locked(p PageID) bool { return o.locks.find(p) != nil }

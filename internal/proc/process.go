@@ -241,7 +241,7 @@ func (p *Process) terminate() {
 func (p *Process) Join(f *sim.Fiber) {
 	if p.state != Terminated {
 		p.doneWaiters = append(p.doneWaiters, f)
-		f.Park("joining " + p.name)
+		f.Park("joining %s", p.name)
 	}
 	if d := p.node.cluster.race; d != nil {
 		// Join edge: everything the terminated process did happens-before
@@ -253,8 +253,9 @@ func (p *Process) Join(f *sim.Fiber) {
 
 // Suspend blocks the process until Resume. The node dispatches the next
 // ready process meanwhile — a voluntary context switch, unlike a page
-// fault, during which the paper's system runs nothing else.
-func (p *Process) Suspend(reason string) {
+// fault, during which the paper's system runs nothing else. reason and
+// args are the park reason, as for sim.Fiber.Park.
+func (p *Process) Suspend(reason string, args ...any) {
 	if p.node.current != p {
 		panic("proc: Suspend called by a process that is not running")
 	}
@@ -276,7 +277,7 @@ func (p *Process) Suspend(reason string) {
 	p.state = Suspended
 	n.current = nil
 	n.dispatch()
-	p.fiber.Park(reason)
+	p.fiber.Park(reason, args...)
 	// Resumed: the dispatcher made us current again; p.node may have
 	// changed if we were migrated while suspended is impossible (only
 	// ready processes migrate), but the wake may happen on a new node

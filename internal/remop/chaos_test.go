@@ -174,7 +174,7 @@ func TestDropSoftStateKeepsForwardAndReplyCaches(t *testing.T) {
 	ep := r.eps[0]
 	ep.forwardCache[cacheKey(1, 7)] = ring.NodeID(1)
 	ep.forwardOrder = append(ep.forwardOrder, cacheKey(1, 7))
-	ep.replyCache[cacheKey(1, 8)] = &replyEntry{key: cacheKey(1, 8)}
+	ep.replyCache[cacheKey(1, 8)] = replyEntry{}
 	ep.MarkNodeDown(1, true)
 	ep.DropSoftState()
 	if _, ok := ep.forwardCache[cacheKey(1, 7)]; !ok {

@@ -1,8 +1,6 @@
 package remop
 
 import (
-	"fmt"
-
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -45,11 +43,10 @@ func (ep *Endpoint) CallMany(f *sim.Fiber, dsts []ring.NodeID, req wire.Msg) ([]
 		ps[i] = p
 		ep.transmit(p)
 	}
-	f.Park(fmt.Sprintf("call-many %v -> %d nodes", req.Kind(), len(dsts)))
+	f.Park("call-many %s -> %d nodes", req.Kind().String(), len(dsts))
 	out := make([]wire.Msg, len(dsts))
 	var err error
 	for i, p := range ps {
-		delete(ep.out, p.reqID)
 		if len(p.replies) == 0 {
 			// Every member must be unregistered before returning, so keep
 			// draining; ErrNodeDown (if any member saw it) outranks the
@@ -57,9 +54,10 @@ func (ep *Endpoint) CallMany(f *sim.Fiber, dsts []ring.NodeID, req wire.Msg) ([]
 			if err == nil || p.nodeDown {
 				err = p.failErr()
 			}
-			continue
+		} else {
+			out[i] = p.replies[0].Body
 		}
-		out[i] = p.replies[0].Body
+		ep.retire(p)
 	}
 	if err != nil {
 		return nil, err
@@ -95,13 +93,12 @@ func (ep *Endpoint) CallRedirect(f *sim.Fiber, dst ring.NodeID, req wire.Msg, st
 	p.stuckAfter = stuckAfter
 	ep.transmit(p)
 	for {
-		f.Park(fmt.Sprintf("call %v -> node %d (redirectable)", req.Kind(), p.dst))
+		f.Park("call %s -> node %d (redirectable)", req.Kind().String(), int(p.dst))
 		if len(p.replies) > 0 {
 			return ep.finish(p)
 		}
 		if p.failed {
-			delete(ep.out, p.reqID)
-			return nil, p.failErr()
+			return ep.finish(p)
 		}
 		// Stuck: relocate. The pending stays registered so a late reply
 		// still lands; re-check after the (blocking) location step.

@@ -41,11 +41,21 @@ import (
 type Handler func(ctx *Ctx, env *wire.Envelope) wire.Msg
 
 // Ctx gives a handler access to its endpoint and the forwarding
-// mechanism.
+// mechanism. It is also the endpoint's whole record of a request in
+// service — what the handler fiber's body needs — so that serving a
+// request allocates no closure: Ctx structs recycle through the
+// endpoint's free list, each carrying its serve method bound once, the
+// way events recycle in the engine. A Ctx is valid until its handler
+// returns; handlers must not keep it.
 type Ctx struct {
 	ep    *Endpoint
 	fiber *sim.Fiber
 	env   *wire.Envelope
+
+	h    Handler
+	key  uint64 // cacheKey of the request
+	span trace.SpanID
+	run  func(f *sim.Fiber) // c.serve, bound when c was first allocated
 }
 
 // Endpoint returns the endpoint servicing the request.
@@ -131,9 +141,10 @@ type pending struct {
 	// destination, so the caller sees ErrNodeDown instead of a generic
 	// retransmission give-up.
 	nodeDown bool
-	// responders tracks who replied, so BroadcastAll retransmission can
-	// target only the missing nodes.
-	responders map[ring.NodeID]bool
+	// responders is the set of nodes that replied (node ids are below
+	// wire.MaxNodes), so BroadcastAll retransmission can target only the
+	// missing nodes.
+	responders uint64
 	// group, when non-nil, aggregates this pending into a CallMany batch;
 	// the shared fiber wakes when every member completes.
 	group *group
@@ -164,6 +175,10 @@ type Endpoint struct {
 	out      map[uint32]*pending
 	// retransScratch is retransmitCheck's reusable sorted-key buffer.
 	retransScratch []uint32
+	// freePending and freeCtx recycle the per-call and per-request
+	// records (deterministic LIFO lists, like the engine's event list).
+	freePending []*pending
+	freeCtx     []*Ctx
 
 	// replyCache holds recent replies keyed by (origin, reqID) so
 	// duplicate requests are answered without re-execution. inProgress
@@ -171,7 +186,7 @@ type Endpoint struct {
 	// forwardCache remembers where a request was forwarded so that a
 	// retransmitted duplicate follows the same path to the node holding
 	// the cached reply, even after probOwner hints moved on.
-	replyCache    map[uint64]*replyEntry
+	replyCache    map[uint64]replyEntry
 	cacheOrder    []uint64
 	inProgress    map[uint64]bool
 	replyCacheCap int
@@ -196,7 +211,6 @@ type Endpoint struct {
 }
 
 type replyEntry struct {
-	key     uint64
 	payload []byte
 	dst     ring.NodeID
 }
@@ -259,7 +273,7 @@ func NewEndpoint(eng *sim.Engine, nw ring.Transport, id ring.NodeID, cpu *sim.Re
 		handlers:      make(map[wire.Kind]Handler),
 		gates:         make(map[wire.Kind]Gate),
 		out:           make(map[uint32]*pending),
-		replyCache:    make(map[uint64]*replyEntry),
+		replyCache:    make(map[uint64]replyEntry),
 		inProgress:    make(map[uint64]bool),
 		replyCacheCap: 128,
 		forwardCache:  make(map[uint64]ring.NodeID),
@@ -413,7 +427,7 @@ func (ep *Endpoint) Call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (wire.Msg,
 	}
 	p := ep.newPending(f, dst, req, 1, false)
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("call %v -> node %d", req.Kind(), dst))
+	f.Park("call %s -> node %d", req.Kind().String(), int(dst))
 	return ep.finish(p)
 }
 
@@ -433,7 +447,7 @@ func (ep *Endpoint) CallFailFast(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (w
 	p := ep.newPending(f, dst, req, 1, false)
 	p.failFast = true
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("call %v -> node %d (fail-fast)", req.Kind(), dst))
+	f.Park("call %s -> node %d (fail-fast)", req.Kind().String(), int(dst))
 	return ep.finish(p)
 }
 
@@ -444,7 +458,7 @@ func (ep *Endpoint) BroadcastAny(f *sim.Fiber, req wire.Msg) (wire.Msg, error) {
 	ep.stats.Broadcasts++
 	p := ep.newPending(f, ring.Broadcast, req, 1, true)
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("broadcast-any %v", req.Kind()))
+	f.Park("broadcast-any %s", req.Kind().String())
 	return ep.finish(p)
 }
 
@@ -459,8 +473,8 @@ func (ep *Endpoint) BroadcastAll(f *sim.Fiber, req wire.Msg) ([]wire.Msg, error)
 	}
 	p := ep.newPending(f, ring.Broadcast, req, want, true)
 	ep.transmit(p)
-	f.Park(fmt.Sprintf("broadcast-all %v", req.Kind()))
-	delete(ep.out, p.reqID)
+	f.Park("broadcast-all %s", req.Kind().String())
+	defer ep.retire(p)
 	if len(p.replies) < want {
 		return nil, p.failErr()
 	}
@@ -502,14 +516,21 @@ func (ep *Endpoint) newPending(f *sim.Fiber, dst ring.NodeID, req wire.Msg, want
 		LoadHint: ep.loadHint(),
 		Body:     req,
 	}
-	p := &pending{
-		reqID:      ep.nextReq,
-		dst:        dst,
-		payload:    env.Marshal(),
-		fiber:      f,
-		want:       want,
-		sentAt:     ep.eng.Now(),
-		responders: make(map[ring.NodeID]bool),
+	var p *pending
+	if n := len(ep.freePending); n > 0 {
+		p = ep.freePending[n-1]
+		ep.freePending = ep.freePending[:n-1]
+	} else {
+		p = new(pending)
+	}
+	*p = pending{
+		reqID:   ep.nextReq,
+		dst:     dst,
+		payload: env.Marshal(),
+		fiber:   f,
+		want:    want,
+		replies: p.replies, // emptied by retire; the backing array is reused
+		sentAt:  ep.eng.Now(),
 	}
 	if ep.trc != nil && f != nil && f.Trace() != 0 {
 		p.trace = trace.SpanID(f.Trace())
@@ -526,13 +547,23 @@ func (ep *Endpoint) transmit(p *pending) {
 }
 
 // finish collects the result of a single-reply pending after the fiber
-// resumes.
+// resumes, and retires it.
 func (ep *Endpoint) finish(p *pending) (wire.Msg, error) {
-	delete(ep.out, p.reqID)
+	defer ep.retire(p)
 	if len(p.replies) == 0 {
 		return nil, p.failErr()
 	}
 	return p.replies[0].Body, nil
+}
+
+// retire unregisters a completed request and recycles its record. The
+// caller must be the last user of p: the waiting fiber once it has read
+// the outcome, or the layer itself for a request nobody waits on.
+func (ep *Endpoint) retire(p *pending) {
+	delete(ep.out, p.reqID)
+	clear(p.replies) // drop the envelopes, keep the array
+	*p = pending{replies: p.replies[:0]}
+	ep.freePending = append(ep.freePending, p)
 }
 
 // receive is the network delivery handler; it runs in engine context.
@@ -567,11 +598,11 @@ func (ep *Endpoint) handleReply(env *wire.Envelope) {
 	if !ok {
 		return // stale reply for a completed request
 	}
-	from := ring.NodeID(env.Sender)
-	if p.responders[from] {
+	from := uint64(1) << env.Sender
+	if p.responders&from != 0 {
 		return // duplicate reply from a retransmission
 	}
-	p.responders[from] = true
+	p.responders |= from
 	p.replies = append(p.replies, env)
 	ep.stats.RepliesReceived++
 	if len(p.replies) < p.want || p.woken {
@@ -585,7 +616,7 @@ func (ep *Endpoint) handleReply(env *wire.Envelope) {
 		p.fiber.Unpark()
 	default:
 		// Reliable notify: nobody waits; retire the request.
-		delete(ep.out, p.reqID)
+		ep.retire(p)
 	}
 }
 
@@ -628,30 +659,53 @@ func (ep *Endpoint) handleRequest(env *wire.Envelope) {
 	}
 	ep.inProgress[key] = true
 	ep.stats.RequestsServed++
-	span := ep.spanOf(env)
-	name := fmt.Sprintf("node%d/%v#%d", ep.id, env.Body.Kind(), env.ReqID)
-	ep.eng.Go(name, func(f *sim.Fiber) {
-		// The handler fiber inherits the request's fault span, so work it
-		// does on the fault's behalf (page copies, disk I/O, nested
-		// calls) attributes to that fault.
-		f.SetTrace(uint64(span))
-		// Charge the fixed service cost with the CPU held, then release
-		// it before the handler body runs: handlers may block on page
-		// locks or nested remote calls, and a blocked handler must never
-		// pin the node's CPU (two nodes faulting on each other's pages
-		// would deadlock). Handlers re-acquire the CPU for their own
-		// compute charges.
-		ep.cpu.Acquire(f)
-		f.Sleep(ep.costs.HandlerCPU)
-		ep.cpu.Release()
-		ctx := &Ctx{ep: ep, fiber: f, env: env}
-		reply := h(ctx, env)
-		delete(ep.inProgress, key)
-		if reply == nil {
-			return // forwarded, or a declined broadcast
-		}
-		ep.sendReply(env, reply, key)
-	})
+	c := ep.getCtx()
+	c.env, c.h, c.key, c.span = env, h, key, ep.spanOf(env)
+	ep.eng.Go("node%d/%s#%d", c.run, int(ep.id), env.Body.Kind().String(), int(env.ReqID))
+}
+
+// getCtx takes a request record off the free list, or makes one.
+func (ep *Endpoint) getCtx() *Ctx {
+	if n := len(ep.freeCtx); n > 0 {
+		c := ep.freeCtx[n-1]
+		ep.freeCtx = ep.freeCtx[:n-1]
+		return c
+	}
+	c := &Ctx{ep: ep}
+	c.run = c.serve
+	return c
+}
+
+// putCtx recycles c once its handler has returned. Reference fields are
+// cleared so the free list retains no envelope, fiber or handler.
+func (ep *Endpoint) putCtx(c *Ctx) {
+	*c = Ctx{ep: ep, run: c.run}
+	ep.freeCtx = append(ep.freeCtx, c)
+}
+
+// serve is the body of the fiber that services the request recorded in c.
+func (c *Ctx) serve(f *sim.Fiber) {
+	ep := c.ep
+	c.fiber = f
+	// The handler fiber inherits the request's fault span, so work it
+	// does on the fault's behalf (page copies, disk I/O, nested calls)
+	// attributes to that fault.
+	f.SetTrace(uint64(c.span))
+	// Charge the fixed service cost with the CPU held, then release it
+	// before the handler body runs: handlers may block on page locks or
+	// nested remote calls, and a blocked handler must never pin the
+	// node's CPU (two nodes faulting on each other's pages would
+	// deadlock). Handlers re-acquire the CPU for their own compute
+	// charges.
+	ep.cpu.Acquire(f)
+	f.Sleep(ep.costs.HandlerCPU)
+	ep.cpu.Release()
+	reply := c.h(c, c.env)
+	delete(ep.inProgress, c.key)
+	if reply != nil { // nil: forwarded, or a declined broadcast
+		ep.sendReply(c.env, reply, c.key)
+	}
+	ep.putCtx(c)
 }
 
 // handleNoReply runs a no-reply broadcast's handler directly in engine
@@ -662,9 +716,12 @@ func (ep *Endpoint) handleNoReply(env *wire.Envelope) {
 		panic(fmt.Sprintf("remop: node %d has no handler for %v", ep.id, env.Body.Kind()))
 	}
 	ep.stats.RequestsServed++
-	if reply := h(&Ctx{ep: ep, env: env}, env); reply != nil {
+	c := ep.getCtx()
+	c.env = env
+	if reply := h(c, env); reply != nil {
 		panic(fmt.Sprintf("remop: handler for no-reply %v returned a reply", env.Body.Kind()))
 	}
+	ep.putCtx(c)
 }
 
 func (ep *Endpoint) sendReply(req *wire.Envelope, body wire.Msg, key uint64) {
@@ -688,7 +745,7 @@ func (ep *Endpoint) cacheReply(key uint64, payload []byte, dst ring.NodeID) {
 	if _, exists := ep.replyCache[key]; !exists {
 		ep.cacheOrder = append(ep.cacheOrder, key)
 	}
-	ep.replyCache[key] = &replyEntry{key: key, payload: payload, dst: dst}
+	ep.replyCache[key] = replyEntry{payload: payload, dst: dst}
 	for len(ep.cacheOrder) > ep.replyCacheCap {
 		old := ep.cacheOrder[0]
 		ep.cacheOrder = ep.cacheOrder[1:]
@@ -779,7 +836,7 @@ func (ep *Endpoint) retransmitCheck() {
 			case p.fiber != nil:
 				p.fiber.Unpark()
 			default:
-				delete(ep.out, p.reqID)
+				ep.retire(p)
 			}
 			continue
 		}
@@ -799,7 +856,7 @@ func (ep *Endpoint) retransmitCheck() {
 		}
 		for id := 0; id < ep.nw.Size(); id++ {
 			nid := ring.NodeID(id)
-			if nid == ep.id || p.responders[nid] {
+			if nid == ep.id || p.responders&(1<<uint(id)) != 0 {
 				continue
 			}
 			ep.nw.Send(&ring.Packet{Src: ep.id, Dst: nid, Payload: p.payload, Trace: uint64(p.trace)})

@@ -26,3 +26,72 @@ func TestSleepDoesNotAllocate(t *testing.T) {
 		t.Fatalf("fiber sleep allocates %v objects/op", got)
 	}
 }
+
+// TestSpawnAllocs pins what a fiber costs once carriers are warm: the
+// Fiber itself and nothing else — no goroutine, no channel, no closure of
+// the engine's, no name (the format's operands are copied, not rendered).
+// The body here captures nothing, so the caller contributes no closure
+// either.
+func TestSpawnAllocs(t *testing.T) {
+	e := New(1)
+	got := -1.0
+	e.Go("parent", func(f *Fiber) {
+		spawn := func() {
+			e.Go("node%d/%s#%d", func(*Fiber) {}, 1, "ReadFaultReq", 100000)
+			f.Sleep(time.Microsecond) // the child runs and exits; its carrier idles
+		}
+		spawn()
+		got = testing.AllocsPerRun(200, spawn)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got > 1 {
+		t.Fatalf("spawning and finishing a fiber allocates %v objects, want at most 1 (the Fiber)", got)
+	}
+}
+
+// TestResourceAllocs pins Resource.Acquire/Release at zero allocations,
+// free and contended: a waiter queues through its own Fiber and its park
+// reason is data, not text.
+func TestResourceAllocs(t *testing.T) {
+	e := New(1)
+	cpu := NewResource(e, "cpu0", 1)
+	free, contended := -1.0, -1.0
+	e.Go("a", func(f *Fiber) {
+		free = testing.AllocsPerRun(200, func() {
+			cpu.Acquire(f)
+			cpu.Release()
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Two fibers take turns holding the unit across a sleep, so each
+	// Acquire finds it held and parks behind the other.
+	turn := func(f *Fiber) {
+		cpu.Acquire(f)
+		f.Sleep(time.Microsecond)
+		cpu.Release()
+	}
+	e.Go("b", func(f *Fiber) {
+		for i := 0; i < 1000; i++ {
+			turn(f)
+		}
+	})
+	e.Go("c", func(f *Fiber) {
+		turn(f)
+		contended = testing.AllocsPerRun(200, func() {
+			if cpu.InUse() == 0 {
+				t.Error("a measured Acquire found the unit free")
+			}
+			turn(f)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if free != 0 || contended != 0 {
+		t.Fatalf("Resource.Acquire/Release allocates %v objects free, %v contended, want 0", free, contended)
+	}
+}

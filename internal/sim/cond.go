@@ -6,7 +6,7 @@ package sim
 // simulated activity.
 type Cond struct {
 	name    string
-	waiters []*Fiber
+	waiters WaitQueue
 }
 
 // NewCond creates a condition variable; name appears in deadlock reports.
@@ -15,19 +15,17 @@ func NewCond(name string) *Cond { return &Cond{name: name} }
 // Wait parks the calling fiber until Signal or Broadcast wakes it. As with
 // any condition variable, callers must re-check their predicate on wakeup.
 func (c *Cond) Wait(f *Fiber) {
-	c.waiters = append(c.waiters, f)
-	f.Park("waiting on " + c.name)
+	c.waiters.Push(f)
+	f.Park("waiting on %s", c.name)
 }
 
 // Signal wakes the longest-waiting fiber, if any, and reports whether one
 // was woken.
 func (c *Cond) Signal() bool {
-	if len(c.waiters) == 0 {
+	first := c.waiters.Pop()
+	if first == nil {
 		return false
 	}
-	first := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:len(c.waiters)-1]
 	first.Unpark()
 	return true
 }
@@ -35,13 +33,12 @@ func (c *Cond) Signal() bool {
 // Broadcast wakes every waiting fiber (in wait order) and returns how many
 // were woken.
 func (c *Cond) Broadcast() int {
-	n := len(c.waiters)
-	for _, f := range c.waiters {
+	n := c.waiters.Len()
+	for f := c.waiters.Pop(); f != nil; f = c.waiters.Pop() {
 		f.Unpark()
 	}
-	c.waiters = c.waiters[:0]
 	return n
 }
 
 // Waiters returns the number of fibers currently parked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() int { return c.waiters.Len() }

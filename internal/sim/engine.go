@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -76,12 +77,14 @@ type Engine struct {
 	running bool
 
 	// Fiber bookkeeping. current is the fiber executing right now (nil
-	// when an event callback is running). parked maps live-but-blocked
-	// fibers to a description of what they wait for, used in deadlock
-	// reports.
+	// when an event callback is running). fibers lists every live fiber
+	// (spawned, body not yet over) in no particular order — each knows
+	// its own index — for the deadlock check and the parked-fiber
+	// reports. idle is the LIFO of carriers whose fiber has finished
+	// (see carrier).
 	current *Fiber
-	live    int
-	parked  map[*Fiber]string
+	fibers  []*Fiber
+	idle    []*carrier
 
 	// engineResume wakes the goroutine that called RunUntil when the
 	// run ends while a fiber holds the scheduling token (run drained,
@@ -124,7 +127,6 @@ type Engine struct {
 func New(seed int64) *Engine {
 	return &Engine{
 		rng:          rand.New(rand.NewSource(seed)),
-		parked:       make(map[*Fiber]string),
 		engineResume: make(chan struct{}),
 	}
 }
@@ -279,36 +281,45 @@ func (e *Engine) RunUntil(limit Time) error {
 	// it; clear so a later RunUntil passes the re-entrancy guard.
 	e.current = nil
 	e.running = false
+	e.releaseIdle()
 	if e.panicMsg != "" {
 		panic(e.panicMsg)
 	}
-	if !e.stopped && e.live > 0 && e.pending() == 0 {
+	if !e.stopped && len(e.fibers) > 0 && e.pending() == 0 {
 		return fmt.Errorf("sim: deadlock at %v: %d fiber(s) parked: %s",
-			e.now, e.live, e.parkedSummary())
+			e.now, len(e.fibers), strings.Join(e.Parked(), "; "))
 	}
 	return nil
 }
 
 // dispatch is the engine's scheduler loop, run by whichever goroutine
 // currently holds the scheduling token: the RunUntil caller (self ==
-// nil) or a fiber that just yielded (self != nil) or terminated (dying).
-// It executes events in (at, seq) order until one of:
+// nil), or a carrier, named by its resume channel, whose fiber just
+// yielded or finished (dying). It executes events in (at, seq) order
+// until one of:
 //
-//   - the next event resumes self: return, and the caller continues its
-//     fiber body with zero channel operations — a sleeping fiber whose
-//     wakeup is the next event never leaves its goroutine;
+//   - the next event resumes a fiber carried by self: return true, and
+//     the caller continues on this goroutine with zero channel
+//     operations — a sleeping fiber whose wakeup is the next event never
+//     leaves its goroutine, and a finished carrier goes straight on to
+//     the fiber just bound to it;
 //   - the next event resumes another fiber: hand the token over with a
 //     single channel send (one scheduler round trip, not the two of a
-//     yield-to-central-loop design) and park until resumed in turn;
+//     yield-to-central-loop design) and, unless dying, park until resumed
+//     in turn;
 //   - the run ends (queue drained, Stop, horizon): return the token to
 //     the RunUntil caller.
+//
+// dispatch reports whether its caller holds the token on return. Only a
+// dying carrier that gave the token away does not: nothing parks it here,
+// it goes idle until its channel wakes it with a new fiber.
 //
 // Determinism is untouched: exactly one goroutine holds the token at any
 // moment, and the event order is the same total (at, seq) order as ever —
 // only the number of goroutine switches per event changes.
 //
 //ivy:hostworld token-handoff channel handshake between fiber goroutines
-func (e *Engine) dispatch(self *Fiber, dying bool) {
+func (e *Engine) dispatch(self chan struct{}, dying bool) bool {
 	for !e.stopped {
 		// With an external source installed (real-transport runs only),
 		// pull injected work in before choosing the next event.
@@ -335,7 +346,7 @@ func (e *Engine) dispatch(self *Fiber, dying bool) {
 			// fibers may be waiting on frames a remote process has yet to
 			// send. Wait returns on injection, pacing, or source close;
 			// the horizon still bounds the run.
-			if e.ext != nil && e.live > 0 && e.ext.Now() < e.limit {
+			if e.ext != nil && len(e.fibers) > 0 && e.ext.Now() < e.limit {
 				e.ext.Wait(e.limit)
 				continue
 			}
@@ -377,10 +388,10 @@ func (e *Engine) dispatch(self *Fiber, dying bool) {
 				// user defers for a failure that is not its own).
 				e.engineResume <- struct{}{}
 				if dying {
-					return
+					return false
 				}
-				<-self.resume // never resumed; the run is aborting
-				return
+				<-self // never resumed; the run is aborting
+				return true
 			}
 			continue
 		}
@@ -388,34 +399,35 @@ func (e *Engine) dispatch(self *Fiber, dying bool) {
 			continue // stale wakeup for a terminated fiber
 		}
 		e.fiberSwitches++
-		delete(e.parked, fb)
+		fb.parked = false
 		e.current = fb
-		if fb == self {
-			return // own wakeup: continue the body, no goroutine switch
+		if fb.resume == self {
+			return true // carried here: continue, no goroutine switch
 		}
 		fb.resume <- struct{}{}
 		if dying {
-			return // terminated fiber: hand off and let the goroutine exit
+			return false // finished fiber: hand off and idle the carrier
 		}
 		if self == nil {
 			// The RunUntil caller parks until the run ends elsewhere.
 			<-e.engineResume
-			return
+			return true
 		}
-		<-self.resume
-		return
+		<-self
+		return true
 	}
 	// Run over: queue drained, horizon reached, or Stop. Return the
 	// token to the RunUntil caller if a fiber holds it.
 	if self == nil {
-		return
+		return true
 	}
 	e.engineResume <- struct{}{}
 	if dying {
-		return
+		return false
 	}
 	// Park until a future RunUntil resumes this fiber again.
-	<-self.resume
+	<-self
+	return true
 }
 
 // callEvent runs an event callback on a fiber's goroutine, converting a
@@ -431,24 +443,6 @@ func (e *Engine) callEvent(fn func()) (ok bool) {
 	return true
 }
 
-// parkedSummary renders the parked-fiber table for deadlock errors,
-// sorted for stable output.
-func (e *Engine) parkedSummary() string {
-	lines := make([]string, 0, len(e.parked))
-	for f, why := range e.parked {
-		lines = append(lines, fmt.Sprintf("%s (%s)", f.name, why))
-	}
-	sort.Strings(lines)
-	s := ""
-	for i, l := range lines {
-		if i > 0 {
-			s += "; "
-		}
-		s += l
-	}
-	return s
-}
-
 // Current returns the fiber executing right now, or nil when the engine is
 // running a plain event callback.
 func (e *Engine) Current() *Fiber { return e.current }
@@ -457,9 +451,11 @@ func (e *Engine) Current() *Fiber { return e.current }
 // diagnostic for stuck simulations whose event queues never drain (e.g.
 // because periodic timers keep firing).
 func (e *Engine) Parked() []string {
-	out := make([]string, 0, len(e.parked))
-	for f, why := range e.parked {
-		out = append(out, f.name+" ("+why+")")
+	out := make([]string, 0, len(e.fibers))
+	for _, f := range e.fibers {
+		if f.parked {
+			out = append(out, f.Name()+" ("+f.why.String()+")")
+		}
 	}
 	sort.Strings(out)
 	return out

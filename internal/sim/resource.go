@@ -11,7 +11,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*Fiber
+	waiters  WaitQueue
 
 	// busy accumulates total unit-holding time for utilization stats.
 	busy       time.Duration
@@ -31,19 +31,19 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Acquire obtains one unit of the resource, blocking the fiber in FIFO
 // order if none is free.
 func (r *Resource) Acquire(f *Fiber) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.account()
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, f)
-	f.Park("waiting for " + r.name)
+	r.waiters.Push(f)
+	f.Park("waiting for %s", r.name)
 }
 
 // TryAcquire obtains a unit only if one is immediately free, returning
 // whether it succeeded.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.Len() == 0 {
 		r.account()
 		r.inUse++
 		return true
@@ -57,11 +57,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if len(r.waiters) > 0 {
+	if next := r.waiters.Pop(); next != nil {
 		// Hand the unit directly to the next waiter; inUse is unchanged.
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
 		next.Unpark()
 		return
 	}
@@ -83,7 +80,7 @@ func (r *Resource) account() {
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of fibers waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // BusyTime returns the total virtual time during which at least one unit
 // was held.
