@@ -4,6 +4,7 @@
 package core
 
 import (
+	"iter"
 	"sync"
 
 	"ws/internal/parallel"
@@ -38,6 +39,12 @@ func wait(a, b chan int) {
 func drain(ch chan int) {
 	for range ch { // want `range over a channel inside the simulated world`
 	}
+}
+
+// pull hides a goroutine launch behind an iterator adapter.
+func pull(seq iter.Seq[int]) {
+	_, stop := iter.Pull(seq) // want `iter.Pull starts a goroutine inside the simulated world`
+	stop()
 }
 
 // badAnn claims host sanction outside sim/parallel.

@@ -3,6 +3,8 @@
 // sanction host machinery — and only where it does.
 package sim
 
+import "iter"
+
 // Engine is the miniature scheduler; its annotated methods below are
 // the sanctioned host machinery.
 type Engine struct{ resume chan int }
@@ -18,6 +20,14 @@ func New() *Engine { return &Engine{resume: make(chan int, 1)} }
 func (e *Engine) Dispatch() {
 	e.resume <- 1
 	<-e.resume
+}
+
+// Carrier starts the coroutine a fiber runs on — a goroutine, though no
+// go statement says so.
+//
+//ivy:hostworld starts the coroutine backing a carrier
+func Carrier(body func()) (next func() (struct{}, bool), stop func()) {
+	return iter.Pull(func(func(struct{}) bool) { body() })
 }
 
 // leak sits outside any //ivy:hostworld body: sim is sanctioned only

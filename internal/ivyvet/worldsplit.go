@@ -16,7 +16,8 @@ import (
 // per-site leaks it can see locally (bare go statements, wall-clock
 // reads), worldsplit owns the other half of the contract:
 //
-//   - channel operations and sync/sync-atomic objects are host
+//   - channel operations, sync/sync-atomic objects and iter.Pull/Pull2
+//     (which start a goroutine no go statement shows) are host
 //     primitives; inside the simulated world they may appear only in
 //     functions annotated //ivy:hostworld, and that annotation is legal
 //     only in the sanctioned host components: internal/sim (the fiber
@@ -38,7 +39,7 @@ import (
 // syntactic and exact.
 var WorldsplitAnalyzer = &analysis.Analyzer{
 	Name: "worldsplit",
-	Doc: "forbid channel/sync primitives and reaching host-world code inside simulated-world packages; " +
+	Doc: "forbid channel/sync/iter.Pull primitives and reaching host-world code inside simulated-world packages; " +
 		"//ivy:hostworld in internal/sim, internal/parallel, and internal/tcpnet marks the only sanctioned host machinery",
 	Run: runWorldsplit,
 }
@@ -131,12 +132,18 @@ func runWorldsplit(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 
-	// sync / sync-atomic objects, reported at the referencing identifier
-	// (type uses and package-level functions; methods like mu.Lock ride
-	// on an already-reported declaration). One finding per site, so one
-	// reasoned ignore covers a deliberate, documented exception.
+	// sync / sync-atomic objects and iter's coroutine constructors,
+	// reported at the referencing identifier (type uses and package-level
+	// functions; methods like mu.Lock ride on an already-reported
+	// declaration). One finding per site, so one reasoned ignore covers a
+	// deliberate, documented exception.
 	for id, obj := range pass.TypesInfo.Uses {
 		if exempted(id.Pos()) {
+			continue
+		}
+		if isCoroutineLaunch(obj) {
+			pass.Reportf(id.Pos(),
+				"iter.%s starts a goroutine inside the simulated world; concurrency must be sim.Engine fibers", obj.Name())
 			continue
 		}
 		pkg := obj.Pkg()
@@ -296,10 +303,19 @@ func buildWorldsplitFacts(g *callgraph.Graph) *worldsplitFacts {
 	return f
 }
 
+// isCoroutineLaunch reports whether obj is iter.Pull or iter.Pull2: each
+// call starts a goroutine to run the sequence on, invisible to every
+// syntactic rule.
+func isCoroutineLaunch(obj types.Object) bool {
+	_, isFunc := obj.(*types.Func)
+	return isFunc && obj.Pkg() != nil && obj.Pkg().Path() == "iter" &&
+		(obj.Name() == "Pull" || obj.Name() == "Pull2")
+}
+
 // nodeHostPrimitive describes the first host primitive in a node's
 // body, or "". Used only for out-of-scope seed nodes, so it counts
 // everything — go statements, wall-clock reads, channel operations,
-// sync objects and their methods.
+// sync objects and their methods, iter's coroutine constructors.
 func nodeHostPrimitive(n *callgraph.Node) string {
 	desc := ""
 	info := n.Pkg.Info
@@ -320,6 +336,10 @@ func nodeHostPrimitive(n *callgraph.Node) string {
 			obj := info.Uses[v]
 			if obj == nil || obj.Pkg() == nil {
 				return true
+			}
+			if isCoroutineLaunch(obj) {
+				desc = "a coroutine launch (iter." + obj.Name() + ")"
+				return false
 			}
 			switch obj.Pkg().Path() {
 			case "sync", "sync/atomic":

@@ -27,6 +27,39 @@ func TestSleepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestHandoffAllocs pins the other round trip: a sleep during which
+// another fiber runs, so control leaves the sleeper's coroutine for the
+// dispatch loop, enters the other's, and comes back the same way. Four
+// coroutine switches, no allocation.
+func TestHandoffAllocs(t *testing.T) {
+	e := New(1)
+	got, turns, stop := -1.0, 0, false
+	e.Go("other", func(f *Fiber) {
+		f.Sleep(time.Microsecond / 2)
+		for !stop {
+			turns++
+			f.Sleep(time.Microsecond)
+		}
+	})
+	e.Go("measured", func(f *Fiber) {
+		f.Sleep(time.Microsecond) // warm the event free list
+		before := turns
+		got = testing.AllocsPerRun(200, func() {
+			f.Sleep(time.Microsecond)
+		})
+		if turns-before < 200 {
+			t.Errorf("the other fiber ran %d times during 200 measured sleeps: no hand-off was measured", turns-before)
+		}
+		stop = true
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Fatalf("a hand-off between two sleeping fibers allocates %v objects/op", got)
+	}
+}
+
 // TestSpawnAllocs pins what a fiber costs once carriers are warm: the
 // Fiber itself and nothing else — no goroutine, no channel, no closure of
 // the engine's, no name (the format's operands are copied, not rendered).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -74,26 +75,21 @@ func TestEveryCancelFromInsideTick(t *testing.T) {
 	}
 }
 
-// TestEventCallbackPanicOnFiberGoroutine pins panic forwarding in the
-// token-handoff scheduler: when an event callback panics while a fiber's
-// goroutine holds the scheduling token (here: a fiber sleeps across the
-// callback's timestamp, so the fiber runs the dispatcher), the panic
-// must surface from RunUntil on the caller's goroutine, not kill the
-// fiber's goroutine silently.
-func TestEventCallbackPanicOnFiberGoroutine(t *testing.T) {
+// TestEventCallbackPanicPropagatesRaw: event callbacks run on the
+// goroutine that called RunUntil, whatever fiber ran before them (here a
+// fiber sleeps across the callback's timestamp), so a callback's panic
+// surfaces from RunUntil as the value it was raised with — never wrapped,
+// never lost on a fiber's goroutine.
+func TestEventCallbackPanicPropagatesRaw(t *testing.T) {
 	e := New(1)
 	e.Go("sleeper", func(f *Fiber) {
 		f.Sleep(20 * time.Millisecond)
 	})
-	e.Schedule(10*time.Millisecond, func() { panic("boom") })
+	boom := errors.New("boom")
+	e.Schedule(10*time.Millisecond, func() { panic(boom) })
 	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("RunUntil did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "event callback panicked") || !strings.Contains(msg, "boom") {
-			t.Fatalf("panic = %v, want event-callback message containing boom", r)
+		if r := recover(); r != boom {
+			t.Fatalf("RunUntil panicked with %v, want the callback's own value %v", r, boom)
 		}
 	}()
 	_ = e.Run()

@@ -4,10 +4,11 @@
 // The engine owns a virtual clock and a priority queue of events. Exactly
 // one unit of work — an event callback or a fiber — executes at any moment,
 // so simulation code never needs locks and every run with the same seed is
-// bit-for-bit reproducible. Fibers are backed by goroutines but are
-// scheduled cooperatively: a single scheduling token travels between
-// goroutines, and whichever goroutine holds it runs the dispatch loop
-// until control must transfer elsewhere (see Engine.dispatch).
+// bit-for-bit reproducible. Fibers are runtime coroutines (iter.Pull): the
+// goroutine that called RunUntil runs the one dispatch loop, switches
+// directly into the fiber the next event names, and gets control back when
+// that fiber blocks or ends — no channel, no run queue and no Go-scheduler
+// wake-up is involved in a fiber hand-off (see Engine.dispatch).
 //
 // The IVY reproduction uses one fiber per lightweight process and per
 // in-flight remote-operation handler, and events for timers and message
@@ -57,10 +58,11 @@ type event struct {
 }
 
 // Engine is a discrete-event simulator. Create one with New, add initial
-// work with Schedule or Go, then call Run. An Engine must not be shared
-// between OS threads except through the token handshake it manages
-// itself; distinct Engines are fully independent and may run on
-// different host cores (internal/parallel exploits this).
+// work with Schedule or Go, then call Run. An Engine is driven by one
+// goroutine at a time — successive RunUntil calls may come from different
+// ones, fibers parked in between — and must not be shared otherwise;
+// distinct Engines are fully independent and may run on different host
+// cores (internal/parallel exploits this).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -86,18 +88,13 @@ type Engine struct {
 	fibers  []*Fiber
 	idle    []*carrier
 
-	// engineResume wakes the goroutine that called RunUntil when the
-	// run ends while a fiber holds the scheduling token (run drained,
-	// Stop, horizon, or a forwarded panic).
-	engineResume chan struct{}
-
 	// eventCount counts executed events; fiberSwitches counts fiber
 	// resumptions. Exposed for engine-level tests and tracing.
 	eventCount    uint64
 	fiberSwitches uint64
 
-	// panicMsg carries a fiber or event-callback panic back to the
-	// RunUntil caller, which re-raises it there.
+	// panicMsg carries a fiber's panic back to the RunUntil caller, which
+	// re-raises it there.
 	panicMsg string
 
 	// free recycles event structs. A deterministic LIFO free list (not a
@@ -122,13 +119,8 @@ type Engine struct {
 // explicit seed replays the whole run bit-for-bit. The determinism
 // analyzer (internal/ivyvet) enforces this mechanically — it permits
 // rand constructors only here, in internal/sim.
-//
-//ivy:hostworld allocates the engine-resume channel of the token handshake
 func New(seed int64) *Engine {
-	return &Engine{
-		rng:          rand.New(rand.NewSource(seed)),
-		engineResume: make(chan struct{}),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -177,8 +169,17 @@ func (e *Engine) scheduleFunc(at Time, fn func()) *event {
 }
 
 // scheduleFiberAt schedules fiber f to be resumed at time at — the
-// closure-free fast path behind Sleep, Unpark, and Go.
+// closure-free fast path behind Sleep, Unpark, and Go. A live fiber has
+// at most one wake-up pending: it blocks in one place, and a second
+// wake-up for the same park would resume it out of some later, unrelated
+// one. Wake-ups for a finished fiber stay legal (a timer outliving its
+// waiter) and are dropped by the dispatcher.
 func (e *Engine) scheduleFiberAt(at Time, f *Fiber) {
+	if f.waking && !f.done {
+		panic(fmt.Sprintf("sim: second wake-up scheduled for fiber %q (%s), which already has one pending",
+			f.Name(), f.why.String()))
+	}
+	f.waking = true
 	ev := e.getEvent(at)
 	ev.fiber = f
 	if ev.at == e.now {
@@ -269,16 +270,23 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil is Run with a time horizon: events scheduled after limit are
-// left in the queue and the clock stops at the last executed event.
+// left in the queue and the clock stops at the last executed event. The
+// calling goroutine is the dispatch loop for the length of the call: it
+// switches into each fiber the dispatcher names and is switched back to
+// when that fiber blocks or ends.
 func (e *Engine) RunUntil(limit Time) error {
 	if e.running || e.current != nil {
 		panic("sim: Run called from inside the simulation")
 	}
 	e.running = true
 	e.limit = limit
-	e.dispatch(nil, false)
-	// If the run ended while a fiber held the token, current still names
-	// it; clear so a later RunUntil passes the re-entrancy guard.
+	for fb := e.dispatch(); fb != nil; fb = e.dispatch() {
+		if _, alive := fb.c.next(); !alive {
+			break // the body panicked and took its carrier along (runFiber)
+		}
+	}
+	// The fiber that ran last is still named current; clear it so a later
+	// RunUntil passes the re-entrancy guard.
 	e.current = nil
 	e.running = false
 	e.releaseIdle()
@@ -292,54 +300,39 @@ func (e *Engine) RunUntil(limit Time) error {
 	return nil
 }
 
-// dispatch is the engine's scheduler loop, run by whichever goroutine
-// currently holds the scheduling token: the RunUntil caller (self ==
-// nil), or a carrier, named by its resume channel, whose fiber just
-// yielded or finished (dying). It executes events in (at, seq) order
-// until one of:
+// dispatch is the engine's scheduler, called by RunUntil's loop and by
+// nothing else: it executes event callbacks in (at, seq) order, on the
+// RunUntil caller's goroutine — a callback's panic propagates raw from
+// RunUntil — until an event resumes a live fiber, and returns that fiber
+// for the loop to switch into; nil means the run is over (queue drained,
+// Stop, horizon).
 //
-//   - the next event resumes a fiber carried by self: return true, and
-//     the caller continues on this goroutine with zero channel
-//     operations — a sleeping fiber whose wakeup is the next event never
-//     leaves its goroutine, and a finished carrier goes straight on to
-//     the fiber just bound to it;
-//   - the next event resumes another fiber: hand the token over with a
-//     single channel send (one scheduler round trip, not the two of a
-//     yield-to-central-loop design) and, unless dying, park until resumed
-//     in turn;
-//   - the run ends (queue drained, Stop, horizon): return the token to
-//     the RunUntil caller.
+// A fiber that blocks switches back to the loop rather than running the
+// dispatcher itself, so a hand-off from one fiber to another is two
+// coroutine switches. That is the cheap way round: a switch is a direct
+// goroutine-to-goroutine jump inside the runtime (about 60 ns on the
+// reference host), where the single channel send of a design that passes
+// a scheduling token from fiber to fiber costs about 245 ns bare and, in
+// a real run, a futex wake-up of an idle thread that then competes for
+// the very goroutine the sender is about to run. The one hand-off that
+// needs no switch at all — a fiber whose own wake-up is the next event —
+// never reaches the loop (see wakesNext).
 //
-// dispatch reports whether its caller holds the token on return. Only a
-// dying carrier that gave the token away does not: nothing parks it here,
-// it goes idle until its channel wakes it with a new fiber.
-//
-// Determinism is untouched: exactly one goroutine holds the token at any
-// moment, and the event order is the same total (at, seq) order as ever —
-// only the number of goroutine switches per event changes.
-//
-//ivy:hostworld token-handoff channel handshake between fiber goroutines
-func (e *Engine) dispatch(self chan struct{}, dying bool) bool {
+// Determinism is structural: one goroutine runs at any moment, and the
+// event order is the total (at, seq) order — how control reaches the
+// fiber an event names is invisible to the simulation.
+func (e *Engine) dispatch() *Fiber {
 	for !e.stopped {
 		// With an external source installed (real-transport runs only),
 		// pull injected work in before choosing the next event.
 		if e.ext != nil {
 			e.ext.Drain(e.injectExternal)
 		}
-		// Extract the globally next event in (at, seq) order from the
-		// two queues. The FIFO's head, when present, is always at the
-		// current timestamp, so the heap wins only with an equal-time
-		// event scheduled earlier (smaller seq) or — impossible during
-		// a run, but harmless — a strictly earlier time. The peeks
-		// inline; the heap is popped only when it actually wins.
-		ev := e.nowQ.peek()
-		if ev == nil {
-			ev = e.heap.pop()
-		} else if top := e.heap.top(); top != nil &&
-			(top.at < ev.at || (top.at == ev.at && top.seq < ev.seq)) {
+		var ev *event
+		if e.heapFirst() {
 			ev = e.heap.pop()
 		} else {
-			e.nowQ.pop()
+			ev = e.nowQ.pop()
 		}
 		if ev == nil {
 			// Externally-driven runs park here instead of draining: live
@@ -372,74 +365,77 @@ func (e *Engine) dispatch(self chan struct{}, dying bool) bool {
 			e.ext.Wait(ev.at)
 			continue
 		}
-		e.now = ev.at
-		e.eventCount++
-		// Recycle the struct before dispatching: the callback may
-		// schedule (and thus reuse) events itself.
-		e.putEvent(ev)
+		e.execute(ev)
 		if fb == nil {
 			e.current = nil
-			if self == nil {
-				fn() // a panic here propagates raw from RunUntil
-			} else if !e.callEvent(fn) {
-				// The callback panicked on a fiber's goroutine: forward
-				// the message to the RunUntil caller and abandon this
-				// goroutine (its body must not unwind — that would run
-				// user defers for a failure that is not its own).
-				e.engineResume <- struct{}{}
-				if dying {
-					return false
-				}
-				<-self // never resumed; the run is aborting
-				return true
-			}
+			fn()
 			continue
 		}
 		if fb.done {
 			continue // stale wakeup for a terminated fiber
 		}
-		e.fiberSwitches++
-		fb.parked = false
-		e.current = fb
-		if fb.resume == self {
-			return true // carried here: continue, no goroutine switch
-		}
-		fb.resume <- struct{}{}
-		if dying {
-			return false // finished fiber: hand off and idle the carrier
-		}
-		if self == nil {
-			// The RunUntil caller parks until the run ends elsewhere.
-			<-e.engineResume
-			return true
-		}
-		<-self
-		return true
+		e.resume(fb)
+		return fb
 	}
-	// Run over: queue drained, horizon reached, or Stop. Return the
-	// token to the RunUntil caller if a fiber holds it.
-	if self == nil {
-		return true
-	}
-	e.engineResume <- struct{}{}
-	if dying {
-		return false
-	}
-	// Park until a future RunUntil resumes this fiber again.
-	<-self
-	return true
+	return nil
 }
 
-// callEvent runs an event callback on a fiber's goroutine, converting a
-// panic into panicMsg for the RunUntil caller to re-raise. Reports
-// whether the callback completed normally.
-func (e *Engine) callEvent(fn func()) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicMsg = fmt.Sprintf("sim: event callback panicked: %v", r)
-		}
-	}()
-	fn()
+// heapFirst reports whether the globally next event in (at, seq) order
+// is the heap's top rather than the FIFO's head (true also when both are
+// empty). The FIFO's head, when present, is always at the current
+// timestamp, so the heap wins only with an equal-time event scheduled
+// earlier (smaller seq) or — impossible during a run, but harmless — a
+// strictly earlier time.
+func (e *Engine) heapFirst() bool {
+	ev := e.nowQ.peek()
+	if ev == nil {
+		return true
+	}
+	top := e.heap.top()
+	return top != nil && (top.at < ev.at || (top.at == ev.at && top.seq < ev.seq))
+}
+
+// execute accounts for a dequeued event that is about to run: the clock
+// moves to it, it counts, and its struct recycles — before the callback,
+// which may schedule (and thus reuse) events itself.
+func (e *Engine) execute(ev *event) {
+	e.now = ev.at
+	e.eventCount++
+	e.putEvent(ev)
+}
+
+// resume marks f as the fiber running from here on.
+func (e *Engine) resume(f *Fiber) {
+	e.fiberSwitches++
+	f.parked, f.waking = false, false
+	e.current = f
+}
+
+// wakesNext is the one shortcut around the dispatch loop, taken by a
+// fiber about to block: if the globally next event is f's own wake-up —
+// a Sleep nothing else is due before — it is executed here, exactly as
+// dispatch would, and f carries on without leaving its coroutine. Under
+// an External every step must drain injections and pace against the host
+// clock, so the shortcut is the simulator's alone.
+func (e *Engine) wakesNext(f *Fiber) bool {
+	if e.stopped || e.ext != nil {
+		return false
+	}
+	onHeap := e.heapFirst()
+	ev := e.nowQ.peek()
+	if onHeap {
+		ev = e.heap.top()
+	}
+	if ev == nil || ev.fiber != f || ev.at > e.limit {
+		return false
+	}
+	if onHeap {
+		e.heap.pop()
+	} else {
+		e.nowQ.pop()
+	}
+	e.execute(ev)
+	e.resume(f)
 	return true
 }
 

@@ -3,7 +3,7 @@ package sim
 // External feeds work into a running engine from outside the simulated
 // world — the bridge a real-network transport backend uses to hand
 // received frames (and link-state changes) to the engine without
-// breaking the single-token execution model. The engine remains the
+// breaking the one-at-a-time execution model. The engine remains the
 // only executor: injected callbacks run in engine context, in the order
 // the source hands them over, exactly like any other event.
 //
@@ -32,7 +32,7 @@ type External interface {
 	// fine-grained event bursts run unpaced). It must be monotonic.
 	Now() Time
 
-	// Wait blocks the dispatching goroutine until Now() reaches until,
+	// Wait blocks the dispatch loop's goroutine until Now() reaches until,
 	// until new injected work arrives, or until the source is closed —
 	// whichever comes first. Spurious early returns are harmless: the
 	// engine re-checks and waits again. Implementations should bound a

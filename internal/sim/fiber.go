@@ -1,25 +1,34 @@
+// The constraint raises this one file's language version, so that go vet
+// accepts iter under go.mod's "go 1.22" (see the note there).
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	runtimedebug "runtime/debug"
 	"time"
 )
 
 // Fiber is a process-oriented coroutine scheduled by an Engine. A fiber's
-// body runs on a goroutine of its own for as long as it lives (a carrier,
-// below), but the engine guarantees that at most one fiber (or event
-// callback) executes at a time; control transfers by handing a single
-// scheduling token between goroutines (Engine.dispatch). All Fiber
-// methods except Unpark must be called from within the fiber's own body.
+// body runs on a runtime coroutine for as long as it lives (a carrier,
+// below); the engine's dispatch loop switches into it when an event
+// resumes it, and it switches back when it blocks or ends, so at most one
+// fiber (or event callback) executes at a time (Engine.dispatch). All
+// Fiber methods except Unpark must be called from within the fiber's own
+// body.
 type Fiber struct {
 	eng  *Engine
 	name label
 
-	// resume is the channel of the carrier the fiber runs on; receiving
-	// from it is receiving the scheduling token.
-	resume chan struct{}
-	done   bool
+	c    *carrier // the coroutine the body runs on
+	done bool
+
+	// waking is set while a wake-up event for the fiber is queued; a live
+	// fiber has at most one (scheduleFiberAt).
+	waking bool
 
 	// parked is set while the fiber is blocked in yield; why then says
 	// what it waits for. Both are read only by diagnostics (Parked, the
@@ -44,20 +53,23 @@ type Fiber struct {
 	onExit []func()
 }
 
-// carrier is the goroutine a fiber's body runs on, with the channel that
-// resumes it. Fibers are created and finished by the tens of thousands —
-// one per served remote request — and a fresh goroutine for each costs a
-// spawn, a new stack that the runtime then grows by copying at the first
-// deep call, and an exit; so carriers outlive their fibers and wait on
-// the engine's idle list for the next one, keeping a stack already grown
-// to the depth handlers need. The Fiber itself is always fresh: a handle
-// kept past a fiber's end must keep saying Done, and a stale wakeup for a
-// finished fiber must keep being dropped, neither of which survives
-// recycling the struct.
+// carrier is the coroutine a fiber's body runs on: next switches into it
+// from the dispatch loop, yield switches back from inside, stop ends it
+// while idle. Fibers are created and finished by the tens of thousands —
+// one per served remote request — and a fresh coroutine for each costs a
+// goroutine spawn, a new stack that the runtime then grows by copying at
+// the first deep call, and an exit; so carriers outlive their fibers and
+// wait on the engine's idle list for the next one, keeping a stack
+// already grown to the depth handlers need. The Fiber itself is always
+// fresh: a handle kept past a fiber's end must keep saying Done, and a
+// stale wakeup for a finished fiber must keep being dropped, neither of
+// which survives recycling the struct.
 type carrier struct {
-	resume chan struct{}
-	fiber  *Fiber // the fiber to run at the next resume; nil while idle
-	body   func(f *Fiber)
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	fiber *Fiber // the fiber to run at the next switch in; nil while idle
+	body  func(f *Fiber)
 }
 
 // Go creates a fiber and schedules its body to start at the current
@@ -67,7 +79,7 @@ type carrier struct {
 // the name.
 func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
 	c := e.idleCarrier()
-	f := &Fiber{eng: e, resume: c.resume, idx: len(e.fibers)}
+	f := &Fiber{eng: e, c: c, idx: len(e.fibers)}
 	f.name.set(name, args)
 	c.fiber, c.body = f, body
 	e.fibers = append(e.fibers, f)
@@ -80,10 +92,13 @@ func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
 // sync.Pool: which carrier a fiber gets is then a function of the event
 // sequence alone, and the most recently used stack is the warmest. No
 // simulated quantity can see the choice — a carrier contributes a
-// goroutine and a channel, never an event, a sequence number or a
-// timestamp.
+// goroutine, never an event, a sequence number or a timestamp.
 //
-//ivy:hostworld launches the goroutine and allocates the channel backing a carrier
+// iter.Pull is the one host primitive left in the simulated world: the
+// goroutine it starts runs only while the dispatch loop is switched out
+// waiting in next, so it adds no scheduling freedom.
+//
+//ivy:hostworld starts the coroutine (a goroutine, by iter.Pull) backing a carrier
 func (e *Engine) idleCarrier() *carrier {
 	if n := len(e.idle); n > 0 {
 		c := e.idle[n-1]
@@ -91,48 +106,25 @@ func (e *Engine) idleCarrier() *carrier {
 		e.idle = e.idle[:n-1]
 		return c
 	}
-	c := &carrier{resume: make(chan struct{})}
-	// This is the one sanctioned goroutine launch in the simulated
-	// world: the goroutine that carries fibers. It runs only under the
-	// engine's token handshake (exactly one unit of work executes at any
-	// moment), so it adds no scheduling freedom.
-	//ivyvet:ignore fiber carrier goroutine; serialized by the engine handshake
-	go e.carry(c)
+	c := &carrier{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		// Run the fiber bound to c, go idle, repeat — until stopped while
+		// idle (yield reports false) or taken down by a panicking body.
+		for e.runFiber(c) && yield(struct{}{}) {
+		}
+	})
 	return c
 }
 
-// carry is a carrier goroutine: run the fiber bound to c, idle, repeat,
-// until released (resumed with no fiber bound) or abandoned by a fiber
-// that did not return.
-//
-//ivy:hostworld parks the carrier goroutine on its resume channel
-func (e *Engine) carry(c *carrier) {
-	// Wait for the first resume before touching any engine state.
-	<-c.resume
-	for c.fiber != nil {
-		if !e.runFiber(c) {
-			return
-		}
-		// The body is finished but this goroutine still holds the
-		// scheduling token: run the dispatcher one last time in dying
-		// mode, which hands the token to the next event's owner. c is
-		// already on the idle list, so an event callback in that very
-		// dispatch may have bound the next fiber to it — and if that
-		// fiber's start is the next event, the token is already where it
-		// belongs (a send on our own channel would never be received).
-		if !e.dispatch(c.resume, true) {
-			<-c.resume
-		}
-	}
-}
-
 // runFiber runs the body of the fiber bound to c. When the body returns
-// it retires the fiber, idles c and reports true, with the token still
-// held. A body that panics or calls runtime.Goexit never returns here:
-// the deferred function passes the token on and the goroutine ends, so
-// its carrier — whose stack is unwinding — is not reused.
-//
-//ivy:hostworld returns the token to the RunUntil caller when a fiber panics
+// it retires the fiber, idles c and reports true. A panic is recovered
+// here, not left to iter.Pull, which would re-raise it in the dispatch
+// loop with the fiber's stack lost; runFiber then reports false and the
+// coroutine ends, so a carrier whose stack unwound is not reused. A body
+// that calls runtime.Goexit — a test's FailNow on a fiber — never returns
+// here: the fiber is retired, and iter.Pull passes the Goexit on to the
+// goroutine that called RunUntil, ending it as FailNow asks.
 func (e *Engine) runFiber(c *carrier) (returned bool) {
 	f := c.fiber
 	defer func() {
@@ -140,20 +132,14 @@ func (e *Engine) runFiber(c *carrier) (returned bool) {
 			return
 		}
 		if r := recover(); r != nil {
-			// Carry the failure to the RunUntil caller, which re-panics
-			// with the fiber's identity; this goroutine dies holding
-			// nothing. Keep the fiber's own stack: RunUntil's says
-			// nothing about where in the simulated program the fault
-			// happened.
+			// RunUntil re-panics with the fiber's identity and the fiber's
+			// own stack: RunUntil's says nothing about where in the
+			// simulated program the fault happened.
 			e.unlink(f)
 			e.panicMsg = fmt.Sprintf("sim: fiber %q panicked: %v\n%s", f.Name(), r, string(runtimedebug.Stack()))
-			e.engineResume <- struct{}{}
 			return
 		}
-		// runtime.Goexit — a test's FailNow on a fiber. The run goes on
-		// without the fiber.
 		e.retire(f)
-		e.dispatch(c.resume, true)
 	}()
 	c.body(f)
 	e.retire(f)
@@ -186,15 +172,14 @@ func (e *Engine) unlink(f *Fiber) {
 	e.fibers = e.fibers[:last]
 }
 
-// releaseIdle ends every idle carrier's goroutine. RunUntil calls it on
+// releaseIdle ends every idle carrier's coroutine. RunUntil calls it on
 // the way out, so a finished run keeps alive only the goroutines of
-// fibers that are still parked — exactly what it kept before carriers
-// were reused.
-//
-//ivy:hostworld closes idle carriers' resume channels
+// fibers that are still parked. Only idle carriers are ever stopped: a
+// stop under a parked fiber would make its yield report false, with
+// nothing yet to unwind the body.
 func (e *Engine) releaseIdle() {
 	for i, c := range e.idle {
-		close(c.resume) // carry wakes with no fiber bound and returns
+		c.stop()
 		e.idle[i] = nil
 	}
 	e.idle = e.idle[:0]
@@ -223,16 +208,17 @@ func (f *Fiber) OnExit(fn func()) { f.onExit = append(f.onExit, fn) }
 // Now returns the current virtual time.
 func (f *Fiber) Now() Time { return f.eng.now }
 
-// yield gives control back to the engine by running the dispatcher on
-// this goroutine. If the next event resumes this same fiber, yield
-// returns without a single channel operation or goroutine switch; only a
-// transfer to a different fiber (or the end of the run) parks this one.
-// The fiber must have arranged to be resumed later (via a scheduled event
-// or an Unpark) or it will park forever and eventually surface in a
-// deadlock report. The caller has set f.why.
+// yield blocks the fiber: it switches back to the dispatch loop, and
+// returns when an event resumes the fiber — at once, without a switch,
+// if that event is the very next one (Engine.wakesNext). The fiber must
+// have arranged to be resumed later (via a scheduled event or an Unpark)
+// or it will park forever and eventually surface in a deadlock report.
+// The caller has set f.why.
 func (f *Fiber) yield() {
 	f.parked = true
-	f.eng.dispatch(f.resume, false)
+	if !f.eng.wakesNext(f) {
+		f.c.yield(struct{}{})
+	}
 }
 
 // Sleep advances the fiber by d of virtual time. Other events and fibers
@@ -263,8 +249,10 @@ func (f *Fiber) Park(why string, args ...any) {
 
 // Unpark schedules f to resume at the current virtual time. It must be
 // called from simulation context (another fiber or an event callback),
-// never from the parked fiber itself. Unparking a fiber that is not
-// parked is a bug in the caller and panics via the engine.
+// never from the parked fiber itself, and once per park: scheduling a
+// wake-up for a live fiber that already has one pending (a second Unpark,
+// an Unpark of a sleeper) is a bug in the caller and panics. Unparking a
+// finished fiber is legal and does nothing.
 func (f *Fiber) Unpark() {
 	f.eng.scheduleFiberAt(f.eng.now, f)
 }

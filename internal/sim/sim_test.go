@@ -124,6 +124,31 @@ func TestParkUnpark(t *testing.T) {
 	}
 }
 
+// TestSecondWakeupPanics pins the invariant behind Unpark's contract: a
+// live fiber has at most one wake-up pending. The second Unpark of one
+// park would otherwise resume the fiber out of whatever it blocks in
+// next; it panics instead, naming the fiber and what it waits for. A
+// finished fiber may be unparked any number of times — a timer outliving
+// its waiter — and nothing happens.
+func TestSecondWakeupPanics(t *testing.T) {
+	e := New(1)
+	gone := e.Go("gone", func(*Fiber) {})
+	waiter := e.Go("waiter#%d", func(f *Fiber) { f.Park("page %d lock on node %d", 3, 1) }, 7)
+	e.Schedule(time.Millisecond, func() {
+		gone.Unpark()
+		gone.Unpark()
+		waiter.Unpark()
+		waiter.Unpark()
+	})
+	defer func() {
+		const want = `second wake-up scheduled for fiber "waiter#7" (page 3 lock on node 1)`
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Fatalf("panic = %q, want it to contain %q", msg, want)
+		}
+	}()
+	_ = e.Run()
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	e := New(1)
 	e.Go("stuck", func(f *Fiber) { f.Park("forever") })
@@ -544,7 +569,10 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-func BenchmarkFiberSwitch(b *testing.B) {
+// BenchmarkFiberSelfWake is one fiber sleeping in a loop: its own wake-up
+// is always the next event, so it never leaves its coroutine — the
+// zero-switch path of Fiber.yield.
+func BenchmarkFiberSelfWake(b *testing.B) {
 	e := New(1)
 	e.Go("bench", func(f *Fiber) {
 		for i := 0; i < b.N; i++ {
@@ -554,5 +582,29 @@ func BenchmarkFiberSwitch(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkFiberHandoff is two fibers sleeping in lockstep, half a period
+// apart: every wake-up resumes the fiber that is not running, so an op is
+// one hand-off — out of one coroutine, through the dispatch loop, into
+// the other.
+func BenchmarkFiberHandoff(b *testing.B) {
+	e := New(1)
+	for i := 0; i < 2; i++ {
+		offset := time.Duration(i) * time.Microsecond
+		e.Go("bench%d", func(f *Fiber) {
+			f.Sleep(offset)
+			for n := i; n < b.N; n += 2 {
+				f.Sleep(2 * time.Microsecond)
+			}
+		}, i)
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if min := uint64(b.N); e.Switches() < min {
+		b.Fatalf("%d switches for %d ops: the fibers did not alternate", e.Switches(), b.N)
 	}
 }
