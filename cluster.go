@@ -54,6 +54,7 @@ type Cluster struct {
 	inj     *chaos.Injector    // nil unless Config.Chaos was set
 	rd      *drace.Detector    // nil unless Config.DRace was set
 	prof    *metrics.Collector // nil unless Config.Profile was set
+	pages   *pageObserver      // nil unless a page trace was installed
 	elapsed sim.Time
 	ran     bool
 
@@ -84,19 +85,6 @@ func New(cfg Config) *Cluster {
 	numPages := cfg.SharedPages
 	if rcOn {
 		numPages *= 2
-	}
-	if cfg.DRace {
-		// The detector hooks live on the checked access tails; the TLB
-		// fast paths are kept call-free (//ivy:hotpath), so arming the
-		// detector routes every access through a hooked tail. Virtual time
-		// is identical either way (see Config.DisableTLB).
-		cfg.DisableTLB = true
-	}
-	if cfg.Profile {
-		// Same mechanism as DRace: the profiler's dirty-word hooks live on
-		// the checked store tails, so profiling disables the TLBs to route
-		// every write through a hooked tail. Virtual time is unchanged.
-		cfg.DisableTLB = true
 	}
 	eng := sim.New(cfg.Seed)
 	c := &Cluster{cfg: cfg, eng: eng, tps: make([]ring.Transport, cfg.Processors)}
@@ -206,31 +194,25 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// armDRace builds the happens-before race detector and installs it on
-// every SVM (access checks) and the process layer (fork/join edges, the
-// vector clocks carried by notify and migration messages).
+// armDRace builds the happens-before race detector and arms it on the
+// seam (access checks, sync edges) and the process layer (fork/join
+// edges, the vector clocks carried by notify and migration messages).
 func (c *Cluster) armDRace() {
 	c.rd = drace.New(c.svms[0].Base(), c.cfg.PageSize,
 		func() time.Duration { return c.eng.Now().Duration() })
-	for _, svm := range c.svms {
-		svm.SetRaceDetector(c.rd)
-	}
 	c.procs.SetRaceDetector(c.rd)
-	if c.tr != nil {
-		c.rd.SetTraceCollector(c.tr)
-	}
+	c.rearm()
 }
 
-// armProfile builds the shared coherence profiler and installs it on
-// every SVM. One collector serves the whole cluster: page indices are
-// global, and the dirty-word map follows a page's ownership from node to
-// node (serveWrite flushes it at each hand-off).
+// armProfile builds the shared coherence profiler and arms it on the
+// seam. One collector serves the whole cluster, sized to the SVMs' real
+// page count (under RC that is the data arena plus the sync arena): page
+// indices are global, and the dirty-word map follows a page's ownership
+// from node to node (the transfer event flushes it at each hand-off).
 func (c *Cluster) armProfile() {
 	c.prof = metrics.NewCollector(c.svms[0].Base(), uint64(c.cfg.PageSize),
-		c.cfg.SharedPages, func() int64 { return int64(c.eng.Now().Duration()) })
-	for _, svm := range c.svms {
-		svm.SetProfiler(c.prof)
-	}
+		c.svms[0].NumPages(), func() int64 { return int64(c.eng.Now().Duration()) })
+	c.rearm()
 }
 
 // MetricsSnapshot is the page-heat/false-sharing profile, re-exported
@@ -271,7 +253,7 @@ func (c *Cluster) RaceReports() []RaceReport {
 
 // armChaos converts the public ChaosOpts into the internal fault plane
 // and installs it: the ring injector, the crash/rejoin schedule, and
-// (tests only) the broken-invalidation hook.
+// (tests only) the planted protocol bugs.
 func (c *Cluster) armChaos(co ChaosOpts) {
 	opts := chaos.Opts{
 		DuplicateProb:  co.DuplicateProbability,
@@ -302,7 +284,7 @@ func (c *Cluster) armChaos(co ChaosOpts) {
 	}
 	if co.BreakInvalidation {
 		for _, svm := range c.svms {
-			svm.SetInvalDropHook(func(mmu.PageID) bool { return true })
+			svm.BreakInvalidation()
 		}
 	}
 	if co.DropWriteNotice {
@@ -310,7 +292,7 @@ func (c *Cluster) armChaos(co ChaosOpts) {
 			panic("ivy: DropWriteNotice needs Coherence " + CoherenceRC)
 		}
 		for _, svm := range c.svms {
-			svm.SetRCNoticeDropHook(func() bool { return true })
+			svm.RC().DropWriteNotices()
 		}
 	}
 }
@@ -399,14 +381,15 @@ func (c *Cluster) StartTrace(w io.Writer, opts TraceOpts) {
 	c.traceW = w
 	c.sampleIvl = opts.SampleInterval
 	c.nw.SetTracer(c.tr)
-	for _, svm := range c.svms {
-		svm.SetTraceCollector(c.tr)
+	for i, svm := range c.svms {
+		svm.Disk().SetTracer(c.tr, i)
 		svm.Endpoint().SetTracer(c.tr)
 	}
 	c.procs.SetTraceCollector(c.tr)
 	if c.rd != nil {
 		c.rd.SetTraceCollector(c.tr)
 	}
+	c.rearm()
 }
 
 // TraceCollector returns the active span collector, or nil when tracing
@@ -633,25 +616,26 @@ func (c *Cluster) RCStats() []RCNodeStats {
 	return out
 }
 
-// PageEvent re-exports the coherence transition record for tracing.
-type PageEvent = core.PageEvent
-
 // SetPageTrace reports every coherence transition of the page containing
 // addr on every node to fn — the fastest way to watch a page's life
 // cycle (replication, invalidation, ownership movement). Install before
-// Run; fn runs in engine context and must not block.
+// Run; fn runs in engine context and must not block. A later call
+// replaces the trace; a nil fn removes it.
 func (c *Cluster) SetPageTrace(addr uint64, fn func(PageEvent)) {
-	p := c.svms[0].PageOf(addr)
-	for _, svm := range c.svms {
-		svm.SetPageTracer(p, false, fn)
-	}
+	c.tracePages(&pageObserver{c: c, page: c.svms[0].PageOf(addr), fn: fn})
 }
 
 // SetAllPagesTrace traces every page's transitions (verbose).
 func (c *Cluster) SetAllPagesTrace(fn func(PageEvent)) {
-	for _, svm := range c.svms {
-		svm.SetPageTracer(0, true, fn)
+	c.tracePages(&pageObserver{c: c, all: true, fn: fn})
+}
+
+func (c *Cluster) tracePages(o *pageObserver) {
+	if o.fn == nil {
+		o = nil
 	}
+	c.pages = o
+	c.rearm()
 }
 
 // Latencies returns a merged cluster-wide view of the fault-service

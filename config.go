@@ -189,9 +189,10 @@ type Config struct {
 	// DRace arms the dynamic happens-before data-race detector (see
 	// internal/drace and DESIGN.md §10): accesses unordered by program
 	// synchronization — eventcounts, sequencers, test-and-set locks,
-	// spawn/join, migration — are collected as reports (RaceReports). It
-	// implies DisableTLB so every access reaches an instrumented checked
-	// path; schedules and message counts are unchanged, and the only
+	// spawn/join, migration — are collected as reports (RaceReports). The
+	// detector is an observer of the core seam (DESIGN.md §6) that takes
+	// word accesses, so the software TLBs are off while it is armed;
+	// schedules and message counts are unchanged, and the only
 	// virtual-time effect is the wire time of vector clocks piggybacked
 	// on NotifyReq/MigrateReq (see PROTOCOL.md). False — the default —
 	// costs one predicted branch per access.
@@ -201,11 +202,11 @@ type Config struct {
 	// DESIGN.md §11): per-page fault/invalidation/transfer counters,
 	// ownership ping-pong intervals, and the dirty-word maps that
 	// quantify false sharing, exposed through MetricsSnapshot and
-	// cmd/ivyprof. Like DRace it implies DisableTLB so every write
-	// reaches an instrumented checked tail; virtual time, fault counts,
+	// cmd/ivyprof. Like DRace it observes word accesses, so the TLBs are
+	// off while it is armed (DESIGN.md §6); virtual time, fault counts,
 	// and message counts are unchanged (profiling adds zero wire bytes —
 	// see PROTOCOL.md). False — the default — costs one predicted branch
-	// per instrument point.
+	// per protocol site.
 	Profile bool
 
 	// Horizon bounds a Run in virtual time (default 1000 hours); hitting

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/drace"
 	"repro/internal/sim"
 )
 
@@ -19,7 +18,6 @@ func (c stubCtx) Fiber() *sim.Fiber    { return c.f }
 func (c stubCtx) TLB() *TLB            { return c.tlb }
 func (c stubCtx) Charge(time.Duration) {}
 func (c stubCtx) Flush()               {}
-func (c stubCtx) Race() *drace.Thread  { return nil }
 
 // TestResidentAccessDoesNotAllocate guards the tracing-off fast path:
 // with no collector attached, a resident read or write must not

@@ -33,9 +33,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/drace"
 	"repro/internal/memfs"
-	"repro/internal/metrics"
 	"repro/internal/mmu"
 	"repro/internal/model"
 	"repro/internal/rc"
@@ -43,7 +41,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // DefaultBase is the start of the shared portion of the address space.
@@ -64,10 +61,6 @@ type Ctx interface {
 	// TLB returns the context's software translation cache, or nil for
 	// contexts that take the checked path on every access (see tlb.go).
 	TLB() *TLB
-	// Race returns the drace thread of the executing process, or nil for
-	// contexts outside race tracking (allocator setup, tests, or a
-	// detector-off run; see internal/drace).
-	Race() *drace.Thread
 }
 
 // chargeAccess performs the per-access compute charge. With a TLB the
@@ -112,10 +105,6 @@ func (c *ChargeCtx) Fiber() *sim.Fiber { return c.fiber }
 
 // TLB returns the context's translation cache.
 func (c *ChargeCtx) TLB() *TLB { return c.tlb }
-
-// Race returns nil: ChargeCtx is used by machinery outside race
-// tracking (the allocator service, tests).
-func (c *ChargeCtx) Race() *drace.Thread { return nil }
 
 // Charge accumulates compute time, settling a full quantum when reached.
 func (c *ChargeCtx) Charge(d time.Duration) {
@@ -209,29 +198,22 @@ type SVM struct {
 	bcastInval bool
 	st         *stats.Node
 	lat        stats.Latency
-	tracer     *traceCfg
-	trc        *trace.Collector
 
-	// rd is the cluster's race detector, nil (the default) when drace is
-	// off. Every hook guards on it, so the disabled cost is one branch.
-	rd *drace.Detector
+	// obs is the node's one observer (observer.go), nil (the default)
+	// when nothing watches the run; tlbOff is derived from it at arm time.
+	obs    Observer
+	tlbOff bool
 
-	// prof is the cluster's shared coherence profiler, nil (the default)
-	// when Config.Profile is off. Same discipline as rd: every hook
-	// guards on it, so the disabled cost is one branch.
-	prof *metrics.Collector
-
-	// invalDrop is a chaos-test-only hook: when set and it returns true,
+	// invalDrop is the chaos-test-only planted bug: when set,
 	// handleInvalidate acks WITHOUT invalidating the local copy — a
 	// deliberately broken protocol the sequential-consistency checker
 	// must catch. Never set outside tests.
-	invalDrop func(mmu.PageID) bool
+	invalDrop bool
 
 	// rcn is the node's release-consistency protocol state, nil (the
-	// default) under sequential consistency. Same discipline as rd and
-	// prof: every touch point guards on it, so the SC cost is one branch
-	// in the fault slow path and the sync primitives — the hot-path
-	// accessors never consult it.
+	// default) under sequential consistency. Every touch point guards on
+	// it, so the SC cost is one branch in the fault slow path and the sync
+	// primitives — the hot-path accessors never consult it.
 	rcn *rc.Node
 }
 
@@ -273,7 +255,7 @@ func New(eng *sim.Engine, ep *remop.Endpoint, cpu *sim.Resource, cfg Config, st 
 	s.limit = base + uint64(cfg.NumPages)*uint64(cfg.PageSize)
 	s.size = s.limit - base
 	s.pool.Init(cfg.MemPages, s.onEvict, s.canEvict)
-	s.mgr = newManager(cfg.Algorithm, s, cfg.DefaultOwner)
+	s.mgr = newManager(cfg.Algorithm, s)
 	s.installHandlers()
 	return s
 }
@@ -308,59 +290,6 @@ func (s *SVM) Stats() *stats.Node { return s.st }
 // Latency returns the node's fault-service histograms.
 func (s *SVM) Latency() *stats.Latency { return &s.lat }
 
-// SetTraceCollector installs the protocol span collector on this node
-// (nil = tracing off, the default). The node's paging disk shares it.
-func (s *SVM) SetTraceCollector(c *trace.Collector) {
-	s.trc = c
-	s.dsk.SetTracer(c, int(s.node))
-}
-
-// beginFault opens a fault root span and binds it to the faulting fiber
-// so the layers below (remop, ring, disk) attribute their work to this
-// fault. It returns the span plus the fiber's previous trace context for
-// endFault to restore. With tracing off it is two loads and a compare —
-// no allocation, no defer.
-func (s *SVM) beginFault(f *sim.Fiber, ph trace.Phase, p mmu.PageID) (trace.SpanID, uint64) {
-	if s.trc == nil {
-		return 0, 0
-	}
-	prev := f.Trace()
-	id := s.trc.Begin(int(s.node), ph, 0, int32(p), "")
-	f.SetTrace(uint64(id))
-	return id, prev
-}
-
-// endFault closes a fault root span and restores the fiber's context.
-func (s *SVM) endFault(f *sim.Fiber, id trace.SpanID, prev uint64) {
-	if id == 0 {
-		return
-	}
-	s.trc.End(id)
-	f.SetTrace(prev)
-}
-
-// beginPhase opens a child span under the fiber's current context and
-// rebinds the fiber to it, so nested work (wire, serve, disk) nests
-// under the phase. Returns (0, 0) untraced.
-func (s *SVM) beginPhase(f *sim.Fiber, ph trace.Phase, p mmu.PageID, detail string) (trace.SpanID, uint64) {
-	if s.trc == nil || f.Trace() == 0 {
-		return 0, 0
-	}
-	prev := f.Trace()
-	id := s.trc.Begin(int(s.node), ph, trace.SpanID(prev), int32(p), detail)
-	f.SetTrace(uint64(id))
-	return id, prev
-}
-
-// endPhase closes a child span opened by beginPhase.
-func (s *SVM) endPhase(f *sim.Fiber, id trace.SpanID, prev uint64) {
-	if id == 0 {
-		return
-	}
-	s.trc.End(id)
-	f.SetTrace(prev)
-}
-
 // Endpoint returns the remote-operation endpoint.
 func (s *SVM) Endpoint() *remop.Endpoint { return s.ep }
 
@@ -384,7 +313,7 @@ func (s *SVM) PageAddr(p mmu.PageID) uint64 {
 // the node's paging disk; read copies and clean owned pages are dropped.
 // Either way the page traps on its next local reference.
 func (s *SVM) onEvict(f *sim.Fiber, p mmu.PageID, data []byte) {
-	defer s.trace("onEvict", p)
+	defer s.event(f, EvEvict, Instant, p, 0)
 	e := s.table.Entry(p)
 	if e.IsOwner && e.Dirty {
 		s.dsk.Write(f, p, data)
@@ -428,9 +357,9 @@ func (s *SVM) canEvict(p mmu.PageID) bool {
 	return !s.table.Locked(p) && (s.rcn == nil || !s.rcn.Twinned(p))
 }
 
-// SetInvalDropHook installs the chaos-test-only broken-invalidation
-// hook; see the invalDrop field. Passing nil restores correct behavior.
-func (s *SVM) SetInvalDropHook(fn func(mmu.PageID) bool) { s.invalDrop = fn }
+// BreakInvalidation plants the chaos-test-only broken-invalidation bug;
+// see the invalDrop field.
+func (s *SVM) BreakInvalidation() { s.invalDrop = true }
 
 // Costs returns the node's cost model.
 func (s *SVM) Costs() model.Costs { return s.costs }
@@ -508,13 +437,4 @@ func (s *SVM) RCAcquireFiber(f *sim.Fiber) {
 		return
 	}
 	s.rcn.Acquire(f)
-}
-
-// SetRCNoticeDropHook installs the chaos-test-only dropped-write-notice
-// bug on the RC plane; panics when RC is not armed.
-func (s *SVM) SetRCNoticeDropHook(fn func() bool) {
-	if s.rcn == nil {
-		panic("core: SetRCNoticeDropHook without ArmRC")
-	}
-	s.rcn.SetNoticeDropHook(fn)
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/remop"
 	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -35,7 +34,7 @@ func (s *SVM) ReadBytes(ctx Ctx, addr uint64, n int) []byte {
 			chunk = n - off
 		}
 		frame := s.frameForRead(ctx, p)
-		s.raceRead(ctx, a, uint64(chunk))
+		s.Observe(ctx, OpRead, a, uint64(chunk))
 		copy(out[off:off+chunk], frame[po:po+chunk])
 		// frameForRead charged one reference; charge the rest of the
 		// chunk word by word, as the hardware would issue them.
@@ -60,8 +59,7 @@ func (s *SVM) WriteBytes(ctx Ctx, addr uint64, data []byte) {
 			chunk = len(data) - off
 		}
 		frame := s.frameForWrite(ctx, p)
-		s.raceWrite(ctx, a, uint64(chunk))
-		s.profWrite(a, uint64(chunk))
+		s.Observe(ctx, OpWrite, a, uint64(chunk))
 		copy(frame[po:po+chunk], data[off:off+chunk])
 		if words := (chunk - 1) / 8; words > 0 {
 			ctx.Charge(time.Duration(words) * s.costs.MemRef)
@@ -101,7 +99,7 @@ func (s *SVM) ReadU64s(ctx Ctx, addr uint64, dst []uint64) {
 	for off < len(dst) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(dst)-off)
 		frame := s.frameForRead(ctx, p)
-		s.raceRead(ctx, addr+uint64(off)*8, uint64(words)*8)
+		s.Observe(ctx, OpRead, addr+uint64(off)*8, uint64(words)*8)
 		for i := 0; i < words; i++ {
 			dst[off+i] = binary.LittleEndian.Uint64(frame[po+8*i:])
 		}
@@ -119,8 +117,7 @@ func (s *SVM) WriteU64s(ctx Ctx, addr uint64, src []uint64) {
 	for off < len(src) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(src)-off)
 		frame := s.frameForWrite(ctx, p)
-		s.raceWrite(ctx, addr+uint64(off)*8, uint64(words)*8)
-		s.profWrite(addr+uint64(off)*8, uint64(words)*8)
+		s.Observe(ctx, OpWrite, addr+uint64(off)*8, uint64(words)*8)
 		for i := 0; i < words; i++ {
 			binary.LittleEndian.PutUint64(frame[po+8*i:], src[off+i])
 		}
@@ -137,7 +134,7 @@ func (s *SVM) ReadF64s(ctx Ctx, addr uint64, dst []float64) {
 	for off < len(dst) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(dst)-off)
 		frame := s.frameForRead(ctx, p)
-		s.raceRead(ctx, addr+uint64(off)*8, uint64(words)*8)
+		s.Observe(ctx, OpRead, addr+uint64(off)*8, uint64(words)*8)
 		for i := 0; i < words; i++ {
 			dst[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[po+8*i:]))
 		}
@@ -154,8 +151,7 @@ func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
 	for off < len(src) {
 		p, po, words := s.alignedWords(addr+uint64(off)*8, len(src)-off)
 		frame := s.frameForWrite(ctx, p)
-		s.raceWrite(ctx, addr+uint64(off)*8, uint64(words)*8)
-		s.profWrite(addr+uint64(off)*8, uint64(words)*8)
+		s.Observe(ctx, OpWrite, addr+uint64(off)*8, uint64(words)*8)
 		for i := 0; i < words; i++ {
 			binary.LittleEndian.PutUint64(frame[po+8*i:], math.Float64bits(src[off+i]))
 		}
@@ -171,92 +167,56 @@ func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
 // would: when the destination starts above an overlapping source the
 // chunks are walked back-to-front, so no chunk's writes clobber source
 // words a later chunk still needs (within a chunk, Go's copy is already
-// memmove-safe). The write fault for the destination can steal the
-// source page mid-run (faulting yields the engine), so the source is
-// revalidated after the destination is secured and the run retried if
-// it was lost.
+// memmove-safe). Fault behavior and charges per chunk are the same in
+// either direction; only the order the page runs are visited in differs.
 func (s *SVM) CopyWords(ctx Ctx, dst, src uint64, n int) {
 	if dst > src && dst < src+8*uint64(n) {
-		s.copyWordsBackward(ctx, dst, src, n)
+		for end := n; end > 0; {
+			// Word end-1 closes this chunk; the chunk reaches back to the
+			// start of whichever page run (source or destination) begins
+			// later, and no further than word 0.
+			_, spoLast, _ := s.alignedWords(src+8*uint64(end-1), 1)
+			_, dpoLast, _ := s.alignedWords(dst+8*uint64(end-1), 1)
+			words := min(spoLast/8+1, dpoLast/8+1, end)
+			if s.copyChunk(ctx, dst+8*uint64(end-words), src+8*uint64(end-words), words) {
+				end -= words
+			}
+		}
 		return
 	}
-	off := 0
-	for off < n {
-		sp, spo, words := s.alignedWords(src+uint64(off)*8, n-off)
-		dp, dpo, dwords := s.alignedWords(dst+uint64(off)*8, words)
-		words = dwords
-		srcFrame := s.frameForRead(ctx, sp)
-		dstFrame := s.frameForWrite(ctx, dp)
-		if dp != sp {
-			// Revalidate the source: the destination fault may have
-			// invalidated or evicted it while this fiber was blocked.
-			if s.table.Entry(sp).Access == mmu.AccessNil {
-				continue
-			}
-			srcFrame = s.pool.Peek(sp)
-			if srcFrame == nil {
-				continue
-			}
-		} else {
-			srcFrame = dstFrame
+	for off := 0; off < n; {
+		_, _, words := s.alignedWords(src+8*uint64(off), n-off)
+		_, _, words = s.alignedWords(dst+8*uint64(off), words)
+		if s.copyChunk(ctx, dst+8*uint64(off), src+8*uint64(off), words) {
+			off += words
 		}
-		s.raceRead(ctx, src+uint64(off)*8, uint64(words)*8)
-		s.raceWrite(ctx, dst+uint64(off)*8, uint64(words)*8)
-		s.profWrite(dst+uint64(off)*8, uint64(words)*8)
-		copy(dstFrame[dpo:dpo+8*words], srcFrame[spo:spo+8*words])
-		if words > 1 {
-			ctx.Charge(time.Duration(2*(words-1)) * s.costs.MemRef)
-		}
-		off += words
 	}
 }
 
-// copyWordsBackward is CopyWords' chunk loop run from the last word to
-// the first, used when the destination overlaps the source from above:
-// forward chunk order would overwrite source words that a later chunk
-// still has to read. Fault behavior, revalidation, and charges per
-// chunk are identical to the forward loop; only the order in which the
-// page runs are visited differs (as it would for a real memmove).
-func (s *SVM) copyWordsBackward(ctx Ctx, dst, src uint64, n int) {
-	end := n
-	for end > 0 {
-		// Word end-1 closes this chunk; the chunk reaches back to the
-		// start of whichever page run (source or destination) begins
-		// later, and no further than word 0.
-		sp, spoLast, _ := s.alignedWords(src+8*uint64(end-1), 1)
-		dp, dpoLast, _ := s.alignedWords(dst+8*uint64(end-1), 1)
-		words := spoLast/8 + 1
-		if w := dpoLast/8 + 1; w < words {
-			words = w
-		}
-		if words > end {
-			words = end
-		}
-		spo := spoLast - 8*(words-1)
-		dpo := dpoLast - 8*(words-1)
-		srcFrame := s.frameForRead(ctx, sp)
-		dstFrame := s.frameForWrite(ctx, dp)
-		if dp != sp {
-			// Revalidate the source, as in the forward loop.
-			if s.table.Entry(sp).Access == mmu.AccessNil {
-				continue
-			}
-			srcFrame = s.pool.Peek(sp)
-			if srcFrame == nil {
-				continue
-			}
-		} else {
-			srcFrame = dstFrame
-		}
-		s.raceRead(ctx, src+8*uint64(end-words), uint64(words)*8)
-		s.raceWrite(ctx, dst+8*uint64(end-words), uint64(words)*8)
-		s.profWrite(dst+8*uint64(end-words), uint64(words)*8)
-		copy(dstFrame[dpo:dpo+8*words], srcFrame[spo:spo+8*words])
-		if words > 1 {
-			ctx.Charge(time.Duration(2*(words-1)) * s.costs.MemRef)
-		}
-		end -= words
+// copyChunk copies one run of words that stays inside one source page
+// and one destination page. The write fault for the destination can
+// steal the source page mid-run (faulting yields the engine), so the
+// source is revalidated after the destination is secured; false means
+// it was lost and the caller must retry the chunk.
+func (s *SVM) copyChunk(ctx Ctx, dst, src uint64, words int) bool {
+	sp, spo, _ := s.alignedWords(src, words)
+	dp, dpo, _ := s.alignedWords(dst, words)
+	srcFrame := s.frameForRead(ctx, sp)
+	dstFrame := s.frameForWrite(ctx, dp)
+	if dp == sp {
+		srcFrame = dstFrame
+	} else if s.table.Entry(sp).Access == mmu.AccessNil {
+		return false // invalidated while this fiber was blocked
+	} else if srcFrame = s.pool.Peek(sp); srcFrame == nil {
+		return false // evicted
 	}
+	s.Observe(ctx, OpRead, src, uint64(words)*8)
+	s.Observe(ctx, OpWrite, dst, uint64(words)*8)
+	copy(dstFrame[dpo:dpo+8*words], srcFrame[spo:spo+8*words])
+	if words > 1 {
+		ctx.Charge(time.Duration(2*(words-1)) * s.costs.MemRef)
+	}
+	return true
 }
 
 // scalarSpan locates addr..addr+n within one page, panicking on scalar
@@ -359,7 +319,7 @@ func (s *SVM) readU64Checked(ctx Ctx, t *TLB, addr uint64) uint64 {
 	}
 	p, po := s.scalarSpan(addr, 8)
 	frame := s.frameForReadChecked(ctx, t, p)
-	s.raceRead(ctx, addr, 8)
+	s.Observe(ctx, OpRead, addr, 8)
 	return binary.LittleEndian.Uint64(frame[po:])
 }
 
@@ -431,8 +391,7 @@ func (s *SVM) writeU64Checked(ctx Ctx, t *TLB, addr uint64, v uint64) {
 	}
 	p, po := s.scalarSpan(addr, 8)
 	frame := s.frameForWriteChecked(ctx, t, p)
-	s.raceWrite(ctx, addr, 8)
-	s.profWrite(addr, 8)
+	s.Observe(ctx, OpWrite, addr, 8)
 	binary.LittleEndian.PutUint64(frame[po:], v)
 }
 
@@ -475,7 +434,7 @@ func (s *SVM) ReadU32(ctx Ctx, addr uint64) uint32 {
 	}
 	p, po := s.scalarSpan(addr, 4)
 	frame := s.frameForReadChecked(ctx, t, p)
-	s.raceRead(ctx, addr, 4)
+	s.Observe(ctx, OpRead, addr, 4)
 	return binary.LittleEndian.Uint32(frame[po:])
 }
 
@@ -492,8 +451,7 @@ func (s *SVM) WriteU32(ctx Ctx, addr uint64, v uint32) {
 	}
 	p, po := s.scalarSpan(addr, 4)
 	frame := s.frameForWriteChecked(ctx, t, p)
-	s.raceWrite(ctx, addr, 4)
-	s.profWrite(addr, 4)
+	s.Observe(ctx, OpWrite, addr, 4)
 	binary.LittleEndian.PutUint32(frame[po:], v)
 }
 
@@ -509,7 +467,7 @@ func (s *SVM) ReadU8(ctx Ctx, addr uint64) uint8 {
 	}
 	p, po := s.scalarSpan(addr, 1)
 	frame := s.frameForReadChecked(ctx, t, p)
-	s.raceRead(ctx, addr, 1)
+	s.Observe(ctx, OpRead, addr, 1)
 	return frame[po]
 }
 
@@ -526,8 +484,7 @@ func (s *SVM) WriteU8(ctx Ctx, addr uint64, v uint8) {
 	}
 	p, po := s.scalarSpan(addr, 1)
 	frame := s.frameForWriteChecked(ctx, t, p)
-	s.raceWrite(ctx, addr, 1)
-	s.profWrite(addr, 1)
+	s.Observe(ctx, OpWrite, addr, 1)
 	frame[po] = v
 }
 
@@ -560,10 +517,9 @@ func (s *SVM) TestAndSet(ctx Ctx, addr uint64) bool {
 		return false
 	}
 	frame[po] = 1
-	s.profWrite(addr, 1)
 	// A successful test-and-set is a lock acquire: order this process
 	// after every release (Clear) of the same lock so far.
-	s.RaceAcquire(ctx, addr)
+	s.Observe(ctx, OpAcquire, addr, 1)
 	// Under release consistency the lock acquire is also the point where
 	// this node must stop trusting cached copies that released writes
 	// have made stale.
@@ -586,8 +542,7 @@ func (s *SVM) TestAndSetLatch(ctx Ctx, addr uint64) bool {
 		return false
 	}
 	frame[po] = 1
-	s.profWrite(addr, 1)
-	s.RaceAcquire(ctx, addr)
+	s.Observe(ctx, OpAcquire, addr, 1)
 	return true
 }
 
@@ -596,8 +551,7 @@ func (s *SVM) TestAndSetLatch(ctx Ctx, addr uint64) bool {
 func (s *SVM) ClearLatch(ctx Ctx, addr uint64) {
 	frame, po := s.lockByte(ctx, addr, "ClearLatch")
 	frame[po] = 0
-	s.profWrite(addr, 1)
-	s.RaceRelease(ctx, addr)
+	s.Observe(ctx, OpRelease, addr, 1)
 }
 
 // Clear atomically resets the byte at addr to 0 (lock release).
@@ -608,10 +562,9 @@ func (s *SVM) Clear(ctx Ctx, addr uint64) {
 	s.RCRelease(ctx)
 	frame, po := s.lockByte(ctx, addr, "Clear")
 	frame[po] = 0
-	s.profWrite(addr, 1)
 	// Clearing the byte is the lock release: publish everything this
 	// process did while holding it.
-	s.RaceRelease(ctx, addr)
+	s.Observe(ctx, OpRelease, addr, 1)
 }
 
 // frameForRead returns page p's frame with at least read access. The
@@ -638,11 +591,7 @@ func (s *SVM) frameForReadChecked(ctx Ctx, t *TLB, p mmu.PageID) []byte {
 	e := s.table.Entry(p)
 	if e.Access != mmu.AccessNil {
 		if fr := s.pool.GetFrame(p); fr != nil {
-			// With the race detector or profiler armed the TLBs are never
-			// refilled (Config.DRace and Config.Profile force DisableTLB,
-			// so t is nil anyway): every access must reach a hooked
-			// checked tail.
-			if t != nil && s.rd == nil && s.prof == nil {
+			if t != nil {
 				t.fill(s, p, e, fr, e.Access)
 			}
 			return fr.Data()
@@ -673,7 +622,7 @@ func (s *SVM) frameForWriteChecked(ctx Ctx, t *TLB, p mmu.PageID) []byte {
 			if !e.Dirty {
 				e.Dirty = true
 			}
-			if t != nil && s.rd == nil && s.prof == nil { // see frameForReadChecked
+			if t != nil {
 				t.fill(s, p, e, fr, mmu.AccessWrite)
 			}
 			return fr.Data()
@@ -714,7 +663,13 @@ func (s *SVM) slowPath(ctx Ctx, p mmu.PageID, write bool) []byte {
 			// fetch from the home and, for writes, twin (internal/rc). RC
 			// pages never carry IsOwner, so none of the SC arms below can
 			// fire for them.
+			ev := EvReadFault
+			if write {
+				ev = EvWriteFault
+			}
+			s.event(f, ev, Begin, p, 0)
 			s.rcn.Fault(f, p, write)
+			s.event(f, ev, End, p, 0)
 		case e.IsOwner && !s.pool.Resident(p):
 			s.diskFault(ctx, p)
 		case e.IsOwner && write:
@@ -752,17 +707,16 @@ func (s *SVM) pageIn(f *sim.Fiber, p mmu.PageID) []byte {
 // diskFault pages an owned page back in for a local access. Restored
 // access is write when no other node holds a copy, read otherwise.
 func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
-	defer s.trace("diskFault", p)
 	f := ctx.Fiber()
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseDiskFault, p)
+	s.event(f, EvDiskFault, Begin, p, 0)
 	s.pageIn(f, p)
 	if e := s.table.Entry(p); e.Copyset.Empty() {
 		e.Access = mmu.AccessWrite
 	} else {
 		e.Access = mmu.AccessRead
 	}
-	s.endFault(f, span, prevTrc)
+	s.event(f, EvDiskFault, End, p, 0)
 	s.lat.DiskFault.Record(s.eng.Now().Sub(start))
 }
 
@@ -772,15 +726,13 @@ func (s *SVM) diskFault(ctx Ctx, p mmu.PageID) {
 // centralized manager, whose manager holds the copyset — the strategy
 // decides (see manager.upgrade).
 func (s *SVM) upgradeFault(ctx Ctx, p mmu.PageID) {
-	defer s.trace("upgradeFault", p)
 	f := ctx.Fiber()
 	s.st.SVM.LocalUpgrades++
-	s.profUpgrade(p)
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, trace.PhaseUpgrade, p)
+	s.event(f, EvUpgrade, Begin, p, 0)
 	s.ep.ChargeCPU(f, s.costs.FaultTrap)
 	s.mgr.upgrade(ctx, p)
-	s.endFault(f, span, prevTrc)
+	s.event(f, EvUpgrade, End, p, 0)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	s.lat.Upgrade.Record(s.eng.Now().Sub(start))
 }
@@ -792,20 +744,16 @@ func (s *SVM) upgradeFault(ctx Ctx, p mmu.PageID) {
 // inside manager.locate and manager.confirm. Called with the page lock
 // held.
 func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
-	enter, exit, phase, lat := "readFault>", "readFault<", trace.PhaseReadFault, &s.lat.ReadFault
+	ev, lat := EvReadFault, &s.lat.ReadFault
 	if write {
-		enter, exit, phase, lat = "writeFault>", "writeFault<", trace.PhaseWriteFault, &s.lat.WriteFault
+		ev, lat = EvWriteFault, &s.lat.WriteFault
 		s.st.SVM.WriteFaults++
-		s.profWriteFault(p)
 	} else {
 		s.st.SVM.ReadFaults++
-		s.profReadFault(p)
 	}
-	s.trace(enter, p)
-	defer s.trace(exit, p)
 	f := ctx.Fiber()
 	start := s.eng.Now()
-	span, prevTrc := s.beginFault(f, phase, p)
+	s.event(f, ev, Begin, p, 0)
 	s.ep.ChargeCPU(f, s.costs.FaultTrap)
 	e := s.table.Entry(p)
 	// One loop, two ways round it: a failed locate backs off and starts
@@ -813,9 +761,9 @@ func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
 	// attempt counts both — a refault lengthens the next backoff, as it
 	// always has — which is why this is not a remop.Retry.
 	for attempt := 0; ; attempt++ {
-		loc, locPrev := s.beginPhase(f, trace.PhaseLocate, p, "")
+		s.event(f, EvLocate, Begin, p, 0)
 		reply, err := s.mgr.locate(ctx, p, write)
-		s.endPhase(f, loc, locPrev)
+		s.event(f, EvLocate, End, p, 0)
 		if err != nil {
 			// Retransmissions exhausted or destination down: back off,
 			// then start the fault over (the owner may have moved, or the
@@ -862,7 +810,7 @@ func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
 		break
 	}
 	s.mgr.confirm(p, write)
-	s.endFault(f, span, prevTrc)
+	s.event(f, ev, End, p, 0)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	lat.Record(s.eng.Now().Sub(start))
 }
@@ -904,9 +852,8 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset, newOwner ri
 	var buf [wire.MaxNodes]ring.NodeID
 	members := cs.AppendTo(buf[:0])
 	s.st.SVM.InvalSent += uint64(len(members))
-	s.profInvalSent(p, len(members))
 	start := s.eng.Now()
-	span, prevTrc := s.beginPhase(f, trace.PhaseInval, p, "")
+	s.event(f, EvInvalidate, Begin, p, len(members))
 	req := &wire.InvalidateReq{Page: uint32(p), NewOwner: uint16(newOwner)}
 	remop.Retry(f, &s.st.SVM.FaultErrors, func() (err error) {
 		if bcast {
@@ -916,7 +863,7 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset, newOwner ri
 		}
 		return err
 	})
-	s.endPhase(f, span, prevTrc)
+	s.event(f, EvInvalidate, End, p, 0)
 	s.lat.Inval.Record(s.eng.Now().Sub(start))
 }
 
@@ -945,14 +892,14 @@ func (s *SVM) takeData(f *sim.Fiber, p mmu.PageID) []byte {
 // relinquishes ownership: it hands over the page data and copyset, and
 // points the probOwner hint at the new owner.
 func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) wire.Msg {
-	site, kind := "serveRead", "read"
+	ev := EvServeRead
 	if write {
-		site, kind = "serveWrite", "write"
+		ev = EvServeWrite
 	}
-	defer s.trace(site, p)
-	if span, prev := s.beginPhase(f, trace.PhaseServe, p, kind); span != 0 {
-		defer s.endPhase(f, span, prev)
-	}
+	// Begun before the lock and ended (deferred first, so run last) after
+	// it drops: the phase covers the wait for the page lock.
+	s.event(f, ev, Begin, p, 0)
+	defer s.event(f, ev, End, p, 0)
 	s.table.Lock(f, p)
 	defer s.table.Unlock(p)
 	e := s.table.Entry(p)
@@ -961,7 +908,7 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 	}
 	if write {
 		data := s.takeData(f, p)
-		s.profTransfer(p) // ownership leaves this node: flush its dirty map
+		s.event(f, EvTransfer, Instant, p, 0)
 		cs := e.Copyset
 		e.Copyset = 0
 		e.IsOwner = false
@@ -979,7 +926,7 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 		frame = s.pageIn(f, p)
 	}
 	e.Copyset = e.Copyset.Add(origin)
-	s.profCopysetAdd(p)
+	s.event(f, EvCopysetAdd, Instant, p, 0)
 	// The owner keeps the page with read access — downgraded from write,
 	// or restored after pageIn brought an evicted page back. Cached
 	// write-mode translations must not survive the downgrade.
@@ -1010,17 +957,11 @@ func (s *SVM) installHandlers() {
 func (s *SVM) handleInvalidate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	m := env.Body.(*wire.InvalidateReq)
 	p := mmu.PageID(m.Page)
-	defer s.trace("handleInval", p)
-	if s.trc != nil && ctx.Fiber() != nil {
-		if ft := ctx.Fiber().Trace(); ft != 0 {
-			s.trc.Instant(int(s.node), trace.PhaseInvalRecv, trace.SpanID(ft), int32(p), "")
-		}
-	}
+	defer s.event(ctx.Fiber(), EvInvalRecv, Instant, p, 0)
 	e := s.table.Entry(p)
 	s.st.SVM.InvalReceived++
-	s.profInvalRecv(p)
-	if s.invalDrop != nil && s.invalDrop(p) {
-		// Chaos-test hook: acknowledge WITHOUT revoking the copy. This
+	if s.invalDrop {
+		// Planted bug: acknowledge WITHOUT revoking the copy. This
 		// breaks the single-writer invariant on purpose so the
 		// sequential-consistency checker can prove it would notice.
 		return &wire.InvalidateAck{Page: m.Page}

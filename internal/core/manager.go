@@ -79,18 +79,18 @@ type manager interface {
 	upgrade(ctx Ctx, p mmu.PageID)
 }
 
-func newManager(a Algorithm, s *SVM, defaultOwner ring.NodeID) manager {
+func newManager(a Algorithm, s *SVM) manager {
 	switch a {
 	case DynamicDistributed:
 		return &dynamicMgr{svm: s}
 	case ImprovedCentralized:
-		return &directoryMgr{svm: s, central: defaultOwner}
+		return &directoryMgr{svm: s}
 	case FixedDistributed:
-		return &directoryMgr{svm: s, central: defaultOwner, fixed: true}
+		return &directoryMgr{svm: s, fixed: true}
 	case BroadcastManager:
 		return &broadcastMgr{svm: s}
 	case BasicCentralized:
-		return &directoryMgr{svm: s, central: defaultOwner, basic: true}
+		return &directoryMgr{svm: s, basic: true}
 	default:
 		panic(fmt.Sprintf("core: unknown algorithm %d", a))
 	}
@@ -246,7 +246,7 @@ func (m *dynamicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, wr
 // behind a lock held from a fault's arrival to the requester's
 // confirmation) and forwards each fault to the owner. fixed spreads
 // manager duty as H(p) = p mod N; otherwise one central node manages
-// every page.
+// (the SVM's default owner) manages every page.
 //
 // basic selects the TOCS companion paper's unimproved centralized
 // manager, kept so the improvement is measurable: the manager also holds
@@ -255,10 +255,9 @@ func (m *dynamicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, wr
 // improved manager in exactly three places — atManager, the grant in
 // handle, and upgrade.
 type directoryMgr struct {
-	svm     *SVM
-	central ring.NodeID
-	fixed   bool
-	basic   bool
+	svm   *SVM
+	fixed bool
+	basic bool
 	// dir is this node's directory (all pages when central, the H(p)=id
 	// subset when fixed; nil on non-manager nodes under central).
 	dir *mmu.OwnerTable
@@ -282,7 +281,7 @@ func (m *directoryMgr) managerOf(p mmu.PageID) ring.NodeID {
 	if m.fixed {
 		return ring.NodeID(int(p) % m.svm.numNodes)
 	}
-	return m.central
+	return m.svm.defaultOwner
 }
 
 func (m *directoryMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error) {
@@ -319,7 +318,7 @@ func (m *directoryMgr) atManager(f *sim.Fiber, p mmu.PageID, origin ring.NodeID,
 		return
 	}
 	m.copysets[p] = m.copysets[p].Add(origin)
-	m.svm.profCopysetAdd(p)
+	m.svm.event(f, EvCopysetAdd, Instant, p, 0)
 }
 
 // managerInvalidate revokes every read copy of p recorded at the basic
@@ -376,7 +375,7 @@ func (m *directoryMgr) migrateOwnership(p mmu.PageID, newOwner ring.NodeID) {
 
 func (m *directoryMgr) install() {
 	s := m.svm
-	if m.fixed || s.node == m.central {
+	if m.fixed || s.node == s.defaultOwner {
 		m.dir = mmu.NewOwnerTable(s.node, s.defaultOwner)
 		m.confirmed = make(map[confirmKey]uint32)
 		if m.basic {
@@ -487,7 +486,7 @@ func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) {
 	e := s.table.Entry(p)
 	s.table.Unlock(p)
 	var reply wire.Msg
-	if m.central == s.node {
+	if s.defaultOwner == s.node {
 		// Lock order is directory lock BEFORE page lock everywhere on
 		// the manager node: a transfer in flight holds the directory
 		// lock and its inline serve needs our page lock, so an upgrade
@@ -510,7 +509,7 @@ func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) {
 		// can always proceed.
 		reply = s.call(f, m.dir.Owner(p), faultReq(p, true))
 	} else {
-		reply = s.call(f, m.central, faultReq(p, true))
+		reply = s.call(f, s.defaultOwner, faultReq(p, true))
 		s.table.Lock(f, p)
 	}
 	if data := reply.(*wire.PageWriteReply).Data; len(data) != 0 {

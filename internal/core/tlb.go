@@ -230,8 +230,13 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 
 // fill caches a translation just validated by the checked path. mode is
 // the access the entry grants (the entry's current protection for
-// reads, AccessWrite for writes).
+// reads, AccessWrite for writes). Nothing is cached while the node's
+// observer takes word accesses (SVM.SetObserver): every access must then
+// reach a checked tail.
 func (t *TLB) fill(s *SVM, p mmu.PageID, e *mmu.Entry, fr *memfs.Frame, mode mmu.Access) {
+	if s.tlbOff {
+		return
+	}
 	if t.svm != s {
 		t.FlushAll()
 		t.svm = s

@@ -274,18 +274,9 @@ func (t *Thread) JoinVC(vc []uint64) {
 	joinVC(&t.vc, vc)
 }
 
-// ReadAccess checks a read of [addr, addr+size) by t on node and
+// Access checks a read or write of [addr, addr+size) by t on node and
 // records any races found. Returns the number of new reports.
-func (d *Detector) ReadAccess(t *Thread, node int, addr, size uint64) int {
-	return d.access(t, node, addr, size, false)
-}
-
-// WriteAccess checks a write of [addr, addr+size) by t on node.
-func (d *Detector) WriteAccess(t *Thread, node int, addr, size uint64) int {
-	return d.access(t, node, addr, size, true)
-}
-
-func (d *Detector) access(t *Thread, node int, addr, size uint64, isWrite bool) int {
+func (d *Detector) Access(t *Thread, node int, addr, size uint64, isWrite bool) int {
 	if t == nil || size == 0 {
 		return 0
 	}

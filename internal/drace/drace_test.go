@@ -14,14 +14,14 @@ func TestUnorderedWritesReport(t *testing.T) {
 	a := d.Fork(nil, "a")
 	b := d.Fork(nil, "b")
 	addr := d.base + 64
-	if n := d.WriteAccess(a, 0, addr, 8); n != 0 {
+	if n := d.Access(a, 0, addr, 8, true); n != 0 {
 		t.Fatalf("first write reported %d races", n)
 	}
-	if n := d.WriteAccess(b, 1, addr, 8); n != 1 {
+	if n := d.Access(b, 1, addr, 8, true); n != 1 {
 		t.Fatalf("unordered second write reported %d races, want 1", n)
 	}
 	// The same pair again is deduplicated.
-	if n := d.WriteAccess(b, 1, addr, 8); n != 0 {
+	if n := d.Access(b, 1, addr, 8, true); n != 0 {
 		t.Fatalf("repeat access re-reported: %d", n)
 	}
 	r := d.Reports()[0]
@@ -37,14 +37,14 @@ func TestForkAndJoinCreateEdges(t *testing.T) {
 	d := newTestDetector()
 	parent := d.Fork(nil, "parent")
 	addr := d.base + 8
-	d.WriteAccess(parent, 0, addr, 8)
+	d.Access(parent, 0, addr, 8, true)
 	child := d.Fork(parent, "child") // spawn edge: child sees the write
-	if n := d.ReadAccess(child, 1, addr, 8); n != 0 {
+	if n := d.Access(child, 1, addr, 8, false); n != 0 {
 		t.Fatalf("child read after fork raced: %d", n)
 	}
-	d.WriteAccess(child, 1, addr, 8)
+	d.Access(child, 1, addr, 8, true)
 	d.Join(parent, child) // join edge: parent sees the child's write
-	if n := d.ReadAccess(parent, 0, addr, 8); n != 0 {
+	if n := d.Access(parent, 0, addr, 8, false); n != 0 {
 		t.Fatalf("parent read after join raced: %d", n)
 	}
 	if len(d.Reports()) != 0 {
@@ -58,15 +58,15 @@ func TestReleaseAcquireOrders(t *testing.T) {
 	b := d.Fork(nil, "b")
 	data := d.base + 128
 	sync := d.base + 2048
-	d.WriteAccess(a, 0, data, 8)
+	d.Access(a, 0, data, 8, true)
 	d.Release(a, sync)
 	d.Acquire(b, sync)
-	if n := d.WriteAccess(b, 1, data, 8); n != 0 {
+	if n := d.Access(b, 1, data, 8, true); n != 0 {
 		t.Fatalf("release/acquire-ordered write raced: %d", n)
 	}
 	// Without the edge the same pattern reports.
 	c := d.Fork(nil, "c")
-	if n := d.WriteAccess(c, 2, data, 8); n != 1 {
+	if n := d.Access(c, 2, data, 8, true); n != 1 {
 		t.Fatalf("unordered write reported %d, want 1", n)
 	}
 }
@@ -77,13 +77,13 @@ func TestMarkSyncExemptsWords(t *testing.T) {
 	b := d.Fork(nil, "b")
 	addr := d.base + 256
 	d.MarkSync(addr, 8)
-	d.WriteAccess(a, 0, addr, 8)
-	if n := d.WriteAccess(b, 1, addr, 8); n != 0 {
+	d.Access(a, 0, addr, 8, true)
+	if n := d.Access(b, 1, addr, 8, true); n != 0 {
 		t.Fatalf("sync word reported a race: %d", n)
 	}
 	// The neighbouring word is still checked.
-	d.WriteAccess(a, 0, addr+8, 8)
-	if n := d.WriteAccess(b, 1, addr+8, 8); n != 1 {
+	d.Access(a, 0, addr+8, 8, true)
+	if n := d.Access(b, 1, addr+8, 8, true); n != 1 {
 		t.Fatalf("adjacent word reported %d, want 1", n)
 	}
 }
@@ -94,11 +94,11 @@ func TestConcurrentReadsShareThenWriteReports(t *testing.T) {
 	b := d.Fork(nil, "b")
 	c := d.Fork(nil, "c")
 	addr := d.base + 512
-	if d.ReadAccess(a, 0, addr, 8)+d.ReadAccess(b, 1, addr, 8) != 0 {
+	if d.Access(a, 0, addr, 8, false)+d.Access(b, 1, addr, 8, false) != 0 {
 		t.Fatal("concurrent reads raced with each other")
 	}
 	// An unordered write races with both readers.
-	if n := d.WriteAccess(c, 2, addr, 8); n != 2 {
+	if n := d.Access(c, 2, addr, 8, true); n != 2 {
 		t.Fatalf("write over read-shared word reported %d, want 2", n)
 	}
 }
@@ -108,17 +108,17 @@ func TestWordGranularity(t *testing.T) {
 	a := d.Fork(nil, "a")
 	b := d.Fork(nil, "b")
 	// Different words of the same page never interact.
-	d.WriteAccess(a, 0, d.base, 8)
-	if n := d.WriteAccess(b, 1, d.base+8, 8); n != 0 {
+	d.Access(a, 0, d.base, 8, true)
+	if n := d.Access(b, 1, d.base+8, 8, true); n != 0 {
 		t.Fatalf("distinct words raced: %d", n)
 	}
 	// A 1-byte access lands on its containing word.
-	if n := d.WriteAccess(b, 1, d.base+3, 1); n != 1 {
+	if n := d.Access(b, 1, d.base+3, 1, true); n != 1 {
 		t.Fatalf("sub-word overlap reported %d, want 1", n)
 	}
 	// A multi-word span checks every word it touches.
 	c := d.Fork(nil, "c")
-	if n := d.WriteAccess(c, 2, d.base, 16); n != 2 {
+	if n := d.Access(c, 2, d.base, 16, true); n != 2 {
 		t.Fatalf("two-word span reported %d, want 2", n)
 	}
 }
@@ -128,9 +128,9 @@ func TestVCPiggybackJoins(t *testing.T) {
 	a := d.Fork(nil, "a")
 	b := d.Fork(nil, "b")
 	addr := d.base + 1024
-	d.WriteAccess(a, 0, addr, 8)
+	d.Access(a, 0, addr, 8, true)
 	b.JoinVC(a.Snapshot()) // the remote-notify edge
-	if n := d.ReadAccess(b, 1, addr, 8); n != 0 {
+	if n := d.Access(b, 1, addr, 8, false); n != 0 {
 		t.Fatalf("read after VC join raced: %d", n)
 	}
 }

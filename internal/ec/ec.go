@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/proc"
 	"repro/internal/ring"
 )
@@ -60,8 +61,8 @@ func Init(p *proc.Process, addr uint64, capacity int) *EC {
 	// edges) rather than checking them. Mark before the zeroing writes so
 	// they never enter the data shadow. The waiter table is ordinary data
 	// protected by the lock, so it stays checked.
-	s.RaceMarkSync(addr+offLock, 1)
-	s.RaceMarkSync(addr+offValue, 8)
+	s.Observe(p, core.OpMarkSync, addr+offLock, 1)
+	s.Observe(p, core.OpMarkSync, addr+offValue, 8)
 	zero := make([]byte, SizeFor(capacity))
 	s.WriteBytes(p, addr, zero)
 	s.WriteU32(p, addr+offCap, uint32(capacity))
@@ -111,7 +112,7 @@ func (e *EC) unlock(p *proc.Process) {
 func (e *EC) Read(p *proc.Process) int64 {
 	s := p.Node().SVM()
 	v := s.ReadI64(p, e.addr+offValue)
-	s.RaceAcquire(p, e.addr+offValue)
+	s.Observe(p, core.OpAcquire, e.addr+offValue, 0)
 	// Under release consistency an observed Advance also obliges this
 	// node to drop cached data pages the advancer's release published.
 	s.RCAcquire(p)
@@ -125,7 +126,7 @@ func (e *EC) Wait(p *proc.Process, target int64) {
 	// only under-report; a satisfied read is definitive.
 	if s.ReadI64(p, e.addr+offValue) >= target {
 		// Advance happens-before the Wait that observes it.
-		s.RaceAcquire(p, e.addr+offValue)
+		s.Observe(p, core.OpAcquire, e.addr+offValue, 0)
 		s.RCAcquire(p)
 		return
 	}
@@ -133,7 +134,7 @@ func (e *EC) Wait(p *proc.Process, target int64) {
 		e.lock(p)
 		v := s.ReadI64(p, e.addr+offValue)
 		if v >= target {
-			s.RaceAcquire(p, e.addr+offValue)
+			s.Observe(p, core.OpAcquire, e.addr+offValue, 0)
 			e.unlock(p)
 			// The RC acquire happens after the latch drops: it must
 			// complete before THIS process touches data pages again, but
@@ -179,8 +180,8 @@ func (e *EC) Advance(p *proc.Process) int64 {
 	// The advancer's history happens-before every later Wait/Read that
 	// observes the new value; vc also rides the waiter notifications so
 	// the edge reaches waiters that skip the re-read.
-	s.RaceRelease(p, e.addr+offValue)
-	vc := s.RaceVC(p)
+	s.Observe(p, core.OpRelease, e.addr+offValue, 0)
+	vc := p.RaceVC()
 	n := int(s.ReadU32(p, e.addr+offNWaiters))
 	i := 0
 	for i < n {
@@ -241,7 +242,7 @@ func InitSequencer(p *proc.Process, addr uint64) *Sequencer {
 	// Only the lock byte is synchronization state; the ticket value at
 	// addr+8 is ordinary data whose accesses the test-and-set edges keep
 	// totally ordered, so it stays race-checked.
-	s.RaceMarkSync(addr, 1)
+	s.Observe(p, core.OpMarkSync, addr, 1)
 	s.WriteU8(p, addr, 0)
 	s.WriteI64(p, addr+8, 0)
 	return &Sequencer{addr: addr}

@@ -4,21 +4,45 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/drace"
 	"repro/internal/proc"
 )
 
+// raceObserver is the wiring Config.DRace performs (observe.go in the
+// root package, which this package cannot import): word accesses and
+// sync edges go to the detector.
+type raceObserver struct {
+	core.NoObserver
+	d *drace.Detector
+}
+
+func (raceObserver) WordAccesses() bool { return true }
+
+func (o raceObserver) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint64) {
+	t := ctx.(*proc.Process).Race()
+	switch op {
+	case core.OpAcquire:
+		o.d.Acquire(t, addr)
+	case core.OpRelease:
+		o.d.Release(t, addr)
+	case core.OpMarkSync:
+		o.d.MarkSync(addr, n)
+	default:
+		o.d.Access(t, int(s.Node()), addr, n, op == core.OpWrite)
+	}
+}
+
 // newRaceRig is newRig with the happens-before race detector armed on
-// every SVM and the process layer (TLBs off, so every access reaches a
-// hooked checked path — the same wiring Config.DRace performs).
+// every SVM and the process layer. Arming an observer that takes word
+// accesses is what turns the TLBs off.
 func newRaceRig(t *testing.T, n int) (*rig, *drace.Detector) {
 	t.Helper()
 	r := newRig(t, n, 1)
 	d := drace.New(r.svms[0].Base(), 1024, func() time.Duration { return r.eng.Now().Duration() })
 	for _, s := range r.svms {
-		s.SetRaceDetector(d)
+		s.SetObserver(raceObserver{d: d})
 	}
-	r.cluster.SetDisableTLB(true)
 	r.cluster.SetRaceDetector(d)
 	return r, d
 }
@@ -116,7 +140,7 @@ func TestEventcountHappensBefore(t *testing.T) {
 					for e.Read(p) < 1 {
 						p.Fiber().Sleep(10 * time.Millisecond)
 					}
-					p.Node().SVM().ReadU64(p, d1)    // ordered by the acquire
+					p.Node().SVM().ReadU64(p, d1)     // ordered by the acquire
 					p.Node().SVM().WriteU64(p, d2, 7) // not published anywhere
 				}, proc.CreateOpts{Name: "r1"})
 				r.cluster.Node(2).Create(func(p *proc.Process) {

@@ -55,13 +55,12 @@ func TestWiresymGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{WiresymAnalyzer}, "wsym/wire")
 }
 
-// TestHookcoverGolden plants the instrumentation coverage holes — an
-// exported SVM accessor handing out frame bytes with no hook on its
-// call graph (both planes), one visible only to metrics, one visible
-// only to the detector — and asserts the analyzer flags each missing
-// plane while dual-hooked accessors, transitive hooks, synchronization
-// primitives (RaceAcquire instead of raceRead), ignored diagnostics
-// dumps, and frame-free methods all stay legal.
+// TestHookcoverGolden plants the observer-seam coverage holes — an
+// exported SVM accessor handing out frame bytes with no seam call on its
+// call graph, and one that reaches only the seam's fault side — and
+// asserts the analyzer flags both while reporting accessors, transitive
+// reports, synchronization primitives, ignored diagnostics dumps, and
+// frame-free methods all stay legal.
 func TestHookcoverGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{HookcoverAnalyzer}, "hkc/internal/core")
 }

@@ -7,26 +7,26 @@ import (
 	"repro/internal/ivyvet/callgraph"
 )
 
-// HookcoverAnalyzer generalizes PR 5's racehook check to both
-// instrumentation planes: every shared-memory access entry point in
+// HookcoverAnalyzer keeps the observer seam (internal/core/observer.go)
+// complete on the access side: every shared-memory access entry point in
 // internal/core — an exported SVM method taking a Ctx that reaches the
-// frameFor* page-frame tails — must reach BOTH a drace race-detector
-// hook and a metrics prof hook. The detector only sees the accesses
-// the entry points report, and the ivyprof metrics plane only counts
-// the faults the same paths record; an accessor on just one plane
-// makes the other silently wrong, which is worse than missing — PR 6's
-// coherence metrics and PR 5's race verdicts would quietly disagree
-// about the same run. Deliberate single-plane accessors carry a
-// reasoned //ivyvet:ignore.
+// frameFor* page-frame tails — must reach the seam's access side,
+// SVM.Observe. The race detector and the profiler see only what the seam
+// reports, so an accessor that bypasses it makes both silently wrong.
+// The fault side of the seam (SVM.event) is deliberately not accepted
+// here — every accessor reaches it through slowPath, which would make
+// the rule vacuous; core.TestObserverCountsMatchStats pins that side by
+// count.
+// Deliberately unobserved accessors carry a reasoned //ivyvet:ignore.
 //
 // The reachability runs on the whole-program call graph restricted to
-// internal/core nodes (the frame tails and both hook families are
-// core-internal wrappers), so closures and helpers added between an
-// entry point and its tail keep the coverage visible.
+// internal/core nodes (the frame tails and the seam wrapper are
+// core-internal), so closures and helpers added between an entry point
+// and its tail keep the coverage visible.
 var HookcoverAnalyzer = &analysis.Analyzer{
 	Name: "hookcover",
-	Doc: "flag exported SVM accessors in internal/core that reach page frames without both a drace hook " +
-		"and a metrics prof hook; the race-detection and profiling planes must see every access path",
+	Doc: "flag exported SVM accessors in internal/core that reach page frames without reaching the observer seam; " +
+		"every observer must see every access path",
 	Run: runHookcover,
 }
 
@@ -39,28 +39,8 @@ var hookcoverTouchers = map[string]bool{
 	"frameForWriteChecked": true,
 }
 
-// hookcoverRaceHooks are the drace entry points; reaching any of them
-// satisfies the detector plane.
-var hookcoverRaceHooks = map[string]bool{
-	"raceRead":     true,
-	"raceWrite":    true,
-	"RaceAcquire":  true,
-	"RaceRelease":  true,
-	"RaceMarkSync": true,
-}
-
-// hookcoverProfHooks are the metrics-plane recorders; reaching any of
-// them satisfies the profiling plane.
-var hookcoverProfHooks = map[string]bool{
-	"profReadFault":  true,
-	"profWriteFault": true,
-	"profUpgrade":    true,
-	"profInvalSent":  true,
-	"profInvalRecv":  true,
-	"profCopysetAdd": true,
-	"profTransfer":   true,
-	"profWrite":      true,
-}
+// hookcoverSeam is the seam's access-side wrapper.
+var hookcoverSeam = map[string]bool{"Observe": true}
 
 func runHookcover(pass *analysis.Pass) (interface{}, error) {
 	if simWorldComponent(pass.PkgPath) != "core" {
@@ -70,7 +50,7 @@ func runHookcover(pass *analysis.Pass) (interface{}, error) {
 	if g == nil {
 		return nil, nil
 	}
-	// Keep the traversal inside the component: the tails and hooks are
+	// Keep the traversal inside the component: the tails and the seam are
 	// core-internal, and stopping at the package edge keeps interface
 	// dispatch (Ctx methods resolve by name+shape module-wide) from
 	// connecting core to unrelated implementations.
@@ -91,13 +71,9 @@ func runHookcover(pass *analysis.Pass) (interface{}, error) {
 		if !reaches(n, hookcoverTouchers) {
 			continue // no frame data flows out of this method
 		}
-		if !reaches(n, hookcoverRaceHooks) {
+		if !reaches(n, hookcoverSeam) {
 			pass.Reportf(n.Decl.Name.Pos(),
-				"%s reaches page frames without a drace hook: shared-memory access entry points must call raceRead/raceWrite (or RaceAcquire/RaceRelease/RaceMarkSync) on the checked tail so the race detector sees every access", n.Fn.Name())
-		}
-		if !reaches(n, hookcoverProfHooks) {
-			pass.Reportf(n.Decl.Name.Pos(),
-				"%s reaches page frames without a metrics prof hook: access paths must record their fault/traffic class (profReadFault, profWriteFault, profUpgrade, ...) so the ivyprof plane counts every access the detector sees", n.Fn.Name())
+				"%s reaches page frames without reaching the observer seam: shared-memory access entry points must report through Observe on the checked tail so every observer sees every access", n.Fn.Name())
 		}
 	}
 	return nil, nil

@@ -42,8 +42,7 @@
 //     unordered same-class nesting.
 //   - hookcover: every shared-memory access entry point in
 //     internal/core (exported SVM method taking a Ctx that reaches
-//     page frames) must reach BOTH instrumentation planes: a drace
-//     race-detector hook and an ivyprof metrics hook.
+//     page frames) must reach the observer seam (SVM.Observe).
 //   - wirehandler: every wire.Kind is classified in the chaos
 //     kindClass table; request/notice kinds must have a handler arm
 //     somewhere in the module, reply kinds must have none.

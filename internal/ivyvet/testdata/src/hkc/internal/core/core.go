@@ -1,9 +1,10 @@
 // Package core is hookcover-analyzer golden input: a miniature of the
 // simulator's SVM accessor shapes. PeekWord below is the bug the
 // analyzer exists for — a new exported accessor that hands out frame
-// bytes without reporting the access to either instrumentation plane —
-// and CountedPeek / UnprofiledRead are the subtler halves, on one
-// plane but not the other.
+// bytes without reporting the access to the observer seam — and
+// FaultOnlyPeek is the subtler one: it reaches the seam's fault side,
+// which every accessor does through the slow path and which therefore
+// proves nothing about the access itself.
 package core
 
 type Ctx interface {
@@ -12,10 +13,10 @@ type Ctx interface {
 
 type SVM struct {
 	frames [][]byte
-	rd     *detector
+	obs    *observer
 }
 
-type detector struct{}
+type observer struct{}
 
 // frameForRead is the frame-returning tail every accessor funnels
 // through.
@@ -24,74 +25,53 @@ func (s *SVM) frameForRead(ctx Ctx, p int) []byte { return s.frames[p] }
 // frameForWrite is the write-mode tail.
 func (s *SVM) frameForWrite(ctx Ctx, p int) []byte { return s.frames[p] }
 
-// raceRead reports a read to the detector.
-func (s *SVM) raceRead(ctx Ctx, addr uint64, n uint64) {}
+// Observe reports a checked access to the armed observer.
+func (s *SVM) Observe(ctx Ctx, op int, addr, n uint64) {}
 
-// raceWrite reports a write to the detector.
-func (s *SVM) raceWrite(ctx Ctx, addr uint64, n uint64) {}
+// event reports a fault or phase — the seam's fault side.
+func (s *SVM) event(ev, at, p int) {}
 
-// RaceAcquire records a lock-acquire edge.
-func (s *SVM) RaceAcquire(ctx Ctx, addr uint64) {}
-
-// RaceMarkSync exempts detector-internal metadata.
-func (s *SVM) RaceMarkSync(addr, n uint64) {}
-
-// profReadFault records a read fault on the metrics plane.
-func (s *SVM) profReadFault(p int) {}
-
-// profUpgrade records a write-upgrade fault on the metrics plane.
-func (s *SVM) profUpgrade(p int) {}
-
-// ReadWord is a clean accessor: it touches a frame and reports on both
-// planes.
+// ReadWord is a clean accessor: it touches a frame and reports the
+// access.
 func (s *SVM) ReadWord(ctx Ctx, addr uint64) byte {
 	frame := s.frameForRead(ctx, int(addr))
-	s.raceRead(ctx, addr, 1)
-	s.profReadFault(int(addr))
+	s.Observe(ctx, 0, addr, 1)
 	return frame[0]
 }
 
-// ReadWordIndirect reaches the frame and both hooks transitively —
-// also clean.
+// ReadWordIndirect reaches the frame and the seam transitively — also
+// clean.
 func (s *SVM) ReadWordIndirect(ctx Ctx, addr uint64) byte {
 	return s.ReadWord(ctx, addr)
 }
 
-// PeekWord hands out frame bytes with no hook anywhere on its call
-// graph — the coverage hole hookcover must flag on both planes.
-func (s *SVM) PeekWord(ctx Ctx, addr uint64) byte { // want `PeekWord reaches page frames without a drace hook` `PeekWord reaches page frames without a metrics prof hook`
+// PeekWord hands out frame bytes with no seam call anywhere on its call
+// graph — the coverage hole hookcover must flag.
+func (s *SVM) PeekWord(ctx Ctx, addr uint64) byte { // want `PeekWord reaches page frames without reaching the observer seam`
 	return s.frameForRead(ctx, int(addr))[0]
 }
 
-// CountedPeek is on the metrics plane but invisible to the race
-// detector — the post-PR 5 regression shape.
-func (s *SVM) CountedPeek(ctx Ctx, addr uint64) byte { // want `CountedPeek reaches page frames without a drace hook`
-	s.profReadFault(int(addr))
+// FaultOnlyPeek reports a fault but never the access: counted by the
+// profiler's fault columns, invisible to the race detector and the
+// dirty-word map.
+func (s *SVM) FaultOnlyPeek(ctx Ctx, addr uint64) byte { // want `FaultOnlyPeek reaches page frames without reaching the observer seam`
+	s.event(0, 0, int(addr))
 	return s.frameForRead(ctx, int(addr))[0]
 }
 
-// UnprofiledRead reports to the detector but never records a fault —
-// the ivyprof plane would undercount exactly these accesses.
-func (s *SVM) UnprofiledRead(ctx Ctx, addr uint64) byte { // want `UnprofiledRead reaches page frames without a metrics prof hook`
-	s.raceRead(ctx, addr, 1)
-	return s.frameForRead(ctx, int(addr))[0]
-}
-
-// TestAndSet never calls raceRead/raceWrite but records the acquire
-// edge and the upgrade fault — synchronization primitives are hooked
-// differently, not unhooked.
+// TestAndSet reports an acquire rather than a read or a write — a
+// synchronization primitive is observed differently, not unobserved.
 func (s *SVM) TestAndSet(ctx Ctx, addr uint64) bool {
 	frame := s.frameForWrite(ctx, int(addr))
 	if frame[0] != 0 {
 		return false
 	}
 	frame[0] = 1
-	s.RaceAcquire(ctx, addr)
-	s.profUpgrade(int(addr))
+	s.Observe(ctx, 2, addr, 1)
 	return true
 }
 
-// DebugDump deliberately bypasses both planes (diagnostics must not
+// DebugDump deliberately bypasses the seam (diagnostics must not
 // perturb epochs or counters); the reasoned ignore documents that at
 // the site.
 //

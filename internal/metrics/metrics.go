@@ -16,9 +16,9 @@
 //     node side; it never adds fields to messages or changes virtual
 //     time (see PROTOCOL.md).
 //
-// The package is imported by internal/core (which calls the hooks) and
-// must therefore not import core or anything above it; it sees the
-// cluster only through raw addresses, page indices, and counters.
+// The package sees the cluster only through raw addresses, page indices
+// and counters: the root package's profObserver translates the core
+// observer seam's events into Count, Write and Transfer calls.
 package metrics
 
 import "math/bits"
@@ -27,17 +27,24 @@ import "math/bits"
 // shadow granularity: one bit per 8-byte word.
 const WordSize = 8
 
-// pageCount is the per-page hot counter block. Fields are ordered for
-// density; everything is a plain integer so the whole slice is one
-// allocation.
+// Counter names one of a page's event counters (see Count).
+type Counter uint8
+
+const (
+	ReadFaults  Counter = iota // read faults taken on the page (all nodes)
+	WriteFaults                // write faults (page absent)
+	Upgrades                   // write-upgrade faults (read copy promoted in place)
+	InvalSent                  // invalidation requests fanned out for the page
+	InvalRecv                  // invalidations received (copies killed)
+	CopysetAdds                // copyset insertions (read-sharing churn)
+	numCounters
+)
+
+// pageCount is the per-page hot counter block. Everything is a plain
+// integer so the whole slice is one allocation.
 type pageCount struct {
-	ReadFaults   uint64 // read faults taken on this page (all nodes)
-	WriteFaults  uint64 // write faults (page absent) taken on this page
-	Upgrades     uint64 // write-upgrade faults (read copy promoted in place)
-	InvalSent    uint64 // invalidation requests fanned out for this page
-	InvalRecv    uint64 // invalidations received (copies killed)
+	n            [numCounters]uint64
 	Transfers    uint64 // ownership migrations between nodes
-	CopysetAdds  uint64 // copyset insertions (read-sharing churn)
 	lastTransfer int64  // virtual time (ns) of the previous ownership transfer, -1 if none
 	gapSum       int64  // sum of inter-transfer gaps (ns)
 	gapCount     uint64 // number of gaps (Transfers-1 once started)
@@ -115,45 +122,11 @@ func (c *Collector) pageOf(addr uint64) int {
 	return p
 }
 
-// ReadFault records a read fault on page p.
-func (c *Collector) ReadFault(p int) {
+// Count adds n to page p's counter k. Pages outside the collector are
+// ignored.
+func (c *Collector) Count(p int, k Counter, n int) {
 	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].ReadFaults++
-	}
-}
-
-// WriteFault records a page-absent write fault on page p.
-func (c *Collector) WriteFault(p int) {
-	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].WriteFaults++
-	}
-}
-
-// Upgrade records a write-upgrade fault on page p.
-func (c *Collector) Upgrade(p int) {
-	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].Upgrades++
-	}
-}
-
-// InvalSent records n invalidation requests fanned out for page p.
-func (c *Collector) InvalSent(p, n int) {
-	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].InvalSent += uint64(n)
-	}
-}
-
-// InvalRecv records an invalidation arriving at a copy holder of page p.
-func (c *Collector) InvalRecv(p int) {
-	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].InvalRecv++
-	}
-}
-
-// CopysetAdd records a node being inserted into page p's copyset.
-func (c *Collector) CopysetAdd(p int) {
-	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].CopysetAdds++
+		c.pages[p].n[k] += uint64(n)
 	}
 }
 
@@ -272,21 +245,19 @@ func (c *Collector) Snapshot() *Snapshot {
 	}
 	for p := range c.pages {
 		pc := &c.pages[p]
-		if pc.ReadFaults == 0 && pc.WriteFaults == 0 && pc.Upgrades == 0 &&
-			pc.InvalSent == 0 && pc.InvalRecv == 0 && pc.Transfers == 0 &&
-			pc.CopysetAdds == 0 {
+		if pc.n == [numCounters]uint64{} && pc.Transfers == 0 {
 			continue
 		}
 		ps := PageSnapshot{
 			Page:        p,
 			Region:      c.regionOf(p),
-			ReadFaults:  pc.ReadFaults,
-			WriteFaults: pc.WriteFaults,
-			Upgrades:    pc.Upgrades,
-			InvalSent:   pc.InvalSent,
-			InvalRecv:   pc.InvalRecv,
+			ReadFaults:  pc.n[ReadFaults],
+			WriteFaults: pc.n[WriteFaults],
+			Upgrades:    pc.n[Upgrades],
+			InvalSent:   pc.n[InvalSent],
+			InvalRecv:   pc.n[InvalRecv],
 			Transfers:   pc.Transfers,
-			CopysetAdds: pc.CopysetAdds,
+			CopysetAdds: pc.n[CopysetAdds],
 			DensityHist: pc.densityHist,
 		}
 		if pc.gapCount > 0 {

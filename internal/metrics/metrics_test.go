@@ -82,9 +82,9 @@ func TestPingPongGap(t *testing.T) {
 
 func TestWriteOutOfRangeIgnored(t *testing.T) {
 	c, _ := newTestCollector(2)
-	c.Write(0, 8)          // below base
-	c.Write(1<<20+3*64, 8) // past the last page
-	c.ReadFault(-1)        // bad indices must not panic or count
+	c.Write(0, 8)              // below base
+	c.Write(1<<20+3*64, 8)     // past the last page
+	c.Count(-1, ReadFaults, 1) // bad indices must not panic or count
 	c.Transfer(99)
 	if got := c.Snapshot().Pages; len(got) != 0 {
 		t.Fatalf("out-of-range accesses produced pages: %+v", got)
@@ -97,9 +97,9 @@ func TestRegionLabels(t *testing.T) {
 	c.LabelRegion("A", base, 128)     // pages 0-1
 	c.LabelRegion("B", base+128, 64)  // page 2
 	c.LabelRegion("B2", base+128, 64) // later label wins
-	c.ReadFault(1)
-	c.ReadFault(2)
-	c.ReadFault(3)
+	c.Count(1, ReadFaults, 1)
+	c.Count(2, ReadFaults, 1)
+	c.Count(3, ReadFaults, 1)
 
 	s := c.Snapshot()
 	got := map[int]string{}
@@ -119,10 +119,10 @@ func TestTopPagesOrder(t *testing.T) {
 	c.Transfer(3)
 	c.Transfer(3) // page 3: 2 transfers
 	c.Transfer(0) // page 0: 1 transfer, 2 faults
-	c.ReadFault(0)
-	c.WriteFault(0)
+	c.Count(0, ReadFaults, 1)
+	c.Count(0, WriteFaults, 1)
 	c.Transfer(1) // page 1: 1 transfer, 1 fault
-	c.ReadFault(1)
+	c.Count(1, ReadFaults, 1)
 	c.Transfer(2) // page 2: 1 transfer, 1 fault — ties page 1, page asc
 
 	e := &ExportData{Prof: c.Snapshot()}
@@ -146,7 +146,7 @@ func TestTopPagesOrder(t *testing.T) {
 
 func TestSnapshotFloatsFinite(t *testing.T) {
 	c, _ := newTestCollector(1)
-	c.ReadFault(0) // touched but never transferred: density must stay 0, not NaN
+	c.Count(0, ReadFaults, 1) // touched but never transferred: density must stay 0, not NaN
 	p := c.Snapshot().Pages[0]
 	if math.IsNaN(p.DirtyDensity) || math.IsNaN(p.DirtyWordsMean) {
 		t.Fatalf("NaN in snapshot: %+v", p)

@@ -149,7 +149,7 @@ func (n *Node) MigrateOut(f *sim.Fiber, p *Process, dst ring.NodeID) bool {
 		StackPage:  tr.current,
 		StackData:  tr.currentData,
 		UpperPages: tr.upper,
-		VC:         raceVC(p),
+		VC:         p.RaceVC(),
 	}
 	reply, err := n.ep.Call(f, dst, req)
 	if err != nil {
@@ -190,7 +190,7 @@ func (p *Process) MigrateTo(dst ring.NodeID) {
 		StackPage:  tr.current,
 		StackData:  tr.currentData,
 		UpperPages: tr.upper,
-		VC:         raceVC(p),
+		VC:         p.RaceVC(),
 	}
 	reply, err := n.ep.Call(p.fiber, dst, req)
 	rejected := false
@@ -220,12 +220,12 @@ func (p *Process) MigrateTo(dst ring.NodeID) {
 	p.fiber.Park("awaiting dispatch after migration")
 }
 
-// raceVC snapshots p's vector clock for the migration message, or nil
-// with drace off. The process object (and so its detector thread) is
-// shared simulator state, but the snapshot documents on the wire what a
-// distributed implementation would ship: the migrating thread's clock
-// travels with the PCB.
-func raceVC(p *Process) []uint64 {
+// RaceVC snapshots p's vector clock for piggybacking on a wire message
+// (migration, eventcount notify), or nil with drace off. The process
+// object (and so its detector thread) is shared simulator state, but the
+// snapshot documents on the wire what a distributed implementation would
+// ship: the thread's clock travels with the message.
+func (p *Process) RaceVC() []uint64 {
 	if p.race == nil {
 		return nil
 	}

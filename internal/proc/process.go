@@ -91,7 +91,7 @@ func (n *Node) Create(body Body, opts CreateOpts) *Process {
 		stackPages: opts.StackPages,
 		quantum:    n.costs.ComputeQuantum,
 	}
-	if !n.cluster.disableTLB {
+	if !n.cluster.disableTLB && !n.svm.TLBOff() {
 		// The TLB charges accesses straight into this process's debt
 		// accumulator (see core.NewTLB); the quantum mirrors Charge's.
 		p.tlb = core.NewTLB(&p.debt, p.quantum)

@@ -154,11 +154,11 @@ type Node struct {
 	log    []notice
 	cursor uint64
 
-	// noticeDrop is the chaos-test-only planted bug: when set and true,
+	// noticeDrop is the chaos-test-only planted bug: when set,
 	// Release commits its diffs but never posts the write notices —
 	// acquirers keep reading stale resident copies, which the RC checker
 	// must catch. Never set outside tests.
-	noticeDrop func() bool
+	noticeDrop bool
 
 	stats Stats
 }
@@ -235,9 +235,9 @@ func (n *Node) MasterPeek(p mmu.PageID) ([]byte, bool) {
 	return n.master[p], true
 }
 
-// SetNoticeDropHook installs the chaos-test-only dropped-write-notice
-// bug; see the noticeDrop field. Passing nil restores correct behavior.
-func (n *Node) SetNoticeDropHook(fn func() bool) { n.noticeDrop = fn }
+// DropWriteNotices plants the chaos-test-only dropped-write-notice bug;
+// see the noticeDrop field.
+func (n *Node) DropWriteNotices() { n.noticeDrop = true }
 
 // call drives a remote operation to completion, retrying on the shared
 // backoff schedule through retransmission give-ups (a crashed peer's
@@ -468,7 +468,7 @@ func (n *Node) postNotices(f *sim.Fiber, pages, vers []uint32) {
 	if len(pages) == 0 {
 		return
 	}
-	if n.noticeDrop != nil && n.noticeDrop() {
+	if n.noticeDrop {
 		// Planted bug: the diffs are committed but nobody is told.
 		n.stats.NoticesDrop += uint64(len(pages))
 		return

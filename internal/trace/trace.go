@@ -21,7 +21,11 @@
 // nothing (and allocates nothing) when off.
 package trace
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/sim"
+)
 
 // Phase identifies what a span measures.
 type Phase uint8
@@ -100,6 +104,12 @@ type Span struct {
 	Start  time.Duration
 	End    time.Duration // -1 while the span is open
 	Detail string        // free-form annotation (process name, hop target, ...)
+
+	// prev is the trace context of the fiber BeginOn bound this span to,
+	// for EndOn to restore: the parent for a phase, and whatever the
+	// fiber carried (a request handler's fault, usually nothing) for a
+	// fault root.
+	prev uint64
 }
 
 // Open reports whether the span has not ended yet.
@@ -200,6 +210,35 @@ func (c *Collector) Instant(node int, ph Phase, parent SpanID, page int32, detai
 		c.inFlight--
 	}
 	return id
+}
+
+// BeginOn opens a span and binds it to fiber f, so the layers below
+// (remop, ring, disk) attribute their work to it. A fault phase opens a
+// root; any other phase opens a child of the span f carries, or nothing
+// when f carries none (an untraced context).
+func (c *Collector) BeginOn(f *sim.Fiber, node int, ph Phase, page int32, detail string) {
+	prev := f.Trace()
+	parent := SpanID(prev)
+	if ph.IsFault() {
+		parent = 0
+	} else if prev == 0 {
+		return
+	}
+	id := c.Begin(node, ph, parent, page, detail)
+	c.spans[id-1].prev = prev
+	f.SetTrace(uint64(id))
+}
+
+// EndOn closes the span BeginOn bound to f and restores f's context.
+// Begin/End pairs nest, so the span f carries is the one to close; with
+// none bound (BeginOn opened nothing) it does nothing.
+func (c *Collector) EndOn(f *sim.Fiber) {
+	id := SpanID(f.Trace())
+	if id == 0 {
+		return
+	}
+	c.End(id)
+	f.SetTrace(c.spans[id-1].prev)
 }
 
 // reqKey matches remop's reply-cache key: (origin, reqID).
