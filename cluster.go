@@ -447,6 +447,16 @@ func (c *Cluster) Run(main func(p *Proc)) error {
 		defer cancel()
 	}
 	runErr := c.eng.RunUntil(sim.Time(c.cfg.Horizon))
+	// No frame will be sent or delivered again: give up what the message
+	// path holds only for reuse or for answering duplicates (idle buffers
+	// and records, cached replies). A finished cluster stays reachable,
+	// and whatever it keeps stays resident with it.
+	for _, svm := range c.svms {
+		svm.Endpoint().ReleaseIdle()
+	}
+	if c.nw != nil {
+		c.nw.ReleaseIdle()
+	}
 	// Close and export the trace on every exit path, so even a deadlock
 	// or horizon run leaves an inspectable trace file.
 	traceErr := c.finishTrace()

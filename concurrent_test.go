@@ -7,8 +7,8 @@ import (
 )
 
 // crossClusterWorkload drives one self-contained simulation with
-// enough cross-node sharing to cycle wire buffers and readers through
-// the codec free lists continuously.
+// enough cross-node sharing to cycle payloads, page buffers and decoded
+// envelopes through every endpoint's codec lists continuously.
 func crossClusterWorkload(seed int64) (time.Duration, uint64, uint64, error) {
 	const (
 		procs = 4
@@ -42,10 +42,11 @@ func crossClusterWorkload(seed int64) (time.Duration, uint64, uint64, error) {
 }
 
 // TestConcurrentClusters runs two independent simulations from separate
-// goroutines. Each Cluster is single-threaded by construction, but the
-// wire codec's buffer/reader free lists are shared by every cluster in
-// the process, so this test — run under -race in CI — pins the PR 2
-// review fix that put those free lists behind a mutex. It also checks
+// goroutines. Each Cluster is single-threaded by construction, and since
+// the wire codec's free lists moved from the package (behind a mutex, the
+// PR 2 review fix this test was written for) into each endpoint, the
+// message path shares nothing between clusters: this test — run under
+// -race in CI — pins that no shared state has crept back. It also checks
 // that concurrency leaks nothing between simulations: each concurrent
 // run must reproduce its sequential baseline bit-for-bit (virtual time,
 // packet count, fault count).
@@ -67,7 +68,7 @@ func TestConcurrentClusters(t *testing.T) {
 			t.Fatalf("baseline seed %d: %v", seed, err)
 		}
 		if base[i].packets == 0 {
-			t.Fatalf("seed %d produced no wire traffic; the workload no longer exercises the codec free lists", seed)
+			t.Fatalf("seed %d produced no wire traffic; the workload no longer exercises the codec lists", seed)
 		}
 	}
 

@@ -14,6 +14,8 @@
 package apps
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	ivy "repro"
@@ -119,6 +121,32 @@ type Result struct {
 	// RC holds the per-node release-consistency protocol counters, nil
 	// under Coherence "sc".
 	RC []ivy.RCNodeStats
+}
+
+// Agrees compares the application results of two runs of one program
+// and describes the first difference, or returns nil. With tol zero the
+// runs must agree bit for bit, Check and Digest both — what every
+// program owes on the deterministic simulator, and every program but TSP
+// on any transport. A positive tol is for TSP on a host-paced transport
+// (pass TSPTolerance): there the order in which equal-cost optimal tours
+// are discovered is not fixed, a tour summed forwards and backwards can
+// differ in the last bit, and whichever is published first prunes the
+// other — so Check is compared within tol and Digest, which covers
+// exactly that one word, is not compared at all.
+func (r Result) Agrees(o Result, tol float64) error {
+	if tol > 0 {
+		if math.Abs(r.Check-o.Check) > tol {
+			return fmt.Errorf("check diverged beyond %g: %v vs %v", tol, r.Check, o.Check)
+		}
+		return nil
+	}
+	if r.Check != o.Check {
+		return fmt.Errorf("check diverged: %v vs %v", r.Check, o.Check)
+	}
+	if r.Digest != o.Digest {
+		return fmt.Errorf("memory digest diverged: %#x vs %#x", r.Digest, o.Digest)
+	}
+	return nil
 }
 
 // splitRange partitions [0,n) into parts pieces; piece i is [lo,hi).

@@ -14,26 +14,29 @@ import (
 var equivalenceApps = []struct {
 	name string
 	run  func(cfg ivy.Config) (Result, error)
+	// hostTol is the Result.Agrees tolerance on a host-paced transport;
+	// zero (bit-exact) for every program but TSP.
+	hostTol float64
 }{
 	{"dotprod", func(cfg ivy.Config) (Result, error) {
 		return RunDotProd(cfg, DotProdParams{N: 2048, Seed: 9})
-	}},
+	}, 0},
 	{"matmul", func(cfg ivy.Config) (Result, error) {
 		return RunMatmul(cfg, MatmulParams{N: 24, Seed: 5})
-	}},
+	}, 0},
 	{"jacobi", func(cfg ivy.Config) (Result, error) {
 		return RunJacobi(cfg, JacobiParams{N: 48, Iters: 4, Seed: 7})
-	}},
+	}, 0},
 	{"pde3d", func(cfg ivy.Config) (Result, error) {
 		return RunPDE3D(cfg, PDE3DParams{N: 8, Iters: 3, Seed: 11})
-	}},
+	}, 0},
 	{"sortmerge", func(cfg ivy.Config) (Result, error) {
 		// Records must divide into 2*Processors blocks.
 		return RunSortMerge(cfg, SortParams{Records: 1152, Seed: 13})
-	}},
+	}, 0},
 	{"tsp", func(cfg ivy.Config) (Result, error) {
 		return RunTSP(cfg, TSPParams{Cities: 8, SeedDepth: 2, Seed: 3})
-	}},
+	}, TSPTolerance},
 }
 
 func equivalenceConfig(coherence, transport string, seed int64) ivy.Config {
@@ -50,7 +53,9 @@ func equivalenceConfig(coherence, transport string, seed int64) ivy.Config {
 // TestRCvsSCEquivalence is the RC-vs-SC property: every drace-clean app,
 // across seeds, produces the identical application checksum and the
 // identical FNV digest of its result memory under both coherence modes,
-// on both the deterministic simulator and the tcp-loopback transport.
+// on both the deterministic simulator and the tcp-loopback transport
+// (TSP over tcp-loopback within Result.Agrees' tolerance: which of two
+// equal-cost tours is found first is not fixed there).
 // The SC sim run is the oracle (validated against sequential
 // references); agreement means the twin/diff/write-notice machinery
 // reconstructed the exact same final memory without ever invalidating a
@@ -77,11 +82,12 @@ func TestRCvsSCEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("rc run: %v", err)
 					}
-					if rcRes.Check != scRes.Check {
-						t.Errorf("check diverged: rc %v, sc %v", rcRes.Check, scRes.Check)
+					tol := 0.0
+					if transport != ivy.TransportSim {
+						tol = app.hostTol
 					}
-					if rcRes.Digest != scRes.Digest {
-						t.Errorf("memory digest diverged: rc %#x, sc %#x", rcRes.Digest, scRes.Digest)
+					if err := rcRes.Agrees(scRes, tol); err != nil {
+						t.Errorf("rc vs sc: %v", err)
 					}
 					if scRes.Digest == 0 {
 						t.Errorf("sc digest is zero — result region not recorded")

@@ -26,6 +26,12 @@ func DefaultTSP() TSPParams { return TSPParams{Cities: 15, SeedDepth: 2, Seed: 3
 //	+16: accumulated cost (f64)
 const tspEntrySize = 24
 
+// TSPTolerance is how far a parallel run's tour cost may sit from the
+// sequential reference's — and two host-paced runs' from each other
+// (Result.Agrees): the same optimal tour summed in a different order
+// differs by an ulp.
+const TSPTolerance = 1e-9
+
 // RunTSP solves the traveling salesman problem with the paper's
 // branch-and-bound: "the available branches, the graph, and the least
 // upper bound are stored in the shared virtual memory. The program
@@ -129,7 +135,7 @@ func RunTSP(cfg ivy.Config, par TSPParams) (Result, error) {
 		return Result{}, err
 	}
 	want := SequentialBranchAndBound(graph)
-	if math.Abs(check-want) > 1e-9 {
+	if math.Abs(check-want) > TSPTolerance {
 		return Result{}, fmt.Errorf("tsp: parallel tour cost %g != sequential %g", check, want)
 	}
 	return Result{

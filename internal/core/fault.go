@@ -935,7 +935,9 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 	}
 	e.Access = mmu.AccessRead
 	s.ep.ChargeCPU(f, s.costs.PageCopy)
-	data := make([]byte, len(frame))
+	// The snapshot comes off the endpoint's page list and goes back to it
+	// once the reply is marshalled.
+	data := s.ep.PageBuffer(len(frame))
 	copy(data, frame)
 	s.st.SVM.PagesSent++
 	return &wire.PageReadReply{Page: uint32(p), Owner: uint16(s.node), Data: data}

@@ -22,6 +22,7 @@ package load
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -379,6 +380,14 @@ func (ld *loader) parseDir(dir string, tests, xtestOnly bool, want string) ([]*a
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
 		if isTest && !tests {
+			continue
+		}
+		// Honour build constraints as a default `go build` would: of a
+		// pair of files split by a tag (internal/wire's poison_on/off),
+		// exactly one belongs to the package.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

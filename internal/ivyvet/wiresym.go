@@ -16,7 +16,7 @@ import (
 //   - a decoder factory is registered for it (a kind without one is a
 //     runtime ErrUnknownKind on the first message received, not a
 //     compile error — this makes it a vet error instead);
-//   - it appears in the kindNames debug map;
+//   - it appears in the kindNames debug table;
 //   - the registered body type's Kind() method returns the same
 //     constant it was registered under;
 //   - the body's Encode and Decode methods move the same sequence of
@@ -39,6 +39,7 @@ var putOps = map[string]string{
 var getOps = map[string]string{
 	"U8": "u8", "U16": "u16", "U32": "u32", "U64": "u64",
 	"I64": "i64", "Bool": "bool", "Bytes": "bytes",
+	"PageBytes": "bytes", // Bytes into a recycled page buffer: same wire field
 }
 
 func runWiresym(pass *analysis.Pass) (interface{}, error) {
@@ -82,7 +83,7 @@ func runWiresym(pass *analysis.Pass) (interface{}, error) {
 		})
 	}
 
-	// kindNames map keys, when the package has one.
+	// kindNames keys, when the package has one.
 	names, haveNames := kindNameKeys(pass)
 
 	for _, kc := range kinds {
@@ -258,7 +259,7 @@ func returnedConst(pass *analysis.Pass, fd *ast.FuncDecl) *types.Const {
 }
 
 // kindNameKeys returns the constants used as keys of the package's
-// kindNames map literal.
+// kindNames literal (a keyed array).
 func kindNameKeys(pass *analysis.Pass) (map[*types.Const]bool, bool) {
 	nameObj := pass.Pkg.Scope().Lookup("kindNames")
 	if nameObj == nil {

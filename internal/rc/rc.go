@@ -611,7 +611,7 @@ func (n *Node) handleFetch(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		n.home[p] = ring.NodeID(env.Origin)
 		return &wire.RCFetchReply{Page: m.Page, Rebound: 1, Redirect: wire.RCNoNode}
 	}
-	data := make([]byte, len(n.master[p]))
+	data := n.ep.PageBuffer(len(n.master[p])) // back on the page list once the reply is marshalled
 	copy(data, n.master[p])
 	ver := n.ver[p]
 	n.ep.ChargeCPU(ctx.Fiber(), n.costs.PageCopy)

@@ -60,6 +60,8 @@ type attempt struct{ first, prev, last sim.Time }
 
 // sendLog is a ring whose Send records every request's transmission
 // history, and which heals itself once enough requests have been lost.
+// It intercepts SendPacket, the by-value form remop reaches a ring
+// through, and routes Send to it.
 type sendLog struct {
 	*ring.Network
 	eng      *sim.Engine
@@ -68,7 +70,9 @@ type sendLog struct {
 	lose     int // requests to lose before healing
 }
 
-func (l *sendLog) Send(pkt *ring.Packet) {
+func (l *sendLog) Send(pkt *ring.Packet) { l.SendPacket(*pkt) }
+
+func (l *sendLog) SendPacket(pkt ring.Packet) {
 	if env, err := wire.Unmarshal(pkt.Payload); err == nil && env.IsRequest() {
 		now := l.eng.Now()
 		i, ok := l.index[env.ReqID]
@@ -83,7 +87,7 @@ func (l *sendLog) Send(pkt *ring.Packet) {
 		a := &l.attempts[i]
 		a.prev, a.last = a.last, now
 	}
-	l.Network.Send(pkt)
+	l.Network.SendPacket(pkt)
 }
 
 // TestCallFollowsTheSharedSchedule drives Node.call into a ring that

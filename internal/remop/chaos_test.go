@@ -2,9 +2,11 @@ package remop
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/ring"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -232,5 +234,140 @@ func TestRetryCountsFailuresAndBacksOff(t *testing.T) {
 	}
 	if want := 700 * time.Millisecond; elapsed != want {
 		t.Fatalf("three failures paused %v, want %v (100+200+400 ms)", elapsed, want)
+	}
+}
+
+// lossyInjector drops, duplicates and delays delivery attempts at fixed
+// rates, drawing from the engine's seeded source.
+type lossyInjector struct{ eng *sim.Engine }
+
+func (l lossyInjector) Deliver(src, dst ring.NodeID, broadcast bool, size int) ring.Fault {
+	rnd := l.eng.Rand()
+	return ring.Fault{
+		Drop:     rnd.Float64() < 0.15,
+		Dup:      rnd.Float64() < 0.15,
+		DupDelay: time.Duration(rnd.Intn(3)) * 700 * time.Millisecond,
+		Delay:    time.Duration(rnd.Intn(4)/3) * 900 * time.Millisecond,
+	}
+}
+
+// TestReferenceAccountingUnderChaos: every kind of traffic the layer
+// produces — calls along forwarding chains, fan-outs, both replying
+// broadcast schemes, no-reply broadcasts, reliable notifies, replies that
+// carry pages — over a ring that drops, duplicates and delays, with one
+// station down for a while and a reply cache small enough to evict and
+// be overwritten. Once everything has settled, each endpoint's live
+// payload references are exactly its outstanding requests plus its cached
+// replies: the transport gave back every one it was handed (an
+// over-release would have panicked), and the ring's attempt accounting is
+// still exact.
+func TestReferenceAccountingUnderChaos(t *testing.T) {
+	const n = 4
+	eng := sim.New(7)
+	costs := model.Default1988()
+	nw := ring.New(eng, costs, n)
+	eps := make([]*Endpoint, n)
+	for i := range eps {
+		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
+		eps[i] = NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil, WithReplyCacheCap(4))
+		ep := eps[i]
+		ep.SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
+			// Forward once around the ring, then answer.
+			if env.Flags&wire.FlagForwarded == 0 {
+				if next := (ep.ID() + 1) % n; next != ring.NodeID(env.Origin) {
+					ctx.Forward(next)
+					return nil
+				}
+			}
+			return &wire.Ping{Payload: env.Body.(*wire.Ping).Payload}
+		})
+		ep.SetHandler(wire.KindReadFaultReq, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
+			data := ep.PageBuffer(256)
+			for j := range data {
+				data[j] = byte(env.Body.(*wire.ReadFaultReq).Page)
+			}
+			return &wire.PageReadReply{Page: env.Body.(*wire.ReadFaultReq).Page, Owner: uint16(ep.ID()), Data: data}
+		})
+		ep.SetHandler(wire.KindInvalidateReq, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
+			return &wire.InvalidateAck{Page: env.Body.(*wire.InvalidateReq).Page}
+		})
+		ep.SetHandler(wire.KindMgrConfirm, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
+			return &wire.MgrConfirm{}
+		})
+		ep.SetHandler(wire.KindWorkReq, func(*Ctx, *wire.Envelope) wire.Msg { return nil }) // no-reply broadcast
+	}
+	nw.SetInjector(lossyInjector{eng})
+	eng.Schedule(3*time.Second, func() { nw.SetNodeDown(3, true) })
+	eng.Schedule(40*time.Second, func() { nw.SetNodeDown(3, false) })
+
+	done := 0
+	for i := range eps {
+		ep := eps[i]
+		eng.Go(fmt.Sprintf("driver%d", i), func(f *sim.Fiber) {
+			var others []ring.NodeID
+			for j := 0; j < n; j++ {
+				if ring.NodeID(j) != ep.ID() {
+					others = append(others, ring.NodeID(j))
+				}
+			}
+			for round := 0; round < 12; round++ {
+				dst := others[round%len(others)]
+				if _, err := ep.Call(f, dst, &wire.Ping{Payload: []byte{byte(round)}}); err != nil {
+					t.Errorf("node %d round %d: ping: %v", ep.ID(), round, err)
+				}
+				reply, err := ep.Call(f, dst, &wire.ReadFaultReq{Page: uint32(round)})
+				if err != nil {
+					t.Errorf("node %d round %d: page call: %v", ep.ID(), round, err)
+				} else if r := reply.(*wire.PageReadReply); len(r.Data) != 256 || r.Data[0] != byte(round) || r.Data[255] != byte(round) {
+					t.Errorf("node %d round %d: page reply corrupted", ep.ID(), round)
+				}
+				if _, err := ep.CallMany(f, others, &wire.InvalidateReq{Page: uint32(round)}); err != nil {
+					t.Errorf("node %d round %d: call-many: %v", ep.ID(), round, err)
+				}
+				if _, err := ep.BroadcastAll(f, &wire.InvalidateReq{Page: uint32(round)}); err != nil {
+					t.Errorf("node %d round %d: broadcast-all: %v", ep.ID(), round, err)
+				}
+				if _, err := ep.BroadcastAny(f, &wire.InvalidateReq{Page: uint32(round)}); err != nil {
+					t.Errorf("node %d round %d: broadcast-any: %v", ep.ID(), round, err)
+				}
+				ep.NotifyReliable(dst, &wire.MgrConfirm{Page: uint32(round)})
+				ep.BroadcastNoReply(&wire.WorkReq{Load: uint8(round)})
+			}
+			done++
+		})
+	}
+	if err := eng.RunUntil(sim.Time(4 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if done != n {
+		t.Fatalf("%d of %d drivers finished", done, n)
+	}
+	for i, ep := range eps {
+		if len(ep.out) != 0 {
+			t.Errorf("node %d: %d requests still outstanding at quiescence", i, len(ep.out))
+		}
+		if got, want := ep.codec.LiveRefs(), len(ep.out)+len(ep.replyCache); got != want {
+			t.Errorf("node %d: %d live payload references, want %d (%d outstanding + %d cached replies)",
+				i, got, want, len(ep.out), len(ep.replyCache))
+		}
+		ep.ReleaseIdle()
+		if got := ep.codec.LiveRefs(); got != 0 {
+			t.Errorf("node %d: %d live payload references after ReleaseIdle, want 0", i, got)
+		}
+	}
+	st := nw.Stats()
+	if st.Attempts != st.Delivered+st.Dropped {
+		t.Errorf("Attempts (%d) != Delivered (%d) + Dropped (%d)", st.Attempts, st.Delivered, st.Dropped)
+	}
+	if st.Dropped == 0 || st.Duplicated == 0 || st.Delayed == 0 || st.DownDrops == 0 || st.TxSuppressed == 0 {
+		t.Errorf("the run did not exercise every fault: %+v", st)
+	}
+	var retx, dupServed uint64
+	for _, ep := range eps {
+		retx += ep.Stats().Retransmissions
+		dupServed += ep.Stats().DuplicatesServed
+	}
+	if retx == 0 || dupServed == 0 {
+		t.Errorf("no retransmission (%d) or cached-reply resend (%d) happened", retx, dupServed)
 	}
 }

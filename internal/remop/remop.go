@@ -38,6 +38,14 @@ import (
 // node's CPU held for the configured handler cost. Returning a non-nil
 // message sends it as the reply; returning nil sends no reply (the
 // request was forwarded, or this node declines a broadcast).
+//
+// env and its Body are the endpoint's, lent for the call: both are
+// recycled for a later request once the handler has returned and its
+// reply is marshalled, so a handler copies out whatever it keeps (a page
+// the body carried is the exception — it is the handler's to adopt). In
+// the other direction the reply is the endpoint's once returned: after
+// marshalling it, the endpoint takes a page-carrying reply's Data for
+// its page list, so the handler must hand over bytes nobody else reads.
 type Handler func(ctx *Ctx, env *wire.Envelope) wire.Msg
 
 // Ctx gives a handler access to its endpoint and the forwarding
@@ -85,16 +93,17 @@ func (c *Ctx) Forward(dst ring.NodeID) {
 		c.ep.trc.Instant(int(c.ep.id), trace.PhaseHop, span, trace.NoPage,
 			fmt.Sprintf("→node%d", dst))
 	}
-	fwd := *c.env
-	fwd.Sender = uint16(c.ep.id)
+	c.ep.forward(c.env, dst, span)
+}
+
+// forward re-marshals request env as a hop from this node and sends it
+// to dst; the transport gets the new payload's only reference.
+func (ep *Endpoint) forward(env *wire.Envelope, dst ring.NodeID, span trace.SpanID) {
+	fwd := *env
+	fwd.Sender = uint16(ep.id)
 	fwd.Flags |= wire.FlagForwarded
-	fwd.LoadHint = c.ep.loadHint()
-	c.ep.nw.Send(&ring.Packet{
-		Src:     c.ep.id,
-		Dst:     dst,
-		Payload: fwd.Marshal(),
-		Trace:   uint64(span),
-	})
+	fwd.LoadHint = ep.loadHint()
+	ep.sendOwned(dst, ep.codec.Marshal(&fwd), span)
 }
 
 // Stats counts endpoint activity.
@@ -117,8 +126,8 @@ type Stats struct {
 // pending tracks one outstanding request at the caller.
 type pending struct {
 	reqID   uint32
-	dst     ring.NodeID // Broadcast for broadcasts
-	payload []byte
+	dst     ring.NodeID   // Broadcast for broadcasts
+	payload *wire.Payload // holds one reference, dropped in retire
 	fiber   *sim.Fiber
 	want    int // replies needed before the fiber resumes
 	replies []*wire.Envelope
@@ -163,11 +172,20 @@ func (p *pending) failErr() error {
 
 // Endpoint is one node's attachment to the remote operation layer.
 type Endpoint struct {
-	eng   *sim.Engine
-	nw    ring.Transport
-	id    ring.NodeID
-	cpu   *sim.Resource
-	costs model.Costs
+	eng *sim.Engine
+	nw  ring.Transport
+	// byValue is nw when it can take a packet by value (both real
+	// backends can), saving the heap Packet a Send through the interface
+	// costs; nil for a foreign transport, which may keep the *Packet.
+	byValue packetSender
+	id      ring.NodeID
+	cpu     *sim.Resource
+	costs   model.Costs
+
+	// codec is this endpoint's encoder, decoder and buffer lists: every
+	// message the endpoint sends is marshalled into one of its payloads,
+	// every frame it receives decoded into its envelopes and page buffers.
+	codec wire.Codec
 
 	handlers map[wire.Kind]Handler
 	gates    map[wire.Kind]Gate
@@ -211,8 +229,16 @@ type Endpoint struct {
 }
 
 type replyEntry struct {
-	payload []byte
+	payload *wire.Payload // holds one reference, dropped on eviction or overwrite
 	dst     ring.NodeID
+}
+
+// packetSender is the optional by-value Send of a transport that copies
+// what it needs of the packet before returning. (A wrapper that embeds
+// such a transport to intercept Send inherits the method, and must
+// intercept it too.)
+type packetSender interface {
+	SendPacket(pkt ring.Packet)
 }
 
 // Option configures an Endpoint.
@@ -280,6 +306,7 @@ func NewEndpoint(eng *sim.Engine, nw ring.Transport, id ring.NodeID, cpu *sim.Re
 		loads:         make([]uint8, nw.Size()),
 		loadFn:        loadFn,
 	}
+	ep.byValue, _ = nw.(packetSender)
 	for _, o := range opts {
 		o(ep)
 	}
@@ -499,7 +526,7 @@ func (ep *Endpoint) BroadcastNoReply(req wire.Msg) {
 		LoadHint: ep.loadHint(),
 		Body:     req,
 	}
-	ep.nw.Send(&ring.Packet{Src: ep.id, Dst: ring.Broadcast, Payload: env.Marshal()})
+	ep.sendOwned(ring.Broadcast, ep.codec.Marshal(env), 0)
 }
 
 func (ep *Endpoint) newPending(f *sim.Fiber, dst ring.NodeID, req wire.Msg, want int, broadcast bool) *pending {
@@ -526,7 +553,7 @@ func (ep *Endpoint) newPending(f *sim.Fiber, dst ring.NodeID, req wire.Msg, want
 	*p = pending{
 		reqID:   ep.nextReq,
 		dst:     dst,
-		payload: env.Marshal(),
+		payload: ep.codec.Marshal(env),
 		fiber:   f,
 		want:    want,
 		replies: p.replies, // emptied by retire; the backing array is reused
@@ -543,7 +570,27 @@ func (ep *Endpoint) newPending(f *sim.Fiber, dst ring.NodeID, req wire.Msg, want
 func (ep *Endpoint) transmit(p *pending) {
 	ep.stats.RequestsSent++
 	p.sentAt = ep.eng.Now()
-	ep.nw.Send(&ring.Packet{Src: ep.id, Dst: p.dst, Payload: p.payload, Trace: uint64(p.trace)})
+	ep.send(p.dst, p.payload, p.trace)
+}
+
+// send transmits pl to dst, handing the transport a reference of its
+// own: the caller keeps the one it holds (a pending's, a cached reply's)
+// and may send the same payload again.
+func (ep *Endpoint) send(dst ring.NodeID, pl *wire.Payload, span trace.SpanID) {
+	pl.Retain()
+	ep.sendOwned(dst, pl, span)
+}
+
+// sendOwned transmits pl to dst, giving the caller's reference to the
+// transport.
+func (ep *Endpoint) sendOwned(dst ring.NodeID, pl *wire.Payload, span trace.SpanID) {
+	pkt := ring.Packet{Src: ep.id, Dst: dst, Payload: pl.Bytes(), Ref: pl, Trace: uint64(span)}
+	if ep.byValue != nil {
+		ep.byValue.SendPacket(pkt)
+		return
+	}
+	heap := pkt // a copy, so that only this path's packet escapes
+	ep.nw.Send(&heap)
 }
 
 // finish collects the result of a single-reply pending after the fiber
@@ -556,19 +603,28 @@ func (ep *Endpoint) finish(p *pending) (wire.Msg, error) {
 	return p.replies[0].Body, nil
 }
 
-// retire unregisters a completed request and recycles its record. The
-// caller must be the last user of p: the waiting fiber once it has read
-// the outcome, or the layer itself for a request nobody waits on.
+// retire unregisters a completed request and recycles its record, its
+// reference to the request payload, and the reply envelopes — not their
+// bodies, which belong to whoever the call returned them to. The caller
+// must be the last user of p: the waiting fiber once it has read the
+// outcome, or the layer itself for a request nobody waits on.
 func (ep *Endpoint) retire(p *pending) {
 	delete(ep.out, p.reqID)
-	clear(p.replies) // drop the envelopes, keep the array
+	p.payload.Release()
+	for i, r := range p.replies {
+		ep.codec.RecycleEnvelope(r)
+		p.replies[i] = nil // keep the array, not the envelopes
+	}
 	*p = pending{replies: p.replies[:0]}
 	ep.freePending = append(ep.freePending, p)
 }
 
 // receive is the network delivery handler; it runs in engine context.
+// Decoding copies everything out of the packet, so nothing below keeps
+// pkt or its payload; the decoded envelope goes back to the codec here
+// unless a pending or a request record took it.
 func (ep *Endpoint) receive(pkt *ring.Packet) {
-	env, err := wire.Unmarshal(pkt.Payload)
+	env, err := ep.codec.Unmarshal(pkt.Payload)
 	if err != nil {
 		// A corrupted frame is dropped; retransmission recovers it. The
 		// simulated network never corrupts, so this indicates a bug.
@@ -582,76 +638,83 @@ func (ep *Endpoint) receive(pkt *ring.Packet) {
 	if ep.deliverHook != nil {
 		ep.deliverHook(env)
 	}
+	var kept bool
 	switch {
 	case env.IsReply():
-		ep.handleReply(env)
+		kept = ep.handleReply(env)
 	case env.IsRequest():
-		ep.handleRequest(env)
+		kept = ep.handleRequest(env)
 	default:
 		// No-reply broadcast: execute the handler without replying.
 		ep.handleNoReply(env)
+		kept = true // its request record recycled it
+	}
+	if !kept {
+		ep.codec.Recycle(env)
 	}
 }
 
-func (ep *Endpoint) handleReply(env *wire.Envelope) {
+// handleReply matches a reply to its pending and reports whether the
+// pending kept the envelope.
+func (ep *Endpoint) handleReply(env *wire.Envelope) (kept bool) {
 	p, ok := ep.out[env.ReqID]
 	if !ok {
-		return // stale reply for a completed request
+		return false // stale reply for a completed request
 	}
 	from := uint64(1) << env.Sender
 	if p.responders&from != 0 {
-		return // duplicate reply from a retransmission
+		return false // duplicate reply from a retransmission
 	}
 	p.responders |= from
-	p.replies = append(p.replies, env)
 	ep.stats.RepliesReceived++
+	if p.fiber == nil && p.group == nil {
+		// Reliable notify: nobody waits for this reply or ever reads it;
+		// retire the request.
+		ep.retire(p)
+		return false
+	}
+	p.replies = append(p.replies, env)
 	if len(p.replies) < p.want || p.woken {
-		return
+		return true
 	}
 	p.woken = true
-	switch {
-	case p.group != nil:
+	if p.group != nil {
 		p.group.complete()
-	case p.fiber != nil:
+	} else {
 		p.fiber.Unpark()
-	default:
-		// Reliable notify: nobody waits; retire the request.
-		ep.retire(p)
 	}
+	return true
 }
 
-func (ep *Endpoint) handleRequest(env *wire.Envelope) {
+// handleRequest dispatches a request — a duplicate to the caches, a new
+// one to a handler fiber — and reports whether a request record kept the
+// envelope.
+func (ep *Endpoint) handleRequest(env *wire.Envelope) (kept bool) {
 	key := cacheKey(env.Origin, env.ReqID)
 	if cached, ok := ep.replyCache[key]; ok {
 		// Duplicate of an already-answered request: resend the cached
 		// reply, do not re-execute ("resending replies only when
 		// necessary").
 		ep.stats.DuplicatesServed++
-		ep.nw.Send(&ring.Packet{Src: ep.id, Dst: cached.dst, Payload: cached.payload,
-			Trace: uint64(ep.spanOf(env))})
-		return
+		ep.send(cached.dst, cached.payload, ep.spanOf(env))
+		return false
 	}
 	if dst, ok := ep.forwardCache[key]; ok {
 		// Duplicate of a request this node forwarded: repeat the hop so
 		// the retransmission reaches the node with the cached reply.
 		ep.stats.DuplicatesFwd++
-		fwd := *env
-		fwd.Sender = uint16(ep.id)
-		fwd.Flags |= wire.FlagForwarded
-		fwd.LoadHint = ep.loadHint()
-		ep.nw.Send(&ring.Packet{Src: ep.id, Dst: dst, Payload: fwd.Marshal(),
-			Trace: uint64(ep.spanOf(env))})
-		return
+		ep.forward(env, dst, ep.spanOf(env))
+		return false
 	}
 	if env.Flags&wire.FlagBroadcast != 0 {
 		if gate, ok := ep.gates[env.Body.Kind()]; ok && !gate(env) {
 			ep.stats.GateDeclined++
-			return
+			return false
 		}
 	}
 	if ep.inProgress[key] {
 		ep.stats.DuplicatesBusy++
-		return
+		return false
 	}
 	h, ok := ep.handlers[env.Body.Kind()]
 	if !ok {
@@ -662,6 +725,7 @@ func (ep *Endpoint) handleRequest(env *wire.Envelope) {
 	c := ep.getCtx()
 	c.env, c.h, c.key, c.span = env, h, key, ep.spanOf(env)
 	ep.eng.Go("node%d/%s#%d", c.run, int(ep.id), env.Body.Kind().String(), int(env.ReqID))
+	return true
 }
 
 // getCtx takes a request record off the free list, or makes one.
@@ -676,9 +740,11 @@ func (ep *Endpoint) getCtx() *Ctx {
 	return c
 }
 
-// putCtx recycles c once its handler has returned. Reference fields are
-// cleared so the free list retains no envelope, fiber or handler.
+// putCtx recycles c, and the request envelope and body it was serving,
+// once its handler has returned. Reference fields are cleared so the
+// free list retains no envelope, fiber or handler.
 func (ep *Endpoint) putCtx(c *Ctx) {
+	ep.codec.Recycle(c.env)
 	*c = Ctx{ep: ep, run: c.run}
 	ep.freeCtx = append(ep.freeCtx, c)
 }
@@ -734,23 +800,51 @@ func (ep *Endpoint) sendReply(req *wire.Envelope, body wire.Msg, key uint64) {
 		LoadHint: ep.loadHint(),
 		Body:     body,
 	}
-	payload := reply.Marshal()
-	ep.cacheReply(key, payload, dst)
+	payload := ep.codec.Marshal(reply)
+	// The bytes are in the payload now: the frame the handler removed
+	// from the pool, or the snapshot it took, goes back to the page list.
+	ep.codec.RecyclePage(body)
+	ep.cacheReply(key, payload, dst) // takes Marshal's reference
 	ep.stats.RepliesSent++
-	ep.nw.Send(&ring.Packet{Src: ep.id, Dst: dst, Payload: payload,
-		Trace: uint64(ep.spanOf(req))})
+	ep.send(dst, payload, ep.spanOf(req))
 }
 
-func (ep *Endpoint) cacheReply(key uint64, payload []byte, dst ring.NodeID) {
-	if _, exists := ep.replyCache[key]; !exists {
+// cacheReply records payload as the answer to request key, taking over
+// the caller's reference; the entry it overwrites or evicts gives its
+// own up.
+func (ep *Endpoint) cacheReply(key uint64, payload *wire.Payload, dst ring.NodeID) {
+	if prev, exists := ep.replyCache[key]; exists {
+		prev.payload.Release()
+	} else {
 		ep.cacheOrder = append(ep.cacheOrder, key)
 	}
 	ep.replyCache[key] = replyEntry{payload: payload, dst: dst}
 	for len(ep.cacheOrder) > ep.replyCacheCap {
 		old := ep.cacheOrder[0]
 		ep.cacheOrder = ep.cacheOrder[1:]
+		ep.replyCache[old].payload.Release()
 		delete(ep.replyCache, old)
 	}
+}
+
+// PageBuffer returns a page-sized buffer of length n off the endpoint's
+// page list, contents unspecified, for a handler to fill and hand back
+// as a reply's Data (which returns it to the list once marshalled).
+func (ep *Endpoint) PageBuffer(n int) []byte { return ep.codec.Page(n) }
+
+// ReleaseIdle gives up everything the endpoint holds only for reuse or
+// for answering duplicates: the idle records and buffers, and the cached
+// replies. Call it when the run has ended and no frame will arrive
+// again — a finished cluster stays reachable, and what its endpoints
+// keep stays resident with it.
+func (ep *Endpoint) ReleaseIdle() {
+	for _, key := range ep.cacheOrder {
+		ep.replyCache[key].payload.Release()
+	}
+	clear(ep.replyCache)
+	ep.cacheOrder = nil
+	ep.freePending, ep.freeCtx = nil, nil
+	ep.codec.Drop()
 }
 
 // scheduleRetransmitCheck arms the periodic outgoing-channel check.
@@ -851,7 +945,7 @@ func (ep *Endpoint) retransmitCheck() {
 		ep.stats.Retransmissions++
 		p.sentAt = now
 		if p.dst != ring.Broadcast || p.want == 1 {
-			ep.nw.Send(&ring.Packet{Src: ep.id, Dst: p.dst, Payload: p.payload, Trace: uint64(p.trace)})
+			ep.send(p.dst, p.payload, p.trace)
 			continue
 		}
 		for id := 0; id < ep.nw.Size(); id++ {
@@ -859,7 +953,7 @@ func (ep *Endpoint) retransmitCheck() {
 			if nid == ep.id || p.responders&(1<<uint(id)) != 0 {
 				continue
 			}
-			ep.nw.Send(&ring.Packet{Src: ep.id, Dst: nid, Payload: p.payload, Trace: uint64(p.trace)})
+			ep.send(nid, p.payload, p.trace)
 		}
 	}
 }

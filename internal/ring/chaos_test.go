@@ -1,10 +1,12 @@
 package ring
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // scriptedInjector returns one pre-programmed Fault per delivery, in
@@ -194,5 +196,95 @@ func TestInjectorComposesWithLossProbability(t *testing.T) {
 	}
 	if st.Delivered == 22 || st.Delivered == 0 {
 		t.Errorf("loss probability had no effect: Delivered = %d", st.Delivered)
+	}
+}
+
+// TestPayloadReferenceReleasedOncePerSend: whatever becomes of a
+// transmission — delivered, dropped, duplicated, delayed, fanned out to
+// every station, addressed to a down station or sent by one — the network
+// releases the packet's reference exactly once, and not before the last
+// delivery attempt has landed: every handler still reads the bytes that
+// were sent, although each one marshals another message through the same
+// codec, which would reuse the buffer had it been given back early.
+func TestPayloadReferenceReleasedOncePerSend(t *testing.T) {
+	eng := sim.New(1)
+	nw := New(eng, testCosts(), 3)
+	var codec wire.Codec
+	held := codec.Marshal(&wire.Envelope{ReqID: 1, Body: &wire.InvalidateReq{Page: 7, NewOwner: 2}})
+	want := append([]byte(nil), held.Bytes()...)
+	delivered := 0
+	for i := NodeID(0); i < 3; i++ {
+		nw.Attach(i, func(p *Packet) {
+			delivered++
+			if !bytes.Equal(p.Payload, want) {
+				t.Errorf("delivery %d read %x, want %x: the payload was recycled under a pending attempt", delivered, p.Payload, want)
+			}
+			codec.Marshal(&wire.Envelope{ReqID: 99, Body: &wire.InvalidateAck{Page: 1}}).Release()
+		})
+	}
+	nw.SetInjector(&scriptedInjector{faults: []Fault{
+		{},           // clean
+		{Drop: true}, // dropped
+		{Dup: true},  // duplicated in the same step
+		{Dup: true, Drop: true, DupDelay: time.Second},             // original dropped, duplicate lands later
+		{Delay: time.Second, Dup: true, DupDelay: 2 * time.Second}, // both land after the transmission's own step
+		{}, {Drop: true}, // broadcast fan-out: one copy lands, one is lost
+	}})
+	send := func(src, dst NodeID) {
+		held.Retain() // the transport's reference
+		nw.Send(&Packet{Src: src, Dst: dst, Payload: held.Bytes(), Ref: held})
+	}
+	for i := 0; i < 5; i++ {
+		send(0, 1)
+	}
+	send(0, Broadcast)
+	nw.SetNodeDown(2, true)
+	send(0, 2) // dropped at the down receiver
+	send(2, 0) // swallowed at the down sender: released inside Send
+	if got := codec.LiveRefs(); got != 1+7 {
+		t.Fatalf("LiveRefs = %d with seven transmissions in flight, want 8", got)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := codec.LiveRefs(); got != 1 {
+		t.Fatalf("LiveRefs = %d at quiescence, want 1 (the sender's own)", got)
+	}
+	if delivered != 7 {
+		t.Errorf("%d deliveries, want 7", delivered)
+	}
+	if st := nw.Stats(); st.Attempts != st.Delivered+st.Dropped || st.Delivered != uint64(delivered) {
+		t.Errorf("accounting broken: %+v", st)
+	}
+	held.Release() // an over-release anywhere above would make this one panic
+}
+
+// TestSendAllocs pins the ring's own cost per frame: the packet is kept
+// by value in a recycled transmission record that carries its delivery
+// func, so a Send and its delivery allocate nothing once a record
+// exists. (A burst of Sends before any delivery, as _bench's
+// ring.send_allocs probe issues, pays one record per frame in flight.)
+func TestSendAllocs(t *testing.T) {
+	if wire.Poison {
+		t.Skip("a poison build drops every record instead of recycling it")
+	}
+	eng := sim.New(1)
+	nw := New(eng, testCosts(), 2)
+	got := 0
+	nw.Attach(0, func(*Packet) {})
+	nw.Attach(1, func(*Packet) { got++ })
+	payload := payloadOf(wire.KindInvalidateReq, 17)
+	trip := func() {
+		nw.Send(&Packet{Src: 0, Dst: 1, Payload: payload})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trip() // makes the record
+	if allocs := testing.AllocsPerRun(1000, trip); allocs != 0 {
+		t.Fatalf("a Send and its delivery allocate %v objects, want 0", allocs)
+	}
+	if got != 1002 {
+		t.Fatalf("%d deliveries, want 1002", got)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // payloadOf builds an n-byte payload whose first byte classifies as k —
-// the same shape wire.Envelope.MarshalInto produces.
+// the same shape marshalling a wire.Envelope produces.
 func payloadOf(k wire.Kind, n int) []byte {
 	p := make([]byte, n)
 	p[0] = byte(k)

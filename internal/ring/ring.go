@@ -34,6 +34,13 @@ type Packet struct {
 	Dst     NodeID // Broadcast for all stations except Src; Dst == Src rings back to the sender
 	Payload []byte
 
+	// Ref, when non-nil, is a counted reference to the buffer Payload
+	// aliases, handed to the transport along with the packet. The
+	// transport releases it once it will not read Payload again (see
+	// Transport.Send); a sender that leaves it nil keeps the bytes alive
+	// by ordinary garbage collection, as a plain []byte always was.
+	Ref *wire.Payload
+
 	// Trace is the span ID of the fault this packet serves (0 =
 	// untraced). It is simulator metadata, not part of the frame: it
 	// does not contribute to PacketTime, so enabling tracing never
@@ -122,7 +129,13 @@ type Transport interface {
 	Attach(id NodeID, h Handler)
 	// Send transmits pkt without blocking the caller; delivery invokes
 	// the destination's handler in engine context. Dst == Broadcast
-	// reaches every station except the sender.
+	// reaches every station except the sender. The payload is the
+	// transport's until the last delivery attempt of this transmission
+	// has landed or been dropped: that is when it releases pkt.Ref, if
+	// the sender supplied one — exactly once per Send, whatever became
+	// of the frame. A transport that never releases is still correct:
+	// the buffer is then never recycled, only collected. A handler may
+	// read the delivered packet until it returns and must not keep it.
 	Send(pkt *Packet)
 	// Stats returns a snapshot of the traffic counters. Every backend
 	// maintains the exact per-attempt accounting invariant
@@ -166,6 +179,53 @@ type Network struct {
 	// belongs to a receiver attempt, not a sender).
 	nodeKinds [][wire.NumKinds]KindStats
 	trc       *trace.Collector
+
+	// idle recycles transmission records (a deterministic LIFO list, like
+	// the engine's event list), bounded by maxIdleFlights.
+	idle []*flight
+}
+
+// flight is one transmission from Send to the landing of its last
+// delivery attempt: the packet, copied so the caller's is not retained,
+// and how many attempts are still to land. Records recycle through
+// Network.idle, each carrying its arrive method bound once, so a Send
+// allocates nothing in the steady state.
+type flight struct {
+	nw   *Network
+	pkt  Packet
+	span trace.SpanID // wire span ended at arrival (0 = untraced)
+	// left counts the steps still holding the record: the arrival itself
+	// and every delayed or duplicated attempt scheduled past it. The
+	// packet's reference is released when it reaches zero.
+	left   int
+	arrive func() // fl.land, bound when fl was first allocated
+}
+
+// maxIdleFlights bounds the idle record list.
+const maxIdleFlights = 64
+
+// ReleaseIdle drops the idle transmission records, leaving them to the
+// collector. Called when the run ends, so a finished network that is
+// still reachable keeps none resident.
+func (nw *Network) ReleaseIdle() { nw.idle = nil }
+
+// done retires one holder of fl; the last one releases the payload
+// reference and recycles the record.
+func (fl *flight) done() {
+	if fl.left--; fl.left > 0 {
+		return
+	}
+	if fl.pkt.Ref != nil {
+		fl.pkt.Ref.Release()
+	}
+	if wire.Poison {
+		fl.pkt = Packet{Src: -0xDB, Dst: -0xDB}
+		return
+	}
+	fl.pkt = Packet{}
+	if nw := fl.nw; len(nw.idle) < maxIdleFlights {
+		nw.idle = append(nw.idle, fl)
+	}
 }
 
 // New creates a ring with n stations using the given cost model. Stations
@@ -247,8 +307,14 @@ func (nw *Network) BusyUntil() sim.Time { return nw.busyUntil }
 
 // Send transmits pkt. The sender does not block: the call reserves wire
 // time and schedules delivery; waiting for replies is the caller's
-// protocol concern. Delivery order is deterministic.
-func (nw *Network) Send(pkt *Packet) {
+// protocol concern. Delivery order is deterministic. The packet is
+// copied: pkt itself is not retained.
+func (nw *Network) Send(pkt *Packet) { nw.SendPacket(*pkt) }
+
+// SendPacket is Send taking the packet by value, for callers that reach
+// the network through an interface and would otherwise heap-allocate a
+// Packet per frame just to pass its address.
+func (nw *Network) SendPacket(pkt Packet) {
 	if pkt.Src < 0 || int(pkt.Src) >= len(nw.handlers) {
 		panic(fmt.Sprintf("ring: bad source %d", pkt.Src))
 	}
@@ -266,6 +332,9 @@ func (nw *Network) Send(pkt *Packet) {
 	// dark, not a half-transmitted frame.
 	if nw.nodeDown(pkt.Src) {
 		nw.stats.TxSuppressed++
+		if pkt.Ref != nil {
+			pkt.Ref.Release()
+		}
 		return
 	}
 
@@ -279,41 +348,60 @@ func (nw *Network) Send(pkt *Packet) {
 	nw.stats.Packets++
 	nw.stats.Bytes += uint64(len(pkt.Payload))
 	nw.stats.WireBusy += wire
-	k := wireKind(pkt)
+	k := wireKind(&pkt)
 	nw.stats.Kinds[k].Packets++
 	nw.stats.Kinds[k].Bytes += uint64(len(pkt.Payload))
 	nw.nodeKinds[pkt.Src][k].Packets++
 	nw.nodeKinds[pkt.Src][k].Bytes += uint64(len(pkt.Payload))
 
+	var fl *flight
+	if n := len(nw.idle); n > 0 {
+		fl = nw.idle[n-1]
+		nw.idle[n-1] = nil
+		nw.idle = nw.idle[:n-1]
+	} else {
+		fl = &flight{nw: nw}
+		fl.arrive = fl.land
+	}
+	fl.pkt, fl.left, fl.span = pkt, 1, 0
 	if nw.trc != nil && pkt.Trace != 0 {
 		dst := "broadcast"
 		if pkt.Dst != Broadcast {
 			dst = fmt.Sprintf("→node%d", pkt.Dst)
 		}
-		span := nw.trc.BeginAt(start.Duration(), int(pkt.Src), trace.PhaseWire,
+		fl.span = nw.trc.BeginAt(start.Duration(), int(pkt.Src), trace.PhaseWire,
 			trace.SpanID(pkt.Trace), trace.NoPage, fmt.Sprintf("%dB %s", len(pkt.Payload), dst))
-		nw.eng.ScheduleAt(end, func() {
-			nw.trc.End(span)
-			nw.deliver(pkt)
-		})
-		return
 	}
-	nw.eng.ScheduleAt(end, func() { nw.deliver(pkt) })
+	nw.eng.ScheduleAt(end, fl.arrive)
 }
 
-// deliver hands the packet to its receiver(s), applying loss injection
-// per receiver. Runs in engine context at the end of the transmission.
-func (nw *Network) deliver(pkt *Packet) {
+// land hands the packet to its receiver(s), applying loss injection per
+// receiver. Runs in engine context at the end of the transmission.
+func (fl *flight) land() {
+	nw, pkt := fl.nw, &fl.pkt
+	if fl.span != 0 {
+		nw.trc.End(fl.span)
+	}
 	if pkt.Dst != Broadcast {
-		nw.deliverTo(pkt.Dst, pkt)
-		return
-	}
-	for id := range nw.handlers {
-		if NodeID(id) == pkt.Src {
-			continue
+		nw.deliverTo(pkt.Dst, fl)
+	} else {
+		for id := range nw.handlers {
+			if NodeID(id) != pkt.Src {
+				nw.deliverTo(NodeID(id), fl)
+			}
 		}
-		nw.deliverTo(NodeID(id), pkt)
 	}
+	fl.done()
+}
+
+// later schedules one more delivery attempt of fl's packet at station id
+// after d, holding the record (and so the payload) until it has landed.
+func (nw *Network) later(d time.Duration, id NodeID, fl *flight) {
+	fl.left++
+	nw.eng.Schedule(d, func() {
+		nw.finishDeliver(id, &fl.pkt)
+		fl.done()
+	})
 }
 
 // deliverTo is one per-receiver delivery attempt. The injector (if any) is
@@ -324,7 +412,8 @@ func (nw *Network) deliver(pkt *Packet) {
 // transmission end, preserving the one-rotation atomicity the coherence
 // delivery gates depend on (injectors are told broadcast and must return
 // zero delays; this is also enforced here).
-func (nw *Network) deliverTo(id NodeID, pkt *Packet) {
+func (nw *Network) deliverTo(id NodeID, fl *flight) {
+	pkt := &fl.pkt
 	if nw.inj != nil {
 		f := nw.inj.Deliver(pkt.Src, id, pkt.Dst == Broadcast, len(pkt.Payload))
 		if pkt.Dst == Broadcast {
@@ -333,7 +422,7 @@ func (nw *Network) deliverTo(id NodeID, pkt *Packet) {
 		if f.Dup {
 			nw.stats.Duplicated++
 			if f.DupDelay > 0 {
-				nw.eng.Schedule(f.DupDelay, func() { nw.finishDeliver(id, pkt) })
+				nw.later(f.DupDelay, id, fl)
 			} else {
 				nw.finishDeliver(id, pkt)
 			}
@@ -346,7 +435,7 @@ func (nw *Network) deliverTo(id NodeID, pkt *Packet) {
 			return
 		case f.Delay > 0:
 			nw.stats.Delayed++
-			nw.eng.Schedule(f.Delay, func() { nw.finishDeliver(id, pkt) })
+			nw.later(f.Delay, id, fl)
 			return
 		}
 	}
@@ -354,7 +443,7 @@ func (nw *Network) deliverTo(id NodeID, pkt *Packet) {
 }
 
 // wireKind classifies a packet for the per-kind accounting: the kind is
-// the first payload byte (see wire.Envelope.MarshalInto), so no decode
+// the first payload byte (see wire.KindOfPayload), so no decode
 // is needed. A helper rather than an inline call because Send's local
 // `wire` duration shadows the package name.
 func wireKind(pkt *Packet) wire.Kind { return wire.KindOfPayload(pkt.Payload) }

@@ -12,30 +12,34 @@ import (
 // that the full six-app x five-manager matrix runs in CI. Each entry
 // runs one benchmark under the given config and returns its Result; the
 // digests inside cover only schedule-independent result memory, so a
-// sim run and a TCP run of the same cell must agree bit for bit.
+// sim run and a TCP run of the same cell must agree bit for bit — TSP
+// excepted, whose bound may differ in the last bit (apps.Result.Agrees).
 var conformanceApps = []struct {
 	name string
 	run  func(cfg ivy.Config) (apps.Result, error)
+	// tol is the Result.Agrees tolerance of the tcp-vs-sim comparison;
+	// zero (bit-exact) for every program but TSP.
+	tol float64
 }{
 	{"dotprod", func(cfg ivy.Config) (apps.Result, error) {
 		return apps.RunDotProd(cfg, apps.DotProdParams{N: 2048, Seed: 9})
-	}},
+	}, 0},
 	{"matmul", func(cfg ivy.Config) (apps.Result, error) {
 		return apps.RunMatmul(cfg, apps.MatmulParams{N: 24, Seed: 5})
-	}},
+	}, 0},
 	{"jacobi", func(cfg ivy.Config) (apps.Result, error) {
 		return apps.RunJacobi(cfg, apps.JacobiParams{N: 48, Iters: 4, Seed: 7})
-	}},
+	}, 0},
 	{"pde3d", func(cfg ivy.Config) (apps.Result, error) {
 		return apps.RunPDE3D(cfg, apps.PDE3DParams{N: 8, Iters: 3, Seed: 11})
-	}},
+	}, 0},
 	{"sortmerge", func(cfg ivy.Config) (apps.Result, error) {
 		// Records must divide into 2*Processors blocks.
 		return apps.RunSortMerge(cfg, apps.SortParams{Records: 1152, Seed: 13})
-	}},
+	}, 0},
 	{"tsp", func(cfg ivy.Config) (apps.Result, error) {
 		return apps.RunTSP(cfg, apps.TSPParams{Cities: 8, SeedDepth: 2, Seed: 3})
-	}},
+	}, apps.TSPTolerance},
 }
 
 // conformanceManagers is every coherence algorithm the core implements.
@@ -94,11 +98,8 @@ func TestCrossTransportConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("tcp run: %v", err)
 				}
-				if tcpRes.Check != simRes.Check {
-					t.Errorf("check diverged: tcp %v, sim %v", tcpRes.Check, simRes.Check)
-				}
-				if tcpRes.Digest != simRes.Digest {
-					t.Errorf("memory digest diverged: tcp %#x, sim %#x", tcpRes.Digest, simRes.Digest)
+				if err := tcpRes.Agrees(simRes, app.tol); err != nil {
+					t.Errorf("tcp vs sim: %v", err)
 				}
 				if simRes.Digest == 0 {
 					t.Errorf("sim digest is zero — result region not recorded")

@@ -239,14 +239,31 @@ func (n *Net) NodeKinds() [][wire.NumKinds]ring.KindStats {
 }
 
 // Send implements ring.Transport. Runs in engine context and never
-// blocks: the frame is encoded (copying the payload, which the caller
-// may recycle) and handed to the destination's writer goroutine. A
-// broadcast fans out to one frame per peer. Dst == Src loops back
-// through the engine queue like the simulated ring's self-addressed
-// frame, without touching a socket.
+// blocks: the frame is encoded — copying the payload — and handed to the
+// destination's writer goroutine. A broadcast fans out to one frame per
+// peer. Dst == Src loops back through the engine queue like the
+// simulated ring's self-addressed frame, without touching a socket.
+// Because every path copies, the transport is done with the payload when
+// Send returns, and that is where it releases pkt.Ref — here in engine
+// context, never on a writer goroutine, since reference counts are plain
+// ints.
 //
 //ivy:hostworld encodes frames and hands them to connection writers
 func (n *Net) Send(pkt *ring.Packet) {
+	n.transmit(pkt)
+	if pkt.Ref != nil {
+		pkt.Ref.Release()
+	}
+}
+
+// SendPacket is Send taking the packet by value (see
+// ring.Network.SendPacket).
+//
+//ivy:hostworld transport surface of the host TCP backend
+func (n *Net) SendPacket(pkt ring.Packet) { n.Send(&pkt) }
+
+// transmit is Send short of releasing the payload reference.
+func (n *Net) transmit(pkt *ring.Packet) {
 	if pkt.Src != n.id {
 		panic(fmt.Sprintf("tcpnet: station %d sending as %d", n.id, pkt.Src))
 	}
@@ -306,7 +323,7 @@ func (n *Net) sendTo(dst ring.NodeID, dstField uint16, payload []byte, k wire.Ki
 		panic(fmt.Sprintf("tcpnet: station %d has no peer address for %d", n.id, dst))
 	}
 	debugf("%d -> %d enqueue %v (%d bytes)", n.id, dst, k, len(payload))
-	buf := AppendFrame(nil, uint16(n.id), dstField, payload)
+	buf := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)), uint16(n.id), dstField, payload)
 	if dropped, ok := p.enqueue(buf, n.opts.MaxQueue); !ok {
 		n.countDrop(k, false) // net closed under the send
 	} else if dropped != nil {

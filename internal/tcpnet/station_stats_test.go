@@ -10,10 +10,13 @@ package tcpnet
 // down-marking path.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/ring"
+	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 func checkStationStats(t *testing.T, label string, st ring.Stats) {
@@ -119,4 +122,70 @@ func TestStatsInvariantsPerStation(t *testing.T) {
 			t.Errorf("station %d: Dropped = %d on a healthy run", i, st.Dropped)
 		}
 	}
+}
+
+// TestSendReleasesPayloadReferenceOnce: the TCP backend copies every
+// payload into a frame (or, for a self-addressed packet, into the looped
+// copy) before Send returns, so that is where it gives back the
+// reference it was handed — exactly once per Send, whether the frame is
+// self-addressed, a broadcast fanned out to every peer, an ordinary
+// unicast, addressed to a peer marked down, or sent by a station that is
+// itself marked down. Overwriting the buffer afterwards must reach no
+// receiver.
+func TestSendReleasesPayloadReferenceOnce(t *testing.T) {
+	const n = 3
+	eng := sim.New(1)
+	lb, err := NewLoopback(eng, n, 0, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	eng.SetExternal(lb.Driver())
+
+	var codec wire.Codec
+	held := codec.Marshal(&wire.Envelope{ReqID: 5, Body: &wire.Ping{Payload: []byte("refcount")}})
+	want := append([]byte(nil), held.Bytes()...)
+	var waiter *sim.Fiber
+	delivered := 0
+	for i := 0; i < n; i++ {
+		lb.Net(i).Attach(ring.NodeID(i), func(pkt *ring.Packet) {
+			if !bytes.Equal(pkt.Payload, want) {
+				t.Errorf("station %d received %x, want %x", pkt.Dst, pkt.Payload, want)
+			}
+			if delivered++; delivered == 4 { // self 1 + broadcast 2 + unicast 1
+				waiter.Unpark()
+			}
+		})
+	}
+	eng.Go("sender", func(f *sim.Fiber) {
+		waiter = f
+		send := func(what string, src, dst ring.NodeID) {
+			held.Retain() // the transport's reference
+			lb.Net(int(src)).Send(&ring.Packet{Src: src, Dst: dst, Payload: held.Bytes(), Ref: held})
+			if got := codec.LiveRefs(); got != 1 {
+				t.Errorf("%s: %d live references when Send returned, want 1 (the sender's own)", what, got)
+			}
+		}
+		send("self-addressed", 0, 0)
+		send("broadcast", 0, ring.Broadcast)
+		send("unicast", 0, 1)
+		lb.Net(0).SetNodeDown(2, true)
+		send("to a peer marked down", 0, 2)
+		lb.Net(0).SetNodeDown(2, false)
+		lb.Net(1).SetNodeDown(1, true)
+		send("from a station marked down", 1, 0)
+		lb.Net(1).SetNodeDown(1, false)
+		for i := range held.Bytes() {
+			held.Bytes()[i] = 0xEE // the sender's buffer again: no frame may alias it
+		}
+		f.Park("awaiting deliveries")
+		eng.Stop()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 4 {
+		t.Errorf("%d deliveries, want 4", delivered)
+	}
+	held.Release() // an over-release above would make this one panic
 }

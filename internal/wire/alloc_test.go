@@ -1,37 +1,114 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
-// TestPooledRoundTripDoesNotAllocate pins the pooled wire path at zero
-// allocations: once the scratch buffer is checked out and the decode
-// envelope holds a body of the right kind, a full
-// MarshalInto/UnmarshalInto cycle must reuse everything — buffer, pooled
-// reader, and decoded body. This is the contract the simulator's
-// message-per-fault traffic depends on.
+// TestPooledRoundTripDoesNotAllocate pins the endpoint codec at zero
+// allocations per message once its lists are warm: Marshal encodes into
+// a recycled payload, Unmarshal decodes into a recycled envelope and
+// body, and a page travels with one copy in (into the payload) and one
+// copy out (into a recycled page buffer) — the decoded page aliases
+// neither the payload nor the sender's frame. This is the contract the
+// simulator's message-per-fault traffic depends on.
 func TestPooledRoundTripDoesNotAllocate(t *testing.T) {
-	env := &Envelope{ReqID: 7, Origin: 1, Sender: 2, Body: &InvalidateReq{Page: 42, NewOwner: 3}}
-	var dec Envelope
-	b := GetBuffer()
-	defer b.Release()
-
-	// Warm-up: the first decode allocates dec's body.
-	env.MarshalInto(b)
-	if err := UnmarshalInto(&dec, b.Bytes()); err != nil {
-		t.Fatal(err)
+	if Poison {
+		t.Skip("a poison build drops every buffer instead of recycling it")
 	}
+	frame := bytes.Repeat([]byte{0xA5}, 4096)
+	cases := []struct {
+		name string
+		body Msg
+	}{
+		{"small", &InvalidateReq{Page: 42, NewOwner: 3}},
+		{"page", &PageReadReply{Page: 42, Owner: 3, Data: frame}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Codec
+			env := &Envelope{ReqID: 7, Origin: 1, Sender: 2, Body: tc.body}
+			var dec *Envelope
+			trip := func() {
+				pl := c.Marshal(env)
+				var err error
+				if dec, err = c.Unmarshal(pl.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				if r, ok := dec.Body.(*PageReadReply); ok {
+					if &r.Data[0] == &frame[0] || &r.Data[0] == &pl.Bytes()[len(pl.Bytes())-len(frame)] {
+						t.Fatal("decoded page aliases its source")
+					}
+				}
+				pl.Release()
+			}
+			recycle := func() {
+				// The receiver adopts a decoded page; it comes back to the
+				// list when a later reply has carried it away again.
+				c.RecyclePage(dec.Body)
+				c.Recycle(dec)
+			}
+			trip() // warm-up: the first trip makes the buffers
+			recycle()
+			got := testing.AllocsPerRun(1000, func() {
+				trip()
+				recycle()
+			})
+			if got != 0 {
+				t.Fatalf("codec round trip allocates %v objects/op", got)
+			}
+			trip()
+			if dec.ReqID != 7 || dec.Origin != 1 || dec.Sender != 2 {
+				t.Fatalf("round trip corrupted the header: %+v", dec)
+			}
+			switch b := dec.Body.(type) {
+			case *InvalidateReq:
+				if b.Page != 42 || b.NewOwner != 3 {
+					t.Fatalf("round trip corrupted the body: %+v", b)
+				}
+			case *PageReadReply:
+				if b.Page != 42 || b.Owner != 3 || !bytes.Equal(b.Data, frame) {
+					t.Fatal("round trip corrupted the page")
+				}
+			}
+			if c.LiveRefs() != 0 {
+				t.Fatalf("%d payload references outstanding after every release", c.LiveRefs())
+			}
+		})
+	}
+}
 
-	got := testing.AllocsPerRun(1000, func() {
-		b.Reset()
-		env.MarshalInto(b)
-		if err := UnmarshalInto(&dec, b.Bytes()); err != nil {
-			t.Fatal(err)
+// TestPayloadReferenceCounting: a payload returns to its codec only when
+// every holder has released, an over-release panics, and a holder that
+// never releases keeps the buffer out of circulation for good.
+func TestPayloadReferenceCounting(t *testing.T) {
+	var c Codec
+	env := &Envelope{ReqID: 1, Body: &InvalidateAck{Page: 9}}
+	p := c.Marshal(env)
+	want := append([]byte(nil), p.Bytes()...)
+	p.Retain() // a transport's reference
+	p.Retain() // a second transmission's
+	p.Release()
+	p.Release()
+	if c.LiveRefs() != 1 {
+		t.Fatalf("LiveRefs = %d with one holder left, want 1", c.LiveRefs())
+	}
+	q := c.Marshal(&Envelope{ReqID: 2, Body: &InvalidateAck{Page: 10}})
+	if q == p {
+		t.Fatal("payload recycled while a reference was still held")
+	}
+	if !bytes.Equal(p.Bytes(), want) {
+		t.Fatal("held payload overwritten by a later Marshal")
+	}
+	p.Release()
+	if r := c.Marshal(env); !Poison && r != p {
+		t.Error("fully released payload was not the next one reused")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a payload with no references did not panic")
 		}
-	})
-	if got != 0 {
-		t.Fatalf("pooled round trip allocates %v objects/op", got)
-	}
-	body, ok := dec.Body.(*InvalidateReq)
-	if !ok || body.Page != 42 || body.NewOwner != 3 || dec.ReqID != 7 {
-		t.Fatalf("round trip corrupted the envelope: %+v", dec)
-	}
+	}()
+	p.Release() // r's reference…
+	p.Release() // …and one too many
 }

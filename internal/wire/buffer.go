@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sync"
+	"slices"
 )
 
 // Buffer is an append-only encoder for the wire format. All multi-byte
@@ -16,53 +16,16 @@ type Buffer struct {
 // NewBuffer returns an empty buffer.
 func NewBuffer() *Buffer { return &Buffer{b: make([]byte, 0, 64)} }
 
-// bufFree recycles encode buffers, and readerFree decode readers. Plain
-// LIFO free lists — not sync.Pools, whose GC-coupled emptying would be
-// a nondeterministic cost source. One engine is single-threaded by
-// construction (it runs one unit of work at a time), but the lists are
-// package-level and a process may run independent clusters on separate
-// goroutines (parallel tests, library users), so access is serialized
-// by a mutex. Reuse order stays deterministic for any one engine; a
-// buffer's identity never influences simulation results (contents are
-// reset on Get), so cross-cluster interleaving is harmless.
-var (
-	freeMu     sync.Mutex //ivyvet:ignore cross-engine free-list guard; determinism argument in the comment above
-	bufFree    []*Buffer
-	readerFree []*Reader
-)
-
-// GetBuffer returns an empty encode buffer from the free list (or a new
-// one). Pair with Release when the encoded bytes have been copied out.
-func GetBuffer() *Buffer {
-	freeMu.Lock()
-	if n := len(bufFree); n > 0 {
-		b := bufFree[n-1]
-		bufFree = bufFree[:n-1]
-		freeMu.Unlock()
-		b.b = b.b[:0]
-		return b
-	}
-	freeMu.Unlock()
-	return NewBuffer()
-}
-
-// Release returns the buffer to the free list. The caller must not hold
-// slices into its storage (Bytes aliases it; copy first).
-func (b *Buffer) Release() {
-	freeMu.Lock()
-	bufFree = append(bufFree, b)
-	freeMu.Unlock()
-}
-
-// Reset empties the buffer for reuse, keeping its storage.
-func (b *Buffer) Reset() { b.b = b.b[:0] }
-
 // Bytes returns the encoded contents. The slice aliases the buffer's
 // storage and must not be modified after further Puts.
 func (b *Buffer) Bytes() []byte { return b.b }
 
 // Len returns the number of encoded bytes.
 func (b *Buffer) Len() int { return len(b.b) }
+
+// Grow makes room for n more bytes, so that a body encoding a list
+// element by element regrows the buffer at most once.
+func (b *Buffer) Grow(n int) { b.b = slices.Grow(b.b, n) }
 
 func (b *Buffer) PutU8(v uint8) { b.b = append(b.b, v) }
 func (b *Buffer) PutBool(v bool) {
@@ -102,32 +65,13 @@ type Reader struct {
 	b   []byte
 	off int
 	err error
+	// codec, when non-nil, is the endpoint codec this reader decodes
+	// for: PageBytes copies into its recycled page buffers.
+	codec *Codec
 }
 
 // NewReader returns a reader over data.
 func NewReader(data []byte) *Reader { return &Reader{b: data} }
-
-// getReader returns a reader over data from the free list (or new).
-func getReader(data []byte) *Reader {
-	freeMu.Lock()
-	if n := len(readerFree); n > 0 {
-		r := readerFree[n-1]
-		readerFree = readerFree[:n-1]
-		freeMu.Unlock()
-		r.b, r.off, r.err = data, 0, nil
-		return r
-	}
-	freeMu.Unlock()
-	return NewReader(data)
-}
-
-// putReader recycles a reader, dropping its reference to the data.
-func putReader(r *Reader) {
-	r.b = nil
-	freeMu.Lock()
-	readerFree = append(readerFree, r)
-	freeMu.Unlock()
-}
 
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -186,35 +130,53 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Bytes reads a length-prefixed byte slice, returning a copy.
-func (r *Reader) Bytes() []byte {
+// prefixed reads a length prefix and returns that many bytes of the
+// encoded data, aliased; ok is false once the reader has failed.
+func (r *Reader) prefixed() (s []byte, ok bool) {
 	n := int(r.U32())
 	if r.err != nil {
-		return nil
+		return nil, false
 	}
 	if n > r.Remaining() {
 		r.err = ErrShortBuffer
+		return nil, false
+	}
+	return r.take(n), true
+}
+
+// Bytes reads a length-prefixed byte slice, returning a copy.
+func (r *Reader) Bytes() []byte {
+	s, ok := r.prefixed()
+	if !ok {
 		return nil
 	}
-	s := r.take(n)
-	if s == nil {
+	out := make([]byte, len(s))
+	copy(out, s)
+	return out
+}
+
+// PageBytes is Bytes for the fields that carry a page (PageReadReply,
+// PageWriteReply, RCFetchReply, MigrateReq.StackData): decoding for an
+// endpoint codec, the one copy lands in a buffer off the codec's page
+// list, which the receiver adopts into its frame pool exactly as it
+// would a fresh slice.
+func (r *Reader) PageBytes() []byte {
+	s, ok := r.prefixed()
+	if !ok {
 		return nil
 	}
-	out := make([]byte, n)
+	var out []byte
+	if r.codec != nil && len(s) > 0 {
+		out = r.codec.Page(len(s))
+	} else {
+		out = make([]byte, len(s))
+	}
 	copy(out, s)
 	return out
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := int(r.U32())
-	if r.err != nil {
-		return ""
-	}
-	if n > r.Remaining() {
-		r.err = ErrShortBuffer
-		return ""
-	}
-	s := r.take(n)
+	s, _ := r.prefixed()
 	return string(s)
 }

@@ -112,8 +112,9 @@ func TestFuzzCorpusFilesCurrent(t *testing.T) {
 //     point after one normalization; exact input equality is not required
 //     because e.g. a bool encoded as 0x02 decodes as true and re-encodes
 //     canonically as 0x01).
-//  3. The body-reuse path (UnmarshalInto on a pooled envelope with a
-//     stale body) agrees with the allocating path.
+//  3. The recycled-buffer path (Codec.Unmarshal into a used envelope,
+//     a used body and a dirty page buffer) agrees with the allocating
+//     path.
 func FuzzUnmarshal(f *testing.F) {
 	for _, e := range seedEnvelopes() {
 		f.Add(e.Marshal())
@@ -132,6 +133,10 @@ func FuzzUnmarshal(f *testing.F) {
 	bomb := (&Envelope{Body: &RCDiffWriteReq{Page: 1}}).Marshal()
 	copy(bomb[len(bomb)-4:], []byte{0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add(bomb)
+	// The two bodies with an optional trailer, without it: a recycled body
+	// must not keep the trailer of the message it decoded before.
+	f.Add((&Envelope{Body: &NotifyReq{PCBAddr: 1, ECAddr: 2, Value: 3}}).Marshal())
+	f.Add((&Envelope{Body: &MigrateReq{PCB: []byte{1}, StackPage: 1, StackData: []byte{2}}}).Marshal())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := Unmarshal(data)
@@ -151,24 +156,38 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("encoding not a fixed point:\n first: %x\nsecond: %x", m1, m2)
 		}
 
-		// Body-reuse path: decode into an envelope already carrying a body
-		// of a different kind, then of the same kind; both must agree with
-		// the allocating decode.
-		reused := &Envelope{Body: &Ping{Payload: []byte("stale")}}
-		if e.Body.Kind() == KindPing {
-			reused.Body = &WorkReq{Load: 99}
+		// Recycled-buffer decode: an endpoint codec whose lists hold a used
+		// envelope, a used body of this very kind with every field set (the
+		// seed's), and a dirty page buffer must decode to the same message
+		// as the allocating path — twice, the second time into what the
+		// first pass handed back.
+		var c Codec
+		for _, s := range seedEnvelopes() {
+			if s.Body.Kind() != e.Body.Kind() {
+				continue
+			}
+			warm, err := c.Unmarshal(s.Marshal())
+			if err != nil {
+				t.Fatalf("codec rejected the %v seed: %v", s.Body.Kind(), err)
+			}
+			c.Recycle(warm)
 		}
-		if err := UnmarshalInto(reused, data); err != nil {
-			t.Fatalf("UnmarshalInto failed where Unmarshal succeeded: %v", err)
+		c.PutPage(bytes.Repeat([]byte{0xEE}, 64))
+		for pass := 0; pass < 2; pass++ {
+			got, err := c.Unmarshal(data)
+			if err != nil {
+				t.Fatalf("pass %d: Codec.Unmarshal failed where Unmarshal succeeded: %v", pass, err)
+			}
+			pl := c.Marshal(got)
+			if !bytes.Equal(pl.Bytes(), m1) {
+				t.Fatalf("pass %d: recycled-buffer decode diverged:\n got: %x\nwant: %x", pass, pl.Bytes(), m1)
+			}
+			pl.Release()
+			c.RecyclePage(got.Body)
+			c.Recycle(got)
 		}
-		if got := reused.Marshal(); !bytes.Equal(got, m1) {
-			t.Fatalf("kind-mismatch reuse path diverged:\n got: %x\nwant: %x", got, m1)
-		}
-		if err := UnmarshalInto(reused, data); err != nil {
-			t.Fatalf("same-kind reuse decode failed: %v", err)
-		}
-		if got := reused.Marshal(); !bytes.Equal(got, m1) {
-			t.Fatalf("same-kind reuse path diverged:\n got: %x\nwant: %x", got, m1)
+		if c.LiveRefs() != 0 {
+			t.Fatalf("%d payload references outstanding", c.LiveRefs())
 		}
 	})
 }

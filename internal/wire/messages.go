@@ -51,7 +51,7 @@ func (m *PageReadReply) Encode(b *Buffer) {
 func (m *PageReadReply) Decode(r *Reader) error {
 	m.Page = r.U32()
 	m.Owner = r.U16()
-	m.Data = r.Bytes()
+	m.Data = r.PageBytes()
 	return nil
 }
 
@@ -72,7 +72,7 @@ func (m *PageWriteReply) Encode(b *Buffer) {
 func (m *PageWriteReply) Decode(r *Reader) error {
 	m.Page = r.U32()
 	m.Copyset = r.U64()
-	m.Data = r.Bytes()
+	m.Data = r.PageBytes()
 	return nil
 }
 
@@ -174,7 +174,8 @@ func (m *MigrateReq) Encode(b *Buffer) {
 func (m *MigrateReq) Decode(r *Reader) error {
 	m.PCB = r.Bytes()
 	m.StackPage = r.U32()
-	m.StackData = r.Bytes()
+	m.StackData = r.PageBytes()
+	m.VC = nil // optional trailer: a recycled body must not keep the last one
 	n := int(r.U32())
 	if r.Err() != nil {
 		return nil
@@ -290,6 +291,7 @@ func (m *NotifyReq) Decode(r *Reader) error {
 	m.PCBAddr = r.U64()
 	m.ECAddr = r.U64()
 	m.Value = r.I64()
+	m.VC = nil // optional trailer: a recycled body must not keep the last one
 	if r.Remaining() > 0 {
 		k := int(r.U32())
 		if k > r.Remaining()/8 {
@@ -515,7 +517,7 @@ func (m *RCFetchReply) Decode(r *Reader) error {
 	m.Ver = r.U32()
 	m.Rebound = r.U8()
 	m.Redirect = r.U32()
-	m.Data = r.Bytes()
+	m.Data = r.PageBytes()
 	return nil
 }
 
@@ -541,6 +543,7 @@ func (m *RCDiffWriteReq) Encode(b *Buffer) {
 	b.PutU32(m.Page)
 	b.PutU32(m.HaveVer)
 	b.PutU32(uint32(len(m.Offsets)))
+	b.Grow(12 * len(m.Offsets))
 	for i, off := range m.Offsets {
 		b.PutU32(off)
 		b.PutU64(m.Words[i])
@@ -609,6 +612,7 @@ type RCNoticePostReq struct {
 func (*RCNoticePostReq) Kind() Kind { return KindRCNoticePostReq }
 func (m *RCNoticePostReq) Encode(b *Buffer) {
 	b.PutU32(uint32(len(m.Pages)))
+	b.Grow(8 * len(m.Pages))
 	for i, p := range m.Pages {
 		b.PutU32(p)
 		b.PutU32(m.Vers[i])
@@ -665,6 +669,7 @@ func (*RCAcquireQueryReply) Kind() Kind { return KindRCAcquireQueryReply }
 func (m *RCAcquireQueryReply) Encode(b *Buffer) {
 	b.PutU64(m.Next)
 	b.PutU32(uint32(len(m.Pages)))
+	b.Grow(8 * len(m.Pages))
 	for i, p := range m.Pages {
 		b.PutU32(p)
 		b.PutU32(m.Vers[i])

@@ -107,7 +107,7 @@ func KindOfPayload(b []byte) Kind {
 	return KindInvalid
 }
 
-var kindNames = map[Kind]string{
+var kindNames = [kindMax]string{
 	KindReadFaultReq:   "ReadFaultReq",
 	KindWriteFaultReq:  "WriteFaultReq",
 	KindPageReadReply:  "PageReadReply",
@@ -143,8 +143,8 @@ var kindNames = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if k < kindMax && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -191,25 +191,25 @@ type Envelope struct {
 	Body     Msg
 }
 
-// Marshal encodes the envelope to bytes. The returned slice is freshly
-// allocated at its exact size: encoding happens in a pooled scratch
-// buffer, so a Marshal costs one allocation regardless of body size and
-// never pays append-growth reallocations. (The copy-out is deliberate —
-// marshaled payloads outlive the call arbitrarily: the ring may still be
-// delivering a retransmission while the sender retires the request.)
+// Marshal encodes the envelope into a slice of its own. It is the
+// allocating convenience form, for tests and probes; the protocol stack
+// marshals through its endpoint's Codec, which encodes once into a
+// recycled, reference-counted Payload.
 func (e *Envelope) Marshal() []byte {
-	b := GetBuffer()
-	e.MarshalInto(b)
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	b.Release()
-	return out
+	// One object holds the encoder and room for a small message, so a
+	// small Marshal is one allocation; a large one grows out of it once.
+	s := new(struct {
+		Buffer
+		room [64]byte
+	})
+	s.b = s.room[:0]
+	e.encode(&s.Buffer)
+	return s.b
 }
 
-// MarshalInto encodes the envelope into b without allocating. The caller
-// owns b's lifetime (typically GetBuffer/Release around a send whose
-// bytes are consumed synchronously).
-func (e *Envelope) MarshalInto(b *Buffer) {
+// encode appends the envelope's wire form to b: the eleven header bytes,
+// kind first (see KindOfPayload), then the body.
+func (e *Envelope) encode(b *Buffer) {
 	b.PutU8(uint8(e.Body.Kind()))
 	b.PutU32(e.ReqID)
 	b.PutU16(e.Origin)
@@ -222,22 +222,27 @@ func (e *Envelope) MarshalInto(b *Buffer) {
 // ErrUnknownKind reports an envelope whose kind has no registered decoder.
 var ErrUnknownKind = errors.New("wire: unknown message kind")
 
-// Unmarshal decodes an envelope produced by Marshal.
+// Unmarshal decodes an envelope produced by Marshal into freshly
+// allocated memory — the convenience form beside Codec.Unmarshal.
 func Unmarshal(data []byte) (*Envelope, error) {
-	e := &Envelope{}
-	if err := UnmarshalInto(e, data); err != nil {
+	// The reader shares the envelope's allocation.
+	s := new(struct {
+		e Envelope
+		r Reader
+	})
+	s.r.b = data
+	err := s.e.decode(&s.r)
+	s.r.b = nil
+	if err != nil {
 		return nil, err
 	}
-	return e, nil
+	return &s.e, nil
 }
 
-// UnmarshalInto decodes into an existing envelope, reusing its Body when
-// the incoming kind matches — the allocation-free half of a pooled
-// round trip. On a kind mismatch (or a nil Body) the body comes from the
-// kind's registered factory as usual.
-func UnmarshalInto(e *Envelope, data []byte) error {
-	r := getReader(data)
-	defer putReader(r)
+// decode reads one whole envelope from r into e. The body is a recycled
+// one of the incoming kind when r decodes for a codec that has one idle,
+// and otherwise comes from the kind's registered factory.
+func (e *Envelope) decode(r *Reader) error {
 	kind := Kind(r.U8())
 	e.ReqID = r.U32()
 	e.Origin = r.U16()
@@ -250,7 +255,11 @@ func UnmarshalInto(e *Envelope, data []byte) error {
 	if kind <= KindInvalid || kind >= kindMax || factories[kind] == nil {
 		return fmt.Errorf("%w: %v", ErrUnknownKind, kind)
 	}
-	if e.Body == nil || e.Body.Kind() != kind {
+	e.Body = nil
+	if r.codec != nil {
+		e.Body = r.codec.idleBody(kind)
+	}
+	if e.Body == nil {
 		e.Body = factories[kind]()
 	}
 	if err := e.Body.Decode(r); err != nil {
