@@ -26,6 +26,9 @@ import (
 // rather than all eight counts.
 var benchProcs = []int{1, 2, 4, 8}
 
+// benchOpts is the options of the recorded outputs.
+func benchOpts() *harness.Options { return &harness.Options{Seed: 1} }
+
 func reportCurve(b *testing.B, c harness.Curve) {
 	last := c.Points[len(c.Points)-1]
 	b.ReportMetric(last.Speedup, "speedup@"+itoa(last.Procs)+"p")
@@ -44,7 +47,7 @@ func itoa(n int) string {
 // series of Figure 5.
 func BenchmarkFigure5LinearSolver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Speedup("jacobi", benchProcs, func(p int) (apps.Result, error) {
+		c, err := benchOpts().Speedup("jacobi", benchProcs, func(p int) (apps.Result, error) {
 			return apps.RunJacobi(ivy.Config{Processors: p, Seed: 1}, apps.DefaultJacobi())
 		})
 		if err != nil {
@@ -57,7 +60,7 @@ func BenchmarkFigure5LinearSolver(b *testing.B) {
 // BenchmarkFigure5PDE3D regenerates the 3-D PDE series of Figure 5.
 func BenchmarkFigure5PDE3D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Speedup("pde3d", benchProcs, func(p int) (apps.Result, error) {
+		c, err := benchOpts().Speedup("pde3d", benchProcs, func(p int) (apps.Result, error) {
 			return apps.RunPDE3D(ivy.Config{Processors: p, Seed: 1}, apps.DefaultPDE3D())
 		})
 		if err != nil {
@@ -71,7 +74,7 @@ func BenchmarkFigure5PDE3D(b *testing.B) {
 // Figure 5.
 func BenchmarkFigure5TSP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Speedup("tsp", benchProcs, func(p int) (apps.Result, error) {
+		c, err := benchOpts().Speedup("tsp", benchProcs, func(p int) (apps.Result, error) {
 			return apps.RunTSP(ivy.Config{Processors: p, Seed: 1}, apps.DefaultTSP())
 		})
 		if err != nil {
@@ -85,7 +88,7 @@ func BenchmarkFigure5TSP(b *testing.B) {
 // Figure 5.
 func BenchmarkFigure5Matmul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Speedup("matmul", benchProcs, func(p int) (apps.Result, error) {
+		c, err := benchOpts().Speedup("matmul", benchProcs, func(p int) (apps.Result, error) {
 			return apps.RunMatmul(ivy.Config{Processors: p, Seed: 1}, apps.DefaultMatmul())
 		})
 		if err != nil {
@@ -99,7 +102,7 @@ func BenchmarkFigure5Matmul(b *testing.B) {
 // Figure 5 — the deliberate weak case.
 func BenchmarkFigure5DotProduct(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Speedup("dotprod", benchProcs, func(p int) (apps.Result, error) {
+		c, err := benchOpts().Speedup("dotprod", benchProcs, func(p int) (apps.Result, error) {
 			return apps.RunDotProd(ivy.Config{Processors: p, Seed: 1}, apps.DefaultDotProd())
 		})
 		if err != nil {
@@ -113,7 +116,7 @@ func BenchmarkFigure5DotProduct(b *testing.B) {
 // Figure 4 and reports the (super-linear) 2-processor speedup.
 func BenchmarkFigure4SuperLinear(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Figure4([]int{1, 2, 4})
+		c, err := benchOpts().Figure4([]int{1, 2, 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +130,7 @@ func BenchmarkFigure4SuperLinear(b *testing.B) {
 // first- and last-iteration transfer counts of both rows.
 func BenchmarkTable1DiskTransfers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := harness.RunTable1()
+		t, err := benchOpts().RunTable1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +145,7 @@ func BenchmarkTable1DiskTransfers(b *testing.B) {
 // real network and free network.
 func BenchmarkFigure6SortMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := harness.Figure6(benchProcs)
+		curves, err := benchOpts().Figure6(benchProcs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +160,7 @@ func BenchmarkFigure6SortMerge(b *testing.B) {
 // algorithms on the sharing-heavy PDE workload.
 func BenchmarkAblationManagers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationManagers(4)
+		rows, err := benchOpts().AblationManagers(4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +174,7 @@ func BenchmarkAblationManagers(b *testing.B) {
 // and a movement-heavy workload.
 func BenchmarkAblationPageSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationPageSize(4, []int{256, 1024, 4096})
+		rows, err := benchOpts().AblationPageSize(4, []int{256, 1024, 4096})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,7 +187,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 // BenchmarkAblationAlloc compares centralized and two-level allocation.
 func BenchmarkAblationAlloc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationAlloc(4, 100)
+		rows, err := benchOpts().AblationAlloc(4, 100)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -197,7 +200,7 @@ func BenchmarkAblationAlloc(b *testing.B) {
 // the passive load balancer.
 func BenchmarkAblationMigration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationMigration(4, 12, 2*time.Second)
+		rows, err := benchOpts().AblationMigration(4, 12, 2*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,15 +228,11 @@ func rcFalseSharingConfig(coherence string, alg ivy.Algorithm) (apps.Result, err
 // acceptance bar). Ownership transfers are write faults that moved a
 // page under SC, mastership hand-offs under RC.
 func BenchmarkRCFalseSharing(b *testing.B) {
-	managers := []string{"dynamic", "centralized", "fixed", "broadcast", "basic"}
 	for i := 0; i < b.N; i++ {
 		best := ^uint64(0)
-		for _, name := range managers {
-			alg, err := cli.ParseManager(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := rcFalseSharingConfig(ivy.CoherenceSC, alg)
+		for _, m := range cli.Managers {
+			name := m.Name
+			res, err := rcFalseSharingConfig(ivy.CoherenceSC, m.Alg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -681,7 +681,7 @@ type MessageEvent struct {
 
 // SetMessageTrace installs fn as a tap on every node's message delivery.
 // Call before Run. The callback runs for each delivered envelope —
-// tracing is verbose by design; cmd/ivytrace caps the output. A nil fn
+// tracing is verbose by design; `ivy trace` caps the output. A nil fn
 // detaches the tap, restoring the zero-cost delivery path.
 func (c *Cluster) SetMessageTrace(fn func(MessageEvent)) {
 	if fn == nil {

@@ -89,7 +89,7 @@ const (
 	// are no longer deterministic; the simulator-only planes — loss
 	// injection, chaos, span tracing — are rejected. This is the
 	// cross-transport conformance configuration; fully separate
-	// processes use cmd/ivynode instead.
+	// processes use `ivy node` instead.
 	TransportTCPLoopback = "tcp-loopback"
 )
 
@@ -202,7 +202,7 @@ type Config struct {
 	// DESIGN.md §11): per-page fault/invalidation/transfer counters,
 	// ownership ping-pong intervals, and the dirty-word maps that
 	// quantify false sharing, exposed through MetricsSnapshot and
-	// cmd/ivyprof. Like DRace it observes word accesses, so the TLBs are
+	// `ivy prof`. Like DRace it observes word accesses, so the TLBs are
 	// off while it is armed (DESIGN.md §6); virtual time, fault counts,
 	// and message counts are unchanged (profiling adds zero wire bytes —
 	// see PROTOCOL.md). False — the default — costs one predicted branch

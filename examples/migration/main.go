@@ -15,17 +15,25 @@ import (
 	"time"
 
 	ivy "repro"
+	"repro/internal/cli"
 )
 
 func main() {
-	procs := flag.Int("procs", 4, "processors")
+	f := cli.Defaults()
+	f.Seed = 9
+	f.Register(flag.CommandLine, cli.Procs)
 	workers := flag.Int("workers", 12, "processes to spawn on node 0")
 	flag.Parse()
+	cfg, err := f.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	run := func(balanced bool) (time.Duration, ivy.ClusterStats) {
 		bal := ivy.DefaultBalance()
 		bal.Enabled = balanced
-		cluster := ivy.New(ivy.Config{Processors: *procs, Seed: 9, Balance: &bal})
+		cfg.Balance = &bal
+		cluster := ivy.New(cfg)
 		err := cluster.Run(func(p *ivy.Proc) {
 			done := p.NewEventcount(*workers + 1)
 			for i := 0; i < *workers; i++ {
@@ -42,7 +50,7 @@ func main() {
 		return cluster.Elapsed(), cluster.Snapshot()
 	}
 
-	fmt.Printf("%d one-second jobs created on node 0 of a %d-node cluster\n\n", *workers, *procs)
+	fmt.Printf("%d one-second jobs created on node 0 of a %d-node cluster\n\n", *workers, f.Procs)
 
 	off, _ := run(false)
 	fmt.Printf("balancing off: %v (everything runs on node 0)\n", off.Round(time.Millisecond))

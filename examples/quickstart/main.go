@@ -4,7 +4,7 @@
 // shared array and add a partial sum into a shared cell guarded by a
 // test-and-set lock; an eventcount signals completion. The pages holding
 // the array migrate to each writer on demand and the partial-sum page
-// bounces between the nodes — run cmd/ivytrace to watch that happen.
+// bounces between the nodes — run `ivy trace` to watch that happen.
 //
 //	go run ./examples/quickstart
 package main

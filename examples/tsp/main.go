@@ -15,17 +15,23 @@ import (
 
 	ivy "repro"
 	"repro/internal/apps"
+	"repro/internal/cli"
 )
 
 func main() {
 	cities := flag.Int("cities", 14, "number of cities (<= 15; below ~13 the fixed costs dominate)")
-	procs := flag.Int("procs", 4, "processors")
+	f := cli.Defaults()
+	f.Register(flag.CommandLine, cli.Procs)
 	flag.Parse()
+	cfg, err := f.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	par := apps.TSPParams{Cities: *cities, SeedDepth: 2, Seed: 3}
 	graph := apps.NewRandomGraph(*cities, par.Seed)
 
-	fmt.Printf("branch-and-bound over %d cities on %d processors\n", *cities, *procs)
+	fmt.Printf("branch-and-bound over %d cities on %d processors\n", *cities, f.Procs)
 
 	seq := time.Now()
 	want := apps.SequentialBranchAndBound(graph)
@@ -36,14 +42,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rp, err := apps.RunTSP(ivy.Config{Processors: *procs, Seed: 1}, par)
+	rp, err := apps.RunTSP(cfg, par)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\n1 processor:  %v\n", r1.Elapsed.Round(time.Millisecond))
 	fmt.Printf("%d processors: %v  (speedup %.2f)\n",
-		*procs, rp.Elapsed.Round(time.Millisecond),
+		f.Procs, rp.Elapsed.Round(time.Millisecond),
 		float64(r1.Elapsed)/float64(rp.Elapsed))
 	fmt.Printf("optimal tour cost: %.2f\n", rp.Check)
 	tot := rp.Stats.Total()

@@ -489,7 +489,7 @@ func TestFalseShareJacobiGolden(t *testing.T) {
 // confirmation executing twice: on a lossy ring NotifyReliable keeps
 // retransmitting a MgrConfirm whose reply was lost, and once the
 // manager's reply cache has evicted that reply the duplicate re-executes.
-// Under the basic manager this very run (ivyrun -app jacobi -algorithm
+// Under the basic manager this very run (ivy run -app jacobi -manager
 // basic -loss 0.02 -n 128) used to panic with "manager unlock of unheld
 // page 126 on node 0"; the other two directory managers share the
 // handler. The lossy run must finish and compute what the lossless one

@@ -35,14 +35,6 @@ func NewBarrier(p *ivy.Proc, n int) *Barrier {
 	return &Barrier{ec: p.NewEventcount(n + 1), n: n}
 }
 
-// Attach reconstructs a barrier handle from its eventcount address.
-func AttachBarrier(p *ivy.Proc, addr uint64, n int) *Barrier {
-	return &Barrier{ec: p.AttachEventcount(addr, n+1), n: n}
-}
-
-// Addr returns the barrier's eventcount address for sharing.
-func (b *Barrier) Addr() uint64 { return b.ec.Addr() }
-
 // Await marks this worker's arrival at the end of iteration iter
 // (1-based) and blocks until all n workers have arrived.
 func (b *Barrier) Await(q *ivy.Proc, iter int) {
@@ -159,13 +151,6 @@ func splitRange(n, parts, i int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // xorshift is the deterministic generator used for workload data, so

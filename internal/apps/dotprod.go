@@ -16,6 +16,33 @@ type DotProdParams struct {
 // DefaultDotProd is the Figure 5 workload.
 func DefaultDotProd() DotProdParams { return DotProdParams{N: 65536, Seed: 9} }
 
+// dotVectors is the dot product's input data.
+func dotVectors(n int, seed uint64) (x, y []float64) {
+	rng := newXorshift(seed)
+	x, y = make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = rng.nextFloat()
+		y[i] = rng.nextFloat()
+	}
+	return x, y
+}
+
+// dotPartial is one worker's share of the dot product: it pulls
+// elements [lo,hi) of both vectors through shared memory and multiplies
+// them out locally.
+func dotPartial(q *ivy.Proc, x, y F64, lo, hi int) float64 {
+	xs := make([]float64, hi-lo)
+	ys := make([]float64, hi-lo)
+	x.ReadSlice(q, lo, xs)
+	y.ReadSlice(q, lo, ys)
+	sum := 0.0
+	for i := range xs {
+		sum += xs[i] * ys[i]
+	}
+	q.LocalOps(2 * (hi - lo)) // deliberately little computation per element
+	return sum
+}
+
 // RunDotProd computes S = sum x_i * y_i with the problem partitioned
 // across one process per processor. The paper chose this example "to
 // show the weak side of the shared virtual memory system": both vectors
@@ -38,13 +65,7 @@ func RunDotProd(cfg ivy.Config, par DotProdParams) (Result, error) {
 
 		// Initialize through the bulk accessor: one access check per page
 		// instead of one per element (the compute charge is identical).
-		rng := newXorshift(par.Seed)
-		xv := make([]float64, n)
-		yv := make([]float64, n)
-		for i := 0; i < n; i++ {
-			xv[i] = rng.nextFloat()
-			yv[i] = rng.nextFloat()
-		}
+		xv, yv := dotVectors(n, par.Seed)
 		x.WriteSlice(p, 0, xv)
 		y.WriteSlice(p, 0, yv)
 
@@ -53,16 +74,7 @@ func RunDotProd(cfg ivy.Config, par DotProdParams) (Result, error) {
 			w := w
 			p.CreateOn(w, func(q *ivy.Proc) {
 				lo, hi := splitRange(n, procs, w)
-				xs := make([]float64, hi-lo)
-				ys := make([]float64, hi-lo)
-				x.ReadSlice(q, lo, xs)
-				y.ReadSlice(q, lo, ys)
-				sum := 0.0
-				for i := range xs {
-					sum += xs[i] * ys[i]
-				}
-				q.LocalOps(2 * (hi - lo)) // deliberately little computation per element
-				partial.Write(q, w*16, sum)
+				partial.Write(q, w*16, dotPartial(q, x, y, lo, hi))
 				done.Advance(q)
 			}, ivy.WithName(fmt.Sprintf("dot%d", w)), ivy.NotMigratable())
 		}
@@ -77,13 +89,7 @@ func RunDotProd(cfg ivy.Config, par DotProdParams) (Result, error) {
 		return Result{}, err
 	}
 	// Verify against a local recomputation.
-	rng := newXorshift(par.Seed)
-	xv := make([]float64, n)
-	yv := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xv[i] = rng.nextFloat()
-		yv[i] = rng.nextFloat()
-	}
+	xv, yv := dotVectors(n, par.Seed)
 	want := 0.0
 	for i := 0; i < n; i++ {
 		want += xv[i] * yv[i]

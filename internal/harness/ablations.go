@@ -28,24 +28,20 @@ type ManagerRow struct {
 // AblationManagers runs a sharing-heavy workload (the PDE solver, whose
 // halo pages change owners every iteration) under each manager algorithm
 // at the given processor count.
-func AblationManagers(procs int) ([]ManagerRow, error) {
+func (o *Options) AblationManagers(procs int) ([]ManagerRow, error) {
 	algs := []ivy.Algorithm{
 		ivy.DynamicDistributed, ivy.ImprovedCentralized, ivy.BasicCentralized,
 		ivy.FixedDistributed, ivy.BroadcastManager,
 	}
-	type out struct {
-		row ManagerRow
-		err error
-	}
-	outs := parallel.Map(curveWorkers(), len(algs), func(i int) out {
-		cfg := baseConfig(procs)
+	return parallel.MapErr(o.workers(), len(algs), func(i int) (ManagerRow, error) {
+		cfg := o.config(procs)
 		cfg.Algorithm = algs[i]
-		res, err := apps.RunPDE3D(cfg, apps.DefaultPDE3D())
+		res, err := apps.Run("pde3d", cfg, apps.Size{})
 		if err != nil {
-			return out{err: fmt.Errorf("harness: managers ablation (%v): %w", algs[i], err)}
+			return ManagerRow{}, fmt.Errorf("harness: managers ablation (%v): %w", algs[i], err)
 		}
 		tot := res.Stats.Total()
-		return out{row: ManagerRow{
+		return ManagerRow{
 			Algorithm: algs[i],
 			Elapsed:   res.Elapsed,
 			Faults:    tot.Faults(),
@@ -53,16 +49,8 @@ func AblationManagers(procs int) ([]ManagerRow, error) {
 			Packets:   res.Stats.Packets,
 			Bytes:     res.Stats.NetBytes,
 			Digest:    res.Digest,
-		}}
+		}, nil
 	})
-	rows := make([]ManagerRow, 0, len(outs))
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		rows = append(rows, o.row)
-	}
-	return rows, nil
 }
 
 // RenderManagers prints the algorithm comparison.
@@ -90,39 +78,26 @@ type PageSizeRow struct {
 // discusses (256 B "will work well also" up to larger pages whose
 // contention it warns about), on a locality-friendly workload (Jacobi)
 // and a movement-heavy one (dot product).
-func AblationPageSize(procs int, sizes []int) ([]PageSizeRow, error) {
-	jp := apps.JacobiParams{N: 256, Iters: 12, Seed: 7}
-	dp := apps.DotProdParams{N: 32768, Seed: 9}
-	type out struct {
-		row PageSizeRow
-		err error
-	}
-	outs := parallel.Map(curveWorkers(), len(sizes), func(i int) out {
-		ps := sizes[i]
-		cfg := baseConfig(procs)
-		cfg.PageSize = ps
-		cfg.SharedPages = 32 * 1024 * 1024 / ps // constant 32 MB space
-		jr, err := apps.RunJacobi(cfg, jp)
-		if err != nil {
-			return out{err: fmt.Errorf("harness: page-size %d jacobi: %w", ps, err)}
+func (o *Options) AblationPageSize(procs int, sizes []int) ([]PageSizeRow, error) {
+	return parallel.MapErr(o.workers(), len(sizes), func(i int) (PageSizeRow, error) {
+		row := PageSizeRow{PageSize: sizes[i]}
+		run := func(app string, n int) (time.Duration, error) {
+			cfg := o.config(procs)
+			cfg.PageSize = row.PageSize
+			cfg.SharedPages = 32 * 1024 * 1024 / row.PageSize // constant 32 MB space
+			res, err := apps.Run(app, cfg, apps.Size{N: n})
+			if err != nil {
+				return 0, fmt.Errorf("harness: page-size %d %s: %w", row.PageSize, app, err)
+			}
+			return res.Elapsed, nil
 		}
-		cfg2 := baseConfig(procs)
-		cfg2.PageSize = ps
-		cfg2.SharedPages = 32 * 1024 * 1024 / ps
-		dr, err := apps.RunDotProd(cfg2, dp)
-		if err != nil {
-			return out{err: fmt.Errorf("harness: page-size %d dotprod: %w", ps, err)}
+		var err error
+		if row.Jacobi, err = run("jacobi", 256); err != nil {
+			return row, err
 		}
-		return out{row: PageSizeRow{PageSize: ps, Jacobi: jr.Elapsed, DotProd: dr.Elapsed}}
+		row.DotProd, err = run("dotprod", 32768)
+		return row, err
 	})
-	rows := make([]PageSizeRow, 0, len(outs))
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		rows = append(rows, o.row)
-	}
-	return rows, nil
 }
 
 // RenderPageSize prints the page-size sweep.
@@ -148,9 +123,9 @@ type AllocRow struct {
 // AblationAlloc runs an allocation-heavy synthetic workload (every
 // worker repeatedly allocates and frees) under the one-level centralized
 // scheme and the two-level scheme the paper proposes as future work.
-func AblationAlloc(procs, allocsPerWorker int) ([]AllocRow, error) {
+func (o *Options) AblationAlloc(procs, allocsPerWorker int) ([]AllocRow, error) {
 	run := func(twoLevel bool) (time.Duration, uint64, error) {
-		cfg := baseConfig(procs)
+		cfg := o.config(procs)
 		cfg.TwoLevelAlloc = twoLevel
 		cluster := ivy.New(cfg)
 		err := cluster.Run(func(p *ivy.Proc) {
@@ -215,11 +190,11 @@ type BalanceRow struct {
 // AblationMigration creates an imbalanced batch of compute-bound
 // processes on node 0 with system scheduling, with and without the
 // passive load balancer.
-func AblationMigration(procs, workers int, workEach time.Duration) ([]BalanceRow, error) {
+func (o *Options) AblationMigration(procs, workers int, workEach time.Duration) ([]BalanceRow, error) {
 	run := func(enabled bool) (time.Duration, uint64, error) {
 		bal := ivy.DefaultBalance()
 		bal.Enabled = enabled
-		cfg := baseConfig(procs)
+		cfg := o.config(procs)
 		cfg.Balance = &bal
 		cluster := ivy.New(cfg)
 		err := cluster.Run(func(p *ivy.Proc) {
@@ -267,6 +242,22 @@ func RenderMigration(w io.Writer, rows []BalanceRow) {
 
 // --- Ablation E: cost-model sensitivity --------------------------------------
 
+// speedupUnder is T(1)/T(p) of one workload under the given cost model.
+func (o *Options) speedupUnder(costs ivy.Costs, p int, run func(ivy.Config) (apps.Result, error)) (float64, error) {
+	var t [2]time.Duration
+	for i, n := range []int{1, p} {
+		cfg := o.config(n)
+		c := costs
+		cfg.Costs = &c
+		res, err := run(cfg)
+		if err != nil {
+			return 0, fmt.Errorf("x%d: %w", n, err)
+		}
+		t[i] = res.Elapsed
+	}
+	return float64(t[0]) / float64(t[1]), nil
+}
+
 // SensitivityRow reports one experiment's headline number under a
 // perturbed cost model.
 type SensitivityRow struct {
@@ -281,7 +272,7 @@ type SensitivityRow struct {
 // as good as their insensitivity to the guessed constants: the shapes —
 // super-linear Figure 4, near-linear Jacobi, flat dot product — must
 // survive halving/doubling the network and CPU costs.
-func AblationSensitivity() ([]SensitivityRow, error) {
+func (o *Options) AblationSensitivity() ([]SensitivityRow, error) {
 	variants := []struct {
 		name string
 		mut  func(*ivy.Costs)
@@ -303,70 +294,30 @@ func AblationSensitivity() ([]SensitivityRow, error) {
 			c.DiskIO *= 2
 		}},
 	}
-	type out struct {
-		row SensitivityRow
-		err error
-	}
-	outs := parallel.Map(curveWorkers(), len(variants), func(i int) out {
+	return parallel.MapErr(o.workers(), len(variants), func(i int) (SensitivityRow, error) {
 		v := variants[i]
 		costs := ivy.Default1988()
 		v.mut(&costs)
-		mkCfg := func(p int) ivy.Config {
-			cfg := baseConfig(p)
-			c := costs
-			cfg.Costs = &c
-			return cfg
-		}
-
-		fig4 := func(p int) (apps.Result, error) {
-			cfg := mkCfg(p)
+		row := SensitivityRow{Variant: v.name}
+		var err error
+		row.Fig4SpeedupAt2, err = o.speedupUnder(costs, 2, func(cfg ivy.Config) (apps.Result, error) {
 			cfg.MemoryPages = apps.MemoryPressureFrames
 			return apps.RunPDE3D(cfg, apps.MemoryPressurePDE3D())
-		}
-		f1, err := fig4(1)
+		})
 		if err != nil {
-			return out{err: err}
+			return row, err
 		}
-		f2, err := fig4(2)
+		row.JacobiSpeedupAt4, err = o.speedupUnder(costs, 4, func(cfg ivy.Config) (apps.Result, error) {
+			return apps.Run("jacobi", cfg, apps.Size{N: 512, Iters: 16})
+		})
 		if err != nil {
-			return out{err: err}
+			return row, err
 		}
-
-		jp := apps.JacobiParams{N: 512, Iters: 16, Seed: 7}
-		j1, err := apps.RunJacobi(mkCfg(1), jp)
-		if err != nil {
-			return out{err: err}
-		}
-		j4, err := apps.RunJacobi(mkCfg(4), jp)
-		if err != nil {
-			return out{err: err}
-		}
-
-		dp := apps.DefaultDotProd()
-		d1, err := apps.RunDotProd(mkCfg(1), dp)
-		if err != nil {
-			return out{err: err}
-		}
-		d4, err := apps.RunDotProd(mkCfg(4), dp)
-		if err != nil {
-			return out{err: err}
-		}
-
-		return out{row: SensitivityRow{
-			Variant:           v.name,
-			Fig4SpeedupAt2:    float64(f1.Elapsed) / float64(f2.Elapsed),
-			JacobiSpeedupAt4:  float64(j1.Elapsed) / float64(j4.Elapsed),
-			DotProdSpeedupAt4: float64(d1.Elapsed) / float64(d4.Elapsed),
-		}}
+		row.DotProdSpeedupAt4, err = o.speedupUnder(costs, 4, func(cfg ivy.Config) (apps.Result, error) {
+			return apps.Run("dotprod", cfg, apps.Size{})
+		})
+		return row, err
 	})
-	rows := make([]SensitivityRow, 0, len(outs))
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		rows = append(rows, o.row)
-	}
-	return rows, nil
 }
 
 // RenderSensitivity prints the sensitivity table.
@@ -393,30 +344,22 @@ type LatencyRow struct {
 // benchmark at the given processor count — the microbenchmark-style
 // numbers (end-to-end read/write fault times, upgrade times) the
 // original work reported for its remote operations.
-func LatencyBreakdown(procs int) ([]LatencyRow, error) {
+func (o *Options) LatencyBreakdown(procs int) ([]LatencyRow, error) {
 	var rows []LatencyRow
-	add := func(name string, res apps.Result, err error) error {
+	for _, w := range []struct {
+		app string
+		sz  apps.Size
+	}{
+		{"jacobi", apps.Size{N: 256, Iters: 8}},
+		{"pde3d", apps.Size{N: 24, Iters: 6}},
+		{"dotprod", apps.Size{}},
+		{"sort", apps.Size{}},
+	} {
+		res, err := apps.Run(w.app, o.config(procs), w.sz)
 		if err != nil {
-			return fmt.Errorf("harness: latency breakdown (%s): %w", name, err)
+			return nil, fmt.Errorf("harness: latency breakdown (%s): %w", w.app, err)
 		}
-		rows = append(rows, LatencyRow{App: name, Lat: res.Latency})
-		return nil
-	}
-	r, err := apps.RunJacobi(baseConfig(procs), apps.JacobiParams{N: 256, Iters: 8, Seed: 7})
-	if err := add("jacobi", r, err); err != nil {
-		return nil, err
-	}
-	r, err = apps.RunPDE3D(baseConfig(procs), apps.PDE3DParams{N: 24, Iters: 6, Seed: 11})
-	if err := add("pde3d", r, err); err != nil {
-		return nil, err
-	}
-	r, err = apps.RunDotProd(baseConfig(procs), apps.DefaultDotProd())
-	if err := add("dotprod", r, err); err != nil {
-		return nil, err
-	}
-	r, err = apps.RunSortMerge(baseConfig(procs), apps.DefaultSort())
-	if err := add("sort", r, err); err != nil {
-		return nil, err
+		rows = append(rows, LatencyRow{App: w.app, Lat: res.Latency})
 	}
 	return rows, nil
 }
@@ -448,40 +391,24 @@ type SysModeRow struct {
 // of remote operations and page moving by a factor of at least two."
 // Halving the software costs of the fault path should lift every
 // communication-limited curve.
-func AblationSystemMode(procs int) ([]SysModeRow, error) {
-	type app struct {
-		name string
-		run  func(cfg ivy.Config) (apps.Result, error)
-	}
-	list := []app{
-		{"jacobi", func(cfg ivy.Config) (apps.Result, error) {
-			return apps.RunJacobi(cfg, apps.JacobiParams{N: 512, Iters: 16, Seed: 7})
-		}},
-		{"pde3d", func(cfg ivy.Config) (apps.Result, error) {
-			return apps.RunPDE3D(cfg, apps.PDE3DParams{N: 32, Iters: 10, Seed: 11})
-		}},
-		{"dotprod", func(cfg ivy.Config) (apps.Result, error) {
-			return apps.RunDotProd(cfg, apps.DefaultDotProd())
-		}},
-	}
+func (o *Options) AblationSystemMode(procs int) ([]SysModeRow, error) {
 	var rows []SysModeRow
-	for _, a := range list {
+	for _, a := range []struct {
+		name string
+		sz   apps.Size
+	}{
+		{"jacobi", apps.Size{N: 512, Iters: 16}},
+		{"pde3d", apps.Size{N: 32, Iters: 10}},
+		{"dotprod", apps.Size{}},
+	} {
 		speedup := func(costs ivy.Costs) (float64, error) {
-			mk := func(p int) ivy.Config {
-				cfg := baseConfig(p)
-				c := costs
-				cfg.Costs = &c
-				return cfg
-			}
-			r1, err := a.run(mk(1))
+			v, err := o.speedupUnder(costs, procs, func(cfg ivy.Config) (apps.Result, error) {
+				return apps.Run(a.name, cfg, a.sz)
+			})
 			if err != nil {
-				return 0, fmt.Errorf("harness: sysmode %s x1: %w", a.name, err)
+				return 0, fmt.Errorf("harness: sysmode %s %w", a.name, err)
 			}
-			rp, err := a.run(mk(procs))
-			if err != nil {
-				return 0, fmt.Errorf("harness: sysmode %s x%d: %w", a.name, procs, err)
-			}
-			return float64(r1.Elapsed) / float64(rp.Elapsed), nil
+			return v, nil
 		}
 		u, err := speedup(ivy.Default1988())
 		if err != nil {

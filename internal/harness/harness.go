@@ -42,48 +42,94 @@ type Curve struct {
 	Name   string
 	Points []Point
 	// Metrics is the page-heat profile of the highest processor count's
-	// run, nil unless SetProfile armed the profiler.
+	// run, nil unless Options.Profile armed the profiler.
 	Metrics *ivy.MetricsSnapshot
+}
+
+// Options is everything an experiment run varies from outside; the
+// experiments are its methods. `ivy bench` builds one from its flags.
+type Options struct {
+	// Seed drives every experiment; all runs are deterministic per seed.
+	// The recorded outputs (EXPERIMENTS.md) use 1.
+	Seed int64
+
+	// Parallel is the host-worker budget for experiment sweeps (n < 1 =
+	// one per core, 1 = fully sequential). It never changes results —
+	// each point of a sweep is its own cluster and engine — only how many
+	// advance at once.
+	Parallel int
+
+	// DRace arms the data-race detector on every cluster the experiments
+	// build; race totals surface in each result's statistics
+	// (SVM.RaceReports).
+	DRace bool
+
+	// Profile arms the coherence profiler on every cluster; each curve
+	// then carries the page-heat snapshot of its largest run.
+	Profile bool
+
+	// Trace, when non-nil, is consumed by the first cluster an experiment
+	// builds. Experiments run many clusters (a speedup sweep is one per
+	// processor count); tracing all of them into one file would
+	// interleave unrelated runs.
+	Trace *ivy.TraceConfig
+}
+
+// workers resolves the worker budget for the next sweep. A pending
+// trace forces sequential execution: "the first cluster the experiment
+// builds" only has a meaning when clusters are built in order.
+func (o *Options) workers() int {
+	if o.Trace != nil {
+		return 1
+	}
+	return parallel.Workers(o.Parallel)
+}
+
+// config is the common experiment configuration.
+func (o *Options) config(procs int) ivy.Config {
+	cfg := ivy.Config{Processors: procs, Seed: o.Seed, DRace: o.DRace, Profile: o.Profile}
+	if o.Trace != nil { // written only here, and workers() is 1 until it is
+		cfg.Trace = o.Trace
+		o.Trace = nil
+	}
+	return cfg
 }
 
 // Speedup computes a curve by running fn at each processor count in
 // procs (which must start at 1, the baseline). The per-count runs are
 // independent clusters, so they execute across host cores (see
-// SetParallel) and fold into the curve in procs order: every virtual
+// Options.Parallel) and fold into the curve in procs order: every virtual
 // field of the result is bit-identical to a sequential sweep, only the
 // Wall fields and the wall-clock total change.
-func Speedup(name string, procs []int, fn func(p int) (apps.Result, error)) (Curve, error) {
+func (o *Options) Speedup(name string, procs []int, fn func(p int) (apps.Result, error)) (Curve, error) {
 	if len(procs) == 0 || procs[0] != 1 {
 		return Curve{}, fmt.Errorf("harness: %s: processor list must start at 1", name)
 	}
 	type pointRun struct {
 		res  apps.Result
-		err  error
 		wall time.Duration
 	}
-	runs := parallel.Map(curveWorkers(), len(procs), func(i int) pointRun {
-		pr, wall := parallel.Timed(func() pointRun {
-			res, err := fn(procs[i])
-			return pointRun{res: res, err: err}
+	runs, err := parallel.MapErr(o.workers(), len(procs), func(i int) (pointRun, error) {
+		var err error
+		res, wall := parallel.Timed(func() (res apps.Result) {
+			res, err = fn(procs[i])
+			return res
 		})
-		pr.wall = wall
-		return pr
+		if err != nil {
+			err = fmt.Errorf("harness: %s at %d procs: %w", name, procs[i], err)
+		}
+		return pointRun{res, wall}, err
 	})
+	if err != nil {
+		return Curve{}, err
+	}
 	c := Curve{Name: name}
-	var t1 time.Duration
 	for i, r := range runs {
-		p := procs[i]
-		if r.err != nil {
-			return Curve{}, fmt.Errorf("harness: %s at %d procs: %w", name, p, r.err)
-		}
-		if p == 1 {
-			t1 = r.res.Elapsed
-		}
 		tot := r.res.Stats.Total()
 		c.Points = append(c.Points, Point{
-			Procs:   p,
+			Procs:   procs[i],
 			Elapsed: r.res.Elapsed,
-			Speedup: float64(t1) / float64(r.res.Elapsed),
+			Speedup: float64(runs[0].res.Elapsed) / float64(r.res.Elapsed),
 			Faults:  tot.Faults(),
 			Packets: r.res.Stats.Packets,
 			DiskIO:  tot.DiskTransfers(),
@@ -96,105 +142,31 @@ func Speedup(name string, procs []int, fn func(p int) (apps.Result, error)) (Cur
 	return c, nil
 }
 
-// DefaultProcs is the paper's processor range: 1..8 (the prototype had
-// eight workstations).
-func DefaultProcs() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8} }
-
-// seed drives every experiment; SetSeed changes it (cmd/ivybench's
-// -seed flag), keeping all runs deterministic per seed.
-var seed int64 = 1
-
-// SetSeed sets the seed used by all experiments.
-func SetSeed(s int64) { seed = s }
-
-// parallelism is the host-worker budget for experiment sweeps; 0 (the
-// default) means one worker per host core. SetParallel changes it
-// (cmd/ivybench's -parallel flag). Parallelism never changes results —
-// each point of a sweep is its own cluster and engine — it only changes
-// how many advance at once.
-var parallelism int
-
-// SetParallel sets the number of host workers experiment sweeps use
-// (n < 1 = one per core, n == 1 = fully sequential).
-func SetParallel(n int) { parallelism = n }
-
-// curveWorkers resolves the worker budget for the next sweep. A pending
-// trace forces sequential execution: SetTrace promises the trace lands
-// on the first cluster the experiment builds, which only has a meaning
-// when clusters are built in order.
-func curveWorkers() int {
-	if pendingTrace != nil {
-		return 1
+// sweep computes the speedup curve of a registered program at its
+// default workload, under the paper's name for it; mut, when non-nil,
+// adjusts each point's configuration.
+func (o *Options) sweep(app, suffix string, procs []int, mut func(*ivy.Config)) (Curve, error) {
+	a, err := apps.Lookup(app)
+	if err != nil {
+		return Curve{}, err
 	}
-	return parallel.Workers(parallelism)
-}
-
-// pendingTrace, when set by SetTrace, is consumed by the next cluster
-// built through baseConfig. Experiments run many clusters (a speedup
-// sweep is one per processor count); tracing all of them into one file
-// would interleave unrelated runs, so only the first cluster of the
-// selected experiment records the trace.
-var pendingTrace *ivy.TraceConfig
-
-// SetTrace arms the span tracer for the next cluster an experiment
-// builds (cmd/ivybench's -trace/-sample flags).
-func SetTrace(tc *ivy.TraceConfig) { pendingTrace = tc }
-
-// draceOn arms the data-race detector on every cluster the experiments
-// build (cmd/ivybench's -drace flag); race totals surface in each
-// result's statistics (SVM.RaceReports).
-var draceOn bool
-
-// SetDRace arms the happens-before race detector for every experiment
-// cluster.
-func SetDRace(v bool) { draceOn = v }
-
-// profileOn arms the coherence profiler on every cluster the experiments
-// build (cmd/ivybench's -profile flag); each curve then carries the
-// page-heat snapshot of its largest run.
-var profileOn bool
-
-// SetProfile arms the coherence profiler for every experiment cluster.
-func SetProfile(v bool) { profileOn = v }
-
-// baseConfig is the common experiment configuration.
-func baseConfig(procs int) ivy.Config {
-	cfg := ivy.Config{Processors: procs, Seed: seed, DRace: draceOn, Profile: profileOn}
-	if pendingTrace != nil {
-		cfg.Trace = pendingTrace
-		pendingTrace = nil
-	}
-	return cfg
+	return o.Speedup(a.Paper+suffix, procs, func(p int) (apps.Result, error) {
+		cfg := o.config(p)
+		if mut != nil {
+			mut(&cfg)
+		}
+		return a.Run(cfg, apps.Size{})
+	})
 }
 
 // --- Figure 5: speedups of the benchmark suite ---------------------------
 
 // Figure5 regenerates the paper's main speedup figure: linear equation
 // solver, 3-D PDE, TSP, matrix multiply, and dot product.
-func Figure5(procs []int) ([]Curve, error) {
+func (o *Options) Figure5(procs []int) ([]Curve, error) {
 	var out []Curve
-	specs := []struct {
-		name string
-		fn   func(p int) (apps.Result, error)
-	}{
-		{"linear-eqn-solver", func(p int) (apps.Result, error) {
-			return apps.RunJacobi(baseConfig(p), apps.DefaultJacobi())
-		}},
-		{"3d-pde", func(p int) (apps.Result, error) {
-			return apps.RunPDE3D(baseConfig(p), apps.DefaultPDE3D())
-		}},
-		{"tsp", func(p int) (apps.Result, error) {
-			return apps.RunTSP(baseConfig(p), apps.DefaultTSP())
-		}},
-		{"matrix-multiply", func(p int) (apps.Result, error) {
-			return apps.RunMatmul(baseConfig(p), apps.DefaultMatmul())
-		}},
-		{"dot-product", func(p int) (apps.Result, error) {
-			return apps.RunDotProd(baseConfig(p), apps.DefaultDotProd())
-		}},
-	}
-	for _, s := range specs {
-		c, err := Speedup(s.name, procs, s.fn)
+	for _, app := range []string{"jacobi", "pde3d", "tsp", "matmul", "dotprod"} {
+		c, err := o.sweep(app, "", procs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -208,9 +180,9 @@ func Figure5(procs []int) ([]Curve, error) {
 // Figure4 regenerates the super-linear 3-D PDE experiment: node memory
 // is constrained so the one-processor run pages against its disk while
 // the data distributes into the combined memories at higher counts.
-func Figure4(procs []int) (Curve, error) {
-	return Speedup("3d-pde-memory-pressure", procs, func(p int) (apps.Result, error) {
-		cfg := baseConfig(p)
+func (o *Options) Figure4(procs []int) (Curve, error) {
+	return o.Speedup("3d-pde-memory-pressure", procs, func(p int) (apps.Result, error) {
+		cfg := o.config(p)
 		cfg.MemoryPages = apps.MemoryPressureFrames
 		return apps.RunPDE3D(cfg, apps.MemoryPressurePDE3D())
 	})
@@ -227,19 +199,15 @@ type Table1 struct {
 // RunTable1 counts the cluster's disk page transfers in each of the
 // first Iters iterations of the memory-pressure PDE run, on one and two
 // processors, as the paper's Table 1 reports.
-func RunTable1() (Table1, error) {
+func (o *Options) RunTable1() (Table1, error) {
 	par := apps.MemoryPressurePDE3D()
 	t := Table1{Iters: par.Iters, Rows: map[int][]uint64{}}
 	counts := []int{1, 2}
-	type row struct {
-		perIter []uint64
-		err     error
-	}
 	// The per-count runs are independent clusters; all observer state
 	// (perIter, prev) is local to each job, so the runs parallelize
 	// like any other sweep.
-	rows := parallel.Map(curveWorkers(), len(counts), func(i int) row {
-		cfg := baseConfig(counts[i])
+	rows, err := parallel.MapErr(o.workers(), len(counts), func(i int) ([]uint64, error) {
+		cfg := o.config(counts[i])
 		cfg.MemoryPages = apps.MemoryPressureFrames
 		var perIter []uint64
 		var prev *ivy.ClusterStats
@@ -258,18 +226,18 @@ func RunTable1() (Table1, error) {
 			prev = &cur
 		}
 		if _, err := apps.RunPDE3D(cfg, p); err != nil {
-			return row{err: err}
+			return nil, err
 		}
 		if subErr != nil {
-			return row{err: fmt.Errorf("harness: table1 interval delta: %w", subErr)}
+			return nil, fmt.Errorf("harness: table1 interval delta: %w", subErr)
 		}
-		return row{perIter: perIter}
+		return perIter, nil
 	})
-	for i, r := range rows {
-		if r.err != nil {
-			return Table1{}, r.err
-		}
-		t.Rows[counts[i]] = r.perIter
+	if err != nil {
+		return Table1{}, err
+	}
+	for i, perIter := range rows {
+		t.Rows[counts[i]] = perIter
 	}
 	return t, nil
 }
@@ -279,18 +247,14 @@ func RunTable1() (Table1, error) {
 // Figure6 regenerates the sort speedup figure, including the free-
 // network variant supporting the paper's observation that "even with no
 // communication costs, the algorithm does not yield linear speedup".
-func Figure6(procs []int) ([]Curve, error) {
-	real, err := Speedup("merge-split-sort", procs, func(p int) (apps.Result, error) {
-		return apps.RunSortMerge(baseConfig(p), apps.DefaultSort())
-	})
+func (o *Options) Figure6(procs []int) ([]Curve, error) {
+	real, err := o.sweep("sort", "", procs, nil)
 	if err != nil {
 		return nil, err
 	}
-	free, err := Speedup("merge-split-sort-free-net", procs, func(p int) (apps.Result, error) {
-		cfg := baseConfig(p)
+	free, err := o.sweep("sort", "-free-net", procs, func(cfg *ivy.Config) {
 		costs := ivy.FreeNetwork()
 		cfg.Costs = &costs
-		return apps.RunSortMerge(cfg, apps.DefaultSort())
 	})
 	if err != nil {
 		return nil, err
@@ -316,7 +280,7 @@ func RenderCurve(w io.Writer, c Curve) {
 // RenderWall prints the host wall-clock cost of each point of a curve —
 // the simulator's own performance trajectory, deliberately kept out of
 // RenderCurve so the recorded paper-style outputs (EXPERIMENTS.md) stay
-// byte-stable across machines. cmd/ivybench's -wall flag drives it.
+// byte-stable across machines. `ivy bench -wall` drives it.
 func RenderWall(w io.Writer, c Curve) {
 	fmt.Fprintf(w, "  host wall-clock per run (nondeterministic; excluded from comparisons):\n")
 	fmt.Fprintf(w, "  %-6s %-14s\n", "procs", "wall")

@@ -12,8 +12,11 @@ import (
 // The harness tests run reduced sweeps ({1,2,4} processors) of the real
 // experiments and assert the paper's qualitative shapes.
 
+// seed1 is the options of the recorded outputs.
+func seed1() *Options { return &Options{Seed: 1} }
+
 func TestSpeedupRequiresBaseline(t *testing.T) {
-	_, err := Speedup("x", []int{2, 4}, nil)
+	_, err := seed1().Speedup("x", []int{2, 4}, nil)
 	if err == nil {
 		t.Fatal("missing baseline accepted")
 	}
@@ -23,7 +26,7 @@ func TestFigure5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	curves, err := Figure5([]int{1, 2, 4})
+	curves, err := seed1().Figure5([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestFigure4SuperLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	c, err := Figure4([]int{1, 2, 3})
+	c, err := seed1().Figure4([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table run")
 	}
-	tab, err := RunTable1()
+	tab, err := seed1().RunTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
-	curves, err := Figure6([]int{1, 2, 4})
+	curves, err := seed1().Figure6([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func TestAblationManagers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep")
 	}
-	rows, err := AblationManagers(4)
+	rows, err := seed1().AblationManagers(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestAblationPageSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep")
 	}
-	rows, err := AblationPageSize(4, []int{256, 1024, 4096})
+	rows, err := seed1().AblationPageSize(4, []int{256, 1024, 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestAblationPageSize(t *testing.T) {
 }
 
 func TestAblationAlloc(t *testing.T) {
-	rows, err := AblationAlloc(4, 40)
+	rows, err := seed1().AblationAlloc(4, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +220,7 @@ func TestAblationAlloc(t *testing.T) {
 }
 
 func TestAblationMigration(t *testing.T) {
-	rows, err := AblationMigration(4, 8, 2*time.Second)
+	rows, err := seed1().AblationMigration(4, 8, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +250,7 @@ func TestAblationSensitivityShapesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity sweep")
 	}
-	rows, err := AblationSensitivity()
+	rows, err := seed1().AblationSensitivity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,7 @@ func TestAblationSystemModeImproves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("projection sweep")
 	}
-	rows, err := AblationSystemMode(4)
+	rows, err := seed1().AblationSystemMode(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +313,7 @@ func TestAblationManagersGolden(t *testing.T) {
 		{ivy.FixedDistributed, 51363545943, 3776, 2841, 21854, 4266074},
 		{ivy.BroadcastManager, 347197539379, 3552, 0, 20557, 4007733},
 	}
-	rows, err := AblationManagers(8)
+	rows, err := seed1().AblationManagers(8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,12 @@ func TestProfOdd(t *testing.T) {
 		procs int
 		fn    func(int) (apps.Result, error)
 	}{
-		{"jacobi", 3, func(p int) (apps.Result, error) { return apps.RunJacobi(baseConfig(p), apps.DefaultJacobi()) }},
-		{"jacobi", 7, func(p int) (apps.Result, error) { return apps.RunJacobi(baseConfig(p), apps.DefaultJacobi()) }},
-		{"pde", 3, func(p int) (apps.Result, error) { return apps.RunPDE3D(baseConfig(p), apps.DefaultPDE3D()) }},
-		{"pde", 7, func(p int) (apps.Result, error) { return apps.RunPDE3D(baseConfig(p), apps.DefaultPDE3D()) }},
-		{"tsp", 2, func(p int) (apps.Result, error) { return apps.RunTSP(baseConfig(p), apps.DefaultTSP()) }},
-		{"tsp", 3, func(p int) (apps.Result, error) { return apps.RunTSP(baseConfig(p), apps.DefaultTSP()) }},
+		{"jacobi", 3, func(p int) (apps.Result, error) { return apps.RunJacobi(seed1().config(p), apps.DefaultJacobi()) }},
+		{"jacobi", 7, func(p int) (apps.Result, error) { return apps.RunJacobi(seed1().config(p), apps.DefaultJacobi()) }},
+		{"pde", 3, func(p int) (apps.Result, error) { return apps.RunPDE3D(seed1().config(p), apps.DefaultPDE3D()) }},
+		{"pde", 7, func(p int) (apps.Result, error) { return apps.RunPDE3D(seed1().config(p), apps.DefaultPDE3D()) }},
+		{"tsp", 2, func(p int) (apps.Result, error) { return apps.RunTSP(seed1().config(p), apps.DefaultTSP()) }},
+		{"tsp", 3, func(p int) (apps.Result, error) { return apps.RunTSP(seed1().config(p), apps.DefaultTSP()) }},
 	}
 	for _, c := range cases {
 		res, err := c.fn(c.procs)

@@ -50,7 +50,7 @@
 // A diagnostic is suppressed by a `//ivyvet:ignore <reason>` comment on
 // the flagged line or the line above; the reason is mandatory, so every
 // deliberate violation is documented at the site. Run the suite with
-// `go run ./cmd/ivyvet ./...` (see that command and DESIGN.md §8);
+// `go run ./cmd/ivy vet ./...` (see `ivy help vet` and DESIGN.md §8);
 // `-json` emits machine-readable findings and `-graph <func>` dumps a
 // function's call-graph neighborhood for debugging reachability.
 package ivyvet

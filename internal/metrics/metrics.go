@@ -1,6 +1,6 @@
 // Package metrics is the simulator's coherence-profiling plane: per-page
 // heat counters, false-sharing (dirty-word) maps, and the exposition and
-// reporting machinery behind cmd/ivyprof.
+// reporting machinery behind `ivy prof`.
 //
 // Design constraints, in order:
 //

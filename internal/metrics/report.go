@@ -97,7 +97,7 @@ func (e *ExportData) WriteDiff(w io.Writer, o *ExportData) {
 	fmt.Fprintf(w, "%-16s %12d %12d %+12d\n", "elapsed_us",
 		e.ElapsedUS, o.ElapsedUS, o.ElapsedUS-e.ElapsedUS)
 	// The headline as one grep-able line: B's traffic as a fraction of
-	// A's, so `ivyprof -diff sc.json rc.json | grep total-traffic` prints
+	// A's, so `ivy prof -diff sc.json rc.json | grep total-traffic` prints
 	// the RC win directly.
 	ratio := math.Inf(1)
 	if e.NetBytes > 0 {

@@ -29,7 +29,7 @@ import (
 // Workers normalizes a worker-count request: n >= 1 is used as given,
 // anything else (0, negative) means "one worker per host core",
 // i.e. GOMAXPROCS. This is the shared interpretation of the -parallel
-// flag across ivybench, ivyprof, and the harness.
+// flag across `ivy bench`, `ivy prof`, and the harness.
 func Workers(n int) int {
 	if n >= 1 {
 		return n
@@ -111,6 +111,21 @@ func Map[T any](workers, n int, fn func(int) T) []T {
 	out := make([]T, n)
 	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
+}
+
+// MapErr is Map for jobs that can fail: it returns the results in index
+// order, or the error of the lowest index that failed — again a function
+// of fn alone, not of which worker got there first.
+func MapErr[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	ForEach(workers, n, func(i int) { out[i], errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Timed runs fn and returns its result together with the host wall-clock

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -31,6 +32,26 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestMapErrReportsLowestFailingIndex: the error returned is a function
+// of the jobs, not of which worker failed first.
+func TestMapErrReportsLowestFailingIndex(t *testing.T) {
+	for _, w := range []int{1, 4, 50} {
+		got, err := MapErr(w, 50, func(i int) (int, error) {
+			if i%7 == 3 {
+				return 0, fmt.Errorf("job %d", i)
+			}
+			return i, nil
+		})
+		if got != nil || err == nil || err.Error() != "job 3" {
+			t.Fatalf("workers=%d: MapErr = %v, %v; want nil, job 3", w, got, err)
+		}
+		got, err = MapErr(w, 50, func(i int) (int, error) { return i, nil })
+		if err != nil || len(got) != 50 || got[49] != 49 {
+			t.Fatalf("workers=%d: MapErr = %v, %v", w, got, err)
 		}
 	}
 }

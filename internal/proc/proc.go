@@ -182,7 +182,7 @@ func NewCluster(eng *sim.Engine, svms []*core.SVM, bal BalanceConfig) *Cluster {
 	for _, s := range svms {
 		// The node id comes from the endpoint, not the slice index: a
 		// single-process cluster passes all N SVMs (ids 0..N-1), while an
-		// ivynode process passes only its own SVM, whose endpoint already
+		// `ivy node` process passes only its own SVM, whose endpoint already
 		// carries its rank in the multi-process cluster.
 		n := &Node{
 			id:      s.Endpoint().ID(),

@@ -185,7 +185,7 @@ func (l *Latency) Render(w io.Writer) {
 }
 
 // RenderTable writes the per-phase latency breakdown as an aligned
-// table (the ivytrace -summary output).
+// table (the `ivy trace -summary` output).
 func (l *Latency) RenderTable(w io.Writer) {
 	fmt.Fprintf(w, "%-14s %9s %12s %12s %12s %12s\n",
 		"phase", "count", "mean", "p50", "p95", "max")

@@ -472,7 +472,7 @@ func (n *Net) readLoop(c net.Conn) {
 // every reader and writer goroutine, and close all connections. Safe to
 // call from any goroutine; idempotent. The Driver is shared between the
 // stations of a loopback cluster, so closing it is the owner's job
-// (Loopback.Close, cmd/ivynode), not Net's.
+// (Loopback.Close, `ivy node`), not Net's.
 //
 //ivy:hostworld joins the transport's host goroutines on shutdown
 func (n *Net) Close() error {

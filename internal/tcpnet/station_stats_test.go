@@ -2,9 +2,9 @@ package tcpnet
 
 // Per-station accounting invariants over real sockets. In the
 // multi-process deployment the loopback aggregate does not exist — each
-// ivynode sees only its own station's counters — so the ring.Transport
-// contract (Attempts == Delivered + Dropped exactly, DownDrops a subset
-// of Dropped, per-kind decompositions summing back to the totals) must
+// `ivy node` process sees only its own station's counters — so the
+// ring.Transport contract (Attempts == Delivered + Dropped exactly,
+// DownDrops a subset of Dropped, per-kind sums equal to the totals) must
 // hold for every local view individually, with the counters fed
 // concurrently by writer goroutines, connection readers, and the
 // down-marking path.

@@ -2,7 +2,7 @@ package ivy_test
 
 // Multi-engine node tests: several ivy.NewNode clusters in ONE test
 // process, each with its own engine and wall-clock driver, talking over
-// real loopback TCP. This is the cmd/ivynode topology minus the process
+// real loopback TCP. This is the `ivy node` topology minus the process
 // boundary — every property these tests check (cross-engine coherence,
 // SPMD rendezvous on never-initialized eventcounts, the quiet-window
 // shutdown linger) holds identically for separate OS processes, because
@@ -11,11 +11,11 @@ package ivy_test
 import (
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	ivy "repro"
+	"repro/internal/apps"
 )
 
 // reservePorts picks n distinct loopback addresses by listening and
@@ -40,7 +40,7 @@ func reservePorts(t *testing.T, n int) map[int]string {
 }
 
 // startRank builds one rank's cluster and runs body on it, delivering
-// the result to errc. Mirrors what one ivynode process does.
+// the result to errc. Mirrors what one `ivy node` process does.
 func startRank(errc chan<- error, rank, size int, peers map[int]string, cfg ivy.Config, body func(p *ivy.Proc, rank int)) {
 	go func() {
 		c, _, err := ivy.NewNode(ivy.NodeConfig{Config: cfg, Rank: rank, Peers: peers})
@@ -70,130 +70,63 @@ func collectRanks(t *testing.T, errc <-chan error, size int) {
 	}
 }
 
+// runSPMD starts size ranks of a shipped SPMD program (the bodies
+// `ivy node` runs) and returns rank 0's check value.
+func runSPMD(t *testing.T, app string, size, n int, seed uint64, cfg ivy.Config) float64 {
+	t.Helper()
+	spmd, err := apps.LookupSPMD(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := reservePorts(t, size)
+	cfg.Processors = size
+	cfg.Horizon = 20 * time.Minute
+	cfg.TimeScale = 400
+	var check float64 // written by rank 0 only, read after every rank is collected
+	errc := make(chan error, size)
+	for r := 0; r < size; r++ {
+		startRank(errc, r, size, peers, cfg, func(p *ivy.Proc, rank int) {
+			c, _ := spmd(p, rank, size, n, seed)
+			if rank == 0 {
+				check = c
+			}
+		})
+	}
+	collectRanks(t, errc, size)
+	return check
+}
+
 // TestNodeCounterTwoEngines runs the mutual-exclusion counter across
 // two independent engines joined only by TCP: every increment's page
 // ownership migrates over a real socket, and the final count proves no
-// update was lost. The finale mirrors cmd/ivynode's two-phase shutdown.
+// update was lost.
 func TestNodeCounterTwoEngines(t *testing.T) {
 	t.Parallel()
 	const size, incs = 2, 25
-	peers := reservePorts(t, size)
-	cfg := ivy.Config{
-		Processors:  size,
-		SharedPages: 64,
-		Horizon:     20 * time.Minute,
-		TimeScale:   400,
-	}
-	var mu sync.Mutex
-	finals := map[int]uint64{}
-	errc := make(chan error, size)
-	for r := 0; r < size; r++ {
-		startRank(errc, r, size, peers, cfg, func(p *ivy.Proc, rank int) {
-			base := p.Cluster().Base()
-			page := uint64(p.Cluster().PageSize())
-			lockAddr := base + 2*page
-			countAddr := lockAddr + 8
-			for i := 0; i < incs; i++ {
-				backoff := 200 * time.Microsecond
-				for !p.TestAndSet(lockAddr) {
-					p.Sleep(backoff)
-					if backoff < 8*time.Millisecond {
-						backoff *= 2
-					}
-				}
-				p.WriteU64(countAddr, p.ReadU64(countAddr)+1)
-				p.ClearFlag(lockAddr)
-			}
-			part := p.AttachEventcount(base, size+1)
-			done := p.AttachEventcount(base+page, size+1)
-			part.Advance(p)
-			if rank == 0 {
-				part.Wait(p, int64(size))
-				mu.Lock()
-				finals[rank] = p.ReadU64(countAddr)
-				mu.Unlock()
-				done.Advance(p)
-				return
-			}
-			done.Wait(p, 1)
-		})
-	}
-	collectRanks(t, errc, size)
-	if got, want := finals[0], uint64(size*incs); got != want {
-		t.Errorf("final count %d, want %d", got, want)
+	if got := runSPMD(t, "counter", size, incs, 0, ivy.Config{SharedPages: 64}); got != size*incs {
+		t.Errorf("final count %v, want %d", got, size*incs)
 	}
 }
 
-// TestNodeThreeEnginesSPMD runs a three-rank SPMD reduction: rank 0
-// seeds a vector, every rank pulls its slice through shared memory and
-// publishes a partial sum, rank 0 reduces — the cmd/ivynode dotprod
-// shape, checked against a locally computed expectation.
+// TestNodeThreeEnginesSPMD runs the shipped three-rank dot product
+// (`ivy node -app dotprod -n 4096 -seed 9`): rank 0 seeds the vectors,
+// every rank pulls its slice through shared memory and publishes a
+// partial sum, rank 0 reduces. The SPMD body shares RunDotProd's data
+// generator, partition and summation order, so S must equal the
+// simulator's check value bit for bit.
 func TestNodeThreeEnginesSPMD(t *testing.T) {
 	t.Parallel()
-	const size, n = 3, 1536
-	peers := reservePorts(t, size)
-	cfg := ivy.Config{
-		Processors:  size,
-		Algorithm:   ivy.DynamicDistributed,
-		SharedPages: 128,
-		Horizon:     20 * time.Minute,
-		TimeScale:   400,
+	const size, n, seed = 3, 4096, 9
+	sim, err := apps.RunDotProd(ivy.Config{Processors: size, Seed: 1}, apps.DotProdParams{N: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var total float64
-	errc := make(chan error, size)
-	for r := 0; r < size; r++ {
-		startRank(errc, r, size, peers, cfg, func(p *ivy.Proc, rank int) {
-			base := p.Cluster().Base()
-			page := uint64(p.Cluster().PageSize())
-			ecInit, ecPart, ecDone := base, base+page, base+2*page
-			xBase := base + 3*page
-			partBase := xBase + 8*uint64(n)
-			init := p.AttachEventcount(ecInit, size+1)
-			if rank == 0 {
-				xv := make([]float64, n)
-				for i := range xv {
-					xv[i] = float64(i%17) * 0.5
-				}
-				p.WriteF64s(xBase, xv)
-				init.Advance(p)
-			} else {
-				init.Wait(p, 1)
-			}
-			lo := rank * n / size
-			hi := (rank + 1) * n / size
-			xs := make([]float64, hi-lo)
-			p.ReadF64s(xBase+8*uint64(lo), xs)
-			sum := 0.0
-			for _, v := range xs {
-				sum += v
-			}
-			p.WriteF64(partBase+128*uint64(rank), sum)
-			part := p.AttachEventcount(ecPart, size+1)
-			done := p.AttachEventcount(ecDone, size+1)
-			part.Advance(p)
-			if rank == 0 {
-				part.Wait(p, int64(size))
-				s := 0.0
-				for w := 0; w < size; w++ {
-					s += p.ReadF64(partBase + 128*uint64(w))
-				}
-				mu.Lock()
-				total = s
-				mu.Unlock()
-				done.Advance(p)
-				return
-			}
-			done.Wait(p, 1)
-		})
+	if sim.Check != 1015.8987674740442 {
+		t.Errorf("simulated check %v, want 1015.8987674740442", sim.Check)
 	}
-	collectRanks(t, errc, size)
-	want := 0.0
-	for i := 0; i < n; i++ {
-		want += float64(i%17) * 0.5
-	}
-	if total != want {
-		t.Errorf("reduction over TCP = %g, want %g", total, want)
+	cfg := ivy.Config{Algorithm: ivy.DynamicDistributed, SharedPages: 128}
+	if got := runSPMD(t, "dotprod", size, n, seed, cfg); got != sim.Check {
+		t.Errorf("S over TCP = %v, simulator's check = %v", got, sim.Check)
 	}
 }
 

@@ -70,18 +70,13 @@ func scrubWall(curves []harness.Curve) {
 // be DeepEqual — same virtual times, speedups, fault/packet/disk counts,
 // and page-heat profiles.
 func TestFigure5CurveParallelEquivalence(t *testing.T) {
-	defer harness.SetParallel(0)
-	defer harness.SetProfile(false)
-	harness.SetProfile(true)
 	procs := []int{1, 2}
 
-	harness.SetParallel(1)
-	seq, err := harness.Figure5(procs)
+	seq, err := (&harness.Options{Seed: 1, Profile: true, Parallel: 1}).Figure5(procs)
 	if err != nil {
 		t.Fatalf("sequential Figure5: %v", err)
 	}
-	harness.SetParallel(4)
-	par, err := harness.Figure5(procs)
+	par, err := (&harness.Options{Seed: 1, Profile: true, Parallel: 4}).Figure5(procs)
 	if err != nil {
 		t.Fatalf("parallel Figure5: %v", err)
 	}

@@ -91,7 +91,7 @@ func TestProfileGoldenProm(t *testing.T) {
 
 // TestProfileReportDeterministic runs the matmul benchmark at 8 nodes
 // with profiling on, twice, and requires bit-identical ranked reports —
-// the acceptance bar cmd/ivyprof is held to in CI.
+// the acceptance bar `ivy prof` is held to in CI.
 func TestProfileReportDeterministic(t *testing.T) {
 	render := func() []byte {
 		res, err := apps.RunMatmul(ivy.Config{

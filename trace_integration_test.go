@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// traceSharingWorkload is the ivytrace sharing scenario: one page read
+// traceSharingWorkload is the `ivy trace` sharing scenario: one page read
 // by every node, then written, exercising read faults, write faults,
 // ownership transfer, and invalidation on three nodes.
 func traceSharingWorkload(p *Proc) {
