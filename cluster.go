@@ -411,8 +411,11 @@ var ErrHorizon = errors.New("ivy: program did not finish within the run horizon 
 
 // Run creates the main process on node 0 (the processor "with which the
 // user directly contacts"), runs the simulation until it terminates, and
-// records the elapsed virtual time. Run may be called once.
-func (c *Cluster) Run(main func(p *Proc)) error {
+// records the elapsed virtual time. Run may be called once. When it is
+// over — returned, or left by a panic of the program's (re-raised as
+// sim: fiber "…" panicked: …) or a test's FailNow inside it — the trace
+// is written and no process of the simulated machine is left: see end.
+func (c *Cluster) Run(main func(p *Proc)) (err error) {
 	if c.ran {
 		panic("ivy: Run called twice on one cluster")
 	}
@@ -439,35 +442,59 @@ func (c *Cluster) Run(main func(p *Proc)) error {
 		if c.nd != nil {
 			c.lingerNode(f)
 		}
-		c.procs.Stop()
 		c.eng.Stop()
 	})
 	if c.tr != nil && c.sampleIvl > 0 {
-		cancel := c.armSampler()
-		defer cancel()
+		c.armSampler()
 	}
-	runErr := c.eng.RunUntil(sim.Time(c.cfg.Horizon))
-	// No frame will be sent or delivered again: give up what the message
-	// path holds only for reuse or for answering duplicates (idle buffers
-	// and records, cached replies). A finished cluster stays reachable,
-	// and whatever it keeps stays resident with it.
+	// returned stays false while a panic or a Goexit passes through.
+	returned := false
+	defer func() {
+		horizon := returned && err == nil && !finished
+		if endErr := c.end(horizon); err == nil {
+			err = endErr
+		}
+	}()
+	err = c.eng.RunUntil(sim.Time(c.cfg.Horizon))
+	returned = true
+	return err
+}
+
+// end is the end of every Run, in the one order that works (DESIGN §7
+// "End of run"). First the record of the run, while there is still
+// something to read it from: the hang report of a run that hit its
+// horizon (who is parked, who holds which page lock), and the trace closed
+// and exported — so that even a deadlocked, runaway or panicking program
+// leaves an inspectable trace file. Then the observers come off, because
+// unwinding runs the bodies' deferred calls and an End event emitted by a
+// fault that is being torn down is not an event of the run. Then the
+// simulated machine is taken down (sim.Engine.Close): the null processes,
+// and after a bad run every process and handler parked mid-protocol, are
+// unwound and their goroutines end, so that a finished cluster keeps
+// nothing alive and is collected as soon as its caller lets go of it.
+// Last, the message path gives up what it held for reuse or for answering
+// duplicates, including what the unwinding handed back to it — that much
+// matters only to a caller who keeps the Cluster.
+func (c *Cluster) end(horizon bool) error {
+	var err error
+	if horizon {
+		err = fmt.Errorf("%w: parked fibers: %v; held page locks: %v",
+			ErrHorizon, c.eng.Parked(), c.heldPageLocks())
+	}
+	if traceErr := c.finishTrace(); err == nil {
+		err = traceErr
+	}
+	for _, svm := range c.svms {
+		svm.SetObserver(nil)
+	}
+	c.eng.Close()
 	for _, svm := range c.svms {
 		svm.Endpoint().ReleaseIdle()
 	}
 	if c.nw != nil {
 		c.nw.ReleaseIdle()
 	}
-	// Close and export the trace on every exit path, so even a deadlock
-	// or horizon run leaves an inspectable trace file.
-	traceErr := c.finishTrace()
-	if runErr != nil {
-		return runErr
-	}
-	if !finished {
-		return fmt.Errorf("%w: parked fibers: %v; held page locks: %v",
-			ErrHorizon, c.eng.Parked(), c.heldPageLocks())
-	}
-	return traceErr
+	return err
 }
 
 // lingerNode keeps a multi-process node's engine alive after its own
@@ -504,10 +531,10 @@ func (c *Cluster) lingerNode(f *sim.Fiber) {
 // armSampler schedules the virtual-time series recorder. Ring
 // utilization is the wire time reserved during the interval divided by
 // the interval; a send burst reserving time past the sample instant can
-// push a sample above 1.
-func (c *Cluster) armSampler() (cancel func()) {
+// push a sample above 1. The timer lasts as long as the engine.
+func (c *Cluster) armSampler() {
 	var lastBusy time.Duration
-	return c.eng.Every(c.sampleIvl, func() {
+	c.eng.Every(c.sampleIvl, func() {
 		ns := c.nw.Stats()
 		smp := trace.Sample{
 			Time:            c.eng.Now().Duration(),
@@ -718,8 +745,11 @@ func (c *Cluster) DigestRegion(base, size uint64) uint64 {
 
 // VerifyCoherence checks the shared virtual memory's protocol invariants
 // (single owner per page, single writer, registered readers, sane
-// probOwner hints, no stuck fault locks). Call after Run, or from a
-// quiescent point inside one; a non-empty result is a protocol bug.
+// probOwner hints, no stuck fault locks). Call after a Run that returned
+// nil, or from a quiescent point inside one; a non-empty result is then a
+// protocol bug. After a failed Run it says nothing: processes were ended
+// mid-protocol, their deferred unlocks ran and their explicit ones did
+// not, and the returned error is the record of what was held.
 func (c *Cluster) VerifyCoherence() []error {
 	return core.VerifyCoherence(c.svms)
 }

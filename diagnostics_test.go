@@ -11,26 +11,19 @@ import (
 	"repro/internal/sim"
 )
 
-// TestHangReportText deadlocks a two-node cluster on purpose and reads
-// the hang report. Park reasons and handler-fiber names are kept as data
-// and rendered only here, so this is the test that the rendered text is
-// still what it was when every site formatted eagerly: the handler
-// fiber's node1/ReadFaultReq#… name, "page N lock on node 1", "call
-// ReadFaultReq -> node 0", and the holders of the held page locks.
-//
-// Node 1 owns page a and node 0 owns page b; on each node a fiber takes
-// the owned page's lock and never lets go. Then node 0 reads a and node 1
+// hangProgram deadlocks a two-node cluster on purpose, mid-fault. Node 1
+// owns page a and node 0 owns page b; on each node a fiber takes the
+// owned page's lock and never lets go. Then node 0 reads a and node 1
 // reads b: each faulting process parks on its call to the other node,
-// where the request's handler fiber parks on the held page lock.
-func TestHangReportText(t *testing.T) {
-	c := New(Config{Processors: 2, Seed: 1, Horizon: 20 * time.Second})
-	var pa, pb mmu.PageID
-	err := c.Run(func(p *Proc) {
+// where the request's handler fiber parks on the held page lock. The two
+// page numbers are stored through pa and pb.
+func hangProgram(c *Cluster, pa, pb *mmu.PageID) func(p *Proc) {
+	return func(p *Proc) {
 		ps := uint64(c.PageSize())
 		base := p.MustMalloc(4 * ps)
 		base += ps - base%ps // page-aligned
 		a, b := base, base+ps
-		pa, pb = c.svms[0].PageOf(a), c.svms[0].PageOf(b)
+		*pa, *pb = c.svms[0].PageOf(a), c.svms[0].PageOf(b)
 		p.WriteU64(b, 1) // node 0 owns b
 		owned := p.NewEventcount(4)
 		p.CreateOn(1, func(q *Proc) {
@@ -46,11 +39,23 @@ func TestHangReportText(t *testing.T) {
 				f.Park("holding page %d", int(page))
 			}, node)
 		}
-		hold(0, pb)
-		hold(1, pa)
+		hold(0, *pb)
+		hold(1, *pa)
 		p.Sleep(time.Second)
 		p.ReadU64(a)
-	})
+	}
+}
+
+// TestHangReportText runs hangProgram into its horizon and reads the
+// hang report. Park reasons and handler-fiber names are kept as data
+// and rendered only here, so this is the test that the rendered text is
+// still what it was when every site formatted eagerly: the handler
+// fiber's node1/ReadFaultReq#… name, "page N lock on node 1", "call
+// ReadFaultReq -> node 0", and the holders of the held page locks.
+func TestHangReportText(t *testing.T) {
+	c := New(Config{Processors: 2, Seed: 1, Horizon: 20 * time.Second})
+	var pa, pb mmu.PageID
+	err := c.Run(hangProgram(c, &pa, &pb))
 	if !errors.Is(err, ErrHorizon) {
 		t.Fatalf("Run returned %v, want the horizon error", err)
 	}

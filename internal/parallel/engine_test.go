@@ -49,18 +49,16 @@ func TestRunUntilFromSuccessiveGoroutines(t *testing.T) {
 }
 
 // TestGoexitOnFiberEndsTheRunUntilGoroutine: a test's FailNow on a fiber
-// is a runtime.Goexit on the fiber's coroutine. The fiber is retired —
-// Done, exit callbacks run — and the Goexit passes to the goroutine that
-// called RunUntil, which unwinds through its defers and exits: the
-// goroutine FailNow means to end is the one driving the test, not a
-// coroutine nobody waits for.
+// is a runtime.Goexit on the fiber's coroutine. The fiber is over — it
+// says Done — and the Goexit passes to the goroutine that called
+// RunUntil, which unwinds through its defers and exits: the goroutine
+// FailNow means to end is the one driving the test, not a coroutine
+// nobody waits for. The bystander is left asleep; Close, from yet another
+// goroutine, ends it without running it further.
 func TestGoexitOnFiberEndsTheRunUntilGoroutine(t *testing.T) {
 	e := sim.New(1)
-	exited, after, returned, deferred := false, false, false, false
-	quitter := e.Go("quitter", func(f *sim.Fiber) {
-		f.OnExit(func() { exited = true })
-		runtime.Goexit()
-	})
+	after, returned, deferred := false, false, false
+	quitter := e.Go("quitter", func(*sim.Fiber) { runtime.Goexit() })
 	e.Go("bystander", func(f *sim.Fiber) {
 		f.Sleep(time.Millisecond)
 		after = true
@@ -76,9 +74,10 @@ func TestGoexitOnFiberEndsTheRunUntilGoroutine(t *testing.T) {
 	if returned || !deferred {
 		t.Fatalf("Run returned: %v, the driving goroutine's defers ran: %v; want false, true", returned, deferred)
 	}
-	if !quitter.Done() || !exited {
-		t.Fatalf("quitter Done: %v, its exit callbacks ran: %v", quitter.Done(), exited)
+	if !quitter.Done() {
+		t.Fatal("the fiber that exited does not say Done")
 	}
+	e.Close()
 	if after {
 		t.Fatal("the run went on after the goroutine driving it had exited")
 	}

@@ -26,7 +26,7 @@ func (n *Node) handleWork(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	if !env.IsRequest() {
 		return nil // load-hint broadcast
 	}
-	if n.stopped || n.counted <= n.bal.HighThreshold {
+	if n.counted <= n.bal.HighThreshold {
 		return &wire.WorkReply{Granted: false}
 	}
 	p := n.pickMigratable()

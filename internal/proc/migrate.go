@@ -241,9 +241,6 @@ func (n *Node) handleMigrate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	if err != nil {
 		return &wire.MigrateReject{Reason: wire.RejectNoProcess}
 	}
-	if n.stopped {
-		return &wire.MigrateReject{Reason: wire.RejectBusy}
-	}
 	p := n.cluster.procs[img.handle]
 	if p == nil {
 		return &wire.MigrateReject{Reason: wire.RejectNoProcess}

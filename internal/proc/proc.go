@@ -131,7 +131,6 @@ type Node struct {
 	nullParked bool
 	lastHint   sim.Time
 	probeNext  int // round-robin cursor for hint-less probing
-	stopped    bool
 
 	// fwdQueue lists PCB handles whose local slots are forwarding
 	// pointers, awaiting garbage collection.
@@ -212,15 +211,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
-// Stop shuts down the null processes; outstanding processes keep running
-// to completion but no further balancing happens.
-func (c *Cluster) Stop() {
-	for _, n := range c.nodes {
-		n.stopped = true
-		n.wakeNull()
-	}
-}
-
 // ID returns the node's ring ID.
 func (n *Node) ID() ring.NodeID { return n.id }
 
@@ -288,10 +278,12 @@ func (n *Node) wakeNull() {
 // startNull launches the node's null process: it runs when no ready
 // process exists, performing the passive load-balancing timeout loop.
 // (The outgoing-channel retransmission check the paper also assigns to
-// the null process is modelled by the endpoint's periodic timer.)
+// the null process is modelled by the endpoint's periodic timer.) Like
+// the paper's it idles for as long as the machine is up: the loop has no
+// exit, and the process ends when the engine is closed.
 func (n *Node) startNull() {
 	n.nullFiber = n.eng.Go(fmt.Sprintf("null%d", n.id), func(f *sim.Fiber) {
-		for !n.stopped {
+		for {
 			if n.current != nil || len(n.ready) > 0 {
 				n.nullParked = true
 				f.Park("idle (null process)")
@@ -306,7 +298,7 @@ func (n *Node) startNull() {
 				iv = 10 * time.Millisecond
 			}
 			f.Sleep(iv)
-			if n.stopped || n.current != nil || len(n.ready) > 0 {
+			if n.current != nil || len(n.ready) > 0 {
 				continue
 			}
 			if n.bal.Enabled {

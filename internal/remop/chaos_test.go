@@ -251,22 +251,19 @@ func (l lossyInjector) Deliver(src, dst ring.NodeID, broadcast bool, size int) r
 	}
 }
 
-// TestReferenceAccountingUnderChaos: every kind of traffic the layer
-// produces — calls along forwarding chains, fan-outs, both replying
-// broadcast schemes, no-reply broadcasts, reliable notifies, replies that
-// carry pages — over a ring that drops, duplicates and delays, with one
-// station down for a while and a reply cache small enough to evict and
-// be overwritten. Once everything has settled, each endpoint's live
-// payload references are exactly its outstanding requests plus its cached
-// replies: the transport gave back every one it was handed (an
-// over-release would have panicked), and the ring's attempt accounting is
-// still exact.
-func TestReferenceAccountingUnderChaos(t *testing.T) {
+// chaosTraffic builds the scenario of the reference-accounting tests:
+// every kind of traffic the layer produces — calls along forwarding
+// chains, fan-outs, both replying broadcast schemes, no-reply broadcasts,
+// reliable notifies, replies that carry pages — over a ring that drops,
+// duplicates and delays, with one station down from 3 s to 40 s and a
+// reply cache small enough to evict and be overwritten. done counts the
+// drivers that got through their twelve rounds.
+func chaosTraffic(t *testing.T) (eng *sim.Engine, nw *ring.Network, eps []*Endpoint, done *int) {
 	const n = 4
-	eng := sim.New(7)
+	eng = sim.New(7)
 	costs := model.Default1988()
-	nw := ring.New(eng, costs, n)
-	eps := make([]*Endpoint, n)
+	nw = ring.New(eng, costs, n)
+	eps = make([]*Endpoint, n)
 	for i := range eps {
 		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
 		eps[i] = NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil, WithReplyCacheCap(4))
@@ -300,7 +297,7 @@ func TestReferenceAccountingUnderChaos(t *testing.T) {
 	eng.Schedule(3*time.Second, func() { nw.SetNodeDown(3, true) })
 	eng.Schedule(40*time.Second, func() { nw.SetNodeDown(3, false) })
 
-	done := 0
+	done = new(int)
 	for i := range eps {
 		ep := eps[i]
 		eng.Go(fmt.Sprintf("driver%d", i), func(f *sim.Fiber) {
@@ -333,14 +330,24 @@ func TestReferenceAccountingUnderChaos(t *testing.T) {
 				ep.NotifyReliable(dst, &wire.MgrConfirm{Page: uint32(round)})
 				ep.BroadcastNoReply(&wire.WorkReq{Load: uint8(round)})
 			}
-			done++
+			*done++
 		})
 	}
+	return eng, nw, eps, done
+}
+
+// TestReferenceAccountingUnderChaos: once the traffic of chaosTraffic has
+// settled, each endpoint's live payload references are exactly its
+// outstanding requests plus its cached replies: the transport gave back
+// every one it was handed (an over-release would have panicked), and the
+// ring's attempt accounting is still exact.
+func TestReferenceAccountingUnderChaos(t *testing.T) {
+	eng, nw, eps, done := chaosTraffic(t)
 	if err := eng.RunUntil(sim.Time(4 * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if done != n {
-		t.Fatalf("%d of %d drivers finished", done, n)
+	if *done != len(eps) {
+		t.Fatalf("%d of %d drivers finished", *done, len(eps))
 	}
 	for i, ep := range eps {
 		if len(ep.out) != 0 {
@@ -369,5 +376,75 @@ func TestReferenceAccountingUnderChaos(t *testing.T) {
 	}
 	if retx == 0 || dupServed == 0 {
 		t.Errorf("no retransmission (%d) or cached-reply resend (%d) happened", retx, dupServed)
+	}
+}
+
+// TestReferenceAccountingAcrossTeardown closes the engine under the same
+// traffic in mid-flight: station 3 is down, every driver is parked in a
+// call that needs it, retransmissions come and go. A caller unwound from
+// its park retires its request on the way out (the calls defer that
+// before they park), giving back the request's payload reference exactly
+// once — replies that had arrived for it included. The instant is chosen
+// so that the arithmetic is exact: no frame in flight (the ring would hold
+// references nobody gives back once the engine is closed) and no reliable
+// notify outstanding (nobody waits for one, so nobody would retire it).
+// Then no request is left registered, the endpoints hold their cached
+// replies and nothing else, and nothing at all once those are given up.
+func TestReferenceAccountingAcrossTeardown(t *testing.T) {
+	eng, _, eps, done := chaosTraffic(t)
+	waited := func(ep *Endpoint) (n int) {
+		for _, p := range ep.out {
+			if p.fiber != nil {
+				n++
+			}
+		}
+		return n
+	}
+	quiet := func() bool {
+		calls := 0
+		for _, ep := range eps {
+			if ep.codec.LiveRefs() != len(ep.out)+len(ep.replyCache) || waited(ep) != len(ep.out) {
+				return false
+			}
+			calls += len(ep.out)
+		}
+		return calls > 0
+	}
+	at := 10 * time.Second
+	for ; ; at += 50 * time.Millisecond {
+		if at >= 40*time.Second {
+			t.Fatal("no instant in the outage with calls outstanding and no frame in flight")
+		}
+		if err := eng.RunUntil(sim.Time(at)); err != nil {
+			t.Fatal(err)
+		}
+		if quiet() {
+			break
+		}
+	}
+	if *done != 0 {
+		t.Fatalf("%d drivers finished during the outage", *done)
+	}
+	outstanding, replies := 0, 0
+	for _, ep := range eps {
+		outstanding += len(ep.out)
+		for _, p := range ep.out {
+			replies += len(p.replies)
+		}
+	}
+	t.Logf("closing at %v: %d calls outstanding holding %d replies", at, outstanding, replies)
+	eng.Close()
+	for i, ep := range eps {
+		if len(ep.out) != 0 {
+			t.Errorf("node %d: %d requests still registered after their callers were unwound", i, len(ep.out))
+		}
+		if got, want := ep.codec.LiveRefs(), len(ep.out)+len(ep.replyCache); got != want {
+			t.Errorf("node %d: %d live payload references after Close, want %d (%d outstanding + %d cached replies)",
+				i, got, want, len(ep.out), len(ep.replyCache))
+		}
+		ep.ReleaseIdle()
+		if got := ep.codec.LiveRefs(); got != 0 {
+			t.Errorf("node %d: %d live payload references after ReleaseIdle, want 0", i, got)
+		}
 	}
 }

@@ -33,14 +33,19 @@ func (ep *Endpoint) CallMany(f *sim.Fiber, dsts []ring.NodeID, req wire.Msg) ([]
 		return nil, nil
 	}
 	g := &group{need: len(dsts), fiber: f}
-	ps := make([]*pending, len(dsts))
-	for i, d := range dsts {
+	ps := make([]*pending, 0, len(dsts))
+	defer func() {
+		for _, p := range ps {
+			ep.retire(p)
+		}
+	}()
+	for _, d := range dsts {
 		if d == ep.id {
 			panic("remop: call-many to self")
 		}
 		p := ep.newPending(f, d, req, 1, false)
 		p.group = g
-		ps[i] = p
+		ps = append(ps, p)
 		ep.transmit(p)
 	}
 	f.Park("call-many %s -> %d nodes", req.Kind().String(), len(dsts))
@@ -48,16 +53,14 @@ func (ep *Endpoint) CallMany(f *sim.Fiber, dsts []ring.NodeID, req wire.Msg) ([]
 	var err error
 	for i, p := range ps {
 		if len(p.replies) == 0 {
-			// Every member must be unregistered before returning, so keep
-			// draining; ErrNodeDown (if any member saw it) outranks the
-			// generic failure.
+			// ErrNodeDown (if any member saw it) outranks the generic
+			// failure.
 			if err == nil || p.nodeDown {
 				err = p.failErr()
 			}
 		} else {
 			out[i] = p.replies[0].Body
 		}
-		ep.retire(p)
 	}
 	if err != nil {
 		return nil, err
@@ -90,15 +93,13 @@ func (ep *Endpoint) CallRedirect(f *sim.Fiber, dst ring.NodeID, req wire.Msg, st
 		panic("remop: call to self; use the local fast path")
 	}
 	p := ep.newPending(f, dst, req, 1, false)
+	defer ep.retire(p)
 	p.stuckAfter = stuckAfter
 	ep.transmit(p)
 	for {
 		f.Park("call %s -> node %d (redirectable)", req.Kind().String(), int(p.dst))
-		if len(p.replies) > 0 {
-			return ep.finish(p)
-		}
-		if p.failed {
-			return ep.finish(p)
+		if len(p.replies) > 0 || p.failed {
+			return p.result()
 		}
 		// Stuck: relocate. The pending stays registered so a late reply
 		// still lands; re-check after the (blocking) location step.
@@ -106,7 +107,7 @@ func (ep *Endpoint) CallRedirect(f *sim.Fiber, dst ring.NodeID, req wire.Msg, st
 			p.dst = nd
 		}
 		if len(p.replies) > 0 {
-			return ep.finish(p)
+			return p.result()
 		}
 		p.woken = false
 		p.stuck = false

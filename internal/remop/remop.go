@@ -453,9 +453,10 @@ func (ep *Endpoint) Call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (wire.Msg,
 		panic("remop: call to self; use the local fast path")
 	}
 	p := ep.newPending(f, dst, req, 1, false)
+	defer ep.retire(p)
 	ep.transmit(p)
 	f.Park("call %s -> node %d", req.Kind().String(), int(dst))
-	return ep.finish(p)
+	return p.result()
 }
 
 // CallFailFast is Call with graceful degradation: when the destination
@@ -472,10 +473,11 @@ func (ep *Endpoint) CallFailFast(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (w
 		panic("remop: call to self; use the local fast path")
 	}
 	p := ep.newPending(f, dst, req, 1, false)
+	defer ep.retire(p)
 	p.failFast = true
 	ep.transmit(p)
 	f.Park("call %s -> node %d (fail-fast)", req.Kind().String(), int(dst))
-	return ep.finish(p)
+	return p.result()
 }
 
 // BroadcastAny broadcasts req and parks until the first reply; later
@@ -484,9 +486,10 @@ func (ep *Endpoint) CallFailFast(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (w
 func (ep *Endpoint) BroadcastAny(f *sim.Fiber, req wire.Msg) (wire.Msg, error) {
 	ep.stats.Broadcasts++
 	p := ep.newPending(f, ring.Broadcast, req, 1, true)
+	defer ep.retire(p)
 	ep.transmit(p)
 	f.Park("broadcast-any %s", req.Kind().String())
-	return ep.finish(p)
+	return p.result()
 }
 
 // BroadcastAll broadcasts req and parks until every other node has
@@ -499,9 +502,9 @@ func (ep *Endpoint) BroadcastAll(f *sim.Fiber, req wire.Msg) ([]wire.Msg, error)
 		return nil, nil
 	}
 	p := ep.newPending(f, ring.Broadcast, req, want, true)
+	defer ep.retire(p)
 	ep.transmit(p)
 	f.Park("broadcast-all %s", req.Kind().String())
-	defer ep.retire(p)
 	if len(p.replies) < want {
 		return nil, p.failErr()
 	}
@@ -593,10 +596,9 @@ func (ep *Endpoint) sendOwned(dst ring.NodeID, pl *wire.Payload, span trace.Span
 	ep.nw.Send(&heap)
 }
 
-// finish collects the result of a single-reply pending after the fiber
-// resumes, and retires it.
-func (ep *Endpoint) finish(p *pending) (wire.Msg, error) {
-	defer ep.retire(p)
+// result is the outcome of a single-reply pending, read by the waiting
+// fiber once it has resumed.
+func (p *pending) result() (wire.Msg, error) {
 	if len(p.replies) == 0 {
 		return nil, p.failErr()
 	}
@@ -607,7 +609,10 @@ func (ep *Endpoint) finish(p *pending) (wire.Msg, error) {
 // reference to the request payload, and the reply envelopes — not their
 // bodies, which belong to whoever the call returned them to. The caller
 // must be the last user of p: the waiting fiber once it has read the
-// outcome, or the layer itself for a request nobody waits on.
+// outcome, or the layer itself for a request nobody waits on. The calls
+// that wait defer it before they park, so a request is retired on every
+// way out of the call that made it — with its outcome, or unwound from
+// its park when the engine is closed.
 func (ep *Endpoint) retire(p *pending) {
 	delete(ep.out, p.reqID)
 	p.payload.Release()
@@ -835,8 +840,9 @@ func (ep *Endpoint) PageBuffer(n int) []byte { return ep.codec.Page(n) }
 // ReleaseIdle gives up everything the endpoint holds only for reuse or
 // for answering duplicates: the idle records and buffers, and the cached
 // replies. Call it when the run has ended and no frame will arrive
-// again — a finished cluster stays reachable, and what its endpoints
-// keep stays resident with it.
+// again, after the engine is closed — the callers it unwinds hand their
+// records back to these lists. It matters to whoever keeps the finished
+// cluster: what its endpoints keep stays resident with it.
 func (ep *Endpoint) ReleaseIdle() {
 	for _, key := range ep.cacheOrder {
 		ep.replyCache[key].payload.Release()
@@ -919,7 +925,7 @@ func (ep *Endpoint) retransmitCheck() {
 		}
 		p.retries++
 		if p.retries > maxRetries {
-			// Give up: wake the caller with whatever arrived. finish()
+			// Give up: wake the caller with whatever arrived. result()
 			// or BroadcastAll turns a short reply set into an error.
 			ep.stats.GiveUps++
 			p.woken = true

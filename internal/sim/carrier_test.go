@@ -90,8 +90,9 @@ func TestCarrierNotReusedAfterPanic(t *testing.T) {
 func explode() { panic("kaboom") }
 
 // TestCarriersReleasedAtEndOfRun is the third edge: when RunUntil
-// returns, every idle carrier has been stopped, so a finished run keeps
-// no goroutine the fibers' bodies are not still parked in.
+// returns, every idle carrier has been stopped, so between runs the
+// engine keeps no goroutine the fibers' bodies are not still parked in
+// (and after Close none at all: the TestTeardown tests below).
 func TestCarriersReleasedAtEndOfRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := New(1)
@@ -114,6 +115,267 @@ func TestCarriersReleasedAtEndOfRun(t *testing.T) {
 	settleGoroutines(t, base+8)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	settleGoroutines(t, base)
+}
+
+// TestTeardownUnwindsParkedFibers: Close ends fibers parked in Sleep, in
+// Park and in a wait queue. Each body's deferred calls run, nothing after
+// its park does, the fiber says Done and its goroutine is gone. The queue
+// comes in both orders: the unit's holder unwound before its waiter (its
+// deferred Release wakes a fiber that is about to be ended — a wake-up
+// nobody dispatches) and after it (it pops a fiber that is already over).
+func TestTeardownUnwindsParkedFibers(t *testing.T) {
+	for _, holderFirst := range []bool{true, false} {
+		base := runtime.NumGoroutine()
+		e := New(1)
+		cpu := NewResource(e, "cpu", 1)
+		var unwound, resumed []string
+		body := func(block func(f *Fiber)) func(f *Fiber) {
+			return func(f *Fiber) {
+				defer func() { unwound = append(unwound, f.Name()) }()
+				block(f)
+				resumed = append(resumed, f.Name())
+			}
+		}
+		holder := body(func(f *Fiber) {
+			cpu.Acquire(f)
+			defer cpu.Release()
+			f.Sleep(time.Hour)
+		})
+		waiter := body(func(f *Fiber) {
+			f.Sleep(time.Millisecond)
+			cpu.Acquire(f)
+			defer cpu.Release()
+		})
+		// Close goes through the live fibers newest first.
+		var fibers []*Fiber
+		if holderFirst {
+			fibers = append(fibers, e.Go("waiter", waiter), e.Go("holder", holder))
+		} else {
+			fibers = append(fibers, e.Go("holder", holder), e.Go("waiter", waiter))
+		}
+		fibers = append(fibers,
+			e.Go("parker", body(func(f *Fiber) { f.Park("a wake-up that never comes") })),
+			e.Go("sleeper", body(func(f *Fiber) { f.Sleep(time.Hour) })))
+		if err := e.RunUntil(Time(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if cpu.QueueLen() != 1 || len(e.Parked()) != 4 {
+			t.Fatalf("before Close: %d queued on the cpu, parked %q", cpu.QueueLen(), e.Parked())
+		}
+		settleGoroutines(t, base+4)
+		now, events := e.Now(), e.Events()
+		e.Close()
+		want := "[sleeper parker waiter holder]"
+		if holderFirst {
+			want = "[sleeper parker holder waiter]"
+		}
+		if got := fmt.Sprint(unwound); got != want {
+			t.Errorf("holder first %v: deferred calls ran for %s, want %s", holderFirst, got, want)
+		}
+		if len(resumed) != 0 {
+			t.Errorf("holder first %v: %q ran on past their park", holderFirst, resumed)
+		}
+		for _, f := range fibers {
+			if !f.Done() {
+				t.Errorf("holder first %v: %s is not Done after Close", holderFirst, f.Name())
+			}
+		}
+		if e.Now() != now || e.Events() != events || e.pending() != 0 || len(e.Parked()) != 0 {
+			t.Errorf("holder first %v: after Close now %v (was %v), %d events (was %d), %d pending, parked %q",
+				holderFirst, e.Now(), now, e.Events(), events, e.pending(), e.Parked())
+		}
+		settleGoroutines(t, base)
+		e.Close() // a second Close does nothing
+	}
+}
+
+// TestTeardownDropsFibersThatNeverStarted: a fiber whose start event was
+// never dispatched is dropped without its body running, whether its
+// carrier is fresh (the coroutine has not begun) or recycled (it waits in
+// the idle loop with the new fiber already bound).
+func TestTeardownDropsFibersThatNeverStarted(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ran := false
+
+	e := New(1)
+	fresh := e.Go("fresh", func(*Fiber) { ran = true })
+	e.Close()
+	if ran || !fresh.Done() {
+		t.Errorf("fresh carrier: body ran %v, Done %v; want false, true", ran, fresh.Done())
+	}
+	settleGoroutines(t, base)
+
+	e = New(1)
+	var recycled *Fiber
+	first := e.Go("first", func(f *Fiber) {
+		f.Sleep(time.Millisecond)
+		// Runs at this instant, after this body has returned and its
+		// carrier has gone idle.
+		e.Schedule(0, func() {
+			recycled = e.Go("recycled", func(*Fiber) { ran = true })
+			e.Stop()
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recycled.c != first.c {
+		t.Fatal("the second fiber is not on the first one's carrier")
+	}
+	settleGoroutines(t, base+1)
+	e.Close()
+	if ran || !recycled.Done() {
+		t.Errorf("recycled carrier: body ran %v, Done %v; want false, true", ran, recycled.Done())
+	}
+	settleGoroutines(t, base)
+}
+
+// TestTeardownBodyThatBlocksAgain: a body cannot outlast Close by
+// blocking once more. A deferred call that sleeps, and a body that
+// recovers from the unwinding and parks again, are unwound again on the
+// spot — the stopped carrier's yield reports false without switching —
+// and the sleeps they asked for never happen: the clock and the event
+// count stand still. A body that recovers and simply returns is over.
+func TestTeardownBodyThatBlocksAgain(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New(1)
+	var log []string
+	note := func(s string) { log = append(log, s) }
+	e.Go("sleeps in a deferred call", func(f *Fiber) {
+		defer func() {
+			note("deferred call runs")
+			f.Sleep(time.Minute)
+			note("deferred call slept")
+		}()
+		f.Park("forever")
+	})
+	e.Go("recovers and parks again", func(f *Fiber) {
+		defer note("outer deferred call runs")
+		func() {
+			defer func() {
+				if recover() != nil {
+					note("recovered")
+				}
+			}()
+			f.Park("forever")
+		}()
+		note("carries on")
+		f.Sleep(time.Minute)
+		note("slept")
+	})
+	e.Go("recovers and returns", func(f *Fiber) {
+		defer func() { _ = recover() }()
+		f.Park("forever")
+	})
+	if err := e.Run(); err == nil {
+		t.Fatal("three fibers parked for good, and Run reports no deadlock")
+	}
+	settleGoroutines(t, base+3)
+	now, events := e.Now(), e.Events()
+	e.Close()
+	const want = "[recovered carries on outer deferred call runs deferred call runs]"
+	if got := fmt.Sprint(log); got != want {
+		t.Errorf("log = %s, want %s", got, want)
+	}
+	if e.Now() != now || e.Events() != events {
+		t.Errorf("unwinding moved the clock %v -> %v or the event count %d -> %d", now, e.Now(), events, e.Events())
+	}
+	if len(e.fibers) != 0 || len(e.idle) != 0 {
+		t.Errorf("after Close: %d live fibers, %d idle carriers", len(e.fibers), len(e.idle))
+	}
+	settleGoroutines(t, base)
+}
+
+// TestTeardownEndsTheEngine: Go and RunUntil on a closed engine, and
+// Close from inside a fiber, panic by name.
+func TestTeardownEndsTheEngine(t *testing.T) {
+	panicOf := func(fn func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+		return
+	}
+	e := New(1)
+	e.Go("sleeper", func(f *Fiber) { f.Sleep(time.Hour) })
+	if err := e.RunUntil(Time(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if got, want := panicOf(func() { e.Go("late", func(*Fiber) {}) }), "sim: Go on a closed engine"; got != want {
+		t.Errorf("Go after Close: %q, want %q", got, want)
+	}
+	if got, want := panicOf(func() { _ = e.Run() }), "sim: RunUntil on a closed engine"; got != want {
+		t.Errorf("Run after Close: %q, want %q", got, want)
+	}
+
+	base := runtime.NumGoroutine()
+	e = New(1)
+	e.Go("sawyer", func(*Fiber) { e.Close() })
+	got := panicOf(func() { _ = e.Run() })
+	if want := `sim: fiber "sawyer" panicked: sim: Close called from inside fiber "sawyer"`; !strings.HasPrefix(got, want) {
+		t.Errorf("Close from a fiber: %q, want it to begin %q", got, want)
+	}
+	settleGoroutines(t, base)
+}
+
+// TestTeardownAfterFiberPanic: Close runs in a deferred call while the
+// panic RunUntil re-raised for a fiber passes through it. The fibers
+// still parked are unwound, and the panic arrives as it was raised: the
+// bomb's name, value and stack, and nothing of the unwinding.
+func TestTeardownAfterFiberPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New(1)
+	unwound := false
+	e.Go("bystander", func(f *Fiber) {
+		defer func() { unwound = true }()
+		f.Park("forever")
+	})
+	e.Go("bomb#%d", func(f *Fiber) {
+		f.Sleep(time.Millisecond)
+		explode()
+	}, 7)
+	var raised string
+	func() {
+		defer func() { raised = fmt.Sprint(recover()) }()
+		defer e.Close()
+		_ = e.Run()
+	}()
+	if raised != e.panicMsg {
+		t.Errorf("the panic that came through Close is not the one RunUntil raised:\n%s", raised)
+	}
+	for _, want := range []string{`sim: fiber "bomb#7" panicked: kaboom`, "sim.explode"} {
+		if !strings.Contains(raised, want) {
+			t.Errorf("panic message lacks %q:\n%s", want, raised)
+		}
+	}
+	if !unwound {
+		t.Error("the parked bystander was not unwound")
+	}
+	settleGoroutines(t, base)
+}
+
+// TestTeardownReraisesAPanicOfTheUnwinding: a deferred call that panics
+// with something of its own while Close unwinds its body is a fiber
+// panic like any other. Close ends every fiber first, then raises it.
+func TestTeardownReraisesAPanicOfTheUnwinding(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := New(1)
+	e.Go("older", func(f *Fiber) { f.Park("forever") })
+	e.Go("clumsy", func(f *Fiber) {
+		defer explode()
+		f.Park("forever")
+	})
+	if err := e.Run(); err == nil {
+		t.Fatal("two fibers parked for good, and Run reports no deadlock")
+	}
+	var raised string
+	func() {
+		defer func() { raised = fmt.Sprint(recover()) }()
+		e.Close()
+	}()
+	if !strings.HasPrefix(raised, `sim: fiber "clumsy" panicked: kaboom`) {
+		t.Errorf("Close raised %q", raised)
 	}
 	settleGoroutines(t, base)
 }

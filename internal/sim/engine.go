@@ -58,11 +58,13 @@ type event struct {
 }
 
 // Engine is a discrete-event simulator. Create one with New, add initial
-// work with Schedule or Go, then call Run. An Engine is driven by one
-// goroutine at a time — successive RunUntil calls may come from different
-// ones, fibers parked in between — and must not be shared otherwise;
-// distinct Engines are fully independent and may run on different host
-// cores (internal/parallel exploits this).
+// work with Schedule or Go, then call Run, and Close it when the last run
+// is over: a fiber still parked then is a goroutine, and everything its
+// stack reaches stays live with it. An Engine is driven by one goroutine
+// at a time — successive RunUntil calls may come from different ones,
+// fibers parked in between — and must not be shared otherwise; distinct
+// Engines are fully independent and may run on different host cores
+// (internal/parallel exploits this).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -70,6 +72,7 @@ type Engine struct {
 	nowQ    nowQueue
 	rng     *rand.Rand
 	stopped bool
+	closed  bool // Close has run: no fiber is left and none may start
 
 	// limit is the active RunUntil horizon; events past it stay queued.
 	limit Time
@@ -275,6 +278,9 @@ func (e *Engine) Run() error {
 // switches into each fiber the dispatcher names and is switched back to
 // when that fiber blocks or ends.
 func (e *Engine) RunUntil(limit Time) error {
+	if e.closed {
+		panic("sim: RunUntil on a closed engine")
+	}
 	if e.running || e.current != nil {
 		panic("sim: Run called from inside the simulation")
 	}

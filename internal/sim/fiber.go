@@ -48,14 +48,12 @@ type Fiber struct {
 	// the fiber, the simulation's analogue of a goroutine-local value.
 	// Zero means untraced.
 	trace uint64
-
-	// onExit callbacks run (in engine context) after the body returns.
-	onExit []func()
 }
 
 // carrier is the coroutine a fiber's body runs on: next switches into it
-// from the dispatch loop, yield switches back from inside, stop ends it
-// while idle. Fibers are created and finished by the tens of thousands —
+// from the dispatch loop, yield switches back from inside, stop ends it —
+// at once while idle, by unwinding the body when a fiber is parked on it
+// (Engine.Close). Fibers are created and finished by the tens of thousands —
 // one per served remote request — and a fresh coroutine for each costs a
 // goroutine spawn, a new stack that the runtime then grows by copying at
 // the first deep call, and an exit; so carriers outlive their fibers and
@@ -78,6 +76,9 @@ type carrier struct {
 // args it is a format, as for Park, rendered only when a report asks for
 // the name.
 func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
+	if e.closed {
+		panic("sim: Go on a closed engine")
+	}
 	c := e.idleCarrier()
 	f := &Fiber{eng: e, c: c, idx: len(e.fibers)}
 	f.name.set(name, args)
@@ -109,57 +110,52 @@ func (e *Engine) idleCarrier() *carrier {
 	c := &carrier{}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
-		// Run the fiber bound to c, go idle, repeat — until stopped while
-		// idle (yield reports false) or taken down by a panicking body.
+		// Run the fiber bound to c, go idle, repeat — until stopped
+		// (yield reports false) or taken down by a panicking body.
 		for e.runFiber(c) && yield(struct{}{}) {
 		}
 	})
 	return c
 }
 
+// tornDown is the panic value Engine.Close unwinds a parked body with.
+// The type is private, so no other panic can be mistaken for it.
+type tornDown struct{}
+
 // runFiber runs the body of the fiber bound to c. When the body returns
-// it retires the fiber, idles c and reports true. A panic is recovered
+// it unlinks the fiber, idles c and reports true. A panic is recovered
 // here, not left to iter.Pull, which would re-raise it in the dispatch
 // loop with the fiber's stack lost; runFiber then reports false and the
-// coroutine ends, so a carrier whose stack unwound is not reused. A body
-// that calls runtime.Goexit — a test's FailNow on a fiber — never returns
-// here: the fiber is retired, and iter.Pull passes the Goexit on to the
-// goroutine that called RunUntil, ending it as FailNow asks.
+// coroutine ends, so a carrier whose stack unwound is not reused. The
+// panic Close unwinds a parked body with ends the fiber the same way and
+// is otherwise swallowed. A body that calls runtime.Goexit — a test's
+// FailNow on a fiber — never returns here: the fiber is unlinked, and
+// iter.Pull passes the Goexit on to the goroutine that called RunUntil,
+// ending it as FailNow asks.
 func (e *Engine) runFiber(c *carrier) (returned bool) {
 	f := c.fiber
 	defer func() {
 		if returned {
 			return
 		}
-		if r := recover(); r != nil {
+		r := recover()
+		e.unlink(f)
+		if _, closing := r.(tornDown); r != nil && !closing {
 			// RunUntil re-panics with the fiber's identity and the fiber's
 			// own stack: RunUntil's says nothing about where in the
 			// simulated program the fault happened.
-			e.unlink(f)
 			e.panicMsg = fmt.Sprintf("sim: fiber %q panicked: %v\n%s", f.Name(), r, string(runtimedebug.Stack()))
-			return
 		}
-		e.retire(f)
 	}()
 	c.body(f)
-	e.retire(f)
+	e.unlink(f)
 	c.fiber, c.body = nil, nil
 	e.idle = append(e.idle, c)
 	return true
 }
 
-// retire ends a fiber whose body is over: mark it, drop it from the live
-// list, run its exit callbacks.
-func (e *Engine) retire(f *Fiber) {
-	e.unlink(f)
-	for i := len(f.onExit) - 1; i >= 0; i-- {
-		f.onExit[i]()
-	}
-}
-
 // unlink marks f done and removes it from the list of live fibers. A
-// second call (an exit callback that panics reaches runFiber's recovery
-// with the fiber already unlinked) changes nothing.
+// second call (Close, after a body it unwound) changes nothing.
 func (e *Engine) unlink(f *Fiber) {
 	if f.done {
 		return
@@ -173,16 +169,58 @@ func (e *Engine) unlink(f *Fiber) {
 }
 
 // releaseIdle ends every idle carrier's coroutine. RunUntil calls it on
-// the way out, so a finished run keeps alive only the goroutines of
-// fibers that are still parked. Only idle carriers are ever stopped: a
-// stop under a parked fiber would make its yield report false, with
-// nothing yet to unwind the body.
+// the way out, so between runs the engine keeps alive only the goroutines
+// of fibers that are still parked; those end with Close.
 func (e *Engine) releaseIdle() {
 	for i, c := range e.idle {
 		c.stop()
 		e.idle[i] = nil
 	}
 	e.idle = e.idle[:0]
+}
+
+// Close ends the simulation for good: every live fiber is ended where it
+// stands, and what the engine had queued is dropped, so that a finished
+// engine keeps no goroutine and nothing reachable from one. The caller is
+// whoever drives the engine, after its last RunUntil — however that
+// ended: by returning, by re-raising a panic, or by a Goexit passing
+// through. Go and RunUntil on a closed engine panic; a second Close does
+// nothing.
+//
+// A fiber that never started is dropped without its body running. A
+// parked one is unwound: its yield reports false (the carrier has been
+// stopped) and panics with tornDown, so the body's deferred calls run, as
+// in any Go unwinding, and runFiber swallows the panic. They run against
+// a stopped engine — a wake-up they schedule is queued and then dropped
+// with the rest — and a body that blocks again while unwinding, from a
+// deferred call or after recovering, is unwound again at once: a stopped
+// carrier's yield returns false without switching. Fibers go in the live
+// list's order, from its end: a function of the event sequence alone. A
+// body that panics with something of its own on the way out is a bug like
+// any other fiber panic, and Close re-raises it once every fiber has
+// ended.
+func (e *Engine) Close() {
+	// A Goexit leaves current naming the fiber that exited; that one is
+	// over, and Close is then called from the goroutine it took along.
+	if f := e.current; f != nil && !f.done {
+		panic(fmt.Sprintf("sim: Close called from inside fiber %q", f.Name()))
+	}
+	e.stopped, e.closed = true, true
+	raised := e.panicMsg
+	for n := len(e.fibers); n > 0; n = len(e.fibers) {
+		f := e.fibers[n-1]
+		f.c.stop()
+		e.unlink(f)
+	}
+	// RunUntil releases the idle carriers on its way out; one that an
+	// event callback's panic or a fiber's Goexit cut short did not get
+	// that far.
+	e.releaseIdle()
+	e.fibers, e.idle, e.current = nil, nil, nil
+	e.heap, e.nowQ, e.free = eventHeap{}, nowQueue{}, nil
+	if e.panicMsg != raised {
+		panic(e.panicMsg)
+	}
 }
 
 // Name returns the fiber's diagnostic name.
@@ -198,12 +236,9 @@ func (f *Fiber) SetTrace(t uint64) { f.trace = t }
 // Engine returns the engine scheduling this fiber.
 func (f *Fiber) Engine() *Engine { return f.eng }
 
-// Done reports whether the fiber body has returned.
+// Done reports whether the fiber is over: its body has returned, panicked
+// or exited, or Close ended it.
 func (f *Fiber) Done() bool { return f.done }
-
-// OnExit registers fn to run in engine context when the fiber terminates.
-// Callbacks run in reverse registration order, like defer.
-func (f *Fiber) OnExit(fn func()) { f.onExit = append(f.onExit, fn) }
 
 // Now returns the current virtual time.
 func (f *Fiber) Now() Time { return f.eng.now }
@@ -213,11 +248,13 @@ func (f *Fiber) Now() Time { return f.eng.now }
 // if that event is the very next one (Engine.wakesNext). The fiber must
 // have arranged to be resumed later (via a scheduled event or an Unpark)
 // or it will park forever and eventually surface in a deadlock report.
-// The caller has set f.why.
+// The caller has set f.why. The switch reports false once Close has
+// stopped the carrier: the fiber will never be resumed, and the body is
+// unwound from here.
 func (f *Fiber) yield() {
 	f.parked = true
-	if !f.eng.wakesNext(f) {
-		f.c.yield(struct{}{})
+	if !f.eng.wakesNext(f) && !f.c.yield(struct{}{}) {
+		panic(tornDown{})
 	}
 }
 

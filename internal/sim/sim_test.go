@@ -176,21 +176,6 @@ func TestFiberPanicPropagates(t *testing.T) {
 	_ = e.Run()
 }
 
-func TestFiberOnExitRunsInReverseOrder(t *testing.T) {
-	e := New(1)
-	var got []int
-	e.Go("f", func(f *Fiber) {
-		f.OnExit(func() { got = append(got, 1) })
-		f.OnExit(func() { got = append(got, 2) })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Fatalf("OnExit order = %v, want [2 1]", got)
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
 	e := New(1)
 	cpu := NewResource(e, "cpu", 1)
