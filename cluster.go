@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drace"
 	"repro/internal/metrics"
-	"repro/internal/mmu"
 	"repro/internal/proc"
 	"repro/internal/rc"
 	"repro/internal/remop"
@@ -75,6 +74,9 @@ func New(cfg Config) *Cluster {
 	case CoherenceSC, CoherenceRC:
 	default:
 		panic(fmt.Sprintf("ivy: unknown coherence mode %q", cfg.Coherence))
+	}
+	if err := cfg.checkSharedPages(); err != nil {
+		panic(err.Error())
 	}
 	// Under release consistency the shared space doubles: pages
 	// [0, SharedPages) are the RC data arena, pages [SharedPages,
@@ -573,16 +575,14 @@ func (c *Cluster) finishTrace() error {
 }
 
 // heldPageLocks lists page fault locks still held across the cluster
-// with their holders — the first thing to look at in a hang report.
+// with their holders, by node and then page — the first thing to look at
+// in a hang report.
 func (c *Cluster) heldPageLocks() []string {
 	var out []string
 	for n, svm := range c.svms {
 		t := svm.Table()
-		for p := 0; p < svm.NumPages(); p++ {
-			pg := mmu.PageID(p)
-			if t.Locked(pg) {
-				out = append(out, fmt.Sprintf("node%d/page%d by %q", n, p, t.LockHolder(pg)))
-			}
+		for _, p := range t.LockedPages() {
+			out = append(out, fmt.Sprintf("node%d/page%d by %q", n, p, t.LockHolder(p)))
 		}
 	}
 	return out

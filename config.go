@@ -1,7 +1,9 @@
 package ivy
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -268,6 +270,34 @@ type ChaosOpts struct {
 	// cached copies, the RC analogue of BreakInvalidation. Only
 	// meaningful with Coherence CoherenceRC. Never set outside tests.
 	DropWriteNotice bool
+}
+
+// maxPages bounds the pages of a shared space: a page number is 32 bits
+// (mmu.PageID, and every page field on the wire), and its largest value
+// marks an empty software-TLB way.
+const maxPages = math.MaxUint32
+
+// maxSharedPages is the largest SharedPages a cluster with pages of
+// pageSize bytes can address. The whole space — twice SharedPages under
+// release consistency, whose sync arena sits above the data — must be
+// numbered below maxPages and end below 2^64.
+func maxSharedPages(pageSize int, rc bool) int {
+	pages := uint64(maxPages)
+	if pageSize > 0 {
+		pages = min(pages, (math.MaxUint64-core.DefaultBase)/uint64(pageSize))
+	}
+	if rc {
+		pages /= 2
+	}
+	return int(pages)
+}
+
+// checkSharedPages reports a SharedPages the space cannot number.
+func (cfg Config) checkSharedPages() error {
+	if limit := maxSharedPages(cfg.PageSize, cfg.Coherence == CoherenceRC); cfg.SharedPages < 1 || cfg.SharedPages > limit {
+		return fmt.Errorf("ivy: %d shared pages out of range [1,%d]", cfg.SharedPages, limit)
+	}
+	return nil
 }
 
 // withDefaults fills unset fields.

@@ -80,3 +80,58 @@ func TestHangReportText(t *testing.T) {
 		t.Log(report)
 	}
 }
+
+// TestAddressSpaceReadsMaterializeNothing: the walks over every page —
+// the hang report's held-lock list, VerifyCoherence and DigestRegion —
+// only read, so they leave the count of materialized page-state chunks
+// where the run left it: after hangProgram's wedge, and after a clean
+// run under SC and under RC.
+func TestAddressSpaceReadsMaterializeNothing(t *testing.T) {
+	chunks := func(c *Cluster) (n int) {
+		for _, s := range c.svms {
+			n += s.Chunks()
+		}
+		return n
+	}
+	walk := func(name string, c *Cluster) {
+		before := chunks(c)
+		c.heldPageLocks()
+		c.VerifyCoherence()
+		c.DigestRegion(c.Base(), uint64(c.cfg.SharedPages)*uint64(c.PageSize()))
+		if after := chunks(c); after != before {
+			t.Errorf("%s: %d chunks after the run, %d after the read-only walks", name, before, after)
+		}
+	}
+
+	c := New(Config{Processors: 2, Seed: 1, Horizon: 20 * time.Second})
+	var pa, pb mmu.PageID
+	if err := c.Run(hangProgram(c, &pa, &pb)); !errors.Is(err, ErrHorizon) {
+		t.Fatalf("hang run returned %v, want the horizon error", err)
+	}
+	walk("hang", c)
+
+	for _, coherence := range []string{CoherenceSC, CoherenceRC} {
+		c := New(Config{Processors: 3, Seed: 1, Coherence: coherence})
+		err := c.Run(func(p *Proc) {
+			ps := uint64(c.PageSize())
+			base := p.MustMalloc(4 * ps)
+			done := p.NewEventcount(4)
+			for n := 1; n < 3; n++ {
+				n := n
+				p.CreateOn(n, func(q *Proc) {
+					q.WriteU64(base+uint64(n)*ps, uint64(n))
+					done.Advance(q)
+				})
+			}
+			done.Wait(p, 2)
+			p.ReadU64(base + ps)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", coherence, err)
+		}
+		if errs := c.VerifyCoherence(); len(errs) != 0 {
+			t.Fatalf("%s: %v", coherence, errs)
+		}
+		walk(coherence, c)
+	}
+}

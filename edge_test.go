@@ -280,3 +280,60 @@ func TestNodeUtilizationReported(t *testing.T) {
 		t.Fatalf("node 1 utilization = %v", u[1])
 	}
 }
+
+// TestConfigBoundsSharedPages holds SharedPages to what a page number can
+// name, at both edges of both bounds. Every page of the space — twice
+// SharedPages under RC — needs a 32-bit page number below the TLB's
+// empty-way mark, and the space must end below 2^64; past either, New
+// refuses by name rather than letting page numbers or addresses wrap.
+func TestConfigBoundsSharedPages(t *testing.T) {
+	for _, c := range []struct {
+		pageSize int
+		rc       bool
+		limit    int
+	}{
+		{1024, false, 1<<32 - 1},
+		{1024, true, 1<<31 - 1},
+		{1 << 60, false, 15}, // (2^64 - 1 - DefaultBase) / 2^60
+		{1 << 60, true, 7},
+	} {
+		if got := maxSharedPages(c.pageSize, c.rc); got != c.limit {
+			t.Errorf("maxSharedPages(%d, rc=%v) = %d, want %d", c.pageSize, c.rc, got, c.limit)
+		}
+	}
+	build := func(cfg Config) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		New(cfg)
+		return "accepted"
+	}
+	for _, cfg := range []Config{
+		{SharedPages: 1<<32 - 1 + 1},
+		{SharedPages: 1<<31 - 1 + 1, Coherence: CoherenceRC},
+		{SharedPages: 16, PageSize: 1 << 60},
+		{SharedPages: 8, PageSize: 1 << 60, Coherence: CoherenceRC},
+		{SharedPages: -1},
+	} {
+		limit := maxSharedPages(cfg.withDefaults().PageSize, cfg.Coherence == CoherenceRC)
+		want := fmt.Sprintf("ivy: %d shared pages out of range [1,%d]", cfg.SharedPages, limit)
+		if got := build(cfg); got != want {
+			t.Errorf("New(SharedPages %d, PageSize %d, %q) = %q, want %q",
+				cfg.SharedPages, cfg.PageSize, cfg.Coherence, got, want)
+		}
+	}
+	for _, cfg := range []Config{
+		{SharedPages: 15, PageSize: 1 << 60},
+		{SharedPages: 7, PageSize: 1 << 60, Coherence: CoherenceRC},
+	} {
+		if got := build(cfg); got != "accepted" {
+			t.Errorf("New(SharedPages %d, PageSize 2^60, %q) at the limit: %s", cfg.SharedPages, cfg.Coherence, got)
+		}
+	}
+	if _, _, err := NewNode(NodeConfig{Config: Config{Processors: 2, SharedPages: 1 << 32}, Rank: 0}); err == nil ||
+		err.Error() != "ivy: 4294967296 shared pages out of range [1,4294967295]" {
+		t.Errorf("NewNode with 2^32 shared pages: %v", err)
+	}
+}

@@ -369,12 +369,13 @@ func (s *SVM) Costs() model.Costs { return s.costs }
 // the sync arena holding locks, eventcounts, sequencers, and stacks — on
 // the SC protocol. dir names the node keeping the write-notice
 // directory. Must be called on every node before any process touches
-// shared memory.
+// shared memory, and panics if a page of the data arena has already
+// been taken.
 //
-// NewTable starts every page owned-and-writable on the default owner;
-// RC data pages have homes instead of owners, so that seed state is
-// erased here: no owner, no access, no copyset, ProbOwner pointed at
-// the home purely for diagnostics.
+// NewTable's rule starts every page owned-and-writable on the default
+// owner; RC data pages have homes instead of owners, so their entries
+// get a rule of their own: no owner, no access, no copyset, ProbOwner
+// pointed at the page's static home purely for diagnostics.
 func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
 	if s.rcn != nil {
 		panic("core: ArmRC called twice")
@@ -382,21 +383,26 @@ func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
 	if dataPages <= 0 || dataPages > s.numPages {
 		panic(fmt.Sprintf("core: %d RC data pages out of range (space has %d)", dataPages, s.numPages))
 	}
+	nodes := s.numNodes
+	s.table.Reseed(dataPages, func(p mmu.PageID, e *mmu.Entry) {
+		e.ProbOwner = rc.StaticHome(p, nodes)
+	})
 	s.rcn = rc.New(s.ep, s.table, &s.pool, s.tlbShoot, rc.Config{
 		DataPages: dataPages,
 		PageSize:  s.pageSize,
 		Dir:       dir,
 		Costs:     s.costs,
 	})
-	for p := mmu.PageID(0); int(p) < dataPages; p++ {
-		e := s.table.Entry(p)
-		e.IsOwner = false
-		e.Access = mmu.AccessNil
-		e.Copyset = 0
-		e.Dirty = false
-		e.ProbOwner = s.rcn.Home(p)
+}
+
+// Chunks returns how many chunks of per-page state (page table and RC
+// page state) this node has materialized.
+func (s *SVM) Chunks() int {
+	n := s.table.Chunks()
+	if s.rcn != nil {
+		n += s.rcn.Chunks()
 	}
-	s.tlbShoot()
+	return n
 }
 
 // RC returns the node's release-consistency state, nil under SC.

@@ -73,7 +73,7 @@ func pagePeek(svms []*SVM, p mmu.PageID) []byte {
 		return nil
 	}
 	for _, svm := range svms {
-		if !svm.Table().Entry(p).IsOwner {
+		if !svm.Table().Get(p).IsOwner {
 			continue
 		}
 		if data := svm.Pool().Peek(p); data != nil {

@@ -184,11 +184,11 @@ func (m *dynamicMgr) install() {
 	// always make progress.
 	s.ep.SetGate(wire.KindOwnerQuery, func(env *wire.Envelope) bool {
 		q := env.Body.(*wire.OwnerQuery)
-		return s.table.Entry(mmu.PageID(q.Page)).IsOwner
+		return s.table.Get(mmu.PageID(q.Page)).IsOwner
 	})
 	s.ep.SetHandler(wire.KindOwnerQuery, func(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		q := env.Body.(*wire.OwnerQuery)
-		if !s.table.Entry(mmu.PageID(q.Page)).IsOwner {
+		if !s.table.Get(mmu.PageID(q.Page)).IsOwner {
 			return nil // ownership moved since delivery; decline
 		}
 		return &wire.OwnerQuery{Page: q.Page, Owner: uint16(s.node)}
@@ -547,7 +547,7 @@ func (m *broadcastMgr) install() {
 	// losing it entirely.
 	gate := func(env *wire.Envelope) bool {
 		p, _ := faultOf(env.Body)
-		return s.table.Entry(p).IsOwner
+		return s.table.Get(p).IsOwner
 	}
 	s.ep.SetGate(wire.KindReadFaultReq, gate)
 	s.ep.SetGate(wire.KindWriteFaultReq, gate)

@@ -17,7 +17,8 @@ import (
 //   - no page fault lock is still held.
 //
 // It is exported so integration tests and the facade can assert protocol
-// health after arbitrary workloads.
+// health after arbitrary workloads. It only reads: no page-table entry
+// or RC page state is materialized by checking it.
 func VerifyCoherence(svms []*SVM) []error {
 	if len(svms) == 0 {
 		return nil
@@ -36,7 +37,7 @@ func VerifyCoherence(svms []*SVM) []error {
 			// hold an unreleased twin, or keep write access (Release
 			// downgrades to read).
 			for i, s := range svms {
-				e := s.Table().Entry(page)
+				e := s.Table().Get(page)
 				if e.IsOwner {
 					errs = append(errs, fmt.Errorf("page %d: node %d owns a release-consistent page", p, i))
 				}
@@ -55,7 +56,7 @@ func VerifyCoherence(svms []*SVM) []error {
 		owner := -1
 		var readers []int
 		for i, s := range svms {
-			e := s.Table().Entry(page)
+			e := s.Table().Get(page)
 			if e.IsOwner {
 				if owner != -1 {
 					errs = append(errs, fmt.Errorf("page %d: two owners (%d, %d)", p, owner, i))
@@ -79,7 +80,7 @@ func VerifyCoherence(svms []*SVM) []error {
 			errs = append(errs, fmt.Errorf("page %d: no owner", p))
 			continue
 		}
-		oe := svms[owner].Table().Entry(page)
+		oe := svms[owner].Table().Get(page)
 		if len(readers) > 0 && oe.Access == mmu.AccessWrite {
 			errs = append(errs, fmt.Errorf("page %d: owner %d holds write access alongside readers %v", p, owner, readers))
 		}

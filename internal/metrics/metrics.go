@@ -6,12 +6,12 @@
 //
 //   - Deterministic. Everything here is driven by virtual time and page
 //     indices; no wall clock, no map iteration feeds any output. The
-//     exposition walks fixed-size arrays and sorted slices only, so the
+//     exposition walks pages in order and sorted slices only, so the
 //     same (seed, config) yields bit-identical bytes.
-//   - Zero allocation while the simulation runs. Every counter array and
-//     dirty-word bitmap is preallocated in NewCollector; the hot methods
-//     only index and increment. Allocation happens again only at
-//     Snapshot time, after the run.
+//   - Costs what the run touches. The per-page counters and dirty-word
+//     bitmaps live in pagemaps (internal/pagemap): a chunk of them is
+//     allocated the first time one of its pages records something, and
+//     the hot methods otherwise only index and increment.
 //   - Zero wire bytes. The collector observes protocol events from the
 //     node side; it never adds fields to messages or changes virtual
 //     time (see PROTOCOL.md).
@@ -21,7 +21,11 @@
 // observer seam's events into Count, Write and Transfer calls.
 package metrics
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/pagemap"
+)
 
 // WordSize is the dirty-map granularity in bytes. It matches drace's
 // shadow granularity: one bit per 8-byte word.
@@ -40,8 +44,7 @@ const (
 	numCounters
 )
 
-// pageCount is the per-page hot counter block. Everything is a plain
-// integer so the whole slice is one allocation.
+// pageCount is the per-page hot counter block.
 type pageCount struct {
 	n            [numCounters]uint64
 	Transfers    uint64 // ownership migrations between nodes
@@ -77,18 +80,18 @@ type Collector struct {
 	wordsPerPage int
 	now          func() int64 // virtual time in ns
 
-	pages []pageCount
+	pages *pagemap.Map[pageCount]
 	// dirty is the per-page dirty-word bitmap, wordsPerPage bits per
 	// page packed into uint64 lanes, cleared at each ownership
 	// hand-off. It is the false-sharing map: bits set here were written
 	// by the owner since it acquired the page.
-	dirty     []uint64
+	dirty     *pagemap.Map[uint64]
 	lanesPage int // uint64 lanes per page in dirty
 
 	regions []Region
 }
 
-// NewCollector allocates a collector for numPages pages of pageSize
+// NewCollector builds a collector for numPages pages of pageSize
 // bytes starting at base. now supplies virtual time in nanoseconds;
 // pageSize must be a power of two (the SVM enforces this already).
 func NewCollector(base uint64, pageSize uint64, numPages int, now func() int64) *Collector {
@@ -100,12 +103,11 @@ func NewCollector(base uint64, pageSize uint64, numPages int, now func() int64) 
 		pageShift:    uint(bits.TrailingZeros64(pageSize)),
 		wordsPerPage: words,
 		now:          now,
-		pages:        make([]pageCount, numPages),
-		dirty:        make([]uint64, numPages*lanes),
-		lanesPage:    lanes,
-	}
-	for i := range c.pages {
-		c.pages[i].lastTransfer = -1
+		pages: pagemap.New(numPages, func(_ int, pc *pageCount) {
+			pc.lastTransfer = -1
+		}),
+		dirty:     pagemap.New[uint64](numPages*lanes, nil),
+		lanesPage: lanes,
 	}
 	return c
 }
@@ -116,7 +118,7 @@ func (c *Collector) pageOf(addr uint64) int {
 		return -1
 	}
 	p := int((addr - c.base) >> c.pageShift)
-	if p >= len(c.pages) {
+	if p >= c.pages.Len() {
 		return -1
 	}
 	return p
@@ -125,8 +127,8 @@ func (c *Collector) pageOf(addr uint64) int {
 // Count adds n to page p's counter k. Pages outside the collector are
 // ignored.
 func (c *Collector) Count(p int, k Counter, n int) {
-	if uint(p) < uint(len(c.pages)) {
-		c.pages[p].n[k] += uint64(n)
+	if uint(p) < uint(c.pages.Len()) {
+		c.pages.At(p).n[k] += uint64(n)
 	}
 }
 
@@ -143,7 +145,7 @@ func (c *Collector) Write(addr, n uint64) {
 	last := (off + n - 1) / WordSize
 	lane0 := p * c.lanesPage
 	for w := first; w <= last; w++ {
-		c.dirty[lane0+int(w>>6)] |= 1 << (w & 63)
+		*c.dirty.At(lane0 + int(w>>6)) |= 1 << (w & 63)
 	}
 }
 
@@ -152,19 +154,21 @@ func (c *Collector) Write(addr, n uint64) {
 // bitmap for the incoming one, and accounts the ping-pong interval
 // since the previous transfer.
 func (c *Collector) Transfer(p int) {
-	if uint(p) >= uint(len(c.pages)) {
+	if uint(p) >= uint(c.pages.Len()) {
 		return
 	}
-	pc := &c.pages[p]
+	pc := c.pages.At(p)
 	pc.Transfers++
 
 	// Dirty-density sample: how many words did the outgoing owner
 	// actually touch since it got the page?
 	var set int
 	lane0 := p * c.lanesPage
-	for i := 0; i < c.lanesPage; i++ {
-		set += bits.OnesCount64(c.dirty[lane0+i])
-		c.dirty[lane0+i] = 0
+	for i := lane0; i < lane0+c.lanesPage; i++ {
+		if lane := c.dirty.Get(i); lane != 0 {
+			set += bits.OnesCount64(lane)
+			*c.dirty.At(i) = 0
+		}
 	}
 	pc.densitySum += uint64(set)
 	pc.densityCount++
@@ -243,10 +247,9 @@ func (c *Collector) Snapshot() *Snapshot {
 		WordsPerPage: c.wordsPerPage,
 		Regions:      append([]Region(nil), c.regions...),
 	}
-	for p := range c.pages {
-		pc := &c.pages[p]
+	c.pages.Range(func(p int, pc *pageCount) bool {
 		if pc.n == [numCounters]uint64{} && pc.Transfers == 0 {
-			continue
+			return true
 		}
 		ps := PageSnapshot{
 			Page:        p,
@@ -268,6 +271,7 @@ func (c *Collector) Snapshot() *Snapshot {
 			ps.DirtyDensity = ps.DirtyWordsMean / float64(c.wordsPerPage)
 		}
 		s.Pages = append(s.Pages, ps)
-	}
+		return true
+	})
 	return s
 }

@@ -14,7 +14,9 @@ package mmu
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
+	"repro/internal/pagemap"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
@@ -119,45 +121,94 @@ type Entry struct {
 	InvalWhileFaulting bool
 }
 
-// Table is a node's page table plus the per-page fault locks.
+// Table is a node's page table plus the per-page fault locks. Entries
+// live in a pagemap: an entry exists only once its page has been taken
+// for writing (Entry), and until then reads (Get) see it as the table's
+// seed rule makes it.
 type Table struct {
-	node    ring.NodeID
-	entries []Entry
-	locks   pageLocks
+	node         ring.NodeID
+	defaultOwner ring.NodeID
+	entries      *pagemap.Map[Entry]
+	locks        pageLocks
+
+	// Pages [0, low) follow lowSeed instead of the default-owner rule
+	// (see Reseed).
+	low     int
+	lowSeed func(PageID, *Entry)
 }
 
 // NewTable builds a page table for numPages shared pages. Every entry
 // starts with nil access and probOwner pointing at defaultOwner; the
 // default owner's entries start owned with write access, making it the
-// initial owner of the whole space, as in IVY's initialization.
+// initial owner of the whole space, as in IVY's initialization. That is
+// a rule, not a loop: an entry is set up when its page is first taken.
 func NewTable(node ring.NodeID, numPages int, defaultOwner ring.NodeID) *Table {
-	t := &Table{
-		node:    node,
-		entries: make([]Entry, numPages),
-	}
-	for i := range t.entries {
-		t.entries[i].ProbOwner = defaultOwner
-		if node == defaultOwner {
-			t.entries[i].IsOwner = true
-			t.entries[i].Access = AccessWrite
-		}
-	}
+	t := &Table{node: node, defaultOwner: defaultOwner}
+	t.entries = pagemap.New(numPages, t.seed)
 	return t
+}
+
+// seed is the table's rule for a page's first entry.
+func (t *Table) seed(p int, e *Entry) {
+	if p < t.low {
+		t.lowSeed(PageID(p), e)
+		return
+	}
+	e.ProbOwner = t.defaultOwner
+	if t.node == t.defaultOwner {
+		e.IsOwner = true
+		e.Access = AccessWrite
+	}
+}
+
+// Reseed makes seed the rule for pages [0, n): their entries start as
+// seed leaves a zero Entry instead of by the default-owner rule. It
+// panics if any of those pages already has an entry, which would
+// disagree with the new rule.
+func (t *Table) Reseed(n int, seed func(PageID, *Entry)) {
+	if n < 0 || n > t.NumPages() {
+		panic(fmt.Sprintf("mmu: reseed of %d pages out of range (%d pages)", n, t.NumPages()))
+	}
+	t.entries.Range(func(p int, _ *Entry) bool {
+		if p < n {
+			panic(fmt.Sprintf("mmu: reseed of pages [0,%d) on node %d after entries from page %d on were made", n, t.node, p))
+		}
+		return false
+	})
+	t.low, t.lowSeed = n, seed
 }
 
 // Node returns the owning node's ID.
 func (t *Table) Node() ring.NodeID { return t.node }
 
 // NumPages returns the size of the shared space in pages.
-func (t *Table) NumPages() int { return len(t.entries) }
+func (t *Table) NumPages() int { return t.entries.Len() }
 
-// Entry returns a mutable pointer to the entry for page p.
+// Entry returns a mutable pointer to the entry for page p, creating the
+// entry if it does not exist yet. The pointer stays valid for the life
+// of the table.
 func (t *Table) Entry(p PageID) *Entry {
-	if int(p) >= len(t.entries) {
-		panic(fmt.Sprintf("mmu: page %d out of range (%d pages)", p, len(t.entries)))
+	if int(p) >= t.entries.Len() {
+		t.outOfRange(p)
 	}
-	return &t.entries[p]
+	return t.entries.At(int(p))
 }
+
+// Get returns a copy of page p's entry without creating it: for a page
+// never taken, the entry the seed rule gives it.
+func (t *Table) Get(p PageID) Entry {
+	if int(p) >= t.entries.Len() {
+		t.outOfRange(p)
+	}
+	return t.entries.Get(int(p))
+}
+
+func (t *Table) outOfRange(p PageID) {
+	panic(fmt.Sprintf("mmu: page %d out of range (%d pages)", p, t.entries.Len()))
+}
+
+// Chunks returns how many chunks of entries the table has materialized.
+func (t *Table) Chunks() int { return t.entries.Chunks() }
 
 // Lock acquires page p's fault lock, parking the fiber FIFO behind any
 // current holder. The lock serializes the local fault path with incoming
@@ -201,10 +252,20 @@ func (t *Table) LockHolder(p PageID) string {
 // OwnedPages returns the pages this node currently owns, ascending.
 func (t *Table) OwnedPages() []PageID {
 	var out []PageID
-	for i := range t.entries {
-		if t.entries[i].IsOwner {
-			out = append(out, PageID(i))
+	for p := PageID(0); int(p) < t.entries.Len(); p++ {
+		if t.Get(p).IsOwner {
+			out = append(out, p)
 		}
 	}
+	return out
+}
+
+// LockedPages returns the pages whose fault lock is held, ascending.
+func (t *Table) LockedPages() []PageID {
+	out := make([]PageID, len(t.locks.held))
+	for i, l := range t.locks.held {
+		out[i] = l.page
+	}
+	slices.Sort(out)
 	return out
 }

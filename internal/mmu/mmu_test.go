@@ -1,10 +1,12 @@
 package mmu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/pagemap"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
@@ -75,12 +77,58 @@ func TestNewTableInitialOwnership(t *testing.T) {
 
 func TestEntryOutOfRangePanics(t *testing.T) {
 	tab := NewTable(0, 4, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range entry did not panic")
-		}
-	}()
-	tab.Entry(4)
+	for _, read := range []func(){func() { tab.Entry(4) }, func() { tab.Get(4) }} {
+		func() {
+			defer func() {
+				if got, want := recover(), "mmu: page 4 out of range (4 pages)"; got != want {
+					t.Fatalf("out-of-range entry panicked with %v, want %q", got, want)
+				}
+			}()
+			read()
+		}()
+	}
+}
+
+// TestPageMapTableReadsMaterializeNothing: Get, OwnedPages and the lock
+// queries answer from the seed rule for pages never taken, and leave the
+// table without a single chunk of entries; Entry makes one.
+func TestPageMapTableReadsMaterializeNothing(t *testing.T) {
+	owner, other := NewTable(0, 3*pagemap.ChunkPages, 0), NewTable(2, 3*pagemap.ChunkPages, 0)
+	if got := owner.Get(700); !got.IsOwner || got.Access != AccessWrite || got.ProbOwner != 0 {
+		t.Fatalf("default owner's untouched entry = %+v", got)
+	}
+	if got := other.Get(700); got.IsOwner || got.Access != AccessNil || got.ProbOwner != 0 {
+		t.Fatalf("other node's untouched entry = %+v", got)
+	}
+	if n := len(owner.OwnedPages()); n != 3*pagemap.ChunkPages {
+		t.Fatalf("default owner owns %d pages", n)
+	}
+	if len(other.OwnedPages()) != 0 || other.Locked(5) || len(other.LockedPages()) != 0 {
+		t.Fatal("other node owns or locks pages it never took")
+	}
+	if owner.Chunks() != 0 || other.Chunks() != 0 {
+		t.Fatalf("reads materialized %d + %d chunks", owner.Chunks(), other.Chunks())
+	}
+	other.Entry(700).ProbOwner = 1
+	if other.Chunks() != 1 || other.Get(700).ProbOwner != 1 || other.Get(699).ProbOwner != 0 {
+		t.Fatalf("after one Entry: %d chunks, page 700 %+v", other.Chunks(), other.Get(700))
+	}
+}
+
+// TestLockedPages lists held fault locks in page order, whatever order
+// they were taken in.
+func TestLockedPages(t *testing.T) {
+	tab := NewTable(0, 1<<20, 0)
+	for _, p := range []PageID{900000, 3, 70000, 12} {
+		tab.TryLock(p)
+	}
+	tab.Unlock(70000)
+	if got := fmt.Sprint(tab.LockedPages()); got != "[3 12 900000]" {
+		t.Fatalf("LockedPages = %s", got)
+	}
+	if tab.Chunks() != 0 {
+		t.Fatal("locking materialized entries")
+	}
 }
 
 func TestPageLockSerializesFIFO(t *testing.T) {

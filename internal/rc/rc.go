@@ -60,6 +60,7 @@ import (
 	"repro/internal/memfs"
 	"repro/internal/mmu"
 	"repro/internal/model"
+	"repro/internal/pagemap"
 	"repro/internal/remop"
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -106,6 +107,33 @@ type notice struct {
 	ver  uint32
 }
 
+// pageState is one node's protocol state for one data page.
+type pageState struct {
+	// master is the committed copy of the page while this node is its
+	// home, lazily materialized (nil reads as zeros); ver is its version.
+	master []byte
+	ver    uint32
+
+	// haveVer is the committed version this node's resident frame of the
+	// page reflects; meaningful only while the frame is resident.
+	haveVer uint32
+
+	// home is this node's best guess at the page's current home —
+	// authoritative exactly when it names this node (mastership is only
+	// ever granted, never assumed). Seeded with StaticHome; updated from
+	// redirects and hand-offs.
+	home ring.NodeID
+
+	// lastWriter/streak implement the hand-off policy at the home:
+	// consecutive current-based commits from one remote node rebind
+	// mastership to it (see handleDiffWrite).
+	lastWriter ring.NodeID
+	streak     uint8
+}
+
+// StaticHome is page p's home before any hand-off: p mod nodes.
+func StaticHome(p mmu.PageID, nodes int) ring.NodeID { return ring.NodeID(int(p) % nodes) }
+
 // Node is one node's release-consistency state: its cached-copy
 // bookkeeping, the master copies of the pages homed here, and — on the
 // directory node — the write-notice log.
@@ -118,31 +146,12 @@ type Node struct {
 	nodes int
 	costs model.Costs
 
-	dataPages int
-	pageSize  int
-	dir       ring.NodeID
+	pageSize int
+	dir      ring.NodeID
 
-	// master[p] is the committed copy of page p while this node is its
-	// home, lazily materialized (nil reads as zeros); ver[p] is its
-	// version.
-	master [][]byte
-	ver    []uint32
-
-	// home[p] is this node's best guess at page p's current home —
-	// authoritative exactly when it names this node (mastership is only
-	// ever granted, never assumed). Initialized to the static p mod N
-	// assignment; updated from redirects and hand-offs.
-	home []ring.NodeID
-
-	// lastWriter/streak implement the hand-off policy at the home:
-	// consecutive current-based commits from one remote node rebind
-	// mastership to it (see handleDiffWrite).
-	lastWriter []ring.NodeID
-	streak     []uint8
-
-	// haveVer[p] is the committed version this node's resident frame of p
-	// reflects; meaningful only while the frame is resident.
-	haveVer []uint32
+	// pages holds each data page's state, seeded with the static home
+	// and no last writer.
+	pages *pagemap.Map[pageState]
 
 	// twins holds the pristine pre-write copies of locally dirty pages.
 	// Release iterates it in sorted page order (see Release) so virtual
@@ -170,28 +179,21 @@ func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, shoot func(), c
 		panic(fmt.Sprintf("rc: %d data pages out of range (table has %d)", cfg.DataPages, table.NumPages()))
 	}
 	n := &Node{
-		ep:         ep,
-		table:      table,
-		pool:       pool,
-		shoot:      shoot,
-		self:       ep.ID(),
-		nodes:      ep.ClusterSize(),
-		costs:      cfg.Costs,
-		dataPages:  cfg.DataPages,
-		pageSize:   cfg.PageSize,
-		dir:        cfg.Dir,
-		master:     make([][]byte, cfg.DataPages),
-		ver:        make([]uint32, cfg.DataPages),
-		home:       make([]ring.NodeID, cfg.DataPages),
-		lastWriter: make([]ring.NodeID, cfg.DataPages),
-		streak:     make([]uint8, cfg.DataPages),
-		haveVer:    make([]uint32, cfg.DataPages),
-		twins:      make(map[mmu.PageID][]byte),
+		ep:       ep,
+		table:    table,
+		pool:     pool,
+		shoot:    shoot,
+		self:     ep.ID(),
+		nodes:    ep.ClusterSize(),
+		costs:    cfg.Costs,
+		pageSize: cfg.PageSize,
+		dir:      cfg.Dir,
+		twins:    make(map[mmu.PageID][]byte),
 	}
-	for p := range n.home {
-		n.home[p] = ring.NodeID(p % n.nodes)
-		n.lastWriter[p] = -1
-	}
+	n.pages = pagemap.New(cfg.DataPages, func(p int, ps *pageState) {
+		ps.home = StaticHome(mmu.PageID(p), n.nodes)
+		ps.lastWriter = -1
+	})
 	ep.SetHandler(wire.KindRCFetchReq, n.handleFetch)
 	ep.SetHandler(wire.KindRCDiffWriteReq, n.handleDiffWrite)
 	ep.SetHandler(wire.KindRCNoticePostReq, n.handleNoticePost)
@@ -200,14 +202,18 @@ func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, shoot func(), c
 }
 
 // IsData reports whether p is an RC-managed data page.
-func (n *Node) IsData(p mmu.PageID) bool { return int(p) < n.dataPages }
+func (n *Node) IsData(p mmu.PageID) bool { return int(p) < n.pages.Len() }
 
 // DataPages returns the size of the RC-managed region in pages.
-func (n *Node) DataPages() int { return n.dataPages }
+func (n *Node) DataPages() int { return n.pages.Len() }
+
+// Chunks returns how many chunks of page state this node has
+// materialized.
+func (n *Node) Chunks() int { return n.pages.Chunks() }
 
 // Home returns this node's best guess at the node keeping page p's
-// master copy (exact when it names this node; see the home field).
-func (n *Node) Home(p mmu.PageID) ring.NodeID { return n.home[p] }
+// master copy (exact when it names this node; see pageState.home).
+func (n *Node) Home(p mmu.PageID) ring.NodeID { return n.pages.Get(int(p)).home }
 
 // Twinned reports whether this node holds unreleased writes to p; the
 // frame pool's eviction policy pins such pages.
@@ -229,10 +235,13 @@ func (n *Node) Stats() Stats { return n.stats }
 // set by a granted hand-off, and a hand-off is never in flight at
 // quiescence (the granting reply would be a pending event).
 func (n *Node) MasterPeek(p mmu.PageID) ([]byte, bool) {
-	if !n.IsData(p) || n.home[p] != n.self {
+	if !n.IsData(p) {
 		return nil, false
 	}
-	return n.master[p], true
+	if ps := n.pages.Get(int(p)); ps.home == n.self {
+		return ps.master, true
+	}
+	return nil, false
 }
 
 // DropWriteNotices plants the chaos-test-only dropped-write-notice bug;
@@ -283,7 +292,7 @@ func (n *Node) fetch(f *sim.Fiber, p mmu.PageID) {
 	n.install(f, p, data)
 	e.Access = mmu.AccessRead
 	e.Dirty = false
-	n.haveVer[p] = ver
+	n.pages.At(int(p)).haveVer = ver
 }
 
 // fetchMaster obtains a copy of page p's current master and its
@@ -292,22 +301,23 @@ func (n *Node) fetch(f *sim.Fiber, p mmu.PageID) {
 // terminates because every pointer was written strictly later in the
 // hand-off order than the one before it).
 func (n *Node) fetchMaster(f *sim.Fiber, p mmu.PageID) (data []byte, ver uint32) {
+	ps := n.pages.At(int(p))
 	for {
-		h := n.home[p]
+		h := ps.home
 		if h == n.self {
 			// Local fast path: the master is in memory on this node.
 			n.stats.FetchesLocal++
 			data = make([]byte, n.pageSize)
-			if m := n.master[p]; m != nil {
+			if m := ps.master; m != nil {
 				copy(data, m)
 			}
-			return data, n.ver[p]
+			return data, ps.ver
 		}
-		reply := n.call(f, h, &wire.RCFetchReq{Page: uint32(p), HaveVer: n.haveVer[p]})
+		reply := n.call(f, h, &wire.RCFetchReq{Page: uint32(p), HaveVer: ps.haveVer})
 		r := reply.(*wire.RCFetchReply)
 		if r.Redirect != wire.RCNoNode {
 			n.stats.Redirects++
-			n.home[p] = ring.NodeID(r.Redirect)
+			ps.home = ring.NodeID(r.Redirect)
 			continue
 		}
 		if r.Rebound != 0 {
@@ -318,8 +328,8 @@ func (n *Node) fetchMaster(f *sim.Fiber, p mmu.PageID) (data []byte, ver uint32)
 			// again — a second grant while this node still believes it is
 			// home would split the page across two masters.
 			n.stats.Rebinds++
-			n.home[p] = n.self
-			n.master[p] = make([]byte, n.pageSize)
+			ps.home = n.self
+			ps.master = make([]byte, n.pageSize)
 			return make([]byte, n.pageSize), 0
 		}
 		data = r.Data
@@ -384,8 +394,8 @@ func (n *Node) Release(f *sim.Fiber) {
 		n.ep.ChargeCPU(f, n.costs.PageCopy)
 		if len(offsets) > 0 {
 			newVer := n.commitDiff(f, p, frame, offsets, words)
-			if newVer == n.haveVer[p]+1 {
-				n.haveVer[p] = newVer
+			if ps := n.pages.At(int(p)); newVer == ps.haveVer+1 {
+				ps.haveVer = newVer
 			} else {
 				// Another releaser's commit interleaved with ours: the
 				// master now holds words our frame never saw. Drop the
@@ -412,35 +422,36 @@ func (n *Node) Release(f *sim.Fiber) {
 func (n *Node) commitDiff(f *sim.Fiber, p mmu.PageID, frame []byte, offsets []uint32, words []uint64) uint32 {
 	n.stats.DiffCommits++
 	n.stats.DiffWords += uint64(len(words))
+	ps := n.pages.At(int(p))
 	for {
-		h := n.home[p]
+		h := ps.home
 		if h == n.self {
 			n.stats.DiffsLocal++
 			// The home's own commits reset the hand-off streak.
-			n.lastWriter[p] = n.self
-			n.streak[p] = 0
+			ps.lastWriter = n.self
+			ps.streak = 0
 			n.applyDiff(p, offsets, words)
 			n.ep.ChargeCPU(f, time.Duration(len(words))*n.costs.MemRef)
-			return n.ver[p]
+			return ps.ver
 		}
 		reply := n.call(f, h, &wire.RCDiffWriteReq{
-			Page: uint32(p), HaveVer: n.haveVer[p], Offsets: offsets, Words: words})
+			Page: uint32(p), HaveVer: ps.haveVer, Offsets: offsets, Words: words})
 		r := reply.(*wire.RCDiffWriteReply)
 		if r.Redirect != wire.RCNoNode {
 			n.stats.Redirects++
-			n.home[p] = ring.NodeID(r.Redirect)
+			ps.home = ring.NodeID(r.Redirect)
 			continue
 		}
 		if r.Rebound != 0 {
 			// Mastership granted: our frame IS the new master.
 			n.stats.Rebinds++
-			n.home[p] = n.self
+			ps.home = n.self
 			m := make([]byte, len(frame))
 			copy(m, frame)
-			n.master[p] = m
-			n.ver[p] = r.Ver
-			n.lastWriter[p] = n.self
-			n.streak[p] = 0
+			ps.master = m
+			ps.ver = r.Ver
+			ps.lastWriter = n.self
+			ps.streak = 0
 		}
 		return r.Ver
 	}
@@ -449,10 +460,11 @@ func (n *Node) commitDiff(f *sim.Fiber, p mmu.PageID, frame []byte, offsets []ui
 // applyDiff merges changed words into the master copy of a page homed
 // here and bumps its version. Runs atomically (no yields).
 func (n *Node) applyDiff(p mmu.PageID, offsets []uint32, words []uint64) {
-	m := n.master[p]
+	ps := n.pages.At(int(p))
+	m := ps.master
 	if m == nil {
 		m = make([]byte, n.pageSize)
-		n.master[p] = m
+		ps.master = m
 	}
 	for i, off := range offsets {
 		if int(off)+8 > len(m) || off&7 != 0 {
@@ -460,7 +472,7 @@ func (n *Node) applyDiff(p mmu.PageID, offsets []uint32, words []uint64) {
 		}
 		binary.LittleEndian.PutUint64(m[off:], words[i])
 	}
-	n.ver[p]++
+	ps.ver++
 }
 
 // postNotices appends the release's write notices to the directory log.
@@ -505,7 +517,7 @@ func (n *Node) Acquire(f *sim.Fiber) {
 	}
 	for i, pg := range pages {
 		p := mmu.PageID(pg)
-		if !n.IsData(p) || vers[i] <= n.haveVer[p] {
+		if !n.IsData(p) || vers[i] <= n.pages.Get(int(p)).haveVer {
 			continue
 		}
 		if n.Twinned(p) {
@@ -539,7 +551,8 @@ func (n *Node) mergeStale(f *sim.Fiber, p mmu.PageID) {
 	}
 	n.stats.Fetches++
 	data, ver := n.fetchMaster(f, p)
-	if ver <= n.haveVer[p] {
+	ps := n.pages.At(int(p))
+	if ver <= ps.haveVer {
 		return // our copy caught up in the meantime
 	}
 	n.stats.StaleMerged++
@@ -554,7 +567,7 @@ func (n *Node) mergeStale(f *sim.Fiber, p mmu.PageID) {
 	}
 	n.twins[p] = newTwin
 	n.install(f, p, data)
-	n.haveVer[p] = ver
+	ps.haveVer = ver
 }
 
 // dedupNotices collapses a log slice to one (page, max version) pair per
@@ -593,10 +606,11 @@ func (n *Node) handleFetch(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	if !n.IsData(p) {
 		panic(fmt.Sprintf("rc: node %d fetched for non-data page %d", n.self, p))
 	}
-	if n.home[p] != n.self {
-		return &wire.RCFetchReply{Page: m.Page, Redirect: uint32(n.home[p])}
+	ps := n.pages.At(int(p))
+	if ps.home != n.self {
+		return &wire.RCFetchReply{Page: m.Page, Redirect: uint32(ps.home)}
 	}
-	if n.master[p] == nil && n.ver[p] == 0 {
+	if ps.master == nil && ps.ver == 0 {
 		// Virgin page: grant mastership to the toucher instead of serving
 		// zeros. The requester installs the zero page it would have gotten
 		// anyway, and if it is the initializing writer (the common reason
@@ -608,12 +622,12 @@ func (n *Node) handleFetch(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		// from here on. A duplicate delivery past the reply-cache horizon
 		// sees home != self and redirects the requester to itself, which
 		// the fetch loop resolves against its own materialized master.
-		n.home[p] = ring.NodeID(env.Origin)
+		ps.home = ring.NodeID(env.Origin)
 		return &wire.RCFetchReply{Page: m.Page, Rebound: 1, Redirect: wire.RCNoNode}
 	}
-	data := n.ep.PageBuffer(len(n.master[p])) // back on the page list once the reply is marshalled
-	copy(data, n.master[p])
-	ver := n.ver[p]
+	data := n.ep.PageBuffer(len(ps.master)) // back on the page list once the reply is marshalled
+	copy(data, ps.master)
+	ver := ps.ver
 	n.ep.ChargeCPU(ctx.Fiber(), n.costs.PageCopy)
 	return &wire.RCFetchReply{Page: m.Page, Ver: ver, Redirect: wire.RCNoNode, Data: data}
 }
@@ -651,31 +665,32 @@ func (n *Node) handleDiffWrite(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	if len(m.Offsets) != len(m.Words) {
 		panic(fmt.Sprintf("rc: diff for page %d with %d offsets but %d words", p, len(m.Offsets), len(m.Words)))
 	}
-	if n.home[p] != n.self {
-		return &wire.RCDiffWriteReply{Page: m.Page, Redirect: uint32(n.home[p])}
+	ps := n.pages.At(int(p))
+	if ps.home != n.self {
+		return &wire.RCDiffWriteReply{Page: m.Page, Redirect: uint32(ps.home)}
 	}
 	w := ring.NodeID(env.Origin)
-	contig := m.HaveVer == n.ver[p]
-	if contig && w == n.lastWriter[p] {
-		n.streak[p]++
+	contig := m.HaveVer == ps.ver
+	if contig && w == ps.lastWriter {
+		ps.streak++
 	} else if contig {
-		n.lastWriter[p] = w
-		n.streak[p] = 1
+		ps.lastWriter = w
+		ps.streak = 1
 	} else {
-		n.lastWriter[p] = w
-		n.streak[p] = 0
+		ps.lastWriter = w
+		ps.streak = 0
 	}
-	if contig && (n.ver[p] == 0 || n.streak[p] >= rebindStreak) {
-		ver := n.ver[p] + 1
-		n.home[p] = w
-		n.master[p] = nil
-		n.ver[p] = ver
-		n.lastWriter[p] = -1
-		n.streak[p] = 0
+	if contig && (ps.ver == 0 || ps.streak >= rebindStreak) {
+		ver := ps.ver + 1
+		ps.home = w
+		ps.master = nil
+		ps.ver = ver
+		ps.lastWriter = -1
+		ps.streak = 0
 		return &wire.RCDiffWriteReply{Page: m.Page, Ver: ver, Rebound: 1, Redirect: wire.RCNoNode}
 	}
 	n.applyDiff(p, m.Offsets, m.Words)
-	ver := n.ver[p]
+	ver := ps.ver
 	n.ep.ChargeCPU(ctx.Fiber(), time.Duration(len(m.Words))*n.costs.MemRef)
 	return &wire.RCDiffWriteReply{Page: m.Page, Ver: ver, Redirect: wire.RCNoNode}
 }

@@ -3,6 +3,7 @@ package rc
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/memfs"
 	"repro/internal/mmu"
 	"repro/internal/model"
+	"repro/internal/pagemap"
 	"repro/internal/remop"
 	"repro/internal/ring"
 	"repro/internal/sim"
@@ -166,13 +168,14 @@ func TestDiffRoundTrip(t *testing.T) {
 			if !slices.IsSorted(offsets) {
 				t.Fatalf("offsets not ascending: %v", offsets)
 			}
-			n.master[1] = slices.Clone(twin)
+			n.pages.At(1).master = slices.Clone(twin)
 			n.applyDiff(1, offsets, words)
-			if !slices.Equal(n.master[1], frame) {
-				t.Fatalf("master after diff = %v, want the frame %v", n.master[1], frame)
+			p0, p1 := n.pages.Get(0), n.pages.Get(1)
+			if !slices.Equal(p1.master, frame) {
+				t.Fatalf("master after diff = %v, want the frame %v", p1.master, frame)
 			}
-			if n.ver[1] != 1 || n.ver[0] != 0 || n.master[0] != nil {
-				t.Fatalf("versions %v, page 0 master %v: diff leaked outside its page", n.ver, n.master[0])
+			if p1.ver != 1 || p0.ver != 0 || p0.master != nil {
+				t.Fatalf("versions %d/%d, page 0 master %v: diff leaked outside its page", p0.ver, p1.ver, p0.master)
 			}
 		})
 	}
@@ -183,8 +186,44 @@ func TestDiffRoundTrip(t *testing.T) {
 func TestApplyDiffMaterializesVirginMaster(t *testing.T) {
 	n := soloNode(1)
 	n.applyDiff(0, []uint32{16}, []uint64{42})
-	if want := page(map[int]uint64{2: 42}); !slices.Equal(n.master[0], want) {
-		t.Fatalf("master = %v, want %v", n.master[0], want)
+	if want := page(map[int]uint64{2: 42}); !slices.Equal(n.pages.Get(0).master, want) {
+		t.Fatalf("master = %v, want %v", n.pages.Get(0).master, want)
+	}
+}
+
+// TestSeedEquivalence: a data page's state, read before anything touched
+// it and again once its chunk materialized, is what New's eager loop
+// once wrote for every page — home p mod N, no last writer, everything
+// else zero — on the directory node and on another, across chunk
+// boundaries.
+func TestSeedEquivalence(t *testing.T) {
+	const nodes, pages = 3, 3*pagemap.ChunkPages + 17
+	eng := sim.New(1)
+	nw := ring.New(eng, model.Default1988(), nodes)
+	sample := []int{0, 1, pagemap.ChunkPages - 1, pagemap.ChunkPages, pagemap.ChunkPages + 1,
+		2*pagemap.ChunkPages + 5, 3 * pagemap.ChunkPages, pages - 1}
+	for _, id := range []ring.NodeID{0, 2} {
+		n := newNode(eng, nw, id, pages)
+		eager := func(p int) pageState { return pageState{home: ring.NodeID(p % nodes), lastWriter: -1} }
+		for _, p := range sample {
+			if got := n.pages.Get(p); !reflect.DeepEqual(got, eager(p)) {
+				t.Errorf("node %d page %d before materializing: %+v, want %+v", id, p, got, eager(p))
+			}
+			if got := n.Home(mmu.PageID(p)); got != eager(p).home {
+				t.Errorf("node %d: Home(%d) = %d, want %d", id, p, got, eager(p).home)
+			}
+			if _, ok := n.MasterPeek(mmu.PageID(p)); ok != (p%nodes == int(id)) {
+				t.Errorf("node %d: MasterPeek(%d) answers %v", id, p, ok)
+			}
+		}
+		if n.Chunks() != 0 {
+			t.Fatalf("node %d: reads materialized %d chunks", id, n.Chunks())
+		}
+		for _, p := range sample {
+			if got := *n.pages.At(p); !reflect.DeepEqual(got, eager(p)) {
+				t.Errorf("node %d page %d after materializing: %+v, want %+v", id, p, got, eager(p))
+			}
+		}
 	}
 }
 

@@ -58,6 +58,9 @@ func NewNode(nc NodeConfig) (*Cluster, string, error) {
 	if nc.Rank < 0 || nc.Rank >= cfg.Processors {
 		return nil, "", fmt.Errorf("ivy: rank %d out of range [0,%d)", nc.Rank, cfg.Processors)
 	}
+	if err := cfg.checkSharedPages(); err != nil {
+		return nil, "", err
+	}
 	if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil || cfg.DRace || cfg.Profile {
 		return nil, "", fmt.Errorf("ivy: loss, chaos, tracing, drace, and profiling are simulator planes; not available in a multi-process node")
 	}

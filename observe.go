@@ -232,7 +232,7 @@ func (o *pageObserver) Event(s *core.SVM, _ *sim.Fiber, ev core.Event, at core.E
 	if site == "" || (!o.all && p != o.page) {
 		return
 	}
-	e := s.Table().Entry(p)
+	e := s.Table().Get(p)
 	o.fn(PageEvent{
 		Time:      o.c.Now(),
 		Node:      s.Node(),
