@@ -51,10 +51,6 @@ func TestHotpathGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{HotpathAnalyzer}, "hot/hot")
 }
 
-func TestWiresymGolden(t *testing.T) {
-	runGolden(t, []*analysis.Analyzer{WiresymAnalyzer}, "wsym/wire")
-}
-
 // TestHookcoverGolden plants the observer-seam coverage holes — an
 // exported SVM accessor handing out frame bytes with no seam call on its
 // call graph, and one that reaches only the seam's fault side — and
@@ -86,16 +82,6 @@ func TestWorldsplitGolden(t *testing.T) {
 func TestLockorderGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{LockorderAnalyzer},
 		"lck/internal/core", "lck/internal/mmu", "lck/internal/sim", "lck/internal/remop")
-}
-
-// TestWirehandlerGolden plants one violation of each wirehandler rule:
-// an unhandled request kind, an unclassified kind, a handler arm for a
-// reply kind, and a wire-shaped package with no classification table at
-// all — while handled requests and a direct handlers-map install for a
-// notice stay clean.
-func TestWirehandlerGolden(t *testing.T) {
-	runGolden(t, []*analysis.Analyzer{WirehandlerAnalyzer},
-		"whd/wire", "whd/chaos", "whd/server", "whd/bare")
 }
 
 // TestIgnoreMechanism pins the escape hatch: a reasoned ignore

@@ -1,4 +1,4 @@
-// Package ivyvet is the simulator's custom static-analysis suite: nine
+// Package ivyvet is the simulator's custom static-analysis suite: seven
 // analyzers that mechanically enforce invariants this reproduction
 // otherwise trusts to convention and review. Since v2 the suite runs
 // over a whole-program call graph (internal/ivyvet/callgraph, shared
@@ -18,14 +18,11 @@
 //   - shootdown: every frame installation in internal/core must route
 //     through SVM.install, which advances the TLB shootdown epoch when
 //     memfs.Pool.Put replaces a resident frame's bytes in place.
-//   - wiresym: every registered wire message kind must have a name, a
-//     decoder factory, a Kind method agreeing with its registration,
-//     and Encode/Decode bodies that move the same field sequence.
 //
 // Whole-program analyzers (these assume the full module is loaded; on
 // a subset load they can over-report, since the evidence that
-// satisfies them — handler registrations, hook calls, the chaos
-// classification table — may live in packages outside the request):
+// satisfies them — callees, hook calls — may live in packages outside
+// the request):
 //
 //   - hotpath: functions annotated //ivy:hotpath must stay free of
 //     allocating constructs; callees must be hotpath-annotated,
@@ -43,9 +40,11 @@
 //   - hookcover: every shared-memory access entry point in
 //     internal/core (exported SVM method taking a Ctx that reaches
 //     page frames) must reach the observer seam (SVM.Observe).
-//   - wirehandler: every wire.Kind is classified in the chaos
-//     kindClass table; request/notice kinds must have a handler arm
-//     somewhere in the module, reply kinds must have none.
+//
+// The wire vocabulary needs no analyzer: internal/wire's codec is
+// symmetric by construction (one code method per body, run in both
+// directions), and which kinds are served is a test over built clusters
+// (TestEveryRequestKindIsServed in the root package).
 //
 // A diagnostic is suppressed by a `//ivyvet:ignore <reason>` comment on
 // the flagged line or the line above; the reason is mandatory, so every
@@ -73,11 +72,9 @@ func Analyzers() []*analysis.Analyzer {
 		MapOrderAnalyzer,
 		ShootdownAnalyzer,
 		HotpathAnalyzer,
-		WiresymAnalyzer,
 		WorldsplitAnalyzer,
 		LockorderAnalyzer,
 		HookcoverAnalyzer,
-		WirehandlerAnalyzer,
 	}
 }
 

@@ -384,12 +384,22 @@ func (ep *Endpoint) Stats() Stats { return ep.stats }
 // LoadHintOf returns the most recently observed load hint for node id.
 func (ep *Endpoint) LoadHintOf(id ring.NodeID) uint8 { return ep.loads[id] }
 
-// SetHandler installs the handler for requests of kind k.
+// SetHandler installs the handler for requests of kind k. A reply kind
+// cannot have one — replies go to the call awaiting them — and panics.
 func (ep *Endpoint) SetHandler(k wire.Kind, h Handler) {
+	if c := k.Class(); c == wire.ClassReply {
+		panic(fmt.Sprintf("remop: handler for %v on node %d: a %v is consumed by its caller, not served", k, ep.id, c))
+	}
 	if _, dup := ep.handlers[k]; dup {
 		panic(fmt.Sprintf("remop: handler for %v installed twice on node %d", k, ep.id))
 	}
 	ep.handlers[k] = h
+}
+
+// Handles reports whether a handler for kind k is installed.
+func (ep *Endpoint) Handles(k wire.Kind) bool {
+	_, ok := ep.handlers[k]
+	return ok
 }
 
 // SetGate installs a delivery-time participation check for broadcast

@@ -2,6 +2,7 @@ package remop
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -377,6 +378,20 @@ func TestMissingHandlerPanics(t *testing.T) {
 		}
 	}()
 	r.run(t, 10*time.Second)
+}
+
+// TestSetHandlerRejectsReplyKinds: a reply is consumed by the call
+// awaiting it, so a handler for a reply kind could never run and is
+// refused by name.
+func TestSetHandlerRejectsReplyKinds(t *testing.T) {
+	r := newRig(t, 1, 1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "PageReadReply") || !strings.Contains(msg, "reply") {
+			t.Fatalf("panic %q does not name the kind and its class", msg)
+		}
+	}()
+	r.eps[0].SetHandler(wire.KindPageReadReply, func(*Ctx, *wire.Envelope) wire.Msg { return nil })
 }
 
 func TestDeterministicUnderLoss(t *testing.T) {

@@ -78,6 +78,45 @@ func TestPooledRoundTripDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRecycledBodyDropsTrailer decodes a message without its optional
+// trailer into the recycled body of one that had it: the decode must
+// clear the trailer rather than keep the previous message's.
+func TestRecycledBodyDropsTrailer(t *testing.T) {
+	cases := []struct{ with, without Msg }{
+		{&NotifyReq{PCBAddr: 1, ECAddr: 2, Value: 3, VC: []uint64{7, 8}}, &NotifyReq{PCBAddr: 4, ECAddr: 5, Value: 6}},
+		{&MigrateReq{PCB: []byte("a"), StackPage: 1, VC: []uint64{9}}, &MigrateReq{PCB: []byte("b"), StackPage: 2}},
+		{&AllocReq{Size: 8, Sync: true}, &AllocReq{Size: 16}},
+	}
+	for _, tc := range cases {
+		var c Codec
+		first, err := c.Unmarshal(c.Marshal(&Envelope{Body: tc.with}).Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycled := first.Body
+		c.Recycle(first)
+		second, err := c.Unmarshal(c.Marshal(&Envelope{Body: tc.without}).Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Poison && second.Body != recycled {
+			t.Fatalf("%v: the second decode did not reuse the recycled body", tc.with.Kind())
+		}
+		var stale bool
+		switch b := second.Body.(type) {
+		case *NotifyReq:
+			stale = b.VC != nil
+		case *MigrateReq:
+			stale = b.VC != nil
+		case *AllocReq:
+			stale = b.Sync
+		}
+		if stale {
+			t.Errorf("%v: recycled body kept the previous message's trailer: %+v", tc.with.Kind(), second.Body)
+		}
+	}
+}
+
 // TestPayloadReferenceCounting: a payload returns to its codec only when
 // every holder has released, an over-release panics, and a holder that
 // never releases keeps the buffer out of circulation for good.

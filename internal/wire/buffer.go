@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"slices"
 )
 
@@ -39,9 +38,6 @@ func (b *Buffer) PutU16(v uint16) { b.b = binary.LittleEndian.AppendUint16(b.b, 
 func (b *Buffer) PutU32(v uint32) { b.b = binary.LittleEndian.AppendUint32(b.b, v) }
 func (b *Buffer) PutU64(v uint64) { b.b = binary.LittleEndian.AppendUint64(b.b, v) }
 func (b *Buffer) PutI64(v int64)  { b.PutU64(uint64(v)) }
-func (b *Buffer) PutF64(v float64) {
-	b.PutU64(math.Float64bits(v))
-}
 
 // PutBytes writes a length-prefixed byte slice (max ~4 GB).
 func (b *Buffer) PutBytes(v []byte) {
@@ -79,11 +75,11 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
+// take returns the next n bytes. One test covers both ways to fail —
+// ErrShortBuffer is the only error a Reader records — which keeps the
+// fixed-width reads, and the coder methods over them, inlinable.
 func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
+	if r.err != nil || r.off+n > len(r.b) {
 		r.err = ErrShortBuffer
 		return nil
 	}
@@ -127,8 +123,6 @@ func (r *Reader) U64() uint64 {
 }
 
 func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // prefixed reads a length prefix and returns that many bytes of the
 // encoded data, aliased; ok is false once the reader has failed.
@@ -179,4 +173,129 @@ func (r *Reader) PageBytes() []byte {
 func (r *Reader) String() string {
 	s, _ := r.prefixed()
 	return string(s)
+}
+
+// coder moves a message body's fields in one direction: onto enc when
+// encoding, off dec when decoding; exactly one of the two is set. A
+// body's code method names its fields in wire order and never asks which
+// way it runs — only the methods below do — so its encoder and decoder
+// cannot disagree, and a decode assigns every field, trailers included.
+type coder struct {
+	enc *Buffer
+	dec *Reader
+}
+
+func (c *coder) u8(v *uint8) {
+	if c.enc != nil {
+		c.enc.PutU8(*v)
+	} else {
+		*v = c.dec.U8()
+	}
+}
+
+func (c *coder) u16(v *uint16) {
+	if c.enc != nil {
+		c.enc.PutU16(*v)
+	} else {
+		*v = c.dec.U16()
+	}
+}
+
+func (c *coder) u32(v *uint32) {
+	if c.enc != nil {
+		c.enc.PutU32(*v)
+	} else {
+		*v = c.dec.U32()
+	}
+}
+
+func (c *coder) u64(v *uint64) {
+	if c.enc != nil {
+		c.enc.PutU64(*v)
+	} else {
+		*v = c.dec.U64()
+	}
+}
+
+func (c *coder) i64(v *int64) {
+	if c.enc != nil {
+		c.enc.PutI64(*v)
+	} else {
+		*v = c.dec.I64()
+	}
+}
+
+func (c *coder) bool(v *bool) {
+	if c.enc != nil {
+		c.enc.PutBool(*v)
+	} else {
+		*v = c.dec.Bool()
+	}
+}
+
+// bytes moves a length-prefixed byte slice; a decoded one is a copy.
+func (c *coder) bytes(v *[]byte) {
+	if c.enc != nil {
+		c.enc.PutBytes(*v)
+	} else {
+		*v = c.dec.Bytes()
+	}
+}
+
+// page is bytes for a field that carries a page: a decoded one is copied
+// into a buffer off the endpoint codec's page list (Reader.PageBytes).
+func (c *coder) page(v *[]byte) {
+	if c.enc != nil {
+		c.enc.PutBytes(*v)
+	} else {
+		*v = c.dec.PageBytes()
+	}
+}
+
+// count moves the length of a list whose elements take elemSize bytes
+// each, and returns it: n when encoding, after making room for the
+// elements so they regrow the buffer at most once; the decoded length
+// when decoding. A length the remaining bytes cannot hold fails the
+// reader with ErrShortBuffer and returns 0, so a length bomb never
+// reaches an allocation.
+func (c *coder) count(n, elemSize int) int {
+	if c.enc != nil {
+		c.enc.PutU32(uint32(n))
+		c.enc.Grow(elemSize * n)
+		return n
+	}
+	n = int(c.dec.U32())
+	if n > c.dec.Remaining()/elemSize {
+		c.dec.err = ErrShortBuffer
+		return 0
+	}
+	return n
+}
+
+// list returns the slice a list of n elements moves through: s itself
+// when encoding, a fresh slice when decoding, so a decoded list never
+// shares storage with the one a recycled body held before.
+func list[T any](c *coder, s []T, n int) []T {
+	if c.enc != nil {
+		return s
+	}
+	return make([]T, n)
+}
+
+// trailer reports whether the optional field *v, which ends its body, is
+// on the wire: when encoding, whether the body sets it (set); when
+// decoding, whether bytes remain. A decode that finds none assigns *v
+// its zero value, so a recycled body never keeps the trailer of the
+// message it held before. Absent trailers keep frames bit-identical to
+// the protocol versions that predate them.
+func trailer[T any](c *coder, v *T, set bool) bool {
+	if c.enc != nil {
+		return set
+	}
+	if c.dec.Remaining() > 0 {
+		return true
+	}
+	var zero T
+	*v = zero
+	return false
 }

@@ -16,9 +16,10 @@ package wire
 type Codec struct {
 	enc Buffer
 	rd  Reader
+	cod coder // moves bodies onto enc or off rd, one call at a time
 
 	small []*Payload // idle payloads backed by their inline room
-	large []*Payload // idle payloads with a heap buffer (see bulk)
+	large []*Payload // idle payloads with a heap buffer (the bulk kinds)
 	pages [][]byte   // idle page-sized data buffers
 
 	envs   []*Envelope    // idle decoded envelopes, Body nil
@@ -35,19 +36,6 @@ const (
 	maxIdleEnvelopes = 16
 	maxIdleBodies    = 8
 )
-
-// bulk marks the kinds whose bodies carry a variable-length field — a
-// page, a diff, a notice list. Their payloads draw from (and return to)
-// the heap-backed class; every other kind fits a payload's inline room.
-var bulk = [kindMax]bool{
-	KindPageReadReply:       true,
-	KindPageWriteReply:      true,
-	KindMigrateReq:          true,
-	KindRCFetchReply:        true,
-	KindRCDiffWriteReq:      true,
-	KindRCNoticePostReq:     true,
-	KindRCAcquireQueryReply: true,
-}
 
 // Payload is one encoded envelope together with the count of references
 // to it. The ownership rule of the message path: whoever is handed a
@@ -109,7 +97,7 @@ func (c *Codec) idlePayloads(bulk bool) *[]*Payload {
 // Marshal encodes e once, straight into a recycled payload, and returns
 // it holding one reference — the caller's.
 func (c *Codec) Marshal(e *Envelope) *Payload {
-	isBulk := bulk[e.Body.Kind()]
+	isBulk := kinds[e.Body.Kind()].bulk
 	p, ok := pop(c.idlePayloads(isBulk))
 	if !ok {
 		p = &Payload{codec: c, bulk: isBulk}
@@ -118,7 +106,8 @@ func (c *Codec) Marshal(e *Envelope) *Payload {
 		}
 	}
 	c.enc.b = p.b[:0]
-	e.encode(&c.enc)
+	c.cod = coder{enc: &c.enc}
+	e.encode(&c.cod)
 	p.b, c.enc.b = c.enc.b, nil
 	p.refs = 1
 	c.live++
@@ -139,7 +128,8 @@ func (c *Codec) Unmarshal(data []byte) (*Envelope, error) {
 		e = new(Envelope)
 	}
 	c.rd = Reader{b: data, codec: c}
-	err := e.decode(&c.rd)
+	c.cod = coder{dec: &c.rd}
+	err := e.decode(&c.cod)
 	c.rd = Reader{}
 	if err != nil {
 		return nil, err

@@ -14,12 +14,8 @@ type ReadFaultReq struct {
 	Page uint32
 }
 
-func (*ReadFaultReq) Kind() Kind         { return KindReadFaultReq }
-func (m *ReadFaultReq) Encode(b *Buffer) { b.PutU32(m.Page) }
-func (m *ReadFaultReq) Decode(r *Reader) error {
-	m.Page = r.U32()
-	return nil
-}
+func (*ReadFaultReq) Kind() Kind      { return KindReadFaultReq }
+func (m *ReadFaultReq) code(c *coder) { c.u32(&m.Page) }
 
 // WriteFaultReq asks for ownership of a page with exclusive (write)
 // access. The reply carries the page and its copyset so the new owner can
@@ -28,12 +24,8 @@ type WriteFaultReq struct {
 	Page uint32
 }
 
-func (*WriteFaultReq) Kind() Kind         { return KindWriteFaultReq }
-func (m *WriteFaultReq) Encode(b *Buffer) { b.PutU32(m.Page) }
-func (m *WriteFaultReq) Decode(r *Reader) error {
-	m.Page = r.U32()
-	return nil
-}
+func (*WriteFaultReq) Kind() Kind      { return KindWriteFaultReq }
+func (m *WriteFaultReq) code(c *coder) { c.u32(&m.Page) }
 
 // PageReadReply delivers a read copy of a page from its owner.
 type PageReadReply struct {
@@ -43,16 +35,10 @@ type PageReadReply struct {
 }
 
 func (*PageReadReply) Kind() Kind { return KindPageReadReply }
-func (m *PageReadReply) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU16(m.Owner)
-	b.PutBytes(m.Data)
-}
-func (m *PageReadReply) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.Owner = r.U16()
-	m.Data = r.PageBytes()
-	return nil
+func (m *PageReadReply) code(c *coder) {
+	c.u32(&m.Page)
+	c.u16(&m.Owner)
+	c.page(&m.Data)
 }
 
 // PageWriteReply transfers a page, its copyset, and its ownership to a
@@ -64,16 +50,10 @@ type PageWriteReply struct {
 }
 
 func (*PageWriteReply) Kind() Kind { return KindPageWriteReply }
-func (m *PageWriteReply) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU64(m.Copyset)
-	b.PutBytes(m.Data)
-}
-func (m *PageWriteReply) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.Copyset = r.U64()
-	m.Data = r.PageBytes()
-	return nil
+func (m *PageWriteReply) code(c *coder) {
+	c.u32(&m.Page)
+	c.u64(&m.Copyset)
+	c.page(&m.Data)
 }
 
 // InvalidateReq tells a node to drop its read copy of a page. NewOwner
@@ -85,14 +65,9 @@ type InvalidateReq struct {
 }
 
 func (*InvalidateReq) Kind() Kind { return KindInvalidateReq }
-func (m *InvalidateReq) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU16(m.NewOwner)
-}
-func (m *InvalidateReq) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.NewOwner = r.U16()
-	return nil
+func (m *InvalidateReq) code(c *coder) {
+	c.u32(&m.Page)
+	c.u16(&m.NewOwner)
 }
 
 // InvalidateAck confirms an invalidation.
@@ -100,12 +75,8 @@ type InvalidateAck struct {
 	Page uint32
 }
 
-func (*InvalidateAck) Kind() Kind         { return KindInvalidateAck }
-func (m *InvalidateAck) Encode(b *Buffer) { b.PutU32(m.Page) }
-func (m *InvalidateAck) Decode(r *Reader) error {
-	m.Page = r.U32()
-	return nil
-}
+func (*InvalidateAck) Kind() Kind      { return KindInvalidateAck }
+func (m *InvalidateAck) code(c *coder) { c.u32(&m.Page) }
 
 // MgrConfirm tells a page's manager that an ownership transfer finished,
 // unlocking the page entry for the next fault (improved centralized and
@@ -124,18 +95,11 @@ type MgrConfirm struct {
 }
 
 func (*MgrConfirm) Kind() Kind { return KindMgrConfirm }
-func (m *MgrConfirm) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU16(m.NewOwner)
-	b.PutBool(m.Migration)
-	b.PutBool(m.ReadOnly)
-}
-func (m *MgrConfirm) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.NewOwner = r.U16()
-	m.Migration = r.Bool()
-	m.ReadOnly = r.Bool()
-	return nil
+func (m *MgrConfirm) code(c *coder) {
+	c.u32(&m.Page)
+	c.u16(&m.NewOwner)
+	c.bool(&m.Migration)
+	c.bool(&m.ReadOnly)
 }
 
 // --- Process management bodies ---------------------------------------
@@ -156,57 +120,28 @@ type MigrateReq struct {
 }
 
 func (*MigrateReq) Kind() Kind { return KindMigrateReq }
-func (m *MigrateReq) Encode(b *Buffer) {
-	b.PutBytes(m.PCB)
-	b.PutU32(m.StackPage)
-	b.PutBytes(m.StackData)
-	b.PutU32(uint32(len(m.UpperPages)))
-	for _, p := range m.UpperPages {
-		b.PutU32(p)
-	}
-	if len(m.VC) > 0 {
-		b.PutU32(uint32(len(m.VC)))
-		for _, v := range m.VC {
-			b.PutU64(v)
-		}
-	}
-}
-func (m *MigrateReq) Decode(r *Reader) error {
-	m.PCB = r.Bytes()
-	m.StackPage = r.U32()
-	m.StackData = r.PageBytes()
-	m.VC = nil // optional trailer: a recycled body must not keep the last one
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > r.Remaining()/4 {
-		return ErrShortBuffer
-	}
-	m.UpperPages = make([]uint32, n)
+func (m *MigrateReq) code(c *coder) {
+	c.bytes(&m.PCB)
+	c.u32(&m.StackPage)
+	c.page(&m.StackData)
+	m.UpperPages = list(c, m.UpperPages, c.count(len(m.UpperPages), 4))
 	for i := range m.UpperPages {
-		m.UpperPages[i] = r.U32()
+		c.u32(&m.UpperPages[i])
 	}
-	if r.Remaining() > 0 {
-		k := int(r.U32())
-		if k > r.Remaining()/8 {
-			return ErrShortBuffer
-		}
-		m.VC = make([]uint64, k)
+	if trailer(c, &m.VC, len(m.VC) > 0) {
+		m.VC = list(c, m.VC, c.count(len(m.VC), 8))
 		for i := range m.VC {
-			m.VC[i] = r.U64()
+			c.u64(&m.VC[i])
 		}
 	}
-	return nil
 }
 
 // MigrateAccept confirms a migration; the process is now on the
 // destination's ready queue.
 type MigrateAccept struct{}
 
-func (*MigrateAccept) Kind() Kind           { return KindMigrateAccept }
-func (*MigrateAccept) Encode(*Buffer)       {}
-func (*MigrateAccept) Decode(*Reader) error { return nil }
+func (*MigrateAccept) Kind() Kind  { return KindMigrateAccept }
+func (*MigrateAccept) code(*coder) {}
 
 // MigrateReject refuses a migration.
 type MigrateReject struct {
@@ -219,24 +154,16 @@ const (
 	RejectNoProcess                  // nothing migratable to send back
 )
 
-func (*MigrateReject) Kind() Kind         { return KindMigrateReject }
-func (m *MigrateReject) Encode(b *Buffer) { b.PutU8(m.Reason) }
-func (m *MigrateReject) Decode(r *Reader) error {
-	m.Reason = r.U8()
-	return nil
-}
+func (*MigrateReject) Kind() Kind      { return KindMigrateReject }
+func (m *MigrateReject) code(c *coder) { c.u8(&m.Reason) }
 
 // WorkReq is an idle node asking a (hinted) loaded node for a process.
 type WorkReq struct {
 	Load uint8 // requester's current process count
 }
 
-func (*WorkReq) Kind() Kind         { return KindWorkReq }
-func (m *WorkReq) Encode(b *Buffer) { b.PutU8(m.Load) }
-func (m *WorkReq) Decode(r *Reader) error {
-	m.Load = r.U8()
-	return nil
-}
+func (*WorkReq) Kind() Kind      { return KindWorkReq }
+func (m *WorkReq) code(c *coder) { c.u8(&m.Load) }
 
 // WorkReply answers a WorkReq. When Granted, the replying node will
 // follow up with a MigrateReq addressed to the requester.
@@ -244,12 +171,8 @@ type WorkReply struct {
 	Granted bool
 }
 
-func (*WorkReply) Kind() Kind         { return KindWorkReply }
-func (m *WorkReply) Encode(b *Buffer) { b.PutBool(m.Granted) }
-func (m *WorkReply) Decode(r *Reader) error {
-	m.Granted = r.Bool()
-	return nil
-}
+func (*WorkReply) Kind() Kind      { return KindWorkReply }
+func (m *WorkReply) code(c *coder) { c.bool(&m.Granted) }
 
 // ResumeReq resumes a suspended process identified by its PCB address on
 // the destination node (a PID in IVY is the pair processor/PCB-address).
@@ -257,12 +180,8 @@ type ResumeReq struct {
 	PCBAddr uint64
 }
 
-func (*ResumeReq) Kind() Kind         { return KindResumeReq }
-func (m *ResumeReq) Encode(b *Buffer) { b.PutU64(m.PCBAddr) }
-func (m *ResumeReq) Decode(r *Reader) error {
-	m.PCBAddr = r.U64()
-	return nil
-}
+func (*ResumeReq) Kind() Kind      { return KindResumeReq }
+func (m *ResumeReq) code(c *coder) { c.u64(&m.PCBAddr) }
 
 // NotifyReq wakes a process waiting on an eventcount whose Advance ran on
 // another node. With the race detector armed, VC piggybacks the
@@ -276,33 +195,16 @@ type NotifyReq struct {
 }
 
 func (*NotifyReq) Kind() Kind { return KindNotifyReq }
-func (m *NotifyReq) Encode(b *Buffer) {
-	b.PutU64(m.PCBAddr)
-	b.PutU64(m.ECAddr)
-	b.PutI64(m.Value)
-	if len(m.VC) > 0 {
-		b.PutU32(uint32(len(m.VC)))
-		for _, v := range m.VC {
-			b.PutU64(v)
-		}
-	}
-}
-func (m *NotifyReq) Decode(r *Reader) error {
-	m.PCBAddr = r.U64()
-	m.ECAddr = r.U64()
-	m.Value = r.I64()
-	m.VC = nil // optional trailer: a recycled body must not keep the last one
-	if r.Remaining() > 0 {
-		k := int(r.U32())
-		if k > r.Remaining()/8 {
-			return ErrShortBuffer
-		}
-		m.VC = make([]uint64, k)
+func (m *NotifyReq) code(c *coder) {
+	c.u64(&m.PCBAddr)
+	c.u64(&m.ECAddr)
+	c.i64(&m.Value)
+	if trailer(c, &m.VC, len(m.VC) > 0) {
+		m.VC = list(c, m.VC, c.count(len(m.VC), 8))
 		for i := range m.VC {
-			m.VC[i] = r.U64()
+			c.u64(&m.VC[i])
 		}
 	}
-	return nil
 }
 
 // --- Memory allocation bodies ----------------------------------------
@@ -319,19 +221,11 @@ type AllocReq struct {
 }
 
 func (*AllocReq) Kind() Kind { return KindAllocReq }
-func (m *AllocReq) Encode(b *Buffer) {
-	b.PutU64(m.Size)
-	if m.Sync {
-		b.PutBool(true)
+func (m *AllocReq) code(c *coder) {
+	c.u64(&m.Size)
+	if trailer(c, &m.Sync, m.Sync) {
+		c.bool(&m.Sync)
 	}
-}
-func (m *AllocReq) Decode(r *Reader) error {
-	m.Size = r.U64()
-	m.Sync = false
-	if r.Remaining() > 0 {
-		m.Sync = r.Bool()
-	}
-	return nil
 }
 
 // AllocReply returns the allocated base address.
@@ -341,14 +235,9 @@ type AllocReply struct {
 }
 
 func (*AllocReply) Kind() Kind { return KindAllocReply }
-func (m *AllocReply) Encode(b *Buffer) {
-	b.PutU64(m.Addr)
-	b.PutBool(m.OK)
-}
-func (m *AllocReply) Decode(r *Reader) error {
-	m.Addr = r.U64()
-	m.OK = r.Bool()
-	return nil
+func (m *AllocReply) code(c *coder) {
+	c.u64(&m.Addr)
+	c.bool(&m.OK)
 }
 
 // FreeReq releases a block previously returned by AllocReply.
@@ -356,24 +245,16 @@ type FreeReq struct {
 	Addr uint64
 }
 
-func (*FreeReq) Kind() Kind         { return KindFreeReq }
-func (m *FreeReq) Encode(b *Buffer) { b.PutU64(m.Addr) }
-func (m *FreeReq) Decode(r *Reader) error {
-	m.Addr = r.U64()
-	return nil
-}
+func (*FreeReq) Kind() Kind      { return KindFreeReq }
+func (m *FreeReq) code(c *coder) { c.u64(&m.Addr) }
 
 // FreeReply confirms a free.
 type FreeReply struct {
 	OK bool
 }
 
-func (*FreeReply) Kind() Kind         { return KindFreeReply }
-func (m *FreeReply) Encode(b *Buffer) { b.PutBool(m.OK) }
-func (m *FreeReply) Decode(r *Reader) error {
-	m.OK = r.Bool()
-	return nil
-}
+func (*FreeReply) Kind() Kind      { return KindFreeReply }
+func (m *FreeReply) code(c *coder) { c.bool(&m.OK) }
 
 // --- Remote operation layer ------------------------------------------
 
@@ -382,12 +263,8 @@ type Ping struct {
 	Payload []byte
 }
 
-func (*Ping) Kind() Kind         { return KindPing }
-func (m *Ping) Encode(b *Buffer) { b.PutBytes(m.Payload) }
-func (m *Ping) Decode(r *Reader) error {
-	m.Payload = r.Bytes()
-	return nil
-}
+func (*Ping) Kind() Kind      { return KindPing }
+func (m *Ping) code(c *coder) { c.bytes(&m.Payload) }
 
 // PCBProbe asks whether a PCB handle is still live at its (chased)
 // destination; the forwarding-pointer garbage collector reclaims slots
@@ -398,14 +275,9 @@ type PCBProbe struct {
 }
 
 func (*PCBProbe) Kind() Kind { return KindPCBProbe }
-func (m *PCBProbe) Encode(b *Buffer) {
-	b.PutU64(m.Handle)
-	b.PutBool(m.Live)
-}
-func (m *PCBProbe) Decode(r *Reader) error {
-	m.Handle = r.U64()
-	m.Live = r.Bool()
-	return nil
+func (m *PCBProbe) code(c *coder) {
+	c.u64(&m.Handle)
+	c.bool(&m.Live)
 }
 
 // OwnerQuery asks (by broadcast, reply-from-any) which node currently
@@ -416,14 +288,9 @@ type OwnerQuery struct {
 }
 
 func (*OwnerQuery) Kind() Kind { return KindOwnerQuery }
-func (m *OwnerQuery) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU16(m.Owner)
-}
-func (m *OwnerQuery) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.Owner = r.U16()
-	return nil
+func (m *OwnerQuery) code(c *coder) {
+	c.u32(&m.Page)
+	c.u16(&m.Owner)
 }
 
 // --- Fault plane (internal/chaos) -------------------------------------
@@ -437,12 +304,8 @@ type CrashNotice struct {
 	Node uint16
 }
 
-func (*CrashNotice) Kind() Kind         { return KindCrashNotice }
-func (m *CrashNotice) Encode(b *Buffer) { b.PutU16(m.Node) }
-func (m *CrashNotice) Decode(r *Reader) error {
-	m.Node = r.U16()
-	return nil
-}
+func (*CrashNotice) Kind() Kind      { return KindCrashNotice }
+func (m *CrashNotice) code(c *coder) { c.u16(&m.Node) }
 
 // RejoinNotice is broadcast (reply-none) by a node returning from a
 // crash, clearing peers' down hints so traffic resumes immediately
@@ -451,12 +314,8 @@ type RejoinNotice struct {
 	Node uint16
 }
 
-func (*RejoinNotice) Kind() Kind         { return KindRejoinNotice }
-func (m *RejoinNotice) Encode(b *Buffer) { b.PutU16(m.Node) }
-func (m *RejoinNotice) Decode(r *Reader) error {
-	m.Node = r.U16()
-	return nil
-}
+func (*RejoinNotice) Kind() Kind      { return KindRejoinNotice }
+func (m *RejoinNotice) code(c *coder) { c.u16(&m.Node) }
 
 // --- Release consistency (internal/rc) --------------------------------
 
@@ -476,14 +335,9 @@ type RCFetchReq struct {
 }
 
 func (*RCFetchReq) Kind() Kind { return KindRCFetchReq }
-func (m *RCFetchReq) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU32(m.HaveVer)
-}
-func (m *RCFetchReq) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.HaveVer = r.U32()
-	return nil
+func (m *RCFetchReq) code(c *coder) {
+	c.u32(&m.Page)
+	c.u32(&m.HaveVer)
 }
 
 // RCFetchReply delivers the home's master copy of a page at version Ver.
@@ -505,20 +359,12 @@ type RCFetchReply struct {
 }
 
 func (*RCFetchReply) Kind() Kind { return KindRCFetchReply }
-func (m *RCFetchReply) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU32(m.Ver)
-	b.PutU8(m.Rebound)
-	b.PutU32(m.Redirect)
-	b.PutBytes(m.Data)
-}
-func (m *RCFetchReply) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.Ver = r.U32()
-	m.Rebound = r.U8()
-	m.Redirect = r.U32()
-	m.Data = r.PageBytes()
-	return nil
+func (m *RCFetchReply) code(c *coder) {
+	c.u32(&m.Page)
+	c.u32(&m.Ver)
+	c.u8(&m.Rebound)
+	c.u32(&m.Redirect)
+	c.page(&m.Data)
 }
 
 // RCDiffWriteReq ships a releaser's word-level diffs — the 8-byte words
@@ -539,33 +385,15 @@ type RCDiffWriteReq struct {
 }
 
 func (*RCDiffWriteReq) Kind() Kind { return KindRCDiffWriteReq }
-func (m *RCDiffWriteReq) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU32(m.HaveVer)
-	b.PutU32(uint32(len(m.Offsets)))
-	b.Grow(12 * len(m.Offsets))
-	for i, off := range m.Offsets {
-		b.PutU32(off)
-		b.PutU64(m.Words[i])
+func (m *RCDiffWriteReq) code(c *coder) {
+	c.u32(&m.Page)
+	c.u32(&m.HaveVer)
+	n := c.count(len(m.Offsets), 12)
+	m.Offsets, m.Words = list(c, m.Offsets, n), list(c, m.Words, n)
+	for i := range n {
+		c.u32(&m.Offsets[i])
+		c.u64(&m.Words[i])
 	}
-}
-func (m *RCDiffWriteReq) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.HaveVer = r.U32()
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > r.Remaining()/12 {
-		return ErrShortBuffer
-	}
-	m.Offsets = make([]uint32, n)
-	m.Words = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		m.Offsets[i] = r.U32()
-		m.Words[i] = r.U64()
-	}
-	return nil
 }
 
 // RCDiffWriteReply acknowledges a diff commit with the master copy's new
@@ -587,18 +415,11 @@ type RCDiffWriteReply struct {
 }
 
 func (*RCDiffWriteReply) Kind() Kind { return KindRCDiffWriteReply }
-func (m *RCDiffWriteReply) Encode(b *Buffer) {
-	b.PutU32(m.Page)
-	b.PutU32(m.Ver)
-	b.PutU8(m.Rebound)
-	b.PutU32(m.Redirect)
-}
-func (m *RCDiffWriteReply) Decode(r *Reader) error {
-	m.Page = r.U32()
-	m.Ver = r.U32()
-	m.Rebound = r.U8()
-	m.Redirect = r.U32()
-	return nil
+func (m *RCDiffWriteReply) code(c *coder) {
+	c.u32(&m.Page)
+	c.u32(&m.Ver)
+	c.u8(&m.Rebound)
+	c.u32(&m.Redirect)
 }
 
 // RCNoticePostReq appends (page, version) write notices to the
@@ -609,38 +430,14 @@ type RCNoticePostReq struct {
 	Vers  []uint32
 }
 
-func (*RCNoticePostReq) Kind() Kind { return KindRCNoticePostReq }
-func (m *RCNoticePostReq) Encode(b *Buffer) {
-	b.PutU32(uint32(len(m.Pages)))
-	b.Grow(8 * len(m.Pages))
-	for i, p := range m.Pages {
-		b.PutU32(p)
-		b.PutU32(m.Vers[i])
-	}
-}
-func (m *RCNoticePostReq) Decode(r *Reader) error {
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > r.Remaining()/8 {
-		return ErrShortBuffer
-	}
-	m.Pages = make([]uint32, n)
-	m.Vers = make([]uint32, n)
-	for i := 0; i < n; i++ {
-		m.Pages[i] = r.U32()
-		m.Vers[i] = r.U32()
-	}
-	return nil
-}
+func (*RCNoticePostReq) Kind() Kind      { return KindRCNoticePostReq }
+func (m *RCNoticePostReq) code(c *coder) { codeNotices(c, &m.Pages, &m.Vers) }
 
 // RCNoticePostReply confirms a notice post.
 type RCNoticePostReply struct{}
 
-func (*RCNoticePostReply) Kind() Kind           { return KindRCNoticePostReply }
-func (*RCNoticePostReply) Encode(*Buffer)       {}
-func (*RCNoticePostReply) Decode(*Reader) error { return nil }
+func (*RCNoticePostReply) Kind() Kind  { return KindRCNoticePostReply }
+func (*RCNoticePostReply) code(*coder) {}
 
 // RCAcquireQueryReq asks the directory for all write notices logged
 // since the acquirer's cursor (Since = number of log entries already
@@ -649,12 +446,8 @@ type RCAcquireQueryReq struct {
 	Since uint64
 }
 
-func (*RCAcquireQueryReq) Kind() Kind         { return KindRCAcquireQueryReq }
-func (m *RCAcquireQueryReq) Encode(b *Buffer) { b.PutU64(m.Since) }
-func (m *RCAcquireQueryReq) Decode(r *Reader) error {
-	m.Since = r.U64()
-	return nil
-}
+func (*RCAcquireQueryReq) Kind() Kind      { return KindRCAcquireQueryReq }
+func (m *RCAcquireQueryReq) code(c *coder) { c.u64(&m.Since) }
 
 // RCAcquireQueryReply returns the directory's current log length (the
 // acquirer's next cursor) and the notices since the request's cursor,
@@ -666,63 +459,17 @@ type RCAcquireQueryReply struct {
 }
 
 func (*RCAcquireQueryReply) Kind() Kind { return KindRCAcquireQueryReply }
-func (m *RCAcquireQueryReply) Encode(b *Buffer) {
-	b.PutU64(m.Next)
-	b.PutU32(uint32(len(m.Pages)))
-	b.Grow(8 * len(m.Pages))
-	for i, p := range m.Pages {
-		b.PutU32(p)
-		b.PutU32(m.Vers[i])
-	}
-}
-func (m *RCAcquireQueryReply) Decode(r *Reader) error {
-	m.Next = r.U64()
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > r.Remaining()/8 {
-		return ErrShortBuffer
-	}
-	m.Pages = make([]uint32, n)
-	m.Vers = make([]uint32, n)
-	for i := 0; i < n; i++ {
-		m.Pages[i] = r.U32()
-		m.Vers[i] = r.U32()
-	}
-	return nil
+func (m *RCAcquireQueryReply) code(c *coder) {
+	c.u64(&m.Next)
+	codeNotices(c, &m.Pages, &m.Vers)
 }
 
-func init() {
-	Register(KindReadFaultReq, func() Msg { return new(ReadFaultReq) })
-	Register(KindWriteFaultReq, func() Msg { return new(WriteFaultReq) })
-	Register(KindPageReadReply, func() Msg { return new(PageReadReply) })
-	Register(KindPageWriteReply, func() Msg { return new(PageWriteReply) })
-	Register(KindInvalidateReq, func() Msg { return new(InvalidateReq) })
-	Register(KindInvalidateAck, func() Msg { return new(InvalidateAck) })
-	Register(KindMgrConfirm, func() Msg { return new(MgrConfirm) })
-	Register(KindMigrateReq, func() Msg { return new(MigrateReq) })
-	Register(KindMigrateAccept, func() Msg { return new(MigrateAccept) })
-	Register(KindMigrateReject, func() Msg { return new(MigrateReject) })
-	Register(KindWorkReq, func() Msg { return new(WorkReq) })
-	Register(KindWorkReply, func() Msg { return new(WorkReply) })
-	Register(KindResumeReq, func() Msg { return new(ResumeReq) })
-	Register(KindNotifyReq, func() Msg { return new(NotifyReq) })
-	Register(KindAllocReq, func() Msg { return new(AllocReq) })
-	Register(KindAllocReply, func() Msg { return new(AllocReply) })
-	Register(KindFreeReq, func() Msg { return new(FreeReq) })
-	Register(KindFreeReply, func() Msg { return new(FreeReply) })
-	Register(KindPing, func() Msg { return new(Ping) })
-	Register(KindPCBProbe, func() Msg { return new(PCBProbe) })
-	Register(KindOwnerQuery, func() Msg { return new(OwnerQuery) })
-	Register(KindCrashNotice, func() Msg { return new(CrashNotice) })
-	Register(KindRejoinNotice, func() Msg { return new(RejoinNotice) })
-	Register(KindRCFetchReq, func() Msg { return new(RCFetchReq) })
-	Register(KindRCFetchReply, func() Msg { return new(RCFetchReply) })
-	Register(KindRCDiffWriteReq, func() Msg { return new(RCDiffWriteReq) })
-	Register(KindRCDiffWriteReply, func() Msg { return new(RCDiffWriteReply) })
-	Register(KindRCNoticePostReq, func() Msg { return new(RCNoticePostReq) })
-	Register(KindRCNoticePostReply, func() Msg { return new(RCNoticePostReply) })
-	Register(KindRCAcquireQueryReq, func() Msg { return new(RCAcquireQueryReq) })
-	Register(KindRCAcquireQueryReply, func() Msg { return new(RCAcquireQueryReply) })
+// codeNotices moves a list of (page, version) write notices.
+func codeNotices(c *coder, pages, vers *[]uint32) {
+	n := c.count(len(*pages), 8)
+	*pages, *vers = list(c, *pages, n), list(c, *vers, n)
+	for i := range n {
+		c.u32(&(*pages)[i])
+		c.u32(&(*vers)[i])
+	}
 }

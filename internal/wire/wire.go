@@ -16,6 +16,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"reflect"
 )
 
 // Kind identifies a message body type. All kinds are declared here so the
@@ -107,70 +108,123 @@ func KindOfPayload(b []byte) Kind {
 	return KindInvalid
 }
 
-var kindNames = [kindMax]string{
-	KindReadFaultReq:   "ReadFaultReq",
-	KindWriteFaultReq:  "WriteFaultReq",
-	KindPageReadReply:  "PageReadReply",
-	KindPageWriteReply: "PageWriteReply",
-	KindInvalidateReq:  "InvalidateReq",
-	KindInvalidateAck:  "InvalidateAck",
-	KindMgrConfirm:     "MgrConfirm",
-	KindMigrateReq:     "MigrateReq",
-	KindMigrateAccept:  "MigrateAccept",
-	KindMigrateReject:  "MigrateReject",
-	KindWorkReq:        "WorkReq",
-	KindWorkReply:      "WorkReply",
-	KindResumeReq:      "ResumeReq",
-	KindNotifyReq:      "NotifyReq",
-	KindAllocReq:       "AllocReq",
-	KindAllocReply:     "AllocReply",
-	KindFreeReq:        "FreeReq",
-	KindFreeReply:      "FreeReply",
-	KindPing:           "Ping",
-	KindPCBProbe:       "PCBProbe",
-	KindOwnerQuery:     "OwnerQuery",
-	KindCrashNotice:    "CrashNotice",
-	KindRejoinNotice:   "RejoinNotice",
+// Class is a kind's part in the remote-operation protocol, which fixes
+// what losing, duplicating or reordering one of its messages may cost —
+// the contract the chaos schedules rely on: requests are retransmitted
+// until answered (loss costs latency), replies are matched to one
+// outstanding call (duplicates must be idempotent at the caller), and
+// notices are fire-and-forget hints (loss is benign by design: down-hint
+// TTLs recover).
+type Class uint8
 
-	KindRCFetchReq:          "RCFetchReq",
-	KindRCFetchReply:        "RCFetchReply",
-	KindRCDiffWriteReq:      "RCDiffWriteReq",
-	KindRCDiffWriteReply:    "RCDiffWriteReply",
-	KindRCNoticePostReq:     "RCNoticePostReq",
-	KindRCNoticePostReply:   "RCNoticePostReply",
-	KindRCAcquireQueryReq:   "RCAcquireQueryReq",
-	KindRCAcquireQueryReply: "RCAcquireQueryReply",
+const (
+	// ClassRequest messages expect a reply and are served by the handler
+	// the serving endpoint installs with SetHandler.
+	ClassRequest Class = iota + 1
+	// ClassReply messages are consumed by the caller's reply path in
+	// remop.Call; installing a handler for one panics.
+	ClassReply
+	// ClassNotice messages are best-effort broadcasts with a handler but
+	// no reply; losing one only costs latency.
+	ClassNotice
+)
+
+func (c Class) String() string {
+	switch c {
+	case ClassRequest:
+		return "request"
+	case ClassReply:
+		return "reply"
+	case ClassNotice:
+		return "notice"
+	}
+	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
+// kinds is the vocabulary, one row per kind and indexed by it, so a kind
+// with no row fails TestKindTable and a kind with two fails to compile.
+// new makes the body a decode fills in; bulk marks the bodies with a
+// variable-length field — a page, a diff, a notice list — whose payloads
+// draw from the codec's heap-backed size class.
+var kinds = [kindMax]struct {
+	new   func() Msg
+	class Class
+	bulk  bool
+}{
+	KindReadFaultReq:   {body[ReadFaultReq], ClassRequest, false},
+	KindWriteFaultReq:  {body[WriteFaultReq], ClassRequest, false},
+	KindPageReadReply:  {body[PageReadReply], ClassReply, true},
+	KindPageWriteReply: {body[PageWriteReply], ClassReply, true},
+	KindInvalidateReq:  {body[InvalidateReq], ClassRequest, false},
+	KindInvalidateAck:  {body[InvalidateAck], ClassReply, false},
+	KindMgrConfirm:     {body[MgrConfirm], ClassRequest, false},
+	KindMigrateReq:     {body[MigrateReq], ClassRequest, true},
+	KindMigrateAccept:  {body[MigrateAccept], ClassReply, false},
+	KindMigrateReject:  {body[MigrateReject], ClassReply, false},
+	KindWorkReq:        {body[WorkReq], ClassRequest, false},
+	KindWorkReply:      {body[WorkReply], ClassReply, false},
+	KindResumeReq:      {body[ResumeReq], ClassRequest, false},
+	KindNotifyReq:      {body[NotifyReq], ClassRequest, false},
+	KindAllocReq:       {body[AllocReq], ClassRequest, false},
+	KindAllocReply:     {body[AllocReply], ClassReply, false},
+	KindFreeReq:        {body[FreeReq], ClassRequest, false},
+	KindFreeReply:      {body[FreeReply], ClassReply, false},
+	KindPing:           {body[Ping], ClassRequest, false},
+	KindPCBProbe:       {body[PCBProbe], ClassRequest, false},
+	KindOwnerQuery:     {body[OwnerQuery], ClassRequest, false},
+	KindCrashNotice:    {body[CrashNotice], ClassNotice, false},
+	KindRejoinNotice:   {body[RejoinNotice], ClassNotice, false},
+
+	KindRCFetchReq:          {body[RCFetchReq], ClassRequest, false},
+	KindRCFetchReply:        {body[RCFetchReply], ClassReply, true},
+	KindRCDiffWriteReq:      {body[RCDiffWriteReq], ClassRequest, true},
+	KindRCDiffWriteReply:    {body[RCDiffWriteReply], ClassReply, false},
+	KindRCNoticePostReq:     {body[RCNoticePostReq], ClassRequest, true},
+	KindRCNoticePostReply:   {body[RCNoticePostReply], ClassReply, false},
+	KindRCAcquireQueryReq:   {body[RCAcquireQueryReq], ClassRequest, false},
+	KindRCAcquireQueryReply: {body[RCAcquireQueryReply], ClassReply, true},
+}
+
+// body is a kinds row's constructor: a new, zero body of type T.
+func body[T any, P interface {
+	*T
+	Msg
+}]() Msg {
+	return P(new(T))
+}
+
+// names holds each kind's name, which is its body's type name.
+var names = func() (n [kindMax]string) {
+	for k, row := range kinds {
+		if row.new != nil {
+			n[k] = reflect.TypeOf(row.new()).Elem().Name()
+		}
+	}
+	return n
+}()
+
 func (k Kind) String() string {
-	if k < kindMax && kindNames[k] != "" {
-		return kindNames[k]
+	if k < kindMax && names[k] != "" {
+		return names[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Msg is a message body. Implementations encode themselves into and out
-// of the compact binary form.
-type Msg interface {
-	Kind() Kind
-	Encode(b *Buffer)
-	Decode(r *Reader) error
+// Class returns k's class; KindInvalid and kinds out of range have the
+// zero Class.
+func (k Kind) Class() Class {
+	if k < kindMax {
+		return kinds[k].class
+	}
+	return 0
 }
 
-// factories maps a kind to a constructor for decoding. Packages register
-// their bodies at init time.
-var factories [kindMax]func() Msg
-
-// Register installs the decoder factory for kind k. Registering the same
-// kind twice is a programming error and panics.
-func Register(k Kind, fn func() Msg) {
-	if k <= KindInvalid || k >= kindMax {
-		panic(fmt.Sprintf("wire: register of invalid kind %d", k))
-	}
-	if factories[k] != nil {
-		panic(fmt.Sprintf("wire: kind %v registered twice", k))
-	}
-	factories[k] = fn
+// Msg is a message body. Bodies are defined in this package only: code,
+// the one description of a body's wire layout, moves every field through
+// a coder in whichever direction it runs (see coder).
+type Msg interface {
+	Kind() Kind
+	code(c *coder)
 }
 
 // Envelope flags.
@@ -200,38 +254,48 @@ func (e *Envelope) Marshal() []byte {
 	// small Marshal is one allocation; a large one grows out of it once.
 	s := new(struct {
 		Buffer
+		c    coder
 		room [64]byte
 	})
 	s.b = s.room[:0]
-	e.encode(&s.Buffer)
+	s.c.enc = &s.Buffer
+	e.encode(&s.c)
 	return s.b
 }
 
-// encode appends the envelope's wire form to b: the eleven header bytes,
-// kind first (see KindOfPayload), then the body.
-func (e *Envelope) encode(b *Buffer) {
-	b.PutU8(uint8(e.Body.Kind()))
-	b.PutU32(e.ReqID)
-	b.PutU16(e.Origin)
-	b.PutU16(e.Sender)
-	b.PutU8(e.Flags)
-	b.PutU8(e.LoadHint)
-	e.Body.Encode(b)
+// encode appends the envelope's wire form to c's buffer: the eleven
+// header bytes, kind first (see KindOfPayload), then the body.
+func (e *Envelope) encode(c *coder) {
+	c.enc.PutU8(uint8(e.Body.Kind()))
+	e.header(c)
+	e.Body.code(c)
 }
 
-// ErrUnknownKind reports an envelope whose kind has no registered decoder.
+// header moves the ten header bytes that follow the kind, the one
+// description of their layout for encode and decode alike.
+func (e *Envelope) header(c *coder) {
+	c.u32(&e.ReqID)
+	c.u16(&e.Origin)
+	c.u16(&e.Sender)
+	c.u8(&e.Flags)
+	c.u8(&e.LoadHint)
+}
+
+// ErrUnknownKind reports an envelope whose kind is not in the vocabulary.
 var ErrUnknownKind = errors.New("wire: unknown message kind")
 
 // Unmarshal decodes an envelope produced by Marshal into freshly
 // allocated memory — the convenience form beside Codec.Unmarshal.
 func Unmarshal(data []byte) (*Envelope, error) {
-	// The reader shares the envelope's allocation.
+	// The reader and its coder share the envelope's allocation.
 	s := new(struct {
 		e Envelope
 		r Reader
+		c coder
 	})
 	s.r.b = data
-	err := s.e.decode(&s.r)
+	s.c.dec = &s.r
+	err := s.e.decode(&s.c)
 	s.r.b = nil
 	if err != nil {
 		return nil, err
@@ -239,20 +303,17 @@ func Unmarshal(data []byte) (*Envelope, error) {
 	return &s.e, nil
 }
 
-// decode reads one whole envelope from r into e. The body is a recycled
-// one of the incoming kind when r decodes for a codec that has one idle,
-// and otherwise comes from the kind's registered factory.
-func (e *Envelope) decode(r *Reader) error {
+// decode reads one whole envelope from c's reader into e. The body is a
+// recycled one of the incoming kind when the reader decodes for a codec
+// that has one idle, and otherwise a new one from the kind's row.
+func (e *Envelope) decode(c *coder) error {
+	r := c.dec
 	kind := Kind(r.U8())
-	e.ReqID = r.U32()
-	e.Origin = r.U16()
-	e.Sender = r.U16()
-	e.Flags = r.U8()
-	e.LoadHint = r.U8()
+	e.header(c)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("wire: short envelope header: %w", err)
 	}
-	if kind <= KindInvalid || kind >= kindMax || factories[kind] == nil {
+	if kind <= KindInvalid || kind >= kindMax {
 		return fmt.Errorf("%w: %v", ErrUnknownKind, kind)
 	}
 	e.Body = nil
@@ -260,11 +321,9 @@ func (e *Envelope) decode(r *Reader) error {
 		e.Body = r.codec.idleBody(kind)
 	}
 	if e.Body == nil {
-		e.Body = factories[kind]()
+		e.Body = kinds[kind].new()
 	}
-	if err := e.Body.Decode(r); err != nil {
-		return fmt.Errorf("wire: decoding %v body: %w", kind, err)
-	}
+	e.Body.code(c)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("wire: %v body: %w", kind, err)
 	}
