@@ -49,6 +49,27 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
+// TestRuntimeErrorGolden holds a program that outgrows the shared space
+// to the runtime-error contract — exit status 1 and one "ivy run:" line
+// on stderr naming the bytes asked for and the size of the space — where
+// it used to die with a fiber panic and a stack trace.
+func TestRuntimeErrorGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "cli", "run_jacobi_n2048_oom.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("run -app jacobi -n 2048"), &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if stderr.String() != string(want) {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+}
+
 // TestUsageErrors pins the contract of a bad command line: exit status
 // 2 and exactly one line on stderr, prefixed "ivy <sub>:" — not the
 // panic and goroutine dump these values used to reach in ivy.New,

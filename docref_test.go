@@ -44,7 +44,7 @@ var (
 // checked.
 func TestDocReferences(t *testing.T) {
 	paths, pkgs, declared, mentioned := repoNames(t)
-	for _, doc := range []string{"DESIGN.md", "PROTOCOL.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "PROTOCOL.md", "README.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

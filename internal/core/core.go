@@ -321,6 +321,8 @@ func (s *SVM) onEvict(f *sim.Fiber, p mmu.PageID, data []byte) {
 	}
 	e.Access = mmu.AccessNil
 	s.tlbShoot() // the frame is gone
+	// The bytes are on the disk now, or were never needed again.
+	s.ep.PutPage(data)
 }
 
 // tlbShoot invalidates every translation cached by this node's software
@@ -341,11 +343,22 @@ func (s *SVM) tlbShoot() { s.shootGen++ }
 // the old slice. Shooting here keeps the TLB's invariant — a way whose
 // bytes went stale can never pass the epoch compare — airtight; the
 // extra misses after a replacement are behavior-neutral, like every
-// shootdown.
+// shootdown. The replaced bytes are dead once the shot has fired, and go
+// back to the endpoint's page list.
 func (s *SVM) install(f *sim.Fiber, p mmu.PageID, data []byte) {
-	if s.pool.Put(f, p, data) {
+	if old, replaced := s.pool.Put(f, p, data); replaced {
 		s.tlbShoot()
+		s.ep.PutPage(old)
 	}
+}
+
+// dropCopy removes page p's frame, whose contents are dead (an
+// invalidated read copy, a page whose ownership left without its data),
+// and recycles its buffer. The shot fires first: the frame and its bytes
+// are reused from here on.
+func (s *SVM) dropCopy(p mmu.PageID) {
+	s.tlbShoot()
+	s.ep.PutPage(s.pool.Drop(p))
 }
 
 // canEvict pins pages whose fault lock is held — a frame mid-transfer

@@ -698,7 +698,8 @@ func (s *SVM) pageIn(f *sim.Fiber, p mmu.PageID) []byte {
 	if s.dsk.Has(p) {
 		data = s.dsk.Read(f, p)
 	} else {
-		data = make([]byte, s.pageSize)
+		data = s.ep.PageBuffer(s.pageSize)
+		clear(data)
 	}
 	s.install(f, p, data)
 	return data
@@ -785,27 +786,33 @@ func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
 			// as ownerless. Write access is granted only after every
 			// acknowledgement.
 			r := reply.(*wire.PageWriteReply)
-			s.becomeOwner(f, p, r.Data)
-			s.invalidate(f, p, mmu.Copyset(r.Copyset).Remove(s.node), s.node, s.bcastInval)
+			data, cs := r.Data, mmu.Copyset(r.Copyset)
+			s.recycleReply(r, &r.Data)
+			s.becomeOwner(f, p, data)
+			s.invalidate(f, p, cs.Remove(s.node), s.node, s.bcastInval)
 			e.Access = mmu.AccessWrite
 			break
 		}
+		r := reply.(*wire.PageReadReply)
 		if e.InvalWhileFaulting {
 			// An invalidation overtook the page data (reordered
 			// retransmission): the copy is stale, discard and refault.
 			e.InvalWhileFaulting = false
 			s.st.SVM.FaultRetries++
+			s.ep.PutPage(r.Data)
+			s.recycleReply(r, &r.Data)
 			s.mgr.confirm(p, false)
 			continue
 		}
-		r := reply.(*wire.PageReadReply)
-		if ring.NodeID(r.Owner) == s.node {
+		data, owner := r.Data, ring.NodeID(r.Owner)
+		s.recycleReply(r, &r.Data)
+		if owner == s.node {
 			panic(fmt.Sprintf("core: node %d served its own read fault for page %d", s.node, p))
 		}
-		s.install(f, p, r.Data)
+		s.install(f, p, data)
 		e.Access = mmu.AccessRead
 		e.Dirty = false
-		e.ProbOwner = ring.NodeID(r.Owner)
+		e.ProbOwner = owner
 		s.st.SVM.PagesReceived++
 		break
 	}
@@ -813,6 +820,14 @@ func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
 	s.event(f, ev, End, p, 0)
 	s.st.SVM.FaultStall += s.eng.Now().Sub(start)
 	lat.Record(s.eng.Now().Sub(start))
+}
+
+// recycleReply hands a page reply a call returned back to the endpoint,
+// once its fields are copied out: its page, at *data, has been taken by
+// the caller and leaves with it, not with the body.
+func (s *SVM) recycleReply(r wire.Msg, data *[]byte) {
+	*data = nil
+	s.ep.RecycleBody(r)
 }
 
 // becomeOwner installs data as page p's contents and claims the
@@ -872,17 +887,18 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset, newOwner ri
 // takeData removes an owned page's data from this node on a write
 // transfer, avoiding a pointless frame install when the page is on disk.
 func (s *SVM) takeData(f *sim.Fiber, p mmu.PageID) []byte {
-	if frame := s.pool.Peek(p); frame != nil {
-		s.pool.Drop(p)
-		s.tlbShoot() // the frame left the pool
-		return frame
+	if s.pool.Resident(p) {
+		s.tlbShoot() // the frame leaves the pool
+		return s.pool.Drop(p)
 	}
 	if s.dsk.Has(p) {
 		data := s.dsk.Read(f, p)
 		s.dsk.Drop(p)
 		return data
 	}
-	return make([]byte, s.pageSize)
+	data := s.ep.PageBuffer(s.pageSize)
+	clear(data)
+	return data
 }
 
 // serve services a fault request from origin if this node owns page p,
@@ -919,7 +935,9 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 		s.dsk.Drop(p)
 		s.ep.ChargeCPU(f, s.costs.PageCopy)
 		s.st.SVM.PagesSent++
-		return &wire.PageWriteReply{Page: uint32(p), Copyset: uint64(cs), Data: data}
+		r := s.ep.Body(wire.KindPageWriteReply).(*wire.PageWriteReply)
+		*r = wire.PageWriteReply{Page: uint32(p), Copyset: uint64(cs), Data: data}
+		return r
 	}
 	frame := s.pool.Peek(p)
 	if frame == nil {
@@ -940,7 +958,9 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 	data := s.ep.PageBuffer(len(frame))
 	copy(data, frame)
 	s.st.SVM.PagesSent++
-	return &wire.PageReadReply{Page: uint32(p), Owner: uint16(s.node), Data: data}
+	r := s.ep.Body(wire.KindPageReadReply).(*wire.PageReadReply)
+	*r = wire.PageReadReply{Page: uint32(p), Owner: uint16(s.node), Data: data}
+	return r
 }
 
 // --- Handlers ------------------------------------------------------------
@@ -962,17 +982,19 @@ func (s *SVM) handleInvalidate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	defer s.event(ctx.Fiber(), EvInvalRecv, Instant, p, 0)
 	e := s.table.Entry(p)
 	s.st.SVM.InvalReceived++
+	ack := s.ep.Body(wire.KindInvalidateAck).(*wire.InvalidateAck)
+	*ack = wire.InvalidateAck{Page: m.Page}
 	if s.invalDrop {
 		// Planted bug: acknowledge WITHOUT revoking the copy. This
 		// breaks the single-writer invariant on purpose so the
 		// sequential-consistency checker can prove it would notice.
-		return &wire.InvalidateAck{Page: m.Page}
+		return ack
 	}
 	if e.IsOwner {
 		// Only a stale duplicate from a previous ownership epoch can
 		// address the current owner; acknowledge without acting.
 		s.st.SVM.StaleInvals++
-		return &wire.InvalidateAck{Page: m.Page}
+		return ack
 	}
 	if ring.NodeID(m.NewOwner) == s.node {
 		panic(fmt.Sprintf("core: node %d received invalidation naming itself the new owner of page %d", s.node, p))
@@ -981,8 +1003,7 @@ func (s *SVM) handleInvalidate(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		e.InvalWhileFaulting = true
 	}
 	e.Access = mmu.AccessNil
-	s.tlbShoot() // the read copy dies
 	e.ProbOwner = ring.NodeID(m.NewOwner)
-	s.pool.Drop(p)
-	return &wire.InvalidateAck{Page: m.Page}
+	s.dropCopy(p) // the read copy dies
+	return ack
 }

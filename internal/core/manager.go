@@ -96,12 +96,27 @@ func newManager(a Algorithm, s *SVM) manager {
 	}
 }
 
-// faultReq builds the request a fault on p sends.
-func faultReq(p mmu.PageID, write bool) wire.Msg {
+// faultReq builds the request a fault on p sends, in a body off the
+// endpoint's idle list; the caller hands it back (RecycleBody) once its
+// call has returned.
+func (s *SVM) faultReq(p mmu.PageID, write bool) wire.Msg {
 	if write {
-		return &wire.WriteFaultReq{Page: uint32(p)}
+		r := s.ep.Body(wire.KindWriteFaultReq).(*wire.WriteFaultReq)
+		*r = wire.WriteFaultReq{Page: uint32(p)}
+		return r
 	}
-	return &wire.ReadFaultReq{Page: uint32(p)}
+	r := s.ep.Body(wire.KindReadFaultReq).(*wire.ReadFaultReq)
+	*r = wire.ReadFaultReq{Page: uint32(p)}
+	return r
+}
+
+// callFault sends the request for a fault on p to dst and returns the
+// reply, the request body back on the idle list.
+func (s *SVM) callFault(f *sim.Fiber, dst ring.NodeID, p mmu.PageID, write bool) (wire.Msg, error) {
+	req := s.faultReq(p, write)
+	reply, err := s.ep.Call(f, dst, req)
+	s.ep.RecycleBody(req)
+	return reply, err
 }
 
 // faultOf decodes a fault request: its page, and whether it is a write
@@ -152,8 +167,11 @@ func (m *dynamicMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error)
 	if dst == s.node {
 		panic(fmt.Sprintf("core: node %d probOwner hint for page %d points at itself while it is not the owner", s.node, p))
 	}
-	return s.ep.CallRedirect(ctx.Fiber(), dst, faultReq(p, write), stuckRetransmissions,
+	req := s.faultReq(p, write)
+	reply, err := s.ep.CallRedirect(ctx.Fiber(), dst, req, stuckRetransmissions,
 		func(f *sim.Fiber) (ring.NodeID, bool) { return m.queryOwner(f, p) })
+	s.ep.RecycleBody(req)
+	return reply, err
 }
 
 // queryOwner broadcasts an owner query; only the node owning p at
@@ -289,7 +307,7 @@ func (m *directoryMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, erro
 	f := ctx.Fiber()
 	mgr := m.managerOf(p)
 	if mgr != s.node {
-		return s.ep.Call(f, mgr, faultReq(p, write))
+		return s.callFault(f, mgr, p, write)
 	}
 	// Local manager path: serialize on the directory entry, then ask the
 	// recorded owner directly.
@@ -299,7 +317,7 @@ func (m *directoryMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, erro
 	if owner == s.node {
 		panic(fmt.Sprintf("core: node %d faulting on page %d it owns per its own directory", s.node, p))
 	}
-	reply, err := s.ep.Call(f, owner, faultReq(p, write))
+	reply, err := s.callFault(f, owner, p, write)
 	if err != nil {
 		m.dir.Unlock(p)
 	}
@@ -332,8 +350,7 @@ func (m *directoryMgr) managerInvalidate(f *sim.Fiber, p mmu.PageID, keep ring.N
 		// The manager's own read copy dies locally.
 		if e := s.table.Entry(p); !e.IsOwner {
 			e.Access = mmu.AccessNil
-			s.tlbShoot() // the manager's read copy dies
-			s.pool.Drop(p)
+			s.dropCopy(p) // the manager's read copy dies
 		}
 		cs = cs.Remove(s.node)
 	}
@@ -442,7 +459,9 @@ func (m *directoryMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, 
 			// The owner itself asked the basic manager: a write upgrade.
 			// Grant without data; the directory entry stays locked until
 			// the confirmation.
-			return &wire.PageWriteReply{Page: uint32(p)}
+			r := s.ep.Body(wire.KindPageWriteReply).(*wire.PageWriteReply)
+			*r = wire.PageWriteReply{Page: uint32(p)}
+			return r
 		}
 		if owner != s.node {
 			ctx.Forward(owner)
@@ -507,12 +526,15 @@ func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) {
 		// directory lock. The current owner's page lock is never held
 		// across a directory wait (this very discipline), so its serve
 		// can always proceed.
-		reply = s.call(f, m.dir.Owner(p), faultReq(p, true))
+		reply = s.call(f, m.dir.Owner(p), s.faultReq(p, true))
 	} else {
-		reply = s.call(f, s.defaultOwner, faultReq(p, true))
+		reply = s.call(f, s.defaultOwner, s.faultReq(p, true))
 		s.table.Lock(f, p)
 	}
-	if data := reply.(*wire.PageWriteReply).Data; len(data) != 0 {
+	r := reply.(*wire.PageWriteReply)
+	data := r.Data
+	s.recycleReply(r, &r.Data)
+	if len(data) != 0 {
 		// Not a grant: we lost ownership in the window, and this is a
 		// full transfer.
 		s.ep.ChargeCPU(f, s.costs.PageCopy)
@@ -531,7 +553,11 @@ type broadcastMgr struct {
 }
 
 func (m *broadcastMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error) {
-	return m.svm.ep.BroadcastAny(ctx.Fiber(), faultReq(p, write))
+	s := m.svm
+	req := s.faultReq(p, write)
+	reply, err := s.ep.BroadcastAny(ctx.Fiber(), req)
+	s.ep.RecycleBody(req)
+	return reply, err
 }
 
 func (m *broadcastMgr) confirm(mmu.PageID, bool)                 {}

@@ -30,9 +30,8 @@ func (s *SVM) ReleasePageForMigration(f *sim.Fiber, pg mmu.PageID, dst ring.Node
 	if withData {
 		data = s.takeData(f, pg)
 	} else {
-		s.pool.Drop(pg)
+		s.dropCopy(pg) // the frame left the pool
 		s.dsk.Drop(pg)
-		s.tlbShoot() // the frame left the pool
 	}
 	// Copies of a migrating stack page are not invalidated here: the
 	// copyset travels nowhere, so hand the destination a fresh exclusive
@@ -72,9 +71,8 @@ func (s *SVM) AdoptPage(f *sim.Fiber, pg mmu.PageID, data []byte) {
 		e.Dirty = true
 		return
 	}
-	s.pool.Drop(pg)
 	e.Access = mmu.AccessNil
-	s.tlbShoot() // adopted without contents
+	s.dropCopy(pg) // adopted without contents
 	e.Dirty = false
 }
 

@@ -93,7 +93,7 @@ func (r Report) String() string {
 // is single-threaded, so no locking.
 type Detector struct {
 	threads  []*Thread
-	byFiber  map[*sim.Fiber]*Thread
+	byFiber  map[uint64]*Thread // by sim.Fiber.ID, which no later fiber reuses
 	root     *Thread
 	syncVC   map[uint64][]uint64 // per sync-object address: VC of its releases
 	syncWord map[uint64]struct{} // word addresses exempt from data checking
@@ -113,7 +113,7 @@ type Detector struct {
 // from outside any tracked process inherit from it.
 func New(base uint64, pageSize int, now func() time.Duration) *Detector {
 	d := &Detector{
-		byFiber:  make(map[*sim.Fiber]*Thread),
+		byFiber:  make(map[uint64]*Thread),
 		syncVC:   make(map[uint64][]uint64),
 		syncWord: make(map[uint64]struct{}),
 		shadows:  make(map[uint64]*shadow),
@@ -154,8 +154,10 @@ func (d *Detector) Fork(parent *Thread, name string) *Thread {
 }
 
 // Bind associates a fiber with a thread so hooks can resolve the
-// current accessor via the engine.
-func (d *Detector) Bind(f *sim.Fiber, t *Thread) { d.byFiber[f] = t }
+// current accessor via the engine. The binding is to the fiber, not to
+// its struct: a later fiber that reuses the struct is untracked until it
+// is bound itself, and never inherits the finished thread's clock.
+func (d *Detector) Bind(f *sim.Fiber, t *Thread) { d.byFiber[f.ID()] = t }
 
 // ThreadOf returns the thread bound to f, or nil if f is untracked
 // (the run watcher, test fibers, protocol handlers).
@@ -163,7 +165,7 @@ func (d *Detector) ThreadOf(f *sim.Fiber) *Thread {
 	if f == nil {
 		return nil
 	}
-	return d.byFiber[f]
+	return d.byFiber[f.ID()]
 }
 
 // MarkSync exempts the words overlapping [addr, addr+n) from data-race

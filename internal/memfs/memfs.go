@@ -35,13 +35,25 @@ type Pool struct {
 	evict      EvictFunc
 	canEvict   CanEvictFunc
 
+	// spare recycles retired Frame structs, a bounded LIFO like the
+	// engine's event list: a coherence workload drops and installs a
+	// frame per page transfer.
+	spare []*Frame
+
 	evictions uint64
 }
+
+// maxSpareFrames bounds the retired frames a pool keeps for reuse.
+const maxSpareFrames = 32
 
 // Frame is one resident page frame. The TLB layer in internal/core
 // caches Frame pointers: a frame handle stays valid exactly as long as
 // the page stays resident (Put on a resident page replaces the data
-// slice inside the same Frame; Drop and eviction retire the Frame).
+// slice inside the same Frame; Drop and eviction retire the Frame, and a
+// later Put may reuse it for another page). A cache of frame handles
+// must therefore be invalidated before the frame is retired — the
+// software TLB's shootdown epoch advances first at every Drop site and
+// in the eviction callback.
 type Frame struct {
 	page       mmu.PageID
 	data       []byte
@@ -196,20 +208,39 @@ func (pl *Pool) Touch(p mmu.PageID) {
 // Put installs data as page p's frame, evicting LRU victims as needed.
 // The pool takes ownership of data. The fiber may stall while victims are
 // written out. Installing a page that is already resident replaces its
-// contents; Put reports that case so callers holding caches keyed on the
-// frame's data slice (the software TLB) know the old slice just went
-// stale without the frame itself being retired.
-func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (replaced bool) {
+// contents; Put reports that case, and hands back the slice it replaced,
+// so callers holding caches keyed on the frame's data slice (the
+// software TLB) know the old slice just went stale without the frame
+// itself being retired — and, once they have invalidated those caches,
+// may reuse it.
+func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (old []byte, replaced bool) {
 	if fr, ok := pl.frames[p]; ok {
-		fr.data = data
+		old, fr.data = fr.data, data
 		pl.moveToFront(fr)
-		return true
+		return old, true
 	}
 	pl.reserve(f)
-	fr := &Frame{page: p, data: data}
+	var fr *Frame
+	if n := len(pl.spare); n > 0 {
+		fr = pl.spare[n-1]
+		pl.spare[n-1] = nil
+		pl.spare = pl.spare[:n-1]
+	} else {
+		fr = new(Frame)
+	}
+	fr.page, fr.data = p, data
 	pl.pushFront(fr)
 	pl.frames[p] = fr
-	return false
+	return nil, false
+}
+
+// retire recycles a frame that has left the pool, keeping no reference
+// to its data.
+func (pl *Pool) retire(fr *Frame) {
+	fr.data = nil
+	if len(pl.spare) < maxSpareFrames {
+		pl.spare = append(pl.spare, fr)
+	}
 }
 
 // reserve frees one slot if the pool is full. Bookkeeping is completed
@@ -228,6 +259,7 @@ func (pl *Pool) reserve(f *sim.Fiber) {
 		delete(pl.frames, victim.page)
 		pl.evictions++
 		pl.evict(f, victim.page, victim.data)
+		pl.retire(victim)
 	}
 }
 
@@ -243,11 +275,19 @@ func (pl *Pool) pickVictim() *Frame {
 }
 
 // Drop removes page p's frame without running the eviction callback —
-// used when a read copy is invalidated or ownership moves away, where the
-// data is dead.
-func (pl *Pool) Drop(p mmu.PageID) {
-	if fr, ok := pl.frames[p]; ok {
-		pl.unlink(fr)
-		delete(pl.frames, p)
+// used when a read copy is invalidated or ownership moves away — and
+// returns the data it held (nil when p was not resident), which is the
+// caller's again: dead bytes to reuse, or a page to hand over. The frame
+// itself is retired for reuse, so the caller must already have
+// invalidated any cache of frame handles (see Frame).
+func (pl *Pool) Drop(p mmu.PageID) []byte {
+	fr, ok := pl.frames[p]
+	if !ok {
+		return nil
 	}
+	data := fr.data
+	pl.unlink(fr)
+	delete(pl.frames, p)
+	pl.retire(fr)
+	return data
 }

@@ -200,3 +200,41 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRetiredFramesAndDeadBytes: the pool hands back the bytes a page
+// leaves behind — Drop's, and the slice a Put on a resident page
+// replaced — and reuses a retired Frame for the next page it installs,
+// by eviction as by Drop. A retired frame keeps no bytes.
+func TestRetiredFramesAndDeadBytes(t *testing.T) {
+	h := newHarness(2)
+	h.run(t, func(f *sim.Fiber) {
+		first, second := page(1), page(2)
+		if old, replaced := h.pool.Put(f, 1, first); old != nil || replaced {
+			t.Errorf("Put of a new page: old %v, replaced %v", old, replaced)
+		}
+		if old, replaced := h.pool.Put(f, 1, second); !replaced || &old[0] != &first[0] {
+			t.Errorf("Put on a resident page: old %v, replaced %v; want the first slice", old, replaced)
+		}
+		fr := h.pool.GetFrame(1)
+		if data := h.pool.Drop(1); &data[0] != &second[0] {
+			t.Errorf("Drop returned %v, want the resident slice", data)
+		}
+		if fr.Data() != nil {
+			t.Error("a retired frame still holds its bytes")
+		}
+		if h.pool.Drop(1) != nil {
+			t.Error("Drop of a page no longer resident returned bytes")
+		}
+		h.pool.Put(f, 2, page(3))
+		if h.pool.GetFrame(2) != fr {
+			t.Error("the next page installed did not reuse the retired frame")
+		}
+		h.pool.Put(f, 3, page(4))
+		victim := h.pool.GetFrame(2)
+		h.pool.Get(3)             // page 2 is now the LRU victim
+		h.pool.Put(f, 4, page(5)) // evicts page 2
+		if len(h.evicted) != 1 || h.evicted[0] != 2 || h.pool.GetFrame(4) != victim {
+			t.Errorf("evicted %v; page 4 on the evicted frame: %v", h.evicted, h.pool.GetFrame(4) == victim)
+		}
+	})
+}

@@ -307,20 +307,29 @@ func (n *Node) fetchMaster(f *sim.Fiber, p mmu.PageID) (data []byte, ver uint32)
 		if h == n.self {
 			// Local fast path: the master is in memory on this node.
 			n.stats.FetchesLocal++
-			data = make([]byte, n.pageSize)
+			data = n.ep.PageBuffer(n.pageSize)
 			if m := ps.master; m != nil {
 				copy(data, m)
+			} else {
+				clear(data)
 			}
 			return data, ps.ver
 		}
-		reply := n.call(f, h, &wire.RCFetchReq{Page: uint32(p), HaveVer: ps.haveVer})
+		req := n.ep.Body(wire.KindRCFetchReq).(*wire.RCFetchReq)
+		*req = wire.RCFetchReq{Page: uint32(p), HaveVer: ps.haveVer}
+		reply := n.call(f, h, req)
+		n.ep.RecycleBody(req)
 		r := reply.(*wire.RCFetchReply)
-		if r.Redirect != wire.RCNoNode {
+		redirect, rebound := r.Redirect, r.Rebound
+		data, ver = r.Data, r.Ver
+		r.Data = nil // ours now, not the recycled body's
+		n.ep.RecycleBody(r)
+		if redirect != wire.RCNoNode {
 			n.stats.Redirects++
-			ps.home = ring.NodeID(r.Redirect)
+			ps.home = ring.NodeID(redirect)
 			continue
 		}
-		if r.Rebound != 0 {
+		if rebound != 0 {
 			// The page was virgin and the home handed us mastership.
 			// Materialize the zero master NOW, not lazily at first commit:
 			// a fetch arriving here before that commit must be served the
@@ -332,11 +341,10 @@ func (n *Node) fetchMaster(f *sim.Fiber, p mmu.PageID) (data []byte, ver uint32)
 			ps.master = make([]byte, n.pageSize)
 			return make([]byte, n.pageSize), 0
 		}
-		data = r.Data
 		if len(data) == 0 { // a never-written page encodes as empty
 			data = make([]byte, n.pageSize)
 		}
-		return data, r.Ver
+		return data, ver
 	}
 }
 
@@ -346,8 +354,21 @@ func (n *Node) fetchMaster(f *sim.Fiber, p mmu.PageID) (data []byte, ver uint32)
 // in place; the pool reports that, and the TLB shootdown epoch must
 // advance before any cached translation serves the old bytes.
 func (n *Node) install(f *sim.Fiber, p mmu.PageID, data []byte) {
-	if n.pool.Put(f, p, data) {
+	if old, replaced := n.pool.Put(f, p, data); replaced {
 		n.shoot()
+		n.ep.PutPage(old)
+	}
+}
+
+// drop removes page p's cached frame, whose contents went stale, shooting
+// the TLB first: the frame is reused from here on. Its bytes are recycled
+// too unless p's fault lock is held — the holder (a Release committing
+// p's diff) may still read them across a yield.
+func (n *Node) drop(p mmu.PageID) {
+	n.shoot()
+	data := n.pool.Drop(p)
+	if !n.table.Locked(p) {
+		n.ep.PutPage(data)
 	}
 }
 
@@ -402,8 +423,7 @@ func (n *Node) Release(f *sim.Fiber) {
 				// frame; the next fault refetches the merged master.
 				n.stats.ContigMisses++
 				e.Access = mmu.AccessNil
-				n.pool.Drop(p)
-				n.shoot()
+				n.drop(p)
 			}
 			postPages = append(postPages, uint32(p))
 			postVers = append(postVers, newVer)
@@ -533,8 +553,7 @@ func (n *Node) Acquire(f *sim.Fiber) {
 		}
 		n.stats.StaleDropped++
 		e.Access = mmu.AccessNil
-		n.pool.Drop(p)
-		n.shoot()
+		n.drop(p)
 	}
 }
 
@@ -607,8 +626,10 @@ func (n *Node) handleFetch(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		panic(fmt.Sprintf("rc: node %d fetched for non-data page %d", n.self, p))
 	}
 	ps := n.pages.At(int(p))
+	r := n.ep.Body(wire.KindRCFetchReply).(*wire.RCFetchReply)
 	if ps.home != n.self {
-		return &wire.RCFetchReply{Page: m.Page, Redirect: uint32(ps.home)}
+		*r = wire.RCFetchReply{Page: m.Page, Redirect: uint32(ps.home)}
+		return r
 	}
 	if ps.master == nil && ps.ver == 0 {
 		// Virgin page: grant mastership to the toucher instead of serving
@@ -623,13 +644,14 @@ func (n *Node) handleFetch(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 		// sees home != self and redirects the requester to itself, which
 		// the fetch loop resolves against its own materialized master.
 		ps.home = ring.NodeID(env.Origin)
-		return &wire.RCFetchReply{Page: m.Page, Rebound: 1, Redirect: wire.RCNoNode}
+		*r = wire.RCFetchReply{Page: m.Page, Rebound: 1, Redirect: wire.RCNoNode}
+		return r
 	}
 	data := n.ep.PageBuffer(len(ps.master)) // back on the page list once the reply is marshalled
 	copy(data, ps.master)
-	ver := ps.ver
+	*r = wire.RCFetchReply{Page: m.Page, Ver: ps.ver, Redirect: wire.RCNoNode, Data: data}
 	n.ep.ChargeCPU(ctx.Fiber(), n.costs.PageCopy)
-	return &wire.RCFetchReply{Page: m.Page, Ver: ver, Redirect: wire.RCNoNode, Data: data}
+	return r
 }
 
 // rebindStreak is the number of consecutive current-based commits one

@@ -37,15 +37,15 @@ func (d *directNet) Send(pkt *ring.Packet) {
 // fiber, reply back — allocates (DESIGN §7 itemizes both counts).
 //
 // On ring.Network, which releases every payload reference it is handed
-// and takes packets by value: 4 objects — the request body the caller
-// builds, the reply body the handler builds, the reply body decoded at
-// the caller (bodies handed to callers are theirs to keep), and the
-// handler's Fiber. Both payloads, both packets, the ring's transmission
-// records, the decoded request envelope and body and the decoded reply
-// envelope are recycled.
+// and takes packets by value: 3 objects — the request body the caller
+// builds, the reply body the handler builds, and the reply body decoded
+// at the caller (bodies handed to callers are theirs to keep; this
+// caller does not hand them back). The handler's Fiber, both payloads,
+// both packets, the ring's transmission records, the decoded request
+// envelope and body and the decoded reply envelope are recycled.
 //
 // On a foreign transport that keeps the *Packet and never releases —
-// the worst case the ownership rule allows — 10: the same four, plus per
+// the worst case the ownership rule allows — 9: the same three, plus per
 // message the payload (header and bytes in one object, never recycled
 // because the count never reaches zero), the heap ring.Packet, and this
 // transport's delivery closure. The ceiling stays at the 13 the path
@@ -61,7 +61,7 @@ func TestPingCallAllocs(t *testing.T) {
 		nw   func(*sim.Engine) ring.Transport
 		max  float64
 	}{
-		{"ring", func(eng *sim.Engine) ring.Transport { return ring.New(eng, model.Default1988(), 2) }, 4},
+		{"ring", func(eng *sim.Engine) ring.Transport { return ring.New(eng, model.Default1988(), 2) }, 3},
 		{"never-releasing", func(eng *sim.Engine) ring.Transport {
 			return &directNet{eng: eng, handlers: make([]ring.Handler, 2)}
 		}, 13},

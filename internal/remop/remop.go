@@ -45,7 +45,8 @@ import (
 // the body carried is the exception — it is the handler's to adopt). In
 // the other direction the reply is the endpoint's once returned: after
 // marshalling it, the endpoint takes a page-carrying reply's Data for
-// its page list, so the handler must hand over bytes nobody else reads.
+// its page list and the body itself for its idle list (Body), so the
+// handler must hand over a body and bytes nobody else reads.
 type Handler func(ctx *Ctx, env *wire.Envelope) wire.Msg
 
 // Ctx gives a handler access to its endpoint and the forwarding
@@ -191,8 +192,10 @@ type Endpoint struct {
 	gates    map[wire.Kind]Gate
 	nextReq  uint32
 	out      map[uint32]*pending
-	// retransScratch is retransmitCheck's reusable sorted-key buffer.
+	// retransScratch is retransmitCheck's reusable sorted-key buffer, and
+	// retransmitTick the check's timer callback.
 	retransScratch []uint32
+	retransmitTick func()
 	// freePending and freeCtx recycle the per-call and per-request
 	// records (deterministic LIFO lists, like the engine's event list).
 	freePending []*pending
@@ -817,8 +820,10 @@ func (ep *Endpoint) sendReply(req *wire.Envelope, body wire.Msg, key uint64) {
 	}
 	payload := ep.codec.Marshal(reply)
 	// The bytes are in the payload now: the frame the handler removed
-	// from the pool, or the snapshot it took, goes back to the page list.
+	// from the pool, or the snapshot it took, goes back to the page list,
+	// and the body to its kind's idle list.
 	ep.codec.RecyclePage(body)
+	ep.codec.RecycleBody(body)
 	ep.cacheReply(key, payload, dst) // takes Marshal's reference
 	ep.stats.RepliesSent++
 	ep.send(dst, payload, ep.spanOf(req))
@@ -847,6 +852,25 @@ func (ep *Endpoint) cacheReply(key uint64, payload *wire.Payload, dst ring.NodeI
 // as a reply's Data (which returns it to the list once marshalled).
 func (ep *Endpoint) PageBuffer(n int) []byte { return ep.codec.Page(n) }
 
+// PutPage returns a page buffer whose data is dead — a dropped read copy,
+// a frame's replaced contents — to the endpoint's page list, for the next
+// page this node decodes or snapshots. Nothing may read b afterwards: a
+// cache of the frame it backed must already have been invalidated.
+func (ep *Endpoint) PutPage(b []byte) { ep.codec.PutPage(b) }
+
+// Body returns a message body of kind k for this node to send: off the
+// kind's idle list when one is there, so the caller assigns every field
+// (wire.Codec.Body). A handler returns it as its reply, which the
+// endpoint recycles once marshalled; a caller that sends it as a request
+// may hand it back with RecycleBody once the call has returned.
+func (ep *Endpoint) Body(k wire.Kind) wire.Msg { return ep.codec.Body(k) }
+
+// RecycleBody returns a body this node owns and has done with — a reply
+// a call returned, once its fields and page are taken; a request body
+// after its call — to its kind's idle list (the rule is at
+// wire.Codec.Recycle).
+func (ep *Endpoint) RecycleBody(m wire.Msg) { ep.codec.RecycleBody(m) }
+
 // ReleaseIdle gives up everything the endpoint holds only for reuse or
 // for answering duplicates: the idle records and buffers, and the cached
 // replies. Call it when the run has ended and no frame will arrive
@@ -863,12 +887,16 @@ func (ep *Endpoint) ReleaseIdle() {
 	ep.codec.Drop()
 }
 
-// scheduleRetransmitCheck arms the periodic outgoing-channel check.
+// scheduleRetransmitCheck arms the periodic outgoing-channel check. The
+// callback is bound once, so re-arming it every period allocates nothing.
 func (ep *Endpoint) scheduleRetransmitCheck() {
-	ep.eng.Schedule(retransmitPeriod, func() {
-		ep.retransmitCheck()
-		ep.scheduleRetransmitCheck()
-	})
+	if ep.retransmitTick == nil {
+		ep.retransmitTick = func() {
+			ep.retransmitCheck()
+			ep.scheduleRetransmitCheck()
+		}
+	}
+	ep.eng.Schedule(retransmitPeriod, ep.retransmitTick)
 }
 
 // retransmitCheck resends outstanding requests that have waited a full

@@ -60,11 +60,12 @@ func TestHandoffAllocs(t *testing.T) {
 	}
 }
 
-// TestSpawnAllocs pins what a fiber costs once carriers are warm: the
-// Fiber itself and nothing else — no goroutine, no channel, no closure of
-// the engine's, no name (the format's operands are copied, not rendered).
-// The body here captures nothing, so the caller contributes no closure
-// either.
+// TestSpawnAllocs pins what a fiber costs once the idle carriers and the
+// spare fibers are warm: nothing — no Fiber (the struct is recycled), no
+// goroutine, no channel, no closure of the engine's, no name (the
+// format's operands are copied, not rendered, and the argument list they
+// arrive in stays on the caller's stack). The body here captures
+// nothing, so the caller contributes no closure either.
 func TestSpawnAllocs(t *testing.T) {
 	e := New(1)
 	got := -1.0
@@ -79,8 +80,8 @@ func TestSpawnAllocs(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got > 1 {
-		t.Fatalf("spawning and finishing a fiber allocates %v objects, want at most 1 (the Fiber)", got)
+	if got != 0 && !Poison { // a poison build never reuses a Fiber
+		t.Fatalf("spawning and finishing a fiber allocates %v objects, want 0", got)
 	}
 }
 

@@ -55,6 +55,7 @@ type event struct {
 	seq   uint64
 	fn    func()
 	fiber *Fiber
+	gen   uint64 // fiber.gen when the wake-up was scheduled (see carrier)
 }
 
 // Engine is a discrete-event simulator. Create one with New, add initial
@@ -85,11 +86,15 @@ type Engine struct {
 	// when an event callback is running). fibers lists every live fiber
 	// (spawned, body not yet over) in no particular order — each knows
 	// its own index — for the deadlock check and the parked-fiber
-	// reports. idle is the LIFO of carriers whose fiber has finished
-	// (see carrier).
+	// reports. idle is the LIFO of carriers whose fiber has finished,
+	// spare the LIFO of the finished Fiber structs themselves, and
+	// spawned the number of fibers Go has started, which gives each its
+	// gen (see carrier).
 	current *Fiber
 	fibers  []*Fiber
 	idle    []*carrier
+	spare   []*Fiber
+	spawned uint64
 
 	// eventCount counts executed events; fiberSwitches counts fiber
 	// resumptions. Exposed for engine-level tests and tracing.
@@ -97,8 +102,10 @@ type Engine struct {
 	fiberSwitches uint64
 
 	// panicMsg carries a fiber's panic back to the RunUntil caller, which
-	// re-raises it there.
+	// re-raises it there; abort carries the error of a fiber's Abort,
+	// which RunUntil returns.
 	panicMsg string
+	abort    error
 
 	// free recycles event structs. A deterministic LIFO free list (not a
 	// sync.Pool, whose reuse order depends on the runtime) keeps event
@@ -175,16 +182,21 @@ func (e *Engine) scheduleFunc(at Time, fn func()) *event {
 // closure-free fast path behind Sleep, Unpark, and Go. A live fiber has
 // at most one wake-up pending: it blocks in one place, and a second
 // wake-up for the same park would resume it out of some later, unrelated
-// one. Wake-ups for a finished fiber stay legal (a timer outliving its
-// waiter) and are dropped by the dispatcher.
+// one. A wake-up that outlives its fiber (a timer still queued when the
+// body returned) carries the fiber's gen and is dropped by the
+// dispatcher; one scheduled after the end is a bug (see Unpark), which a
+// poison build reports here.
 func (e *Engine) scheduleFiberAt(at Time, f *Fiber) {
 	if f.waking && !f.done {
 		panic(fmt.Sprintf("sim: second wake-up scheduled for fiber %q (%s), which already has one pending",
 			f.Name(), f.why.String()))
 	}
+	if Poison && f.freed {
+		panic(fmt.Sprintf("sim: wake-up scheduled for fiber %q, which has ended", f.Name()))
+	}
 	f.waking = true
 	ev := e.getEvent(at)
-	ev.fiber = f
+	ev.fiber, ev.gen = f, f.gen
 	if ev.at == e.now {
 		e.nowQ.push(ev)
 	} else {
@@ -273,7 +285,8 @@ func (e *Engine) Run() error {
 }
 
 // RunUntil is Run with a time horizon: events scheduled after limit are
-// left in the queue and the clock stops at the last executed event. The
+// left in the queue and the clock stops at the last executed event. A
+// fiber's panic is re-raised here, and a fiber's Abort returned. The
 // calling goroutine is the dispatch loop for the length of the call: it
 // switches into each fiber the dispatcher names and is switched back to
 // when that fiber blocks or ends.
@@ -298,6 +311,9 @@ func (e *Engine) RunUntil(limit Time) error {
 	e.releaseIdle()
 	if e.panicMsg != "" {
 		panic(e.panicMsg)
+	}
+	if e.abort != nil {
+		return e.abort
 	}
 	if !e.stopped && len(e.fibers) > 0 && e.pending() == 0 {
 		return fmt.Errorf("sim: deadlock at %v: %d fiber(s) parked: %s",
@@ -351,7 +367,7 @@ func (e *Engine) dispatch() *Fiber {
 			}
 			break
 		}
-		fn, fb := ev.fn, ev.fiber
+		fn, fb, gen := ev.fn, ev.fiber, ev.gen
 		if fn == nil && fb == nil {
 			// Cancelled (a neutralized Every tick): vanish without
 			// counting, without advancing the clock.
@@ -377,7 +393,7 @@ func (e *Engine) dispatch() *Fiber {
 			fn()
 			continue
 		}
-		if fb.done {
+		if fb.done || gen != fb.gen {
 			continue // stale wakeup for a terminated fiber
 		}
 		e.resume(fb)
@@ -432,7 +448,7 @@ func (e *Engine) wakesNext(f *Fiber) bool {
 	if onHeap {
 		ev = e.heap.top()
 	}
-	if ev == nil || ev.fiber != f || ev.at > e.limit {
+	if ev == nil || ev.fiber != f || ev.gen != f.gen || ev.at > e.limit {
 		return false
 	}
 	if onHeap {

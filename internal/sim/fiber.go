@@ -26,6 +26,15 @@ type Fiber struct {
 	c    *carrier // the coroutine the body runs on
 	done bool
 
+	// gen names this use of the struct: Go stamps a number no earlier
+	// fiber of the engine had, and every wake-up event carries the gen it
+	// was scheduled for, so one that outlives its fiber is dropped rather
+	// than resuming the fiber the struct went to next (see carrier).
+	gen uint64
+	// freed marks, in a poison build only, a fiber whose body returned:
+	// the struct is never reused, and a wake-up scheduled for it panics.
+	freed bool
+
 	// waking is set while a wake-up event for the fiber is queued; a live
 	// fiber has at most one (scheduleFiberAt).
 	waking bool
@@ -58,10 +67,17 @@ type Fiber struct {
 // goroutine spawn, a new stack that the runtime then grows by copying at
 // the first deep call, and an exit; so carriers outlive their fibers and
 // wait on the engine's idle list for the next one, keeping a stack
-// already grown to the depth handlers need. The Fiber itself is always
-// fresh: a handle kept past a fiber's end must keep saying Done, and a
-// stale wakeup for a finished fiber must keep being dropped, neither of
-// which survives recycling the struct.
+// already grown to the depth handlers need.
+//
+// The Fiber struct is recycled too, through the engine's spare list, and
+// its generation is what keeps that safe. An event scheduled for a fiber
+// records the fiber's gen; dispatch and wakesNext drop an event whose gen
+// is not the fiber's, so a wake-up that outlives its fiber (a timer
+// still queued when the body returned) never resumes the fiber that
+// reuses the struct. What the generation cannot catch is a wake-up
+// scheduled after the end through a handle kept past it — that stamps
+// the new owner's gen. Doing so is a bug in the caller (see Unpark), and
+// the poison build, which never reuses a finished fiber, panics on it.
 type carrier struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
@@ -80,7 +96,12 @@ func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
 		panic("sim: Go on a closed engine")
 	}
 	c := e.idleCarrier()
-	f := &Fiber{eng: e, c: c, idx: len(e.fibers)}
+	f, ok := pop(&e.spare)
+	if !ok {
+		f = new(Fiber)
+	}
+	e.spawned++
+	*f = Fiber{eng: e, c: c, idx: len(e.fibers), gen: e.spawned}
 	f.name.set(name, args)
 	c.fiber, c.body = f, body
 	e.fibers = append(e.fibers, f)
@@ -101,10 +122,7 @@ func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
 //
 //ivy:hostworld starts the coroutine (a goroutine, by iter.Pull) backing a carrier
 func (e *Engine) idleCarrier() *carrier {
-	if n := len(e.idle); n > 0 {
-		c := e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
+	if c, ok := pop(&e.idle); ok {
 		return c
 	}
 	c := &carrier{}
@@ -122,16 +140,24 @@ func (e *Engine) idleCarrier() *carrier {
 // The type is private, so no other panic can be mistaken for it.
 type tornDown struct{}
 
+// Abort is a panic value that ends a run with an error rather than a
+// crash: a fiber body that panics with an Abort stops the engine, and
+// RunUntil returns Err instead of re-raising. It is for failures of the
+// simulated program's input — a shared space too small for the problem —
+// that its caller should report, not debug.
+type Abort struct{ Err error }
+
 // runFiber runs the body of the fiber bound to c. When the body returns
 // it unlinks the fiber, idles c and reports true. A panic is recovered
 // here, not left to iter.Pull, which would re-raise it in the dispatch
 // loop with the fiber's stack lost; runFiber then reports false and the
 // coroutine ends, so a carrier whose stack unwound is not reused. The
 // panic Close unwinds a parked body with ends the fiber the same way and
-// is otherwise swallowed. A body that calls runtime.Goexit — a test's
-// FailNow on a fiber — never returns here: the fiber is unlinked, and
-// iter.Pull passes the Goexit on to the goroutine that called RunUntil,
-// ending it as FailNow asks.
+// is otherwise swallowed; an Abort ends the run with its error. A body
+// that calls runtime.Goexit — a test's FailNow on a fiber — never
+// returns here: the fiber is unlinked, and iter.Pull passes the Goexit
+// on to the goroutine that called RunUntil, ending it as FailNow asks.
+// Only a fiber whose body returned is recycled (retire).
 func (e *Engine) runFiber(c *carrier) (returned bool) {
 	f := c.fiber
 	defer func() {
@@ -140,7 +166,14 @@ func (e *Engine) runFiber(c *carrier) (returned bool) {
 		}
 		r := recover()
 		e.unlink(f)
-		if _, closing := r.(tornDown); r != nil && !closing {
+		switch v := r.(type) {
+		case nil, tornDown:
+		case Abort:
+			e.stopped = true
+			if e.abort == nil {
+				e.abort = v.Err
+			}
+		default:
 			// RunUntil re-panics with the fiber's identity and the fiber's
 			// own stack: RunUntil's says nothing about where in the
 			// simulated program the fault happened.
@@ -151,7 +184,34 @@ func (e *Engine) runFiber(c *carrier) (returned bool) {
 	e.unlink(f)
 	c.fiber, c.body = nil, nil
 	e.idle = append(e.idle, c)
+	e.retire(f)
 	return true
+}
+
+// retire puts a fiber whose body has returned on the spare list for the
+// next Go, which overwrites what it still references (its name and its
+// carrier); releaseIdle lets go of the list. A poison build keeps the
+// struct out of circulation instead and marks it freed, its name kept
+// for the panic that reports a stale handle.
+func (e *Engine) retire(f *Fiber) {
+	if Poison {
+		f.freed = true
+		return
+	}
+	e.spare = append(e.spare, f)
+}
+
+// pop takes the most recently pushed element off a LIFO list, leaving no
+// reference to it behind.
+func pop[T any](list *[]*T) (v *T, ok bool) {
+	n := len(*list)
+	if n == 0 {
+		return nil, false
+	}
+	v = (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return v, true
 }
 
 // unlink marks f done and removes it from the list of live fibers. A
@@ -168,15 +228,18 @@ func (e *Engine) unlink(f *Fiber) {
 	e.fibers = e.fibers[:last]
 }
 
-// releaseIdle ends every idle carrier's coroutine. RunUntil calls it on
-// the way out, so between runs the engine keeps alive only the goroutines
-// of fibers that are still parked; those end with Close.
+// releaseIdle ends every idle carrier's coroutine and lets go of the
+// spare fibers. RunUntil calls it on the way out, so between runs the
+// engine keeps alive only the goroutines of fibers that are still parked;
+// those end with Close.
 func (e *Engine) releaseIdle() {
 	for i, c := range e.idle {
 		c.stop()
 		e.idle[i] = nil
 	}
 	e.idle = e.idle[:0]
+	clear(e.spare)
+	e.spare = e.spare[:0]
 }
 
 // Close ends the simulation for good: every live fiber is ended where it
@@ -216,7 +279,7 @@ func (e *Engine) Close() {
 	// event callback's panic or a fiber's Goexit cut short did not get
 	// that far.
 	e.releaseIdle()
-	e.fibers, e.idle, e.current = nil, nil, nil
+	e.fibers, e.idle, e.spare, e.current = nil, nil, nil, nil
 	e.heap, e.nowQ, e.free = eventHeap{}, nowQueue{}, nil
 	if e.panicMsg != raised {
 		panic(e.panicMsg)
@@ -237,8 +300,15 @@ func (f *Fiber) SetTrace(t uint64) { f.trace = t }
 func (f *Fiber) Engine() *Engine { return f.eng }
 
 // Done reports whether the fiber is over: its body has returned, panicked
-// or exited, or Close ended it.
+// or exited, or Close ended it. The answer is about this handle's fiber
+// only until the engine's next Go, which may reuse the struct.
 func (f *Fiber) Done() bool { return f.done }
+
+// ID returns a number that names this fiber among all the engine has
+// run: unlike the *Fiber, which a later fiber may reuse, it is never
+// given out twice. Keyed state that must not pass from a finished fiber
+// to the next user of its struct (drace's threads) keys on it.
+func (f *Fiber) ID() uint64 { return f.gen }
 
 // Now returns the current virtual time.
 func (f *Fiber) Now() Time { return f.eng.now }
@@ -288,8 +358,12 @@ func (f *Fiber) Park(why string, args ...any) {
 // called from simulation context (another fiber or an event callback),
 // never from the parked fiber itself, and once per park: scheduling a
 // wake-up for a live fiber that already has one pending (a second Unpark,
-// an Unpark of a sleeper) is a bug in the caller and panics. Unparking a
-// finished fiber is legal and does nothing.
+// an Unpark of a sleeper) is a bug in the caller and panics. So is
+// unparking through a handle kept past the fiber's end: once the body has
+// returned, the struct may already belong to a fiber started since, which
+// the Unpark would wake. A poison build panics there, naming the finished
+// fiber. (Close is the exception: the fibers it ends are never reused,
+// and wake-ups for them are dropped.)
 func (f *Fiber) Unpark() {
 	f.eng.scheduleFiberAt(f.eng.now, f)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -127,16 +128,12 @@ func TestParkUnpark(t *testing.T) {
 // TestSecondWakeupPanics pins the invariant behind Unpark's contract: a
 // live fiber has at most one wake-up pending. The second Unpark of one
 // park would otherwise resume the fiber out of whatever it blocks in
-// next; it panics instead, naming the fiber and what it waits for. A
-// finished fiber may be unparked any number of times — a timer outliving
-// its waiter — and nothing happens.
+// next; it panics instead, naming the fiber and what it waits for. (A
+// finished fiber is another matter: see TestStaleHandles.)
 func TestSecondWakeupPanics(t *testing.T) {
 	e := New(1)
-	gone := e.Go("gone", func(*Fiber) {})
 	waiter := e.Go("waiter#%d", func(f *Fiber) { f.Park("page %d lock on node %d", 3, 1) }, 7)
 	e.Schedule(time.Millisecond, func() {
-		gone.Unpark()
-		gone.Unpark()
 		waiter.Unpark()
 		waiter.Unpark()
 	})
@@ -592,4 +589,29 @@ func BenchmarkFiberHandoff(b *testing.B) {
 	if min := uint64(b.N); e.Switches() < min {
 		b.Fatalf("%d switches for %d ops: the fibers did not alternate", e.Switches(), b.N)
 	}
+}
+
+// TestAbortEndsRunWithError: a fiber that panics with an Abort stops the
+// run, and RunUntil returns the Abort's error instead of re-raising; the
+// fibers still parked end with Close as after any run.
+func TestAbortEndsRunWithError(t *testing.T) {
+	e := New(1)
+	errFull := errors.New("space exhausted")
+	after := false
+	e.Go("parked", func(f *Fiber) { f.Park("forever") })
+	e.Go("program", func(f *Fiber) {
+		f.Sleep(time.Millisecond)
+		panic(Abort{Err: errFull})
+	})
+	e.Go("late", func(f *Fiber) {
+		f.Sleep(time.Second)
+		after = true
+	})
+	if err := e.Run(); err != errFull {
+		t.Fatalf("Run returned %v, want %v", err, errFull)
+	}
+	if after || e.Now() != Time(time.Millisecond) {
+		t.Fatalf("the run went on after the abort: now %v, late fiber ran %v", e.Now(), after)
+	}
+	e.Close()
 }

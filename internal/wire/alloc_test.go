@@ -151,3 +151,45 @@ func TestPayloadReferenceCounting(t *testing.T) {
 	p.Release() // r's reference…
 	p.Release() // …and one too many
 }
+
+// TestFreshBulkPayloadIsMadeOnce: once the codec has handled a page, a
+// bulk payload it has to make afresh — the idle list is empty while the
+// reply cache holds the others — is allocated at the size a page reply
+// encodes to, so encoding the page never regrows it: the Payload and
+// its buffer, two objects, where growing from nil took five.
+func TestFreshBulkPayloadIsMadeOnce(t *testing.T) {
+	var c Codec
+	data := c.Page(4096)
+	env := &Envelope{ReqID: 1, Body: &PageWriteReply{Page: 3, Copyset: 5, Data: data}}
+	var held []*Payload
+	got := testing.AllocsPerRun(100, func() { held = append(held, c.Marshal(env)) })
+	if got > 2 {
+		t.Fatalf("a fresh page-reply payload takes %v allocations, want 2", got)
+	}
+	if p := held[len(held)-1]; cap(p.Bytes()) != bulkRoom+len(data) {
+		t.Fatalf("a fresh bulk payload has room for %d bytes, want %d", cap(p.Bytes()), bulkRoom+len(data))
+	}
+}
+
+// TestBodyComesOffTheIdleList: Body hands out a recycled body of the kind
+// asked for, a new one when the list is empty, and RecycleBody puts one
+// back for the next decode or Body.
+func TestBodyComesOffTheIdleList(t *testing.T) {
+	var c Codec
+	fresh := c.Body(KindPageReadReply)
+	if _, ok := fresh.(*PageReadReply); !ok {
+		t.Fatalf("Body(KindPageReadReply) = %T", fresh)
+	}
+	c.RecycleBody(fresh)
+	if again := c.Body(KindPageReadReply); !Poison && again != fresh {
+		t.Fatal("Body did not reuse the recycled body")
+	}
+	c.RecycleBody(fresh)
+	in, err := c.Unmarshal((&Envelope{Body: &PageReadReply{Page: 4, Owner: 2}}).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Poison && in.Body != fresh {
+		t.Fatal("the decoder did not reuse the recycled body")
+	}
+}

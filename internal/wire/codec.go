@@ -23,19 +23,28 @@ type Codec struct {
 	pages [][]byte   // idle page-sized data buffers
 
 	envs   []*Envelope    // idle decoded envelopes, Body nil
-	bodies [kindMax][]Msg // idle decoded bodies by kind
+	bodies [kindMax][]Msg // idle bodies by kind, decoded or sent
+
+	// pageLen is the longest page buffer the codec has handed out or
+	// taken back: what a fresh bulk payload is sized for (Marshal).
+	pageLen int
 
 	live int // payload references handed out and not yet released
 }
 
 // Idle-list bounds: payloads per size class, page buffers, decoded
-// envelopes, and decoded bodies per kind.
+// envelopes, and bodies per kind.
 const (
 	maxIdlePayloads  = 64
 	maxIdlePages     = 32
 	maxIdleEnvelopes = 16
 	maxIdleBodies    = 8
 )
+
+// bulkRoom is what a bulk payload holds beyond its page: the envelope
+// header and the fixed fields and length prefixes of the largest
+// page-carrying body, with room to spare.
+const bulkRoom = 64
 
 // Payload is one encoded envelope together with the count of references
 // to it. The ownership rule of the message path: whoever is handed a
@@ -95,7 +104,10 @@ func (c *Codec) idlePayloads(bulk bool) *[]*Payload {
 }
 
 // Marshal encodes e once, straight into a recycled payload, and returns
-// it holding one reference — the caller's.
+// it holding one reference — the caller's. A fresh bulk payload is made
+// at the size a page-carrying message encodes to, once the codec has
+// seen a page, so that encoding never regrows it; payloads of the bulk
+// kinds share one idle list, so they all converge on that size anyway.
 func (c *Codec) Marshal(e *Envelope) *Payload {
 	isBulk := kinds[e.Body.Kind()].bulk
 	p, ok := pop(c.idlePayloads(isBulk))
@@ -103,6 +115,8 @@ func (c *Codec) Marshal(e *Envelope) *Payload {
 		p = &Payload{codec: c, bulk: isBulk}
 		if !isBulk {
 			p.b = p.room[:0]
+		} else if c.pageLen > 0 {
+			p.b = make([]byte, 0, bulkRoom+c.pageLen)
 		}
 	}
 	c.enc.b = p.b[:0]
@@ -137,24 +151,52 @@ func (c *Codec) Unmarshal(data []byte) (*Envelope, error) {
 	return e, nil
 }
 
-// idleBody takes a recycled body of kind k off its list, or returns nil.
-func (c *Codec) idleBody(k Kind) Msg {
-	m, _ := pop(&c.bodies[k])
-	return m
+// Body returns a body of kind k: the top of k's idle list, or a new one.
+// A recycled body still holds the message it carried before, so whoever
+// fills it assigns every field (a composite literal does); a decode
+// always does.
+func (c *Codec) Body(k Kind) Msg {
+	if m, ok := pop(&c.bodies[k]); ok {
+		return m
+	}
+	return kinds[k].new()
 }
 
 // Recycle returns a decoded envelope and its body for reuse. The caller
 // must hold the only reference to both: whatever read them has copied
 // what it keeps.
+//
+// The ownership rule for bodies, decoded and sent alike: a body belongs
+// to one holder at a time, and only that holder recycles it — once, after
+// its last read, and after detaching any page it handed on (a page moved
+// into a frame pool is the pool's; the body must not carry it back to an
+// idle list). A request body is the endpoint's while its handler runs
+// and is recycled with the envelope once the handler has returned. A
+// reply body a handler returns is the endpoint's, which recycles it, page
+// and all, once it is marshalled. A reply body a call returns is the
+// caller's, who recycles it (RecycleBody) after copying out its fields and
+// taking its page; a request body the caller built is the caller's too,
+// free to recycle once its call has returned. Recycling is optional — a
+// body nobody recycles is left to the collector — but recycling one that
+// someone still reads is a use-after-free, which the poison build turns
+// into 0xDB.
 func (c *Codec) Recycle(e *Envelope) {
-	if m := e.Body; m != nil {
-		if Poison {
-			poisonMsg(m)
-		} else if k := m.Kind(); len(c.bodies[k]) < maxIdleBodies {
-			c.bodies[k] = append(c.bodies[k], m)
-		}
+	if e.Body != nil {
+		c.RecycleBody(e.Body)
 	}
 	c.RecycleEnvelope(e)
+}
+
+// RecycleBody returns a body to its kind's idle list, under the ownership
+// rule at Recycle.
+func (c *Codec) RecycleBody(m Msg) {
+	if Poison {
+		poisonMsg(m)
+		return
+	}
+	if k := m.Kind(); len(c.bodies[k]) < maxIdleBodies {
+		c.bodies[k] = append(c.bodies[k], m)
+	}
 }
 
 // RecycleEnvelope returns only the envelope: its body stays with whoever
@@ -174,6 +216,7 @@ func (c *Codec) RecycleEnvelope(e *Envelope) {
 // it is large enough, a fresh slice otherwise. Its contents are
 // unspecified; the caller overwrites all n bytes.
 func (c *Codec) Page(n int) []byte {
+	c.pageLen = max(c.pageLen, n)
 	if b, _ := pop(&c.pages); cap(b) >= n {
 		return b[:n]
 	}
@@ -185,6 +228,7 @@ func (c *Codec) PutPage(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
+	c.pageLen = max(c.pageLen, cap(b))
 	if Poison {
 		scribble(b)
 		return

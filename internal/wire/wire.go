@@ -316,11 +316,9 @@ func (e *Envelope) decode(c *coder) error {
 	if kind <= KindInvalid || kind >= kindMax {
 		return fmt.Errorf("%w: %v", ErrUnknownKind, kind)
 	}
-	e.Body = nil
 	if r.codec != nil {
-		e.Body = r.codec.idleBody(kind)
-	}
-	if e.Body == nil {
+		e.Body = r.codec.Body(kind)
+	} else {
 		e.Body = kinds[kind].new()
 	}
 	e.Body.code(c)

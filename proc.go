@@ -9,6 +9,7 @@ import (
 	"repro/internal/ec"
 	"repro/internal/proc"
 	"repro/internal/ring"
+	"repro/internal/sim"
 )
 
 // Proc is a lightweight IVY process — the handle client programs use for
@@ -164,12 +165,15 @@ func (p *Proc) Malloc(n uint64) (uint64, error) {
 	return svc.Alloc(p.inner.Fiber(), n)
 }
 
-// MustMalloc is Malloc that panics on exhaustion — for examples and
-// benchmarks where failure is a setup bug.
+// MustMalloc is Malloc for programs that cannot go on without the
+// memory: on exhaustion it ends the whole run, and Cluster.Run returns an
+// error naming the bytes asked for and the size of the shared space.
 func (p *Proc) MustMalloc(n uint64) uint64 {
 	addr, err := p.Malloc(n)
 	if err != nil {
-		panic(fmt.Sprintf("ivy: malloc %d bytes: %v", n, err))
+		cfg := p.c.cfg
+		panic(sim.Abort{Err: fmt.Errorf("malloc %d bytes: %w (the shared space is %d pages of %d bytes)",
+			n, err, cfg.SharedPages, cfg.PageSize)})
 	}
 	return addr
 }
