@@ -127,7 +127,7 @@ func TestHelpIsTheFlagReference(t *testing.T) {
 		"prof":  {"-app", "-procs", "-manager", "-format", "-diff"},
 		"trace": {"-scenario", "-pages", "-limit", "-trace", "-sample"},
 		"node":  {"-rank", "-peers", "-manager", "-pages", "-seed"},
-		"vet":   {"-list", "-tests", "-graph"},
+		"vet":   {"-list", "-tests"},
 	} {
 		out.Reset()
 		if code := run([]string{"help", sub}, &out, &out); code != 0 {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/ivyvet"
-	"repro/internal/ivyvet/callgraph"
 	"repro/internal/ivyvet/load"
 )
 
@@ -20,17 +18,13 @@ var vetCmd = &command{
 	detail: `
   ivy vet ./...
   ivy vet -tests=false ./internal/core
-  ivy vet -json ./...
-  ivy vet -graph SVM.ReadU64T
   ivy vet -list
 
 It exits 1 when any diagnostic survives (suppress deliberate, documented
 violations with "//ivyvet:ignore reason" on the flagged line or the line
-above), and 2 on load failure. -json emits the diagnostics as a JSON
-array for tooling; -graph prints a function's resolved call-graph
-neighborhood — its outgoing edges with their resolution kinds, its
-callers, external calls, and known-blind indirect sites — which is how
-to debug why a whole-program analyzer did (or did not) reach something.
+above), and 2 on load failure. The four analyzers are maporder,
+hotpath, worldsplit and lockorder (-list says what each checks;
+DESIGN.md §8 names the bug each one's golden test replants).
 
 The analyzers are written against the go/analysis API shape; with
 network access they would build into a multichecker binary usable as a
@@ -40,8 +34,6 @@ call-graph engine see every package at once.`,
 	setup: func(fs *flag.FlagSet) body {
 		list := fs.Bool("list", false, "list analyzers and exit")
 		tests := fs.Bool("tests", true, "also analyze _test.go files")
-		jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
-		graphQ := fs.String("graph", "", "print the call-graph neighborhood of a function (key, Recv.Name, or Name) and exit")
 
 		return func(patterns []string, stdout, _ io.Writer) error {
 			if *list {
@@ -54,21 +46,12 @@ call-graph engine see every package at once.`,
 			if err != nil {
 				return usageError{err} // exit 2: nothing was analyzed
 			}
-			if *graphQ != "" {
-				return dumpGraph(stdout, root, pr, *graphQ)
-			}
 			diags, err := ivyvet.RunProgram(pr, ivyvet.Analyzers())
 			if err != nil {
 				return usageError{err}
 			}
-			if *jsonOut {
-				if err := writeJSON(stdout, root, diags); err != nil {
-					return err
-				}
-			} else {
-				for _, d := range diags {
-					fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", relTo(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-				}
+			for _, d := range diags {
+				fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", relTo(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 			}
 			if len(diags) > 0 {
 				return fmt.Errorf("%d diagnostic(s)", len(diags))
@@ -116,68 +99,6 @@ func loadModule(patterns []string, tests bool) (*load.Program, string, error) {
 	cfg := load.Config{ModuleRoot: root, ModulePath: modPath, Tests: tests}
 	pr, err := cfg.Load(patterns...)
 	return pr, root, err
-}
-
-// jsonDiag is the -json wire shape of one diagnostic.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(w io.Writer, root string, diags []ivyvet.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			Analyzer: d.Analyzer,
-			File:     relTo(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// dumpGraph prints the resolved neighborhood of every node matching the
-// query — the -graph debug mode.
-func dumpGraph(w io.Writer, root string, pr *load.Program, q string) error {
-	g := callgraph.Build(pr)
-	nodes := g.Lookup(q)
-	if len(nodes) == 0 {
-		return usageError{fmt.Errorf("-graph %q matches no function in the program", q)}
-	}
-	for i, n := range nodes {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		pos := g.Fset.Position(n.Decl.Pos())
-		fmt.Fprintf(w, "%s\n  declared at %s:%d", n.Key, relTo(root, pos.Filename), pos.Line)
-		if n.AddressTaken {
-			fmt.Fprintf(w, " (address-taken)")
-		}
-		fmt.Fprintln(w)
-		for _, e := range n.Out {
-			p := g.Fset.Position(e.Pos)
-			fmt.Fprintf(w, "  -> %-9s %s (%s:%d)\n", e.Kind, e.Callee.Key, relTo(root, p.Filename), p.Line)
-		}
-		for _, c := range n.Ext {
-			p := g.Fset.Position(c.Pos)
-			fmt.Fprintf(w, "  -> ext       %s.%s (%s:%d)\n", c.Fn.Pkg().Path(), c.Fn.Name(), relTo(root, p.Filename), p.Line)
-		}
-		for _, p := range n.Unresolved {
-			pp := g.Fset.Position(p)
-			fmt.Fprintf(w, "  -> ???       unresolved function value (%s:%d)\n", relTo(root, pp.Filename), pp.Line)
-		}
-		for _, caller := range n.In {
-			fmt.Fprintf(w, "  <- %s\n", caller.Key)
-		}
-	}
-	return nil
 }
 
 func relTo(root, file string) string {

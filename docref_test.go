@@ -38,7 +38,7 @@ var (
 // back-quotes a repository path that does not exist, or a Go name the
 // repository's Go code no longer has: prose still citing what a change
 // deleted or renamed. Exported and camelCase names — alone (Codec,
-// shootGen) or qualified by a repository package or a type (wire.Kind,
+// dropCopy) or qualified by a repository package or a type (wire.Kind,
 // Cluster.Run) — must be declared; a plain lowercase word (maporder)
 // must at least be mentioned. Other packages' names (sync.Pool) are not
 // checked.

@@ -174,20 +174,11 @@ type SVM struct {
 	limit     uint64
 	size      uint64 // limit - base: one-compare bounds check on the fast path
 
-	// shootGen is the node's TLB-shootdown epoch. Every transition that
-	// lowers any page's protection or drops a frame increments it (see
-	// tlbShoot), invalidating — in O(1), with no registry of caches —
-	// every software-TLB way filled before the transition. Coarser than
-	// a per-page counter, but shootdowns are protocol events (orders of
-	// magnitude rarer than accesses), extra TLB misses never change
-	// simulated behavior, and the epoch compare is a load from the SVM
-	// the fast path already holds instead of a chase through the entry.
-	shootGen uint64
-
 	table *mmu.Table
-	// pool is embedded by value: the TLB hit path compares the LRU front
-	// against the cached frame on every access, and a value field makes
-	// that one load instead of a pointer chase.
+	// pool is embedded by value: the TLB hit path compares the pool's
+	// shootdown epoch and LRU front against the cached way on every
+	// access, and a value field makes each one load instead of a pointer
+	// chase.
 	pool memfs.Pool
 	dsk  *disk.Disk
 	mgr  manager
@@ -320,46 +311,15 @@ func (s *SVM) onEvict(f *sim.Fiber, p mmu.PageID, data []byte) {
 		e.Dirty = false
 	}
 	e.Access = mmu.AccessNil
-	s.tlbShoot() // the frame is gone
-	// The bytes are on the disk now, or were never needed again.
+	// The bytes are on the disk now, or were never needed again; the
+	// pool shoots once this callback returns.
 	s.ep.PutPage(data)
-}
-
-// tlbShoot invalidates every translation cached by this node's software
-// TLBs by advancing the shootdown epoch. Called at every transition
-// that lowers a page's protection or removes its frame, and whenever a
-// resident frame's contents are replaced in place (see install);
-// raising protection alone never shoots, because a cached translation
-// can only ever under-promise rights.
-func (s *SVM) tlbShoot() { s.shootGen++ }
-
-// install puts data into the frame pool as page p's contents. Every
-// core-layer installation must go through here rather than calling
-// pool.Put directly: when the page is already resident, Put swaps the
-// data slice inside the existing Frame — a transition that raises
-// protection (a write-fault upgrade of a local read copy, the basic
-// manager's lost-ownership refetch) and so fires none of the
-// protection-lowering shoot sites, yet it stales any TLB way caching
-// the old slice. Shooting here keeps the TLB's invariant — a way whose
-// bytes went stale can never pass the epoch compare — airtight; the
-// extra misses after a replacement are behavior-neutral, like every
-// shootdown. The replaced bytes are dead once the shot has fired, and go
-// back to the endpoint's page list.
-func (s *SVM) install(f *sim.Fiber, p mmu.PageID, data []byte) {
-	if old, replaced := s.pool.Put(f, p, data); replaced {
-		s.tlbShoot()
-		s.ep.PutPage(old)
-	}
 }
 
 // dropCopy removes page p's frame, whose contents are dead (an
 // invalidated read copy, a page whose ownership left without its data),
-// and recycles its buffer. The shot fires first: the frame and its bytes
-// are reused from here on.
-func (s *SVM) dropCopy(p mmu.PageID) {
-	s.tlbShoot()
-	s.ep.PutPage(s.pool.Drop(p))
-}
+// and recycles its buffer.
+func (s *SVM) dropCopy(p mmu.PageID) { s.ep.PutPage(s.pool.Drop(p)) }
 
 // canEvict pins pages whose fault lock is held — a frame mid-transfer
 // must not be reclaimed under the protocol — and, under release
@@ -400,7 +360,7 @@ func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
 	s.table.Reseed(dataPages, func(p mmu.PageID, e *mmu.Entry) {
 		e.ProbOwner = rc.StaticHome(p, nodes)
 	})
-	s.rcn = rc.New(s.ep, s.table, &s.pool, s.tlbShoot, rc.Config{
+	s.rcn = rc.New(s.ep, s.table, &s.pool, rc.Config{
 		DataPages: dataPages,
 		PageSize:  s.pageSize,
 		Dir:       dir,

@@ -273,7 +273,7 @@ func (s *SVM) ReadU64T(t *TLB, ctx Ctx, addr uint64) uint64 {
 				// Comparing the span against len(w.data) (== pageSize for
 				// any filled way) both rejects page-crossing scalars and
 				// lets the compiler drop the slice bounds checks below.
-				if w.page == p && w.gen == s.shootGen && po+8 <= len(w.data) && s.pool.Front() == w.fr {
+				if w.page == p && w.gen == s.pool.Epoch() && po+8 <= len(w.data) && s.pool.Front() == w.fr {
 					t.hits++
 					return binary.LittleEndian.Uint64(w.data[po : po+8])
 				}
@@ -299,7 +299,7 @@ func (s *SVM) readU64TSlow(t *TLB, ctx Ctx, addr uint64) uint64 {
 			po := int(off) & s.pageMask
 			p := mmu.PageID(off >> (s.pageShift & 63))
 			w := &t.ways[int(p)&tlbMask]
-			if w.page == p && w.gen == s.shootGen && po+8 <= len(w.data) {
+			if w.page == p && w.gen == s.pool.Epoch() && po+8 <= len(w.data) {
 				t.hits++
 				if s.pool.Front() != w.fr {
 					s.pool.TouchFrame(w.fr)
@@ -342,7 +342,7 @@ func (s *SVM) WriteU64T(t *TLB, ctx Ctx, addr uint64, v uint64) {
 				po := int(off) & s.pageMask
 				p := mmu.PageID(off >> (s.pageShift & 63)) // &63 elides the shift guard
 				w := &t.ways[int(p)&tlbMask]
-				if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.shootGen && po+8 <= len(w.data) && s.pool.Front() == w.fr {
+				if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.pool.Epoch() && po+8 <= len(w.data) && s.pool.Front() == w.fr {
 					w.e.Dirty = true // mirror the checked write path
 					t.hits++
 					binary.LittleEndian.PutUint64(w.data[po:po+8], v)
@@ -370,7 +370,7 @@ func (s *SVM) writeU64TSlow(t *TLB, ctx Ctx, addr uint64, v uint64) {
 			po := int(off) & s.pageMask
 			p := mmu.PageID(off >> (s.pageShift & 63))
 			w := &t.ways[int(p)&tlbMask]
-			if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.shootGen && po+8 <= len(w.data) {
+			if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.pool.Epoch() && po+8 <= len(w.data) {
 				w.e.Dirty = true // mirror the checked write path
 				t.hits++
 				if s.pool.Front() != w.fr {
@@ -701,7 +701,7 @@ func (s *SVM) pageIn(f *sim.Fiber, p mmu.PageID) []byte {
 		data = s.ep.PageBuffer(s.pageSize)
 		clear(data)
 	}
-	s.install(f, p, data)
+	s.ep.PutPage(s.pool.Put(f, p, data))
 	return data
 }
 
@@ -809,7 +809,7 @@ func (s *SVM) fault(ctx Ctx, p mmu.PageID, write bool) {
 		if owner == s.node {
 			panic(fmt.Sprintf("core: node %d served its own read fault for page %d", s.node, p))
 		}
-		s.install(f, p, data)
+		s.ep.PutPage(s.pool.Put(f, p, data))
 		e.Access = mmu.AccessRead
 		e.Dirty = false
 		e.ProbOwner = owner
@@ -836,7 +836,7 @@ func (s *SVM) recycleReply(r wire.Msg, data *[]byte) {
 // who may have copies to invalidate first.
 func (s *SVM) becomeOwner(f *sim.Fiber, p mmu.PageID, data []byte) {
 	e := s.table.Entry(p)
-	s.install(f, p, data)
+	s.ep.PutPage(s.pool.Put(f, p, data))
 	e.IsOwner = true
 	e.Copyset = 0
 	e.Dirty = true
@@ -888,7 +888,6 @@ func (s *SVM) invalidate(f *sim.Fiber, p mmu.PageID, cs mmu.Copyset, newOwner ri
 // transfer, avoiding a pointless frame install when the page is on disk.
 func (s *SVM) takeData(f *sim.Fiber, p mmu.PageID) []byte {
 	if s.pool.Resident(p) {
-		s.tlbShoot() // the frame leaves the pool
 		return s.pool.Drop(p)
 	}
 	if s.dsk.Has(p) {
@@ -929,7 +928,7 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 		e.Copyset = 0
 		e.IsOwner = false
 		e.Access = mmu.AccessNil
-		s.tlbShoot() // all local rights revoked
+		s.pool.Shoot() // all local rights revoked
 		e.Dirty = false
 		e.ProbOwner = origin
 		s.dsk.Drop(p)
@@ -949,7 +948,7 @@ func (s *SVM) serve(f *sim.Fiber, origin ring.NodeID, p mmu.PageID, write bool) 
 	// or restored after pageIn brought an evicted page back. Cached
 	// write-mode translations must not survive the downgrade.
 	if e.Access == mmu.AccessWrite {
-		s.tlbShoot()
+		s.pool.Shoot()
 	}
 	e.Access = mmu.AccessRead
 	s.ep.ChargeCPU(f, s.costs.PageCopy)

@@ -40,13 +40,13 @@ func (s *SVM) ReleasePageForMigration(f *sim.Fiber, pg mmu.PageID, dst ring.Node
 	if !e.Copyset.Empty() {
 		// Roll back: restore the frame if we took it.
 		if withData && data != nil {
-			s.install(f, pg, data)
+			s.ep.PutPage(s.pool.Put(f, pg, data))
 		}
 		return nil, false
 	}
 	e.IsOwner = false
 	e.Access = mmu.AccessNil
-	s.tlbShoot() // rights left with the migrating process
+	s.pool.Shoot() // rights left with the migrating process
 	e.Dirty = false
 	e.ProbOwner = dst
 	return data, true
@@ -66,7 +66,7 @@ func (s *SVM) AdoptPage(f *sim.Fiber, pg mmu.PageID, data []byte) {
 	e.ProbOwner = s.node
 	s.dsk.Drop(pg)
 	if data != nil {
-		s.install(f, pg, data)
+		s.ep.PutPage(s.pool.Put(f, pg, data))
 		e.Access = mmu.AccessWrite
 		e.Dirty = true
 		return

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -150,4 +152,138 @@ func TestObserverCountsMatchStats(t *testing.T) {
 	}
 	forEachAlgorithm(t, func(t *testing.T, alg Algorithm) { run(t, alg, 0) })
 	t.Run("rc", func(t *testing.T) { run(t, DynamicDistributed, 8) })
+}
+
+// accessLog records every access the seam reports.
+type accessLog struct {
+	NoObserver
+	seen []seenAccess
+}
+
+type seenAccess struct {
+	op      Op
+	addr, n uint64
+}
+
+func (*accessLog) WordAccesses() bool { return true }
+
+func (o *accessLog) Access(_ *SVM, _ Ctx, op Op, addr, n uint64) {
+	o.seen = append(o.seen, seenAccess{op, addr, n})
+}
+
+// covers reports whether the log holds an op access covering addr.
+func (o *accessLog) covers(op Op, addr uint64) bool {
+	for _, a := range o.seen {
+		if a.op == op && a.addr <= addr && addr < a.addr+a.n {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEveryAccessorIsObserved is the assertion form of "no accessor
+// bypasses the seam": every exported SVM method that takes a Ctx is
+// either a row of calls, or frame-free with its reason. Each row runs on
+// a node that holds no copy of the page, under a word-access observer
+// (so no TLB serves it), and must report an access of its op covering
+// its address both on the faulting call and on a repeat against the now
+// resident page — the checked tail after a fault, and the one without.
+// A new accessor fails the test until it has a row.
+func TestEveryAccessorIsObserved(t *testing.T) {
+	type call func(s *SVM, ctx Ctx, a uint64)
+	calls := map[string]struct {
+		op Op
+		do call
+	}{
+		"ReadBytes":  {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadBytes(ctx, a, 16) }},
+		"WriteBytes": {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteBytes(ctx, a, make([]byte, 16)) }},
+		"ReadU64s":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadU64s(ctx, a, make([]uint64, 2)) }},
+		"WriteU64s":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteU64s(ctx, a, make([]uint64, 2)) }},
+		"ReadF64s":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadF64s(ctx, a, make([]float64, 2)) }},
+		"WriteF64s":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteF64s(ctx, a, make([]float64, 2)) }},
+		// The source is on the next page: the copy faults for both.
+		"CopyWords": {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.CopyWords(ctx, a, a+uint64(s.PageSize()), 2) }},
+		"ReadU64":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadU64(ctx, a) }},
+		"ReadU64T":  {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadU64T(ctx.TLB(), ctx, a) }},
+		"WriteU64":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteU64(ctx, a, 1) }},
+		"WriteU64T": {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteU64T(ctx.TLB(), ctx, a, 1) }},
+		"ReadI64":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadI64(ctx, a) }},
+		"WriteI64":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteI64(ctx, a, 1) }},
+		"ReadF64":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadF64(ctx, a) }},
+		"WriteF64":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteF64(ctx, a, 1) }},
+		"ReadF32":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadF32(ctx, a) }},
+		"WriteF32":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteF32(ctx, a, 1) }},
+		"ReadU32":   {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadU32(ctx, a) }},
+		"WriteU32":  {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteU32(ctx, a, 1) }},
+		"ReadU8":    {OpRead, func(s *SVM, ctx Ctx, a uint64) { s.ReadU8(ctx, a) }},
+		"WriteU8":   {OpWrite, func(s *SVM, ctx Ctx, a uint64) { s.WriteU8(ctx, a, 1) }},
+		// The lock primitives act on a fresh zero byte each call (the
+		// repeat is on the next word), so each acquire succeeds.
+		"TestAndSet":      {OpAcquire, func(s *SVM, ctx Ctx, a uint64) { s.TestAndSet(ctx, a) }},
+		"TestAndSetLatch": {OpAcquire, func(s *SVM, ctx Ctx, a uint64) { s.TestAndSetLatch(ctx, a) }},
+		"Clear":           {OpRelease, func(s *SVM, ctx Ctx, a uint64) { s.Clear(ctx, a) }},
+		"ClearLatch":      {OpRelease, func(s *SVM, ctx Ctx, a uint64) { s.ClearLatch(ctx, a) }},
+	}
+	frameFree := map[string]string{
+		"RCRelease": "commits twinned pages' diffs to their homes; it moves no bytes between a frame and the caller",
+		"RCAcquire": "drops or merges stale cached copies; it moves no bytes between a frame and the caller",
+		"Observe":   "is the seam itself: it reports the access it is handed",
+	}
+
+	svmType := reflect.TypeOf((*SVM)(nil))
+	ctxType := reflect.TypeOf((*Ctx)(nil)).Elem()
+	for i := 0; i < svmType.NumMethod(); i++ {
+		m := svmType.Method(i)
+		for j := 1; j < m.Type.NumIn(); j++ {
+			if m.Type.In(j) != ctxType {
+				continue
+			}
+			if _, ok := calls[m.Name]; !ok && frameFree[m.Name] == "" {
+				t.Errorf("SVM.%s takes a Ctx but has no row in calls and no frame-free reason", m.Name)
+			}
+			break
+		}
+	}
+	for name := range frameFree {
+		if _, ok := svmType.MethodByName(name); !ok {
+			t.Errorf("frameFree names SVM.%s, which does not exist", name)
+		}
+	}
+
+	names := make([]string, 0, len(calls))
+	for name := range calls {
+		if _, ok := svmType.MethodByName(name); !ok {
+			t.Errorf("calls names SVM.%s, which does not exist", name)
+		}
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		c := calls[name]
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(DynamicDistributed)
+			r := newRig(t, 2, 1, cfg)
+			log := &accessLog{}
+			for _, s := range r.svms {
+				s.SetObserver(log)
+			}
+			s, st := r.svms[1], &r.sts[1].SVM
+			a := s.Base() + uint64(3*cfg.PageSize) + 64 // owned by node 0
+			r.proc(1, name, func(ctx Ctx) {
+				for i, what := range []string{"faulting call", "repeat"} {
+					log.seen = log.seen[:0]
+					faults := st.ReadFaults + st.WriteFaults
+					addr := a + 8*uint64(i)
+					c.do(s, ctx, addr)
+					if faulted := st.ReadFaults+st.WriteFaults > faults; faulted != (i == 0) {
+						t.Errorf("%s: faulted %v", what, faulted)
+					}
+					if !log.covers(c.op, addr) {
+						t.Errorf("%s at %#x reported no op-%d access covering it; saw %v", what, addr, c.op, log.seen)
+					}
+				}
+			})
+			r.run(t, time.Minute)
+		})
+	}
 }

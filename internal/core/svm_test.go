@@ -191,13 +191,14 @@ func TestRemoteReadSeesWrites(t *testing.T) {
 	})
 }
 
-// TestTLBSeesInPlaceFrameReplacement pins the shootdown in SVM.install:
-// when a node holding a resident read copy write-faults, the arriving
-// authoritative page replaces the frame's data slice IN PLACE (same
-// Frame, new slice) — a protection-raising transition that fires none
-// of the protection-lowering shoot sites. A second context on the same
-// node whose TLB cached the old slice must not keep serving it: without
-// the install shoot, reader A below would return the pre-transfer value
+// TestTLBSeesInPlaceFrameReplacement pins the shot memfs.Pool.Put fires
+// when it replaces a resident page's bytes: when a node holding a
+// resident read copy write-faults, the arriving authoritative page
+// replaces the frame's data slice IN PLACE (same Frame, new slice) — a
+// protection-raising transition that fires none of the
+// protection-lowering shoot sites. A second context on the same node
+// whose TLB cached the old slice must not keep serving it: without the
+// pool's shot, reader A below would return the pre-transfer value
 // from its stale way (the randomized determinism trace rarely lands in
 // this window, hence the targeted test).
 func TestTLBSeesInPlaceFrameReplacement(t *testing.T) {
@@ -223,7 +224,7 @@ func TestTLBSeesInPlaceFrameReplacement(t *testing.T) {
 			// Write fault with the read copy resident: ownership and data
 			// arrive and replace the resident frame's slice in place. No
 			// invalidation is sent to this node (it is the new owner), so
-			// only install's shoot can invalidate A's cached way.
+			// only the replacing Put's shot can invalidate A's cached way.
 			r.svms[0].WriteU64(ctx, addr, 2)
 		})
 		r.run(t, time.Minute)

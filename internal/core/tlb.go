@@ -16,35 +16,31 @@ import (
 // a slice return.
 //
 // Correctness — the shootdown problem — is solved without a registry of
-// TLBs. Each SVM carries a shootdown epoch (SVM.shootGen) that the
-// coherence protocol advances, via SVM.tlbShoot, at every transition
-// that lowers any entry's protection or drops a page's frame:
+// TLBs. Each node's frame pool (memfs.Pool) carries a shootdown epoch
+// that every TLB way records when filled and compares on every hit. The
+// pool advances it itself wherever a frame's bytes are replaced in
+// place (Put on a resident page: a write fault upgrading a local read
+// copy, the basic manager's lost-ownership refetch) or its Frame is
+// retired (Drop, eviction), so no caller can install or remove a frame
+// without the shot. The coherence protocol advances it with Pool.Shoot
+// at every transition that lowers a page's protection without moving
+// the frame:
 //
-//   - handleInvalidate (a read copy is revoked),
 //   - serveRead (the owner downgrades write → read),
-//   - serveWrite (ownership relinquished, frame handed over),
-//   - takeData (the frame leaves the pool on a transfer),
-//   - onEvict (the replacement policy reclaims the frame),
-//   - ReleasePageForMigration / AdoptPage's ownership-only branch
-//     (migration's stack-page handoff),
-//   - the basic centralized manager's local copy drop, and
-//   - SVM.install, when an arriving page copy replaces a resident
-//     frame's data slice in place (the one staleness source that raises
-//     rather than lowers protection — see install and tlbEntry).
+//   - serveWrite (all local rights revoked as ownership leaves),
+//   - ReleasePageForMigration (rights leave with the migrating process),
+//   - rc's Release (a twinned page drops back to read).
 //
-// A TLB way records the epoch it was filled at and compares it on every
-// hit; any shootdown event anywhere on the node makes the comparison
-// fail and the access falls back to the ordinary checked path, exactly
-// as if the TLB did not exist. The epoch is deliberately per-SVM rather
-// than per-page: shootdowns are protocol events, orders of magnitude
-// rarer than accesses, so over-invalidating every cached translation on
-// the node costs a few extra (behavior-neutral) misses while keeping
-// the hit path's validity test a compare against a field of the SVM the
-// accessor already holds — no chase through the page-table entry.
-// Raising protection alone never advances the epoch, so a cached
-// translation can only ever under-promise rights — it is never stale in
-// the unsafe direction. The one raising transition that also replaces
-// bytes (install's Put-replace, above) does shoot.
+// Any shootdown anywhere on the node makes the comparison fail and the
+// access falls back to the ordinary checked path, exactly as if the TLB
+// did not exist. The epoch is deliberately per-node rather than
+// per-page: shootdowns are protocol events, orders of magnitude rarer
+// than accesses, so over-invalidating every cached translation on the
+// node costs a few extra (behavior-neutral) misses while keeping the hit
+// path's validity test a compare against a field of the SVM's embedded
+// pool — no chase through the page-table entry. Raising protection alone
+// never advances the epoch, so a cached translation can only ever
+// under-promise rights — it is never stale in the unsafe direction.
 //
 // Determinism: a hit performs the same statistics increment, the same
 // MemRef charge (before the lookup, as on the checked path, so a charge
@@ -72,15 +68,9 @@ const tlbMask = tlbWays - 1
 // table entry, frame, and frame bytes so a hit touches no maps.
 //
 // Caching data (and not just fr) is safe because every event that makes
-// the cached slice stale advances the shootdown epoch. Eviction,
-// invalidation, write transfer, and migration handoff all retire or
-// hand off the frame and shoot at their protection-lowering sites; the
-// one staleness source that RAISES protection — memfs.Pool.Put on a
-// resident page, which swaps the data slice inside the same Frame (a
-// write fault upgrading a local read copy, the basic manager's
-// lost-ownership refetch) — shoots through SVM.install, the mandatory
-// wrapper around Put. A way whose bytes went stale can therefore never
-// pass the epoch compare.
+// the cached slice stale — a Put replacing it, a Drop or eviction
+// retiring its frame — advances the pool's epoch inside the pool. A way
+// whose bytes went stale can therefore never pass the epoch compare.
 type tlbEntry struct {
 	page mmu.PageID
 	mode mmu.Access
@@ -173,7 +163,7 @@ func (t *TLB) lookup(s *SVM, p mmu.PageID, mode mmu.Access) *memfs.Frame {
 		return nil
 	}
 	w := &t.ways[int(p)&tlbMask]
-	if w.page == p && w.mode >= mode && w.gen == s.shootGen {
+	if w.page == p && w.mode >= mode && w.gen == s.pool.Epoch() {
 		if mode == mmu.AccessWrite {
 			// Mirror the checked write path: a write through a cached
 			// translation dirties the page (a read-path fill may have
@@ -212,7 +202,7 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 	}
 	p := mmu.PageID(off >> s.pageShift)
 	w := &t.ways[int(p)&tlbMask]
-	if w.page != p || w.mode < mode || w.gen != s.shootGen {
+	if w.page != p || w.mode < mode || w.gen != s.pool.Epoch() {
 		t.misses++
 		return nil, 0
 	}
@@ -241,5 +231,5 @@ func (t *TLB) fill(s *SVM, p mmu.PageID, e *mmu.Entry, fr *memfs.Frame, mode mmu
 		t.FlushAll()
 		t.svm = s
 	}
-	t.ways[int(p)&tlbMask] = tlbEntry{page: p, gen: s.shootGen, mode: mode, e: e, fr: fr, data: fr.Data()}
+	t.ways[int(p)&tlbMask] = tlbEntry{page: p, gen: s.pool.Epoch(), mode: mode, e: e, fr: fr, data: fr.Data()}
 }

@@ -13,7 +13,7 @@
 // analyzer read the parsed syntax of a dependency package, and
 // Pass.Graph exposes the module-wide call graph (built once per
 // program by the driver, shared by every pass) for the transitive
-// analyzers — worldsplit, lockorder, hotpath, hookcover — whose
+// analyzers — worldsplit, lockorder, hotpath — whose
 // invariants are reachability properties, not per-file shapes.
 package analysis
 

@@ -2,9 +2,9 @@
 // packages a load.Program compiled from source, giving the ivyvet
 // analyzers the module-wide view their invariants actually live at:
 // "no simulated-world function transitively reaches a goroutine
-// launch", "no cycle in the lock acquisition order", "every access
-// entry point reaches both instrumentation planes". Per-file AST
-// checks cannot answer reachability questions; this graph can.
+// launch", "no cycle in the lock acquisition order", "no hot-path
+// callee allocates". Per-file AST checks cannot answer reachability
+// questions; this graph can.
 //
 // The design mirrors what golang.org/x/tools provides with
 // go/callgraph + go/analysis facts, shrunk to the offline loader this
@@ -141,9 +141,6 @@ type Node struct {
 // external-test "_test" suffix stripped.
 func (n *Node) PathNoTest() string { return strings.TrimSuffix(n.Fn.Pkg().Path(), "_test") }
 
-// RecvName returns the name of the node's receiver type, or "".
-func (n *Node) RecvName() string { return recvTypeName(n.Fn) }
-
 // String returns the node's key.
 func (n *Node) String() string { return n.Key }
 
@@ -168,19 +165,6 @@ func (g *Graph) NodeOf(fn *types.Func) *Node {
 		return nil
 	}
 	return g.nodes[funcKey(fn)]
-}
-
-// Lookup finds nodes by a human query: a full key, a "pkg.Recv.Name" /
-// "Recv.Name" / bare "Name" suffix. Used by the ivyvet -graph debug
-// mode.
-func (g *Graph) Lookup(q string) []*Node {
-	var out []*Node
-	for _, n := range g.order {
-		if n.Key == q || strings.HasSuffix(n.Key, "/"+q) || strings.HasSuffix(n.Key, "."+q) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Memo computes-once and caches a per-graph value — the facts store
@@ -249,12 +233,6 @@ func (g *Graph) Path(from *Node, want func(*Node) bool, w Walk) []*Node {
 		}
 	}
 	return nil
-}
-
-// Reaches reports whether some call chain from from (itself excluded)
-// reaches a node satisfying want.
-func (g *Graph) Reaches(from *Node, want func(*Node) bool, w Walk) bool {
-	return g.Path(from, want, w) != nil
 }
 
 // Reachers computes the set of nodes from which a seed node is

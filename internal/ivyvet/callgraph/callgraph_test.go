@@ -20,11 +20,11 @@ func loadCG(t *testing.T) *Graph {
 
 func node(t *testing.T, g *Graph, key string) *Node {
 	t.Helper()
-	ns := g.Lookup(key)
-	if len(ns) != 1 {
-		t.Fatalf("Lookup(%q) = %d nodes, want 1", key, len(ns))
+	n := g.nodes[key]
+	if n == nil {
+		t.Fatalf("no node %q", key)
 	}
-	return ns[0]
+	return n
 }
 
 // TestBuildEdges is the table over the three resolution strategies:
@@ -105,10 +105,10 @@ func TestPathAndReach(t *testing.T) {
 	run := node(t, g, "cg/b.Run")
 	do := node(t, g, "cg/b.Widget.Do")
 
-	if !g.Reaches(run, func(n *Node) bool { return n == do }, Walk{}) {
+	path := g.Path(run, func(n *Node) bool { return n == do }, Walk{})
+	if path == nil {
 		t.Fatal("Run should reach Widget.Do through the interface edge")
 	}
-	path := g.Path(run, func(n *Node) bool { return n == do }, Walk{})
 	if len(path) != 2 || path[0].Key != "cg/a.Use" || path[1].Key != "cg/b.Widget.Do" {
 		t.Errorf("Path(Run, Do) = %v, want [cg/a.Use cg/b.Widget.Do]", path)
 	}
@@ -116,7 +116,7 @@ func TestPathAndReach(t *testing.T) {
 	// Restricting the walk to static edges severs the chain at the
 	// interface dispatch.
 	onlyStatic := Walk{Edges: func(e Edge) bool { return e.Kind == Static }}
-	if g.Reaches(run, func(n *Node) bool { return n == do }, onlyStatic) {
+	if g.Path(run, func(n *Node) bool { return n == do }, onlyStatic) != nil {
 		t.Error("Run must not reach Widget.Do over static edges alone")
 	}
 }

@@ -23,46 +23,33 @@ import (
 // and every want must be consumed. A clean construct is therefore a
 // negative case simply by carrying no want comment.
 
-// TestDeterminismGolden includes det/internal/parallel, the host-world
-// allowance: bare goroutines and wall-clock reads pass there (no want
-// comments), while det/internal/core keeps proving the same constructs
-// fail everywhere else in the simulated world, and the math/rand ban
-// holds in both.
-func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, []*analysis.Analyzer{DeterminismAnalyzer},
-		"det/internal/core", "det/internal/sim", "det/internal/parallel", "det/util")
-}
-
+// TestMapOrderGolden replants the remop.retransmitCheck loop maporder
+// found when it was written — wakes issued while ranging over the
+// outstanding-request map — beside its sorted-key fix, and the proc
+// cases of order-driven versus order-blind map ranges.
 func TestMapOrderGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{MapOrderAnalyzer},
-		"ord/internal/proc", "ord/internal/sim")
-}
-
-// TestShootdownGolden deliberately reintroduces the PR 2 bug shape — a
-// writeFault installing reply bytes via pool.Put directly, skipping the
-// epoch bump — and asserts the analyzer catches it, while the same call
-// inside SVM.install and inside memfs itself stays legal.
-func TestShootdownGolden(t *testing.T) {
-	runGolden(t, []*analysis.Analyzer{ShootdownAnalyzer},
-		"shoot/internal/core", "shoot/internal/memfs")
+		"ord/internal/proc", "ord/internal/remop", "ord/internal/sim")
 }
 
 func TestHotpathGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{HotpathAnalyzer}, "hot/hot")
 }
 
-// TestHookcoverGolden plants the observer-seam coverage holes — an
-// exported SVM accessor handing out frame bytes with no seam call on its
-// call graph, and one that reaches only the seam's fault side — and
-// asserts the analyzer flags both while reporting accessors, transitive
-// reports, synchronization primitives, ignored diagnostics dumps, and
-// frame-free methods all stay legal.
-func TestHookcoverGolden(t *testing.T) {
-	runGolden(t, []*analysis.Analyzer{HookcoverAnalyzer}, "hkc/internal/core")
+// TestDeterminismGolden covers worldsplit's wall-clock, random-source
+// and go-statement rules. It includes det/internal/parallel, the
+// host-world allowance: bare goroutines and wall-clock reads pass there
+// (no want comments), while det/internal/core keeps proving the same
+// constructs fail everywhere else in the simulated world, internal/sim
+// alone may construct a random source, and the math/rand ban holds in
+// both.
+func TestDeterminismGolden(t *testing.T) {
+	runGolden(t, []*analysis.Analyzer{WorldsplitAnalyzer},
+		"det/internal/core", "det/internal/sim", "det/internal/parallel", "det/util")
 }
 
-// TestWorldsplitGolden covers both halves of the two-world boundary:
-// direct channel/sync findings (with //ivy:hostworld sanctioning sim's
+// TestWorldsplitGolden covers the channel/sync half of the two-world
+// boundary: direct findings (with //ivy:hostworld sanctioning sim's
 // annotated machinery and rejected elsewhere) and transitive findings
 // with witness chains — into internal/parallel and into a host mutex
 // hiding in an out-of-scope helper. The harness package pins the
@@ -95,7 +82,7 @@ func TestIgnoreMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunProgram(pr, []*analysis.Analyzer{DeterminismAnalyzer})
+	diags, err := RunProgram(pr, []*analysis.Analyzer{WorldsplitAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +138,7 @@ func TestHotpathAnnotationAudit(t *testing.T) {
 		"../core/fault.go":  {"ReadU64T", "WriteU64T"},
 		"../core/tlb.go":    {"hit", "lookup"},
 		"../sim/heap.go":    {"pop"},
-		"../memfs/memfs.go": {"TouchFrame", "Front"},
+		"../memfs/memfs.go": {"TouchFrame", "Front", "Epoch"},
 	}
 	fset := token.NewFileSet()
 	for file, fns := range want {

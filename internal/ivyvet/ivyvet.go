@@ -1,57 +1,53 @@
-// Package ivyvet is the simulator's custom static-analysis suite: seven
+// Package ivyvet is the simulator's custom static-analysis suite: four
 // analyzers that mechanically enforce invariants this reproduction
-// otherwise trusts to convention and review. Since v2 the suite runs
-// over a whole-program call graph (internal/ivyvet/callgraph, shared
-// across analyzers through Pass.Graph), so invariants phrased as
-// reachability — "nothing in the simulated world reaches a goroutine
-// launch", "no cycle in the lock order" — are checked module-wide, not
-// per file.
+// otherwise trusts to convention and review. Each keeps a golden test
+// that replants the historical bug it guards against, where there is
+// one (DESIGN.md §8). The suite runs over a whole-program call graph
+// (internal/ivyvet/callgraph, shared across analyzers through
+// Pass.Graph), so invariants phrased as reachability — "nothing in the
+// simulated world reaches a goroutine launch", "no cycle in the lock
+// order" — are checked module-wide, not per file.
 //
-// Per-package analyzers:
+// Per-package analyzer:
 //
-//   - determinism: simulated-world packages must not consult wall-clock
-//     time, the global math/rand source, or spawn bare goroutines —
-//     virtual time and scheduling advance only through sim.Engine.
 //   - maporder: map iteration whose body drives simulation behavior
 //     (message sends, fiber wakes, frame traffic) is a silent
 //     nondeterminism hazard; keys must be collected and sorted first.
-//   - shootdown: every frame installation in internal/core must route
-//     through SVM.install, which advances the TLB shootdown epoch when
-//     memfs.Pool.Put replaces a resident frame's bytes in place.
 //
 // Whole-program analyzers (these assume the full module is loaded; on
 // a subset load they can over-report, since the evidence that
-// satisfies them — callees, hook calls — may live in packages outside
+// satisfies them — callees, annotations — may live in packages outside
 // the request):
 //
 //   - hotpath: functions annotated //ivy:hotpath must stay free of
 //     allocating constructs; callees must be hotpath-annotated,
 //     transitively allocation-free per the call graph, or declared
 //     cold exits (calls= entries that no call uses are flagged).
-//   - worldsplit: channel operations, sync/sync-atomic objects, and
-//     transitive paths into internal/parallel or host primitives are
-//     findings everywhere in the simulated world except //ivy:hostworld
-//     machinery in internal/sim and internal/parallel.
+//   - worldsplit: simulated-world packages must not read the wall
+//     clock, draw from the global math/rand source, or use goroutines,
+//     channels, sync objects or paths into host-side components, except
+//     in the //ivy:hostworld machinery of internal/sim, internal/parallel
+//     and internal/tcpnet — virtual time and scheduling advance only
+//     through sim.Engine.
 //   - lockorder: derives the static lock acquisition graph (classes
 //     discovered by their fiber-blocking Lock/Acquire shape) with a
 //     flow-sensitive held-set dataflow per function, and reports
 //     ordering cycles — the PR 4 forward-record deadlock class — and
 //     unordered same-class nesting.
-//   - hookcover: every shared-memory access entry point in
-//     internal/core (exported SVM method taking a Ctx that reaches
-//     page frames) must reach the observer seam (SVM.Observe).
 //
-// The wire vocabulary needs no analyzer: internal/wire's codec is
+// Some invariants need no analyzer. The TLB shootdown is structural:
+// memfs.Pool advances the shootdown epoch itself wherever a frame's
+// bytes are replaced or its frame retired. internal/wire's codec is
 // symmetric by construction (one code method per body, run in both
-// directions), and which kinds are served is a test over built clusters
-// (TestEveryRequestKindIsServed in the root package).
+// directions). That every shared-memory accessor reports to the
+// observer seam, and that built clusters serve every request kind, are
+// behaviour tests (TestEveryAccessorIsObserved in internal/core,
+// TestEveryRequestKindIsServed in the root package).
 //
 // A diagnostic is suppressed by a `//ivyvet:ignore <reason>` comment on
 // the flagged line or the line above; the reason is mandatory, so every
 // deliberate violation is documented at the site. Run the suite with
-// `go run ./cmd/ivy vet ./...` (see `ivy help vet` and DESIGN.md §8);
-// `-json` emits machine-readable findings and `-graph <func>` dumps a
-// function's call-graph neighborhood for debugging reachability.
+// `go run ./cmd/ivy vet ./...` (see `ivy help vet` and DESIGN.md §8).
 package ivyvet
 
 import (
@@ -68,13 +64,10 @@ import (
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		DeterminismAnalyzer,
 		MapOrderAnalyzer,
-		ShootdownAnalyzer,
 		HotpathAnalyzer,
 		WorldsplitAnalyzer,
 		LockorderAnalyzer,
-		HookcoverAnalyzer,
 	}
 }
 

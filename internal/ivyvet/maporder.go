@@ -7,12 +7,6 @@ import (
 	"repro/internal/ivyvet/analysis"
 )
 
-// mapOrderScope mirrors determinismScope: packages executing inside the
-// simulated cluster, where the order of map iteration is invisible to
-// tests (Go randomizes it) yet can reorder message sends, fiber wakes,
-// and frame traffic between runs.
-var mapOrderScope = determinismScope
-
 // sinkPackages are the simulated-machinery packages: a call into any of
 // them from inside a map-range body makes the iteration order
 // observable by the simulation (a send, a wake, an eviction, a copyset
@@ -34,8 +28,12 @@ var MapOrderAnalyzer = &analysis.Analyzer{
 	Run: runMapOrder,
 }
 
+// runMapOrder covers the simulated world (worldComponent), where the
+// order of map iteration is invisible to tests (Go randomizes it) yet
+// can reorder message sends, fiber wakes, and frame traffic between
+// runs.
 func runMapOrder(pass *analysis.Pass) (interface{}, error) {
-	if !mapOrderScope[simWorldComponent(pass.PkgPath)] {
+	if worldComponent(pass.PkgPath) == "" {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

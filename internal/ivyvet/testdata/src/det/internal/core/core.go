@@ -1,6 +1,6 @@
-// Package core is determinism-analyzer golden input: code inside the
-// simulated world that must not observe wall-clock time, the global
-// random source, or spawn bare goroutines.
+// Package core is worldsplit golden input for the determinism rules:
+// code inside the simulated world that must not observe wall-clock
+// time, the global random source, or spawn bare goroutines.
 package core
 
 import (
@@ -27,7 +27,7 @@ func spawn(ch chan int) {
 	go send(ch) // want `bare go statement`
 }
 
-func send(ch chan int) { ch <- 1 }
+func send(ch chan int) { ch <- 1 } // want `channel send inside the simulated world`
 
 // durations is clean: duration arithmetic and formatting never touch
 // the clock — only observing real time is banned.

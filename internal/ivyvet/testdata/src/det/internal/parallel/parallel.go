@@ -1,9 +1,9 @@
-// Package parallel is determinism-analyzer golden input for the scoped
-// host-world allowance: internal/parallel orchestrates between
-// independent engines, so bare goroutines and wall-clock reads are
-// legal here — while the global math/rand ban still applies, and the
-// same constructs in any other simulated-world package (see
-// det/internal/core) keep failing.
+// Package parallel is worldsplit golden input for the scoped host-world
+// allowance: internal/parallel orchestrates between independent
+// engines, so bare goroutines and wall-clock reads are legal here —
+// while the global math/rand ban still applies, and the same constructs
+// in any other simulated-world package (see det/internal/core) keep
+// failing.
 package parallel
 
 import (

@@ -5,3 +5,9 @@ package sim
 
 // Wake schedules a fiber — a simulation decision.
 func Wake(id int) {}
+
+// Fiber is a simulated process.
+type Fiber struct{}
+
+// Unpark wakes the fiber — a simulation decision.
+func (f *Fiber) Unpark() {}

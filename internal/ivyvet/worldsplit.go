@@ -10,27 +10,31 @@ import (
 	"repro/internal/ivyvet/callgraph"
 )
 
-// WorldsplitAnalyzer mechanizes DESIGN §12's two-world boundary ahead
-// of in-engine PDES: code that runs inside a simulated cluster must not
-// touch host concurrency. Where the determinism analyzer flags the
-// per-site leaks it can see locally (bare go statements, wall-clock
-// reads), worldsplit owns the other half of the contract:
+// WorldsplitAnalyzer mechanizes DESIGN §12's two-world boundary: code
+// that runs inside a simulated cluster advances time and schedules work
+// only through sim.Engine, which is what makes every run replay
+// bit-for-bit from its seed. It owns the whole contract:
+//
+//   - wall-clock reads (time.Now/Since/Sleep/...) and bare go
+//     statements are findings in the simulated world, except in the
+//     host-side components; a draw from the process-global math/rand
+//     source is a finding everywhere in it, and constructing a private
+//     source is one outside internal/sim, where the engine seeds the one
+//     simulation source from configuration;
 //
 //   - channel operations, sync/sync-atomic objects and iter.Pull/Pull2
 //     (which start a goroutine no go statement shows) are host
 //     primitives; inside the simulated world they may appear only in
 //     functions annotated //ivy:hostworld, and that annotation is legal
-//     only in the sanctioned host components: internal/sim (the fiber
-//     machinery), internal/parallel, and internal/tcpnet (the real-
-//     network transport backend);
+//     only in the host components of hostComponents;
 //
-//   - no simulated-world function may call into internal/parallel (the
-//     between-runs host-parallelism layer) or transitively reach host
-//     primitives hiding in packages outside the analyzer's direct
-//     scope; those findings carry a witness call chain from the call
-//     graph. internal/harness and internal/chaos/check are the
-//     sanctioned exceptions: they orchestrate *between* independent
-//     simulations (sweeps, curves) and never run inside an engine.
+//   - no simulated-world function may call into a host-side component
+//     or transitively reach host primitives hiding in packages outside
+//     the simulated world; those findings carry a witness call chain
+//     from the call graph. internal/harness and internal/chaos/check
+//     are the sanctioned exceptions for internal/parallel: they
+//     orchestrate *between* independent simulations (sweeps, curves)
+//     and never run inside an engine.
 //
 // Soundness: the transitive rule rides the call graph, so its interface
 // and indirect edges over-approximate (a finding may name a chain the
@@ -39,9 +43,63 @@ import (
 // syntactic and exact.
 var WorldsplitAnalyzer = &analysis.Analyzer{
 	Name: "worldsplit",
-	Doc: "forbid channel/sync/iter.Pull primitives and reaching host-world code inside simulated-world packages; " +
-		"//ivy:hostworld in internal/sim, internal/parallel, and internal/tcpnet marks the only sanctioned host machinery",
+	Doc: "forbid wall-clock reads, global math/rand, go statements, channel/sync/iter.Pull primitives and reaching host-world code " +
+		"inside simulated-world packages; //ivy:hostworld in internal/sim, internal/parallel, and internal/tcpnet marks the only sanctioned host machinery",
 	Run: runWorldsplit,
+}
+
+// worldComponent returns the component of a simulated-world package —
+// every internal component but the analyzers' own — or "". "Simulated"
+// takes in the harness and the checkers, whose measurements must
+// replay too, and helpers like internal/mmu: a channel smuggled into
+// one is exactly the leak the transitive rule exists for.
+func worldComponent(path string) string {
+	if c := simWorldComponent(path); c != "ivyvet" {
+		return c
+	}
+	return ""
+}
+
+// hostRole says how far a simulated-world component may touch the host.
+type hostRole uint8
+
+const (
+	simulated hostRole = iota // no host primitive anywhere
+	engine                    // host machinery only in //ivy:hostworld functions; the one seeded random source
+	hostSide                  // the whole package is host code: goroutines, the wall clock, channels and sync
+)
+
+// hostComponents are the components on, or straddling, the host side of
+// the boundary (DESIGN §12, extended by §13 with the real-network
+// transport). internal/sim's fiber machinery needs host primitives in
+// its annotated functions only. internal/parallel spreads whole engines
+// across host cores and times them, and internal/tcpnet carries the
+// protocol's frames over real sockets with reader/writer goroutines
+// paced by the wall clock; simulated code reaches them only through
+// their //ivy:hostworld entry points. The global math/rand ban holds
+// even there: a random draw in host-world orchestration would survive
+// into retry ordering, sampled logging, and anything else that feeds
+// back into results.
+var hostComponents = map[string]hostRole{
+	"sim":      engine,
+	"parallel": hostSide,
+	"tcpnet":   hostSide,
+}
+
+// forbiddenTimeFuncs are the package time functions that read or wait on
+// the wall clock. Types and arithmetic (time.Duration, d.Seconds) stay
+// legal — only observing real time is banned.
+var forbiddenTimeFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
+	"AfterFunc": true,
+}
+
+// randConstructors build private sources; they are sanctioned only
+// inside internal/sim.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
 }
 
 // hostOrchestrators are simulated-world packages allowed to call
@@ -54,23 +112,12 @@ var hostOrchestrators = []string{
 	"internal/chaos/check",
 }
 
-// hostworldComponentsAllowed are the components where //ivy:hostworld
-// may appear (DESIGN §12's "only allowed host components", extended by
-// §13 with the real-network transport backend).
-var hostworldComponentsAllowed = map[string]bool{
-	"sim":      true,
-	"parallel": true,
-	"tcpnet":   true,
-}
-
-// worldsplitInScope reports whether a package path is simulated-world
-// for this analyzer: any internal component except the host-parallelism
-// layer and the analyzer tooling itself. Broader than determinismScope
-// on purpose — a channel smuggled into a helper component like
-// internal/mmu is exactly the leak the transitive rule exists for.
-func worldsplitInScope(path string) bool {
-	c := simWorldComponent(path)
-	return c != "" && !hostWorldComponents[c] && c != "ivyvet"
+// simulatedCode reports whether the direct primitive rules and the
+// transitive rule cover a package: the simulated world minus its
+// host-side components.
+func simulatedCode(path string) bool {
+	c := worldComponent(path)
+	return c != "" && hostComponents[c] != hostSide
 }
 
 func isHostOrchestrator(path string) bool {
@@ -98,10 +145,15 @@ func parseHostworldAnn(doc *ast.CommentGroup) bool {
 }
 
 func runWorldsplit(pass *analysis.Pass) (interface{}, error) {
-	if !worldsplitInScope(pass.PkgPath) {
+	component := worldComponent(pass.PkgPath)
+	if component == "" {
 		return nil, nil
 	}
-	component := simWorldComponent(pass.PkgPath)
+	role := hostComponents[component]
+	checkClockAndRand(pass, role)
+	if role == hostSide {
+		return nil, nil
+	}
 
 	// Direct rules: primitives outside //ivy:hostworld bodies, and
 	// misplaced annotations.
@@ -121,7 +173,7 @@ func runWorldsplit(pass *analysis.Pass) (interface{}, error) {
 			if !ok || !parseHostworldAnn(fd.Doc) {
 				continue
 			}
-			if !hostworldComponentsAllowed[component] {
+			if role == simulated {
 				pass.Reportf(fd.Pos(),
 					"//ivy:hostworld on %s: the annotation is only legal in the sanctioned host components "+
 						"(internal/sim, internal/parallel, internal/tcpnet); "+
@@ -230,10 +282,10 @@ func runWorldsplit(pass *analysis.Pass) (interface{}, error) {
 		for _, e := range n.Out {
 			callee := e.Callee
 			isSeed := facts.seeds[callee] != ""
-			if !isSeed && !(facts.tainted[callee] && !worldsplitInScope(callee.PathNoTest())) {
+			if !isSeed && !(facts.tainted[callee] && !simulatedCode(callee.PathNoTest())) {
 				continue
 			}
-			if orchestrator && hostWorldComponents[simWorldComponent(callee.PathNoTest())] {
+			if orchestrator && hostComponents[worldComponent(callee.PathNoTest())] == hostSide {
 				continue // sanctioned sweep orchestration into internal/parallel
 			}
 			chain := g.Path(n, func(m *callgraph.Node) bool { return facts.seeds[m] != "" },
@@ -257,7 +309,7 @@ func runWorldsplit(pass *analysis.Pass) (interface{}, error) {
 // worldsplitFacts is the module-wide fixpoint, computed once per graph.
 type worldsplitFacts struct {
 	// seeds maps a host-primitive-bearing node to a description of why
-	// it is one. Nodes in internal/parallel are seeds by definition; a
+	// it is one. Nodes in host-side components are seeds by definition; a
 	// node outside the analyzer's direct scope is a seed if its body
 	// contains a primitive (in-scope bodies are covered by the direct
 	// rules, so their callers are not re-reported).
@@ -275,12 +327,12 @@ func buildWorldsplitFacts(g *callgraph.Graph) *worldsplitFacts {
 		sanctioned: make(map[*callgraph.Node]bool),
 	}
 	for _, n := range g.Nodes() {
-		comp := simWorldComponent(n.PathNoTest())
-		if parseHostworldAnn(n.Decl.Doc) && hostworldComponentsAllowed[comp] {
+		comp := worldComponent(n.PathNoTest())
+		if parseHostworldAnn(n.Decl.Doc) && hostComponents[comp] != simulated {
 			f.sanctioned[n] = true
 			continue
 		}
-		if hostWorldComponents[comp] {
+		if hostComponents[comp] == hostSide {
 			// Keep internal/parallel's historical wording (goldens pin
 			// it); other host components get the generic form.
 			if comp == "parallel" {
@@ -290,7 +342,7 @@ func buildWorldsplitFacts(g *callgraph.Graph) *worldsplitFacts {
 			}
 			continue
 		}
-		if !worldsplitInScope(n.PathNoTest()) {
+		if !simulatedCode(n.PathNoTest()) {
 			if desc := nodeHostPrimitive(n); desc != "" {
 				f.seeds[n] = desc
 			}
@@ -353,4 +405,53 @@ func nodeHostPrimitive(n *callgraph.Node) string {
 		return true
 	})
 	return desc
+}
+
+// checkClockAndRand reports the per-site replay leaks: wall-clock reads
+// and bare go statements (legal in host-side components), private random
+// sources outside internal/sim, and the process-global random source
+// anywhere.
+func checkClockAndRand(pass *analysis.Pass, role hostRole) {
+	// References (not just calls): passing time.Now as a value is as
+	// much a leak as calling it.
+	for id, obj := range pass.TypesInfo.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil {
+			continue
+		}
+		if fn.Type().(*types.Signature).Recv() != nil {
+			// Methods are fine: d.Round on a Duration, r.Float64 on the
+			// engine's own seeded source.
+			continue
+		}
+		switch fn.Pkg().Path() {
+		case "time":
+			if forbiddenTimeFuncs[fn.Name()] && role != hostSide {
+				pass.Reportf(id.Pos(),
+					"time.%s reads the wall clock inside the simulated world; use virtual time via sim.Engine", fn.Name())
+			}
+		case "math/rand", "math/rand/v2":
+			if randConstructors[fn.Name()] {
+				if role != engine {
+					pass.Reportf(id.Pos(),
+						"rand.%s constructs a private random source outside internal/sim; draw randomness from the engine's seeded source (sim.Engine.Rand)", fn.Name())
+				}
+				continue
+			}
+			pass.Reportf(id.Pos(),
+				"rand.%s uses the process-global random source; draw randomness from the engine's seeded source (sim.Engine.Rand)", fn.Name())
+		}
+	}
+	if role == hostSide {
+		return
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(),
+					"bare go statement inside the simulated world; concurrency must be a sim.Engine fiber so scheduling stays deterministic")
+			}
+			return true
+		})
+	}
 }

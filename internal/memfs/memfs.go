@@ -40,6 +40,12 @@ type Pool struct {
 	// frame per page transfer.
 	spare []*Frame
 
+	// epoch is the node's TLB-shootdown epoch (see Frame). The pool
+	// advances it itself wherever a frame's bytes are replaced or the
+	// frame is retired; the coherence layer advances it with Shoot
+	// wherever it lowers a page's protection.
+	epoch uint64
+
 	evictions uint64
 }
 
@@ -47,13 +53,13 @@ type Pool struct {
 const maxSpareFrames = 32
 
 // Frame is one resident page frame. The TLB layer in internal/core
-// caches Frame pointers: a frame handle stays valid exactly as long as
-// the page stays resident (Put on a resident page replaces the data
-// slice inside the same Frame; Drop and eviction retire the Frame, and a
-// later Put may reuse it for another page). A cache of frame handles
-// must therefore be invalidated before the frame is retired — the
-// software TLB's shootdown epoch advances first at every Drop site and
-// in the eviction callback.
+// caches Frame pointers and data slices, stamped with the pool's Epoch:
+// a frame handle stays valid exactly as long as the page stays resident
+// (Put on a resident page replaces the data slice inside the same Frame;
+// Drop and eviction retire the Frame, and a later Put may reuse it for
+// another page). The pool advances the epoch at each of those three
+// points before the old slice or the Frame can be reused, so a cached
+// handle or slice never outlives its stamp.
 type Frame struct {
 	page       mmu.PageID
 	data       []byte
@@ -180,6 +186,18 @@ func (pl *Pool) TouchFrame(fr *Frame) {
 	pl.moveToFront(fr)
 }
 
+// Epoch returns the shootdown epoch: a translation cached at an earlier
+// epoch may name a retired frame, stale bytes or withdrawn rights.
+//
+//ivy:hotpath
+func (pl *Pool) Epoch() uint64 { return pl.epoch }
+
+// Shoot advances the shootdown epoch, invalidating every translation
+// cached before it. The coherence layer calls it wherever it lowers a
+// page's protection; raising protection alone never needs it, because a
+// cached translation can then only under-promise rights.
+func (pl *Pool) Shoot() { pl.epoch++ }
+
 // Front returns the most recently used frame (nil when empty) — the
 // TLB hit path compares against it to skip the touch for consecutive
 // accesses to one page.
@@ -208,16 +226,15 @@ func (pl *Pool) Touch(p mmu.PageID) {
 // Put installs data as page p's frame, evicting LRU victims as needed.
 // The pool takes ownership of data. The fiber may stall while victims are
 // written out. Installing a page that is already resident replaces its
-// contents; Put reports that case, and hands back the slice it replaced,
-// so callers holding caches keyed on the frame's data slice (the
-// software TLB) know the old slice just went stale without the frame
-// itself being retired — and, once they have invalidated those caches,
-// may reuse it.
-func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (old []byte, replaced bool) {
+// contents in the same Frame and shoots, so no cached translation serves
+// the old slice; Put hands that slice back (nil when p was not
+// resident), and it is the caller's again.
+func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (old []byte) {
 	if fr, ok := pl.frames[p]; ok {
 		old, fr.data = fr.data, data
 		pl.moveToFront(fr)
-		return old, true
+		pl.Shoot()
+		return old
 	}
 	pl.reserve(f)
 	var fr *Frame
@@ -231,7 +248,7 @@ func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (old []byte, replac
 	fr.page, fr.data = p, data
 	pl.pushFront(fr)
 	pl.frames[p] = fr
-	return nil, false
+	return nil
 }
 
 // retire recycles a frame that has left the pool, keeping no reference
@@ -245,7 +262,8 @@ func (pl *Pool) retire(fr *Frame) {
 
 // reserve frees one slot if the pool is full. Bookkeeping is completed
 // before the eviction callback runs so that reentrant pool operations
-// during the callback's I/O stall see a consistent state.
+// during the callback's I/O stall see a consistent state; the shot
+// follows the callback and precedes the Frame's reuse.
 func (pl *Pool) reserve(f *sim.Fiber) {
 	if pl.capacity <= 0 {
 		return
@@ -259,6 +277,7 @@ func (pl *Pool) reserve(f *sim.Fiber) {
 		delete(pl.frames, victim.page)
 		pl.evictions++
 		pl.evict(f, victim.page, victim.data)
+		pl.Shoot()
 		pl.retire(victim)
 	}
 }
@@ -277,10 +296,11 @@ func (pl *Pool) pickVictim() *Frame {
 // Drop removes page p's frame without running the eviction callback —
 // used when a read copy is invalidated or ownership moves away — and
 // returns the data it held (nil when p was not resident), which is the
-// caller's again: dead bytes to reuse, or a page to hand over. The frame
-// itself is retired for reuse, so the caller must already have
-// invalidated any cache of frame handles (see Frame).
+// caller's again: dead bytes to reuse, or a page to hand over. It shoots
+// first, resident or not: every caller is withdrawing p, and the Frame
+// is retired for reuse.
 func (pl *Pool) Drop(p mmu.PageID) []byte {
+	pl.Shoot()
 	fr, ok := pl.frames[p]
 	if !ok {
 		return nil

@@ -209,11 +209,11 @@ func TestRetiredFramesAndDeadBytes(t *testing.T) {
 	h := newHarness(2)
 	h.run(t, func(f *sim.Fiber) {
 		first, second := page(1), page(2)
-		if old, replaced := h.pool.Put(f, 1, first); old != nil || replaced {
-			t.Errorf("Put of a new page: old %v, replaced %v", old, replaced)
+		if old := h.pool.Put(f, 1, first); old != nil {
+			t.Errorf("Put of a new page returned %v", old)
 		}
-		if old, replaced := h.pool.Put(f, 1, second); !replaced || &old[0] != &first[0] {
-			t.Errorf("Put on a resident page: old %v, replaced %v; want the first slice", old, replaced)
+		if old := h.pool.Put(f, 1, second); old == nil || &old[0] != &first[0] {
+			t.Errorf("Put on a resident page returned %v, want the first slice", old)
 		}
 		fr := h.pool.GetFrame(1)
 		if data := h.pool.Drop(1); &data[0] != &second[0] {
@@ -237,4 +237,48 @@ func TestRetiredFramesAndDeadBytes(t *testing.T) {
 			t.Errorf("evicted %v; page 4 on the evicted frame: %v", h.evicted, h.pool.GetFrame(4) == victim)
 		}
 	})
+}
+
+// TestEpochAdvancesWhereFramesChange pins the pool's ownership of the
+// TLB shootdown: the epoch advances, by one, exactly where a cached
+// frame handle or data slice can go stale — a Put replacing a resident
+// page's bytes, a Drop (resident or not), an eviction — and never on an
+// operation that leaves every frame and its bytes in place.
+func TestEpochAdvancesWhereFramesChange(t *testing.T) {
+	cases := []struct {
+		name  string
+		op    func(h *harness, f *sim.Fiber) // pages 1 and 2 resident, one slot free
+		shoot bool
+	}{
+		{"replacing Put", func(h *harness, f *sim.Fiber) { h.pool.Put(f, 1, page(9)) }, true},
+		{"Drop", func(h *harness, f *sim.Fiber) { h.pool.Drop(1) }, true},
+		{"Drop of an absent page", func(h *harness, f *sim.Fiber) { h.pool.Drop(7) }, true},
+		{"evicting Put", func(h *harness, f *sim.Fiber) {
+			h.pool.Put(f, 3, page(3)) // fills the last slot
+			h.pool.Put(f, 4, page(4)) // evicts page 1
+		}, true},
+		{"fresh Put", func(h *harness, f *sim.Fiber) { h.pool.Put(f, 3, page(3)) }, false},
+		{"Get", func(h *harness, f *sim.Fiber) { h.pool.Get(1) }, false},
+		{"GetFrame", func(h *harness, f *sim.Fiber) { h.pool.GetFrame(1) }, false},
+		{"Peek", func(h *harness, f *sim.Fiber) { h.pool.Peek(1) }, false},
+		{"Touch", func(h *harness, f *sim.Fiber) { h.pool.Touch(1) }, false},
+		{"TouchFrame", func(h *harness, f *sim.Fiber) { h.pool.TouchFrame(h.pool.frames[1]) }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(3)
+			h.run(t, func(f *sim.Fiber) {
+				h.pool.Put(f, 1, page(1))
+				h.pool.Put(f, 2, page(2))
+				c.op(h, f)
+				want := uint64(0)
+				if c.shoot {
+					want = 1
+				}
+				if got := h.pool.Epoch(); got != want {
+					t.Errorf("epoch %d after %s, want %d", got, c.name, want)
+				}
+			})
+		})
+	}
 }

@@ -12,7 +12,7 @@
 // run's own bit-for-bit determinism, a parallel sweep is
 // indistinguishable from a sequential one except in wall-clock time.
 //
-// The determinism analyzer (internal/ivyvet) bans bare goroutines and
+// The worldsplit analyzer (internal/ivyvet) bans bare goroutines and
 // wall-clock reads in simulated-world packages; this package carries a
 // scoped host-world allowance — goroutines and time.Since are its whole
 // point — while the global math/rand ban still applies.

@@ -141,7 +141,6 @@ type Node struct {
 	ep    *remop.Endpoint
 	table *mmu.Table
 	pool  *memfs.Pool
-	shoot func() // the SVM's TLB shootdown
 	self  ring.NodeID
 	nodes int
 	costs model.Costs
@@ -173,8 +172,8 @@ type Node struct {
 }
 
 // New wires a node's RC state onto its endpoint, installing the four
-// request handlers. table/pool/shoot belong to the node's SVM.
-func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, shoot func(), cfg Config) *Node {
+// request handlers. table and pool belong to the node's SVM.
+func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, cfg Config) *Node {
 	if cfg.DataPages <= 0 || cfg.DataPages > table.NumPages() {
 		panic(fmt.Sprintf("rc: %d data pages out of range (table has %d)", cfg.DataPages, table.NumPages()))
 	}
@@ -182,7 +181,6 @@ func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, shoot func(), c
 		ep:       ep,
 		table:    table,
 		pool:     pool,
-		shoot:    shoot,
 		self:     ep.ID(),
 		nodes:    ep.ClusterSize(),
 		costs:    cfg.Costs,
@@ -289,7 +287,7 @@ func (n *Node) fetch(f *sim.Fiber, p mmu.PageID) {
 	data, ver := n.fetchMaster(f, p)
 	n.ep.ChargeCPU(f, n.costs.PageCopy)
 	e := n.table.Entry(p)
-	n.install(f, p, data)
+	n.ep.PutPage(n.pool.Put(f, p, data))
 	e.Access = mmu.AccessRead
 	e.Dirty = false
 	n.pages.At(int(p)).haveVer = ver
@@ -348,24 +346,10 @@ func (n *Node) fetchMaster(f *sim.Fiber, p mmu.PageID) (data []byte, ver uint32)
 	}
 }
 
-// install is the ONE place this plane puts frame data into the pool —
-// the RC counterpart of (*core.SVM).install, and sanctioned by the same
-// ivyvet shootdown rule. Put can replace a stale resident frame's slice
-// in place; the pool reports that, and the TLB shootdown epoch must
-// advance before any cached translation serves the old bytes.
-func (n *Node) install(f *sim.Fiber, p mmu.PageID, data []byte) {
-	if old, replaced := n.pool.Put(f, p, data); replaced {
-		n.shoot()
-		n.ep.PutPage(old)
-	}
-}
-
-// drop removes page p's cached frame, whose contents went stale, shooting
-// the TLB first: the frame is reused from here on. Its bytes are recycled
-// too unless p's fault lock is held — the holder (a Release committing
-// p's diff) may still read them across a yield.
+// drop removes page p's cached frame, whose contents went stale. Its
+// bytes are recycled too unless p's fault lock is held — the holder (a
+// Release committing p's diff) may still read them across a yield.
 func (n *Node) drop(p mmu.PageID) {
-	n.shoot()
 	data := n.pool.Drop(p)
 	if !n.table.Locked(p) {
 		n.ep.PutPage(data)
@@ -408,7 +392,7 @@ func (n *Node) Release(f *sim.Fiber) {
 		e := n.table.Entry(p)
 		if e.Access == mmu.AccessWrite {
 			e.Access = mmu.AccessRead
-			n.shoot() // protection drops: cached write translations die
+			n.pool.Shoot() // protection drops: cached write translations die
 		}
 		e.Dirty = false
 		// Diffing scans the whole page once.
@@ -585,7 +569,7 @@ func (n *Node) mergeStale(f *sim.Fiber, p mmu.PageID) {
 		}
 	}
 	n.twins[p] = newTwin
-	n.install(f, p, data)
+	n.ep.PutPage(n.pool.Put(f, p, data))
 	ps.haveVer = ver
 }
 

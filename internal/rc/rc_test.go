@@ -27,7 +27,7 @@ func newNode(eng *sim.Engine, nw ring.Transport, id ring.NodeID, pages int) *Nod
 	cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", id), 1)
 	ep := remop.NewEndpoint(eng, nw, id, cpu, costs, nil)
 	noEvict := func(*sim.Fiber, mmu.PageID, []byte) {} // the pool is unbounded
-	return New(ep, mmu.NewTable(id, pages, 0), memfs.NewPool(0, noEvict, nil), func() {},
+	return New(ep, mmu.NewTable(id, pages, 0), memfs.NewPool(0, noEvict, nil),
 		Config{DataPages: pages, PageSize: testPageSize, Dir: 0, Costs: costs})
 }
 

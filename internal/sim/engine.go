@@ -126,7 +126,7 @@ type Engine struct {
 // draw in the simulated world (network jitter, app workloads, manager
 // tie-breaks) must come from Rand, never from the package-level
 // math/rand functions or a source constructed elsewhere, so that one
-// explicit seed replays the whole run bit-for-bit. The determinism
+// explicit seed replays the whole run bit-for-bit. The worldsplit
 // analyzer (internal/ivyvet) enforces this mechanically — it permits
 // rand constructors only here, in internal/sim.
 func New(seed int64) *Engine {
