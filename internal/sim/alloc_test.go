@@ -129,3 +129,52 @@ func TestResourceAllocs(t *testing.T) {
 		t.Fatalf("Resource.Acquire/Release allocates %v objects free, %v contended, want 0", free, contended)
 	}
 }
+
+// stepSource is an External with the host taken out: its clock stays
+// one step ahead of the engine's, so nothing waits, and each Drain hands
+// over one callback when the test has queued one.
+type stepSource struct {
+	e      *Engine
+	queued int
+	fn     func() // bound once, like a transport's delivery method
+	ran    int
+}
+
+func (s *stepSource) Drain(apply func(fn func())) {
+	for ; s.queued > 0; s.queued-- {
+		apply(s.fn)
+	}
+}
+
+func (s *stepSource) Now() Time { return s.e.Now().Add(time.Microsecond) }
+
+func (s *stepSource) Wait(Time) {}
+
+// TestExternalDispatchAllocs pins a dispatch step with an External
+// installed at zero allocations: the Drain at the top of every step and
+// the injection of one handed-over callback. Both run once per frame of
+// a real-transport run.
+func TestExternalDispatchAllocs(t *testing.T) {
+	e := New(1)
+	src := &stepSource{e: e}
+	src.fn = func() { src.ran++ }
+	e.SetExternal(src)
+	got := -1.0
+	e.Go("sleeper", func(f *Fiber) {
+		step := func() {
+			src.queued++
+			f.Sleep(time.Microsecond)
+		}
+		step() // warm the event free list
+		got = testing.AllocsPerRun(200, step)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if src.ran != 202 {
+		t.Fatalf("%d injected callbacks ran, want 202", src.ran)
+	}
+	if got != 0 {
+		t.Fatalf("a dispatch step with an External installed allocates %v objects, want 0", got)
+	}
+}

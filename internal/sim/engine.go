@@ -115,8 +115,11 @@ type Engine struct {
 
 	// ext, when non-nil, is the external work source of a real-transport
 	// run (see External). Nil — the deterministic default — costs one
-	// predicted branch per dispatch step.
-	ext External
+	// predicted branch per dispatch step. inject is e.injectExternal,
+	// bound once when ext is installed: a method value built per step
+	// would be an allocation per step.
+	ext    External
+	inject func(fn func())
 }
 
 // New returns an engine whose random source is seeded with seed.
@@ -348,7 +351,7 @@ func (e *Engine) dispatch() *Fiber {
 		// With an external source installed (real-transport runs only),
 		// pull injected work in before choosing the next event.
 		if e.ext != nil {
-			e.ext.Drain(e.injectExternal)
+			e.ext.Drain(e.inject)
 		}
 		var ev *event
 		if e.heapFirst() {

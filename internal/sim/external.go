@@ -24,7 +24,10 @@ package sim
 type External interface {
 	// Drain hands over every callback injected since the last call, in
 	// injection order, by calling apply for each. It must not block.
-	// Called in engine context at the top of every dispatch step.
+	// Called in engine context at the top of every dispatch step. The
+	// callbacks run in the order apply received them, across calls too,
+	// so a source may hand over one bound function per queued item and
+	// let each run take the oldest.
 	Drain(apply func(fn func()))
 
 	// Now returns the current virtual time as derived from the host
@@ -44,11 +47,16 @@ type External interface {
 // Must be called before RunUntil. With a source installed the engine is
 // no longer deterministic — injection timing depends on the host — so
 // this is only used by real-transport backends, never by simulations.
-func (e *Engine) SetExternal(src External) { e.ext = src }
+func (e *Engine) SetExternal(src External) {
+	e.ext, e.inject = src, nil
+	if src != nil {
+		e.inject = e.injectExternal
+	}
+}
 
 // injectExternal schedules one injected callback at the host-paced
 // current time (never before the engine's own clock). It is the apply
-// function dispatch passes to External.Drain.
+// function dispatch passes to External.Drain, as e.inject.
 func (e *Engine) injectExternal(fn func()) {
 	at := e.ext.Now()
 	if at < e.now {

@@ -21,7 +21,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Driver implements sim.External: it owns the inject queue that host
+// Driver implements sim.External: it owns the input queue that host
 // goroutines (connection readers, dial loops) use to hand work to the
 // engine, and the wall-clock mapping that paces virtual time.
 //
@@ -39,17 +39,34 @@ type Driver struct {
 	slack sim.Time
 
 	mu     sync.Mutex
-	fns    []func()
+	in     []input // queued by host goroutines, taken whole by Drain
 	closed bool
 
-	// wake is a capacity-1 token channel: Inject tops it up, Wait drains
-	// it. A stale token causes at most one spurious Wait return, which
-	// the engine absorbs by re-checking.
+	// spare is the backing array of the batch Drain handled last, empty,
+	// swapped in as the next in: the queue is double-buffered, so a
+	// steady stream of frames reuses two arrays. Engine context only.
+	spare []input
+
+	// wake is a capacity-1 token channel: a queued input tops it up,
+	// Wait drains it. A stale token causes at most one spurious Wait
+	// return, which the engine absorbs by re-checking.
 	wake chan struct{}
 	done chan struct{}
 
+	// timer paces Wait; one timer re-armed per park. Engine context only.
+	timer *time.Timer
+
 	startOnce sync.Once
 	start     time.Time
+}
+
+// input is one unit of host work queued for the engine: a received
+// frame for net, or (net nil) a callback. Frames travel as data, so a
+// delivery costs no closure and no heap packet.
+type input struct {
+	net   *Net
+	frame Frame
+	fn    func()
 }
 
 const (
@@ -96,16 +113,19 @@ func NewDriver(scale int64) *Driver {
 func (d *Driver) Scale() int64 { return d.scale }
 
 // Inject queues fn to run in engine context and wakes the engine if it
-// is parked in Wait. Safe to call from any goroutine. Injections are
-// applied in order. After Close, injections are silently dropped — the
+// is parked in Wait. Safe to call from any goroutine. Inputs are
+// applied in order. After Close, inputs are silently dropped — the
 // engine that would run them is gone.
-func (d *Driver) Inject(fn func()) {
+func (d *Driver) Inject(fn func()) { d.push(input{fn: fn}) }
+
+// push queues one input; see Inject.
+func (d *Driver) push(in input) {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return
 	}
-	d.fns = append(d.fns, fn)
+	d.in = append(d.in, in)
 	d.mu.Unlock()
 	select {
 	case d.wake <- struct{}{}:
@@ -113,17 +133,32 @@ func (d *Driver) Inject(fn func()) {
 	}
 }
 
-// Drain implements sim.External. Runs in engine context.
+// Drain implements sim.External. Runs in engine context. A frame joins
+// its Net's receive queue and is applied as that Net's bound delivery
+// method, which takes the oldest queued frame: apply schedules in input
+// order at non-decreasing times, so the events pop the queue in the
+// order it was filled.
 //
-//ivy:hostworld hands host-injected callbacks across the world boundary
+//ivy:hostworld hands host inputs across the world boundary
 func (d *Driver) Drain(apply func(fn func())) {
 	d.mu.Lock()
-	fns := d.fns
-	d.fns = nil
-	d.mu.Unlock()
-	for _, fn := range fns {
-		apply(fn)
+	batch := d.in
+	if len(batch) == 0 {
+		d.mu.Unlock()
+		return
 	}
+	d.in, d.spare = d.spare, nil
+	d.mu.Unlock()
+	for i := range batch {
+		if in := &batch[i]; in.net != nil {
+			in.net.queueFrame(in.frame)
+			apply(in.net.deliver)
+		} else {
+			apply(in.fn)
+		}
+	}
+	clear(batch)
+	d.spare = batch[:0]
 }
 
 // Now implements sim.External: scaled wall time since the run started,
@@ -142,7 +177,7 @@ func (d *Driver) Now() sim.Time {
 //ivy:hostworld parks the engine goroutine on host timers and channels
 func (d *Driver) Wait(until sim.Time) {
 	d.mu.Lock()
-	pending := len(d.fns) > 0 || d.closed
+	pending := len(d.in) > 0 || d.closed
 	d.mu.Unlock()
 	if pending {
 		return
@@ -154,12 +189,24 @@ func (d *Driver) Wait(until sim.Time) {
 	if wall > maxWait {
 		wall = maxWait
 	}
-	t := time.NewTimer(wall)
-	defer t.Stop()
+	if d.timer == nil {
+		d.timer = time.NewTimer(wall)
+	} else {
+		d.timer.Reset(wall)
+	}
 	select {
-	case <-t.C:
+	case <-d.timer.C:
+		return
 	case <-d.wake:
 	case <-d.done:
+	}
+	// Woken early: disarm, and take a tick that fired meanwhile, so the
+	// next Wait does not return at once on a stale one.
+	if !d.timer.Stop() {
+		select {
+		case <-d.timer.C:
+		default:
+		}
 	}
 }
 
@@ -174,7 +221,7 @@ func (d *Driver) Close() {
 		return
 	}
 	d.closed = true
-	d.fns = nil
+	d.in = nil
 	d.mu.Unlock()
 	close(d.done)
 }

@@ -36,6 +36,10 @@ const (
 	// frameOverhead is the src+dst header counted by the length word.
 	frameOverhead = 4
 
+	// frameHeaderLen is where the payload starts inside an encoded
+	// frame: the length word, then src and dst.
+	frameHeaderLen = 4 + frameOverhead
+
 	// dstBroadcast marks a fanned-out broadcast copy.
 	dstBroadcast = 0xFFFF
 )
@@ -78,7 +82,16 @@ func AppendFrame(buf []byte, src, dst uint16, payload []byte) []byte {
 // is allocated, so a length bomb costs eight bytes of reading and no
 // memory.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4 + frameOverhead]byte
+	var hdr [frameHeaderLen]byte
+	return readFrame(r, &hdr, nil)
+}
+
+// readFrame is ReadFrame reading the header through hdr and the payload
+// into buf when buf has the capacity for it, so a connection reader that
+// keeps one header and recycles its payload buffers decodes without
+// allocating. A payload that does not fit gets a fresh buffer of exactly
+// its length; whatever buf held before is overwritten, never read.
+func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, buf []byte) (Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return Frame{}, err // io.EOF here is a clean close
 	}
@@ -96,8 +109,11 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		Src: binary.BigEndian.Uint16(hdr[4:6]),
 		Dst: binary.BigEndian.Uint16(hdr[6:8]),
 	}
-	if n > frameOverhead {
-		f.Payload = make([]byte, n-frameOverhead)
+	if size := int(n - frameOverhead); size > 0 {
+		if cap(buf) < size {
+			buf = make([]byte, size)
+		}
+		f.Payload = buf[:size]
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
 			return Frame{}, tornErr(err)
 		}

@@ -203,7 +203,8 @@ func TestFrameErrorsStopBeforePayload(t *testing.T) {
 
 // FuzzFrameDecode fuzzes the connection-reader path: arbitrary bytes
 // must either fail cleanly or decode to a frame that re-encodes to a
-// decodable equal frame. Seeded with every wire kind's framed envelope
+// decodable equal frame, and decode the same into a dirty reused buffer
+// as into a fresh one. Seeded with every wire kind's framed envelope
 // plus adversarial shapes (torn, bomb, corrupt, empty payload).
 func FuzzFrameDecode(f *testing.F) {
 	for _, ent := range corpusPayloads(f) {
@@ -220,8 +221,23 @@ func FuzzFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
+		// A connection reader decodes into a recycled buffer still
+		// holding an earlier frame's bytes; the result must be the
+		// fresh decode's, error included.
+		dirty := bytes.Repeat([]byte{0xDB}, len(data))
+		hdr := [frameHeaderLen]byte{0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB, 0xDB}
+		reused, rerr := readFrame(bytes.NewReader(data), &hdr, dirty)
+		if rerr != err {
+			t.Fatalf("decode into a reused buffer fails with %v, a fresh decode with %v", rerr, err)
+		}
 		if err != nil {
 			return // rejected cleanly; that is the contract
+		}
+		if reused.Src != fr.Src || reused.Dst != fr.Dst || !bytes.Equal(reused.Payload, fr.Payload) {
+			t.Fatal("decode into a reused buffer differs from a fresh decode")
+		}
+		if len(reused.Payload) > 0 && &reused.Payload[0] != &dirty[0] {
+			t.Fatal("decode did not reuse a buffer with room for the payload")
 		}
 		if len(fr.Payload) > MaxPayload {
 			t.Fatalf("accepted a %d-byte payload over MaxPayload", len(fr.Payload))

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -12,15 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
-
-// debugOn gates the stderr frame trace (IVY_TCPNET_DEBUG=1); dev only.
-var debugOn = os.Getenv("IVY_TCPNET_DEBUG") != ""
-
-func debugf(format string, args ...any) {
-	if debugOn {
-		fmt.Fprintf(os.Stderr, "tcpnet: "+format+"\n", args...)
-	}
-}
 
 // Options tunes a Net. The zero value gives production defaults; tests
 // shrink the backoff to exercise the reconnect machinery quickly.
@@ -70,9 +60,9 @@ func (o Options) withDefaults() Options {
 //
 // Concurrency: Send, Attach, Stats, NodeKinds, SetNodeDown and the
 // delivery of received frames all run in engine context (receipt is
-// injected through the Driver); the listener, reader, and writer
+// queued through the Driver); the listener, reader, and writer
 // goroutines are host-world and touch the Net only through the
-// mutex-guarded queues and counters.
+// mutex-guarded queues, buffer lists and counters.
 type Net struct {
 	eng  *sim.Engine
 	drv  *Driver
@@ -82,6 +72,21 @@ type Net struct {
 
 	handler  ring.Handler
 	downHook func(peer ring.NodeID, down bool)
+
+	// The engine side of receipt: frames the Driver has handed over,
+	// oldest at rxHead, each delivered by one event running deliver
+	// (n.deliverNext, bound once) into the one packet record rxPkt.
+	// Engine context only.
+	deliver func()
+	rx      []Frame
+	rxHead  int
+	rxPkt   ring.Packet
+
+	// free holds payload buffers delivered frames are done with, for the
+	// readers to decode the next frames into: a handler must not keep
+	// pkt.Payload past its return (remop's decode copies what it keeps).
+	freeMu sync.Mutex
+	free   [][]byte
 
 	mu     sync.Mutex // peers, inbound conns, listener, closed
 	ln     net.Listener
@@ -112,7 +117,7 @@ func New(eng *sim.Engine, drv *Driver, id ring.NodeID, size int, opts Options) *
 	if id < 0 || int(id) >= size {
 		panic(fmt.Sprintf("tcpnet: station %d out of range [0,%d)", id, size))
 	}
-	return &Net{
+	n := &Net{
 		eng:       eng,
 		drv:       drv,
 		id:        id,
@@ -124,6 +129,8 @@ func New(eng *sim.Engine, drv *Driver, id ring.NodeID, size int, opts Options) *
 		down:      make([]bool, size),
 		linkDown:  make([]bool, size),
 	}
+	n.deliver = n.deliverNext
+	return n
 }
 
 // ID returns the local station's id.
@@ -170,11 +177,10 @@ func (n *Net) SetPeer(id ring.NodeID, addr string) {
 	if n.peers[id] != nil {
 		panic(fmt.Sprintf("tcpnet: peer %d set twice", id))
 	}
-	p := &peer{n: n, id: id, addr: addr}
-	p.cond = sync.NewCond(&p.mu)
+	p := newPeer(n, id, addr)
 	n.peers[id] = p
 	n.wg.Add(1)
-	go p.writerLoop()
+	go p.writerLoop(p.dial)
 }
 
 // SetDownHook installs the down-hint callback: the dialer reports a
@@ -322,17 +328,12 @@ func (n *Net) sendTo(dst ring.NodeID, dstField uint16, payload []byte, k wire.Ki
 	if p == nil {
 		panic(fmt.Sprintf("tcpnet: station %d has no peer address for %d", n.id, dst))
 	}
-	debugf("%d -> %d enqueue %v (%d bytes)", n.id, dst, k, len(payload))
-	buf := AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)), uint16(n.id), dstField, payload)
-	if dropped, ok := p.enqueue(buf, n.opts.MaxQueue); !ok {
+	if evicted, didEvict, ok := p.enqueue(uint16(n.id), dstField, payload, n.opts.MaxQueue); !ok {
 		n.countDrop(k, false) // net closed under the send
-	} else if dropped != nil {
-		n.countDrop(wire.KindOfPayload(dropped[frameHeaderLen:]), false)
+	} else if didEvict {
+		n.countDrop(evicted, false)
 	}
 }
-
-// frameHeaderLen is where the payload starts inside an encoded frame.
-const frameHeaderLen = 4 + frameOverhead
 
 // countDrop records one lost delivery attempt.
 func (n *Net) countDrop(k wire.Kind, downDrop bool) {
@@ -346,8 +347,77 @@ func (n *Net) countDrop(k wire.Kind, downDrop bool) {
 	n.sm.Unlock()
 }
 
+// queueFrame appends one received frame to the engine-side receive
+// queue, compacting the queue's array in place once it is full.
+func (n *Net) queueFrame(f Frame) {
+	if n.rxHead > 0 && len(n.rx) == cap(n.rx) {
+		k := copy(n.rx, n.rx[n.rxHead:])
+		clear(n.rx[k:])
+		n.rx, n.rxHead = n.rx[:k], 0
+	}
+	n.rx = append(n.rx, f)
+}
+
+// deliverNext delivers the oldest queued received frame, then hands its
+// payload buffer back to the readers. Bound once as n.deliver; the
+// Driver schedules one run of it per frame it queues.
+//
+//ivy:hostworld delivers frames received by the host TCP station
+func (n *Net) deliverNext() {
+	f := n.rx[n.rxHead]
+	n.rx[n.rxHead] = Frame{}
+	if n.rxHead++; n.rxHead == len(n.rx) {
+		n.rx, n.rxHead = n.rx[:0], 0
+	}
+	dst := n.id
+	if f.Broadcast() {
+		dst = ring.Broadcast
+	}
+	n.rxPkt = ring.Packet{Src: ring.NodeID(f.Src), Dst: dst, Payload: f.Payload}
+	n.deliverLocal(&n.rxPkt)
+	n.rxPkt = ring.Packet{}
+	n.putBuf(f.Payload)
+}
+
+// maxFreeBufs bounds a Net's list of idle payload buffers, and a peer's
+// list of idle frame buffers.
+const maxFreeBufs = 64
+
+// getBuf returns an idle payload buffer for a reader to decode into, or
+// nil.
+func (n *Net) getBuf() []byte {
+	n.freeMu.Lock()
+	defer n.freeMu.Unlock()
+	k := len(n.free)
+	if k == 0 {
+		return nil
+	}
+	b := n.free[k-1]
+	n.free[k-1] = nil
+	n.free = n.free[:k-1]
+	return b
+}
+
+// putBuf returns a payload buffer nobody reads any more. A poison build
+// scribbles it and drops it instead, so a handler that kept its
+// pkt.Payload reads garbage.
+func (n *Net) putBuf(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	if wire.Poison {
+		wire.Scribble(b)
+		return
+	}
+	n.freeMu.Lock()
+	if len(n.free) < maxFreeBufs {
+		n.free = append(n.free, b)
+	}
+	n.freeMu.Unlock()
+}
+
 // deliverLocal lands one received frame at the local handler. Engine
-// context only (reader goroutines get here through Driver.Inject).
+// context only.
 func (n *Net) deliverLocal(pkt *ring.Packet) {
 	k := wire.KindOfPayload(pkt.Payload)
 	n.sm.Lock()
@@ -361,7 +431,6 @@ func (n *Net) deliverLocal(pkt *ring.Packet) {
 	}
 	n.stats.Delivered++
 	n.sm.Unlock()
-	debugf("%d deliver %v from %d at %v", n.id, k, pkt.Src, n.eng.Now())
 	if n.handler == nil {
 		panic(fmt.Sprintf("tcpnet: station %d has no handler attached", n.id))
 	}
@@ -435,10 +504,11 @@ func (n *Net) serve(ln net.Listener) {
 	}
 }
 
-// readLoop decodes frames off one inbound connection and injects their
-// delivery into the engine. Any framing error — including a torn frame
-// from a dying peer — tears the connection down; the peer's own writer
-// redials and the retransmission protocol re-covers lost frames.
+// readLoop decodes frames off one inbound connection, each into a
+// recycled payload buffer, and queues them for the engine. Any framing
+// error — including a torn frame from a dying peer — tears the
+// connection down; the peer's own writer redials and the retransmission
+// protocol re-covers lost frames.
 func (n *Net) readLoop(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -448,23 +518,19 @@ func (n *Net) readLoop(c net.Conn) {
 		n.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
+	hdr := new([frameHeaderLen]byte)
 	for {
-		f, err := ReadFrame(br)
+		f, err := readFrame(br, hdr, n.getBuf())
 		if err != nil {
 			return
 		}
 		if int(f.Src) >= n.size || ring.NodeID(f.Src) == n.id {
 			return // not a station of this cluster: drop the connection
 		}
-		dst := n.id
-		if f.Broadcast() {
-			dst = ring.Broadcast
-		} else if ring.NodeID(f.Dst) != n.id {
+		if !f.Broadcast() && ring.NodeID(f.Dst) != n.id {
 			return // misdelivered: wrong process behind this address
 		}
-		pkt := &ring.Packet{Src: ring.NodeID(f.Src), Dst: dst, Payload: f.Payload}
-		debugf("%d read %v from %d, injecting", n.id, wire.KindOfPayload(f.Payload), f.Src)
-		n.drv.Inject(func() { n.deliverLocal(pkt) })
+		n.drv.push(input{net: n, frame: f})
 	}
 }
 

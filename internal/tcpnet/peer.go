@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ring"
+	"repro/internal/wire"
 )
 
 // peer is the outbound side of one link: a bounded frame queue fed by
@@ -21,42 +22,84 @@ type peer struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      [][]byte
+	q      [][]byte // frames queued for the writer, oldest first
+	spare  [][]byte // the writer's last batch, emptied: the next q
+	free   [][]byte // written frame buffers, for enqueue to encode into
 	conn   net.Conn // current connection, stored so close can interrupt a blocked write
 	closed bool
 
 	// queued counts frames ever enqueued; settled counts frames whose
 	// fate is decided (written to a connection or evicted). The pair lets
 	// shutdown ask "is everything I accepted on the wire?" without
-	// tracking the writer's frame-in-hand separately.
+	// tracking the writer's batch in hand separately.
 	queued  uint64
 	settled uint64
+
+	// iov lists the batch for one writev and keeps its array; wv is the
+	// copy of it the write consumes. Writer goroutine only.
+	iov, wv net.Buffers
 }
 
-// enqueue appends one encoded frame. Returns the frame evicted to stay
-// under max (nil if none) and ok=false if the peer is closed.
-func (p *peer) enqueue(buf []byte, max int) (dropped []byte, ok bool) {
+func newPeer(n *Net, id ring.NodeID, addr string) *peer {
+	p := &peer{n: n, id: id, addr: addr}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// enqueue encodes one frame into a recycled buffer and queues it. When
+// the queue is at max, the oldest queued frame is evicted to make room
+// and its kind returned (didEvict); ok is false if the peer is closed.
+func (p *peer) enqueue(src, dst uint16, payload []byte, max int) (evicted wire.Kind, didEvict, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, false
+		return 0, false, false
 	}
 	if len(p.q) >= max {
-		dropped = p.q[0]
-		p.q = p.q[1:]
+		old := p.q[0]
+		evicted, didEvict = wire.KindOfPayload(old[frameHeaderLen:]), true
+		copy(p.q, p.q[1:])
+		p.q[len(p.q)-1] = nil
+		p.q = p.q[:len(p.q)-1]
 		p.settled++ // evicted: its fate is decided
+		p.recycle(old)
 	}
-	p.q = append(p.q, buf)
+	var buf []byte
+	if k := len(p.free); k > 0 {
+		buf = p.free[k-1][:0]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	}
+	p.q = append(p.q, AppendFrame(buf, src, dst, payload))
 	p.queued++
 	p.cond.Signal()
-	return dropped, true
+	return evicted, didEvict, true
 }
 
-// settle records one taken frame's fate as decided (written or lost to
-// a close).
-func (p *peer) settle() {
+// recycle keeps a frame buffer nobody reads any more for the next
+// enqueue; a poison build scribbles it and drops it instead. Caller
+// holds p.mu.
+func (p *peer) recycle(b []byte) {
+	if wire.Poison {
+		wire.Scribble(b)
+		return
+	}
+	if len(p.free) < maxFreeBufs {
+		p.free = append(p.free, b)
+	}
+}
+
+// settle records the fate of frames taken by the writer as decided
+// (written, or lost to a close) and recycles their buffers.
+func (p *peer) settle(frames [][]byte) {
+	if len(frames) == 0 {
+		return
+	}
 	p.mu.Lock()
-	p.settled++
+	p.settled += uint64(len(frames))
+	for _, b := range frames {
+		p.recycle(b)
+	}
 	p.mu.Unlock()
 }
 
@@ -68,19 +111,25 @@ func (p *peer) drained() bool {
 	return len(p.q) == 0 && p.queued == p.settled
 }
 
-// take blocks until a frame is queued or the peer closes.
-func (p *peer) take() ([]byte, bool) {
+// take blocks until a frame is queued or the peer closes, then takes
+// the whole queue as one batch. done is the previous batch, already
+// settled; its array becomes the queue's next.
+func (p *peer) take(done [][]byte) ([][]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if done != nil {
+		clear(done)
+		p.spare = done[:0]
+	}
 	for len(p.q) == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
 		return nil, false
 	}
-	buf := p.q[0]
-	p.q = p.q[1:]
-	return buf, true
+	batch := p.q
+	p.q, p.spare = p.spare, nil
+	return batch, true
 }
 
 // close releases the writer goroutine and severs the connection (which
@@ -108,46 +157,73 @@ func (p *peer) setConn(c net.Conn) (stillOpen bool) {
 	return true
 }
 
-// writerLoop drains the queue onto the connection, dialing on demand
-// and redialing with exponential backoff on failure. One frame is in
-// hand at a time; it survives reconnects (at-least-once per frame once
-// queued — TCP may deliver a duplicate of a frame that was mid-write
-// when the connection died, which the remote-operation layer's
-// duplicate suppression absorbs). Down hints: the first dial failure
-// reports the peer down, the next success reports it back up.
-func (p *peer) writerLoop() {
+// writerLoop drains the queue onto the connection a batch at a time,
+// dialing on demand (through dial, which returns nil once the peer
+// closes) and redialing on failure. Each batch goes out in one writev.
+// The batch survives reconnects: a failed write settles the frames it
+// wrote whole and resends the rest from the frame it cut, whole, on the
+// next connection — at-least-once per frame once queued. TCP may deliver
+// a duplicate of a frame written just before the connection died, which
+// the remote-operation layer's duplicate suppression absorbs. Down
+// hints: the first dial failure reports the peer down, the next success
+// reports it back up.
+func (p *peer) writerLoop(dial func() net.Conn) {
 	defer p.n.wg.Done()
 	var conn net.Conn
+	var batch [][]byte
 	for {
-		buf, ok := p.take()
-		if !ok {
+		var ok bool
+		if batch, ok = p.take(batch); !ok {
 			if conn != nil {
 				conn.Close()
 			}
 			return
 		}
-		for {
+		for sent := 0; sent < len(batch); {
 			if conn == nil {
-				conn = p.dial()
-				if conn == nil {
-					p.settle() // closed while redialing: frame abandoned
+				if conn = dial(); conn == nil {
+					p.settle(batch[sent:]) // closed while redialing: frames abandoned
 					return
 				}
 			}
-			if _, err := conn.Write(buf); err == nil {
-				p.settle()
-				break
+			k, err := p.write(conn, batch[sent:])
+			p.settle(batch[sent : sent+k])
+			sent += k
+			if err != nil {
+				conn.Close()
+				conn = nil
+				p.n.peerState(p.id, true)
 			}
-			conn.Close()
-			conn = nil
-			p.n.peerState(p.id, true)
 		}
 	}
+}
+
+// write sends frames with one writev and returns how many of them went
+// out whole.
+func (p *peer) write(conn net.Conn, frames [][]byte) (int, error) {
+	p.iov = append(p.iov[:0], frames...)
+	p.wv = p.iov
+	n, err := p.wv.WriteTo(conn)
+	clear(p.iov)
+	if err == nil {
+		return len(frames), nil
+	}
+	whole := 0
+	for _, f := range frames {
+		if n < int64(len(f)) {
+			break
+		}
+		n -= int64(len(f))
+		whole++
+	}
+	return whole, err
 }
 
 // dial connects to the peer, sleeping the exponential backoff between
 // failures, until it succeeds or the peer closes (nil). The backoff
 // schedule is min(base<<k, max) after the k-th consecutive failure.
+//
+//ivy:hostworld the writer's dialer, handed to writerLoop as a function value
 func (p *peer) dial() net.Conn {
 	opts := p.n.opts
 	attempt := 0

@@ -86,7 +86,7 @@ func (p *Payload) Release() {
 		return
 	}
 	if Poison {
-		scribble(p.b)
+		Scribble(p.b)
 		p.b = nil
 		return
 	}
@@ -230,7 +230,7 @@ func (c *Codec) PutPage(b []byte) {
 	}
 	c.pageLen = max(c.pageLen, cap(b))
 	if Poison {
-		scribble(b)
+		Scribble(b)
 		return
 	}
 	if len(c.pages) < maxIdlePages {
@@ -280,8 +280,10 @@ func pop[T any](list *[]T) (v T, ok bool) {
 	return v, true
 }
 
-// scribble overwrites all of b's storage with the poison byte.
-func scribble(b []byte) {
+// Scribble overwrites all of b's storage, up to its capacity, with the
+// poison byte: what a poison build (see Poison) does to a buffer it
+// drops instead of recycling.
+func Scribble(b []byte) {
 	b = b[:cap(b)]
 	for i := range b {
 		b[i] = 0xDB
