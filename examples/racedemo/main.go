@@ -12,15 +12,17 @@
 //
 // The demo runs the same seed twice, shows that the reports are
 // deterministic, prints the first race, and exits 0 only when the race
-// was caught both times — CI runs it as the fail-closed check that the
-// detector stays armed.
+// was caught both times. TestDemo runs it as the fail-closed check that
+// the detector stays armed, and holds its output byte-identical to
+// testdata/pr16/racedemo.txt.
 //
 //	go run ./examples/racedemo
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"time"
 
@@ -33,8 +35,9 @@ const (
 )
 
 // run executes the planted-race program once and returns the reports.
-func run(seed int64) []ivy.RaceReport {
+func run(seed int64) ([]ivy.RaceReport, error) {
 	cluster := ivy.New(ivy.Config{Processors: 2, Seed: seed, DRace: true})
+	sawData := false
 	err := cluster.Run(func(p *ivy.Proc) {
 		buf := p.MustMalloc(8 * (words + 1))
 		at := func(i int) uint64 { return buf + 8*uint64(i) }
@@ -52,9 +55,7 @@ func run(seed int64) []ivy.RaceReport {
 			for i := 0; i < words; i++ {
 				sum += q.ReadU64(at(i))
 			}
-			if sum == 0 {
-				log.Fatal("racedemo: reader saw no data (coherence bug?)")
-			}
+			sawData = sum != 0
 			done.Advance(q)
 		}, ivy.WithName("reader"))
 
@@ -67,31 +68,44 @@ func run(seed int64) []ivy.RaceReport {
 
 		done.Wait(p, 1) // spawn/join edges are real; only the flag is racy
 	})
-	if err != nil {
-		log.Fatalf("racedemo: %v", err)
+	if err == nil && !sawData {
+		err = errors.New("reader saw no data (coherence bug?)")
 	}
-	return cluster.RaceReports()
+	return cluster.RaceReports(), err
 }
 
-func main() {
-	first := run(7)
-	second := run(7)
+// demo runs the program twice, reports on w, and returns the exit
+// status: 0 only when the race was caught, identically, both times.
+func demo(w io.Writer) int {
+	first, err := run(7)
+	if err != nil {
+		fmt.Fprintf(w, "FAIL: %v\n", err)
+		return 1
+	}
+	second, err := run(7)
+	if err != nil {
+		fmt.Fprintf(w, "FAIL: %v\n", err)
+		return 1
+	}
 
 	if len(first) == 0 {
-		fmt.Println("FAIL: planted race not detected")
-		os.Exit(1)
+		fmt.Fprintln(w, "FAIL: planted race not detected")
+		return 1
 	}
 	if len(first) != len(second) {
-		fmt.Printf("FAIL: report count not deterministic (%d vs %d)\n", len(first), len(second))
-		os.Exit(1)
+		fmt.Fprintf(w, "FAIL: report count not deterministic (%d vs %d)\n", len(first), len(second))
+		return 1
 	}
 	for i := range first {
 		if first[i] != second[i] {
-			fmt.Printf("FAIL: report %d differs between identical runs:\n  %v\n  %v\n", i, first[i], second[i])
-			os.Exit(1)
+			fmt.Fprintf(w, "FAIL: report %d differs between identical runs:\n  %v\n  %v\n", i, first[i], second[i])
+			return 1
 		}
 	}
 
-	fmt.Printf("caught %d race reports, deterministic across runs\n", len(first))
-	fmt.Printf("first race: %v\n", first[0])
+	fmt.Fprintf(w, "caught %d race reports, deterministic across runs\n", len(first))
+	fmt.Fprintf(w, "first race: %v\n", first[0])
+	return 0
 }
+
+func main() { os.Exit(demo(os.Stdout)) }

@@ -63,21 +63,6 @@ type Ctx interface {
 	TLB() *TLB
 }
 
-// chargeAccess performs the per-access compute charge. With a TLB the
-// charge lands inline on the owner's debt accumulator and ctx is
-// consulted only when a full quantum must settle; without one it is an
-// ordinary dynamic charge.
-func chargeAccess(ctx Ctx, t *TLB, d time.Duration) {
-	if t != nil {
-		*t.debt += d
-		if *t.debt >= t.quantum {
-			ctx.Flush()
-		}
-		return
-	}
-	ctx.Charge(d)
-}
-
 // ChargeCtx is the canonical Ctx: it batches charges and holds the node
 // CPU only while settling them, so remote-request handlers interleave
 // with user computation at quantum granularity.

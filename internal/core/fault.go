@@ -19,147 +19,168 @@ import (
 // page-table entry, and if the access right is present and the frame
 // resident, touch the bytes and accumulate the per-reference cost. Any
 // shortfall traps into the slow path.
+//
+// Every accessor takes its frame from one skeleton: frame counts and
+// charges the reference, probes the TLB (TLB.hit), and otherwise takes
+// the table walk (walk), which refills the TLB or traps into slowPath.
+// Ranges go through runs, one frame per page run. Only the word pair
+// ReadU64T/WriteU64T probe by hand; their slow halves rejoin the
+// skeleton at charged.
 
-// ReadBytes copies n bytes starting at addr out of shared memory,
-// faulting in pages as needed (the read may span pages).
-func (s *SVM) ReadBytes(ctx Ctx, addr uint64, n int) []byte {
-	out := make([]byte, n)
-	off := 0
-	for off < n {
-		a := addr + uint64(off)
-		p := s.PageOf(a)
-		po := int(a-s.base) & s.pageMask
-		chunk := s.pageSize - po
-		if chunk > n-off {
-			chunk = n - off
+// frame returns the frame bytes holding [addr, addr+n) with at least
+// mode access, and addr's offset in them, counting and charging one
+// reference. The charge precedes the probe and the walk alike: it can
+// flush a compute quantum (yielding the engine), and any shootdown that
+// lands in that window must be observed by the validity check.
+func (s *SVM) frame(ctx Ctx, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+	if mode == mmu.AccessWrite {
+		s.st.SVM.WriteAccesses++
+	} else {
+		s.st.SVM.ReadAccesses++
+	}
+	t := ctx.TLB()
+	if t != nil {
+		*t.debt += s.costs.MemRef
+	}
+	return s.charged(ctx, t, addr, n, mode)
+}
+
+// charged is frame once the reference is counted and, for a non-nil t,
+// its charge added to t's debt (a due settle has not run yet).
+func (s *SVM) charged(ctx Ctx, t *TLB, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+	if t == nil {
+		ctx.Charge(s.costs.MemRef)
+		return s.walk(ctx, nil, addr, n, mode)
+	}
+	if *t.debt >= t.quantum {
+		ctx.Flush()
+	}
+	if fr, po := t.hit(s, addr, n, mode); fr != nil {
+		return fr, po
+	}
+	return s.walk(ctx, t, addr, n, mode)
+}
+
+// walk is the table-walk tail of an access whose TLB probe missed (or
+// whose context has no TLB); a successful walk refills t. A span that
+// crosses a page boundary panics: the allocator aligns blocks, so a
+// straddling scalar is a client addressing bug worth failing loudly on.
+func (s *SVM) walk(ctx Ctx, t *TLB, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+	p := s.PageOf(addr)
+	po := s.pageOffset(addr)
+	if po+n > s.pageSize {
+		panic(fmt.Sprintf("core: %d-byte scalar at %#x crosses a page boundary", n, addr))
+	}
+	e := s.table.Entry(p)
+	if e.Access >= mode {
+		if fr := s.pool.GetFrame(p); fr != nil {
+			if mode == mmu.AccessWrite {
+				e.Dirty = true
+			}
+			if t != nil {
+				t.fill(s, p, e, fr)
+			}
+			return fr.Data(), po
 		}
-		frame := s.frameForRead(ctx, p)
-		s.Observe(ctx, OpRead, a, uint64(chunk))
-		copy(out[off:off+chunk], frame[po:po+chunk])
-		// frameForRead charged one reference; charge the rest of the
-		// chunk word by word, as the hardware would issue them.
+	}
+	return s.slowPath(ctx, p, mode == mmu.AccessWrite), po
+}
+
+// pageOffset is addr's offset within its page.
+func (s *SVM) pageOffset(addr uint64) int { return int(addr-s.base) & s.pageMask }
+
+// --- Page runs -----------------------------------------------------------
+//
+// The range accessors check access once per page run instead of once per
+// word — the simulator's analogue of block transfer. Compute charges are
+// word-for-word identical to the equivalent scalar loop (frame charges
+// one MemRef; the remaining words of the run are charged in one batch),
+// so porting a program to the range API changes its wall-clock cost, not
+// its simulated cost.
+
+// runs walks [addr, addr+n) one page run at a time: it takes each run's
+// frame for mode, observes the run, and hands its bytes to fn with the
+// run's offset into the range.
+func (s *SVM) runs(ctx Ctx, addr uint64, n int, mode mmu.Access, fn func(b []byte, off int)) {
+	op := OpRead
+	if mode == mmu.AccessWrite {
+		op = OpWrite
+	}
+	for off := 0; off < n; {
+		a := addr + uint64(off)
+		chunk := min(s.pageSize-s.pageOffset(a), n-off)
+		fr, po := s.frame(ctx, a, chunk, mode)
+		s.Observe(ctx, op, a, uint64(chunk))
+		fn(fr[po:po+chunk], off)
 		if words := (chunk - 1) / 8; words > 0 {
 			ctx.Charge(time.Duration(words) * s.costs.MemRef)
 		}
 		off += chunk
 	}
+}
+
+// checkWords panics unless n words at addr are 8-aligned (an empty
+// range moves nothing and passes).
+func checkWords(addr uint64, n int) {
+	if n > 0 && addr&7 != 0 {
+		panic(fmt.Sprintf("core: bulk word access at unaligned address %#x", addr))
+	}
+}
+
+// ReadBytes copies n bytes starting at addr out of shared memory,
+// faulting in pages as needed (the read may span pages).
+func (s *SVM) ReadBytes(ctx Ctx, addr uint64, n int) []byte {
+	out := make([]byte, n)
+	s.runs(ctx, addr, n, mmu.AccessRead, func(b []byte, off int) { copy(out[off:], b) })
 	return out
 }
 
 // WriteBytes stores data into shared memory starting at addr, faulting
 // for ownership page by page.
 func (s *SVM) WriteBytes(ctx Ctx, addr uint64, data []byte) {
-	off := 0
-	for off < len(data) {
-		a := addr + uint64(off)
-		p := s.PageOf(a)
-		po := int(a-s.base) & s.pageMask
-		chunk := s.pageSize - po
-		if chunk > len(data)-off {
-			chunk = len(data) - off
-		}
-		frame := s.frameForWrite(ctx, p)
-		s.Observe(ctx, OpWrite, a, uint64(chunk))
-		copy(frame[po:po+chunk], data[off:off+chunk])
-		if words := (chunk - 1) / 8; words > 0 {
-			ctx.Charge(time.Duration(words) * s.costs.MemRef)
-		}
-		off += chunk
-	}
-}
-
-// --- Bulk word access ---------------------------------------------------
-//
-// The bulk accessors check access once per page run instead of once per
-// word — the simulator's analogue of block transfer. Compute charges are
-// word-for-word identical to the equivalent scalar loop (the accessor
-// charges one MemRef; the remaining words of the run are charged in one
-// batch), so porting a program to the bulk API changes its wall-clock
-// cost, not its simulated cost.
-
-// alignedWords validates an 8-aligned bulk span and returns the page,
-// page offset, and number of words that fit in the page run.
-func (s *SVM) alignedWords(addr uint64, remaining int) (mmu.PageID, int, int) {
-	if addr&7 != 0 {
-		panic(fmt.Sprintf("core: bulk word access at unaligned address %#x", addr))
-	}
-	p := s.PageOf(addr)
-	po := int(addr-s.base) & s.pageMask
-	words := (s.pageSize - po) / 8
-	if words > remaining {
-		words = remaining
-	}
-	return p, po, words
+	s.runs(ctx, addr, len(data), mmu.AccessWrite, func(b []byte, off int) { copy(b, data[off:]) })
 }
 
 // ReadU64s fills dst with consecutive little-endian words starting at
 // addr (8-aligned), faulting page by page.
 func (s *SVM) ReadU64s(ctx Ctx, addr uint64, dst []uint64) {
-	off := 0
-	for off < len(dst) {
-		p, po, words := s.alignedWords(addr+uint64(off)*8, len(dst)-off)
-		frame := s.frameForRead(ctx, p)
-		s.Observe(ctx, OpRead, addr+uint64(off)*8, uint64(words)*8)
-		for i := 0; i < words; i++ {
-			dst[off+i] = binary.LittleEndian.Uint64(frame[po+8*i:])
+	checkWords(addr, len(dst))
+	s.runs(ctx, addr, 8*len(dst), mmu.AccessRead, func(b []byte, off int) {
+		for i := range dst[off/8 : (off+len(b))/8] {
+			dst[off/8+i] = binary.LittleEndian.Uint64(b[8*i:])
 		}
-		if words > 1 {
-			ctx.Charge(time.Duration(words-1) * s.costs.MemRef)
-		}
-		off += words
-	}
+	})
 }
 
 // WriteU64s stores src as consecutive little-endian words starting at
 // addr (8-aligned), faulting for ownership page by page.
 func (s *SVM) WriteU64s(ctx Ctx, addr uint64, src []uint64) {
-	off := 0
-	for off < len(src) {
-		p, po, words := s.alignedWords(addr+uint64(off)*8, len(src)-off)
-		frame := s.frameForWrite(ctx, p)
-		s.Observe(ctx, OpWrite, addr+uint64(off)*8, uint64(words)*8)
-		for i := 0; i < words; i++ {
-			binary.LittleEndian.PutUint64(frame[po+8*i:], src[off+i])
+	checkWords(addr, len(src))
+	s.runs(ctx, addr, 8*len(src), mmu.AccessWrite, func(b []byte, off int) {
+		for i, v := range src[off/8 : (off+len(b))/8] {
+			binary.LittleEndian.PutUint64(b[8*i:], v)
 		}
-		if words > 1 {
-			ctx.Charge(time.Duration(words-1) * s.costs.MemRef)
-		}
-		off += words
-	}
+	})
 }
 
 // ReadF64s fills dst with consecutive float64s starting at addr.
 func (s *SVM) ReadF64s(ctx Ctx, addr uint64, dst []float64) {
-	off := 0
-	for off < len(dst) {
-		p, po, words := s.alignedWords(addr+uint64(off)*8, len(dst)-off)
-		frame := s.frameForRead(ctx, p)
-		s.Observe(ctx, OpRead, addr+uint64(off)*8, uint64(words)*8)
-		for i := 0; i < words; i++ {
-			dst[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[po+8*i:]))
+	checkWords(addr, len(dst))
+	s.runs(ctx, addr, 8*len(dst), mmu.AccessRead, func(b []byte, off int) {
+		for i := range dst[off/8 : (off+len(b))/8] {
+			dst[off/8+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-		if words > 1 {
-			ctx.Charge(time.Duration(words-1) * s.costs.MemRef)
-		}
-		off += words
-	}
+	})
 }
 
 // WriteF64s stores src as consecutive float64s starting at addr.
 func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
-	off := 0
-	for off < len(src) {
-		p, po, words := s.alignedWords(addr+uint64(off)*8, len(src)-off)
-		frame := s.frameForWrite(ctx, p)
-		s.Observe(ctx, OpWrite, addr+uint64(off)*8, uint64(words)*8)
-		for i := 0; i < words; i++ {
-			binary.LittleEndian.PutUint64(frame[po+8*i:], math.Float64bits(src[off+i]))
+	checkWords(addr, len(src))
+	s.runs(ctx, addr, 8*len(src), mmu.AccessWrite, func(b []byte, off int) {
+		for i, v := range src[off/8 : (off+len(b))/8] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 		}
-		if words > 1 {
-			ctx.Charge(time.Duration(words-1) * s.costs.MemRef)
-		}
-		off += words
-	}
+	})
 }
 
 // CopyWords copies n 8-byte words from src to dst inside shared memory,
@@ -170,14 +191,15 @@ func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
 // memmove-safe). Fault behavior and charges per chunk are the same in
 // either direction; only the order the page runs are visited in differs.
 func (s *SVM) CopyWords(ctx Ctx, dst, src uint64, n int) {
+	checkWords(src, n)
+	checkWords(dst, n)
 	if dst > src && dst < src+8*uint64(n) {
 		for end := n; end > 0; {
 			// Word end-1 closes this chunk; the chunk reaches back to the
 			// start of whichever page run (source or destination) begins
 			// later, and no further than word 0.
-			_, spoLast, _ := s.alignedWords(src+8*uint64(end-1), 1)
-			_, dpoLast, _ := s.alignedWords(dst+8*uint64(end-1), 1)
-			words := min(spoLast/8+1, dpoLast/8+1, end)
+			last := 8 * uint64(end-1)
+			words := min(s.pageOffset(src+last)/8+1, s.pageOffset(dst+last)/8+1, end)
 			if s.copyChunk(ctx, dst+8*uint64(end-words), src+8*uint64(end-words), words) {
 				end -= words
 			}
@@ -185,9 +207,9 @@ func (s *SVM) CopyWords(ctx Ctx, dst, src uint64, n int) {
 		return
 	}
 	for off := 0; off < n; {
-		_, _, words := s.alignedWords(src+8*uint64(off), n-off)
-		_, _, words = s.alignedWords(dst+8*uint64(off), words)
-		if s.copyChunk(ctx, dst+8*uint64(off), src+8*uint64(off), words) {
+		o := 8 * uint64(off)
+		words := min((s.pageSize-s.pageOffset(src+o))/8, (s.pageSize-s.pageOffset(dst+o))/8, n-off)
+		if s.copyChunk(ctx, dst+o, src+o, words) {
 			off += words
 		}
 	}
@@ -199,11 +221,9 @@ func (s *SVM) CopyWords(ctx Ctx, dst, src uint64, n int) {
 // source is revalidated after the destination is secured; false means
 // it was lost and the caller must retry the chunk.
 func (s *SVM) copyChunk(ctx Ctx, dst, src uint64, words int) bool {
-	sp, spo, _ := s.alignedWords(src, words)
-	dp, dpo, _ := s.alignedWords(dst, words)
-	srcFrame := s.frameForRead(ctx, sp)
-	dstFrame := s.frameForWrite(ctx, dp)
-	if dp == sp {
+	srcFrame, spo := s.frame(ctx, src, 8*words, mmu.AccessRead)
+	dstFrame, dpo := s.frame(ctx, dst, 8*words, mmu.AccessWrite)
+	if sp := s.PageOf(src); sp == s.PageOf(dst) {
 		srcFrame = dstFrame
 	} else if s.table.Entry(sp).Access == mmu.AccessNil {
 		return false // invalidated while this fiber was blocked
@@ -219,17 +239,7 @@ func (s *SVM) copyChunk(ctx Ctx, dst, src uint64, words int) bool {
 	return true
 }
 
-// scalarSpan locates addr..addr+n within one page, panicking on scalar
-// accesses that straddle a page boundary (the allocator aligns blocks,
-// so a straddle is a client addressing bug worth failing loudly on).
-func (s *SVM) scalarSpan(addr uint64, n int) (mmu.PageID, int) {
-	p := s.PageOf(addr)
-	po := int(addr-s.base) & s.pageMask
-	if po+n > s.pageSize {
-		panic(fmt.Sprintf("core: %d-byte scalar at %#x crosses a page boundary", n, addr))
-	}
-	return p, po
-}
+// --- Scalars -------------------------------------------------------------
 
 // ReadU64 reads a little-endian 64-bit word.
 func (s *SVM) ReadU64(ctx Ctx, addr uint64) uint64 {
@@ -256,8 +266,9 @@ func (s *SVM) ReadU64(ctx Ctx, addr uint64) uint64 {
 // the register allocator spills nothing on the straight-line hit; every
 // case that must call — a due quantum settle, an LRU splice for a frame
 // not already at the front, a probe miss, a TLB-less context — tail-
-// calls the slow variant, which redoes the probe with the calls in
-// place (re-probing is safe: nothing between the two probes can yield).
+// calls the slow half, which finishes the access through charged: the
+// quantum settle, TLB.hit with the calls in place, and the walk
+// (re-probing is safe: nothing between the two probes can yield).
 //
 //ivy:hotpath calls=readU64TSlow
 func (s *SVM) ReadU64T(t *TLB, ctx Ctx, addr uint64) uint64 {
@@ -283,44 +294,11 @@ func (s *SVM) ReadU64T(t *TLB, ctx Ctx, addr uint64) uint64 {
 	return s.readU64TSlow(t, ctx, addr)
 }
 
-// readU64TSlow finishes a read the call-free fast path could not: the
-// per-access charge has already landed when t is non-nil (a due settle
-// has not run yet); for nil t nothing is charged.
+// readU64TSlow finishes a read the call-free fast path could not.
 func (s *SVM) readU64TSlow(t *TLB, ctx Ctx, addr uint64) uint64 {
-	if t == nil {
-		ctx.Charge(s.costs.MemRef)
-		return s.readU64Checked(ctx, nil, addr)
-	}
-	if *t.debt >= t.quantum {
-		ctx.Flush()
-	}
-	if t.svm == s {
-		if off := addr - s.base; off < s.size {
-			po := int(off) & s.pageMask
-			p := mmu.PageID(off >> (s.pageShift & 63))
-			w := &t.ways[int(p)&tlbMask]
-			if w.page == p && w.gen == s.pool.Epoch() && po+8 <= len(w.data) {
-				t.hits++
-				if s.pool.Front() != w.fr {
-					s.pool.TouchFrame(w.fr)
-				}
-				return binary.LittleEndian.Uint64(w.data[po : po+8])
-			}
-		}
-	}
-	return s.readU64Checked(ctx, t, addr)
-}
-
-// readU64Checked is ReadU64's table-walk tail (reference counted and
-// charged by the caller).
-func (s *SVM) readU64Checked(ctx Ctx, t *TLB, addr uint64) uint64 {
-	if t != nil {
-		t.misses++
-	}
-	p, po := s.scalarSpan(addr, 8)
-	frame := s.frameForReadChecked(ctx, t, p)
+	fr, po := s.charged(ctx, t, addr, 8, mmu.AccessRead)
 	s.Observe(ctx, OpRead, addr, 8)
-	return binary.LittleEndian.Uint64(frame[po:])
+	return binary.LittleEndian.Uint64(fr[po:])
 }
 
 // WriteU64 writes a little-endian 64-bit word.
@@ -354,45 +332,11 @@ func (s *SVM) WriteU64T(t *TLB, ctx Ctx, addr uint64, v uint64) {
 	s.writeU64TSlow(t, ctx, addr, v)
 }
 
-// writeU64TSlow finishes a write the call-free fast path could not; see
-// readU64TSlow.
+// writeU64TSlow finishes a write the call-free fast path could not.
 func (s *SVM) writeU64TSlow(t *TLB, ctx Ctx, addr uint64, v uint64) {
-	if t == nil {
-		ctx.Charge(s.costs.MemRef)
-		s.writeU64Checked(ctx, nil, addr, v)
-		return
-	}
-	if *t.debt >= t.quantum {
-		ctx.Flush()
-	}
-	if t.svm == s {
-		if off := addr - s.base; off < s.size {
-			po := int(off) & s.pageMask
-			p := mmu.PageID(off >> (s.pageShift & 63))
-			w := &t.ways[int(p)&tlbMask]
-			if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.pool.Epoch() && po+8 <= len(w.data) {
-				w.e.Dirty = true // mirror the checked write path
-				t.hits++
-				if s.pool.Front() != w.fr {
-					s.pool.TouchFrame(w.fr)
-				}
-				binary.LittleEndian.PutUint64(w.data[po:po+8], v)
-				return
-			}
-		}
-	}
-	s.writeU64Checked(ctx, t, addr, v)
-}
-
-// writeU64Checked is WriteU64's table-walk tail.
-func (s *SVM) writeU64Checked(ctx Ctx, t *TLB, addr uint64, v uint64) {
-	if t != nil {
-		t.misses++
-	}
-	p, po := s.scalarSpan(addr, 8)
-	frame := s.frameForWriteChecked(ctx, t, p)
+	fr, po := s.charged(ctx, t, addr, 8, mmu.AccessWrite)
 	s.Observe(ctx, OpWrite, addr, 8)
-	binary.LittleEndian.PutUint64(frame[po:], v)
+	binary.LittleEndian.PutUint64(fr[po:], v)
 }
 
 // ReadI64 reads a 64-bit signed integer.
@@ -424,77 +368,37 @@ func (s *SVM) WriteF32(ctx Ctx, addr uint64, v float32) {
 
 // ReadU32 reads a little-endian 32-bit word.
 func (s *SVM) ReadU32(ctx Ctx, addr uint64) uint32 {
-	s.st.SVM.ReadAccesses++
-	t := ctx.TLB()
-	chargeAccess(ctx, t, s.costs.MemRef)
-	if t != nil {
-		if fr, po := t.hit(s, addr, 4, mmu.AccessRead); fr != nil {
-			return binary.LittleEndian.Uint32(fr[po:])
-		}
-	}
-	p, po := s.scalarSpan(addr, 4)
-	frame := s.frameForReadChecked(ctx, t, p)
+	fr, po := s.frame(ctx, addr, 4, mmu.AccessRead)
 	s.Observe(ctx, OpRead, addr, 4)
-	return binary.LittleEndian.Uint32(frame[po:])
+	return binary.LittleEndian.Uint32(fr[po:])
 }
 
 // WriteU32 writes a little-endian 32-bit word.
 func (s *SVM) WriteU32(ctx Ctx, addr uint64, v uint32) {
-	s.st.SVM.WriteAccesses++
-	t := ctx.TLB()
-	chargeAccess(ctx, t, s.costs.MemRef)
-	if t != nil {
-		if fr, po := t.hit(s, addr, 4, mmu.AccessWrite); fr != nil {
-			binary.LittleEndian.PutUint32(fr[po:], v)
-			return
-		}
-	}
-	p, po := s.scalarSpan(addr, 4)
-	frame := s.frameForWriteChecked(ctx, t, p)
+	fr, po := s.frame(ctx, addr, 4, mmu.AccessWrite)
 	s.Observe(ctx, OpWrite, addr, 4)
-	binary.LittleEndian.PutUint32(frame[po:], v)
+	binary.LittleEndian.PutUint32(fr[po:], v)
 }
 
 // ReadU8 reads one byte.
 func (s *SVM) ReadU8(ctx Ctx, addr uint64) uint8 {
-	s.st.SVM.ReadAccesses++
-	t := ctx.TLB()
-	chargeAccess(ctx, t, s.costs.MemRef)
-	if t != nil {
-		if fr, po := t.hit(s, addr, 1, mmu.AccessRead); fr != nil {
-			return fr[po]
-		}
-	}
-	p, po := s.scalarSpan(addr, 1)
-	frame := s.frameForReadChecked(ctx, t, p)
+	fr, po := s.frame(ctx, addr, 1, mmu.AccessRead)
 	s.Observe(ctx, OpRead, addr, 1)
-	return frame[po]
+	return fr[po]
 }
 
 // WriteU8 writes one byte.
 func (s *SVM) WriteU8(ctx Ctx, addr uint64, v uint8) {
-	s.st.SVM.WriteAccesses++
-	t := ctx.TLB()
-	chargeAccess(ctx, t, s.costs.MemRef)
-	if t != nil {
-		if fr, po := t.hit(s, addr, 1, mmu.AccessWrite); fr != nil {
-			fr[po] = v
-			return
-		}
-	}
-	p, po := s.scalarSpan(addr, 1)
-	frame := s.frameForWriteChecked(ctx, t, p)
+	fr, po := s.frame(ctx, addr, 1, mmu.AccessWrite)
 	s.Observe(ctx, OpWrite, addr, 1)
-	frame[po] = v
+	fr[po] = v
 }
 
 // lockByte is the front half the four test-and-set primitives share: it
-// locates the byte at addr, refuses release-consistent data pages,
-// charges the instruction, and returns the page's frame with write
-// access held.
+// refuses release-consistent data pages, charges the instruction, and
+// returns the frame holding the byte at addr with write access held.
 func (s *SVM) lockByte(ctx Ctx, addr uint64, op string) (frame []byte, po int) {
-	p, po := s.scalarSpan(addr, 1)
-	if s.rcn != nil && s.rcn.IsData(p) {
+	if s.rcn != nil && s.rcn.IsData(s.PageOf(addr)) {
 		// Atomicity relies on the single-writer SC protocol; on an RC data
 		// page two nodes could both "win" on their local copies.
 		panic(fmt.Sprintf("core: %s at %#x on a release-consistent data page — locks must live in the sync arena", op, addr))
@@ -503,7 +407,7 @@ func (s *SVM) lockByte(ctx Ctx, addr uint64, op string) (frame []byte, po int) {
 	// quantum (yielding the engine), and the page must not be stolen
 	// between the access check and the read-modify-write.
 	ctx.Charge(s.costs.TestAndSet)
-	return s.frameForWrite(ctx, p), po
+	return s.frame(ctx, addr, 1, mmu.AccessWrite)
 }
 
 // TestAndSet atomically sets the byte at addr to 1, returning true if it
@@ -565,70 +469,6 @@ func (s *SVM) Clear(ctx Ctx, addr uint64) {
 	// Clearing the byte is the lock release: publish everything this
 	// process did while holding it.
 	s.Observe(ctx, OpRelease, addr, 1)
-}
-
-// frameForRead returns page p's frame with at least read access. The
-// charge precedes the TLB lookup and the table check alike: a charge
-// can flush a compute quantum (yielding the engine), and any shootdown
-// that lands in that window must be observed by the validity check.
-func (s *SVM) frameForRead(ctx Ctx, p mmu.PageID) []byte {
-	s.st.SVM.ReadAccesses++
-	t := ctx.TLB()
-	chargeAccess(ctx, t, s.costs.MemRef)
-	if t != nil {
-		if fr := t.lookup(s, p, mmu.AccessRead); fr != nil {
-			s.pool.TouchFrame(fr) // same LRU update a map-lookup hit performs
-			return fr.Data()
-		}
-	}
-	return s.frameForReadChecked(ctx, t, p)
-}
-
-// frameForReadChecked is the table-walk tail of a read access: the
-// reference is already counted and charged (and the TLB probed, when t
-// is non-nil — a successful walk refills it).
-func (s *SVM) frameForReadChecked(ctx Ctx, t *TLB, p mmu.PageID) []byte {
-	e := s.table.Entry(p)
-	if e.Access != mmu.AccessNil {
-		if fr := s.pool.GetFrame(p); fr != nil {
-			if t != nil {
-				t.fill(s, p, e, fr, e.Access)
-			}
-			return fr.Data()
-		}
-	}
-	return s.slowPath(ctx, p, false)
-}
-
-// frameForWrite returns page p's frame with write access.
-func (s *SVM) frameForWrite(ctx Ctx, p mmu.PageID) []byte {
-	s.st.SVM.WriteAccesses++
-	t := ctx.TLB()
-	chargeAccess(ctx, t, s.costs.MemRef)
-	if t != nil {
-		if fr := t.lookup(s, p, mmu.AccessWrite); fr != nil {
-			s.pool.TouchFrame(fr)
-			return fr.Data()
-		}
-	}
-	return s.frameForWriteChecked(ctx, t, p)
-}
-
-// frameForWriteChecked is the table-walk tail of a write access.
-func (s *SVM) frameForWriteChecked(ctx Ctx, t *TLB, p mmu.PageID) []byte {
-	e := s.table.Entry(p)
-	if e.Access == mmu.AccessWrite {
-		if fr := s.pool.GetFrame(p); fr != nil {
-			if !e.Dirty {
-				e.Dirty = true
-			}
-			if t != nil {
-				t.fill(s, p, e, fr, mmu.AccessWrite)
-			}
-			return fr.Data()
-		}
-	}
-	return s.slowPath(ctx, p, true)
 }
 
 // slowPath resolves a trapped access: local disk fault for owned pages,

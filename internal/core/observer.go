@@ -116,8 +116,8 @@ func (s *SVM) event(f *sim.Fiber, ev Event, at Edge, p mmu.PageID, n int) {
 }
 
 // Observe reports a checked access. Every accessor that hands out frame
-// bytes calls it on its checked tail (TestEveryAccessorIsObserved holds
-// each one to it), and so do the synchronization operations built on
+// bytes calls it once its frame is secured (TestEveryAccessorIsObserved
+// holds each one to it), and so do the synchronization operations built on
 // them: the test-and-set primitives here, the eventcounts and sequencers
 // of internal/ec, and Proc.MarkAtomic.
 func (s *SVM) Observe(ctx Ctx, op Op, addr, n uint64) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,18 +145,54 @@ func TestCrossPageBytes(t *testing.T) {
 	r.run(t, time.Minute)
 }
 
+// TestScalarCrossingPagePanics pins what the accessors refuse: a scalar
+// that straddles a page boundary (pages are 256 bytes here) and a bulk
+// word access at an unaligned address panic, naming the fault, whether
+// or not the TLB could have served them. An empty CopyWords moves
+// nothing and is not refused, wherever it points.
 func TestScalarCrossingPagePanics(t *testing.T) {
-	r := newRig(t, 1, 1, testConfig(DynamicDistributed))
-	r.proc(0, "p", func(ctx Ctx) {
-		s := r.svms[0]
-		s.WriteU64(ctx, s.Base()+252, 1) // 252+8 > 256
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("page-straddling scalar did not panic")
-		}
-	}()
-	_ = r.eng.RunUntil(sim.Time(time.Minute))
+	const crosses, unaligned = "crosses a page boundary", "unaligned address"
+	for _, tc := range []struct {
+		name string
+		want string // panic substring; "" means the call must return
+		do   func(s *SVM, ctx Ctx, a uint64)
+	}{
+		{"ReadU64", crosses, func(s *SVM, ctx Ctx, a uint64) { s.ReadU64(ctx, a+252) }},
+		{"WriteU64", crosses, func(s *SVM, ctx Ctx, a uint64) { s.WriteU64(ctx, a+252, 1) }},
+		{"WriteU64T", crosses, func(s *SVM, ctx Ctx, a uint64) { s.WriteU64T(ctx.TLB(), ctx, a+252, 1) }},
+		{"ReadU32", crosses, func(s *SVM, ctx Ctx, a uint64) { s.ReadU32(ctx, a+254) }},
+		{"WriteF32", crosses, func(s *SVM, ctx Ctx, a uint64) { s.WriteF32(ctx, a+254, 1) }},
+		{"ReadU64s", unaligned, func(s *SVM, ctx Ctx, a uint64) { s.ReadU64s(ctx, a+4, make([]uint64, 2)) }},
+		{"WriteF64s", unaligned, func(s *SVM, ctx Ctx, a uint64) { s.WriteF64s(ctx, a+4, make([]float64, 2)) }},
+		{"CopyWords/src", unaligned, func(s *SVM, ctx Ctx, a uint64) { s.CopyWords(ctx, a, a+260, 2) }},
+		{"CopyWords/dst", unaligned, func(s *SVM, ctx Ctx, a uint64) { s.CopyWords(ctx, a+4, a+256, 2) }},
+		{"CopyWords/empty", "", func(s *SVM, ctx Ctx, a uint64) { s.CopyWords(ctx, a+4, a+12, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, 1, testConfig(DynamicDistributed))
+			returned := false
+			r.proc(0, "p", func(ctx Ctx) {
+				s := r.svms[0]
+				// Warm the TLB on both pages first, so a refusal cannot
+				// depend on the probe missing.
+				s.WriteU64(ctx, s.Base(), 1)
+				s.WriteU64(ctx, s.Base()+256, 1)
+				tc.do(s, ctx, s.Base())
+				returned = true
+			})
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				_ = r.eng.RunUntil(sim.Time(time.Minute))
+				return nil
+			}()
+			switch {
+			case tc.want == "" && (got != nil || !returned):
+				t.Fatalf("refused (panic %v)", got)
+			case tc.want != "" && !strings.Contains(fmt.Sprint(got), tc.want):
+				t.Fatalf("panic %v, want one naming %q", got, tc.want)
+			}
+		})
+	}
 }
 
 func TestRemoteReadSeesWrites(t *testing.T) {

@@ -43,7 +43,7 @@ import (
 // under-promise rights — it is never stale in the unsafe direction.
 //
 // Determinism: a hit performs the same statistics increment, the same
-// MemRef charge (before the lookup, as on the checked path, so a charge
+// MemRef charge (before the probe, as on the checked path, so a charge
 // that flushes a compute quantum — and the shootdowns that may occur
 // while yielded — happen-before the validity check), and the same LRU
 // move-to-front (via the cached frame handle) as a miss. Virtual time,
@@ -148,57 +148,28 @@ func (t *TLB) FlushAll() {
 	}
 }
 
-// lookup returns the live frame for page p if the cached translation is
-// current and grants at least mode, or nil on a miss. The epoch
-// compare is the entire shootdown protocol from the reader's side.
-//
-//ivy:hotpath calls=FlushAll
-func (t *TLB) lookup(s *SVM, p mmu.PageID, mode mmu.Access) *memfs.Frame {
-	if t.svm != s {
-		// Bound to another node's SVM (the context migrated, or the
-		// TLB is fresh): flush and rebind. Fills repopulate lazily.
-		t.FlushAll()
-		t.svm = s
-		t.misses++
-		return nil
-	}
-	w := &t.ways[int(p)&tlbMask]
-	if w.page == p && w.mode >= mode && w.gen == s.pool.Epoch() {
-		if mode == mmu.AccessWrite {
-			// Mirror the checked write path: a write through a cached
-			// translation dirties the page (a read-path fill may have
-			// cached write rights on a still-clean owned page).
-			w.e.Dirty = true
-		}
-		t.hits++
-		return w.fr
-	}
-	t.misses++
-	return nil
-}
-
-// hit is the fused scalar fast path: translate addr, validate the
-// cached entry, and return the frame bytes plus the page offset. Any
-// shortfall — unbound TLB, address out of range, span crossing a page,
-// cold way, insufficient mode, stale generation — returns nil and the
-// caller falls back to the checked path (which re-derives the page,
-// panics on genuinely bad addresses, and refills on success). The
-// semantics are identical to lookup; the two exist separately so a
-// scalar access costs one call here instead of a chain of helpers.
+// hit is the one TLB probe: translate addr, validate the cached entry
+// for n bytes with at least mode, and return the frame bytes plus the
+// page offset. Any shortfall — unbound TLB, address out of range, span
+// crossing a page, cold way, insufficient mode, stale generation —
+// returns nil and the caller takes the table walk (which re-derives the
+// page, panics on genuinely bad addresses, and refills on success).
+// Scalars and page runs alike probe here; only ReadU64T/WriteU64T copy
+// its logic inline, to stay call-free.
 //
 //ivy:hotpath
 func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 	if t.svm != s {
-		t.misses++ // rebind happens on the checked path's fill
+		t.misses++ // rebind happens on the walk's fill
 		return nil, 0
 	}
 	off := addr - s.base
 	if off >= s.size {
-		return nil, 0 // out of range: checked path panics with the message
+		return nil, 0 // out of range: the walk panics with the message
 	}
 	po := int(off) & s.pageMask
 	if po+n > s.pageSize {
-		return nil, 0 // page-crossing scalar: checked path panics
+		return nil, 0 // page-crossing span: the walk panics
 	}
 	p := mmu.PageID(off >> s.pageShift)
 	w := &t.ways[int(p)&tlbMask]
@@ -207,10 +178,13 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 		return nil, 0
 	}
 	if mode == mmu.AccessWrite {
-		w.e.Dirty = true // mirror the checked write path (see lookup)
+		// Mirror the walk: a write through a cached translation dirties
+		// the page (a read fill may have cached write rights on a
+		// still-clean owned page).
+		w.e.Dirty = true
 	}
 	t.hits++
-	// Same replacement-policy touch as the checked path's map hit; the
+	// Same replacement-policy touch as the walk's map hit; the
 	// front compare keeps the common consecutive-access case to one load.
 	if s.pool.Front() != w.fr {
 		s.pool.TouchFrame(w.fr)
@@ -218,12 +192,11 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 	return w.data, po
 }
 
-// fill caches a translation just validated by the checked path. mode is
-// the access the entry grants (the entry's current protection for
-// reads, AccessWrite for writes). Nothing is cached while the node's
+// fill caches a translation just validated by the table walk, granting
+// the entry's current protection. Nothing is cached while the node's
 // observer takes word accesses (SVM.SetObserver): every access must then
 // reach a checked tail.
-func (t *TLB) fill(s *SVM, p mmu.PageID, e *mmu.Entry, fr *memfs.Frame, mode mmu.Access) {
+func (t *TLB) fill(s *SVM, p mmu.PageID, e *mmu.Entry, fr *memfs.Frame) {
 	if s.tlbOff {
 		return
 	}
@@ -231,5 +204,5 @@ func (t *TLB) fill(s *SVM, p mmu.PageID, e *mmu.Entry, fr *memfs.Frame, mode mmu
 		t.FlushAll()
 		t.svm = s
 	}
-	t.ways[int(p)&tlbMask] = tlbEntry{page: p, gen: s.pool.Epoch(), mode: mode, e: e, fr: fr, data: fr.Data()}
+	t.ways[int(p)&tlbMask] = tlbEntry{page: p, gen: s.pool.Epoch(), mode: e.Access, e: e, fr: fr, data: fr.Data()}
 }

@@ -136,7 +136,7 @@ func TestModuleClean(t *testing.T) {
 func TestHotpathAnnotationAudit(t *testing.T) {
 	want := map[string][]string{
 		"../core/fault.go":  {"ReadU64T", "WriteU64T"},
-		"../core/tlb.go":    {"hit", "lookup"},
+		"../core/tlb.go":    {"hit"},
 		"../sim/heap.go":    {"pop"},
 		"../memfs/memfs.go": {"TouchFrame", "Front", "Epoch"},
 	}

@@ -43,7 +43,7 @@ func densityBar(frac float64) string {
 // signal: a hot page with a near-empty bar is paying full-page transfer
 // cost for a few words).
 func (e *ExportData) WriteTopPages(w io.Writer, n int) {
-	fmt.Fprintf(w, "ivyprof: %s under %s manager (%s), %d procs, seed %d\n",
+	fmt.Fprintf(w, "ivy prof: %s under %s manager (%s), %d procs, seed %d\n",
 		e.App, e.Manager, e.coherence(), e.Procs, e.Seed)
 	fmt.Fprintf(w, "elapsed %dus  packets %d  bytes %d\n", e.ElapsedUS, e.Packets, e.NetBytes)
 	// One grep-able line per run: `grep total-traffic` across two report
@@ -84,7 +84,7 @@ func (e *ExportData) WriteTopPages(w io.Writer, n int) {
 // o is "B"): the headline traffic numbers, per-kind deltas, and the
 // pages whose transfer counts moved the most between the runs.
 func (e *ExportData) WriteDiff(w io.Writer, o *ExportData) {
-	fmt.Fprintf(w, "ivyprof diff\n  A: %s/%s/%s procs=%d seed=%d\n  B: %s/%s/%s procs=%d seed=%d\n\n",
+	fmt.Fprintf(w, "ivy prof diff\n  A: %s/%s/%s procs=%d seed=%d\n  B: %s/%s/%s procs=%d seed=%d\n\n",
 		e.App, e.Manager, e.coherence(), e.Procs, e.Seed,
 		o.App, o.Manager, o.coherence(), o.Procs, o.Seed)
 
