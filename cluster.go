@@ -474,9 +474,11 @@ func (c *Cluster) Run(main func(p *Proc)) (err error) {
 // and after a bad run every process and handler parked mid-protocol, are
 // unwound and their goroutines end, so that a finished cluster keeps
 // nothing alive and is collected as soon as its caller lets go of it.
-// Last, the message path gives up what it held for reuse or for answering
+// Then the message path gives up what it held for reuse or for answering
 // duplicates, including what the unwinding handed back to it — that much
-// matters only to a caller who keeps the Cluster.
+// matters only to a caller who keeps the Cluster. Last, the run's page
+// frames are reported retired (sim.Retire), so that the next cluster's
+// New collects them before it builds anything.
 func (c *Cluster) end(horizon bool) error {
 	var err error
 	if horizon {
@@ -490,12 +492,15 @@ func (c *Cluster) end(horizon bool) error {
 		svm.SetObserver(nil)
 	}
 	c.eng.Close()
+	frames := 0
 	for _, svm := range c.svms {
 		svm.Endpoint().ReleaseIdle()
+		frames += svm.Pool().Len() * svm.PageSize()
 	}
 	if c.nw != nil {
 		c.nw.ReleaseIdle()
 	}
+	sim.Retire(frames)
 	return err
 }
 

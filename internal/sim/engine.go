@@ -132,7 +132,11 @@ type Engine struct {
 // explicit seed replays the whole run bit-for-bit. The worldsplit
 // analyzer (internal/ivyvet) enforces this mechanically — it permits
 // rand constructors only here, in internal/sim.
+//
+// New first collects the heap when finished worlds have retired enough
+// memory (Retire).
 func New(seed int64) *Engine {
+	collectRetired()
 	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
