@@ -57,8 +57,7 @@ type Cluster struct {
 	elapsed sim.Time
 	ran     bool
 
-	// Tracing state; all nil/zero unless StartTrace (or Config.Trace)
-	// enabled it.
+	// Tracing state; all nil/zero unless Config.Trace enabled it.
 	tr        *trace.Collector
 	traceW    io.Writer
 	sampleIvl time.Duration
@@ -191,7 +190,7 @@ func New(cfg Config) *Cluster {
 		c.armChaos(*cfg.Chaos)
 	}
 	if cfg.Trace != nil {
-		c.StartTrace(cfg.Trace.W, TraceOpts{SampleInterval: cfg.Trace.SampleInterval})
+		c.armTrace(*cfg.Trace)
 	}
 	return c
 }
@@ -200,7 +199,7 @@ func New(cfg Config) *Cluster {
 // seam (access checks, sync edges) and the process layer (fork/join
 // edges, the vector clocks carried by notify and migration messages).
 func (c *Cluster) armDRace() {
-	c.rd = drace.New(c.svms[0].Base(), c.cfg.PageSize,
+	c.rd = drace.New(c.svms[0].Base(), c.cfg.PageSize, c.cfg.Coherence == CoherenceRC,
 		func() time.Duration { return c.eng.Now().Duration() })
 	c.procs.SetRaceDetector(c.rd)
 	c.rearm()
@@ -357,31 +356,18 @@ func (c *Cluster) allocFor(rank int) *alloc.Service {
 	return c.allocs[rank]
 }
 
-// TraceOpts configures StartTrace.
-type TraceOpts struct {
-	// SampleInterval, when positive, arms the virtual-time sampler at
-	// that interval.
-	SampleInterval time.Duration
-}
-
-// StartTrace enables the protocol span tracer: every coherence fault
+// armTrace enables the protocol span tracer: every coherence fault
 // becomes a causally-linked span tree across the nodes it touches, and
-// process lifetimes and migrations are recorded. When w is non-nil, Run
-// writes the whole trace to it as Perfetto/Chrome trace-event JSON on
-// completion. Call before Run; calling twice or after Run panics.
-func (c *Cluster) StartTrace(w io.Writer, opts TraceOpts) {
-	if c.ran {
-		panic("ivy: StartTrace after Run")
-	}
-	if c.tr != nil {
-		panic("ivy: StartTrace called twice")
-	}
+// process lifetimes and migrations are recorded. When tc.W is non-nil,
+// Run writes the whole trace to it as Perfetto/Chrome trace-event JSON
+// on completion.
+func (c *Cluster) armTrace(tc TraceConfig) {
 	if c.nw == nil {
 		panic("ivy: span tracing is a simulator plane; not available over " + c.cfg.Transport)
 	}
 	c.tr = trace.NewCollector(func() time.Duration { return c.eng.Now().Duration() })
-	c.traceW = w
-	c.sampleIvl = opts.SampleInterval
+	c.traceW = tc.W
+	c.sampleIvl = tc.SampleInterval
 	c.nw.SetTracer(c.tr)
 	for i, svm := range c.svms {
 		svm.Disk().SetTracer(c.tr, i)

@@ -65,7 +65,7 @@ type ClusterStats = stats.Cluster
 type Latency = stats.Latency
 
 // TraceConfig turns on the protocol span tracer for a cluster built
-// from a Config — the declarative alternative to calling StartTrace.
+// from a Config; Cluster.TraceCollector then returns the raw span log.
 type TraceConfig struct {
 	// W, when non-nil, receives the Perfetto/Chrome trace-event JSON
 	// when Run finishes (openable in ui.perfetto.dev).
@@ -192,12 +192,15 @@ type Config struct {
 	// internal/drace and DESIGN.md §10): accesses unordered by program
 	// synchronization — eventcounts, sequencers, test-and-set locks,
 	// spawn/join, migration — are collected as reports (RaceReports). The
-	// detector is an observer of the core seam (DESIGN.md §6) that takes
-	// word accesses, so the software TLBs are off while it is armed;
-	// schedules and message counts are unchanged, and the only
-	// virtual-time effect is the wire time of vector clocks piggybacked
-	// on NotifyReq/MigrateReq (see PROTOCOL.md). False — the default —
-	// costs one predicted branch per access.
+	// same detector is the memory model's value oracle: a read that does
+	// not return the last write to its word (under RC, a read ordered
+	// after that write) is reported as a stale read. The detector is an
+	// observer of the core seam (DESIGN.md §6) that takes word accesses,
+	// so the software TLBs are off while it is armed; schedules and
+	// message counts are unchanged, and the only virtual-time effect is
+	// the wire time of vector clocks piggybacked on NotifyReq/MigrateReq
+	// (see PROTOCOL.md). False — the default — costs one predicted
+	// branch per access.
 	DRace bool
 
 	// Profile arms the coherence profiler (see internal/metrics and

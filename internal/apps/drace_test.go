@@ -10,7 +10,7 @@ import (
 // race detector and requires zero reports: the suite's synchronization —
 // eventcount barriers, sequencers, test-and-set locks, spawn/join — must
 // order every shared access, with no accidental reliance on page-
-// coherence timing.
+// coherence timing, and every checked read must return the last write.
 //
 // One deliberate exception is declared, not fixed: TSP's workers read
 // the global upper bound without its lock (readUB in tsp.go). The bound
@@ -41,23 +41,42 @@ func TestAppsRaceClean(t *testing.T) {
 			return RunSortMerge(cfg, SortParams{Records: 1536, Seed: 23})
 		}},
 	}
+	// Every input runs the same program; the detector's value oracle
+	// checks each read against the last write under all five SC managers,
+	// and each ordered read under RC.
+	inputs := []struct {
+		name      string
+		alg       ivy.Algorithm
+		coherence string
+	}{
+		{"dynamic", ivy.DynamicDistributed, ivy.CoherenceSC},
+		{"centralized", ivy.ImprovedCentralized, ivy.CoherenceSC},
+		{"fixed", ivy.FixedDistributed, ivy.CoherenceSC},
+		{"broadcast", ivy.BroadcastManager, ivy.CoherenceSC},
+		{"basic", ivy.BasicCentralized, ivy.CoherenceSC},
+		{"rc", ivy.DynamicDistributed, ivy.CoherenceRC},
+	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := smallCfg(4)
-			cfg.DRace = true
-			res, err := tc.run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tot := res.Stats.Total()
-			if tot.SVM.RaceChecks == 0 {
-				t.Fatal("detector armed but no accesses were checked")
-			}
-			if tot.SVM.RaceReports != 0 {
-				t.Fatalf("%d race reports in a synchronized program (checks=%d)",
-					tot.SVM.RaceReports, tot.SVM.RaceChecks)
+			for _, in := range inputs {
+				t.Run(in.name, func(t *testing.T) {
+					cfg := smallCfg(4)
+					cfg.Algorithm, cfg.Coherence = in.alg, in.coherence
+					cfg.DRace = true
+					res, err := tc.run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tot := res.Stats.Total()
+					if tot.SVM.RaceChecks == 0 {
+						t.Fatal("detector armed but no accesses were checked")
+					}
+					if tot.SVM.RaceReports != 0 {
+						t.Fatalf("%d race or stale-read reports in a synchronized program (checks=%d)",
+							tot.SVM.RaceReports, tot.SVM.RaceChecks)
+					}
+				})
 			}
 		})
 	}

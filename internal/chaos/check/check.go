@@ -1,20 +1,26 @@
-// Package check runs randomized multi-writer workloads over the shared
-// virtual memory while the chaos fault plane fires, records every read
-// and write into a per-location history, and verifies sequential
-// consistency. The recording exploits the simulator's determinism: the
-// engine runs one fiber at a time and the accessors touch the byte as
-// the last step before returning, so appending to the history right
-// after each access captures the true linearization order of the
-// memory. In that order the shared memory must behave as an array of
-// atomic registers — every read returns the most recent write to its
-// location (or zero before the first write) — and each worker's writes
-// to a location must appear in issue order. A correct write-invalidate
-// protocol guarantees both under any fault schedule the plane can
-// produce; the broken-invalidation hook (ivy.ChaosOpts.BreakInvalidation)
-// is the planted bug proving the checker catches violations.
+// Package check runs multi-writer workloads over the shared virtual
+// memory while the chaos fault plane fires, and holds the memory to its
+// model. The model is one sentence: a read returns the value of the most
+// recent write. The race detector's value oracle checks it on every
+// access (drace; DESIGN.md §10), so every checker run arms
+// ivy.Config.DRace, and a run's violations are the oracle's stale-read
+// reports.
 //
-// When a configuration fails, Shrink reduces it to the smallest seed and
-// fault budget that still fail, producing a minimal reproducer.
+// There are two workloads, one per coherence protocol:
+//
+//   - SC: randomized reads and writes by pinned workers over a few
+//     shared pages. The accesses race on purpose; sequential consistency
+//     still makes the memory an array of atomic registers, so every read
+//     is checked.
+//   - RC: per-worker slots on falsely shared pages, rewritten each round,
+//     with an eventcount barrier between the write and read phases (see
+//     rc.go). Release consistency promises the last write only to reads
+//     ordered after it, and every read here is.
+//
+// A correct protocol passes under any fault schedule the plane can
+// produce. The planted bugs (ivy.ChaosOpts.BreakInvalidation for SC,
+// DropWriteNotice for RC) prove the oracle catches violations. When a
+// configuration fails, Shrink reduces it to a minimal reproducer.
 package check
 
 import (
@@ -27,14 +33,15 @@ import (
 
 // Config describes one checker run. Zero fields take defaults.
 type Config struct {
-	Algorithm ivy.Algorithm
+	Algorithm ivy.Algorithm // SC manager; ignored under RC
+	Coherence string        // ivy.CoherenceSC (default) or ivy.CoherenceRC: picks the workload
 	Seed      int64
 
 	Nodes   int // cluster size (default 4)
-	Workers int // concurrent writers, pinned worker i -> node i%Nodes (default 4)
-	Ops     int // accesses per worker (default 60)
-	Pages   int // shared pages under test (default 6)
-	Slots   int // locations per page (default 4)
+	Workers int // pinned worker i -> node i%Nodes (default 4)
+	Ops     int // per worker: SC accesses (default 60), RC write/read rounds (default 6)
+	Pages   int // shared pages under test (default SC 6, RC 4)
+	Slots   int // SC locations per page (default 4); RC has one slot per worker
 
 	PageSize int           // bytes per page (default 256)
 	Horizon  time.Duration // virtual-time bound (default 1h)
@@ -42,24 +49,24 @@ type Config struct {
 	Chaos *ivy.ChaosOpts // fault plane; nil = healthy ring
 }
 
+func (cfg Config) rc() bool { return cfg.Coherence == ivy.CoherenceRC }
+
 func (cfg Config) withDefaults() Config {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 4
+	def := func(v *int, d int) {
+		if *v == 0 {
+			*v = d
+		}
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Ops == 0 {
-		cfg.Ops = 60
-	}
-	if cfg.Pages == 0 {
-		cfg.Pages = 6
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 4
-	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 256
+	def(&cfg.Nodes, 4)
+	def(&cfg.Workers, 4)
+	def(&cfg.Slots, 4)
+	def(&cfg.PageSize, 256)
+	if cfg.rc() {
+		def(&cfg.Ops, 6)
+		def(&cfg.Pages, 4)
+	} else {
+		def(&cfg.Ops, 60)
+		def(&cfg.Pages, 6)
 	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = time.Hour
@@ -67,26 +74,19 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Event is one recorded shared-memory access, in linearization order.
-type Event struct {
-	Seq    int           // global order (== index in the history)
-	T      time.Duration // virtual time of the access
-	Worker int
-	Loc    int // page*Slots + slot
-	Write  bool
-	Val    uint64 // value written or read
-}
+// maxViolations caps Result.Violations.
+const maxViolations = 16
 
 // Result is one run's verdict.
 type Result struct {
-	Violations    []string // sequential-consistency violations found
+	Violations    []string // stale reads the oracle found, and an incomplete RC schedule
 	CoherenceErrs []string // protocol-invariant breaks from VerifyCoherence
 	RunErr        error    // horizon/deadlock failure, nil on a clean run
 
 	Elapsed       time.Duration // virtual time the workload took
-	Events        int
-	HistoryDigest uint64 // FNV-1a over every recorded event (incl. times)
-	ChaosDigest   uint64 // fault-schedule digest from the injector
+	Events        int           // accesses the workload recorded (RC: reads)
+	HistoryDigest uint64        // FNV-1a over every recorded (time, worker, location, value)
+	ChaosDigest   uint64        // fault-schedule digest from the injector
 	ChaosStats    ivy.ChaosStats
 }
 
@@ -100,8 +100,76 @@ func (r Result) String() string {
 		r.Events, r.Elapsed, len(r.Violations), len(r.CoherenceErrs), r.RunErr)
 }
 
-// xorshift64 is the workers' private mixing PRNG. Deliberately not the
-// engine's source: workload decisions must not interleave with the
+// history counts a workload's accesses and folds each through FNV-1a,
+// so equal digests mean bit-identical executions, virtual times
+// included.
+type history struct {
+	n int
+	h uint64
+}
+
+func (h *history) note(t time.Duration, worker, loc int, val uint64) {
+	h.n++
+	for _, v := range [...]uint64{uint64(t), uint64(worker)<<32 | uint64(loc), val} {
+		for i := 0; i < 8; i++ {
+			h.h ^= (v >> (8 * i)) & 0xff
+			h.h *= 1099511628211
+		}
+	}
+}
+
+// Run executes one checker run: build the cluster with the oracle armed,
+// run the workload, and collect the verdict.
+func Run(cfg Config) Result {
+	cfg = cfg.withDefaults()
+	cl := ivy.New(ivy.Config{
+		Processors:  cfg.Nodes,
+		PageSize:    cfg.PageSize,
+		SharedPages: cfg.Pages + 64, // workload pages + stacks and sync arena headroom
+		Algorithm:   cfg.Algorithm,
+		Coherence:   cfg.Coherence,
+		Seed:        cfg.Seed,
+		StackPages:  1,
+		Horizon:     cfg.Horizon,
+		Chaos:       cfg.Chaos,
+		DRace:       true,
+	})
+	hist := history{h: 14695981039346656037}
+	workload := scWorkload
+	if cfg.rc() {
+		workload = rcWorkload
+	}
+	runErr := cl.Run(func(p *ivy.Proc) { workload(cfg, p, &hist) })
+
+	res := Result{
+		RunErr:        runErr,
+		Elapsed:       cl.Elapsed(),
+		Events:        hist.n,
+		HistoryDigest: hist.h,
+		ChaosDigest:   cl.ChaosDigest(),
+		ChaosStats:    cl.ChaosStats(),
+	}
+	if runErr == nil {
+		for _, err := range cl.VerifyCoherence() {
+			res.CoherenceErrs = append(res.CoherenceErrs, err.Error())
+		}
+	}
+	for _, r := range cl.RaceReports() {
+		if r.Stale && len(res.Violations) < maxViolations {
+			res.Violations = append(res.Violations, r.String())
+		}
+	}
+	// A worker that silently skipped its read phase would hide a
+	// hang-shaped bug from the oracle.
+	if want := cfg.Ops * cfg.Workers * (cfg.Workers - 1) * cfg.Pages; cfg.rc() && hist.n != want {
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("history has %d reads, want %d — a worker skipped part of its schedule", hist.n, want))
+	}
+	return res
+}
+
+// xorshift64 is the SC workers' private mixing PRNG. Deliberately not
+// the engine's source: workload decisions must not interleave with the
 // fault plane's draws, so a different chaos configuration replays the
 // same access pattern.
 func xorshift64(x uint64) uint64 {
@@ -111,229 +179,129 @@ func xorshift64(x uint64) uint64 {
 	return x
 }
 
-// Run executes one checker run: build the cluster, run the workload,
-// check the history.
-func Run(cfg Config) Result {
-	cfg = cfg.withDefaults()
-	cl := ivy.New(ivy.Config{
-		Processors:  cfg.Nodes,
-		PageSize:    cfg.PageSize,
-		SharedPages: cfg.Pages + 64, // workload pages + stacks and eventcount
-		MemoryPages: 0,
-		Algorithm:   cfg.Algorithm,
-		Seed:        cfg.Seed,
-		StackPages:  1,
-		Horizon:     cfg.Horizon,
-		Chaos:       cfg.Chaos,
-	})
-
+// scWorkload runs cfg.Workers workers, each issuing cfg.Ops random
+// reads and writes over cfg.Pages*cfg.Slots word locations.
+func scWorkload(cfg Config, p *ivy.Proc, hist *history) {
 	nLocs := cfg.Pages * cfg.Slots
-	var history []Event
-	record := func(worker, loc int, write bool, val uint64, t time.Duration) {
-		history = append(history, Event{
-			Seq: len(history), T: t, Worker: worker, Loc: loc, Write: write, Val: val,
-		})
+	base := p.MustMalloc(uint64(cfg.Pages * cfg.PageSize))
+	addrOf := func(loc int) uint64 {
+		page, slot := loc/cfg.Slots, loc%cfg.Slots
+		return base + uint64(page*cfg.PageSize+slot*8)
 	}
-
-	runErr := cl.Run(func(p *ivy.Proc) {
-		base := p.MustMalloc(uint64(cfg.Pages * cfg.PageSize))
-		addrOf := func(loc int) uint64 {
-			page, slot := loc/cfg.Slots, loc%cfg.Slots
-			return base + uint64(page*cfg.PageSize+slot*8)
-		}
-		done := p.NewEventcount(1)
-		for w := 0; w < cfg.Workers; w++ {
-			w := w
-			p.CreateOn(w%cfg.Nodes, func(q *ivy.Proc) {
-				// Mix the seed so workers diverge; |1 keeps xorshift off
-				// its zero fixed point.
-				r := xorshift64(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(w+1) | 1)
-				for op := 0; op < cfg.Ops; op++ {
-					r = xorshift64(r)
-					loc := int(r % uint64(nLocs))
-					r = xorshift64(r)
-					if r&1 == 0 {
-						// Values encode (worker, op), so a violation report
-						// names the write a bad read exposed, and the
-						// checker can verify per-worker write order from
-						// values alone. Never zero, the pre-first-write
-						// reading.
-						val := uint64(w+1)<<32 | uint64(op+1)
-						q.WriteU64(addrOf(loc), val)
-						record(w, loc, true, val, q.Now())
-					} else {
-						val := q.ReadU64(addrOf(loc))
-						record(w, loc, false, val, q.Now())
-					}
-					// A short compute gap varies the interleaving without
-					// adding traffic.
-					r = xorshift64(r)
-					q.Compute(time.Duration(r % 50_000))
+	done := p.NewEventcount(1)
+	for w := 0; w < cfg.Workers; w++ {
+		p.CreateOn(w%cfg.Nodes, func(q *ivy.Proc) {
+			// Mix the seed so workers diverge; |1 keeps xorshift off its
+			// zero fixed point.
+			r := xorshift64(uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(w+1) | 1)
+			for op := 0; op < cfg.Ops; op++ {
+				r = xorshift64(r)
+				loc := int(r % uint64(nLocs))
+				r = xorshift64(r)
+				var val uint64
+				if r&1 == 0 {
+					// Values encode (worker, op), so a stale-read report
+					// names the write the bad read exposed. Never zero,
+					// the pre-first-write reading.
+					val = uint64(w+1)<<32 | uint64(op+1)
+					q.WriteU64(addrOf(loc), val)
+				} else {
+					val = q.ReadU64(addrOf(loc))
 				}
-				done.Advance(q)
-			}, ivy.WithName(fmt.Sprintf("chaos-worker%d", w)), ivy.NotMigratable())
-		}
-		done.Wait(p, int64(cfg.Workers))
-	})
-
-	res := Result{
-		RunErr:        runErr,
-		Elapsed:       cl.Elapsed(),
-		Events:        len(history),
-		HistoryDigest: digestHistory(history),
-		ChaosDigest:   cl.ChaosDigest(),
-		ChaosStats:    cl.ChaosStats(),
-	}
-	if runErr == nil {
-		for _, err := range cl.VerifyCoherence() {
-			res.CoherenceErrs = append(res.CoherenceErrs, err.Error())
-		}
-	}
-	res.Violations = CheckHistory(history, nLocs)
-	return res
-}
-
-// CheckHistory verifies the recorded linearization order against atomic-
-// register semantics: each read returns the latest write to its location
-// (zero before any write), and each worker's writes to a location carry
-// increasing embedded op numbers. Returns human-readable violations,
-// capped at 16.
-func CheckHistory(history []Event, nLocs int) []string {
-	const maxReports = 16
-	var out []string
-	report := func(format string, args ...any) {
-		if len(out) < maxReports {
-			out = append(out, fmt.Sprintf(format, args...))
-		}
-	}
-	last := make([]Event, nLocs)     // last write per location (Val 0 = none)
-	lastOp := make(map[int64]uint64) // (worker,loc) -> last embedded op number
-	for _, ev := range history {
-		if ev.Loc < 0 || ev.Loc >= nLocs {
-			report("event %d: location %d out of range", ev.Seq, ev.Loc)
-			continue
-		}
-		if ev.Write {
-			if op := ev.Val & 0xffffffff; true {
-				k := int64(ev.Worker)<<32 | int64(ev.Loc)
-				if prev := lastOp[k]; op <= prev {
-					report("event %d at %v: worker %d wrote op %d to loc %d after op %d — program order broken",
-						ev.Seq, ev.T, ev.Worker, op, ev.Loc, prev)
-				}
-				lastOp[k] = op
+				hist.note(q.Now(), w, loc, val)
+				// A short compute gap varies the interleaving without
+				// adding traffic.
+				r = xorshift64(r)
+				q.Compute(time.Duration(r % 50_000))
 			}
-			last[ev.Loc] = ev
-			continue
-		}
-		want := last[ev.Loc].Val
-		if ev.Val != want {
-			lw := last[ev.Loc]
-			if want == 0 {
-				report("event %d at %v: worker %d read %#x from loc %d before any write (want 0)",
-					ev.Seq, ev.T, ev.Worker, ev.Val, ev.Loc)
-			} else {
-				report("event %d at %v: worker %d read %#x from loc %d, but the latest write (event %d at %v by worker %d) put %#x — stale copy",
-					ev.Seq, ev.T, ev.Worker, ev.Val, ev.Loc, lw.Seq, lw.T, lw.Worker, want)
-			}
-		}
+			done.Advance(q)
+		}, ivy.WithName(fmt.Sprintf("chaos-worker%d", w)), ivy.NotMigratable())
 	}
-	return out
-}
-
-// digestHistory folds the full history — values, order, and virtual
-// times — through FNV-1a, so equal digests mean bit-identical recorded
-// executions.
-func digestHistory(history []Event) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		const prime = 1099511628211
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	for _, ev := range history {
-		mix(uint64(ev.T))
-		mix(uint64(ev.Worker)<<32 | uint64(ev.Loc))
-		if ev.Write {
-			mix(1)
-		} else {
-			mix(0)
-		}
-		mix(ev.Val)
-	}
-	return h
+	done.Wait(p, int64(cfg.Workers))
 }
 
 // Shrink reduces a failing configuration to a minimal reproducer: the
-// smallest seed in [1,8] that still fails, then without its crash
-// schedule if the crashes are not needed, then the smallest fault budget
-// (binary search on MaxFaults; budget 0 clears the fault probabilities
-// entirely) that still fails. The returned config is guaranteed failing;
-// Shrink panics if cfg itself does not fail (nothing to shrink).
+// smallest failing seed in [1,8]; then, when a fault plane is armed, no
+// crash schedule if the failure survives without it and the smallest
+// failing fault budget (budget 0 clears the fault probabilities
+// entirely); then the smallest failing workload (ops, then pages, then
+// workers). A failure the oracle saw is kept one: every step must still
+// report a violation. The returned config is guaranteed failing; Shrink
+// panics if cfg itself passes (nothing to shrink).
 func Shrink(cfg Config) (Config, Result) {
 	cfg = cfg.withDefaults()
 	res := Run(cfg)
 	if !res.Failing() {
 		panic("check: Shrink of a passing configuration")
 	}
-
-	// Smallest failing seed.
-	for s := int64(1); s <= 8 && s < cfg.Seed; s++ {
+	fails := Result.Failing
+	if len(res.Violations) > 0 {
+		fails = func(r Result) bool { return len(r.Violations) > 0 }
+	}
+	try := func(mut func(*Config)) bool {
 		c := cfg
-		c.Seed = s
-		if r := Run(c); r.Failing() {
+		mut(&c)
+		if r := Run(c); fails(r) {
 			cfg, res = c, r
+			return true
+		}
+		return false
+	}
+
+	for s := int64(1); s <= 8 && s < cfg.Seed; s++ {
+		if try(func(c *Config) { c.Seed = s }) {
 			break
 		}
 	}
 
-	if cfg.Chaos == nil {
-		return cfg, res
-	}
-
-	// Drop the crash schedule if the failure survives without it.
-	if len(cfg.Chaos.Crashes) > 0 {
-		c := cfg
-		ch := *cfg.Chaos
-		ch.Crashes = nil
-		c.Chaos = &ch
-		if r := Run(c); r.Failing() {
-			cfg, res = c, r
+	if cfg.Chaos != nil {
+		withChaos := func(mut func(*ivy.ChaosOpts)) func(*Config) {
+			return func(c *Config) {
+				ch := *c.Chaos
+				mut(&ch)
+				c.Chaos = &ch
+			}
 		}
-	}
-
-	// Binary-search the smallest failing fault budget. The injector's
-	// random-draw consumption is budget-independent, so budget b replays
-	// the first b faults of the full schedule exactly.
-	if withBudget := func(b int) Config {
-		c := cfg
-		ch := *cfg.Chaos
-		if b == 0 {
-			ch.DuplicateProbability = 0
-			ch.DelayProbability = 0
-			ch.LossProbability = 0
-			ch.BurstProbability = 0
-			ch.MaxFaults = 0
-		} else {
-			ch.MaxFaults = b
+		if len(cfg.Chaos.Crashes) > 0 {
+			try(withChaos(func(ch *ivy.ChaosOpts) { ch.Crashes = nil }))
 		}
-		c.Chaos = &ch
-		return c
-	}; true {
-		lo, hi := 0, res.ChaosStats.Spent // lo..hi: hi known failing
-		best, bestRes := cfg, res
-		for lo < hi {
+		// Binary-search the smallest failing fault budget. The injector's
+		// random-draw consumption is budget-independent, so budget b
+		// replays the first b faults of the full schedule exactly.
+		for lo, hi := 0, res.ChaosStats.Spent; lo < hi; { // hi is known failing
 			mid := lo + (hi-lo)/2
-			c := withBudget(mid)
-			if r := Run(c); r.Failing() {
+			if try(withChaos(func(ch *ivy.ChaosOpts) {
+				ch.MaxFaults = mid
+				if mid == 0 {
+					ch.DuplicateProbability = 0
+					ch.DelayProbability = 0
+					ch.LossProbability = 0
+					ch.BurstProbability = 0
+				}
+			})) {
 				hi = mid
-				best, bestRes = c, r
 			} else {
 				lo = mid + 1
 			}
 		}
-		cfg, res = best, bestRes
+	}
+
+	// Smallest failing workload, one dimension at a time, trying the
+	// powers of two below the current size from the smallest up. A
+	// single worker has no one to race with, so workers stop at two.
+	for _, dim := range []struct {
+		field func(*Config) *int
+		min   int
+	}{
+		{func(c *Config) *int { return &c.Ops }, 1},
+		{func(c *Config) *int { return &c.Pages }, 1},
+		{func(c *Config) *int { return &c.Workers }, 2},
+	} {
+		for v := dim.min; v < *dim.field(&cfg); v *= 2 {
+			if try(func(c *Config) { *dim.field(c) = v }) {
+				break
+			}
+		}
 	}
 	return cfg, res
 }

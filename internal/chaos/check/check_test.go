@@ -55,7 +55,7 @@ func TestSequentialConsistencyUnderChaos(t *testing.T) {
 					t.Fatalf("seed %d: run failed: %v", seed, res.RunErr)
 				}
 				for _, v := range res.Violations {
-					t.Errorf("seed %d: SC violation: %s", seed, v)
+					t.Errorf("seed %d: %s", seed, v)
 				}
 				for _, e := range res.CoherenceErrs {
 					t.Errorf("seed %d: coherence: %s", seed, e)
@@ -102,7 +102,7 @@ func TestChaosReplayBitIdentical(t *testing.T) {
 
 // TestBrokenInvalidationCaughtAndShrunk plants the bug: invalidations
 // are acknowledged but never applied, so stale copies survive. The
-// checker must catch the resulting stale reads, and Shrink must reduce
+// oracle must catch the resulting stale reads, and Shrink must reduce
 // the reproducer to a configuration whose failure no longer depends on
 // the fault schedule at all.
 func TestBrokenInvalidationCaughtAndShrunk(t *testing.T) {
@@ -113,23 +113,19 @@ func TestBrokenInvalidationCaughtAndShrunk(t *testing.T) {
 	if !res.Failing() {
 		t.Fatalf("broken invalidation not caught: %v", res)
 	}
-	staleSeen := false
+	if len(res.Violations) == 0 {
+		t.Fatalf("expected stale reads, got only: %v", res)
+	}
 	for _, v := range res.Violations {
-		if strings.Contains(v, "stale copy") {
-			staleSeen = true
-			break
+		if !strings.HasPrefix(v, "stale read") {
+			t.Errorf("violation is not a stale read: %s", v)
 		}
 	}
-	if !staleSeen && len(res.Violations) > 0 {
-		t.Logf("violations found but none tagged stale: %q", res.Violations[0])
-	}
-	if len(res.Violations) == 0 {
-		t.Fatalf("expected SC violations, got only: %v", res)
-	}
+	t.Logf("seed 5: %d stale reads; first: %s", len(res.Violations), res.Violations[0])
 
 	shrunk, sres := Shrink(cfg)
-	if !sres.Failing() {
-		t.Fatalf("shrunk configuration does not fail: %v", sres)
+	if len(sres.Violations) == 0 {
+		t.Fatalf("shrunk configuration reports no stale read: %v", sres)
 	}
 	if shrunk.Seed > cfg.Seed {
 		t.Errorf("shrink increased the seed: %d -> %d", cfg.Seed, shrunk.Seed)
@@ -143,8 +139,8 @@ func TestBrokenInvalidationCaughtAndShrunk(t *testing.T) {
 	if sres.ChaosStats.Spent != 0 {
 		t.Errorf("shrunk run still injected %d faults", sres.ChaosStats.Spent)
 	}
-	t.Logf("shrunk: seed=%d budget=%d crashes=%d -> %v",
-		shrunk.Seed, shrunk.Chaos.MaxFaults, len(shrunk.Chaos.Crashes), sres)
+	t.Logf("shrunk: seed=%d ops=%d pages=%d workers=%d budget=%d crashes=%d -> %v",
+		shrunk.Seed, shrunk.Ops, shrunk.Pages, shrunk.Workers, shrunk.Chaos.MaxFaults, len(shrunk.Chaos.Crashes), sres)
 }
 
 // TestHealthyRunClean sanity-checks the harness itself: with no fault
@@ -156,31 +152,5 @@ func TestHealthyRunClean(t *testing.T) {
 	}
 	if res.ChaosDigest != 0 {
 		t.Errorf("healthy run has a chaos digest: %#x", res.ChaosDigest)
-	}
-}
-
-// TestCheckHistoryLitmus exercises the checker's own logic on
-// hand-written histories — the checker is test infrastructure, so it
-// gets its own unit tests.
-func TestCheckHistoryLitmus(t *testing.T) {
-	w := func(seq, worker, loc int, val uint64) Event {
-		return Event{Seq: seq, Worker: worker, Loc: loc, Write: true, Val: val}
-	}
-	r := func(seq, worker, loc int, val uint64) Event {
-		return Event{Seq: seq, Worker: worker, Loc: loc, Write: false, Val: val}
-	}
-	v1 := uint64(1)<<32 | 1
-	v2 := uint64(1)<<32 | 2
-	if got := CheckHistory([]Event{w(0, 0, 0, v1), r(1, 1, 0, v1), w(2, 0, 0, v2), r(3, 1, 0, v2)}, 4); len(got) != 0 {
-		t.Errorf("clean history flagged: %q", got)
-	}
-	if got := CheckHistory([]Event{w(0, 0, 0, v1), w(1, 0, 0, v2), r(2, 1, 0, v1)}, 4); len(got) == 0 {
-		t.Error("stale read not flagged")
-	}
-	if got := CheckHistory([]Event{r(0, 1, 2, 99)}, 4); len(got) == 0 {
-		t.Error("read-before-write of nonzero value not flagged")
-	}
-	if got := CheckHistory([]Event{w(0, 0, 0, v2), w(1, 0, 0, v1)}, 4); len(got) == 0 {
-		t.Error("program-order inversion not flagged")
 	}
 }

@@ -1,305 +1,54 @@
-// Release-consistency checker. The SC checker's randomized mixed
-// read/write workload is exactly what RC does NOT promise to order —
-// data races are undefined under release consistency — so the RC
-// checker runs the strongest race-free false-sharing workload instead:
-// every page carries one slot per worker, every worker rewrites its
-// slot on every page each round, and an eventcount barrier separates
-// the write phase from the read phase (and the read phase from the
-// next round's writes). Every write a reader observes is therefore
-// separated from it by a release/acquire pair, and RC's contract
-// collapses to a deterministic one: after the barrier of round t, the
-// slot of worker w on page g MUST read as encode(w, t, g). A dropped
-// write notice (ivy.ChaosOpts.DropWriteNotice, the planted bug) leaves
-// an acquirer's cached copy stale and surfaces as a wrong round number
-// in the value — which the report decodes and names.
 package check
 
 import (
 	"fmt"
-	"time"
 
 	ivy "repro"
 	"repro/internal/apps"
 )
 
-// RCConfig describes one release-consistency checker run. Zero fields
-// take defaults.
-type RCConfig struct {
-	Seed int64
-
-	Nodes   int // cluster size (default 4)
-	Workers int // slots per page, worker i pinned to node i%Nodes (default 4)
-	Rounds  int // write/read rounds (default 6)
-	Pages   int // falsely shared pages, each written by every worker (default 4)
-
-	PageSize int           // bytes per page (default 256)
-	Horizon  time.Duration // virtual-time bound (default 1h)
-
-	Chaos *ivy.ChaosOpts // fault plane; nil = healthy ring
-}
-
-func (cfg RCConfig) withDefaults() RCConfig {
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 4
+// rcWorkload is the release-consistency workload. The SC workload's
+// racy mix is exactly what RC does NOT promise to order, so this one is
+// the strongest race-free false-sharing workload instead: every page
+// carries one slot per worker, every worker rewrites its slot on every
+// page each round, and an eventcount barrier separates the write phase
+// from the read phase (and the read phase from the next round's writes).
+// Every read is therefore ordered after the write it must return, and
+// the oracle checks them all. A dropped write notice
+// (ivy.ChaosOpts.DropWriteNotice, the planted bug) leaves an acquirer's
+// cached copy stale; the stale-read report's values decode to the round
+// the reader saw and the round it should have.
+func rcWorkload(cfg Config, p *ivy.Proc, hist *history) {
+	base := p.MustMalloc(uint64(cfg.Pages * cfg.PageSize))
+	slotAddr := func(page, worker int) uint64 {
+		return base + uint64(page*cfg.PageSize+worker*8)
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 6
-	}
-	if cfg.Pages == 0 {
-		cfg.Pages = 4
-	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 256
-	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = time.Hour
-	}
-	return cfg
-}
-
-// RCEvent is one recorded cross-worker read, in linearization order.
-type RCEvent struct {
-	Seq    int
-	T      time.Duration // virtual time of the read
-	Round  int
-	Reader int
-	Owner  int // worker whose slot was read
-	Page   int
-	Val    uint64
-}
-
-// encodeRC packs (worker, round, page) into a slot value. All three
-// components are recoverable, so a violation report can say which
-// round's write the reader actually saw.
-func encodeRC(worker, round, page int) uint64 {
-	return uint64(worker+1)<<40 | uint64(round)<<16 | uint64(page+1)
-}
-
-// RunRC executes one release-consistency checker run.
-func RunRC(cfg RCConfig) Result {
-	cfg = cfg.withDefaults()
-	cl := ivy.New(ivy.Config{
-		Processors:  cfg.Nodes,
-		PageSize:    cfg.PageSize,
-		SharedPages: cfg.Pages + 64, // workload pages + sync arena headroom
-		MemoryPages: 0,
-		Seed:        cfg.Seed,
-		StackPages:  1,
-		Horizon:     cfg.Horizon,
-		Coherence:   ivy.CoherenceRC,
-		Chaos:       cfg.Chaos,
-	})
-
-	var history []RCEvent
-	record := func(round, reader, owner, page int, val uint64, t time.Duration) {
-		history = append(history, RCEvent{
-			Seq: len(history), T: t, Round: round, Reader: reader, Owner: owner, Page: page, Val: val,
-		})
-	}
-
-	runErr := cl.Run(func(p *ivy.Proc) {
-		base := p.MustMalloc(uint64(cfg.Pages * cfg.PageSize))
-		slotAddr := func(page, worker int) uint64 {
-			return base + uint64(page*cfg.PageSize+worker*8)
-		}
-		bar := apps.NewBarrier(p, cfg.Workers)
-		done := p.NewEventcount(1)
-		for w := 0; w < cfg.Workers; w++ {
-			w := w
-			p.CreateOn(w%cfg.Nodes, func(q *ivy.Proc) {
-				for t := 1; t <= cfg.Rounds; t++ {
-					for pg := 0; pg < cfg.Pages; pg++ {
-						q.WriteU64(slotAddr(pg, w), encodeRC(w, t, pg))
-					}
-					// Barrier 2t-1: every round-t write is released before
-					// any reader acquires.
-					bar.Await(q, 2*t-1)
-					for pg := 0; pg < cfg.Pages; pg++ {
-						for o := 0; o < cfg.Workers; o++ {
-							if o == w {
-								continue
-							}
-							val := q.ReadU64(slotAddr(pg, o))
-							record(t, w, o, pg, val, q.Now())
+	bar := apps.NewBarrier(p, cfg.Workers)
+	done := p.NewEventcount(1)
+	for w := 0; w < cfg.Workers; w++ {
+		p.CreateOn(w%cfg.Nodes, func(q *ivy.Proc) {
+			for t := 1; t <= cfg.Ops; t++ {
+				for pg := 0; pg < cfg.Pages; pg++ {
+					// (worker, round, page), all recoverable from the value.
+					q.WriteU64(slotAddr(pg, w), uint64(w+1)<<40|uint64(t)<<16|uint64(pg+1))
+				}
+				// Barrier 2t-1: every round-t write is released before
+				// any reader acquires.
+				bar.Await(q, 2*t-1)
+				for pg := 0; pg < cfg.Pages; pg++ {
+					for o := 0; o < cfg.Workers; o++ {
+						if o != w {
+							v := q.ReadU64(slotAddr(pg, o))
+							hist.note(q.Now(), w, pg*cfg.Workers+o, v)
 						}
 					}
-					// Barrier 2t: all round-t reads land before anyone
-					// starts round t+1's writes — the workload stays
-					// race-free.
-					bar.Await(q, 2*t)
 				}
-				done.Advance(q)
-			}, ivy.WithName(fmt.Sprintf("rc-worker%d", w)), ivy.NotMigratable())
-		}
-		done.Wait(p, int64(cfg.Workers))
-	})
-
-	res := Result{
-		RunErr:        runErr,
-		Elapsed:       cl.Elapsed(),
-		Events:        len(history),
-		HistoryDigest: digestRCHistory(history),
-		ChaosDigest:   cl.ChaosDigest(),
-		ChaosStats:    cl.ChaosStats(),
-	}
-	if runErr == nil {
-		for _, err := range cl.VerifyCoherence() {
-			res.CoherenceErrs = append(res.CoherenceErrs, err.Error())
-		}
-	}
-	res.Violations = CheckRCHistory(history, cfg)
-	return res
-}
-
-// CheckRCHistory verifies every recorded read against the barrier
-// contract: a round-t read of worker w's slot on page g returns
-// encode(w, t, g), nothing else. It also checks the history is
-// complete — a worker that silently skipped its read phase would
-// otherwise hide a hang-shaped bug. Reports are capped at 16.
-func CheckRCHistory(history []RCEvent, cfg RCConfig) []string {
-	cfg = cfg.withDefaults()
-	const maxReports = 16
-	var out []string
-	report := func(format string, args ...any) {
-		if len(out) < maxReports {
-			out = append(out, fmt.Sprintf(format, args...))
-		}
-	}
-	for _, ev := range history {
-		want := encodeRC(ev.Owner, ev.Round, ev.Page)
-		if ev.Val == want {
-			continue
-		}
-		if ev.Val == 0 {
-			// In round 1 a stale frame still holds the pre-write zero
-			// page; later rounds decode to the round actually seen.
-			report("event %d at %v: worker %d read worker %d's slot on page %d after the round-%d barrier but saw the zero page — stale copy, write notice lost",
-				ev.Seq, ev.T, ev.Reader, ev.Owner, ev.Page, ev.Round)
-		} else if seen := int(ev.Val >> 16 & 0xFFFFFF); ev.Val == encodeRC(ev.Owner, seen, ev.Page) && seen < ev.Round {
-			report("event %d at %v: worker %d read worker %d's slot on page %d after the round-%d barrier but saw the round-%d value — stale copy, write notice lost",
-				ev.Seq, ev.T, ev.Reader, ev.Owner, ev.Page, ev.Round, seen)
-		} else {
-			report("event %d at %v: worker %d read %#x from worker %d's slot on page %d, want %#x",
-				ev.Seq, ev.T, ev.Reader, ev.Val, ev.Owner, ev.Page, want)
-		}
-	}
-	if want := cfg.Rounds * cfg.Workers * (cfg.Workers - 1) * cfg.Pages; len(history) != want {
-		report("history has %d reads, want %d — a worker skipped part of its schedule", len(history), want)
-	}
-	return out
-}
-
-// digestRCHistory folds the full read history — values, order, virtual
-// times — through FNV-1a; equal digests mean bit-identical executions.
-func digestRCHistory(history []RCEvent) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		const prime = 1099511628211
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	for _, ev := range history {
-		mix(uint64(ev.T))
-		mix(uint64(ev.Round)<<48 | uint64(ev.Reader)<<32 | uint64(ev.Owner)<<16 | uint64(ev.Page))
-		mix(ev.Val)
-	}
-	return h
-}
-
-// ShrinkRC reduces a failing RC configuration to a minimal reproducer:
-// smallest failing seed in [1,8], then the smallest failing workload
-// (rounds, then pages, then workers), then — when a fault plane is
-// armed — without the crash schedule and at the smallest failing fault
-// budget, exactly as the SC shrinker does. Panics if cfg passes.
-func ShrinkRC(cfg RCConfig) (RCConfig, Result) {
-	cfg = cfg.withDefaults()
-	res := RunRC(cfg)
-	if !res.Failing() {
-		panic("check: ShrinkRC of a passing configuration")
-	}
-
-	for s := int64(1); s <= 8 && s < cfg.Seed; s++ {
-		c := cfg
-		c.Seed = s
-		if r := RunRC(c); r.Failing() {
-			cfg, res = c, r
-			break
-		}
-	}
-
-	// Smallest failing workload, one dimension at a time, smallest first.
-	try := func(mut func(*RCConfig)) {
-		c := cfg
-		mut(&c)
-		if r := RunRC(c); r.Failing() {
-			cfg, res = c, r
-		}
-	}
-	for _, rounds := range []int{1, 2, 4} {
-		if rounds < cfg.Rounds {
-			try(func(c *RCConfig) { c.Rounds = rounds })
-			if cfg.Rounds == rounds {
-				break
+				// Barrier 2t: all round-t reads land before anyone starts
+				// round t+1's writes — the workload stays race-free.
+				bar.Await(q, 2*t)
 			}
-		}
+			done.Advance(q)
+		}, ivy.WithName(fmt.Sprintf("rc-worker%d", w)), ivy.NotMigratable())
 	}
-	for _, pages := range []int{1, 2} {
-		if pages < cfg.Pages {
-			try(func(c *RCConfig) { c.Pages = pages })
-			if cfg.Pages == pages {
-				break
-			}
-		}
-	}
-	if cfg.Workers > 2 {
-		try(func(c *RCConfig) { c.Workers = 2 })
-	}
-
-	if cfg.Chaos == nil {
-		return cfg, res
-	}
-
-	if len(cfg.Chaos.Crashes) > 0 {
-		c := cfg
-		ch := *cfg.Chaos
-		ch.Crashes = nil
-		c.Chaos = &ch
-		if r := RunRC(c); r.Failing() {
-			cfg, res = c, r
-		}
-	}
-
-	withBudget := func(b int) RCConfig {
-		c := cfg
-		ch := *cfg.Chaos
-		if b == 0 {
-			ch.DuplicateProbability = 0
-			ch.DelayProbability = 0
-			ch.LossProbability = 0
-			ch.BurstProbability = 0
-			ch.MaxFaults = 0
-		} else {
-			ch.MaxFaults = b
-		}
-		c.Chaos = &ch
-		return c
-	}
-	lo, hi := 0, res.ChaosStats.Spent
-	best, bestRes := cfg, res
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		c := withBudget(mid)
-		if r := RunRC(c); r.Failing() {
-			hi = mid
-			best, bestRes = c, r
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best, bestRes
+	done.Wait(p, int64(cfg.Workers))
 }

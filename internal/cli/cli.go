@@ -105,7 +105,7 @@ func (f *Flags) Register(flags *flag.FlagSet, which Flag) {
 	}
 	if which&DRace != 0 {
 		flags.BoolVar(&f.DRace, "drace", f.DRace,
-			"arm the happens-before data-race detector (virtual time and message counts unchanged)")
+			"arm the happens-before data-race detector and memory-model oracle: unordered accesses and stale reads are reported (message counts unchanged)")
 	}
 	if which&Profile != 0 {
 		flags.BoolVar(&f.Profile, "profile", f.Profile,

@@ -22,8 +22,8 @@ func (c stubCtx) Flush()               {}
 // TestResidentAccessDoesNotAllocate guards the tracing-off fast path:
 // with no collector attached, a resident read or write must not
 // allocate. The instrumentation sites are all nil-guarded, and this is
-// the check that keeps them that way — StartTrace's zero-cost-when-off
-// contract rests on it.
+// the check that keeps them that way — the span tracer's
+// zero-cost-when-off contract (Config.Trace) rests on it.
 func TestResidentAccessDoesNotAllocate(t *testing.T) {
 	r := newRig(t, 1, 1, testConfig(DynamicDistributed))
 	s := r.svms[0]

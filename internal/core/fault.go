@@ -99,19 +99,20 @@ func (s *SVM) pageOffset(addr uint64) int { return int(addr-s.base) & s.pageMask
 // its simulated cost.
 
 // runs walks [addr, addr+n) one page run at a time: it takes each run's
-// frame for mode, observes the run, and hands its bytes to fn with the
-// run's offset into the range.
+// frame for mode and hands its bytes to fn with the run's offset into
+// the range, observing a read run before fn and a write run after it.
 func (s *SVM) runs(ctx Ctx, addr uint64, n int, mode mmu.Access, fn func(b []byte, off int)) {
-	op := OpRead
-	if mode == mmu.AccessWrite {
-		op = OpWrite
-	}
 	for off := 0; off < n; {
 		a := addr + uint64(off)
 		chunk := min(s.pageSize-s.pageOffset(a), n-off)
 		fr, po := s.frame(ctx, a, chunk, mode)
-		s.Observe(ctx, op, a, uint64(chunk))
-		fn(fr[po:po+chunk], off)
+		if mode == mmu.AccessWrite {
+			fn(fr[po:po+chunk], off)
+			s.Observe(ctx, OpWrite, a, uint64(chunk))
+		} else {
+			s.Observe(ctx, OpRead, a, uint64(chunk))
+			fn(fr[po:po+chunk], off)
+		}
 		if words := (chunk - 1) / 8; words > 0 {
 			ctx.Charge(time.Duration(words) * s.costs.MemRef)
 		}
@@ -231,8 +232,8 @@ func (s *SVM) copyChunk(ctx Ctx, dst, src uint64, words int) bool {
 		return false // evicted
 	}
 	s.Observe(ctx, OpRead, src, uint64(words)*8)
-	s.Observe(ctx, OpWrite, dst, uint64(words)*8)
 	copy(dstFrame[dpo:dpo+8*words], srcFrame[spo:spo+8*words])
+	s.Observe(ctx, OpWrite, dst, uint64(words)*8)
 	if words > 1 {
 		ctx.Charge(time.Duration(2*(words-1)) * s.costs.MemRef)
 	}
@@ -335,8 +336,8 @@ func (s *SVM) WriteU64T(t *TLB, ctx Ctx, addr uint64, v uint64) {
 // writeU64TSlow finishes a write the call-free fast path could not.
 func (s *SVM) writeU64TSlow(t *TLB, ctx Ctx, addr uint64, v uint64) {
 	fr, po := s.charged(ctx, t, addr, 8, mmu.AccessWrite)
-	s.Observe(ctx, OpWrite, addr, 8)
 	binary.LittleEndian.PutUint64(fr[po:], v)
+	s.Observe(ctx, OpWrite, addr, 8)
 }
 
 // ReadI64 reads a 64-bit signed integer.
@@ -376,8 +377,8 @@ func (s *SVM) ReadU32(ctx Ctx, addr uint64) uint32 {
 // WriteU32 writes a little-endian 32-bit word.
 func (s *SVM) WriteU32(ctx Ctx, addr uint64, v uint32) {
 	fr, po := s.frame(ctx, addr, 4, mmu.AccessWrite)
-	s.Observe(ctx, OpWrite, addr, 4)
 	binary.LittleEndian.PutUint32(fr[po:], v)
+	s.Observe(ctx, OpWrite, addr, 4)
 }
 
 // ReadU8 reads one byte.
@@ -390,8 +391,8 @@ func (s *SVM) ReadU8(ctx Ctx, addr uint64) uint8 {
 // WriteU8 writes one byte.
 func (s *SVM) WriteU8(ctx Ctx, addr uint64, v uint8) {
 	fr, po := s.frame(ctx, addr, 1, mmu.AccessWrite)
-	s.Observe(ctx, OpWrite, addr, 1)
 	fr[po] = v
+	s.Observe(ctx, OpWrite, addr, 1)
 }
 
 // lockByte is the front half the four test-and-set primitives share: it

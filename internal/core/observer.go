@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"repro/internal/mmu"
 	"repro/internal/sim"
 )
@@ -81,8 +83,9 @@ type Observer interface {
 	// an instant in a no-reply handler).
 	Event(s *SVM, f *sim.Fiber, ev Event, at Edge, p mmu.PageID, n int)
 
-	// Access reports op on [addr, addr+n), after the fault handlers have
-	// secured the frame and before the bytes move.
+	// Access reports op on [addr, addr+n) once the fault handlers have
+	// secured the frame: a read before its bytes move, a write after, so
+	// SVM.PeekU64 shows the value either one moved.
 	Access(s *SVM, ctx Ctx, op Op, addr, n uint64)
 }
 
@@ -113,6 +116,17 @@ func (s *SVM) event(f *sim.Fiber, ev Event, at Edge, p mmu.PageID, n int) {
 	if s.obs != nil {
 		s.obs.Event(s, f, ev, at, p, n)
 	}
+}
+
+// PeekU64 returns the 8-byte word at addr in this node's resident frame,
+// or zero when the page is not resident. It charges nothing and leaves
+// the LRU order alone, so an observer can read the value an access moved.
+func (s *SVM) PeekU64(addr uint64) uint64 {
+	fr := s.pool.Peek(s.PageOf(addr))
+	if fr == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(fr[s.pageOffset(addr):])
 }
 
 // Observe reports a checked access. Every accessor that hands out frame

@@ -24,10 +24,21 @@
 // state) are registered with MarkSync and exempt from data checking;
 // their ordering is what the detector consumes, not what it checks.
 //
-// The detector runs entirely outside virtual time: arming it changes
-// no simulated timing, message count, or answer. The simulation is
-// single-threaded and deterministic, so reports are deterministic per
-// (seed, config) and deduplicate per (word, access pair).
+// The same shadow word is also the memory model's value oracle. It keeps
+// the value the last write left in the word, from any context, and each
+// tracked read must return that value. The engine runs one fiber at a
+// time, so the last write in dispatch order is the most recent write.
+// Under sequential consistency every read is held to it. Under release
+// consistency only a read ordered after the word's last write is: that
+// is RC's promise to data-race-free programs. A read that fails the
+// check is a stale read, reported like a race.
+//
+// The detector runs outside virtual time: arming it changes no message
+// count or answer, and the only timing it moves is the wire time of the
+// vector clocks the process layer piggybacks on notify and migration
+// messages. The simulation is single-threaded and deterministic, so
+// reports are deterministic per (seed, config); races deduplicate per
+// (word, access pair).
 package drace
 
 import (
@@ -48,7 +59,8 @@ func packEpoch(tid int, clock uint64) uint64 {
 
 // shadow is one shared word's access history.
 type shadow struct {
-	w   uint64   // last-write epoch (0 = never written)
+	w   uint64   // last-write epoch (0 = never written by a tracked thread)
+	v   uint64   // value the last write, tracked or not, left in the word
 	r   uint64   // last-read epoch when rvc == nil (0 = never read)
 	rvc []uint64 // read vector clock, non-nil once reads were concurrent
 }
@@ -62,7 +74,8 @@ type dedupKey struct {
 }
 
 // Report is one detected race: the current access and the prior access
-// it is unordered with.
+// it is unordered with. A stale read is reported the same way, with the
+// word's last write as the prior access.
 type Report struct {
 	Addr      uint64        // word address (8-byte aligned)
 	Page      int           // shared page, or -1 for out-of-range addresses
@@ -74,6 +87,9 @@ type Report struct {
 	PrevTid   int           // prior accessor's thread ID
 	PrevName  string        // prior accessor's name
 	PrevWrite bool          // prior access was a write
+
+	Stale     bool   // the read returned Got, not the last write's Want
+	Got, Want uint64 // for a stale read: the value read and the value expected
 }
 
 func accessKind(w bool) string {
@@ -84,6 +100,10 @@ func accessKind(w bool) string {
 }
 
 func (r Report) String() string {
+	if r.Stale {
+		return fmt.Sprintf("stale read: word 0x%x (page %d) read by %q on node %d at %v returned %#x, but the last write, by %q, left %#x",
+			r.Addr, r.Page, r.Thread, r.Node, r.Time, r.Got, r.PrevName, r.Want)
+	}
 	return fmt.Sprintf("race: %s of word 0x%x (page %d) by %q on node %d at %v is unordered with earlier %s by %q",
 		accessKind(r.Write), r.Addr, r.Page, r.Thread, r.Node, r.Time,
 		accessKind(r.PrevWrite), r.PrevName)
@@ -103,15 +123,22 @@ type Detector struct {
 
 	base     uint64
 	pageSize uint64
+	rc       bool // release consistency: only ordered reads are value-checked
 	now      func() time.Duration
 	trc      *trace.Collector
 }
 
+// Memory reads a shared word as the accessing node sees it.
+type Memory interface {
+	PeekU64(addr uint64) uint64
+}
+
 // New builds a detector for a shared space of pageSize-byte pages
-// starting at base; now reads virtual time for report timestamps.
-// The root thread (tid 0) stands for pre-program setup: processes forked
-// from outside any tracked process inherit from it.
-func New(base uint64, pageSize int, now func() time.Duration) *Detector {
+// starting at base; rc says whether the memory runs release consistency,
+// and now reads virtual time for report timestamps. The root thread
+// (tid 0) stands for pre-program setup: processes forked from outside
+// any tracked process inherit from it.
+func New(base uint64, pageSize int, rc bool, now func() time.Duration) *Detector {
 	d := &Detector{
 		byFiber:  make(map[uint64]*Thread),
 		syncVC:   make(map[uint64][]uint64),
@@ -120,6 +147,7 @@ func New(base uint64, pageSize int, now func() time.Duration) *Detector {
 		dedup:    make(map[dedupKey]struct{}),
 		base:     base,
 		pageSize: uint64(pageSize),
+		rc:       rc,
 		now:      now,
 	}
 	d.root = d.newThread("root")
@@ -277,9 +305,12 @@ func (t *Thread) JoinVC(vc []uint64) {
 }
 
 // Access checks a read or write of [addr, addr+size) by t on node and
-// records any races found. Returns the number of new reports.
-func (d *Detector) Access(t *Thread, node int, addr, size uint64, isWrite bool) int {
-	if t == nil || size == 0 {
+// records any races and stale reads found; mem shows the words as the
+// node holds them, before a read and after a write. A write by an
+// untracked context (nil t) only updates the words' values. Returns the
+// number of new reports.
+func (d *Detector) Access(t *Thread, node int, addr, size uint64, isWrite bool, mem Memory) int {
+	if size == 0 || (t == nil && !isWrite) {
 		return 0
 	}
 	found := 0
@@ -287,16 +318,24 @@ func (d *Detector) Access(t *Thread, node int, addr, size uint64, isWrite bool) 
 		if _, sync := d.syncWord[w]; sync {
 			continue
 		}
-		found += d.accessWord(t, node, w, isWrite)
+		found += d.accessWord(t, node, w, isWrite, mem.PeekU64(w))
 	}
 	return found
 }
 
-func (d *Detector) accessWord(t *Thread, node int, word uint64, isWrite bool) int {
+// accessWord checks one word; v is its value after a write or before a
+// read.
+func (d *Detector) accessWord(t *Thread, node int, word uint64, isWrite bool, v uint64) int {
 	s := d.shadows[word]
 	if s == nil {
 		s = &shadow{}
 		d.shadows[word] = s
+	}
+	if isWrite {
+		s.v = v
+		if t == nil {
+			return 0
+		}
 	}
 	e := t.epoch()
 	found := 0
@@ -324,8 +363,16 @@ func (d *Detector) accessWord(t *Thread, node int, word uint64, isWrite bool) in
 		s.rvc = nil
 		return found
 	}
+	if v != s.v && (!d.rc || t.happensBefore(s.w)) {
+		// A stale read. Each one is a separate failure of the memory
+		// model, so none is deduplicated.
+		r := d.newReport(t, node, word, false, s.w, true)
+		r.Stale, r.Got, r.Want = true, v, s.v
+		d.record(r)
+		found++
+	}
 	if s.r == e || s.w == e {
-		return 0 // same-epoch read, or read of own write
+		return found // same-epoch read, or read of own write
 	}
 	if !t.happensBefore(s.w) {
 		found += d.report(t, node, word, false, s.w, true)
@@ -368,6 +415,12 @@ func (d *Detector) report(t *Thread, node int, word uint64, curWrite bool, prevE
 		return 0
 	}
 	d.dedup[key] = struct{}{}
+	d.record(d.newReport(t, node, word, curWrite, prevEpoch, prevWrite))
+	return 1
+}
+
+func (d *Detector) newReport(t *Thread, node int, word uint64, curWrite bool, prevEpoch uint64, prevWrite bool) Report {
+	prevTid := int(prevEpoch >> epochClockBits)
 	page := -1
 	if word >= d.base && d.pageSize > 0 {
 		page = int((word - d.base) / d.pageSize)
@@ -376,14 +429,16 @@ func (d *Detector) report(t *Thread, node int, word uint64, curWrite bool, prevE
 	if prevTid < len(d.threads) {
 		prevName = d.threads[prevTid].name
 	}
-	r := Report{
+	return Report{
 		Addr: word, Page: page, Node: node, Time: d.now(),
 		Thread: t.name, Tid: t.tid, Write: curWrite,
 		PrevTid: prevTid, PrevName: prevName, PrevWrite: prevWrite,
 	}
+}
+
+func (d *Detector) record(r Report) {
 	d.reports = append(d.reports, r)
 	if d.trc != nil {
-		d.trc.Instant(node, trace.PhaseRace, 0, int32(page), r.String())
+		d.trc.Instant(r.Node, trace.PhaseRace, 0, int32(r.Page), r.String())
 	}
-	return 1
 }

@@ -54,11 +54,11 @@ func TestRaceAcrossRecycledFiber(t *testing.T) {
 	runRecycled(t,
 		func(f *sim.Fiber) {
 			d.Bind(f, writer)
-			d.Access(d.ThreadOf(f), 0, word, 8, true)
+			d.Access(d.ThreadOf(f), 0, word, 8, true, none)
 		},
 		func(f *sim.Fiber) {
 			d.Bind(f, reader)
-			races = d.Access(d.ThreadOf(f), 1, word, 8, false)
+			races = d.Access(d.ThreadOf(f), 1, word, 8, false, none)
 		})
 	if races != 1 {
 		t.Fatalf("the read on the recycled fiber reported %d races, want 1", races)

@@ -29,7 +29,7 @@ func (o raceObserver) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint
 	case core.OpMarkSync:
 		o.d.MarkSync(addr, n)
 	default:
-		o.d.Access(t, int(s.Node()), addr, n, op == core.OpWrite)
+		o.d.Access(t, int(s.Node()), addr, n, op == core.OpWrite, s)
 	}
 }
 
@@ -39,7 +39,7 @@ func (o raceObserver) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint
 func newRaceRig(t *testing.T, n int) (*rig, *drace.Detector) {
 	t.Helper()
 	r := newRig(t, n, 1)
-	d := drace.New(r.svms[0].Base(), 1024, func() time.Duration { return r.eng.Now().Duration() })
+	d := drace.New(r.svms[0].Base(), 1024, false, func() time.Duration { return r.eng.Now().Duration() })
 	for _, s := range r.svms {
 		s.SetObserver(raceObserver{d: d})
 	}

@@ -58,7 +58,8 @@ type SVM struct {
 
 	// Race-detector activity (zero unless Config.DRace armed drace):
 	// RaceChecks counts accesses run through the happens-before checker,
-	// RaceReports counts new deduplicated races found on this node.
+	// RaceReports counts new reports found on this node: deduplicated
+	// races and stale reads.
 	RaceChecks  uint64
 	RaceReports uint64
 }

@@ -86,8 +86,7 @@ func BenchmarkMicroRemoteReadFault(b *testing.B) {
 func BenchmarkMicroRemoteReadFaultTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var avg time.Duration
-		c := ivy.New(ivy.Config{Processors: 2, Seed: 1})
-		c.StartTrace(nil, ivy.TraceOpts{})
+		c := ivy.New(ivy.Config{Processors: 2, Seed: 1, Trace: &ivy.TraceConfig{}})
 		if err := c.Run(func(p *ivy.Proc) {
 			avg = remoteReadFaultBody(p, 64) / 64
 		}); err != nil {

@@ -74,8 +74,8 @@ func (os observers) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint64
 	}
 }
 
-// raceObserver feeds word accesses and synchronization edges to the
-// happens-before detector.
+// raceObserver feeds word accesses, the values they moved and
+// synchronization edges to the happens-before detector.
 type raceObserver struct {
 	core.NoObserver
 	d *drace.Detector
@@ -89,8 +89,9 @@ func (o raceObserver) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint
 		return
 	}
 	// The detector thread is the process's; contexts outside race
-	// tracking (the allocator service's ChargeCtx) have none, publish
-	// nothing and are not checked.
+	// tracking (a bare ChargeCtx) have none, publish nothing and are not
+	// checked, but their writes still set the value reads are checked
+	// against. s shows the detector the words in this node's frame.
 	var t *drace.Thread
 	if p, ok := ctx.(*proc.Process); ok {
 		t = p.Race()
@@ -103,7 +104,9 @@ func (o raceObserver) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint
 	case t != nil:
 		st := &s.Stats().SVM
 		st.RaceChecks++
-		st.RaceReports += uint64(o.d.Access(t, int(s.Node()), addr, n, op == core.OpWrite))
+		st.RaceReports += uint64(o.d.Access(t, int(s.Node()), addr, n, op == core.OpWrite, s))
+	case op == core.OpWrite:
+		o.d.Access(nil, int(s.Node()), addr, n, true, s)
 	}
 }
 

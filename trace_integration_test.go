@@ -32,12 +32,11 @@ func traceSharingWorkload(p *Proc) {
 
 func runTracedSharing(t *testing.T, w *bytes.Buffer) *Cluster {
 	t.Helper()
-	c := New(Config{Processors: 3, Seed: 1})
-	if w == nil {
-		c.StartTrace(nil, TraceOpts{})
-	} else {
-		c.StartTrace(w, TraceOpts{SampleInterval: 50 * time.Microsecond})
+	tc := &TraceConfig{}
+	if w != nil {
+		tc = &TraceConfig{W: w, SampleInterval: 50 * time.Microsecond}
 	}
+	c := New(Config{Processors: 3, Seed: 1, Trace: tc})
 	if err := c.Run(traceSharingWorkload); err != nil {
 		t.Fatal(err)
 	}
