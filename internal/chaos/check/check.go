@@ -154,18 +154,26 @@ func Run(cfg Config) Result {
 			res.CoherenceErrs = append(res.CoherenceErrs, err.Error())
 		}
 	}
-	for _, r := range cl.RaceReports() {
-		if r.Stale && len(res.Violations) < maxViolations {
-			res.Violations = append(res.Violations, r.String())
+	res.Violations = violations(cfg, cl.RaceReports(), hist.n)
+	return res
+}
+
+// violations is a run's memory-model verdict: the oracle's stale reads,
+// capped at maxViolations, and, under RC, a read count short of the
+// schedule — a worker that silently skipped its read phase would hide a
+// hang-shaped bug from the oracle. cfg must carry its defaults.
+func violations(cfg Config, reports []ivy.RaceReport, events int) []string {
+	var out []string
+	for _, r := range reports {
+		if r.Stale && len(out) < maxViolations {
+			out = append(out, r.String())
 		}
 	}
-	// A worker that silently skipped its read phase would hide a
-	// hang-shaped bug from the oracle.
-	if want := cfg.Ops * cfg.Workers * (cfg.Workers - 1) * cfg.Pages; cfg.rc() && hist.n != want {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("history has %d reads, want %d — a worker skipped part of its schedule", hist.n, want))
+	if want := cfg.Ops * cfg.Workers * (cfg.Workers - 1) * cfg.Pages; cfg.rc() && events != want {
+		out = append(out,
+			fmt.Sprintf("history has %d reads, want %d — a worker skipped part of its schedule", events, want))
 	}
-	return res
+	return out
 }
 
 // xorshift64 is the SC workers' private mixing PRNG. Deliberately not

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -110,4 +111,41 @@ func TestDroppedWriteNoticeCaughtAndShrunk(t *testing.T) {
 	}
 	t.Logf("shrunk: seed=%d rounds=%d pages=%d workers=%d budget=%d -> %v",
 		shrunk.Seed, shrunk.Ops, shrunk.Pages, shrunk.Workers, shrunk.Chaos.MaxFaults, sres)
+}
+
+// TestCheckRCHistoryLitmus holds the RC verdict to its model on
+// hand-written histories of the RC workload (two workers, one page,
+// the workload's value encoding): reads after the barrier pass, a read
+// that returns an earlier round's value fails, a garbage value fails,
+// and a history short of the schedule's reads fails.
+func TestCheckRCHistoryLitmus(t *testing.T) {
+	cfg := Config{Coherence: ivy.CoherenceRC, Workers: 2, Ops: 1, Pages: 1}
+	val := func(worker, round int) uint64 { return uint64(worker+1)<<40 | uint64(round)<<16 | 1 }
+	round := func(r int) []step {
+		return []step{wr(0, 0, val(0, r)), wr(1, 1, val(1, r)), barrier, rd(0, 1, val(1, r)), rd(1, 0, val(0, r)), barrier}
+	}
+	clean := round(1)
+	if got := replay(cfg, clean); len(got) != 0 {
+		t.Errorf("clean history flagged: %q", got)
+	}
+	stale := append(round(1), round(2)...)
+	stale[9] = rd(0, 1, val(1, 1)) // round-2 read saw round-1 value
+	two := cfg
+	two.Ops = 2
+	if got := replay(two, append(round(1), round(2)...)); len(got) != 0 {
+		t.Errorf("clean two-round history flagged: %q", got)
+	}
+	got := replay(two, stale)
+	if len(got) != 1 || !strings.HasPrefix(got[0], "stale read") ||
+		!strings.Contains(got[0], fmt.Sprintf("returned %#x", val(1, 1))) || !strings.Contains(got[0], fmt.Sprintf("left %#x", val(1, 2))) {
+		t.Errorf("stale round not flagged as a stale read: %q", got)
+	}
+	garbage := round(1)
+	garbage[3] = rd(0, 1, 0xDEAD)
+	if got := replay(cfg, garbage); len(got) == 0 {
+		t.Error("garbage value not flagged")
+	}
+	if got := replay(cfg, clean[:4]); len(got) != 1 || !strings.Contains(got[0], "skipped part of its schedule") {
+		t.Errorf("incomplete history not flagged: %q", got)
+	}
 }
