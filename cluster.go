@@ -25,35 +25,34 @@ import (
 // Cluster is a simulated loosely-coupled multiprocessor running IVY: a
 // token ring of nodes, each with a CPU, physical frames, a paging disk,
 // a shared-virtual-memory instance, a process manager, and an allocator
-// attachment. Create one with New, then call Run exactly once.
+// attachment. Create one with New (or one rank of a multi-process
+// cluster with NewNode), then call Run exactly once.
 type Cluster struct {
 	cfg Config
 	eng *sim.Engine
 
-	// nw is the simulated ring (nil when a TCP transport is selected);
-	// lb is the TCP-loopback backend (nil under sim). tps holds each
-	// node's transport view: every entry aliases nw under sim, and is
-	// the node's own tcpnet.Net under TCP loopback. Code that works on
-	// either backend goes through tps / the ring.Transport interface;
-	// sim-only planes (loss, chaos, tracing) keep the concrete nw.
+	// nw is the simulated ring, nil over TCP; tcp is this process's TCP
+	// stations and their driver, nil under sim. Sim-only planes (loss,
+	// chaos, tracing) keep the concrete nw; net is whichever of the two
+	// carries the traffic, for its counters.
 	nw  *ring.Network
-	lb  *tcpnet.Loopback
-	tps []ring.Transport
+	tcp *tcpnet.Loopback
+	net interface {
+		Stats() ring.Stats
+		NodeKinds() [][wire.NumKinds]ring.KindStats
+	}
 
-	// nd/nddrv are set only in multi-process node mode (NewNode): this
-	// process's own TCP station and its pacing driver. svms, sts,
-	// allocs, and procs then hold exactly one entry — the local rank.
-	nd    *tcpnet.Net
-	nddrv *tcpnet.Driver
-
+	// svms holds the stations this process hosts, in id order: all of
+	// them, or a NewNode rank's own. allocs is indexed by station id
+	// and nil for a station hosted elsewhere.
 	svms    []*core.SVM
-	sts     []*stats.Node
 	allocs  []*alloc.Service
 	procs   *proc.Cluster
 	inj     *chaos.Injector    // nil unless Config.Chaos was set
 	rd      *drace.Detector    // nil unless Config.DRace was set
 	prof    *metrics.Collector // nil unless Config.Profile was set
 	pages   *pageObserver      // nil unless a page trace was installed
+	linger  func(*sim.Fiber)   // nil unless NewNode built the cluster
 	elapsed sim.Time
 	ran     bool
 
@@ -66,120 +65,18 @@ type Cluster struct {
 // New assembles a cluster from cfg.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	if cfg.Processors < 1 || cfg.Processors > 64 {
-		panic(fmt.Sprintf("ivy: %d processors out of range [1,64]", cfg.Processors))
-	}
-	switch cfg.Coherence {
-	case CoherenceSC, CoherenceRC:
-	default:
-		panic(fmt.Sprintf("ivy: unknown coherence mode %q", cfg.Coherence))
-	}
-	if err := cfg.checkSharedPages(); err != nil {
-		panic(err.Error())
-	}
-	// Under release consistency the shared space doubles: pages
-	// [0, SharedPages) are the RC data arena, pages [SharedPages,
-	// 2*SharedPages) are the SC sync arena holding locks, eventcounts,
-	// sequencers, and stacks (see DESIGN.md §14). User allocations and
-	// digests see exactly the SharedPages-sized space they asked for.
-	rcOn := cfg.Coherence == CoherenceRC
-	numPages := cfg.SharedPages
-	if rcOn {
-		numPages *= 2
+	if err := cfg.validate(); err != nil {
+		panic(err)
 	}
 	eng := sim.New(cfg.Seed)
-	c := &Cluster{cfg: cfg, eng: eng, tps: make([]ring.Transport, cfg.Processors)}
-	switch cfg.Transport {
-	case "", TransportSim:
-		c.nw = ring.New(eng, *cfg.Costs, cfg.Processors)
-		if cfg.LossProbability > 0 {
-			c.nw.SetLossProbability(cfg.LossProbability)
-		}
-		for i := range c.tps {
-			c.tps[i] = c.nw
-		}
-	case TransportTCPLoopback:
-		if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil {
-			panic("ivy: loss injection, chaos, and tracing are simulator planes; not available over " + cfg.Transport)
-		}
-		lb, err := tcpnet.NewLoopback(eng, cfg.Processors, cfg.TimeScale, tcpnet.Options{})
-		if err != nil {
+	var tcp *tcpnet.Loopback
+	if cfg.Transport == TransportTCPLoopback {
+		var err error
+		if tcp, err = tcpnet.NewLoopback(eng, cfg.Processors, cfg.TimeScale, tcpnet.Options{}); err != nil {
 			panic(fmt.Sprintf("ivy: tcp loopback transport: %v", err))
 		}
-		c.lb = lb
-		eng.SetExternal(lb.Driver())
-		for i := range c.tps {
-			c.tps[i] = lb.Net(i)
-		}
-	default:
-		panic(fmt.Sprintf("ivy: unknown transport %q", cfg.Transport))
 	}
-
-	// Late-bound load functions: the proc layer is built after the
-	// endpoints that need its hints.
-	nodes := make([]*proc.Node, cfg.Processors)
-	for i := 0; i < cfg.Processors; i++ {
-		i := i
-		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
-		loadFn := func() uint8 {
-			if nodes[i] == nil {
-				return 0
-			}
-			return nodes[i].LoadHint()
-		}
-		ep := remop.NewEndpoint(eng, c.tps[i], ring.NodeID(i), cpu, *cfg.Costs, loadFn)
-		st := &stats.Node{}
-		svm := core.New(eng, ep, cpu, core.Config{
-			Node:                  ring.NodeID(i),
-			PageSize:              cfg.PageSize,
-			NumPages:              numPages,
-			MemPages:              cfg.MemoryPages,
-			DefaultOwner:          0,
-			Algorithm:             cfg.Algorithm,
-			Costs:                 *cfg.Costs,
-			BroadcastInvalidation: cfg.BroadcastInvalidation,
-		}, st)
-		c.svms = append(c.svms, svm)
-		c.sts = append(c.sts, st)
-		ac := alloc.Config{
-			Central:   0,
-			Base:      svm.Base(),
-			Size:      uint64(cfg.SharedPages) * uint64(cfg.PageSize),
-			PageSize:  cfg.PageSize,
-			TwoLevel:  cfg.TwoLevelAlloc,
-			ChunkSize: cfg.ChunkBytes,
-		}
-		if rcOn {
-			ac.SyncBase = svm.Base() + ac.Size
-			ac.SyncSize = ac.Size
-		}
-		c.allocs = append(c.allocs, alloc.New(ep, ac))
-	}
-	if c.lb != nil {
-		// Reconnect down-hints: a peer the dialer cannot reach is marked
-		// down on the local endpoint (remop's PR 4 machinery — fail-fast
-		// calls, widened retransmission backoff) and cleared when the
-		// link comes back. The hook runs in engine context.
-		for i, svm := range c.svms {
-			ep := svm.Endpoint()
-			c.lb.Net(i).SetDownHook(func(peer ring.NodeID, down bool) {
-				ep.MarkNodeDown(peer, down)
-			})
-		}
-	}
-	if rcOn {
-		// Arm before the chaos plane (its DropWriteNotice hook needs the
-		// RC state) and before any process touches shared memory. The
-		// directory lives on node 0 beside the central allocator.
-		for _, svm := range c.svms {
-			svm.ArmRC(cfg.SharedPages, 0)
-		}
-	}
-	c.procs = proc.NewCluster(eng, c.svms, *cfg.Balance)
-	c.procs.SetDisableTLB(cfg.DisableTLB)
-	for i := 0; i < cfg.Processors; i++ {
-		nodes[i] = c.procs.Node(i)
-	}
+	c := assemble(cfg, eng, tcp, 0, cfg.Processors)
 	if cfg.DRace {
 		c.armDRace()
 	}
@@ -193,6 +90,74 @@ func New(cfg Config) *Cluster {
 		c.armTrace(*cfg.Trace)
 	}
 	return c
+}
+
+// assemble builds a cluster on eng from a validated cfg: the transport —
+// tcp's stations, or a new simulated ring when tcp is nil — then the
+// stack of each station in [lo, hi), then the process manager over them.
+// New assembles every station, NewNode its one rank.
+func assemble(cfg Config, eng *sim.Engine, tcp *tcpnet.Loopback, lo, hi int) *Cluster {
+	c := &Cluster{cfg: cfg, eng: eng, tcp: tcp, allocs: make([]*alloc.Service, cfg.Processors)}
+	if tcp != nil {
+		eng.SetExternal(tcp.Driver())
+		c.net = tcp
+	} else {
+		c.nw = ring.New(eng, *cfg.Costs, cfg.Processors)
+		if cfg.LossProbability > 0 {
+			c.nw.SetLossProbability(cfg.LossProbability)
+		}
+		c.net = c.nw
+	}
+	for id := lo; id < hi; id++ {
+		c.addNode(id)
+	}
+	c.procs = proc.NewCluster(eng, c.svms, *cfg.Balance)
+	c.procs.SetDisableTLB(cfg.DisableTLB)
+	return c
+}
+
+// addNode builds station id's stack: its CPU, its remote-operation
+// endpoint on the cluster's transport, its SVM — armed for release
+// consistency under RC, with the directory on node 0 beside the central
+// allocator — and its allocator attachment, which under RC also serves
+// the sync arena above the data. A TCP station's dialer reports an
+// unreachable peer to the endpoint as down (remop's down-hint machinery:
+// fail-fast calls, widened retransmission backoff) and clears it when
+// the link comes back; the hook runs in engine context. The endpoint's
+// load hint reads the process manager, which is built after every node.
+func (c *Cluster) addNode(id int) {
+	cfg := c.cfg
+	local := len(c.svms)
+	cpu := sim.NewResource(c.eng, fmt.Sprintf("cpu%d", id), 1)
+	var tp ring.Transport = c.nw
+	if c.tcp != nil {
+		tp = c.tcp.Net(id)
+	}
+	ep := remop.NewEndpoint(c.eng, tp, ring.NodeID(id), cpu, *cfg.Costs, func() uint8 {
+		if c.procs == nil {
+			return 0
+		}
+		return c.procs.Node(local).LoadHint()
+	})
+	svm := core.New(c.eng, ep, cpu, cfg.svmConfig(id), &stats.Node{})
+	ac := alloc.Config{
+		Central:   0,
+		Base:      svm.Base(),
+		Size:      uint64(cfg.SharedPages) * uint64(cfg.PageSize),
+		PageSize:  cfg.PageSize,
+		TwoLevel:  cfg.TwoLevelAlloc,
+		ChunkSize: cfg.ChunkBytes,
+	}
+	if cfg.Coherence == CoherenceRC {
+		svm.ArmRC(cfg.SharedPages, 0)
+		ac.SyncBase = svm.Base() + ac.Size
+		ac.SyncSize = ac.Size
+	}
+	c.svms = append(c.svms, svm)
+	c.allocs[id] = alloc.New(ep, ac)
+	if c.tcp != nil {
+		c.tcp.Net(id).SetDownHook(ep.MarkNodeDown)
+	}
 }
 
 // armDRace builds the happens-before race detector and arms it on the
@@ -267,9 +232,6 @@ func (c *Cluster) armChaos(co ChaosOpts) {
 		MaxFaults:      co.MaxFaults,
 	}
 	for _, cr := range co.Crashes {
-		if cr.Node < 0 || cr.Node >= c.cfg.Processors {
-			panic(fmt.Sprintf("ivy: chaos crash of unknown node %d", cr.Node))
-		}
 		opts.Crashes = append(opts.Crashes, chaos.Crash{
 			Node: ring.NodeID(cr.Node), At: cr.At, Downtime: cr.Downtime,
 		})
@@ -289,9 +251,6 @@ func (c *Cluster) armChaos(co ChaosOpts) {
 		}
 	}
 	if co.DropWriteNotice {
-		if c.cfg.Coherence != CoherenceRC {
-			panic("ivy: DropWriteNotice needs Coherence " + CoherenceRC)
-		}
 		for _, svm := range c.svms {
 			svm.RC().DropWriteNotices()
 		}
@@ -323,38 +282,8 @@ func (c *Cluster) ChaosDigest() uint64 {
 
 // NetworkStats returns the transport's traffic counters — the ring's,
 // including the per-receiver delivery accounting the fault plane adds,
-// or the summed per-station counters of the TCP loopback backend.
-func (c *Cluster) NetworkStats() ring.Stats {
-	if c.lb != nil {
-		return c.lb.Stats()
-	}
-	if c.nd != nil {
-		return c.nd.Stats()
-	}
-	return c.nw.Stats()
-}
-
-// netNodeKinds returns the per-station per-kind counters for whichever
-// backend is active.
-func (c *Cluster) netNodeKinds() [][wire.NumKinds]ring.KindStats {
-	if c.lb != nil {
-		return c.lb.NodeKinds()
-	}
-	if c.nd != nil {
-		return c.nd.NodeKinds()
-	}
-	return c.nw.NodeKinds()
-}
-
-// allocFor returns the allocator attachment serving the given rank. In
-// a single-process cluster ranks index the slice directly; a NewNode
-// process holds exactly one attachment — its own rank's.
-func (c *Cluster) allocFor(rank int) *alloc.Service {
-	if len(c.allocs) == 1 {
-		return c.allocs[0]
-	}
-	return c.allocs[rank]
-}
+// or the summed counters of this process's TCP stations.
+func (c *Cluster) NetworkStats() ring.Stats { return c.net.Stats() }
 
 // armTrace enables the protocol span tracer: every coherence fault
 // becomes a causally-linked span tree across the nodes it touches, and
@@ -362,9 +291,6 @@ func (c *Cluster) allocFor(rank int) *alloc.Service {
 // Run writes the whole trace to it as Perfetto/Chrome trace-event JSON
 // on completion.
 func (c *Cluster) armTrace(tc TraceConfig) {
-	if c.nw == nil {
-		panic("ivy: span tracing is a simulator plane; not available over " + c.cfg.Transport)
-	}
 	c.tr = trace.NewCollector(func() time.Duration { return c.eng.Now().Duration() })
 	c.traceW = tc.W
 	c.sampleIvl = tc.SampleInterval
@@ -408,16 +334,10 @@ func (c *Cluster) Run(main func(p *Proc)) (err error) {
 		panic("ivy: Run called twice on one cluster")
 	}
 	c.ran = true
-	if c.lb != nil {
+	if c.tcp != nil {
 		// Graceful shutdown on every exit path: stop the listeners,
 		// join the connection goroutines, release the engine bridge.
-		defer c.lb.Close()
-	}
-	if c.nd != nil {
-		defer func() {
-			c.nd.Close()
-			c.nddrv.Close()
-		}()
+		defer c.tcp.Close()
 	}
 	mp := c.procs.Node(0).Create(func(inner *proc.Process) {
 		main(&Proc{inner: inner, c: c})
@@ -427,8 +347,8 @@ func (c *Cluster) Run(main func(p *Proc)) (err error) {
 		mp.Join(f)
 		c.elapsed = c.eng.Now()
 		finished = true
-		if c.nd != nil {
-			c.lingerNode(f)
+		if c.linger != nil {
+			c.linger(f)
 		}
 		c.eng.Stop()
 	})
@@ -488,37 +408,6 @@ func (c *Cluster) end(horizon bool) error {
 	}
 	sim.Retire(frames)
 	return err
-}
-
-// lingerNode keeps a multi-process node's engine alive after its own
-// program finished. The other ranks of the cluster may still need this
-// rank: a page it owns, a fault reply it has not flushed, an eventcount
-// wakeup queued on its wire. A rank that stopped dispatching the moment
-// its main returned would strand whichever peer asked last — there is
-// always a last message, so "finish, then exit" is not a protocol, it
-// is a race. Instead every rank keeps serving until the link is quiet:
-// no frame sent or received for two consecutive quiet windows and every
-// outbound queue flushed to the kernel. Quiet is a global property —
-// while ANY rank is still working, its faults keep its peers' windows
-// open — so no rank withdraws while another still needs it, yet the
-// cluster as a whole exits promptly once the traffic truly stops.
-func (c *Cluster) lingerNode(f *sim.Fiber) {
-	// The window is meaningful in wall terms (it must cover a few
-	// loopback round trips plus scheduling noise); sleep its scaled
-	// virtual equivalent so the driver paces it to that wall duration.
-	const quietWall = 100 * time.Millisecond
-	window := time.Duration(int64(quietWall) * c.nddrv.Scale())
-	last := c.nd.Activity()
-	for quiet := 0; quiet < 2; {
-		f.Sleep(window)
-		cur := c.nd.Activity()
-		if cur == last && c.nd.OutboundDrained() {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		last = cur
-	}
 }
 
 // armSampler schedules the virtual-time series recorder. Ring
@@ -595,7 +484,7 @@ func (c *Cluster) Snapshot() ClusterStats {
 		NodeLatency: make([]Latency, len(c.svms)),
 	}
 	for i, svm := range c.svms {
-		n := *c.sts[i]
+		n := *svm.Stats()
 		n.DiskReads = svm.Disk().Reads()
 		n.DiskWrites = svm.Disk().Writes()
 		n.Evictions = svm.Pool().Evictions()
@@ -615,7 +504,7 @@ func (c *Cluster) Snapshot() ClusterStats {
 	for i, k := range ns.Kinds {
 		out.Kinds[i] = stats.KindCount{Packets: k.Packets, Bytes: k.Bytes, Drops: k.Drops}
 	}
-	for _, nk := range c.netNodeKinds() {
+	for _, nk := range c.net.NodeKinds() {
 		row := make([]stats.KindCount, len(nk))
 		for i, k := range nk {
 			row[i] = stats.KindCount{Packets: k.Packets, Bytes: k.Bytes, Drops: k.Drops}

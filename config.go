@@ -1,6 +1,7 @@
 package ivy
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/proc"
+	"repro/internal/ring"
 	"repro/internal/stats"
 )
 
@@ -295,12 +297,68 @@ func maxSharedPages(pageSize int, rc bool) int {
 	return int(pages)
 }
 
-// checkSharedPages reports a SharedPages the space cannot number.
-func (cfg Config) checkSharedPages() error {
+// validate reports the first rule cfg, defaults applied, breaks: the
+// processor count, the coherence mode, the shared-page bound, the page
+// size and cost model the SVMs are built with, a simulator plane over a
+// TCP transport, and a chaos schedule the cluster cannot carry out. It
+// runs before anything is built; New panics with its error and NewNode
+// returns it.
+func (cfg Config) validate() error {
+	if cfg.Processors < 1 || cfg.Processors > 64 {
+		return fmt.Errorf("ivy: %d processors out of range [1,64]", cfg.Processors)
+	}
+	if cfg.Coherence != CoherenceSC && cfg.Coherence != CoherenceRC {
+		return fmt.Errorf("ivy: unknown coherence mode %q", cfg.Coherence)
+	}
 	if limit := maxSharedPages(cfg.PageSize, cfg.Coherence == CoherenceRC); cfg.SharedPages < 1 || cfg.SharedPages > limit {
 		return fmt.Errorf("ivy: %d shared pages out of range [1,%d]", cfg.SharedPages, limit)
 	}
+	if err := cfg.svmConfig(0).Validate(); err != nil {
+		return err
+	}
+	switch cfg.Transport {
+	case "", TransportSim:
+	case TransportTCPLoopback:
+		if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil {
+			return errors.New("ivy: loss injection, chaos, and tracing are simulator planes; not available over " + cfg.Transport)
+		}
+	default:
+		return fmt.Errorf("ivy: unknown transport %q", cfg.Transport)
+	}
+	if co := cfg.Chaos; co != nil {
+		for _, cr := range co.Crashes {
+			if cr.Node < 0 || cr.Node >= cfg.Processors {
+				return fmt.Errorf("ivy: chaos crash of unknown node %d", cr.Node)
+			}
+		}
+		if co.DropWriteNotice && cfg.Coherence != CoherenceRC {
+			return errors.New("ivy: DropWriteNotice needs Coherence " + CoherenceRC)
+		}
+	}
 	return nil
+}
+
+// svmConfig is station id's SVM configuration. Under release
+// consistency the shared space doubles: pages [0, SharedPages) are the
+// RC data arena, pages [SharedPages, 2*SharedPages) are the SC sync arena
+// holding locks, eventcounts, sequencers, and stacks (see DESIGN.md §14).
+// User allocations and digests see exactly the SharedPages-sized space
+// they asked for.
+func (cfg Config) svmConfig(id int) core.Config {
+	numPages := cfg.SharedPages
+	if cfg.Coherence == CoherenceRC {
+		numPages *= 2
+	}
+	return core.Config{
+		Node:                  ring.NodeID(id),
+		PageSize:              cfg.PageSize,
+		NumPages:              numPages,
+		MemPages:              cfg.MemoryPages,
+		DefaultOwner:          0,
+		Algorithm:             cfg.Algorithm,
+		Costs:                 *cfg.Costs,
+		BroadcastInvalidation: cfg.BroadcastInvalidation,
+	}
 }
 
 // withDefaults fills unset fields.

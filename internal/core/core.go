@@ -28,6 +28,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"time"
@@ -138,6 +139,19 @@ type Config struct {
 	BroadcastInvalidation bool
 }
 
+// Validate reports the geometry or cost model New refuses: a page size
+// that is not a power of two of at least 64 bytes, an empty space, or an
+// invalid cost model.
+func (cfg Config) Validate() error {
+	if cfg.PageSize < 64 || cfg.PageSize&(cfg.PageSize-1) != 0 {
+		return fmt.Errorf("core: page size %d must be a power of two >= 64", cfg.PageSize)
+	}
+	if cfg.NumPages <= 0 {
+		return errors.New("core: NumPages must be positive")
+	}
+	return cfg.Costs.Validate()
+}
+
 // SVM is one node's view of the shared virtual memory.
 type SVM struct {
 	eng   *sim.Engine
@@ -197,13 +211,7 @@ type SVM struct {
 // the endpoint. st receives the node's counters (may be shared with the
 // process manager).
 func New(eng *sim.Engine, ep *remop.Endpoint, cpu *sim.Resource, cfg Config, st *stats.Node) *SVM {
-	if cfg.PageSize < 64 || cfg.PageSize&(cfg.PageSize-1) != 0 {
-		panic(fmt.Sprintf("core: page size %d must be a power of two >= 64", cfg.PageSize))
-	}
-	if cfg.NumPages <= 0 {
-		panic("core: NumPages must be positive")
-	}
-	if err := cfg.Costs.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	base := cfg.Base

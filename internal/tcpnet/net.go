@@ -536,9 +536,8 @@ func (n *Net) readLoop(c net.Conn) {
 
 // Close implements ring.Transport: stop the listener, unblock and join
 // every reader and writer goroutine, and close all connections. Safe to
-// call from any goroutine; idempotent. The Driver is shared between the
-// stations of a loopback cluster, so closing it is the owner's job
-// (Loopback.Close, `ivy node`), not Net's.
+// call from any goroutine; idempotent. The Driver may be shared between
+// stations, so closing it is the owner's job (Loopback.Close), not Net's.
 //
 //ivy:hostworld joins the transport's host goroutines on shutdown
 func (n *Net) Close() error {

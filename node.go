@@ -2,14 +2,10 @@ package ivy
 
 import (
 	"fmt"
+	"time"
 
-	"repro/internal/alloc"
-	"repro/internal/core"
-	"repro/internal/proc"
-	"repro/internal/remop"
 	"repro/internal/ring"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tcpnet"
 )
 
@@ -39,27 +35,29 @@ type NodeConfig struct {
 }
 
 // NewNode builds this process's share of a multi-process cluster: one
-// SVM, one process manager, one allocator attachment, all wired to a
-// tcpnet station instead of the simulated ring. The returned Cluster is
-// used exactly like a simulated one — call Run once — but Run's main
+// rank, built by New's own code — the same validation, the same station
+// stack (CPU, endpoint, SVM, allocator attachment) and process manager,
+// the same Run — over a local tcpnet station instead of the simulated
+// ring. What a rank does differently is all in this file. It rejects
+// release consistency and the simulator-only planes. It forces load
+// balancing off: remote process creation and migration cannot cross OS
+// processes, because closures do not serialize, so CreateOn to another
+// rank panics. It names its peers. And after its program ends it
+// lingers, serving its peers until the links are quiet. Run's main
 // function starts on THIS rank, on every process: programs are SPMD,
 // rendezvousing through eventcounts at agreed shared addresses
 // (ec.Attach works on never-written memory, so no rank needs to win an
-// initialization race). Remote process creation and migration cannot
-// cross OS processes — closures do not serialize — so CreateOn to
-// another rank panics and load balancing is forced off.
+// initialization race).
 //
 // Returns the cluster and the bound listen address (useful with ":0").
+// A config it refuses binds no socket and starts no goroutine.
 func NewNode(nc NodeConfig) (*Cluster, string, error) {
 	cfg := nc.Config.withDefaults()
-	if cfg.Processors < 1 || cfg.Processors > 64 {
-		return nil, "", fmt.Errorf("ivy: %d processors out of range [1,64]", cfg.Processors)
+	if err := cfg.validate(); err != nil {
+		return nil, "", err
 	}
 	if nc.Rank < 0 || nc.Rank >= cfg.Processors {
 		return nil, "", fmt.Errorf("ivy: rank %d out of range [0,%d)", nc.Rank, cfg.Processors)
-	}
-	if err := cfg.checkSharedPages(); err != nil {
-		return nil, "", err
 	}
 	if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil || cfg.DRace || cfg.Profile {
 		return nil, "", fmt.Errorf("ivy: loss, chaos, tracing, drace, and profiling are simulator planes; not available in a multi-process node")
@@ -69,6 +67,16 @@ func NewNode(nc NodeConfig) (*Cluster, string, error) {
 		// need every SVM in one process; tcp-loopback supports RC, separate
 		// OS processes do not (yet).
 		return nil, "", fmt.Errorf("ivy: release consistency requires a single-process cluster view; use the sim or tcp-loopback transport")
+	}
+	for r := range nc.Peers {
+		if r < 0 || r >= cfg.Processors {
+			return nil, "", fmt.Errorf("ivy: peer rank %d out of range [0,%d)", r, cfg.Processors)
+		}
+	}
+	for r := 0; r < cfg.Processors; r++ {
+		if r != nc.Rank && nc.Peers[r] == "" {
+			return nil, "", fmt.Errorf("ivy: no peer address for rank %d", r)
+		}
 	}
 	// Migration serializes a PCB, not a Go closure; it cannot leave the
 	// process. Passive balancing would try, so force it off — but keep
@@ -84,65 +92,54 @@ func NewNode(nc NodeConfig) (*Cluster, string, error) {
 	cfg.Balance = &bal
 
 	eng := sim.New(cfg.Seed)
-	drv := tcpnet.NewDriver(cfg.TimeScale)
-	nd := tcpnet.New(eng, drv, ring.NodeID(nc.Rank), cfg.Processors, tcpnet.Options{})
+	tcp := tcpnet.NewStation(eng, ring.NodeID(nc.Rank), cfg.Processors, cfg.TimeScale, tcpnet.Options{})
+	nt := tcp.Net(nc.Rank)
 	listen := nc.Listen
 	if listen == "" {
 		listen = nc.Peers[nc.Rank]
 	}
-	bound, err := nd.Listen(listen)
+	bound, err := nt.Listen(listen)
 	if err != nil {
-		drv.Close()
+		tcp.Close()
 		return nil, "", fmt.Errorf("ivy: node listen: %w", err)
 	}
 	for r, addr := range nc.Peers {
-		if r == nc.Rank {
-			continue
-		}
-		if r < 0 || r >= cfg.Processors {
-			nd.Close()
-			drv.Close()
-			return nil, "", fmt.Errorf("ivy: peer rank %d out of range [0,%d)", r, cfg.Processors)
-		}
-		nd.SetPeer(ring.NodeID(r), addr)
-	}
-	for r := 0; r < cfg.Processors; r++ {
-		if r != nc.Rank && nc.Peers[r] == "" {
-			nd.Close()
-			drv.Close()
-			return nil, "", fmt.Errorf("ivy: no peer address for rank %d", r)
+		if r != nc.Rank {
+			nt.SetPeer(ring.NodeID(r), addr)
 		}
 	}
-	eng.SetExternal(drv)
-
-	c := &Cluster{cfg: cfg, eng: eng, nd: nd, nddrv: drv, tps: []ring.Transport{nd}}
-	cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", nc.Rank), 1)
-	ep := remop.NewEndpoint(eng, nd, ring.NodeID(nc.Rank), cpu, *cfg.Costs, func() uint8 { return 0 })
-	st := &stats.Node{}
-	svm := core.New(eng, ep, cpu, core.Config{
-		Node:                  ring.NodeID(nc.Rank),
-		PageSize:              cfg.PageSize,
-		NumPages:              cfg.SharedPages,
-		MemPages:              cfg.MemoryPages,
-		DefaultOwner:          0,
-		Algorithm:             cfg.Algorithm,
-		Costs:                 *cfg.Costs,
-		BroadcastInvalidation: cfg.BroadcastInvalidation,
-	}, st)
-	c.svms = append(c.svms, svm)
-	c.sts = append(c.sts, st)
-	c.allocs = append(c.allocs, alloc.New(ep, alloc.Config{
-		Central:   0,
-		Base:      svm.Base(),
-		Size:      uint64(cfg.SharedPages) * uint64(cfg.PageSize),
-		PageSize:  cfg.PageSize,
-		TwoLevel:  cfg.TwoLevelAlloc,
-		ChunkSize: cfg.ChunkBytes,
-	}))
-	nd.SetDownHook(func(peer ring.NodeID, down bool) {
-		ep.MarkNodeDown(peer, down)
-	})
-	c.procs = proc.NewCluster(eng, c.svms, *cfg.Balance)
-	c.procs.SetDisableTLB(cfg.DisableTLB)
+	c := assemble(cfg, eng, tcp, nc.Rank, nc.Rank+1)
+	c.linger = func(f *sim.Fiber) { linger(f, tcp.Driver().Scale(), nt) }
 	return c, bound, nil
+}
+
+// linger keeps a multi-process node's engine alive after its own
+// program finished. The other ranks of the cluster may still need this
+// rank: a page it owns, a fault reply it has not flushed, an eventcount
+// wakeup queued on its wire. A rank that stopped dispatching the moment
+// its main returned would strand whichever peer asked last — there is
+// always a last message, so "finish, then exit" is not a protocol, it
+// is a race. Instead every rank keeps serving until the link is quiet:
+// no frame sent or received for two consecutive quiet windows and every
+// outbound queue flushed to the kernel. Quiet is a global property —
+// while ANY rank is still working, its faults keep its peers' windows
+// open — so no rank withdraws while another still needs it, yet the
+// cluster as a whole exits promptly once the traffic truly stops.
+func linger(f *sim.Fiber, scale int64, nt *tcpnet.Net) {
+	// The window is meaningful in wall terms (it must cover a few
+	// loopback round trips plus scheduling noise); sleep its scaled
+	// virtual equivalent so the driver paces it to that wall duration.
+	const quietWall = 100 * time.Millisecond
+	window := time.Duration(int64(quietWall) * scale)
+	last := nt.Activity()
+	for quiet := 0; quiet < 2; {
+		f.Sleep(window)
+		cur := nt.Activity()
+		if cur == last && nt.OutboundDrained() {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		last = cur
+	}
 }

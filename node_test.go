@@ -129,28 +129,3 @@ func TestNodeThreeEnginesSPMD(t *testing.T) {
 		t.Errorf("S over TCP = %v, simulator's check = %v", got, sim.Check)
 	}
 }
-
-// TestNodeConfigRejections covers NewNode's validation surface.
-func TestNodeConfigRejections(t *testing.T) {
-	t.Parallel()
-	peers := map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:2"}
-	cases := []struct {
-		name string
-		nc   ivy.NodeConfig
-	}{
-		{"rank out of range", ivy.NodeConfig{Config: ivy.Config{Processors: 2}, Rank: 2, Peers: peers}},
-		{"negative rank", ivy.NodeConfig{Config: ivy.Config{Processors: 2}, Rank: -1, Peers: peers}},
-		{"missing peer", ivy.NodeConfig{Config: ivy.Config{Processors: 3}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
-		{"peer rank out of range", ivy.NodeConfig{Config: ivy.Config{Processors: 2}, Rank: 0, Listen: "127.0.0.1:0",
-			Peers: map[int]string{1: "127.0.0.1:1", 7: "127.0.0.1:2"}}},
-		{"loss plane", ivy.NodeConfig{Config: ivy.Config{Processors: 2, LossProbability: 0.1}, Rank: 0, Peers: peers}},
-		{"profiler plane", ivy.NodeConfig{Config: ivy.Config{Processors: 2, Profile: true}, Rank: 0, Peers: peers}},
-		{"race plane", ivy.NodeConfig{Config: ivy.Config{Processors: 2, DRace: true}, Rank: 0, Peers: peers}},
-	}
-	for _, tc := range cases {
-		if c, _, err := ivy.NewNode(tc.nc); err == nil {
-			t.Errorf("%s: NewNode accepted a bad config", tc.name)
-			_ = c
-		}
-	}
-}

@@ -161,7 +161,7 @@ func (p *Proc) LocalOps(n int) { p.inner.LocalOps(n) }
 // Malloc allocates n bytes of shared memory (page-aligned, from the
 // central first-fit manager or the node's two-level allocator).
 func (p *Proc) Malloc(n uint64) (uint64, error) {
-	svc := p.c.allocFor(p.NodeID())
+	svc := p.c.allocs[p.NodeID()]
 	return svc.Alloc(p.inner.Fiber(), n)
 }
 
@@ -180,7 +180,7 @@ func (p *Proc) MustMalloc(n uint64) uint64 {
 
 // FreeMem releases a block obtained from Malloc.
 func (p *Proc) FreeMem(addr uint64) error {
-	svc := p.c.allocFor(p.NodeID())
+	svc := p.c.allocs[p.NodeID()]
 	return svc.Free(p.inner.Fiber(), addr)
 }
 
@@ -192,7 +192,7 @@ func (p *Proc) syncMalloc(n uint64) uint64 {
 	if p.inner.Node().SVM().RC() == nil {
 		return p.MustMalloc(n)
 	}
-	svc := p.c.allocFor(p.NodeID())
+	svc := p.c.allocs[p.NodeID()]
 	addr, err := svc.AllocSync(p.inner.Fiber(), n)
 	if err != nil {
 		panic(fmt.Sprintf("ivy: sync-arena malloc %d bytes: %v", n, err))

@@ -43,22 +43,69 @@ func leavesNothing(t *testing.T, scenario func(t *testing.T, touch func())) {
 		runtime.SetFinalizer(sentinel, func(*atomic.Int64) { close(collected) })
 		scenario(t, func() { sentinel.Add(1) })
 	}()
-	// Carriers are gone when Close returns and the TCP backends join
-	// their goroutines; the wait is for exits the runtime has yet to count.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		var stacks bytes.Buffer
-		pprof.Lookup("goroutine").WriteTo(&stacks, 1)
-		t.Errorf("%d goroutines after the run, %d before it:\n%s", n, base, &stacks)
-	}
+	goroutinesBackTo(t, base)
 	runtime.GC()
 	runtime.GC()
 	select {
 	case <-collected:
 	case <-time.After(5 * time.Second):
 		t.Error("the finished cluster is still reachable: what its program captured was not collected")
+	}
+}
+
+// goroutinesBackTo fails t unless the goroutine count comes back to base.
+// Carriers are gone when Close returns and the TCP backends join their
+// goroutines; the wait is for exits the runtime has yet to count.
+func goroutinesBackTo(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		var stacks bytes.Buffer
+		pprof.Lookup("goroutine").WriteTo(&stacks, 1)
+		t.Errorf("%d goroutines after, %d before:\n%s", n, base, &stacks)
+	}
+}
+
+// TestNodeConfigRejections covers NewNode's validation surface: every
+// row returns an error, and — the rows that would bind included — leaves
+// no socket and no goroutine behind. Not parallel, for the count.
+func TestNodeConfigRejections(t *testing.T) {
+	peers := map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:2"}
+	badCosts := Default1988()
+	badCosts.ComputeQuantum = 0
+	cases := []struct {
+		name string
+		nc   NodeConfig
+	}{
+		{"rank out of range", NodeConfig{Config: Config{Processors: 2}, Rank: 2, Peers: peers}},
+		{"negative rank", NodeConfig{Config: Config{Processors: 2}, Rank: -1, Peers: peers}},
+		{"missing peer", NodeConfig{Config: Config{Processors: 3}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
+		{"peer rank out of range", NodeConfig{Config: Config{Processors: 2}, Rank: 0, Listen: "127.0.0.1:0",
+			Peers: map[int]string{1: "127.0.0.1:1", 7: "127.0.0.1:2"}}},
+		{"loss plane", NodeConfig{Config: Config{Processors: 2, LossProbability: 0.1}, Rank: 0, Peers: peers}},
+		{"profiler plane", NodeConfig{Config: Config{Processors: 2, Profile: true}, Rank: 0, Peers: peers}},
+		{"race plane", NodeConfig{Config: Config{Processors: 2, DRace: true}, Rank: 0, Peers: peers}},
+		{"page size", NodeConfig{Config: Config{Processors: 2, PageSize: 1000}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
+		{"cost model", NodeConfig{Config: Config{Processors: 2, Costs: &badCosts}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
+		{"coherence mode", NodeConfig{Config: Config{Processors: 2, Coherence: "bogus"}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
+	}
+	for _, tc := range cases {
+		base := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: NewNode panicked: %v", tc.name, r)
+				}
+			}()
+			if c, _, err := NewNode(tc.nc); err == nil {
+				t.Errorf("%s: NewNode accepted a bad config", tc.name)
+				c.tcp.Close()
+				c.eng.Close()
+			}
+		}()
+		goroutinesBackTo(t, base)
 	}
 }
 
