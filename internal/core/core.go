@@ -238,7 +238,7 @@ func New(eng *sim.Engine, ep *remop.Endpoint, cpu *sim.Resource, cfg Config, st 
 	s.pageMask = cfg.PageSize - 1
 	s.limit = base + uint64(cfg.NumPages)*uint64(cfg.PageSize)
 	s.size = s.limit - base
-	s.pool.Init(cfg.MemPages, s.onEvict, s.canEvict)
+	s.pool.Init(cfg.NumPages, cfg.MemPages, s.onEvict, s.canEvict)
 	s.mgr = newManager(cfg.Algorithm, s)
 	s.installHandlers()
 	return s
@@ -350,8 +350,8 @@ func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
 		panic(fmt.Sprintf("core: %d RC data pages out of range (space has %d)", dataPages, s.numPages))
 	}
 	nodes := s.numNodes
-	s.table.Reseed(dataPages, func(p mmu.PageID, e *mmu.Entry) {
-		e.ProbOwner = rc.StaticHome(p, nodes)
+	s.table.Reseed(dataPages, func(p mmu.PageID) mmu.Entry {
+		return mmu.Entry{ProbOwner: rc.StaticHome(p, nodes)}
 	})
 	s.rcn = rc.New(s.ep, s.table, &s.pool, rc.Config{
 		DataPages: dataPages,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"repro/internal/mmu"
 	"repro/internal/remop"
@@ -132,8 +133,14 @@ func checkWords(addr uint64, n int) {
 // faulting in pages as needed (the read may span pages).
 func (s *SVM) ReadBytes(ctx Ctx, addr uint64, n int) []byte {
 	out := make([]byte, n)
-	s.runs(ctx, addr, n, mmu.AccessRead, func(b []byte, off int) { copy(out[off:], b) })
+	s.readInto(ctx, addr, out)
 	return out
+}
+
+// readInto fills out from shared memory starting at addr, one copy per
+// page run.
+func (s *SVM) readInto(ctx Ctx, addr uint64, out []byte) {
+	s.runs(ctx, addr, len(out), mmu.AccessRead, func(b []byte, off int) { copy(out[off:], b) })
 }
 
 // WriteBytes stores data into shared memory starting at addr, faulting
@@ -142,10 +149,71 @@ func (s *SVM) WriteBytes(ctx Ctx, addr uint64, data []byte) {
 	s.runs(ctx, addr, len(data), mmu.AccessWrite, func(b []byte, off int) { copy(b, data[off:]) })
 }
 
+// The word-range accessors below move each page run with one copy
+// between the frame and the caller's words viewed as bytes. That view
+// matches shared memory's little-endian layout only on a little-endian
+// host; other hosts fall back to a loop that encodes or decodes one word
+// at a time. Both paths take their runs, observer calls and charges from
+// SVM.runs, so they differ in wall time only.
+
+// littleEndian reports whether the host stores words as shared memory
+// does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes views words as their bytes in host order, without copying.
+// It is the repository's one use of unsafe: the view aliases words, and
+// reading or writing it is reading or writing them.
+func wordBytes[W uint64 | float64](words []W) []byte {
+	if len(words) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
+}
+
 // ReadU64s fills dst with consecutive little-endian words starting at
 // addr (8-aligned), faulting page by page.
 func (s *SVM) ReadU64s(ctx Ctx, addr uint64, dst []uint64) {
 	checkWords(addr, len(dst))
+	if littleEndian {
+		s.readInto(ctx, addr, wordBytes(dst))
+	} else {
+		s.readU64sByWord(ctx, addr, dst)
+	}
+}
+
+// WriteU64s stores src as consecutive little-endian words starting at
+// addr (8-aligned), faulting for ownership page by page.
+func (s *SVM) WriteU64s(ctx Ctx, addr uint64, src []uint64) {
+	checkWords(addr, len(src))
+	if littleEndian {
+		s.WriteBytes(ctx, addr, wordBytes(src))
+	} else {
+		s.writeU64sByWord(ctx, addr, src)
+	}
+}
+
+// ReadF64s fills dst with consecutive float64s starting at addr.
+func (s *SVM) ReadF64s(ctx Ctx, addr uint64, dst []float64) {
+	checkWords(addr, len(dst))
+	if littleEndian {
+		s.readInto(ctx, addr, wordBytes(dst))
+	} else {
+		s.readF64sByWord(ctx, addr, dst)
+	}
+}
+
+// WriteF64s stores src as consecutive float64s starting at addr.
+func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
+	checkWords(addr, len(src))
+	if littleEndian {
+		s.WriteBytes(ctx, addr, wordBytes(src))
+	} else {
+		s.writeF64sByWord(ctx, addr, src)
+	}
+}
+
+// readU64sByWord is ReadU64s decoding one word at a time.
+func (s *SVM) readU64sByWord(ctx Ctx, addr uint64, dst []uint64) {
 	s.runs(ctx, addr, 8*len(dst), mmu.AccessRead, func(b []byte, off int) {
 		for i := range dst[off/8 : (off+len(b))/8] {
 			dst[off/8+i] = binary.LittleEndian.Uint64(b[8*i:])
@@ -153,10 +221,8 @@ func (s *SVM) ReadU64s(ctx Ctx, addr uint64, dst []uint64) {
 	})
 }
 
-// WriteU64s stores src as consecutive little-endian words starting at
-// addr (8-aligned), faulting for ownership page by page.
-func (s *SVM) WriteU64s(ctx Ctx, addr uint64, src []uint64) {
-	checkWords(addr, len(src))
+// writeU64sByWord is WriteU64s encoding one word at a time.
+func (s *SVM) writeU64sByWord(ctx Ctx, addr uint64, src []uint64) {
 	s.runs(ctx, addr, 8*len(src), mmu.AccessWrite, func(b []byte, off int) {
 		for i, v := range src[off/8 : (off+len(b))/8] {
 			binary.LittleEndian.PutUint64(b[8*i:], v)
@@ -164,9 +230,8 @@ func (s *SVM) WriteU64s(ctx Ctx, addr uint64, src []uint64) {
 	})
 }
 
-// ReadF64s fills dst with consecutive float64s starting at addr.
-func (s *SVM) ReadF64s(ctx Ctx, addr uint64, dst []float64) {
-	checkWords(addr, len(dst))
+// readF64sByWord is ReadF64s decoding one word at a time.
+func (s *SVM) readF64sByWord(ctx Ctx, addr uint64, dst []float64) {
 	s.runs(ctx, addr, 8*len(dst), mmu.AccessRead, func(b []byte, off int) {
 		for i := range dst[off/8 : (off+len(b))/8] {
 			dst[off/8+i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
@@ -174,9 +239,8 @@ func (s *SVM) ReadF64s(ctx Ctx, addr uint64, dst []float64) {
 	})
 }
 
-// WriteF64s stores src as consecutive float64s starting at addr.
-func (s *SVM) WriteF64s(ctx Ctx, addr uint64, src []float64) {
-	checkWords(addr, len(src))
+// writeF64sByWord is WriteF64s encoding one word at a time.
+func (s *SVM) writeF64sByWord(ctx Ctx, addr uint64, src []float64) {
 	s.runs(ctx, addr, 8*len(src), mmu.AccessWrite, func(b []byte, off int) {
 		for i, v := range src[off/8 : (off+len(b))/8] {
 			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))

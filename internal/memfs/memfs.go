@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/mmu"
+	"repro/internal/pagemap"
 	"repro/internal/sim"
 )
 
@@ -23,14 +24,18 @@ type EvictFunc func(f *sim.Fiber, p mmu.PageID, data []byte)
 // CanEvictFunc vetoes eviction of pages that are mid-fault or pinned.
 type CanEvictFunc func(p mmu.PageID) bool
 
-// Pool is one node's frame pool. The LRU list is intrusive — frames
-// link to each other directly — so a replacement-policy touch is a few
-// pointer stores with no container indirection, and the most-recent
-// case (touching the frame already at the front, the common pattern of
-// consecutive accesses to one page) is a single compare.
+// Pool is one node's frame pool. A page finds its frame by index in a
+// page map sized to the shared space, so a lookup is two loads and never
+// a hash; lookups of a page that is not resident use the map's Get and
+// materialize nothing. The LRU list is intrusive — frames link to each
+// other directly — so a replacement-policy touch is a few pointer stores
+// with no container indirection, and the most-recent case (touching the
+// frame already at the front, the common pattern of consecutive accesses
+// to one page) is a single compare.
 type Pool struct {
 	capacity   int // 0 = unconstrained
-	frames     map[mmu.PageID]*Frame
+	frames     *pagemap.Map[*Frame]
+	resident   int    // pages with a frame
 	head, tail *Frame // head = most recently used, tail = LRU victim end
 	evict      EvictFunc
 	canEvict   CanEvictFunc
@@ -73,28 +78,32 @@ func (fr *Frame) Page() mmu.PageID { return fr.page }
 // use: Put on a resident page swaps the slice.
 func (fr *Frame) Data() []byte { return fr.data }
 
-// NewPool creates a pool holding at most capacity frames (0 for
-// unlimited). evict is called for each reclaimed victim; canEvict may be
-// nil, allowing any resident page to be chosen.
-func NewPool(capacity int, evict EvictFunc, canEvict CanEvictFunc) *Pool {
+// NewPool creates a pool for a shared space of numPages pages holding at
+// most capacity frames (0 for unlimited). evict is called for each
+// reclaimed victim; canEvict may be nil, allowing any resident page to
+// be chosen.
+func NewPool(numPages, capacity int, evict EvictFunc, canEvict CanEvictFunc) *Pool {
 	pl := new(Pool)
-	pl.Init(capacity, evict, canEvict)
+	pl.Init(numPages, capacity, evict, canEvict)
 	return pl
 }
 
 // Init initialises pl in place, for owners that embed the pool by value
 // (one indirection fewer on the access fast path than a *Pool field).
-func (pl *Pool) Init(capacity int, evict EvictFunc, canEvict CanEvictFunc) {
+func (pl *Pool) Init(numPages, capacity int, evict EvictFunc, canEvict CanEvictFunc) {
 	if evict == nil {
 		panic("memfs: eviction callback required")
 	}
 	*pl = Pool{
 		capacity: capacity,
-		frames:   make(map[mmu.PageID]*Frame),
+		frames:   pagemap.New[*Frame](numPages, nil),
 		evict:    evict,
 		canEvict: canEvict,
 	}
 }
+
+// lookup returns page p's frame, or nil if p is not resident.
+func (pl *Pool) lookup(p mmu.PageID) *Frame { return pl.frames.Get(int(p)) }
 
 // pushFront links fr as the most recently used frame.
 //
@@ -142,23 +151,20 @@ func (pl *Pool) moveToFront(fr *Frame) {
 func (pl *Pool) Capacity() int { return pl.capacity }
 
 // Len returns the number of resident pages.
-func (pl *Pool) Len() int { return len(pl.frames) }
+func (pl *Pool) Len() int { return pl.resident }
 
 // Evictions returns how many frames have been reclaimed.
 func (pl *Pool) Evictions() uint64 { return pl.evictions }
 
 // Resident reports whether page p has a frame.
-func (pl *Pool) Resident(p mmu.PageID) bool {
-	_, ok := pl.frames[p]
-	return ok
-}
+func (pl *Pool) Resident(p mmu.PageID) bool { return pl.lookup(p) != nil }
 
 // Get returns page p's frame data and marks it most recently used, or nil
 // if the page is not resident. The returned slice is the live frame:
 // writes through it are the page's contents.
 func (pl *Pool) Get(p mmu.PageID) []byte {
-	fr, ok := pl.frames[p]
-	if !ok {
+	fr := pl.lookup(p)
+	if fr == nil {
 		return nil
 	}
 	pl.moveToFront(fr)
@@ -166,11 +172,11 @@ func (pl *Pool) Get(p mmu.PageID) []byte {
 }
 
 // GetFrame is Get returning the frame handle itself — the form the TLB
-// fill path uses, so later hits can touch the LRU list without the map
+// fill path uses, so later hits can touch the LRU list without the
 // lookup.
 func (pl *Pool) GetFrame(p mmu.PageID) *Frame {
-	fr, ok := pl.frames[p]
-	if !ok {
+	fr := pl.lookup(p)
+	if fr == nil {
 		return nil
 	}
 	pl.moveToFront(fr)
@@ -178,7 +184,7 @@ func (pl *Pool) GetFrame(p mmu.PageID) *Frame {
 }
 
 // TouchFrame marks a cached frame handle most recently used — the TLB
-// hit path's replacement-policy update, identical in effect to the map
+// hit path's replacement-policy update, identical in effect to the
 // lookup Get performs on a miss.
 //
 //ivy:hotpath
@@ -209,8 +215,8 @@ func (pl *Pool) Front() *Frame { return pl.head }
 // serving remote requests, which should not make a page look hot to the
 // local replacement policy any more than a DMA would).
 func (pl *Pool) Peek(p mmu.PageID) []byte {
-	fr, ok := pl.frames[p]
-	if !ok {
+	fr := pl.lookup(p)
+	if fr == nil {
 		return nil
 	}
 	return fr.data
@@ -218,7 +224,7 @@ func (pl *Pool) Peek(p mmu.PageID) []byte {
 
 // Touch marks page p most recently used if resident.
 func (pl *Pool) Touch(p mmu.PageID) {
-	if fr, ok := pl.frames[p]; ok {
+	if fr := pl.lookup(p); fr != nil {
 		pl.moveToFront(fr)
 	}
 }
@@ -230,7 +236,7 @@ func (pl *Pool) Touch(p mmu.PageID) {
 // the old slice; Put hands that slice back (nil when p was not
 // resident), and it is the caller's again.
 func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (old []byte) {
-	if fr, ok := pl.frames[p]; ok {
+	if fr := pl.lookup(p); fr != nil {
 		old, fr.data = fr.data, data
 		pl.moveToFront(fr)
 		pl.Shoot()
@@ -247,7 +253,8 @@ func (pl *Pool) Put(f *sim.Fiber, p mmu.PageID, data []byte) (old []byte) {
 	}
 	fr.page, fr.data = p, data
 	pl.pushFront(fr)
-	pl.frames[p] = fr
+	*pl.frames.At(int(p)) = fr
+	pl.resident++
 	return nil
 }
 
@@ -268,13 +275,12 @@ func (pl *Pool) reserve(f *sim.Fiber) {
 	if pl.capacity <= 0 {
 		return
 	}
-	for len(pl.frames) >= pl.capacity {
+	for pl.resident >= pl.capacity {
 		victim := pl.pickVictim()
 		if victim == nil {
-			panic(fmt.Sprintf("memfs: all %d frames pinned, cannot evict", len(pl.frames)))
+			panic(fmt.Sprintf("memfs: all %d frames pinned, cannot evict", pl.resident))
 		}
-		pl.unlink(victim)
-		delete(pl.frames, victim.page)
+		pl.remove(victim)
 		pl.evictions++
 		pl.evict(f, victim.page, victim.data)
 		pl.Shoot()
@@ -301,13 +307,19 @@ func (pl *Pool) pickVictim() *Frame {
 // is retired for reuse.
 func (pl *Pool) Drop(p mmu.PageID) []byte {
 	pl.Shoot()
-	fr, ok := pl.frames[p]
-	if !ok {
+	fr := pl.lookup(p)
+	if fr == nil {
 		return nil
 	}
 	data := fr.data
-	pl.unlink(fr)
-	delete(pl.frames, p)
+	pl.remove(fr)
 	pl.retire(fr)
 	return data
+}
+
+// remove takes fr off the LRU list and out of the page index.
+func (pl *Pool) remove(fr *Frame) {
+	pl.unlink(fr)
+	*pl.frames.At(int(fr.page)) = nil
+	pl.resident--
 }

@@ -5,8 +5,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/mmu"
+	"repro/internal/pagemap"
 	"repro/internal/sim"
 )
+
+// testPages sizes the shared space of the test pools: four full chunks
+// of the frame table and a short fifth.
+const testPages = 4*pagemap.ChunkPages + 5
 
 // harness collects evictions.
 type harness struct {
@@ -18,7 +23,7 @@ type harness struct {
 
 func newHarness(capacity int) *harness {
 	h := &harness{eng: sim.New(1), pinned: map[mmu.PageID]bool{}}
-	h.pool = NewPool(capacity,
+	h.pool = NewPool(testPages, capacity,
 		func(f *sim.Fiber, p mmu.PageID, data []byte) { h.evicted = append(h.evicted, p) },
 		func(p mmu.PageID) bool { return !h.pinned[p] })
 	return h
@@ -167,7 +172,7 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		capacity := int(capRaw%8) + 1
 		eng := sim.New(1)
 		evicted := map[mmu.PageID]bool{}
-		pool := NewPool(capacity,
+		pool := NewPool(testPages, capacity,
 			func(f *sim.Fiber, p mmu.PageID, data []byte) { evicted[p] = true },
 			nil)
 		ok := true
@@ -262,7 +267,7 @@ func TestEpochAdvancesWhereFramesChange(t *testing.T) {
 		{"GetFrame", func(h *harness, f *sim.Fiber) { h.pool.GetFrame(1) }, false},
 		{"Peek", func(h *harness, f *sim.Fiber) { h.pool.Peek(1) }, false},
 		{"Touch", func(h *harness, f *sim.Fiber) { h.pool.Touch(1) }, false},
-		{"TouchFrame", func(h *harness, f *sim.Fiber) { h.pool.TouchFrame(h.pool.frames[1]) }, false},
+		{"TouchFrame", func(h *harness, f *sim.Fiber) { h.pool.TouchFrame(h.pool.lookup(1)) }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -281,4 +286,62 @@ func TestEpochAdvancesWhereFramesChange(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestFrameTable: the page-indexed frame table keeps Len equal to the
+// resident pages through fresh Puts, replacing Puts, Drops and
+// evictions, serves pages on both sides of a chunk edge and the last
+// page of the space, and lookups of a page that was never resident —
+// Resident, Peek, Get, Touch, Drop — materialize no chunk.
+func TestFrameTable(t *testing.T) {
+	last := mmu.PageID(testPages - 1)
+	edge := []mmu.PageID{pagemap.ChunkPages - 1, pagemap.ChunkPages, last}
+	h := newHarness(3)
+	h.run(t, func(f *sim.Fiber) {
+		wantLen := func(step string, n int) {
+			t.Helper()
+			if h.pool.Len() != n {
+				t.Errorf("after %s: Len %d, want %d", step, h.pool.Len(), n)
+			}
+		}
+		for i, p := range edge {
+			h.pool.Put(f, p, page(byte(i)))
+			wantLen("fresh Put", i+1)
+		}
+		for i, p := range edge {
+			if d := h.pool.Peek(p); d == nil || d[0] != byte(i) || h.pool.GetFrame(p).Page() != p {
+				t.Errorf("page %d reads %v", p, d)
+			}
+		}
+		h.pool.Put(f, last, page(9))
+		wantLen("replacing Put", 3)
+		if d := h.pool.Get(last); d[0] != 9 {
+			t.Errorf("page %d after replacing Put reads %v", last, d)
+		}
+		h.pool.Drop(pagemap.ChunkPages)
+		wantLen("Drop", 2)
+		if h.pool.Resident(pagemap.ChunkPages) {
+			t.Errorf("page %d resident after Drop", pagemap.ChunkPages)
+		}
+		h.pool.Put(f, 1, page(1))
+		h.pool.Put(f, 2, page(2)) // evicts page 255, the LRU
+		wantLen("evicting Put", 3)
+		if len(h.evicted) != 1 || h.evicted[0] != pagemap.ChunkPages-1 || h.pool.Resident(pagemap.ChunkPages-1) {
+			t.Errorf("evicted %v, want [%d] and gone", h.evicted, pagemap.ChunkPages-1)
+		}
+
+		chunks := h.pool.frames.Chunks()
+		never := mmu.PageID(2*pagemap.ChunkPages + 1) // in a chunk no page has used
+		if h.pool.Resident(never) || h.pool.Peek(never) != nil || h.pool.Get(never) != nil || h.pool.GetFrame(never) != nil {
+			t.Errorf("page %d was never resident but reads as resident", never)
+		}
+		h.pool.Touch(never)
+		if h.pool.Drop(never) != nil {
+			t.Errorf("Drop of page %d returned bytes", never)
+		}
+		if got := h.pool.frames.Chunks(); got != chunks {
+			t.Errorf("lookups of a never-resident page materialized chunks: %d, was %d", got, chunks)
+		}
+		wantLen("lookups of an absent page", 3)
+	})
 }

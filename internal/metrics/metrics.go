@@ -103,8 +103,8 @@ func NewCollector(base uint64, pageSize uint64, numPages int, now func() int64) 
 		pageShift:    uint(bits.TrailingZeros64(pageSize)),
 		wordsPerPage: words,
 		now:          now,
-		pages: pagemap.New(numPages, func(_ int, pc *pageCount) {
-			pc.lastTransfer = -1
+		pages: pagemap.New(numPages, func(int) pageCount {
+			return pageCount{lastTransfer: -1}
 		}),
 		dirty:     pagemap.New[uint64](numPages*lanes, nil),
 		lanesPage: lanes,

@@ -134,7 +134,7 @@ type Table struct {
 	// Pages [0, low) follow lowSeed instead of the default-owner rule
 	// (see Reseed).
 	low     int
-	lowSeed func(PageID, *Entry)
+	lowSeed func(PageID) Entry
 }
 
 // NewTable builds a page table for numPages shared pages. Every entry
@@ -149,23 +149,23 @@ func NewTable(node ring.NodeID, numPages int, defaultOwner ring.NodeID) *Table {
 }
 
 // seed is the table's rule for a page's first entry.
-func (t *Table) seed(p int, e *Entry) {
+func (t *Table) seed(p int) Entry {
 	if p < t.low {
-		t.lowSeed(PageID(p), e)
-		return
+		return t.lowSeed(PageID(p))
 	}
-	e.ProbOwner = t.defaultOwner
+	e := Entry{ProbOwner: t.defaultOwner}
 	if t.node == t.defaultOwner {
 		e.IsOwner = true
 		e.Access = AccessWrite
 	}
+	return e
 }
 
 // Reseed makes seed the rule for pages [0, n): their entries start as
-// seed leaves a zero Entry instead of by the default-owner rule. It
-// panics if any of those pages already has an entry, which would
-// disagree with the new rule.
-func (t *Table) Reseed(n int, seed func(PageID, *Entry)) {
+// seed returns them instead of by the default-owner rule. It panics if
+// any of those pages already has an entry, which would disagree with the
+// new rule.
+func (t *Table) Reseed(n int, seed func(PageID) Entry) {
 	if n < 0 || n > t.NumPages() {
 		panic(fmt.Sprintf("mmu: reseed of %d pages out of range (%d pages)", n, t.NumPages()))
 	}

@@ -1,7 +1,8 @@
 // Package pagemap is the one representation of per-page state whose
 // extent is the shared virtual address space: a node's page table
-// (internal/mmu), its release-consistency page state (internal/rc) and
-// the coherence profiler's counters (internal/metrics). The space is far
+// (internal/mmu), its frame pool's page-to-frame index (internal/memfs),
+// its release-consistency page state (internal/rc) and the coherence
+// profiler's counters (internal/metrics). The space is far
 // larger than what a run touches — IVY's point, and why the paper's MMU
 // pays only for mapped pages — so a Map costs nothing per page until a
 // page is taken for writing.
@@ -9,10 +10,10 @@
 // A Map is two-level: a directory with one pointer per chunk of
 // ChunkPages pages, and the chunks. At materializes the chunk holding
 // its page the first time it is asked, and the map's seed rule
-// initializes every entry of it. Get never materializes: a page whose
-// chunk does not exist reads as its seed. Chunks are never moved or
-// freed, so a pointer At returns stays valid for the life of the map
-// (software TLB ways cache them).
+// initializes every entry of it. Get never materializes and never
+// allocates: a page whose chunk does not exist reads as its seed. Chunks
+// are never moved or freed, so a pointer At returns stays valid for the
+// life of the map (software TLB ways cache them).
 package pagemap
 
 import "fmt"
@@ -27,16 +28,18 @@ const ChunkPages = 1 << chunkShift
 // Map holds a T for each of n pages, materialized a chunk at a time.
 type Map[T any] struct {
 	n      int
-	seed   func(p int, e *T)
+	seed   func(p int) T
 	chunks []*[ChunkPages]T
 }
 
 // New returns a map of n pages with nothing materialized. seed, if not
-// nil, initializes page p's entry (handed over as the zero T) when its
+// nil, returns page p's first entry: it fills the page's slot when its
 // chunk materializes, and is what Get reads for a page whose chunk has
-// not. It must depend on p and on state settled before the first At, so
-// that the two agree.
-func New[T any](n int, seed func(p int, e *T)) *Map[T] {
+// not (a nil seed means the zero T). It must depend on p and on state
+// settled before the first At, so that the two agree. It returns the
+// entry by value: a seed that filled an entry through a pointer would
+// make Get's result escape, and Get allocate on every call.
+func New[T any](n int, seed func(p int) T) *Map[T] {
 	if n < 0 {
 		panic(fmt.Sprintf("pagemap: negative size %d", n))
 	}
@@ -68,7 +71,7 @@ func (m *Map[T]) Get(p int) (e T) {
 		return c[p&(ChunkPages-1)]
 	}
 	if m.seed != nil {
-		m.seed(p, &e)
+		e = m.seed(p)
 	}
 	return e
 }
@@ -109,7 +112,7 @@ func (m *Map[T]) materialize(i int) *[ChunkPages]T {
 	if m.seed != nil {
 		base := i << chunkShift
 		for j := range min(ChunkPages, m.n-base) {
-			m.seed(base+j, &c[j])
+			c[j] = m.seed(base + j)
 		}
 	}
 	m.chunks[i] = c

@@ -15,9 +15,9 @@ type entry struct {
 // seeded returns a map whose seed records the page and counts its runs.
 func seeded(n int) (*Map[entry], map[int]int) {
 	runs := make(map[int]int)
-	return New(n, func(p int, e *entry) {
+	return New(n, func(p int) entry {
 		runs[p]++
-		e.page = p
+		return entry{page: p}
 	}), runs
 }
 

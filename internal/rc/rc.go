@@ -188,9 +188,8 @@ func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, cfg Config) *No
 		dir:      cfg.Dir,
 		twins:    make(map[mmu.PageID][]byte),
 	}
-	n.pages = pagemap.New(cfg.DataPages, func(p int, ps *pageState) {
-		ps.home = StaticHome(mmu.PageID(p), n.nodes)
-		ps.lastWriter = -1
+	n.pages = pagemap.New(cfg.DataPages, func(p int) pageState {
+		return pageState{home: StaticHome(mmu.PageID(p), n.nodes), lastWriter: -1}
 	})
 	ep.SetHandler(wire.KindRCFetchReq, n.handleFetch)
 	ep.SetHandler(wire.KindRCDiffWriteReq, n.handleDiffWrite)
