@@ -22,9 +22,11 @@ var vetCmd = &command{
 
 It exits 1 when any diagnostic survives (suppress deliberate, documented
 violations with "//ivyvet:ignore reason" on the flagged line or the line
-above), and 2 on load failure. The four analyzers are maporder,
-hotpath, worldsplit and lockorder (-list says what each checks;
-DESIGN.md §8 names the bug each one's golden test replants).
+above), and 2 on load failure. The three analyzers are maporder,
+worldsplit and lockorder (-list says what each checks; DESIGN.md §8
+names the bug each one's golden test replants). The fast paths'
+allocation-free shape is not checked here: AllocsPerRun guards in the
+test suite hold it.
 
 The analyzers are written against the go/analysis API shape; with
 network access they would build into a multichecker binary usable as a

@@ -19,69 +19,106 @@ func (c stubCtx) TLB() *TLB            { return c.tlb }
 func (c stubCtx) Charge(time.Duration) {}
 func (c stubCtx) Flush()               {}
 
+// twoResidentPages makes the first two pages of node 0's space resident
+// and writable, each holding 7 in its first word, and returns their
+// addresses. A measured loop that alternates them moves a frame to the
+// front of the pool's LRU list on every switch, so the guards below
+// cover the list splice (Pool.moveToFront → unlink/pushFront) and not
+// only the early return for a frame already at the front.
+func twoResidentPages(t *testing.T, r *rig) (a, b uint64) {
+	s := r.svms[0]
+	a, b = s.Base(), s.Base()+uint64(s.PageSize())
+	r.proc(0, "touch", func(ctx Ctx) {
+		s.WriteU64(ctx, a, 7)
+		s.WriteU64(ctx, b, 7)
+	})
+	r.run(t, time.Second)
+	return a, b
+}
+
 // TestResidentAccessDoesNotAllocate guards the tracing-off fast path:
 // with no collector attached, a resident read or write must not
 // allocate. The instrumentation sites are all nil-guarded, and this is
 // the check that keeps them that way — the span tracer's
-// zero-cost-when-off contract (Config.Trace) rests on it.
+// zero-cost-when-off contract (Config.Trace) rests on it. The context
+// has no TLB, so every access takes the table walk, and alternating two
+// pages makes each walk's Pool.GetFrame splice its frame to the front.
 func TestResidentAccessDoesNotAllocate(t *testing.T) {
 	r := newRig(t, 1, 1, testConfig(DynamicDistributed))
 	s := r.svms[0]
-	r.proc(0, "touch", func(ctx Ctx) {
-		s.WriteU64(ctx, s.Base(), 7) // make the page resident and writable
-	})
-	r.run(t, time.Second)
+	a, b := twoResidentPages(t, r)
 
 	got := -1.0
+	moves := 0
 	r.eng.Go("measure", func(f *sim.Fiber) {
 		var ctx Ctx = stubCtx{f: f} // box once, outside the measured loop
 		got = testing.AllocsPerRun(1000, func() {
-			if v := s.ReadU64(ctx, s.Base()); v != 7 {
-				t.Errorf("resident read returned %d", v)
+			for _, addr := range [2]uint64{a, b} {
+				front := s.pool.Front()
+				if v := s.ReadU64(ctx, addr); v != 7 {
+					t.Errorf("resident read at %#x returned %d", addr, v)
+				}
+				s.WriteU64(ctx, addr, 7)
+				if s.pool.Front() != front {
+					moves++
+				}
 			}
-			s.WriteU64(ctx, s.Base(), 7)
 		})
 	})
 	r.run(t, time.Second)
 	if got != 0 {
 		t.Fatalf("resident access allocates %v objects/op with tracing off", got)
 	}
+	if moves == 0 {
+		t.Fatal("no walk moved a frame to the LRU front; the guard is not testing the splice")
+	}
 }
 
 // TestTLBHitPathDoesNotAllocate pins the software-TLB hit path at zero
-// allocations: after the first access fills the TLB, repeated reads and
-// writes to the same page must resolve entirely through the
-// direct-mapped lookup — no page-table map access, no frame pool
-// lookup, no boxing. This is the contract that makes the TLB a
-// performance win rather than a wash.
+// allocations: after the first accesses fill the TLB, repeated reads and
+// writes must resolve entirely through the direct-mapped lookup — no
+// page-table map access, no frame pool lookup, no boxing. This is the
+// contract that makes the TLB a performance win rather than a wash. The
+// loop alternates two pages, so each switch misses ReadU64T's inline
+// front check and takes TLB.hit's Pool.TouchFrame splice instead.
 func TestTLBHitPathDoesNotAllocate(t *testing.T) {
 	r := newRig(t, 1, 1, testConfig(DynamicDistributed))
 	s := r.svms[0]
-	r.proc(0, "touch", func(ctx Ctx) {
-		s.WriteU64(ctx, s.Base(), 7)
-	})
-	r.run(t, time.Second)
+	a, b := twoResidentPages(t, r)
 
 	// The debt sink is never flushed (huge quantum): compute stays free,
 	// as with the stub's no-op Charge.
 	var debt time.Duration
 	tlb := NewTLB(&debt, time.Hour)
 	got := -1.0
+	moves := 0
+	var misses uint64
 	r.eng.Go("measure", func(f *sim.Fiber) {
 		var ctx Ctx = stubCtx{f: f, tlb: tlb}
-		s.WriteU64(ctx, s.Base(), 7) // prime: fill the TLB entry
+		s.WriteU64(ctx, a, 7) // prime: fill both TLB entries
+		s.WriteU64(ctx, b, 7)
+		misses = tlb.Misses()
 		got = testing.AllocsPerRun(1000, func() {
-			if v := s.ReadU64(ctx, s.Base()); v != 7 {
-				t.Errorf("TLB-hit read returned %d", v)
+			for _, addr := range [2]uint64{a, b} {
+				front := s.pool.Front()
+				if v := s.ReadU64(ctx, addr); v != 7 {
+					t.Errorf("TLB-hit read at %#x returned %d", addr, v)
+				}
+				s.WriteU64(ctx, addr, 7)
+				if s.pool.Front() != front {
+					moves++
+				}
 			}
-			s.WriteU64(ctx, s.Base(), 7)
 		})
 	})
 	r.run(t, time.Second)
 	if got != 0 {
 		t.Fatalf("TLB-hit access allocates %v objects/op", got)
 	}
-	if tlb.Hits() == 0 {
-		t.Fatal("measured loop never hit the TLB; the guard is not testing the hit path")
+	if tlb.Hits() == 0 || tlb.Misses() != misses {
+		t.Fatalf("measured loop: %d TLB hits, %d misses after priming; want every access a hit", tlb.Hits(), tlb.Misses()-misses)
+	}
+	if moves == 0 {
+		t.Fatal("no hit moved a frame to the LRU front; the guard is not testing the splice")
 	}
 }

@@ -334,8 +334,6 @@ func (s *SVM) ReadU64(ctx Ctx, addr uint64) uint64 {
 // calls the slow half, which finishes the access through charged: the
 // quantum settle, TLB.hit with the calls in place, and the walk
 // (re-probing is safe: nothing between the two probes can yield).
-//
-//ivy:hotpath calls=readU64TSlow
 func (s *SVM) ReadU64T(t *TLB, ctx Ctx, addr uint64) uint64 {
 	s.st.SVM.ReadAccesses++
 	if t != nil {
@@ -373,8 +371,6 @@ func (s *SVM) WriteU64(ctx Ctx, addr uint64, v uint64) {
 
 // WriteU64T is WriteU64 with the translation cache resolved by the
 // caller; see ReadU64T (including the call-free/slow split).
-//
-//ivy:hotpath calls=writeU64TSlow
 func (s *SVM) WriteU64T(t *TLB, ctx Ctx, addr uint64, v uint64) {
 	s.st.SVM.WriteAccesses++
 	if t != nil {

@@ -156,8 +156,6 @@ func (t *TLB) FlushAll() {
 // page, panics on genuinely bad addresses, and refills on success).
 // Scalars and page runs alike probe here; only ReadU64T/WriteU64T copy
 // its logic inline, to stay call-free.
-//
-//ivy:hotpath
 func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 	if t.svm != s {
 		t.misses++ // rebind happens on the walk's fill

@@ -8,13 +8,12 @@
 // analyzer's Run function can move there unchanged — but this repository
 // builds offline with no third-party modules, so the driver protocol
 // (unitchecker, facts, dependency passes) is replaced by the small
-// whole-program loader in internal/ivyvet/load. Two deliberate
-// extensions substitute for x/tools facts: Pass.PkgSyntax lets an
-// analyzer read the parsed syntax of a dependency package, and
-// Pass.Graph exposes the module-wide call graph (built once per
-// program by the driver, shared by every pass) for the transitive
-// analyzers — worldsplit, lockorder, hotpath — whose
-// invariants are reachability properties, not per-file shapes.
+// whole-program loader in internal/ivyvet/load. One deliberate
+// extension substitutes for x/tools facts: Pass.Graph exposes the
+// module-wide call graph (built once per program by the driver, shared
+// by every pass) for the transitive analyzers — worldsplit and
+// lockorder — whose invariants are reachability properties, not
+// per-file shapes.
 package analysis
 
 import (
@@ -48,11 +47,6 @@ type Pass struct {
 	// PkgPath is the package's import path with any synthetic "_test"
 	// suffix stripped — the path scope checks should match against.
 	PkgPath string
-
-	// PkgSyntax returns the parsed files of another package loaded in
-	// the same program (nil when the path was not loaded from source,
-	// e.g. the standard library). It stands in for x/tools facts.
-	PkgSyntax func(path string) []*ast.File
 
 	// Graph is the whole-program call graph, shared across passes.
 	// Analyzers that report through it must filter nodes to the current

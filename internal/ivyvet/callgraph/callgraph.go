@@ -2,9 +2,8 @@
 // packages a load.Program compiled from source, giving the ivyvet
 // analyzers the module-wide view their invariants actually live at:
 // "no simulated-world function transitively reaches a goroutine
-// launch", "no cycle in the lock acquisition order", "no hot-path
-// callee allocates". Per-file AST checks cannot answer reachability
-// questions; this graph can.
+// launch", "no cycle in the lock acquisition order". Per-file AST
+// checks cannot answer reachability questions; this graph can.
 //
 // The design mirrors what golang.org/x/tools provides with
 // go/callgraph + go/analysis facts, shrunk to the offline loader this
@@ -99,15 +98,6 @@ type Edge struct {
 	Kind   EdgeKind
 }
 
-// ExtCall is a call to a function outside the graph — the standard
-// library, or a body-less declaration. Analyzers treat these by
-// package path (time.Sleep is a wall-clock read; binary.LittleEndian
-// methods are intrinsics).
-type ExtCall struct {
-	Fn  *types.Func
-	Pos token.Pos
-}
-
 // Node is one declared function or method with a body.
 type Node struct {
 	// Key is the node's stable symbol key, "pkgpath.Recv.Name" (or
@@ -127,11 +117,6 @@ type Node struct {
 	Out []Edge
 	// In lists callers, deduplicated and sorted by key.
 	In []*Node
-	// Ext lists calls that leave the graph, in body order.
-	Ext []ExtCall
-	// Unresolved marks indirect call sites with no matching
-	// address-taken candidate — sites where the graph is known blind.
-	Unresolved []token.Pos
 	// AddressTaken reports that the function is referenced somewhere
 	// outside call position, making it a candidate for Indirect edges.
 	AddressTaken bool
@@ -479,8 +464,6 @@ func (b *edgeBuilder) call(call *ast.CallExpr) {
 		}
 		if n := b.g.nodes[funcKey(o)]; n != nil {
 			b.add(Edge{Callee: n, Pos: call.Pos(), Kind: Static})
-		} else {
-			b.n.Ext = append(b.n.Ext, ExtCall{Fn: o, Pos: call.Pos()})
 		}
 		return
 	}
@@ -494,12 +477,7 @@ func (b *edgeBuilder) call(call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	cands := b.taken[sigShape(sig)]
-	if len(cands) == 0 {
-		b.n.Unresolved = append(b.n.Unresolved, call.Pos())
-		return
-	}
-	for _, cand := range cands {
+	for _, cand := range b.taken[sigShape(sig)] {
 		b.add(Edge{Callee: cand, Pos: call.Pos(), Kind: Indirect})
 	}
 }

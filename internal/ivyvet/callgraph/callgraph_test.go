@@ -11,7 +11,7 @@ import (
 func loadCG(t *testing.T) *Graph {
 	t.Helper()
 	cfg := load.Config{SrcRoot: filepath.Join("testdata", "src")}
-	pr, err := cfg.Load("cg/a", "cg/b", "cg/c")
+	pr, err := cfg.Load("cg/a", "cg/b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +84,6 @@ func TestAddressTaken(t *testing.T) {
 	}
 	if node(t, g, "cg/a.Use").AddressTaken {
 		t.Error("Use is only called directly; not address-taken")
-	}
-}
-
-// TestUnresolved pins the builder's honesty about its blind spot: a
-// function-value call with no matching address-taken candidate is
-// recorded as Unresolved rather than silently producing no edge.
-func TestUnresolved(t *testing.T) {
-	g := loadCG(t)
-	n := node(t, g, "cg/c.CallUnknown")
-	if len(n.Out) != 0 || len(n.Unresolved) != 1 {
-		t.Errorf("CallUnknown: %d edges, %d unresolved; want 0 and 1", len(n.Out), len(n.Unresolved))
 	}
 }
 

@@ -1,9 +1,6 @@
 package ivyvet
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -30,10 +27,6 @@ import (
 func TestMapOrderGolden(t *testing.T) {
 	runGolden(t, []*analysis.Analyzer{MapOrderAnalyzer},
 		"ord/internal/proc", "ord/internal/remop", "ord/internal/sim")
-}
-
-func TestHotpathGolden(t *testing.T) {
-	runGolden(t, []*analysis.Analyzer{HotpathAnalyzer}, "hot/hot")
 }
 
 // TestDeterminismGolden covers worldsplit's wall-clock, random-source
@@ -125,38 +118,6 @@ func TestModuleClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestHotpathAnnotationAudit pins the PR 2 call-free paths to their
-// annotations: the functions the AllocsPerRun guards measure must stay
-// //ivy:hotpath, so the analyzer — not just zero allocs on one
-// reference machine — vouches for their shape. TestModuleClean is the
-// other half of the agreement: the annotated bodies pass the analyzer.
-func TestHotpathAnnotationAudit(t *testing.T) {
-	want := map[string][]string{
-		"../core/fault.go":  {"ReadU64T", "WriteU64T"},
-		"../core/tlb.go":    {"hit"},
-		"../sim/heap.go":    {"pop"},
-		"../memfs/memfs.go": {"TouchFrame", "Front", "Epoch"},
-	}
-	fset := token.NewFileSet()
-	for file, fns := range want {
-		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		have := make(map[string]bool)
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && parseHotpathAnn(fd.Doc).annotated {
-				have[fd.Name.Name] = true
-			}
-		}
-		for _, fn := range fns {
-			if !have[fn] {
-				t.Errorf("%s: %s lost its //ivy:hotpath annotation", file, fn)
-			}
-		}
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package ivyvet is the simulator's custom static-analysis suite: four
+// Package ivyvet is the simulator's custom static-analysis suite: three
 // analyzers that mechanically enforce invariants this reproduction
 // otherwise trusts to convention and review. Each keeps a golden test
 // that replants the historical bug it guards against, where there is
@@ -19,10 +19,6 @@
 // satisfies them — callees, annotations — may live in packages outside
 // the request):
 //
-//   - hotpath: functions annotated //ivy:hotpath must stay free of
-//     allocating constructs; callees must be hotpath-annotated,
-//     transitively allocation-free per the call graph, or declared
-//     cold exits (calls= entries that no call uses are flagged).
 //   - worldsplit: simulated-world packages must not read the wall
 //     clock, draw from the global math/rand source, or use goroutines,
 //     channels, sync objects or paths into host-side components, except
@@ -42,7 +38,10 @@
 // directions). That every shared-memory accessor reports to the
 // observer seam, and that built clusters serve every request kind, are
 // behaviour tests (TestEveryAccessorIsObserved in internal/core,
-// TestEveryRequestKindIsServed in the root package).
+// TestEveryRequestKindIsServed in the root package). So is the
+// allocation-free shape of the fast paths (the accessor and TLB hit,
+// the LRU splice, event dispatch): testing.AllocsPerRun guards such as
+// core.TestTLBHitPathDoesNotAllocate hold them at zero allocations.
 //
 // A diagnostic is suppressed by a `//ivyvet:ignore <reason>` comment on
 // the flagged line or the line above; the reason is mandatory, so every
@@ -65,7 +64,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		MapOrderAnalyzer,
-		HotpathAnalyzer,
 		WorldsplitAnalyzer,
 		LockorderAnalyzer,
 	}
@@ -101,7 +99,6 @@ func RunProgram(pr *load.Program, analyzers []*analysis.Analyzer) ([]Diagnostic,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				PkgPath:   pkg.PathNoTest(),
-				PkgSyntax: pr.Syntax,
 				Graph:     graph,
 			}
 			name := a.Name

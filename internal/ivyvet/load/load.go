@@ -15,8 +15,8 @@
 //  3. the standard library, via go/importer's source importer.
 //
 // Module and overlay packages are compiled from source here, so their
-// syntax trees stay available to analyzers (Program.Syntax); standard
-// library packages arrive as bare type information.
+// syntax trees stay available to analyzers; standard library packages
+// arrive as bare type information.
 package load
 
 import (
@@ -49,8 +49,8 @@ type Package struct {
 // suffix stripped.
 func (p *Package) PathNoTest() string { return strings.TrimSuffix(p.PkgPath, "_test") }
 
-// Program is the result of a Load: the requested packages plus the
-// syntax of every package compiled from source on their behalf.
+// Program is the result of a Load: the requested packages plus every
+// package compiled from source on their behalf.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -65,8 +65,6 @@ type Program struct {
 	// (a path compiled both with and without test files contributes
 	// two images). See Images.
 	images []*Package
-
-	syntax map[string][]*ast.File
 }
 
 // Images returns every distinct compiled package image of the load. A
@@ -94,11 +92,6 @@ func (pr *Program) Images() []*Package { return pr.images }
 // stable symbol keys rather than object identity.
 func (pr *Program) All() []*Package { return pr.all }
 
-// Syntax returns the parsed files of an import path compiled from
-// source during the load, or nil for paths that came from the standard
-// library (or were never loaded).
-func (pr *Program) Syntax(path string) []*ast.File { return pr.syntax[path] }
-
 // Config directs a load.
 type Config struct {
 	// ModuleRoot is the directory holding go.mod; ModulePath is the
@@ -122,7 +115,6 @@ func (c *Config) Load(patterns ...string) (*Program, error) {
 		cfg:        *c,
 		fset:       token.NewFileSet(),
 		pkgs:       make(map[string]*entry),
-		syntax:     make(map[string][]*ast.File),
 		sizes:      types.SizesFor("gc", runtime.GOARCH),
 		inProgress: make(map[string]bool),
 	}
@@ -155,7 +147,7 @@ func (c *Config) Load(patterns ...string) (*Program, error) {
 		}
 	}
 
-	pr := &Program{Fset: ld.fset, syntax: ld.syntax}
+	pr := &Program{Fset: ld.fset}
 	for _, path := range paths {
 		e, err := ld.load(path, c.Tests)
 		if err != nil {
@@ -269,7 +261,6 @@ type loader struct {
 	fset       *token.FileSet
 	std        types.Importer
 	pkgs       map[string]*entry // key: path + ("\x00test" when tests included)
-	syntax     map[string][]*ast.File
 	sizes      types.Sizes
 	inProgress map[string]bool
 }
@@ -336,11 +327,6 @@ func (ld *loader) load(path string, tests bool) (*entry, error) {
 	}
 	e := &entry{dir: dir, files: files, pkg: pkg, info: info}
 	ld.pkgs[key(path, tests)] = e
-	// Record syntax for cross-package annotation lookups. A with-tests
-	// load is a superset of the plain one; either serves.
-	if _, ok := ld.syntax[path]; !ok || tests {
-		ld.syntax[path] = files
-	}
 	return e, nil
 }
 
@@ -360,7 +346,6 @@ func (ld *loader) loadXTest(path string, under *entry) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	ld.syntax[path+"_test"] = files
 	return &Package{PkgPath: path + "_test", Dir: under.dir, Files: files, Types: pkg, Info: info}, nil
 }
 

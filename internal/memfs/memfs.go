@@ -106,8 +106,6 @@ func (pl *Pool) Init(numPages, capacity int, evict EvictFunc, canEvict CanEvictF
 func (pl *Pool) lookup(p mmu.PageID) *Frame { return pl.frames.Get(int(p)) }
 
 // pushFront links fr as the most recently used frame.
-//
-//ivy:hotpath
 func (pl *Pool) pushFront(fr *Frame) {
 	fr.prev = nil
 	fr.next = pl.head
@@ -120,8 +118,6 @@ func (pl *Pool) pushFront(fr *Frame) {
 }
 
 // unlink removes fr from the LRU list.
-//
-//ivy:hotpath
 func (pl *Pool) unlink(fr *Frame) {
 	if fr.prev != nil {
 		fr.prev.next = fr.next
@@ -137,8 +133,6 @@ func (pl *Pool) unlink(fr *Frame) {
 }
 
 // moveToFront marks fr most recently used.
-//
-//ivy:hotpath
 func (pl *Pool) moveToFront(fr *Frame) {
 	if pl.head == fr {
 		return
@@ -186,16 +180,12 @@ func (pl *Pool) GetFrame(p mmu.PageID) *Frame {
 // TouchFrame marks a cached frame handle most recently used — the TLB
 // hit path's replacement-policy update, identical in effect to the
 // lookup Get performs on a miss.
-//
-//ivy:hotpath
 func (pl *Pool) TouchFrame(fr *Frame) {
 	pl.moveToFront(fr)
 }
 
 // Epoch returns the shootdown epoch: a translation cached at an earlier
 // epoch may name a retired frame, stale bytes or withdrawn rights.
-//
-//ivy:hotpath
 func (pl *Pool) Epoch() uint64 { return pl.epoch }
 
 // Shoot advances the shootdown epoch, invalidating every translation
@@ -207,8 +197,6 @@ func (pl *Pool) Shoot() { pl.epoch++ }
 // Front returns the most recently used frame (nil when empty) — the
 // TLB hit path compares against it to skip the touch for consecutive
 // accesses to one page.
-//
-//ivy:hotpath
 func (pl *Pool) Front() *Frame { return pl.head }
 
 // Peek returns the frame data without touching LRU order (used when

@@ -103,6 +103,11 @@ func (m *Map[T]) Range(fn func(p int, e *T) bool) {
 	}
 }
 
+// outOfRange panics for a page outside the map. It stays out of line,
+// so At and Get, the lookups every page access makes, do not carry the
+// fmt.Sprintf call of a path that never runs.
+//
+//go:noinline
 func (m *Map[T]) outOfRange(p int) {
 	panic(fmt.Sprintf("pagemap: page %d out of range (%d pages)", p, m.n))
 }

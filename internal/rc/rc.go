@@ -490,12 +490,27 @@ func (n *Node) postNotices(f *sim.Fiber, pages, vers []uint32) {
 	}
 	n.stats.NoticesPosted += uint64(len(pages))
 	if n.self == n.dir {
-		for i := range pages {
-			n.log = append(n.log, notice{page: pages[i], ver: vers[i]})
-		}
+		n.logNotices(pages, vers)
 		return
 	}
 	n.call(f, n.dir, &wire.RCNoticePostReq{Pages: pages, Vers: vers})
+}
+
+// logNotices appends write notices to the directory log.
+func (n *Node) logNotices(pages, vers []uint32) {
+	for i := range pages {
+		n.log = append(n.log, notice{page: pages[i], ver: vers[i]})
+	}
+}
+
+// noticesSince answers a notice query from the directory log: the
+// notices logged from position since on, one (page, max version) pair
+// per page, and the log position that follows them. A since past the
+// log's end is clamped to it.
+func (n *Node) noticesSince(since uint64) (pages, vers []uint32, next uint64) {
+	next = uint64(len(n.log))
+	pages, vers = dedupNotices(n.log[min(since, next):])
+	return pages, vers, next
 }
 
 // --- Acquire side --------------------------------------------------------
@@ -508,8 +523,7 @@ func (n *Node) Acquire(f *sim.Fiber) {
 	n.stats.Acquires++
 	var pages, vers []uint32
 	if n.self == n.dir {
-		pages, vers = dedupNotices(n.log[n.cursor:])
-		n.cursor = uint64(len(n.log))
+		pages, vers, n.cursor = n.noticesSince(n.cursor)
 	} else {
 		reply := n.call(f, n.dir, &wire.RCAcquireQueryReq{Since: n.cursor})
 		r := reply.(*wire.RCAcquireQueryReply)
@@ -709,9 +723,7 @@ func (n *Node) handleNoticePost(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	if len(m.Pages) != len(m.Vers) {
 		panic(fmt.Sprintf("rc: notice post with %d pages but %d versions", len(m.Pages), len(m.Vers)))
 	}
-	for i := range m.Pages {
-		n.log = append(n.log, notice{page: m.Pages[i], ver: m.Vers[i]})
-	}
+	n.logNotices(m.Pages, m.Vers)
 	return &wire.RCNoticePostReply{}
 }
 
@@ -722,12 +734,8 @@ func (n *Node) handleAcquireQuery(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	if n.self != n.dir {
 		panic(fmt.Sprintf("rc: node %d received an acquire query but is not the directory", n.self))
 	}
-	since := m.Since
-	if since > uint64(len(n.log)) {
-		since = uint64(len(n.log))
-	}
-	pages, vers := dedupNotices(n.log[since:])
-	return &wire.RCAcquireQueryReply{Next: uint64(len(n.log)), Pages: pages, Vers: vers}
+	pages, vers, next := n.noticesSince(m.Since)
+	return &wire.RCAcquireQueryReply{Next: next, Pages: pages, Vers: vers}
 }
 
 // diffWords returns the 8-byte words where frame and twin differ, as

@@ -16,7 +16,6 @@ const heapArity = 4
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-//ivy:hotpath
 func (h *eventHeap) less(i, j int) bool {
 	if h.a[i].at != h.a[j].at {
 		return h.a[i].at < h.a[j].at
@@ -38,8 +37,6 @@ func (h *eventHeap) push(ev *event) {
 }
 
 // top returns the earliest event without removing it, or nil when empty.
-//
-//ivy:hotpath
 func (h *eventHeap) top() *event {
 	if len(h.a) == 0 {
 		return nil
@@ -47,10 +44,8 @@ func (h *eventHeap) top() *event {
 	return h.a[0]
 }
 
-// pop is the engine's event-dispatch fast path; push stays unannotated
-// because its append may grow the backing array.
-//
-//ivy:hotpath
+// pop is the engine's event-dispatch fast path and never allocates;
+// push may, when its append grows the backing array.
 func (h *eventHeap) pop() *event {
 	if len(h.a) == 0 {
 		return nil
@@ -64,7 +59,6 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-//ivy:hotpath
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.a)
 	for {
@@ -107,7 +101,6 @@ func (q *nowQueue) len() int { return len(q.a) - q.head }
 
 func (q *nowQueue) push(ev *event) { q.a = append(q.a, ev) }
 
-//ivy:hotpath
 func (q *nowQueue) peek() *event {
 	if q.head == len(q.a) {
 		return nil
@@ -115,7 +108,6 @@ func (q *nowQueue) peek() *event {
 	return q.a[q.head]
 }
 
-//ivy:hotpath
 func (q *nowQueue) pop() *event {
 	if q.head == len(q.a) {
 		return nil
