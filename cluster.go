@@ -32,8 +32,8 @@ type Cluster struct {
 	eng *sim.Engine
 
 	// nw is the simulated ring, nil over TCP; tcp is this process's TCP
-	// stations and their driver, nil under sim. Sim-only planes (loss,
-	// chaos, tracing) keep the concrete nw; net is whichever of the two
+	// stations and their driver, nil under sim. Sim-only planes (chaos,
+	// tracing) keep the concrete nw; net is whichever of the two
 	// carries the traffic, for its counters.
 	nw  *ring.Network
 	tcp *tcpnet.Loopback
@@ -103,9 +103,6 @@ func assemble(cfg Config, eng *sim.Engine, tcp *tcpnet.Loopback, lo, hi int) *Cl
 		c.net = tcp
 	} else {
 		c.nw = ring.New(eng, *cfg.Costs, cfg.Processors)
-		if cfg.LossProbability > 0 {
-			c.nw.SetLossProbability(cfg.LossProbability)
-		}
 		c.net = c.nw
 	}
 	for id := lo; id < hi; id++ {

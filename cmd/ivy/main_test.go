@@ -11,13 +11,18 @@ import (
 // TestGoldenOutput runs each subcommand in-process and holds its stdout
 // byte-identical to what the seven binaries this command replaced
 // printed for the same flags (testdata/cli, captured from their last
-// commit; testdata/pr16 for the profiler). Lines containing "wall time"
-// are the only nondeterministic ones and are dropped.
+// commit; testdata/pr16 for the profiler). The two lossy RC and
+// broadcast run cells were captured while -loss was still the ring's
+// own loss knob, so they hold the loss-only chaos schedule to it. Lines
+// containing "wall time" are the only nondeterministic ones and are
+// dropped.
 func TestGoldenOutput(t *testing.T) {
 	cells := []struct{ args, golden string }{
 		{"run -app dotprod -procs 4", "cli/run_dotprod_p4.txt"},
 		{"run -app jacobi -procs 4 -n 128 -manager fixed -coherence rc", "cli/run_jacobi_p4_n128_fixed_rc.txt"},
 		{"run -app matmul -procs 4 -pagesize 256 -loss 0.05", "cli/run_matmul_p4_ps256_loss.txt"},
+		{"run -app jacobi -procs 4 -n 128 -coherence rc -loss 0.02", "cli/run_jacobi_p4_n128_rc_loss.txt"},
+		{"run -app dotprod -procs 4 -manager broadcast -loss 0.02", "cli/run_dotprod_p4_broadcast_loss.txt"},
 		{"trace -scenario sharing -pages -limit 60", "cli/trace_sharing_pages_60.txt"},
 		{"trace -scenario migration -summary", "cli/trace_migration_summary.txt"},
 		{"prof -app matmul -procs 8 -seed 1", "pr16/ivyprof_matmul_p8_s1.txt"},

@@ -82,7 +82,7 @@ type TraceConfig struct {
 // Transport backends for Config.Transport.
 const (
 	// TransportSim (the default) is the deterministic simulated token
-	// ring: virtual time, seeded loss/chaos injection, bit-for-bit
+	// ring: virtual time, seeded chaos injection, bit-for-bit
 	// reproducible runs.
 	TransportSim = "sim"
 
@@ -90,8 +90,8 @@ const (
 	// TCP connections on 127.0.0.1: every frame crosses actual sockets,
 	// one listener per node, all inside this process and one engine.
 	// The engine is host-paced (see internal/tcpnet.Driver), so runs
-	// are no longer deterministic; the simulator-only planes — loss
-	// injection, chaos, span tracing — are rejected. This is the
+	// are no longer deterministic; the simulator-only planes — chaos
+	// (loss included) and span tracing — are rejected. This is the
 	// cross-transport conformance configuration; fully separate
 	// processes use `ivy node` instead.
 	TransportTCPLoopback = "tcp-loopback"
@@ -163,14 +163,12 @@ type Config struct {
 	// Seed drives all randomness; runs with equal seeds are identical.
 	Seed int64
 
-	// LossProbability injects per-delivery packet loss (default 0),
-	// exercising the retransmission protocol.
-	LossProbability float64
-
 	// Chaos, when non-nil, installs the fault plane: duplication, delay
 	// jitter, independent and burst loss, and crash/restart schedules,
-	// all drawn from Seed so faulty runs replay bit-for-bit. Nil — the
-	// default — costs nothing at run time. See internal/chaos.
+	// all drawn from Seed so faulty runs replay bit-for-bit. It is the
+	// one fault knob: plain independent loss (`ivy run -loss p`) is
+	// &ChaosOpts{LossProbability: p}. Nil — the default — costs nothing
+	// at run time. See internal/chaos.
 	Chaos *ChaosOpts
 
 	// BroadcastInvalidation switches write-fault invalidation to the
@@ -300,9 +298,9 @@ func maxSharedPages(pageSize int, rc bool) int {
 // validate reports the first rule cfg, defaults applied, breaks: the
 // processor count, the coherence mode, the shared-page bound, the page
 // size and cost model the SVMs are built with, a simulator plane over a
-// TCP transport, and a chaos schedule the cluster cannot carry out. It
-// runs before anything is built; New panics with its error and NewNode
-// returns it.
+// TCP transport, and a chaos schedule the cluster cannot carry out (a
+// probability outside [0,1] among them). It runs before anything is
+// built; New panics with its error and NewNode returns it.
 func (cfg Config) validate() error {
 	if cfg.Processors < 1 || cfg.Processors > 64 {
 		return fmt.Errorf("ivy: %d processors out of range [1,64]", cfg.Processors)
@@ -319,13 +317,18 @@ func (cfg Config) validate() error {
 	switch cfg.Transport {
 	case "", TransportSim:
 	case TransportTCPLoopback:
-		if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil {
-			return errors.New("ivy: loss injection, chaos, and tracing are simulator planes; not available over " + cfg.Transport)
+		if cfg.Chaos != nil || cfg.Trace != nil {
+			return errors.New("ivy: chaos (loss included) and tracing are simulator planes; not available over " + cfg.Transport)
 		}
 	default:
 		return fmt.Errorf("ivy: unknown transport %q", cfg.Transport)
 	}
 	if co := cfg.Chaos; co != nil {
+		for _, p := range [...]float64{co.DuplicateProbability, co.DelayProbability, co.LossProbability, co.BurstProbability} {
+			if !(p >= 0 && p <= 1) {
+				return fmt.Errorf("ivy: chaos probability %g out of range [0,1]", p)
+			}
+		}
 		for _, cr := range co.Crashes {
 			if cr.Node < 0 || cr.Node >= cfg.Processors {
 				return fmt.Errorf("ivy: chaos crash of unknown node %d", cr.Node)

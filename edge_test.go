@@ -2,6 +2,7 @@ package ivy
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -230,8 +231,28 @@ func TestBroadcastInvalidationConfig(t *testing.T) {
 	}
 }
 
+// TestChaosProbabilityRange: a fault probability outside [0,1] is a
+// configuration error, not a plane that drops every frame.
+func TestChaosProbabilityRange(t *testing.T) {
+	for _, co := range []ChaosOpts{
+		{LossProbability: 2},
+		{LossProbability: math.NaN()},
+		{DelayProbability: -0.1},
+		{BurstProbability: 1.5, BurstLength: 2},
+	} {
+		co := co
+		if err := (Config{Processors: 2, Chaos: &co}).withDefaults().validate(); err == nil ||
+			!strings.HasPrefix(err.Error(), "ivy: chaos probability ") {
+			t.Errorf("%+v: validate = %v", co, err)
+		}
+	}
+	if err := (Config{Processors: 2, Chaos: &ChaosOpts{LossProbability: 1}}).withDefaults().validate(); err != nil {
+		t.Errorf("certain loss rejected: %v", err)
+	}
+}
+
 func TestLossyClusterEndToEnd(t *testing.T) {
-	c := New(Config{Seed: 5, Processors: 3, LossProbability: 0.1})
+	c := New(Config{Seed: 5, Processors: 3, Chaos: &ChaosOpts{LossProbability: 0.1}})
 	var sum uint64
 	err := c.Run(func(p *Proc) {
 		data := p.MustMalloc(3 * 1024)

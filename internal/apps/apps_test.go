@@ -420,7 +420,7 @@ func TestSmokeMatrixUnderPressureAndLoss(t *testing.T) {
 	cfg := smallCfg(2)
 	cfg.MemoryPages = 36
 	cfg.SharedPages = 512
-	cfg.LossProbability = 0.05
+	cfg.Chaos = &ivy.ChaosOpts{LossProbability: 0.05}
 	r, err := RunPDE3D(cfg, PDE3DParams{N: 16, Iters: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +501,7 @@ func TestLossyConfirmIsIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v lossless: %v", alg, err)
 		}
-		lossy, err := RunJacobi(ivy.Config{Processors: 4, Seed: 1, Algorithm: alg, LossProbability: 0.02}, par)
+		lossy, err := RunJacobi(ivy.Config{Processors: 4, Seed: 1, Algorithm: alg, Chaos: &ivy.ChaosOpts{LossProbability: 0.02}}, par)
 		if err != nil {
 			t.Fatalf("%v at 2%% loss: %v", alg, err)
 		}

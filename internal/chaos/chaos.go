@@ -6,7 +6,9 @@
 // (forwarding, broadcast, reply-cache retransmission) exists precisely
 // because the ring loses and duplicates packets; this package produces
 // those packets so internal/chaos/check can prove the memory stays
-// sequentially consistent while they fly.
+// sequentially consistent while they fly. It is the ring's only source
+// of injected faults: `ivy run -loss p` (and every tool taking -loss) is
+// the loss-only schedule Opts{LossProb: p}.
 //
 // Two deliberate limits keep injected faults within the failure model
 // the protocol is built for:
@@ -27,6 +29,7 @@ package chaos
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/remop"
@@ -140,16 +143,19 @@ func (inj *Injector) spend() bool {
 }
 
 // Deliver decides the fate of one delivery attempt. Randomness
-// consumption is fixed per attempt for a given Opts — every probability
-// and amount is drawn whether or not its fault fires — so changing
+// consumption is fixed per attempt for a given Opts: a probability is
+// drawn for every fault the Opts enable (its probability is non-zero),
+// and an amount for every non-zero MaxDelay or DuplicateDelay, whether
+// or not the fault fires and whatever the budget left. So changing
 // MaxFaults (the shrinker's knob) cannot shift the random stream under
-// the rest of the simulation.
-func (inj *Injector) Deliver(src, dst ring.NodeID, broadcast bool, size int) ring.Fault {
+// the rest of the simulation, and a loss-only plane takes one draw per
+// attempt.
+func (inj *Injector) Deliver(src, dst ring.NodeID, broadcast bool) ring.Fault {
 	r := inj.eng.Rand()
-	pLoss := r.Float64()
-	pBurst := r.Float64()
-	pDup := r.Float64()
-	pDelay := r.Float64()
+	loss := fires(r, inj.opts.LossProb)
+	burst := fires(r, inj.opts.BurstProb)
+	dup := fires(r, inj.opts.DuplicateProb)
+	delay := fires(r, inj.opts.DelayProb)
 	var delayAmt, dupAmt time.Duration
 	if inj.opts.MaxDelay > 0 {
 		delayAmt = time.Duration(1 + r.Int63n(int64(inj.opts.MaxDelay)))
@@ -171,20 +177,20 @@ func (inj *Injector) Deliver(src, dst ring.NodeID, broadcast bool, size int) rin
 		}
 		return f
 	}
-	if inj.opts.BurstProb > 0 && pBurst < inj.opts.BurstProb && inj.spend() {
+	if burst && inj.spend() {
 		inj.burst[dst] = inj.opts.BurstLen - 1
 		inj.stats.BurstDrops++
 		inj.note('B', int64(src), int64(dst))
 		f.Drop = true
 		return f
 	}
-	if inj.opts.LossProb > 0 && pLoss < inj.opts.LossProb && inj.spend() {
+	if loss && inj.spend() {
 		inj.stats.Drops++
 		inj.note('L', int64(src), int64(dst))
 		f.Drop = true
 		return f
 	}
-	if inj.opts.DuplicateProb > 0 && pDup < inj.opts.DuplicateProb && inj.spend() {
+	if dup && inj.spend() {
 		inj.stats.Dups++
 		inj.note('D', int64(src), int64(dst))
 		f.Dup = true
@@ -192,13 +198,17 @@ func (inj *Injector) Deliver(src, dst ring.NodeID, broadcast bool, size int) rin
 			f.DupDelay = dupAmt
 		}
 	}
-	if !broadcast && inj.opts.DelayProb > 0 && pDelay < inj.opts.DelayProb && inj.spend() {
+	if !broadcast && delay && inj.spend() {
 		inj.stats.Delays++
 		inj.note('J', int64(src), int64(dst))
 		f.Delay = delayAmt
 	}
 	return f
 }
+
+// fires draws one probability for a fault with probability p, drawing
+// nothing when the fault is off.
+func fires(r *rand.Rand, p float64) bool { return p > 0 && r.Float64() < p }
 
 // ScheduleCrashes arms every outage in Opts.Crashes: at Crash.At the
 // node's NIC goes dark and a surviving witness broadcasts a CrashNotice

@@ -147,15 +147,18 @@ func (f *Flags) Config() (ivy.Config, error) {
 		return ivy.Config{}, fmt.Errorf("unknown -coherence %q (want sc or rc)", f.Coherence)
 	}
 	cfg := ivy.Config{
-		Processors:      f.Procs,
-		PageSize:        f.PageSize,
-		MemoryPages:     f.MemPages,
-		Algorithm:       alg,
-		Coherence:       f.Coherence,
-		LossProbability: f.Loss,
-		Seed:            f.Seed,
-		DRace:           f.DRace,
-		Profile:         f.Profile,
+		Processors:  f.Procs,
+		PageSize:    f.PageSize,
+		MemoryPages: f.MemPages,
+		Algorithm:   alg,
+		Coherence:   f.Coherence,
+		Seed:        f.Seed,
+		DRace:       f.DRace,
+		Profile:     f.Profile,
+	}
+	if f.Loss > 0 {
+		// Independent loss is the loss-only chaos schedule.
+		cfg.Chaos = &ivy.ChaosOpts{LossProbability: f.Loss}
 	}
 	if f.SysMode {
 		costs := ivy.SystemMode1988()

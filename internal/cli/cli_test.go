@@ -3,6 +3,7 @@ package cli
 import (
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func parse(t *testing.T, which Flag, args ...string) *Flags {
 const all = Procs | PageSize | MemPages | Manager | Coherence | Loss | Seed | SysMode | DRace | Profile | Trace | Parallel
 
 // TestConfigMapsEveryFlag sets every shared flag and checks the
-// ivy.Config field it lands in.
+// ivy.Config field it lands in: -loss is the loss-only chaos schedule.
 func TestConfigMapsEveryFlag(t *testing.T) {
 	f := parse(t, all, "-procs", "7", "-pagesize", "256", "-mempages", "9", "-manager", "basic",
 		"-coherence", "rc", "-loss", "0.25", "-seed", "42", "-sysmode", "-drace", "-profile")
@@ -34,12 +35,15 @@ func TestConfigMapsEveryFlag(t *testing.T) {
 	}
 	sys := ivy.SystemMode1988()
 	if cfg.Processors != 7 || cfg.PageSize != 256 || cfg.MemoryPages != 9 || cfg.Algorithm != ivy.BasicCentralized ||
-		cfg.Coherence != ivy.CoherenceRC || cfg.LossProbability != 0.25 || cfg.Seed != 42 ||
+		cfg.Coherence != ivy.CoherenceRC || cfg.Chaos == nil || !reflect.DeepEqual(*cfg.Chaos, ivy.ChaosOpts{LossProbability: 0.25}) || cfg.Seed != 42 ||
 		!cfg.DRace || !cfg.Profile || cfg.Costs == nil || *cfg.Costs != sys {
 		t.Errorf("Config() = %+v", cfg)
 	}
 	if tc, _, err := f.OpenTrace(); tc != nil || err != nil {
 		t.Errorf("OpenTrace with no -trace/-sample = %v, %v", tc, err)
+	}
+	if cfg, err := parse(t, all).Config(); err != nil || cfg.Chaos != nil {
+		t.Errorf("Config() without -loss = %+v, %v; want no chaos plane", cfg, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/mmu"
 	"repro/internal/model"
 	"repro/internal/remop"
@@ -548,7 +549,7 @@ func TestLossyNetworkStillCoherent(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			r := newRig(t, 3, 99, testConfig(alg))
-			r.nw.SetLossProbability(0.15)
+			r.nw.SetInjector(chaos.NewInjector(r.eng, chaos.Opts{LossProb: 0.15}, 3))
 			addr := r.svms[0].Base()
 			for i := 0; i < 3; i++ {
 				i := i
@@ -857,8 +858,8 @@ func TestOwnerQueryFallbackRecoversLostRouting(t *testing.T) {
 	// stale chains; the broadcast query must keep everything live and
 	// exactly-once.
 	r := newRig(t, 4, 17, testConfig(DynamicDistributed))
-	r.nw.SetLossProbability(0.25)
-	r.eng.Schedule(2*time.Minute, func() { r.nw.SetLossProbability(0) })
+	r.nw.SetInjector(chaos.NewInjector(r.eng, chaos.Opts{LossProb: 0.25}, 4))
+	r.eng.Schedule(2*time.Minute, func() { r.nw.SetInjector(nil) })
 	addr := r.svms[0].Base()
 	for i := 0; i < 4; i++ {
 		i := i

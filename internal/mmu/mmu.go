@@ -186,26 +186,13 @@ func (t *Table) NumPages() int { return t.entries.Len() }
 
 // Entry returns a mutable pointer to the entry for page p, creating the
 // entry if it does not exist yet. The pointer stays valid for the life
-// of the table.
-func (t *Table) Entry(p PageID) *Entry {
-	if int(p) >= t.entries.Len() {
-		t.outOfRange(p)
-	}
-	return t.entries.At(int(p))
-}
+// of the table. A page outside the table panics in pagemap.
+func (t *Table) Entry(p PageID) *Entry { return t.entries.At(int(p)) }
 
 // Get returns a copy of page p's entry without creating it: for a page
-// never taken, the entry the seed rule gives it.
-func (t *Table) Get(p PageID) Entry {
-	if int(p) >= t.entries.Len() {
-		t.outOfRange(p)
-	}
-	return t.entries.Get(int(p))
-}
-
-func (t *Table) outOfRange(p PageID) {
-	panic(fmt.Sprintf("mmu: page %d out of range (%d pages)", p, t.entries.Len()))
-}
+// never taken, the entry the seed rule gives it. A page outside the
+// table panics in pagemap.
+func (t *Table) Get(p PageID) Entry { return t.entries.Get(int(p)) }
 
 // Chunks returns how many chunks of entries the table has materialized.
 func (t *Table) Chunks() int { return t.entries.Chunks() }

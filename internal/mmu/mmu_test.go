@@ -80,7 +80,7 @@ func TestEntryOutOfRangePanics(t *testing.T) {
 	for _, read := range []func(){func() { tab.Entry(4) }, func() { tab.Get(4) }} {
 		func() {
 			defer func() {
-				if got, want := recover(), "mmu: page 4 out of range (4 pages)"; got != want {
+				if got, want := recover(), "pagemap: page 4 out of range (4 pages)"; got != want {
 					t.Fatalf("out-of-range entry panicked with %v, want %q", got, want)
 				}
 			}()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/memfs"
 	"repro/internal/mmu"
 	"repro/internal/model"
@@ -83,7 +84,7 @@ func (l *sendLog) SendPacket(pkt ring.Packet) {
 			l.index[env.ReqID] = i
 			l.attempts = append(l.attempts, attempt{first: now, last: now})
 			if i >= l.lose {
-				l.SetLossProbability(0)
+				l.SetInjector(nil)
 			}
 		}
 		a := &l.attempts[i]
@@ -103,7 +104,7 @@ func TestCallFollowsTheSharedSchedule(t *testing.T) {
 	eng := sim.New(1)
 	nw := &sendLog{Network: ring.New(eng, model.Default1988(), 2), eng: eng,
 		index: make(map[uint32]int), lose: failures}
-	nw.SetLossProbability(1.0)
+	nw.SetInjector(chaos.NewInjector(eng, chaos.Opts{LossProb: 1}, 2))
 	n0 := newNode(eng, nw, 0, 4)
 	newNode(eng, nw, 1, 4)
 	var reply wire.Msg

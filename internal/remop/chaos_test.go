@@ -21,7 +21,7 @@ func TestGiveUpPropagatesErrCallFailed(t *testing.T) {
 	r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		return &wire.Ping{}
 	})
-	r.nw.SetLossProbability(1.0)
+	r.lose(1.0)
 	var err error
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		_, err = r.eps[0].Call(f, 1, &wire.Ping{})
@@ -237,18 +237,24 @@ func TestRetryCountsFailuresAndBacksOff(t *testing.T) {
 	}
 }
 
-// lossyInjector drops, duplicates and delays delivery attempts at fixed
-// rates, drawing from the engine's seeded source.
-type lossyInjector struct{ eng *sim.Engine }
+// lossyInjector drops delivery attempts with probability loss and, when
+// hostile, also duplicates and delays them at fixed rates, drawing from
+// the engine's seeded source. (remop cannot import internal/chaos.)
+type lossyInjector struct {
+	eng     *sim.Engine
+	loss    float64
+	hostile bool
+}
 
-func (l lossyInjector) Deliver(src, dst ring.NodeID, broadcast bool, size int) ring.Fault {
+func (l lossyInjector) Deliver(src, dst ring.NodeID, broadcast bool) ring.Fault {
 	rnd := l.eng.Rand()
-	return ring.Fault{
-		Drop:     rnd.Float64() < 0.15,
-		Dup:      rnd.Float64() < 0.15,
-		DupDelay: time.Duration(rnd.Intn(3)) * 700 * time.Millisecond,
-		Delay:    time.Duration(rnd.Intn(4)/3) * 900 * time.Millisecond,
+	f := ring.Fault{Drop: rnd.Float64() < l.loss}
+	if l.hostile {
+		f.Dup = rnd.Float64() < 0.15
+		f.DupDelay = time.Duration(rnd.Intn(3)) * 700 * time.Millisecond
+		f.Delay = time.Duration(rnd.Intn(4)/3) * 900 * time.Millisecond
 	}
+	return f
 }
 
 // chaosTraffic builds the scenario of the reference-accounting tests:
@@ -293,7 +299,7 @@ func chaosTraffic(t *testing.T) (eng *sim.Engine, nw *ring.Network, eps []*Endpo
 		})
 		ep.SetHandler(wire.KindWorkReq, func(*Ctx, *wire.Envelope) wire.Msg { return nil }) // no-reply broadcast
 	}
-	nw.SetInjector(lossyInjector{eng})
+	nw.SetInjector(lossyInjector{eng: eng, loss: 0.15, hostile: true})
 	eng.Schedule(3*time.Second, func() { nw.SetNodeDown(3, true) })
 	eng.Schedule(40*time.Second, func() { nw.SetNodeDown(3, false) })
 

@@ -86,8 +86,8 @@ func TestCallManyRecoversFromLoss(t *testing.T) {
 			return &wire.InvalidateAck{}
 		})
 	}
-	r.nw.SetLossProbability(0.5)
-	r.eng.Schedule(4*time.Second, func() { r.nw.SetLossProbability(0) })
+	r.lose(0.5)
+	r.eng.Schedule(4*time.Second, func() { r.nw.SetInjector(nil) })
 	ok := false
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		replies, err := r.eps[0].CallMany(f, []ring.NodeID{1, 2, 3}, &wire.InvalidateReq{})
@@ -111,8 +111,8 @@ func TestNotifyReliableDeliversUnderLoss(t *testing.T) {
 		got++
 		return &wire.MgrConfirm{} // echo ack consumed by the layer
 	})
-	r.nw.SetLossProbability(0.7)
-	r.eng.Schedule(5*time.Second, func() { r.nw.SetLossProbability(0) })
+	r.lose(0.7)
+	r.eng.Schedule(5*time.Second, func() { r.nw.SetInjector(nil) })
 	r.eps[0].NotifyReliable(1, &wire.MgrConfirm{Page: 3, NewOwner: 0})
 	r.run(t, 10*time.Minute)
 	if got != 1 {

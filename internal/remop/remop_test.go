@@ -32,6 +32,10 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 	return r
 }
 
+// lose makes every delivery attempt fail independently with probability
+// p, one draw per attempt from the engine's seeded source.
+func (r *rig) lose(p float64) { r.nw.SetInjector(lossyInjector{eng: r.eng, loss: p}) }
+
 // run drives the simulation with a horizon so periodic retransmission
 // timers don't keep the event queue alive forever.
 func (r *rig) run(t *testing.T, horizon time.Duration) {
@@ -222,7 +226,7 @@ func TestBroadcastNoReply(t *testing.T) {
 
 func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	r := newRig(t, 2, 7)
-	r.nw.SetLossProbability(0.4)
+	r.lose(0.4)
 	served := 0
 	r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		served++
@@ -259,10 +263,10 @@ func TestDuplicateRequestAnsweredFromCacheWithoutReexecution(t *testing.T) {
 		executions++
 		return &wire.Ping{Payload: []byte("once")}
 	})
-	// Lossy window: drop everything for the first 3 seconds of virtual
-	// time by toggling loss probability via an event.
-	r.nw.SetLossProbability(0.9)
-	r.eng.Schedule(3*time.Second, func() { r.nw.SetLossProbability(0) })
+	// Lossy window: drop nearly everything for the first 3 seconds of
+	// virtual time, then remove the injector from an event.
+	r.lose(0.9)
+	r.eng.Schedule(3*time.Second, func() { r.nw.SetInjector(nil) })
 	done := false
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		if _, err := r.eps[0].Call(f, 1, &wire.Ping{}); err != nil {
@@ -289,8 +293,8 @@ func TestBroadcastAllRetransmitsOnlyToMissingNodes(t *testing.T) {
 			return &wire.InvalidateAck{}
 		})
 	}
-	r.nw.SetLossProbability(0.5)
-	r.eng.Schedule(5*time.Second, func() { r.nw.SetLossProbability(0) })
+	r.lose(0.5)
+	r.eng.Schedule(5*time.Second, func() { r.nw.SetInjector(nil) })
 	ok := false
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		replies, err := r.eps[0].BroadcastAll(f, &wire.InvalidateReq{Page: 1})
@@ -397,7 +401,7 @@ func TestSetHandlerRejectsReplyKinds(t *testing.T) {
 func TestDeterministicUnderLoss(t *testing.T) {
 	run := func() (Stats, Stats) {
 		r := newRig(t, 2, 123)
-		r.nw.SetLossProbability(0.3)
+		r.lose(0.3)
 		r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 			return &wire.Ping{}
 		})
@@ -455,7 +459,7 @@ func TestCallGivesUpAfterMaxRetries(t *testing.T) {
 	r.eps[1].SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		return &wire.Ping{}
 	})
-	r.nw.SetLossProbability(1.0)
+	r.lose(1.0)
 	var err error
 	doneAt := sim.Time(0)
 	r.eng.Go("caller", func(f *sim.Fiber) {
@@ -478,7 +482,7 @@ func TestBroadcastAllGivesUpUnderBlackout(t *testing.T) {
 			return &wire.InvalidateAck{}
 		})
 	}
-	r.nw.SetLossProbability(1.0)
+	r.lose(1.0)
 	var err error
 	r.eng.Go("caller", func(f *sim.Fiber) {
 		_, err = r.eps[0].BroadcastAll(f, &wire.InvalidateReq{})
@@ -498,8 +502,8 @@ func TestCallRedirectSurvivesUselessLocator(t *testing.T) {
 		served++
 		return &wire.Ping{}
 	})
-	r.nw.SetLossProbability(1.0)
-	r.eng.Schedule(5*time.Second, func() { r.nw.SetLossProbability(0) })
+	r.lose(1.0)
+	r.eng.Schedule(5*time.Second, func() { r.nw.SetInjector(nil) })
 	locates := 0
 	var err error
 	r.eng.Go("caller", func(f *sim.Fiber) {

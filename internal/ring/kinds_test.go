@@ -71,7 +71,7 @@ func TestPerKindDropAccounting(t *testing.T) {
 	nw := New(eng, testCosts(), 2)
 	nw.Attach(0, func(p *Packet) {})
 	nw.Attach(1, func(p *Packet) {})
-	nw.SetLossProbability(1) // every delivery attempt drops
+	nw.SetInjector(lossInjector{eng, 1}) // every delivery attempt drops
 
 	nw.Send(&Packet{Src: 0, Dst: 1, Payload: payloadOf(wire.KindInvalidateReq, 17)})
 	nw.Send(&Packet{Src: 0, Dst: 1, Payload: payloadOf(wire.KindInvalidateReq, 17)})

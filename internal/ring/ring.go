@@ -5,9 +5,10 @@
 // heavy workloads such as the paper's dot-product benchmark.
 //
 // The model supports point-to-point sends and true broadcast (a single
-// wire transmission seen by every station), plus seeded packet-loss
-// injection so the remote-operation layer's retransmission protocol can be
-// exercised deterministically.
+// wire transmission seen by every station). Every fault — loss,
+// duplication, delay — is decided by one Injector consulted per delivery
+// attempt (internal/chaos is the seeded one), so the remote-operation
+// layer's retransmission protocol can be exercised deterministically.
 package ring
 
 import (
@@ -56,7 +57,7 @@ type Handler func(*Packet)
 // attempt; Delay postpones it by the given jitter; Dup schedules a second
 // copy of the frame DupDelay after the transmission ends. Drop and Delay
 // apply to the primary copy only — a duplicate, once scheduled, is
-// delivered unless the receiver is down (or legacy loss takes it).
+// delivered unless the receiver is down.
 type Fault struct {
 	Drop     bool
 	Delay    time.Duration
@@ -72,19 +73,18 @@ type Fault struct {
 // ring broadcast reaches every station in one rotation, and the
 // coherence gates rely on that atomicity).
 type Injector interface {
-	Deliver(src, dst NodeID, broadcast bool, size int) Fault
+	Deliver(src, dst NodeID, broadcast bool) Fault
 }
 
 // KindStats is the per-message-kind slice of the traffic accounting:
 // transmissions and payload bytes put on the wire, plus the per-receiver
-// delivery attempts the loss machinery (legacy loss, the chaos fault
-// plane, down stations) dropped. Indexed by wire.Kind — a fixed-size
-// array, never a map, so snapshots copy by value and iteration order is
-// the kind order itself.
+// delivery attempts the injector or a down station dropped. Indexed by
+// wire.Kind — a fixed-size array, never a map, so snapshots copy by
+// value and iteration order is the kind order itself.
 type KindStats struct {
 	Packets uint64 // transmissions of this kind (a broadcast counts once)
 	Bytes   uint64 // payload bytes transmitted
-	Drops   uint64 // per-receiver delivery attempts lost (incl. chaos-plane and down-station drops)
+	Drops   uint64 // per-receiver delivery attempts lost (injected or down-station drops)
 }
 
 // Stats aggregates traffic counters for the whole ring. The per-receiver
@@ -119,8 +119,8 @@ type Stats struct {
 // implement it — *Network, the deterministic simulated token ring, and
 // tcpnet.Net, which carries the same closed wire vocabulary over real
 // TCP connections between processes. Protocol code must not assume which
-// backend it runs on; sim-only features (loss injection, fault
-// injectors, span tracing) stay on the concrete *Network.
+// backend it runs on; sim-only features (fault injectors, span tracing)
+// stay on the concrete *Network.
 type Transport interface {
 	// Size returns the cluster size (number of stations).
 	Size() int
@@ -160,7 +160,6 @@ type Network struct {
 	eng      *sim.Engine
 	costs    model.Costs
 	handlers []Handler
-	lossProb float64
 
 	// inj, when non-nil, is consulted for every delivery attempt; down
 	// marks crashed stations (frames to and from them vanish). Both nil
@@ -249,16 +248,6 @@ func (nw *Network) Size() int { return len(nw.handlers) }
 // Attach registers the delivery handler for station id.
 func (nw *Network) Attach(id NodeID, h Handler) {
 	nw.handlers[id] = h
-}
-
-// SetLossProbability makes each per-receiver delivery fail independently
-// with probability p, using the engine's seeded random source. Used by
-// tests and failure-injection experiments; the default is 0.
-func (nw *Network) SetLossProbability(p float64) {
-	if p < 0 || p > 1 {
-		panic("ring: loss probability out of range")
-	}
-	nw.lossProb = p
 }
 
 // SetInjector installs (or, with nil, removes) a fault injector. With no
@@ -375,7 +364,7 @@ func (nw *Network) SendPacket(pkt Packet) {
 	nw.eng.ScheduleAt(end, fl.arrive)
 }
 
-// land hands the packet to its receiver(s), applying loss injection per
+// land hands the packet to its receiver(s), consulting the injector per
 // receiver. Runs in engine context at the end of the transmission.
 func (fl *flight) land() {
 	nw, pkt := fl.nw, &fl.pkt
@@ -415,7 +404,7 @@ func (nw *Network) later(d time.Duration, id NodeID, fl *flight) {
 func (nw *Network) deliverTo(id NodeID, fl *flight) {
 	pkt := &fl.pkt
 	if nw.inj != nil {
-		f := nw.inj.Deliver(pkt.Src, id, pkt.Dst == Broadcast, len(pkt.Payload))
+		f := nw.inj.Deliver(pkt.Src, id, pkt.Dst == Broadcast)
 		if pkt.Dst == Broadcast {
 			f.Delay, f.DupDelay = 0, 0
 		}
@@ -449,16 +438,11 @@ func (nw *Network) deliverTo(id NodeID, fl *flight) {
 func wireKind(pkt *Packet) wire.Kind { return wire.KindOfPayload(pkt.Payload) }
 
 // finishDeliver lands one delivery attempt at its receiver: down-station
-// drop, then legacy independent loss, then the handler.
+// drop, else the handler.
 func (nw *Network) finishDeliver(id NodeID, pkt *Packet) {
 	nw.stats.Attempts++
 	if nw.nodeDown(id) {
 		nw.stats.DownDrops++
-		nw.stats.Dropped++
-		nw.stats.Kinds[wireKind(pkt)].Drops++
-		return
-	}
-	if nw.lossProb > 0 && nw.eng.Rand().Float64() < nw.lossProb {
 		nw.stats.Dropped++
 		nw.stats.Kinds[wireKind(pkt)].Drops++
 		return

@@ -92,7 +92,7 @@ func TestLossInjectionDropsDeterministically(t *testing.T) {
 		nw := New(eng, testCosts(), 2)
 		nw.Attach(0, func(p *Packet) {})
 		nw.Attach(1, func(p *Packet) {})
-		nw.SetLossProbability(0.5)
+		nw.SetInjector(lossInjector{eng, 0.5})
 		for i := 0; i < 200; i++ {
 			nw.Send(&Packet{Src: 0, Dst: 1, Payload: []byte{byte(i)}})
 		}

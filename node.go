@@ -17,8 +17,8 @@ import (
 type NodeConfig struct {
 	// Config is the shared cluster configuration. Processors is the
 	// total cluster size (the number of cooperating OS processes), not
-	// this process's share of it. The simulator-only planes — loss
-	// injection, chaos, tracing, the race detector, the profiler — are
+	// this process's share of it. The simulator-only planes — chaos
+	// (loss included), tracing, the race detector, the profiler — are
 	// rejected: they need a global view no single process has.
 	Config
 
@@ -59,8 +59,8 @@ func NewNode(nc NodeConfig) (*Cluster, string, error) {
 	if nc.Rank < 0 || nc.Rank >= cfg.Processors {
 		return nil, "", fmt.Errorf("ivy: rank %d out of range [0,%d)", nc.Rank, cfg.Processors)
 	}
-	if cfg.LossProbability > 0 || cfg.Chaos != nil || cfg.Trace != nil || cfg.DRace || cfg.Profile {
-		return nil, "", fmt.Errorf("ivy: loss, chaos, tracing, drace, and profiling are simulator planes; not available in a multi-process node")
+	if cfg.Chaos != nil || cfg.Trace != nil || cfg.DRace || cfg.Profile {
+		return nil, "", fmt.Errorf("ivy: chaos (loss included), tracing, drace, and profiling are simulator planes; not available in a multi-process node")
 	}
 	if cfg.Coherence == CoherenceRC {
 		// The quiescent-state digest and the cross-node master-copy view

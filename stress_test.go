@@ -34,13 +34,15 @@ type stressConfig struct {
 func runStress(t *testing.T, sc stressConfig) {
 	t.Helper()
 	cfg := Config{
-		Processors:      sc.procs,
-		Seed:            7,
-		SharedPages:     256,
-		MemoryPages:     sc.memPages,
-		Algorithm:       sc.alg,
-		LossProbability: sc.loss,
-		Horizon:         200 * time.Hour,
+		Processors:  sc.procs,
+		Seed:        7,
+		SharedPages: 256,
+		MemoryPages: sc.memPages,
+		Algorithm:   sc.alg,
+		Horizon:     200 * time.Hour,
+	}
+	if sc.loss > 0 {
+		cfg.Chaos = &ChaosOpts{LossProbability: sc.loss}
 	}
 	c := New(cfg)
 
@@ -183,12 +185,12 @@ func TestStressSeedSweep(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := Config{
-				Processors:      4,
-				Seed:            seed,
-				SharedPages:     128,
-				MemoryPages:     8,
-				LossProbability: 0.04,
-				Horizon:         200 * time.Hour,
+				Processors:  4,
+				Seed:        seed,
+				SharedPages: 128,
+				MemoryPages: 8,
+				Chaos:       &ChaosOpts{LossProbability: 0.04},
+				Horizon:     200 * time.Hour,
 			}
 			c := New(cfg)
 			const slots = 32

@@ -84,7 +84,7 @@ func TestNodeConfigRejections(t *testing.T) {
 		{"missing peer", NodeConfig{Config: Config{Processors: 3}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
 		{"peer rank out of range", NodeConfig{Config: Config{Processors: 2}, Rank: 0, Listen: "127.0.0.1:0",
 			Peers: map[int]string{1: "127.0.0.1:1", 7: "127.0.0.1:2"}}},
-		{"loss plane", NodeConfig{Config: Config{Processors: 2, LossProbability: 0.1}, Rank: 0, Peers: peers}},
+		{"chaos plane", NodeConfig{Config: Config{Processors: 2, Chaos: &ChaosOpts{LossProbability: 0.1}}, Rank: 0, Peers: peers}},
 		{"profiler plane", NodeConfig{Config: Config{Processors: 2, Profile: true}, Rank: 0, Peers: peers}},
 		{"race plane", NodeConfig{Config: Config{Processors: 2, DRace: true}, Rank: 0, Peers: peers}},
 		{"page size", NodeConfig{Config: Config{Processors: 2, PageSize: 1000}, Rank: 0, Peers: peers, Listen: "127.0.0.1:0"}},
