@@ -474,8 +474,11 @@ func (c *Cluster) Now() time.Duration { return c.eng.Now().Duration() }
 
 // Snapshot collects a cluster-wide statistics snapshot. It may be taken
 // mid-run (from inside a process) or after Run returns; two snapshots
-// subtract to interval deltas.
+// subtract to interval deltas. It first settles every live process's
+// software TLB, which counts references late (core.TLB.Settle), so the
+// access counts are exact whenever it is taken.
 func (c *Cluster) Snapshot() ClusterStats {
+	c.procs.SettleTLBs()
 	out := ClusterStats{
 		Nodes:       make([]NodeStats, len(c.svms)),
 		NodeLatency: make([]Latency, len(c.svms)),

@@ -122,3 +122,55 @@ func TestTLBHitPathDoesNotAllocate(t *testing.T) {
 		t.Fatal("no hit moved a frame to the LRU front; the guard is not testing the splice")
 	}
 }
+
+// TestTLBNarrowHitPathDoesNotAllocate is TestTLBHitPathDoesNotAllocate
+// for the accessors that reach the TLB through SVM.frame rather than the
+// word pair's inline probe: 32-bit and 8-bit scalars and a word-range
+// run. After priming, every measured access must be a hit that spends
+// the TLB's budget and nothing else — zero allocations, no miss, and no
+// settle: each access counts in Hits() while the hits stay pending, so
+// the debt the TLB settles into never moves.
+func TestTLBNarrowHitPathDoesNotAllocate(t *testing.T) {
+	r := newRig(t, 1, 1, testConfig(DynamicDistributed))
+	s := r.svms[0]
+	a, b := twoResidentPages(t, r)
+
+	var debt time.Duration
+	tlb := NewTLB(&debt, time.Hour)
+	got := -1.0
+	var misses, hits, settled, accesses uint64
+	var debt0 time.Duration
+	r.eng.Go("measure", func(f *sim.Fiber) {
+		var ctx Ctx = stubCtx{f: f, tlb: tlb}
+		s.WriteU64(ctx, a, 7) // prime: fill both TLB entries
+		s.WriteU64(ctx, b, 7)
+		misses, hits, settled, debt0 = tlb.Misses(), tlb.Hits(), tlb.refs, debt
+		buf := make([]float64, 4)
+		got = testing.AllocsPerRun(1000, func() {
+			for _, addr := range [2]uint64{a, b} {
+				s.WriteU32(ctx, addr+8, 7)
+				if v := s.ReadU32(ctx, addr+8); v != 7 {
+					t.Errorf("TLB-hit 32-bit read at %#x returned %d", addr+8, v)
+				}
+				if v := s.ReadU8(ctx, addr); v != 7 {
+					t.Errorf("TLB-hit byte read at %#x returned %d", addr, v)
+				}
+				s.ReadF64s(ctx, addr, buf) // one page run
+				accesses += 4
+			}
+		})
+	})
+	r.run(t, time.Second)
+	if got != 0 {
+		t.Fatalf("narrow TLB-hit access allocates %v objects/op", got)
+	}
+	if tlb.Misses() != misses {
+		t.Fatalf("measured loop missed the TLB %d times after priming", tlb.Misses()-misses)
+	}
+	if n := tlb.Hits() - hits; n != accesses {
+		t.Fatalf("measured loop: %d TLB hits for %d accesses; want every access a hit", n, accesses)
+	}
+	if tlb.refs != settled || debt != debt0 {
+		t.Fatalf("measured loop settled: %d references folded, debt %v → %v; want the hits pending", tlb.refs-settled, debt0, debt)
+	}
+}

@@ -61,60 +61,9 @@ type Ctx interface {
 	Flush()
 	// TLB returns the context's software translation cache, or nil for
 	// contexts that take the checked path on every access (see tlb.go).
+	// A context that owns one charges and flushes its debt through it
+	// (TLB.Charge, TLB.Hold).
 	TLB() *TLB
-}
-
-// ChargeCtx is the canonical Ctx: it batches charges and holds the node
-// CPU only while settling them, so remote-request handlers interleave
-// with user computation at quantum granularity.
-type ChargeCtx struct {
-	fiber   *sim.Fiber
-	cpu     *sim.Resource
-	quantum time.Duration
-	debt    time.Duration
-	tlb     *TLB
-}
-
-// NewChargeCtx builds a charging context for a fiber running on the node
-// that owns cpu.
-func NewChargeCtx(f *sim.Fiber, cpu *sim.Resource, quantum time.Duration) *ChargeCtx {
-	if quantum <= 0 {
-		panic("core: non-positive compute quantum")
-	}
-	c := &ChargeCtx{fiber: f, cpu: cpu, quantum: quantum}
-	c.tlb = NewTLB(&c.debt, quantum)
-	return c
-}
-
-// Fiber returns the underlying fiber.
-func (c *ChargeCtx) Fiber() *sim.Fiber { return c.fiber }
-
-// TLB returns the context's translation cache.
-func (c *ChargeCtx) TLB() *TLB { return c.tlb }
-
-// Charge accumulates compute time, settling a full quantum when reached.
-func (c *ChargeCtx) Charge(d time.Duration) {
-	c.debt += d
-	if c.debt >= c.quantum {
-		c.Flush()
-	}
-}
-
-// Flush settles accumulated debt against the CPU in quantum-sized
-// holds, releasing between chunks so queued request handlers interleave
-// with long computations — the points at which a user-mode system
-// fields network interrupts.
-func (c *ChargeCtx) Flush() {
-	for c.debt > 0 {
-		d := c.debt
-		if d > c.quantum {
-			d = c.quantum
-		}
-		c.debt -= d
-		c.cpu.Acquire(c.fiber)
-		c.fiber.Sleep(d)
-		c.cpu.Release()
-	}
 }
 
 // Config assembles one node's SVM.

@@ -21,44 +21,89 @@ import (
 // resident, touch the bytes and accumulate the per-reference cost. Any
 // shortfall traps into the slow path.
 //
-// Every accessor takes its frame from one skeleton: frame counts and
-// charges the reference, probes the TLB (TLB.hit), and otherwise takes
-// the table walk (walk), which refills the TLB or traps into slowPath.
-// Ranges go through runs, one frame per page run. Only the word pair
-// ReadU64T/WriteU64T probe by hand; their slow halves rejoin the
-// skeleton at charged.
+// Every accessor takes its frame from one skeleton: frame spends the
+// TLB's reference budget on a hit (TLB.hit), and otherwise takes the
+// checked path, which spends the budget on a miss too, or with the
+// budget spent counts and charges the reference at once, and takes the
+// table walk (walk) on a miss; the walk refills the TLB or traps into
+// slowPath. Ranges go through runs, one frame per page run.
+// Only the word pair ReadU64T/WriteU64T probe by hand; their slow halves
+// rejoin the skeleton at frame or at the checked path.
 
 // frame returns the frame bytes holding [addr, addr+n) with at least
 // mode access, and addr's offset in them, counting and charging one
-// reference. The charge precedes the probe and the walk alike: it can
-// flush a compute quantum (yielding the engine), and any shootdown that
-// lands in that window must be observed by the validity check.
-func (s *SVM) frame(ctx Ctx, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+// reference; t must be ctx.TLB(). A hit within the budget leaves its
+// reference pending in t (TLB.Settle).
+func (s *SVM) frame(t *TLB, ctx Ctx, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+	if t == nil {
+		return s.checked(nil, ctx, addr, n, mode)
+	}
+	if t.budget > 0 {
+		if fr, po := t.hit(s, addr, n, mode); fr != nil {
+			t.budget--
+			if mode == mmu.AccessWrite {
+				t.writes++
+			}
+			return fr, po
+		}
+	}
+	return s.checkedTLB(t, ctx, addr, n, mode)
+}
+
+// checked finishes an access the TLB did not serve. Without a TLB it
+// counts the reference, charges it through ctx and takes the walk; a
+// context that owns t goes through checkedTLB.
+func (s *SVM) checked(t *TLB, ctx Ctx, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+	if t != nil {
+		return s.checkedTLB(t, ctx, addr, n, mode)
+	}
+	s.count(mode)
+	ctx.Charge(s.costs.MemRef)
+	return s.walk(ctx, nil, addr, n, mode)
+}
+
+// count counts one reference of mode in the node's access statistics.
+func (s *SVM) count(mode mmu.Access) {
 	if mode == mmu.AccessWrite {
 		s.st.SVM.WriteAccesses++
 	} else {
 		s.st.SVM.ReadAccesses++
 	}
-	t := ctx.TLB()
-	if t != nil {
-		*t.debt += s.costs.MemRef
-	}
-	return s.charged(ctx, t, addr, n, mode)
 }
 
-// charged is frame once the reference is counted and, for a non-nil t,
-// its charge added to t's debt (a due settle has not run yet).
-func (s *SVM) charged(ctx Ctx, t *TLB, addr uint64, n int, mode mmu.Access) ([]byte, int) {
-	if t == nil {
-		ctx.Charge(s.costs.MemRef)
-		return s.walk(ctx, nil, addr, n, mode)
+// checkedTLB is checked for a context that owns t. With t bound to s
+// and budget left, the caller's probe (frame's, or the word pair's
+// inline one) has just missed: the reference fits the budget, so it is
+// left pending like a hit, and only the walk remains — a miss stays one
+// across any yield, so the probe is not repeated. Otherwise the
+// accounting is exact and immediate: it binds t to s if t was bound
+// elsewhere, counts the reference, charges it and re-arms t (TLB.arm,
+// which settles t first and finds whether a quantum is due), flushes a
+// due quantum, and only then probes — the flush can yield the engine, and
+// any shootdown that lands in that window must be observed by the
+// validity check.
+func (s *SVM) checkedTLB(t *TLB, ctx Ctx, addr uint64, n int, mode mmu.Access) ([]byte, int) {
+	if t.budget > 0 && t.svm == s {
+		t.budget--
+		if mode == mmu.AccessWrite {
+			t.writes++
+		}
+		t.misses++
+		return s.walk(ctx, t, addr, n, mode)
 	}
-	if *t.debt >= t.quantum {
-		ctx.Flush()
+	s.count(mode)
+	if t.svm != s && !s.tlbOff {
+		t.bind(s)
+	}
+	t.refs++
+	*t.debt += s.costs.MemRef
+	if t.arm() {
+		ctx.Flush() // re-arms t
 	}
 	if fr, po := t.hit(s, addr, n, mode); fr != nil {
 		return fr, po
 	}
+	t.misses++
 	return s.walk(ctx, t, addr, n, mode)
 }
 
@@ -103,10 +148,11 @@ func (s *SVM) pageOffset(addr uint64) int { return int(addr-s.base) & s.pageMask
 // frame for mode and hands its bytes to fn with the run's offset into
 // the range, observing a read run before fn and a write run after it.
 func (s *SVM) runs(ctx Ctx, addr uint64, n int, mode mmu.Access, fn func(b []byte, off int)) {
+	t := ctx.TLB()
 	for off := 0; off < n; {
 		a := addr + uint64(off)
 		chunk := min(s.pageSize-s.pageOffset(a), n-off)
-		fr, po := s.frame(ctx, a, chunk, mode)
+		fr, po := s.frame(t, ctx, a, chunk, mode)
 		if mode == mmu.AccessWrite {
 			fn(fr[po:po+chunk], off)
 			s.Observe(ctx, OpWrite, a, uint64(chunk))
@@ -286,8 +332,9 @@ func (s *SVM) CopyWords(ctx Ctx, dst, src uint64, n int) {
 // source is revalidated after the destination is secured; false means
 // it was lost and the caller must retry the chunk.
 func (s *SVM) copyChunk(ctx Ctx, dst, src uint64, words int) bool {
-	srcFrame, spo := s.frame(ctx, src, 8*words, mmu.AccessRead)
-	dstFrame, dpo := s.frame(ctx, dst, 8*words, mmu.AccessWrite)
+	t := ctx.TLB()
+	srcFrame, spo := s.frame(t, ctx, src, 8*words, mmu.AccessRead)
+	dstFrame, dpo := s.frame(t, ctx, dst, 8*words, mmu.AccessWrite)
 	if sp := s.PageOf(src); sp == s.PageOf(dst) {
 		srcFrame = dstFrame
 	} else if s.table.Entry(sp).Access == mmu.AccessNil {
@@ -315,51 +362,58 @@ func (s *SVM) ReadU64(ctx Ctx, addr uint64) uint64 {
 // the caller: t must be ctx.TLB() (nil is fine). Callers holding the
 // concrete context — the facade — resolve t without going through the
 // interface, which keeps the hit path entirely free of dynamic
-// dispatch: the compute charge lands on the TLB's debt accumulator, and
-// ctx is consulted only to settle a full quantum or on the checked
-// path.
+// dispatch: a hit spends the TLB's reference budget, and ctx is
+// consulted only on the checked path.
 //
 // The word accessors inline the probe by hand (it is the simulator's
 // single hottest code path, and TLB.hit is past the compiler's inlining
 // budget). The logic must stay line-for-line equivalent to TLB.hit; the
 // read variant may skip the mode compare because every filled way
 // grants at least read (see TLB.fill's callers), and the sentinel page
-// in empty ways stands in for the nil-entry check. The charge precedes
-// the probe: settling a quantum can yield the engine, and a shootdown
-// landing in that window must be observed by the validity check.
-// It is split in two: ReadU64T itself contains no function calls, so
-// the register allocator spills nothing on the straight-line hit; every
-// case that must call — a due quantum settle, an LRU splice for a frame
-// not already at the front, a probe miss, a TLB-less context — tail-
-// calls the slow half, which finishes the access through charged: the
-// quantum settle, TLB.hit with the calls in place, and the walk
-// (re-probing is safe: nothing between the two probes can yield).
+// in empty ways stands in for the nil-entry check. A read hit writes
+// one field, the budget; a write hit two, the budget and the pending
+// write count.
+// ReadU64T itself contains no function calls, so the register allocator
+// spills nothing on the straight-line hit; every case that must call
+// tail-calls a slow half. A hit whose frame is not already at the LRU
+// front finishes through readU64TSplice, which probes again with the
+// splice in place (re-probing is safe: nothing between the two probes
+// can yield); an exhausted budget, a probe miss and a TLB-less context
+// go through readU64TSlow straight to the checked path, which does not
+// probe again what has just missed.
 func (s *SVM) ReadU64T(t *TLB, ctx Ctx, addr uint64) uint64 {
-	s.st.SVM.ReadAccesses++
-	if t != nil {
-		d := *t.debt + s.costs.MemRef
-		*t.debt = d
-		if d < t.quantum && t.svm == s {
-			if off := addr - s.base; off < s.size {
-				po := int(off) & s.pageMask
-				p := mmu.PageID(off >> (s.pageShift & 63)) // &63 elides the shift guard
-				w := &t.ways[int(p)&tlbMask]
-				// Comparing the span against len(w.data) (== pageSize for
-				// any filled way) both rejects page-crossing scalars and
-				// lets the compiler drop the slice bounds checks below.
-				if w.page == p && w.gen == s.pool.Epoch() && po+8 <= len(w.data) && s.pool.Front() == w.fr {
-					t.hits++
+	if t != nil && t.budget > 0 && t.svm == s {
+		if off := addr - s.base; off < s.size {
+			po := int(off) & s.pageMask
+			p := mmu.PageID(off >> (s.pageShift & 63)) // &63 elides the shift guard
+			w := &t.ways[int(p)&tlbMask]
+			// Comparing the span against len(w.data) (== pageSize for
+			// any filled way) both rejects page-crossing scalars and
+			// lets the compiler drop the slice bounds checks below.
+			if w.page == p && w.gen == s.pool.Epoch() && po+8 <= len(w.data) {
+				if s.pool.Front() == w.fr {
+					t.budget--
 					return binary.LittleEndian.Uint64(w.data[po : po+8])
 				}
+				return s.readU64TSplice(t, ctx, addr)
 			}
 		}
 	}
 	return s.readU64TSlow(t, ctx, addr)
 }
 
-// readU64TSlow finishes a read the call-free fast path could not.
+// readU64TSlow finishes a read the call-free fast path could not serve
+// from the TLB on the checked path.
 func (s *SVM) readU64TSlow(t *TLB, ctx Ctx, addr uint64) uint64 {
-	fr, po := s.charged(ctx, t, addr, 8, mmu.AccessRead)
+	fr, po := s.checked(t, ctx, addr, 8, mmu.AccessRead)
+	s.Observe(ctx, OpRead, addr, 8)
+	return binary.LittleEndian.Uint64(fr[po:])
+}
+
+// readU64TSplice finishes a read hit whose frame is not at the LRU
+// front through frame, which probes again with the splice in place.
+func (s *SVM) readU64TSplice(t *TLB, ctx Ctx, addr uint64) uint64 {
+	fr, po := s.frame(t, ctx, addr, 8, mmu.AccessRead)
 	s.Observe(ctx, OpRead, addr, 8)
 	return binary.LittleEndian.Uint64(fr[po:])
 }
@@ -372,30 +426,37 @@ func (s *SVM) WriteU64(ctx Ctx, addr uint64, v uint64) {
 // WriteU64T is WriteU64 with the translation cache resolved by the
 // caller; see ReadU64T (including the call-free/slow split).
 func (s *SVM) WriteU64T(t *TLB, ctx Ctx, addr uint64, v uint64) {
-	s.st.SVM.WriteAccesses++
-	if t != nil {
-		d := *t.debt + s.costs.MemRef
-		*t.debt = d
-		if d < t.quantum && t.svm == s {
-			if off := addr - s.base; off < s.size {
-				po := int(off) & s.pageMask
-				p := mmu.PageID(off >> (s.pageShift & 63)) // &63 elides the shift guard
-				w := &t.ways[int(p)&tlbMask]
-				if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.pool.Epoch() && po+8 <= len(w.data) && s.pool.Front() == w.fr {
+	if t != nil && t.budget > 0 && t.svm == s {
+		if off := addr - s.base; off < s.size {
+			po := int(off) & s.pageMask
+			p := mmu.PageID(off >> (s.pageShift & 63)) // &63 elides the shift guard
+			w := &t.ways[int(p)&tlbMask]
+			if w.page == p && w.mode == mmu.AccessWrite && w.gen == s.pool.Epoch() && po+8 <= len(w.data) {
+				if s.pool.Front() == w.fr {
 					w.e.Dirty = true // mirror the checked write path
-					t.hits++
+					t.budget--
+					t.writes++
 					binary.LittleEndian.PutUint64(w.data[po:po+8], v)
 					return
 				}
+				s.writeU64TSplice(t, ctx, addr, v)
+				return
 			}
 		}
 	}
 	s.writeU64TSlow(t, ctx, addr, v)
 }
 
-// writeU64TSlow finishes a write the call-free fast path could not.
+// writeU64TSlow is readU64TSlow for a write.
 func (s *SVM) writeU64TSlow(t *TLB, ctx Ctx, addr uint64, v uint64) {
-	fr, po := s.charged(ctx, t, addr, 8, mmu.AccessWrite)
+	fr, po := s.checked(t, ctx, addr, 8, mmu.AccessWrite)
+	binary.LittleEndian.PutUint64(fr[po:], v)
+	s.Observe(ctx, OpWrite, addr, 8)
+}
+
+// writeU64TSplice is readU64TSplice for a write.
+func (s *SVM) writeU64TSplice(t *TLB, ctx Ctx, addr uint64, v uint64) {
+	fr, po := s.frame(t, ctx, addr, 8, mmu.AccessWrite)
 	binary.LittleEndian.PutUint64(fr[po:], v)
 	s.Observe(ctx, OpWrite, addr, 8)
 }
@@ -429,28 +490,28 @@ func (s *SVM) WriteF32(ctx Ctx, addr uint64, v float32) {
 
 // ReadU32 reads a little-endian 32-bit word.
 func (s *SVM) ReadU32(ctx Ctx, addr uint64) uint32 {
-	fr, po := s.frame(ctx, addr, 4, mmu.AccessRead)
+	fr, po := s.frame(ctx.TLB(), ctx, addr, 4, mmu.AccessRead)
 	s.Observe(ctx, OpRead, addr, 4)
 	return binary.LittleEndian.Uint32(fr[po:])
 }
 
 // WriteU32 writes a little-endian 32-bit word.
 func (s *SVM) WriteU32(ctx Ctx, addr uint64, v uint32) {
-	fr, po := s.frame(ctx, addr, 4, mmu.AccessWrite)
+	fr, po := s.frame(ctx.TLB(), ctx, addr, 4, mmu.AccessWrite)
 	binary.LittleEndian.PutUint32(fr[po:], v)
 	s.Observe(ctx, OpWrite, addr, 4)
 }
 
 // ReadU8 reads one byte.
 func (s *SVM) ReadU8(ctx Ctx, addr uint64) uint8 {
-	fr, po := s.frame(ctx, addr, 1, mmu.AccessRead)
+	fr, po := s.frame(ctx.TLB(), ctx, addr, 1, mmu.AccessRead)
 	s.Observe(ctx, OpRead, addr, 1)
 	return fr[po]
 }
 
 // WriteU8 writes one byte.
 func (s *SVM) WriteU8(ctx Ctx, addr uint64, v uint8) {
-	fr, po := s.frame(ctx, addr, 1, mmu.AccessWrite)
+	fr, po := s.frame(ctx.TLB(), ctx, addr, 1, mmu.AccessWrite)
 	fr[po] = v
 	s.Observe(ctx, OpWrite, addr, 1)
 }
@@ -468,7 +529,7 @@ func (s *SVM) lockByte(ctx Ctx, addr uint64, op string) (frame []byte, po int) {
 	// quantum (yielding the engine), and the page must not be stolen
 	// between the access check and the read-modify-write.
 	ctx.Charge(s.costs.TestAndSet)
-	return s.frame(ctx, addr, 1, mmu.AccessWrite)
+	return s.frame(ctx.TLB(), ctx, addr, 1, mmu.AccessWrite)
 }
 
 // TestAndSet atomically sets the byte at addr to 1, returning true if it

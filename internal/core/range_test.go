@@ -12,16 +12,21 @@ import (
 )
 
 // tallyCtx is a Ctx whose every charge, batched through its TLB or
-// direct, lands in one debt that is never settled.
+// direct, lands in one debt that is never flushed. It charges through
+// its TLB, as every context that owns one does; the test settles the
+// TLB before it reads the debt and the access counts.
 type tallyCtx struct {
 	f    *sim.Fiber
 	tlb  *TLB
 	debt *time.Duration
 }
 
+// tallyQuantum is tallyCtx's flush threshold, one no test reaches.
+const tallyQuantum = time.Hour
+
 func (c tallyCtx) Fiber() *sim.Fiber      { return c.f }
 func (c tallyCtx) TLB() *TLB              { return c.tlb }
-func (c tallyCtx) Charge(d time.Duration) { *c.debt += d }
+func (c tallyCtx) Charge(d time.Duration) { c.tlb.Charge(c.debt, tallyQuantum, d) }
 func (c tallyCtx) Flush()                 {}
 
 // rangeOutcome is what one range call leaves behind.
@@ -77,9 +82,10 @@ func TestRangeAccessorsMatchScalarLoop(t *testing.T) {
 		var out rangeOutcome
 		r.eng.Go("measure", func(f *sim.Fiber) {
 			var debt time.Duration
-			ctx := tallyCtx{f: f, tlb: NewTLB(&debt, time.Hour), debt: &debt}
+			ctx := tallyCtx{f: f, tlb: NewTLB(&debt, tallyQuantum), debt: &debt}
 			before := s.st.SVM
 			out.got = op(s, ctx, s.Base()+start)
+			ctx.tlb.Settle()
 			out.reads = s.st.SVM.ReadAccesses - before.ReadAccesses
 			out.writes = s.st.SVM.WriteAccesses - before.WriteAccesses
 			out.debt = debt

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/memfs"
@@ -42,19 +43,34 @@ import (
 // never advances the epoch, so a cached translation can only ever
 // under-promise rights — it is never stale in the unsafe direction.
 //
-// Determinism: a hit performs the same statistics increment, the same
-// MemRef charge (before the probe, as on the checked path, so a charge
-// that flushes a compute quantum — and the shootdowns that may occur
-// while yielded — happen-before the validity check), and the same LRU
-// move-to-front (via the cached frame handle) as a miss. Virtual time,
-// fault counts, and message counts are therefore bit-identical with the
-// TLB on or off; the property test in tlb_prop_test.go (repo root)
-// asserts this across every manager algorithm.
+// Determinism: a hit makes the same LRU move-to-front (via the cached
+// frame handle) as a miss, and every reference is counted and charged
+// exactly as on the checked path, only sometimes later. The TLB holds a
+// reference budget: arm computes how many references fit before the
+// owner's compute debt, with their MemRef charges added, reaches the
+// flush quantum. A hit, and a miss while budget is left, only spends
+// one and (for a write) bumps a pending write count. Settle folds the
+// pending references into the bound SVM's access counts and the
+// owner's debt, and runs before anything reads or changes the debt or
+// the counts: the checked path once the budget is spent (SVM.checked,
+// which then charges its own reference and flushes a due quantum before
+// it probes — a shootdown that lands while the flush yields must be
+// seen by the validity check), the owner's charges and flushes
+// (TLB.Charge, TLB.Hold, which re-arm), a rebind, SetQuantum, and a
+// mid-run statistics snapshot.
+// Settling leaves the budget as it is: the references it folds are the
+// ones the budget already counted. The reference that finds the budget
+// spent is the one whose charge reaches the quantum, so every quantum
+// flushes at the same reference as without a TLB. Virtual time, fault
+// counts, and message counts are therefore bit-identical with the TLB on
+// or off; the property test in tlb_prop_test.go (repo root) asserts this
+// across every manager algorithm, mid-run snapshots included.
 //
-// Migration: a TLB is bound to the SVM it was filled from. When a
-// process migrates, its accesses arrive at a different node's SVM; the
-// binding check fails, the TLB flushes wholesale and rebinds. Entry and
-// frame pointers thus never leak across nodes.
+// Migration: a TLB is bound to the SVM its checked path last ran on.
+// When a process migrates, its accesses arrive at a different node's
+// SVM; the binding check fails, and the checked path settles the pending
+// references into the old node, flushes the TLB wholesale and rebinds it
+// (bind). Entry and frame pointers thus never leak across nodes.
 
 // tlbWays is the number of direct-mapped TLB entries per context. Pages
 // map to ways by their low bits; 64 entries cover the working set of
@@ -91,29 +107,39 @@ const tlbEmptyPage = ^mmu.PageID(0)
 // TLB is one context's translation cache. Contexts without one (a nil
 // *TLB) take the checked path on every access.
 //
-// Besides translations, the TLB carries the owning context's compute-
-// debt accumulator and flush quantum. This lets the accessors charge
-// the per-reference cost with two plain loads and a store — the Ctx
-// interface is consulted only when a full quantum must settle (rare)
-// and on the checked path — which is what keeps the hit path free of
-// dynamic dispatch.
+// Besides translations, the TLB carries the owning context's reference
+// budget, its compute-debt accumulator and its flush quantum. A hit
+// writes the TLB only — it spends budget, and a write bumps writes — so
+// the hit path touches neither the SVM's statistics nor the owner's
+// debt and needs no dynamic dispatch; a miss within the budget does the
+// same before its walk. A context that owns a TLB charges and flushes
+// its debt through it (Charge, Hold), which settle the pending
+// references before the debt is read and re-arm the budget after it has
+// changed.
 type TLB struct {
-	svm     *SVM
+	svm *SVM
+	// budget is how many more references may be served before a settle
+	// is due; armed is its value when last armed or settled, so
+	// armed-budget references are pending, writes of them writes.
+	budget  int
+	armed   int
+	writes  int
 	debt    *time.Duration // the owner's compute-debt accumulator
 	quantum time.Duration  // debt level at which the owner must Flush
-	ways    [tlbWays]tlbEntry
-
-	// hits/misses count fast-path outcomes for observability; they do
-	// not influence simulation behavior.
-	hits   uint64
+	// refs counts the references t has accounted for (pending ones
+	// excepted), and misses those of them its probe missed; they are
+	// for observability and do not influence simulation behavior.
+	refs   uint64
 	misses uint64
+	ways   [tlbWays]tlbEntry
 }
 
 // NewTLB returns an empty TLB charging into debt, with flushes due
 // every quantum. Both mirror the owning context's own accounting: debt
 // must be the same accumulator Ctx.Charge adds to, and quantum the same
 // threshold its Flush settles at, or TLB-hit accesses would drift from
-// checked-path accesses in virtual time.
+// checked-path accesses in virtual time. It has no budget until its
+// first checked access binds it to an SVM.
 func NewTLB(debt *time.Duration, quantum time.Duration) *TLB {
 	if debt == nil {
 		panic("core: NewTLB requires the owner's debt accumulator")
@@ -132,10 +158,86 @@ func (t *TLB) SetQuantum(q time.Duration) {
 		panic("core: non-positive compute quantum")
 	}
 	t.quantum = q
+	t.arm()
 }
 
-// Hits returns how many accesses were served from the TLB.
-func (t *TLB) Hits() uint64 { return t.hits }
+// Settle folds the pending references — hits, and misses within the
+// budget — into the bound SVM's access counts and the owner's debt. The
+// budget is unchanged: settling moves charges the budget already
+// counted. A nil TLB has nothing to settle.
+func (t *TLB) Settle() {
+	if t == nil {
+		return
+	}
+	n := t.armed - t.budget
+	if n == 0 {
+		return
+	}
+	st := &t.svm.st.SVM
+	st.ReadAccesses += uint64(n - t.writes)
+	st.WriteAccesses += uint64(t.writes)
+	*t.debt += time.Duration(n) * t.svm.costs.MemRef
+	t.refs += uint64(n)
+	t.armed, t.writes = t.budget, 0
+}
+
+// Charge adds d to the owner's compute debt and reports whether the debt
+// has reached quantum, so that the owner must flush it (Hold). debt
+// and quantum are the owner's accumulator and threshold, the ones t was
+// built with (NewTLB, SetQuantum); a nil t only adds. t's pending
+// references are folded into the debt, and the budget is re-armed (to
+// none if a flush is due).
+func (t *TLB) Charge(debt *time.Duration, quantum, d time.Duration) (due bool) {
+	*debt += d
+	if t == nil {
+		return *debt >= quantum
+	}
+	return t.arm()
+}
+
+// Hold takes the owner's next CPU hold, at most quantum long, off its
+// debt and returns its length; 0 means the debt is paid. An owner
+// flushes by holding its CPU for each length in turn until 0, releasing
+// it between holds so that remote-request handlers interleave with a
+// long computation. t's pending references are folded into the debt
+// first, and once it is paid the budget is re-armed. debt, quantum and
+// a nil t are as for Charge.
+func (t *TLB) Hold(debt *time.Duration, quantum time.Duration) time.Duration {
+	t.Settle()
+	d := min(*debt, quantum)
+	if d <= 0 {
+		if t != nil {
+			t.arm()
+		}
+		return 0
+	}
+	*debt -= d
+	return d
+}
+
+// arm settles and recomputes the budget from the owner's debt: reference
+// j from now is allowed while debt + j·MemRef stays below the quantum,
+// the level at which the checked path would flush. An unbound TLB gets
+// no budget (it cannot hit). It reports whether the debt has reached
+// the quantum, so that the owner must flush.
+func (t *TLB) arm() (due bool) {
+	t.Settle()
+	t.budget = 0
+	room := t.quantum - *t.debt
+	if t.svm != nil && room > 0 {
+		if ref := t.svm.costs.MemRef; ref > 0 {
+			t.budget = int((room - 1) / ref)
+		} else {
+			t.budget = math.MaxInt // free references never fill a quantum
+		}
+	}
+	t.armed = t.budget
+	return room <= 0
+}
+
+// Hits returns how many accesses were served from the TLB, pending ones
+// included.
+func (t *TLB) Hits() uint64 { return t.refs + uint64(t.armed-t.budget) - t.misses }
 
 // Misses returns how many accesses fell back to the checked path.
 func (t *TLB) Misses() uint64 { return t.misses }
@@ -155,11 +257,12 @@ func (t *TLB) FlushAll() {
 // returns nil and the caller takes the table walk (which re-derives the
 // page, panics on genuinely bad addresses, and refills on success).
 // Scalars and page runs alike probe here; only ReadU64T/WriteU64T copy
-// its logic inline, to stay call-free.
+// its logic inline, to stay call-free. It counts nothing: SVM.frame
+// spends the budget on a hit and leaves it pending, the checked path
+// with the budget spent counts it at once.
 func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 	if t.svm != s {
-		t.misses++ // rebind happens on the walk's fill
-		return nil, 0
+		return nil, 0 // the checked path rebinds t
 	}
 	off := addr - s.base
 	if off >= s.size {
@@ -172,7 +275,6 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 	p := mmu.PageID(off >> s.pageShift)
 	w := &t.ways[int(p)&tlbMask]
 	if w.page != p || w.mode < mode || w.gen != s.pool.Epoch() {
-		t.misses++
 		return nil, 0
 	}
 	if mode == mmu.AccessWrite {
@@ -181,7 +283,6 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 		// still-clean owned page).
 		w.e.Dirty = true
 	}
-	t.hits++
 	// Same replacement-policy touch as the walk's map hit; the
 	// front compare keeps the common consecutive-access case to one load.
 	if s.pool.Front() != w.fr {
@@ -191,16 +292,22 @@ func (t *TLB) hit(s *SVM, addr uint64, n int, mode mmu.Access) ([]byte, int) {
 }
 
 // fill caches a translation just validated by the table walk, granting
-// the entry's current protection. Nothing is cached while the node's
-// observer takes word accesses (SVM.SetObserver): every access must then
-// reach a checked tail.
+// the entry's current protection; the checked path that led to the walk
+// has bound t to s. Nothing is cached while the node's observer takes
+// word accesses (SVM.SetObserver): every access must then reach a
+// checked tail.
 func (t *TLB) fill(s *SVM, p mmu.PageID, e *mmu.Entry, fr *memfs.Frame) {
 	if s.tlbOff {
 		return
 	}
-	if t.svm != s {
-		t.FlushAll()
-		t.svm = s
-	}
 	t.ways[int(p)&tlbMask] = tlbEntry{page: p, gen: s.pool.Epoch(), mode: e.Access, e: e, fr: fr, data: fr.Data()}
+}
+
+// bind settles t into the SVM it was bound to, empties it and binds it
+// to s; the charge that follows re-arms the budget at s's reference
+// cost. Entry and frame pointers thus never leak across nodes.
+func (t *TLB) bind(s *SVM) {
+	t.Settle()
+	t.FlushAll()
+	t.svm = s
 }

@@ -14,6 +14,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -173,6 +174,22 @@ func (c *Cluster) SetDisableTLB(v bool) { c.disableTLB = v }
 // SetRaceDetector arms happens-before race tracking on process
 // lifecycle events (before any Create).
 func (c *Cluster) SetRaceDetector(d *drace.Detector) { c.race = d }
+
+// SettleTLBs folds every live process's pending TLB references into its
+// node's access counts and its compute debt (core.TLB.Settle), so that
+// statistics read mid-run are exact. Settling moves no virtual time;
+// the processes still go in handle order, as every walk over procs that
+// calls into the simulation must.
+func (c *Cluster) SettleTLBs() {
+	handles := make([]uint64, 0, len(c.procs))
+	for h := range c.procs {
+		handles = append(handles, h)
+	}
+	slices.Sort(handles)
+	for _, h := range handles {
+		c.procs[h].tlb.Settle()
+	}
+}
 
 // NewCluster creates the process-management layer over the given SVMs.
 // Entry i of svms/eps/cpus/sts belongs to node i.

@@ -92,7 +92,7 @@ func (n *Node) Create(body Body, opts CreateOpts) *Process {
 		quantum:    n.costs.ComputeQuantum,
 	}
 	if !n.cluster.disableTLB && !n.svm.TLBOff() {
-		// The TLB charges accesses straight into this process's debt
+		// The TLB settles its references' charges into this process's debt
 		// accumulator (see core.NewTLB); the quantum mirrors Charge's.
 		p.tlb = core.NewTLB(&p.debt, p.quantum)
 	}
@@ -158,8 +158,7 @@ func (p *Process) TLB() *core.TLB { return p.tlb }
 // Charge accumulates compute time against the current node's CPU,
 // settling in quanta.
 func (p *Process) Charge(d time.Duration) {
-	p.debt += d
-	if p.debt >= p.quantum {
+	if p.tlb.Charge(&p.debt, p.quantum, d) {
 		p.Flush()
 	}
 }
@@ -168,13 +167,7 @@ func (p *Process) Charge(d time.Duration) {
 // releasing between chunks so the node keeps servicing remote requests
 // during long computations.
 func (p *Process) Flush() {
-	q := p.node.costs.ComputeQuantum
-	for p.debt > 0 {
-		d := p.debt
-		if d > q {
-			d = q
-		}
-		p.debt -= d
+	for d := p.tlb.Hold(&p.debt, p.quantum); d > 0; d = p.tlb.Hold(&p.debt, p.quantum) {
 		cpu := p.node.cpu
 		cpu.Acquire(p.fiber)
 		p.fiber.Sleep(d)

@@ -23,36 +23,49 @@ func settleGoroutines(t *testing.T, want int) {
 
 // TestCarrierHandedItsOwnNextFiber is the first carrier edge: a fiber
 // finishes, and the event callback that runs next spawns a fiber. The
-// idle list is LIFO, so the new fiber is bound to the carrier that has
-// just gone idle, and its start is the next event: the carrier is
-// switched straight back into. A second fiber spawned by the same
-// callback gets another carrier; both must run.
+// idle list is LIFO, so the new fiber is bound, at its first switch-in,
+// to the carrier that has just gone idle: the carrier is switched
+// straight back into. A second fiber spawned by the same callback starts
+// while the first is parked, so it gets another carrier; both must run.
+// The carriers are read inside the bodies: the Fiber structs themselves
+// are recycled, so the first fiber's handle, kept past its end, names
+// its successor. Nothing is spawned after the last two, so their handles
+// still name them when the run ends.
 func TestCarrierHandedItsOwnNextFiber(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := New(1)
-	var first, same, other *Fiber
+	var same, other *Fiber
+	var firstC, sameC, otherC *carrier
 	ran := ""
-	first = e.Go("first", func(f *Fiber) {
+	e.Go("first", func(f *Fiber) {
+		firstC = f.c
 		f.Sleep(time.Millisecond)
 		// Runs at this instant, after this body has returned.
 		e.Schedule(0, func() {
-			same = e.Go("same", func(*Fiber) { ran += "s" })
-			other = e.Go("other", func(*Fiber) { ran += "o" })
+			same = e.Go("same", func(f *Fiber) {
+				sameC = f.c
+				f.Sleep(time.Microsecond)
+				ran += "s"
+			})
+			other = e.Go("other", func(f *Fiber) {
+				otherC = f.c
+				ran += "o"
+			})
 		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ran != "so" {
-		t.Fatalf("fibers spawned as another exited ran %q, want \"so\"", ran)
+	if ran != "os" {
+		t.Fatalf("fibers spawned as another exited ran %q, want \"os\"", ran)
 	}
-	if same.c != first.c {
+	if sameC != firstC {
 		t.Error("the fiber spawned as the carrier went idle did not reuse that carrier")
 	}
-	if other.c == first.c {
+	if otherC == firstC {
 		t.Error("two live fibers share a carrier")
 	}
-	if !first.Done() || !same.Done() || !other.Done() {
+	if !same.Done() || !other.Done() {
 		t.Error("a finished fiber does not say Done")
 	}
 	settleGoroutines(t, base)
@@ -192,42 +205,47 @@ func TestTeardownUnwindsParkedFibers(t *testing.T) {
 }
 
 // TestTeardownDropsFibersThatNeverStarted: a fiber whose start event was
-// never dispatched is dropped without its body running, whether its
-// carrier is fresh (the coroutine has not begun) or recycled (it waits in
-// the idle loop with the new fiber already bound).
+// never dispatched has no carrier — a fiber takes one at its first
+// switch-in — so it holds no goroutine, and Close drops it without its
+// body running. That holds for a fiber spawned on a fresh engine and for
+// one spawned mid-run, as a carrier went idle, and left behind by Stop.
 func TestTeardownDropsFibersThatNeverStarted(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ran := false
 
 	e := New(1)
 	fresh := e.Go("fresh", func(*Fiber) { ran = true })
+	if fresh.c != nil {
+		t.Fatal("Go bound a carrier before the fiber's first switch-in")
+	}
+	settleGoroutines(t, base)
 	e.Close()
 	if ran || !fresh.Done() {
-		t.Errorf("fresh carrier: body ran %v, Done %v; want false, true", ran, fresh.Done())
+		t.Errorf("fresh engine: body ran %v, Done %v; want false, true", ran, fresh.Done())
 	}
 	settleGoroutines(t, base)
 
 	e = New(1)
-	var recycled *Fiber
-	first := e.Go("first", func(f *Fiber) {
+	var late *Fiber
+	e.Go("first", func(f *Fiber) {
 		f.Sleep(time.Millisecond)
 		// Runs at this instant, after this body has returned and its
 		// carrier has gone idle.
 		e.Schedule(0, func() {
-			recycled = e.Go("recycled", func(*Fiber) { ran = true })
+			late = e.Go("late", func(*Fiber) { ran = true })
 			e.Stop()
 		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if recycled.c != first.c {
-		t.Fatal("the second fiber is not on the first one's carrier")
+	if late.c != nil {
+		t.Fatal("a fiber that never ran holds a carrier")
 	}
-	settleGoroutines(t, base+1)
+	settleGoroutines(t, base) // the idle carrier ended with the run
 	e.Close()
-	if ran || !recycled.Done() {
-		t.Errorf("recycled carrier: body ran %v, Done %v; want false, true", ran, recycled.Done())
+	if ran || !late.Done() {
+		t.Errorf("after a run: body ran %v, Done %v; want false, true", ran, late.Done())
 	}
 	settleGoroutines(t, base)
 }
@@ -383,10 +401,14 @@ func TestTeardownReraisesAPanicOfTheUnwinding(t *testing.T) {
 // TestCarrierReuseIsDeterministic feeds two engines the same seeded
 // script of spawns and exits and requires the same fiber-to-carrier
 // assignment, event count and switch count from both: reuse order is a
-// function of the event sequence, nothing else. The counts are also the
-// ones the channel-token scheduler this one replaced produced for the
-// script (200 fibers on 37 carriers, 478 events, 478 switches): how
-// control reaches a fiber is not something the event sequence can see.
+// function of the event sequence, nothing else. The event and switch
+// counts are also the ones the channel-token scheduler this one replaced
+// produced for the script (478 events, 478 switches): how control
+// reaches a fiber is not something the event sequence can see. The 200
+// fibers run on 32 carriers: a fiber takes its carrier at its first
+// switch-in, so a child whose parent's body has ended by then runs on the
+// parent's carrier (binding at Go, when the parent was still running,
+// took 37).
 func TestCarrierReuseIsDeterministic(t *testing.T) {
 	run := func() (assign []int, events, switches uint64) {
 		e := New(42)
@@ -417,8 +439,8 @@ func TestCarrierReuseIsDeterministic(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(assign) != 200 || len(carriers) != 37 {
-			t.Fatalf("%d fibers ran on %d carriers, want 200 on 37", len(assign), len(carriers))
+		if len(assign) != 200 || len(carriers) != 32 {
+			t.Fatalf("%d fibers ran on %d carriers, want 200 on 32", len(assign), len(carriers))
 		}
 		return assign, e.Events(), e.Switches()
 	}

@@ -307,6 +307,9 @@ func (e *Engine) RunUntil(limit Time) error {
 	e.running = true
 	e.limit = limit
 	for fb := e.dispatch(); fb != nil; fb = e.dispatch() {
+		if fb.c == nil {
+			e.bind(fb)
+		}
 		if _, alive := fb.c.next(); !alive {
 			break // the body panicked and took its carrier along (runFiber)
 		}

@@ -23,7 +23,8 @@ type Fiber struct {
 	eng  *Engine
 	name label
 
-	c    *carrier // the coroutine the body runs on
+	c    *carrier     // the coroutine the body runs on; nil until the first switch-in
+	body func(*Fiber) // the body, until the first switch-in hands it to c
 	done bool
 
 	// gen names this use of the struct: Go stamps a number no earlier
@@ -95,15 +96,13 @@ func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
 	if e.closed {
 		panic("sim: Go on a closed engine")
 	}
-	c := e.idleCarrier()
 	f, ok := pop(&e.spare)
 	if !ok {
 		f = new(Fiber)
 	}
 	e.spawned++
-	*f = Fiber{eng: e, c: c, idx: len(e.fibers), gen: e.spawned}
+	*f = Fiber{eng: e, body: body, idx: len(e.fibers), gen: e.spawned}
 	f.name.set(name, args)
-	c.fiber, c.body = f, body
 	e.fibers = append(e.fibers, f)
 	e.scheduleFiberAt(e.now, f)
 	return f
@@ -120,6 +119,11 @@ func (e *Engine) Go(name string, body func(f *Fiber), args ...any) *Fiber {
 // goroutine it starts runs only while the dispatch loop is switched out
 // waiting in next, so it adds no scheduling freedom.
 //
+// A fiber takes its carrier at its first switch-in (bind), not at Go: a
+// fiber that never runs — the null processes of a cluster that is built
+// and dropped without a Run — then holds no goroutine, and nothing on a
+// parked goroutine's stack pins the world it belongs to.
+//
 //ivy:hostworld starts the coroutine (a goroutine, by iter.Pull) backing a carrier
 func (e *Engine) idleCarrier() *carrier {
 	if c, ok := pop(&e.idle); ok {
@@ -134,6 +138,13 @@ func (e *Engine) idleCarrier() *carrier {
 		}
 	})
 	return c
+}
+
+// bind hands a fiber about to run for the first time its carrier.
+func (e *Engine) bind(f *Fiber) {
+	c := e.idleCarrier()
+	c.fiber, c.body = f, f.body
+	f.c, f.body = c, nil
 }
 
 // tornDown is the panic value Engine.Close unwinds a parked body with.
@@ -250,8 +261,8 @@ func (e *Engine) releaseIdle() {
 // through. Go and RunUntil on a closed engine panic; a second Close does
 // nothing.
 //
-// A fiber that never started is dropped without its body running. A
-// parked one is unwound: its yield reports false (the carrier has been
+// A fiber that never started is dropped without its body running (it
+// has no carrier yet). A parked one is unwound: its yield reports false (the carrier has been
 // stopped) and panics with tornDown, so the body's deferred calls run, as
 // in any Go unwinding, and runFiber swallows the panic. They run against
 // a stopped engine — a wake-up they schedule is queued and then dropped
@@ -272,7 +283,9 @@ func (e *Engine) Close() {
 	raised := e.panicMsg
 	for n := len(e.fibers); n > 0; n = len(e.fibers) {
 		f := e.fibers[n-1]
-		f.c.stop()
+		if f.c != nil {
+			f.c.stop()
+		}
 		e.unlink(f)
 	}
 	// RunUntil releases the idle carriers on its way out; one that an

@@ -89,9 +89,10 @@ func (o raceObserver) Access(s *core.SVM, ctx core.Ctx, op core.Op, addr, n uint
 		return
 	}
 	// The detector thread is the process's; contexts outside race
-	// tracking (a bare ChargeCtx) have none, publish nothing and are not
-	// checked, but their writes still set the value reads are checked
-	// against. s shows the detector the words in this node's frame.
+	// tracking (any Ctx that is not a process) have none, publish
+	// nothing and are not checked, but their writes still set the value
+	// reads are checked against. s shows the detector the words in this
+	// node's frame.
 	var t *drace.Thread
 	if p, ok := ctx.(*proc.Process); ok {
 		t = p.Race()

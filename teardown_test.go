@@ -152,6 +152,21 @@ func freeAddrs(t *testing.T, n int) map[int]string {
 	return addrs
 }
 
+// TestNeverRunClusterLeavesNothing: a cluster that is built and dropped
+// without a Run holds no goroutine. Its null processes are fibers that
+// never ran, and a fiber takes its carrier — a goroutine — only at its
+// first switch-in; binding at Go left one parked goroutine per node
+// behind, pinning each dropped cluster's frames. Not parallel, for the
+// count.
+func TestNeverRunClusterLeavesNothing(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		New(Config{Processors: 8})
+	}
+	runtime.GC()
+	goroutinesBackTo(t, base)
+}
+
 func TestRunLeavesNothingBehind(t *testing.T) {
 	simulated := func(cfg Config) func(*testing.T, func()) {
 		return func(t *testing.T, touch func()) {

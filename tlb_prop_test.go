@@ -2,6 +2,7 @@ package ivy
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -14,15 +15,19 @@ import (
 // checksum of every value each worker read plus a final sweep of the
 // shared region — equal timing and fault counts alone would not catch
 // a stale TLB hit that returns wrong bytes, since such a hit performs
-// the same charges and messages as a correct one.
+// the same charges and messages as a correct one. mid is a snapshot one
+// worker takes halfway through its trace: a TLB counts its hits late,
+// and the counts must be exact whenever they are read.
 type tlbTraceResult struct {
 	elapsed time.Duration
 	stats   ClusterStats
+	mid     ClusterStats
 	sums    []uint64
 }
 
-// runTLBTrace executes a randomized shared-memory trace — scalar and
-// bulk reads/writes, word copies, test-and-set, and a migrating worker —
+// runTLBTrace executes a randomized shared-memory trace — scalar reads
+// and writes of every width, bulk reads/writes, word copies,
+// test-and-set, a mid-trace statistics snapshot, and a migrating worker —
 // on a memory-constrained cluster (so evictions happen) and returns the
 // simulated outcome. A non-nil chaos arms the fault plane for the run.
 // It returns errors instead of failing a *testing.T so the property
@@ -49,6 +54,7 @@ func runTLBTrace(alg Algorithm, seed int64, disableTLB bool, chaos *ChaosOpts) (
 	// the whole region. The mix must depend on order, so a transposed
 	// pair of reads cannot cancel.
 	sums := make([]uint64, workers+2)
+	var mid ClusterStats
 	mix := func(h, v uint64) uint64 {
 		h ^= v
 		h *= 0x100000001B3 // FNV-64 prime
@@ -70,8 +76,11 @@ func runTLBTrace(alg Algorithm, seed int64, disableTLB bool, chaos *ChaosOpts) (
 				sum := uint64(14695981039346656037) // FNV-64 offset basis
 				buf := make([]uint64, 24)
 				for op := 0; op < ops; op++ {
+					if w == 0 && op == ops/2 {
+						mid = c.Snapshot()
+					}
 					i := next() % words
-					switch next() % 6 {
+					switch next() % 10 {
 					case 0:
 						q.WriteU64(base+8*i, next())
 					case 1:
@@ -107,6 +116,14 @@ func runTLBTrace(alg Algorithm, seed int64, disableTLB bool, chaos *ChaosOpts) (
 						} else {
 							sum = mix(sum, 0)
 						}
+					case 6:
+						q.WriteU32(base+8*i+4*(next()&1), uint32(next()))
+					case 7:
+						sum = mix(sum, uint64(q.ReadU32(base+8*i+4*(next()&1))))
+					case 8:
+						sum = mix(sum, uint64(q.ReadU8(base+8*i+next()%8)))
+					case 9:
+						sum = mix(sum, uint64(math.Float32bits(q.ReadF32(base+8*i+4*(next()&1)))))
 					}
 				}
 				sums[w] = sum
@@ -145,7 +162,7 @@ func runTLBTrace(alg Algorithm, seed int64, disableTLB bool, chaos *ChaosOpts) (
 	if errs := c.VerifyCoherence(); len(errs) != 0 {
 		return tlbTraceResult{}, fmt.Errorf("%v trace (tlb disabled=%v): coherence: %v", alg, disableTLB, errs)
 	}
-	return tlbTraceResult{elapsed: c.Elapsed(), stats: c.Snapshot(), sums: sums}, nil
+	return tlbTraceResult{elapsed: c.Elapsed(), stats: c.Snapshot(), mid: mid, sums: sums}, nil
 }
 
 // tlbPair is one seed's on/off outcome pair from a parallel sweep.
@@ -222,6 +239,10 @@ func TestTLBDeterminism(t *testing.T) {
 					t.Errorf("seed %d: cluster statistics diverge with TLB on vs off:\non:  %+v\noff: %+v",
 						seed, on.stats.Total().SVM, off.stats.Total().SVM)
 				}
+				if !reflect.DeepEqual(on.mid, off.mid) {
+					t.Errorf("seed %d: mid-trace snapshot diverges with TLB on vs off:\non:  %+v\noff: %+v",
+						seed, on.mid.Total().SVM, off.mid.Total().SVM)
+				}
 				if !reflect.DeepEqual(on.sums, off.sums) {
 					t.Errorf("seed %d: read-data checksums diverge with TLB on vs off (stale TLB data):\non:  %v\noff: %v",
 						seed, on.sums, off.sums)
@@ -265,6 +286,10 @@ func TestTLBDeterminismUnderChaos(t *testing.T) {
 				if !reflect.DeepEqual(on.stats, off.stats) {
 					t.Errorf("seed %d: cluster statistics diverge under chaos with TLB on vs off:\non:  %+v\noff: %+v",
 						seed, on.stats.Total().SVM, off.stats.Total().SVM)
+				}
+				if !reflect.DeepEqual(on.mid, off.mid) {
+					t.Errorf("seed %d: mid-trace snapshot diverges under chaos with TLB on vs off:\non:  %+v\noff: %+v",
+						seed, on.mid.Total().SVM, off.mid.Total().SVM)
 				}
 				if !reflect.DeepEqual(on.sums, off.sums) {
 					t.Errorf("seed %d: read-data checksums diverge under chaos (stale TLB data):\non:  %v\noff: %v",
