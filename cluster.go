@@ -138,12 +138,11 @@ func (c *Cluster) addNode(id int) {
 	})
 	svm := core.New(c.eng, ep, cpu, cfg.svmConfig(id), &stats.Node{})
 	ac := alloc.Config{
-		Central:   0,
-		Base:      svm.Base(),
-		Size:      uint64(cfg.SharedPages) * uint64(cfg.PageSize),
-		PageSize:  cfg.PageSize,
-		TwoLevel:  cfg.TwoLevelAlloc,
-		ChunkSize: cfg.ChunkBytes,
+		Central:  0,
+		Base:     svm.Base(),
+		Size:     uint64(cfg.SharedPages) * uint64(cfg.PageSize),
+		PageSize: cfg.PageSize,
+		TwoLevel: cfg.TwoLevelAlloc,
 	}
 	if cfg.Coherence == CoherenceRC {
 		svm.ArmRC(cfg.SharedPages, 0)

@@ -2,77 +2,174 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestGoldenOutput runs each subcommand in-process and holds its stdout
-// byte-identical to what the seven binaries this command replaced
-// printed for the same flags (testdata/cli, captured from their last
-// commit; testdata/pr16 for the profiler). The two lossy RC and
-// broadcast run cells were captured while -loss was still the ring's
-// own loss knob, so they hold the loss-only chaos schedule to it. Lines
-// containing "wall time" are the only nondeterministic ones and are
-// dropped.
+var update = flag.Bool("update", false, "rewrite testdata/golden from this build's output (matrix.txt keeps its comments and wedge lines)")
+
+// raceBuild is set by race_test.go. Under the race detector the matrix
+// would take minutes, so -race runs the full-text cells only, as -short
+// does.
+var raceBuild bool
+
+// corpus is the one directory of CLI goldens.
+var corpus = filepath.Join("..", "..", "testdata", "golden")
+
+// fullText are the cells held to a file of their own, named after their
+// arguments (spaces become underscores): the file is the command's
+// stdout, wall-time lines dropped, followed by its stderr, which must be
+// empty on exit 0. bench is the recorded run of the paper's figures and
+// tables that EXPERIMENTS.md discusses.
+var fullText = []struct {
+	args string
+	exit int
+}{
+	{"run -app dotprod -procs 4", 0},
+	{"run -app jacobi -procs 4 -n 128 -manager fixed -coherence rc", 0},
+	{"run -app matmul -procs 4 -pagesize 256 -loss 0.05", 0},
+	// These two were recorded while -loss was the ring's own loss knob,
+	// so they hold the loss-only chaos schedule to it.
+	{"run -app jacobi -procs 4 -n 128 -coherence rc -loss 0.02", 0},
+	{"run -app dotprod -procs 4 -manager broadcast -loss 0.02", 0},
+	// A program that outgrows the shared space is a runtime error: exit
+	// 1 and one "ivy run:" line naming the bytes asked for and the size
+	// of the space, not a fiber panic and a stack trace.
+	{"run -app jacobi -n 2048", 1},
+	{"trace -scenario sharing -pages -limit 60", 0},
+	{"trace -scenario migration -summary", 0},
+	{"prof -app matmul -procs 8 -seed 1", 0},
+	{"prof -app tsp -procs 8 -seed 1", 0},
+	{"bench -exp table1", 0},
+	{"bench", 0},
+	{"bench -chaos", 0},
+	{"vet -list", 0},
+}
+
+// TestGoldenOutput is the gate for every CLI output. Each cell runs one
+// ivy command line in-process, in parallel with the others: the
+// fullText cells against their files, then, unless -short or -race, the
+// cells of testdata/golden/matrix.txt against the exit status and stdout
+// hash on their line. -update rewrites both from this build.
 func TestGoldenOutput(t *testing.T) {
-	cells := []struct{ args, golden string }{
-		{"run -app dotprod -procs 4", "cli/run_dotprod_p4.txt"},
-		{"run -app jacobi -procs 4 -n 128 -manager fixed -coherence rc", "cli/run_jacobi_p4_n128_fixed_rc.txt"},
-		{"run -app matmul -procs 4 -pagesize 256 -loss 0.05", "cli/run_matmul_p4_ps256_loss.txt"},
-		{"run -app jacobi -procs 4 -n 128 -coherence rc -loss 0.02", "cli/run_jacobi_p4_n128_rc_loss.txt"},
-		{"run -app dotprod -procs 4 -manager broadcast -loss 0.02", "cli/run_dotprod_p4_broadcast_loss.txt"},
-		{"trace -scenario sharing -pages -limit 60", "cli/trace_sharing_pages_60.txt"},
-		{"trace -scenario migration -summary", "cli/trace_migration_summary.txt"},
-		{"prof -app matmul -procs 8 -seed 1", "pr16/ivyprof_matmul_p8_s1.txt"},
-		{"prof -app tsp -procs 8 -seed 1", "pr16/ivyprof_tsp_p8_s1.txt"},
-		{"bench -exp table1", "cli/bench_table1.txt"},
-		{"vet -list", "cli/vet_list.txt"},
-	}
-	for _, c := range cells {
+	for _, c := range fullText {
 		t.Run(c.args, func(t *testing.T) {
 			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("..", "..", "testdata", c.golden))
+			code, stdout, stderr := call(c.args)
+			if code != c.exit {
+				t.Errorf("exit %d, want %d; stderr:\n%s", code, c.exit, stderr)
+			}
+			if code == 0 && stderr != "" {
+				t.Errorf("exit 0 with stderr:\n%s", stderr)
+			}
+			path := filepath.Join(corpus, strings.ReplaceAll(c.args, " ", "_")+".txt")
+			got := stripWall(stdout) + stderr
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var stdout, stderr bytes.Buffer
-			if code := run(strings.Fields(c.args), &stdout, &stderr); code != 0 {
-				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+			if w := stripWall(string(want)); got != w {
+				t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, got, w)
 			}
-			var got []string
-			for _, line := range strings.SplitAfter(stdout.String(), "\n") {
-				if !strings.Contains(line, "wall time") {
-					got = append(got, line)
-				}
+		})
+	}
+	if testing.Short() || raceBuild {
+		return
+	}
+	testMatrix(t)
+}
+
+// testMatrix runs the cells of matrix.txt. A line is the arguments, the
+// exit status and the FNV-64a hash of stdout without its wall-time
+// lines, tab-separated; a "wedge" line is reported as a skip, with the
+// reason its third field gives, and not run.
+func testMatrix(t *testing.T) {
+	path := filepath.Join(corpus, "matrix.txt")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The prof -diff cell compares two exports written here first.
+	tmp := t.TempDir()
+	for _, args := range []string{
+		"prof -app matmul -procs 8 -format json -o $TMP/a.json",
+		"prof -app matmul -procs 4 -format json -o $TMP/b.json",
+	} {
+		if code, _, stderr := call(strings.ReplaceAll(args, "$TMP", tmp)); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", args, code, stderr)
+		}
+	}
+
+	lines := strings.SplitAfter(string(data), "\n")
+	var mu sync.Mutex
+	for i, line := range lines {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Split(strings.TrimSuffix(line, "\n"), "\t")
+		if len(f) != 3 {
+			t.Fatalf("%s:%d: want 3 tab-separated fields, got %q", path, i+1, line)
+		}
+		t.Run(f[0], func(t *testing.T) {
+			if f[1] == "wedge" {
+				t.Skip(f[2])
 			}
-			if g := strings.Join(got, ""); g != string(want) {
-				t.Errorf("stdout differs from testdata/%s:\n--- got\n%s--- want\n%s", c.golden, g, want)
+			t.Parallel()
+			code, stdout, stderr := call(strings.ReplaceAll(f[0], "$TMP", tmp))
+			if code == 0 && stderr != "" {
+				t.Errorf("exit 0 with stderr:\n%s", stderr)
+			}
+			h := fnv.New64a()
+			h.Write([]byte(stripWall(stdout)))
+			got := fmt.Sprintf("%s\t%d\t%016x\n", f[0], code, h.Sum64())
+			if *update {
+				mu.Lock()
+				lines[i] = got
+				mu.Unlock()
+			} else if got != line {
+				t.Errorf("exit %d, stdout hash %016x; %s:%d says exit %s, hash %s\nstderr:\n%s",
+					code, h.Sum64(), path, i+1, f[1], f[2], stderr)
+			}
+		})
+	}
+	if *update {
+		t.Cleanup(func() {
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+				t.Error(err)
 			}
 		})
 	}
 }
 
-// TestRuntimeErrorGolden holds a program that outgrows the shared space
-// to the runtime-error contract — exit status 1 and one "ivy run:" line
-// on stderr naming the bytes asked for and the size of the space — where
-// it used to die with a fiber panic and a stack trace.
-func TestRuntimeErrorGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "cli", "run_jacobi_n2048_oom.txt"))
-	if err != nil {
-		t.Fatal(err)
+// call runs one ivy command line in-process, as main would.
+func call(args string) (code int, stdout, stderr string) {
+	var o, e bytes.Buffer
+	code = run(strings.Fields(args), &o, &e)
+	return code, o.String(), e.String()
+}
+
+// stripWall drops the lines that report host wall time, the only output
+// that differs between two runs of one command line.
+func stripWall(s string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if !strings.Contains(line, "wall time") {
+			b.WriteString(line)
+		}
 	}
-	var stdout, stderr bytes.Buffer
-	if code := run(strings.Fields("run -app jacobi -n 2048"), &stdout, &stderr); code != 1 {
-		t.Errorf("exit %d, want 1", code)
-	}
-	if stderr.String() != string(want) {
-		t.Errorf("stderr = %q, want %q", stderr.String(), want)
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("stdout = %q, want nothing", stdout.String())
-	}
+	return b.String()
 }
 
 // TestUsageErrors pins the contract of a bad command line: exit status
@@ -97,17 +194,16 @@ func TestUsageErrors(t *testing.T) {
 		"bench -exp fig7",
 	} {
 		t.Run(args, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			if code := run(strings.Fields(args), &stdout, &stderr); code != 2 {
+			code, stdout, stderr := call(args)
+			if code != 2 {
 				t.Errorf("exit %d, want 2", code)
 			}
-			msg := stderr.String()
 			prefix := "ivy " + strings.Fields(args)[0] + ": "
-			if !strings.HasPrefix(msg, prefix) || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
-				t.Errorf("stderr = %q, want one line starting %q", msg, prefix)
+			if !strings.HasPrefix(stderr, prefix) || strings.Count(stderr, "\n") != 1 || !strings.HasSuffix(stderr, "\n") {
+				t.Errorf("stderr = %q, want one line starting %q", stderr, prefix)
 			}
-			if stdout.Len() != 0 {
-				t.Errorf("stdout = %q, want nothing", stdout.String())
+			if stdout != "" {
+				t.Errorf("stdout = %q, want nothing", stdout)
 			}
 		})
 	}
@@ -128,7 +224,7 @@ func TestHelpIsTheFlagReference(t *testing.T) {
 	}
 	for sub, flags := range map[string][]string{
 		"run":   {"-app", "-procs", "-pagesize", "-mempages", "-manager", "-coherence", "-loss", "-seed", "-n", "-iters"},
-		"bench": {"-exp", "-seed", "-parallel", "-chaos", "-scalingsmoke"},
+		"bench": {"-exp", "-seed", "-parallel", "-chaos"},
 		"prof":  {"-app", "-procs", "-manager", "-format", "-diff"},
 		"trace": {"-scenario", "-pages", "-limit", "-trace", "-sample"},
 		"node":  {"-rank", "-peers", "-manager", "-pages", "-seed"},

@@ -176,10 +176,8 @@ type Config struct {
 	BroadcastInvalidation bool
 
 	// TwoLevelAlloc enables the two-level memory allocation scheme the
-	// paper proposes; ChunkBytes sets the local chunk size (default
-	// 64 KB).
+	// paper proposes, with local chunks of alloc.ChunkSize bytes.
 	TwoLevelAlloc bool
-	ChunkBytes    uint64
 
 	// DisableTLB turns off the per-process software translation caches,
 	// forcing every shared-memory access through the full checked path.
@@ -385,9 +383,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.StackPages == 0 {
 		cfg.StackPages = 4
-	}
-	if cfg.ChunkBytes == 0 {
-		cfg.ChunkBytes = 64 * 1024
 	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = 1000 * time.Hour

@@ -20,8 +20,6 @@ var docUnchecked = map[string]string{
 	"proc.Cluster.Stop":    "removed; DESIGN §7 Carriers says so",
 	"BenchmarkFiberSwitch": "renamed BenchmarkFiberSelfWake; DESIGN §12 gives both names",
 	"TAS":                  "the paper's test-and-set, spelled TestAndSet in code",
-	"cmp":                  "a shell command",
-	"ivyprof":              "a CI job",
 	"length":               "a field of the TCP frame header",
 	"poison":               "a build tag",
 }

@@ -14,7 +14,7 @@
 // deterministic, prints the first race, and exits 0 only when the race
 // was caught both times. TestDemo runs it as the fail-closed check that
 // the detector stays armed, and holds its output byte-identical to
-// testdata/pr16/racedemo.txt.
+// testdata/golden/racedemo.txt.
 //
 //	go run ./examples/racedemo
 package main

@@ -127,12 +127,11 @@ func newServiceRig(t *testing.T, n int, twoLevel bool) *serviceRig {
 		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
 		ep := remop.NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil)
 		r.svcs = append(r.svcs, New(ep, Config{
-			Central:   0,
-			Base:      0x8000_0000,
-			Size:      1 << 20,
-			PageSize:  1024,
-			TwoLevel:  twoLevel,
-			ChunkSize: 64 * 1024,
+			Central:  0,
+			Base:     0x8000_0000,
+			Size:     1 << 20,
+			PageSize: 1024,
+			TwoLevel: twoLevel,
 		}))
 	}
 	return r

@@ -37,6 +37,11 @@ func (m *fiberMutex) unlock() {
 	m.held = false
 }
 
+// ChunkSize is the size of the chunk a two-level local allocator
+// obtains from the central manager when it runs dry (a larger request
+// gets a chunk of its own size).
+const ChunkSize = 64 * 1024
+
 // Config sets up the allocation module.
 type Config struct {
 	// Central is the node appointed central memory manager ("the
@@ -47,9 +52,8 @@ type Config struct {
 	// PageSize aligns every block to page boundaries.
 	PageSize int
 	// TwoLevel enables the two-level scheme: local allocators carve from
-	// chunks of ChunkSize obtained from the central manager.
-	TwoLevel  bool
-	ChunkSize uint64
+	// chunks of ChunkSize bytes obtained from the central manager.
+	TwoLevel bool
 	// SyncBase/SyncSize delimit the sync arena: a second region, present
 	// only under release consistency, from which synchronization objects
 	// (locks, eventcounts, sequencers, stacks) are allocated so they stay
@@ -73,7 +77,6 @@ type Service struct {
 	syncHeap *Heap
 	// local is the node's two-level allocator (nil when disabled).
 	local *Heap
-	chunk uint64
 
 	// Stats.
 	LocalHits   uint64 // satisfied from the local chunk (two-level)
@@ -87,7 +90,6 @@ func New(ep *remop.Endpoint, cfg Config) *Service {
 		ep:      ep,
 		node:    ep.ID(),
 		central: cfg.Central,
-		chunk:   cfg.ChunkSize,
 	}
 	if s.node == cfg.Central {
 		s.heap = NewHeap(cfg.Base, cfg.Size, cfg.PageSize)
@@ -96,9 +98,6 @@ func New(ep *remop.Endpoint, cfg Config) *Service {
 		}
 	}
 	if cfg.TwoLevel {
-		if cfg.ChunkSize == 0 {
-			panic("alloc: two-level mode needs a chunk size")
-		}
 		s.local = NewHeap(0, 0, cfg.PageSize)
 	}
 	ep.SetHandler(wire.KindAllocReq, s.handleAlloc)
@@ -117,10 +116,7 @@ func (s *Service) Alloc(f *sim.Fiber, n uint64) (uint64, error) {
 			return addr, nil
 		}
 		// Refill: get a chunk big enough for this request.
-		want := s.chunk
-		if n > want {
-			want = n
-		}
+		want := max(n, ChunkSize)
 		base, err := s.centralAlloc(f, want)
 		if err != nil {
 			return 0, err

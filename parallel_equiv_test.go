@@ -2,6 +2,7 @@ package ivy_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,25 +19,32 @@ import (
 // or many. Only the host-side Wall fields may differ, and those are
 // scrubbed before comparing.
 
+// raceBuild is set by race_test.go.
+var raceBuild bool
+
+// hostile is the chaos suite's fault schedule: duplication, bounded
+// reordering, independent and burst loss, and one crash/restart of node
+// 2.
+var hostile = &ivy.ChaosOpts{
+	DuplicateProbability: 0.05,
+	DuplicateDelay:       2 * time.Millisecond,
+	DelayProbability:     0.05,
+	MaxDelay:             2 * time.Millisecond,
+	LossProbability:      0.05,
+	BurstProbability:     0.01,
+	BurstLength:          4,
+	Crashes:              []ivy.NodeCrash{{Node: 2, At: 400 * time.Millisecond, Downtime: 900 * time.Millisecond}},
+}
+
 // TestChaosSweepParallelEquivalence runs the same chaos SC-checker sweep
 // sequentially and on four workers and requires every Result — including
 // HistoryDigest and ChaosDigest, the FNV-1a checksums over the full
 // linearized history and fault schedule — to compare DeepEqual.
 func TestChaosSweepParallelEquivalence(t *testing.T) {
-	opts := &ivy.ChaosOpts{
-		DuplicateProbability: 0.05,
-		DuplicateDelay:       2 * time.Millisecond,
-		DelayProbability:     0.05,
-		MaxDelay:             2 * time.Millisecond,
-		LossProbability:      0.05,
-		BurstProbability:     0.01,
-		BurstLength:          4,
-		Crashes:              []ivy.NodeCrash{{Node: 2, At: 400 * time.Millisecond, Downtime: 900 * time.Millisecond}},
-	}
 	var cfgs []check.Config
 	for _, alg := range []ivy.Algorithm{ivy.DynamicDistributed, ivy.ImprovedCentralized, ivy.BroadcastManager} {
 		for seed := int64(1); seed <= 2; seed++ {
-			cfgs = append(cfgs, check.Config{Algorithm: alg, Seed: seed, Chaos: opts})
+			cfgs = append(cfgs, check.Config{Algorithm: alg, Seed: seed, Chaos: hostile})
 		}
 	}
 	seq := check.Sweep(1, cfgs)
@@ -50,6 +58,58 @@ func TestChaosSweepParallelEquivalence(t *testing.T) {
 			t.Errorf("cfg %d (alg %v seed %d): parallel sweep diverged from sequential:\nseq: %+v\npar: %+v",
 				i, cfgs[i].Algorithm, cfgs[i].Seed, seq[i], par[i])
 		}
+	}
+}
+
+// TestSweepScaling is the wall-clock half of the -parallel claim: a
+// chaos sweep on four workers must finish at least twice as fast as on
+// one, and return the same results. Each side's time is the fastest of
+// three sweeps. The ops are sized so the sequential sweep takes about
+// 1.1 s on one core of a 2-vCPU x86-64 host, so the bound times the
+// sweep rather than scheduler noise; at the chaos suite's 60 ops it
+// took 25 ms. The bound needs as many host cores as workers, and times
+// nothing meaningful under the race detector.
+func TestSweepScaling(t *testing.T) {
+	const workers = 4
+	if runtime.GOMAXPROCS(0) < workers {
+		t.Skipf("TestSweepScaling needs GOMAXPROCS >= %d, have %d", workers, runtime.GOMAXPROCS(0))
+	}
+	if raceBuild {
+		t.Skip("TestSweepScaling does not time race-instrumented code")
+	}
+	var cfgs []check.Config
+	for _, alg := range []ivy.Algorithm{ivy.DynamicDistributed, ivy.ImprovedCentralized, ivy.FixedDistributed, ivy.BroadcastManager, ivy.BasicCentralized} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfgs = append(cfgs, check.Config{Algorithm: alg, Seed: seed, Ops: 250_000, Chaos: hostile})
+		}
+	}
+	fastest := func(workers int) (time.Duration, []check.Result) {
+		var best time.Duration
+		var res []check.Result
+		for range 3 {
+			start := time.Now()
+			res = check.Sweep(workers, cfgs)
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
+			}
+		}
+		return best, res
+	}
+	seqWall, seq := fastest(1)
+	parWall, par := fastest(workers)
+	for i := range cfgs {
+		if seq[i].Failing() {
+			t.Errorf("cfg %d (alg %v seed %d) is not sequentially consistent: %v", i, cfgs[i].Algorithm, cfgs[i].Seed, seq[i])
+		}
+		if !reflect.DeepEqual(seq[i], par[i]) {
+			t.Errorf("cfg %d (alg %v seed %d) differs between 1 and %d workers:\nseq: %+v\npar: %+v",
+				i, cfgs[i].Algorithm, cfgs[i].Seed, workers, seq[i], par[i])
+		}
+	}
+	speedup := float64(seqWall) / float64(parWall)
+	t.Logf("sequential %v, %d workers %v: speedup %.2fx", seqWall, workers, parWall, speedup)
+	if speedup < 2 {
+		t.Errorf("speedup %.2fx at %d workers, want at least 2x", speedup, workers)
 	}
 }
 

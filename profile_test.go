@@ -2,17 +2,12 @@ package ivy_test
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	ivy "repro"
 	"repro/internal/apps"
 	"repro/internal/metrics"
 )
-
-var updateGolden = flag.Bool("update-prof", false, "rewrite the profiling golden files")
 
 // profWorkload is a small fixed workload with genuine page ping-pong:
 // four processes take turns incrementing counters that share pages, so
@@ -47,46 +42,6 @@ func profWorkload(cfg ivy.Config) (*ivy.Cluster, error) {
 		done.Wait(p, 3)
 	})
 	return c, err
-}
-
-// TestProfileGoldenProm pins the Prometheus exposition bytes for a fixed
-// (seed, config): ordering, label layout, and float formatting are all
-// part of the contract. Regenerate with `go test -run Golden -update .`
-// after an intentional format change.
-func TestProfileGoldenProm(t *testing.T) {
-	c, err := profWorkload(ivy.Config{Seed: 42, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	export := metrics.Build(metrics.Meta{
-		App:       "profworkload",
-		Manager:   "dynamic",
-		Coherence: "sc",
-		Procs:     4,
-		Seed:      42,
-		PageSize:  256,
-		ElapsedUS: c.Elapsed().Microseconds(),
-	}, c.Snapshot(), c.MetricsSnapshot())
-
-	var buf bytes.Buffer
-	if err := export.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "profile_golden.prom")
-	if *updateGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("exposition differs from %s (run with -update after intentional changes)\ngot:\n%s",
-			golden, buf.String())
-	}
 }
 
 // TestProfileReportDeterministic runs the matmul benchmark at 8 nodes
