@@ -16,7 +16,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from this build
 
 // raceBuild is set by race_test.go. Under the race detector the matrix
 // would take minutes, so -race runs the full-text cells only, as -short
-// does.
+// does, and of those not bench: it regenerates every figure at full
+// size and shares nothing across goroutines that TestConcurrentClusters
+// does not already cover. The untagged and poison runs hold its bytes.
 var raceBuild bool
 
 // corpus is the one directory of CLI goldens.
@@ -24,9 +26,9 @@ var corpus = filepath.Join("..", "..", "testdata", "golden")
 
 // fullText are the cells held to a file of their own, named after their
 // arguments (spaces become underscores): the file is the command's
-// stdout, wall-time lines dropped, followed by its stderr, which must be
-// empty on exit 0. bench is the recorded run of the paper's figures and
-// tables that EXPERIMENTS.md discusses.
+// stdout followed by its stderr, which must be empty on exit 0, with
+// the wall-time lines of both dropped. bench is the recorded run of the
+// paper's figures and tables that EXPERIMENTS.md discusses.
 var fullText = []struct {
 	args string
 	exit int
@@ -60,6 +62,9 @@ var fullText = []struct {
 func TestGoldenOutput(t *testing.T) {
 	for _, c := range fullText {
 		t.Run(c.args, func(t *testing.T) {
+			if raceBuild && c.args == "bench" {
+				t.Skip("bench is not run under the race detector")
+			}
 			t.Parallel()
 			code, stdout, stderr := call(c.args)
 			if code != c.exit {
@@ -69,7 +74,7 @@ func TestGoldenOutput(t *testing.T) {
 				t.Errorf("exit 0 with stderr:\n%s", stderr)
 			}
 			path := filepath.Join(corpus, strings.ReplaceAll(c.args, " ", "_")+".txt")
-			got := stripWall(stdout) + stderr
+			got := stripWall(stdout + stderr)
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -1,8 +1,10 @@
 package ivy_test
 
 import (
+	"flag"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,12 +69,22 @@ func TestChaosSweepParallelEquivalence(t *testing.T) {
 // three sweeps. The ops are sized so the sequential sweep takes about
 // 1.1 s on one core of a 2-vCPU x86-64 host, so the bound times the
 // sweep rather than scheduler noise; at the chaos suite's 60 ops it
-// took 25 ms. The bound needs as many host cores as workers, and times
-// nothing meaningful under the race detector.
+// took 25 ms. The bound needs as many free host cores as workers, so
+// the test runs only when -run names it, alone:
+//
+//	go test -count=1 -run '^TestSweepScaling$' .
+//
+// Under go test ./... it would share the host with every other
+// package's test binary, and its four workers would time that. It
+// skips, by name, on fewer host cores than workers and under the race
+// detector.
 func TestSweepScaling(t *testing.T) {
 	const workers = 4
-	if runtime.GOMAXPROCS(0) < workers {
-		t.Skipf("TestSweepScaling needs GOMAXPROCS >= %d, have %d", workers, runtime.GOMAXPROCS(0))
+	if !strings.Contains(flag.Lookup("test.run").Value.String(), "SweepScaling") {
+		t.Skip("TestSweepScaling times the host and runs alone: go test -count=1 -run '^TestSweepScaling$' .")
+	}
+	if n := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); n < workers {
+		t.Skipf("TestSweepScaling needs %d host cores, have %d", workers, n)
 	}
 	if raceBuild {
 		t.Skip("TestSweepScaling does not time race-instrumented code")
