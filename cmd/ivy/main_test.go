@@ -99,7 +99,8 @@ func TestGoldenOutput(t *testing.T) {
 // testMatrix runs the cells of matrix.txt. A line is the arguments, the
 // exit status and the FNV-64a hash of stdout without its wall-time
 // lines, tab-separated; a "wedge" line is reported as a skip, with the
-// reason its third field gives, and not run.
+// reason its third field gives, and not run. A cell that writes a span
+// trace (-trace $TMP/name) hashes the file's bytes after stdout.
 func testMatrix(t *testing.T) {
 	path := filepath.Join(corpus, "matrix.txt")
 	data, err := os.ReadFile(path)
@@ -137,7 +138,14 @@ func testMatrix(t *testing.T) {
 				t.Errorf("exit 0 with stderr:\n%s", stderr)
 			}
 			h := fnv.New64a()
-			h.Write([]byte(stripWall(stdout)))
+			h.Write([]byte(strings.ReplaceAll(stripWall(stdout), tmp, "$TMP")))
+			if _, file, ok := strings.Cut(f[0], "-trace $TMP/"); ok {
+				export, err := os.ReadFile(filepath.Join(tmp, strings.Fields(file)[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(export)
+			}
 			got := fmt.Sprintf("%s\t%d\t%016x\n", f[0], code, h.Sum64())
 			if *update {
 				mu.Lock()
