@@ -272,7 +272,8 @@ func chaosTraffic(t *testing.T) (eng *sim.Engine, nw *ring.Network, eps []*Endpo
 	eps = make([]*Endpoint, n)
 	for i := range eps {
 		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
-		eps[i] = NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil, WithReplyCacheCap(4))
+		eps[i] = NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil)
+		eps[i].replyCacheCap = 4
 		ep := eps[i]
 		ep.SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 			// Forward once around the ring, then answer.

@@ -17,15 +17,19 @@
 //     half-second check (done by the null process in IVY) retransmits
 //     outstanding requests.
 //
+// On the calling side every outstanding request, whatever its shape — a
+// call, a fan-out to several nodes, a broadcast, a reliable notify — is
+// one record with one request id and one marshalled payload (client.go),
+// and every way its wait ends (its replies arrive, its destination is
+// hinted down, it is stuck, it gives up) goes through one function,
+// settle.
+//
 // Every envelope piggybacks a one-byte load hint used by the passive
 // load-balancing algorithm in internal/proc.
 package remop
 
 import (
-	"errors"
 	"fmt"
-	"slices"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/ring"
@@ -67,9 +71,6 @@ type Ctx struct {
 	run  func(f *sim.Fiber) // c.serve, bound when c was first allocated
 }
 
-// Endpoint returns the endpoint servicing the request.
-func (c *Ctx) Endpoint() *Endpoint { return c.ep }
-
 // Fiber returns the fiber the handler runs on, for blocking operations.
 func (c *Ctx) Fiber() *sim.Fiber { return c.fiber }
 
@@ -107,6 +108,26 @@ func (ep *Endpoint) forward(env *wire.Envelope, dst ring.NodeID, span trace.Span
 	ep.sendOwned(dst, ep.codec.Marshal(&fwd), span)
 }
 
+// send transmits pl to dst, handing the transport a reference of its
+// own: the caller keeps the one it holds (a pending's, a cached reply's)
+// and may send the same payload again.
+func (ep *Endpoint) send(dst ring.NodeID, pl *wire.Payload, span trace.SpanID) {
+	pl.Retain()
+	ep.sendOwned(dst, pl, span)
+}
+
+// sendOwned transmits pl to dst, giving the caller's reference to the
+// transport.
+func (ep *Endpoint) sendOwned(dst ring.NodeID, pl *wire.Payload, span trace.SpanID) {
+	pkt := ring.Packet{Src: ep.id, Dst: dst, Payload: pl.Bytes(), Ref: pl, Trace: uint64(span)}
+	if ep.byValue != nil {
+		ep.byValue.SendPacket(pkt)
+		return
+	}
+	heap := pkt // a copy, so that only this path's packet escapes
+	ep.nw.Send(&heap)
+}
+
 // Stats counts endpoint activity.
 type Stats struct {
 	RequestsSent     uint64
@@ -122,53 +143,6 @@ type Stats struct {
 	GateDeclined     uint64 // broadcast requests declined by a delivery gate
 	GiveUps          uint64 // requests failed after exhausting maxRetries
 	NodeDownFails    uint64 // requests failed fast on a down-destination hint
-}
-
-// pending tracks one outstanding request at the caller.
-type pending struct {
-	reqID   uint32
-	dst     ring.NodeID   // Broadcast for broadcasts
-	payload *wire.Payload // holds one reference, dropped in retire
-	fiber   *sim.Fiber
-	want    int // replies needed before the fiber resumes
-	replies []*wire.Envelope
-	sentAt  sim.Time
-	retries int
-	// woken guards against double-unpark when a reply and the
-	// retransmission give-up path race within one engine step.
-	woken bool
-	// stuckAfter > 0 arms stuck-recovery: after that many retransmissions
-	// the caller is woken with stuck=true to relocate the destination.
-	stuckAfter int
-	stuck      bool
-	failed     bool
-	// failFast opts this pending into failing with ErrNodeDown when the
-	// destination is hinted down, instead of retransmitting through the
-	// outage. Safe only for requests whose abandonment leaves no server
-	// state behind (see CallFailFast); protocol calls never set it.
-	failFast bool
-	// nodeDown records that the failure was a fast-fail on a down
-	// destination, so the caller sees ErrNodeDown instead of a generic
-	// retransmission give-up.
-	nodeDown bool
-	// responders is the set of nodes that replied (node ids are below
-	// wire.MaxNodes), so BroadcastAll retransmission can target only the
-	// missing nodes.
-	responders uint64
-	// group, when non-nil, aggregates this pending into a CallMany batch;
-	// the shared fiber wakes when every member completes.
-	group *group
-	// trace is the span this request serves (0 = untraced); stamped on
-	// every transmission, including retransmissions.
-	trace trace.SpanID
-}
-
-// failErr maps a failed pending to its error.
-func (p *pending) failErr() error {
-	if p.nodeDown {
-		return ErrNodeDown
-	}
-	return ErrCallFailed
 }
 
 // Endpoint is one node's attachment to the remote operation layer.
@@ -191,7 +165,7 @@ type Endpoint struct {
 	handlers map[wire.Kind]Handler
 	gates    map[wire.Kind]Gate
 	nextReq  uint32
-	out      map[uint32]*pending
+	out      map[uint32]*pending // every outstanding request, by request id
 	// retransScratch is retransmitCheck's reusable sorted-key buffer, and
 	// retransmitTick the check's timer callback.
 	retransScratch []uint32
@@ -244,55 +218,10 @@ type packetSender interface {
 	SendPacket(pkt ring.Packet)
 }
 
-// Option configures an Endpoint.
-type Option func(*Endpoint)
-
-// WithReplyCacheCap sets how many replies are retained for duplicate
-// suppression (default 32).
-func WithReplyCacheCap(n int) Option {
-	return func(ep *Endpoint) { ep.replyCacheCap = n }
-}
-
-// retransmitPeriod matches the paper: the null process "checks all the
-// outgoing channels every half second when there is nothing to do".
-const retransmitPeriod = 500 * time.Millisecond
-
-// maxRetries bounds retransmission before a call fails; with a lossless
-// network it is never reached.
-const maxRetries = 64
-
-// backoffCap bounds the exponential retransmission backoff. The first
-// retry still fires after one retransmitPeriod (matching the paper's
-// half-second channel check); subsequent gaps double up to the cap, so a
-// node sending into a crashed peer's silence backs off instead of
-// saturating the shared ring.
-const backoffCap = 8 * retransmitPeriod
-
-// backoffFor returns how long a request must have been outstanding
-// before retry number retries+1 is sent.
-func backoffFor(retries int) time.Duration {
-	if retries >= 4 {
-		return backoffCap
-	}
-	return retransmitPeriod << uint(retries)
-}
-
-// downTTL bounds how long a down hint persists without confirmation.
-const downTTL = 20 * retransmitPeriod
-
-// ErrCallFailed reports a request that exhausted its retransmissions.
-var ErrCallFailed = errors.New("remop: request failed after retransmissions")
-
-// ErrNodeDown reports a request failed fast because its destination is
-// known to be crashed. It wraps ErrCallFailed so existing
-// errors.Is(err, ErrCallFailed) checks keep matching; callers wanting
-// the graceful-degradation path test errors.Is(err, ErrNodeDown).
-var ErrNodeDown = fmt.Errorf("remop: destination node down: %w", ErrCallFailed)
-
 // NewEndpoint attaches a node to the network. cpu is the node's processor
 // resource, shared with the process scheduler; loadFn supplies the load
 // hint stamped on every outgoing envelope.
-func NewEndpoint(eng *sim.Engine, nw ring.Transport, id ring.NodeID, cpu *sim.Resource, costs model.Costs, loadFn func() uint8, opts ...Option) *Endpoint {
+func NewEndpoint(eng *sim.Engine, nw ring.Transport, id ring.NodeID, cpu *sim.Resource, costs model.Costs, loadFn func() uint8) *Endpoint {
 	ep := &Endpoint{
 		eng:           eng,
 		nw:            nw,
@@ -310,9 +239,6 @@ func NewEndpoint(eng *sim.Engine, nw ring.Transport, id ring.NodeID, cpu *sim.Re
 		loadFn:        loadFn,
 	}
 	ep.byValue, _ = nw.(packetSender)
-	for _, o := range opts {
-		o(ep)
-	}
 	// The fault-plane notices are part of the layer itself, not an
 	// application protocol, so their handlers are built in (installed
 	// directly, leaving SetHandler's double-install check meaningful for
@@ -458,185 +384,6 @@ func cacheKey(origin uint16, reqID uint32) uint64 {
 	return uint64(origin)<<32 | uint64(reqID)
 }
 
-// Call sends req to dst and parks the fiber until the reply arrives,
-// retransmitting as needed. The reply may come from a node other than dst
-// when the request is forwarded along an ownership chain.
-func (ep *Endpoint) Call(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (wire.Msg, error) {
-	if dst == ep.id {
-		panic("remop: call to self; use the local fast path")
-	}
-	p := ep.newPending(f, dst, req, 1, false)
-	defer ep.retire(p)
-	ep.transmit(p)
-	f.Park("call %s -> node %d", req.Kind().String(), int(dst))
-	return p.result()
-}
-
-// CallFailFast is Call with graceful degradation: when the destination
-// is hinted down (crash notice, or an earlier failure marked it), the
-// call fails with ErrNodeDown at the next retransmission check instead
-// of retransmitting through the whole outage. Use it ONLY for requests
-// that are safe to abandon — idempotent probes and hints where the
-// caller retries elsewhere or later. Protocol requests that leave
-// state at the server pending a follow-up from this same request id
-// (fault requests confirm to unlock the manager's directory entry)
-// must use Call, which rides retransmission through the outage.
-func (ep *Endpoint) CallFailFast(f *sim.Fiber, dst ring.NodeID, req wire.Msg) (wire.Msg, error) {
-	if dst == ep.id {
-		panic("remop: call to self; use the local fast path")
-	}
-	p := ep.newPending(f, dst, req, 1, false)
-	defer ep.retire(p)
-	p.failFast = true
-	ep.transmit(p)
-	f.Park("call %s -> node %d (fail-fast)", req.Kind().String(), int(dst))
-	return p.result()
-}
-
-// BroadcastAny broadcasts req and parks until the first reply; later
-// replies to the same request are ignored. This is the scheme the paper
-// describes for locating page owners by broadcast.
-func (ep *Endpoint) BroadcastAny(f *sim.Fiber, req wire.Msg) (wire.Msg, error) {
-	ep.stats.Broadcasts++
-	p := ep.newPending(f, ring.Broadcast, req, 1, true)
-	defer ep.retire(p)
-	ep.transmit(p)
-	f.Park("broadcast-any %s", req.Kind().String())
-	return p.result()
-}
-
-// BroadcastAll broadcasts req and parks until every other node has
-// replied — the scheme used for invalidation operations. Missing replies
-// are re-requested point-to-point by the retransmission check.
-func (ep *Endpoint) BroadcastAll(f *sim.Fiber, req wire.Msg) ([]wire.Msg, error) {
-	ep.stats.Broadcasts++
-	want := ep.nw.Size() - 1
-	if want == 0 {
-		return nil, nil
-	}
-	p := ep.newPending(f, ring.Broadcast, req, want, true)
-	defer ep.retire(p)
-	ep.transmit(p)
-	f.Park("broadcast-all %s", req.Kind().String())
-	if len(p.replies) < want {
-		return nil, p.failErr()
-	}
-	msgs := make([]wire.Msg, len(p.replies))
-	for i, r := range p.replies {
-		msgs[i] = r.Body
-	}
-	return msgs, nil
-}
-
-// BroadcastNoReply broadcasts req with the no-reply scheme, used for
-// scattering approximate information such as scheduling hints. It never
-// blocks and is not retransmitted.
-func (ep *Endpoint) BroadcastNoReply(req wire.Msg) {
-	ep.stats.Broadcasts++
-	ep.nextReq++
-	env := &wire.Envelope{
-		ReqID:    ep.nextReq,
-		Origin:   uint16(ep.id),
-		Sender:   uint16(ep.id),
-		Flags:    wire.FlagBroadcast, // deliberately not FlagRequest: no reply machinery
-		LoadHint: ep.loadHint(),
-		Body:     req,
-	}
-	ep.sendOwned(ring.Broadcast, ep.codec.Marshal(env), 0)
-}
-
-func (ep *Endpoint) newPending(f *sim.Fiber, dst ring.NodeID, req wire.Msg, want int, broadcast bool) *pending {
-	ep.nextReq++
-	flags := wire.FlagRequest
-	if broadcast {
-		flags |= wire.FlagBroadcast
-	}
-	env := &wire.Envelope{
-		ReqID:    ep.nextReq,
-		Origin:   uint16(ep.id),
-		Sender:   uint16(ep.id),
-		Flags:    flags,
-		LoadHint: ep.loadHint(),
-		Body:     req,
-	}
-	var p *pending
-	if n := len(ep.freePending); n > 0 {
-		p = ep.freePending[n-1]
-		ep.freePending = ep.freePending[:n-1]
-	} else {
-		p = new(pending)
-	}
-	*p = pending{
-		reqID:   ep.nextReq,
-		dst:     dst,
-		payload: ep.codec.Marshal(env),
-		fiber:   f,
-		want:    want,
-		replies: p.replies, // emptied by retire; the backing array is reused
-		sentAt:  ep.eng.Now(),
-	}
-	if ep.trc != nil && f != nil && f.Trace() != 0 {
-		p.trace = trace.SpanID(f.Trace())
-		ep.trc.MapRequest(uint16(ep.id), p.reqID, p.trace)
-	}
-	ep.out[p.reqID] = p
-	return p
-}
-
-func (ep *Endpoint) transmit(p *pending) {
-	ep.stats.RequestsSent++
-	p.sentAt = ep.eng.Now()
-	ep.send(p.dst, p.payload, p.trace)
-}
-
-// send transmits pl to dst, handing the transport a reference of its
-// own: the caller keeps the one it holds (a pending's, a cached reply's)
-// and may send the same payload again.
-func (ep *Endpoint) send(dst ring.NodeID, pl *wire.Payload, span trace.SpanID) {
-	pl.Retain()
-	ep.sendOwned(dst, pl, span)
-}
-
-// sendOwned transmits pl to dst, giving the caller's reference to the
-// transport.
-func (ep *Endpoint) sendOwned(dst ring.NodeID, pl *wire.Payload, span trace.SpanID) {
-	pkt := ring.Packet{Src: ep.id, Dst: dst, Payload: pl.Bytes(), Ref: pl, Trace: uint64(span)}
-	if ep.byValue != nil {
-		ep.byValue.SendPacket(pkt)
-		return
-	}
-	heap := pkt // a copy, so that only this path's packet escapes
-	ep.nw.Send(&heap)
-}
-
-// result is the outcome of a single-reply pending, read by the waiting
-// fiber once it has resumed.
-func (p *pending) result() (wire.Msg, error) {
-	if len(p.replies) == 0 {
-		return nil, p.failErr()
-	}
-	return p.replies[0].Body, nil
-}
-
-// retire unregisters a completed request and recycles its record, its
-// reference to the request payload, and the reply envelopes — not their
-// bodies, which belong to whoever the call returned them to. The caller
-// must be the last user of p: the waiting fiber once it has read the
-// outcome, or the layer itself for a request nobody waits on. The calls
-// that wait defer it before they park, so a request is retired on every
-// way out of the call that made it — with its outcome, or unwound from
-// its park when the engine is closed.
-func (ep *Endpoint) retire(p *pending) {
-	delete(ep.out, p.reqID)
-	p.payload.Release()
-	for i, r := range p.replies {
-		ep.codec.RecycleEnvelope(r)
-		p.replies[i] = nil // keep the array, not the envelopes
-	}
-	*p = pending{replies: p.replies[:0]}
-	ep.freePending = append(ep.freePending, p)
-}
-
 // receive is the network delivery handler; it runs in engine context.
 // Decoding copies everything out of the packet, so nothing below keeps
 // pkt or its payload; the decoded envelope goes back to the codec here
@@ -670,38 +417,6 @@ func (ep *Endpoint) receive(pkt *ring.Packet) {
 	if !kept {
 		ep.codec.Recycle(env)
 	}
-}
-
-// handleReply matches a reply to its pending and reports whether the
-// pending kept the envelope.
-func (ep *Endpoint) handleReply(env *wire.Envelope) (kept bool) {
-	p, ok := ep.out[env.ReqID]
-	if !ok {
-		return false // stale reply for a completed request
-	}
-	from := uint64(1) << env.Sender
-	if p.responders&from != 0 {
-		return false // duplicate reply from a retransmission
-	}
-	p.responders |= from
-	ep.stats.RepliesReceived++
-	if p.fiber == nil && p.group == nil {
-		// Reliable notify: nobody waits for this reply or ever reads it;
-		// retire the request.
-		ep.retire(p)
-		return false
-	}
-	p.replies = append(p.replies, env)
-	if len(p.replies) < p.want || p.woken {
-		return true
-	}
-	p.woken = true
-	if p.group != nil {
-		p.group.complete()
-	} else {
-		p.fiber.Unpark()
-	}
-	return true
 }
 
 // handleRequest dispatches a request — a duplicate to the caches, a new
@@ -885,119 +600,4 @@ func (ep *Endpoint) ReleaseIdle() {
 	ep.cacheOrder = nil
 	ep.freePending, ep.freeCtx = nil, nil
 	ep.codec.Drop()
-}
-
-// scheduleRetransmitCheck arms the periodic outgoing-channel check. The
-// callback is bound once, so re-arming it every period allocates nothing.
-func (ep *Endpoint) scheduleRetransmitCheck() {
-	if ep.retransmitTick == nil {
-		ep.retransmitTick = func() {
-			ep.retransmitCheck()
-			ep.scheduleRetransmitCheck()
-		}
-	}
-	ep.eng.Schedule(retransmitPeriod, ep.retransmitTick)
-}
-
-// retransmitCheck resends outstanding requests that have waited a full
-// period. Broadcast-all requests are re-driven point-to-point to the
-// nodes that have not yet responded.
-//
-// The outstanding table is a map, and everything this loop does —
-// retransmissions, give-up wakes, stuck-recovery unparks — is visible
-// to the simulation, so iterating the map directly would leak Go's
-// randomized iteration order into virtual time (the hazard ivyvet's
-// maporder analyzer exists to catch; it found the original version of
-// this loop). The request ids are collected and sorted first, reusing a
-// scratch slice so the steady-state check stays allocation-free.
-func (ep *Endpoint) retransmitCheck() {
-	now := ep.eng.Now()
-	ids := ep.retransScratch[:0]
-	for id := range ep.out {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	ep.retransScratch = ids
-	for _, id := range ids {
-		p, ok := ep.out[id]
-		if !ok {
-			continue // removed by an earlier give-up this same pass
-		}
-		if p.woken {
-			continue
-		}
-		if now.Sub(p.sentAt) < backoffFor(p.retries) {
-			continue
-		}
-		// A down-destination hint changes what "due for retransmission"
-		// means. A fail-fast call (CallFailFast) surfaces ErrNodeDown
-		// instead of grinding through the whole retry schedule — graceful
-		// degradation for callers that can route around a dead node. A
-		// stuck-capable call (CallRedirect) is woken stuck so the caller
-		// relocates the destination — the ownership-chase path; it keeps
-		// the same request id, so this is a redirect, not an abandonment.
-		// Everything else — plain calls, reliable notifies, broadcasts —
-		// MUST keep retransmitting until the node rejoins: a served
-		// request may have left protocol state (a manager directory entry
-		// locked until our confirmation) that only this request id can
-		// release, so abandoning it would wedge the page forever.
-		if p.dst != ring.Broadcast && ep.nodeDown(p.dst) {
-			if p.failFast && (p.fiber != nil || p.group != nil) {
-				ep.stats.NodeDownFails++
-				p.woken = true
-				p.failed = true
-				p.nodeDown = true
-				if p.group != nil {
-					p.group.complete()
-				} else {
-					p.fiber.Unpark()
-				}
-				continue
-			}
-			if p.stuckAfter > 0 && p.fiber != nil {
-				p.woken = true
-				p.stuck = true
-				p.fiber.Unpark()
-				continue
-			}
-		}
-		p.retries++
-		if p.retries > maxRetries {
-			// Give up: wake the caller with whatever arrived. result()
-			// or BroadcastAll turns a short reply set into an error.
-			ep.stats.GiveUps++
-			p.woken = true
-			p.failed = true
-			switch {
-			case p.group != nil:
-				p.group.complete()
-			case p.fiber != nil:
-				p.fiber.Unpark()
-			default:
-				ep.retire(p)
-			}
-			continue
-		}
-		if p.stuckAfter > 0 && p.retries >= p.stuckAfter && p.fiber != nil {
-			// Stuck-recovery: wake the caller to relocate the target
-			// instead of retransmitting down a stale chain.
-			p.woken = true
-			p.stuck = true
-			p.fiber.Unpark()
-			continue
-		}
-		ep.stats.Retransmissions++
-		p.sentAt = now
-		if p.dst != ring.Broadcast || p.want == 1 {
-			ep.send(p.dst, p.payload, p.trace)
-			continue
-		}
-		for id := 0; id < ep.nw.Size(); id++ {
-			nid := ring.NodeID(id)
-			if nid == ep.id || p.responders&(1<<uint(id)) != 0 {
-				continue
-			}
-			ep.send(nid, p.payload, p.trace)
-		}
-	}
 }

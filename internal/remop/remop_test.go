@@ -430,8 +430,8 @@ func TestReplyCacheEviction(t *testing.T) {
 	costs := model.Default1988()
 	nw2 := ring.New(eng, costs, 2)
 	epA := NewEndpoint(eng, nw2, 0, sim.NewResource(eng, "cA", 1), costs, nil)
-	epB := NewEndpoint(eng, nw2, 1, sim.NewResource(eng, "cB", 1), costs, nil,
-		WithReplyCacheCap(1))
+	epB := NewEndpoint(eng, nw2, 1, sim.NewResource(eng, "cB", 1), costs, nil)
+	epB.replyCacheCap = 1
 	epB.SetHandler(wire.KindPing, func(ctx *Ctx, env *wire.Envelope) wire.Msg {
 		served++
 		return &wire.Ping{}
