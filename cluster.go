@@ -138,14 +138,13 @@ func (c *Cluster) addNode(id int) {
 	})
 	svm := core.New(c.eng, ep, cpu, cfg.svmConfig(id), &stats.Node{})
 	ac := alloc.Config{
-		Central:  0,
 		Base:     svm.Base(),
 		Size:     uint64(cfg.SharedPages) * uint64(cfg.PageSize),
 		PageSize: cfg.PageSize,
 		TwoLevel: cfg.TwoLevelAlloc,
 	}
 	if cfg.Coherence == CoherenceRC {
-		svm.ArmRC(cfg.SharedPages, 0)
+		svm.ArmRC(cfg.SharedPages)
 		ac.SyncBase = svm.Base() + ac.Size
 		ac.SyncSize = ac.Size
 	}
@@ -213,25 +212,9 @@ func (c *Cluster) RaceReports() []RaceReport {
 	return c.rd.Reports()
 }
 
-// armChaos converts the public ChaosOpts into the internal fault plane
-// and installs it: the ring injector, the crash/rejoin schedule, and
-// (tests only) the planted protocol bugs.
-func (c *Cluster) armChaos(co ChaosOpts) {
-	opts := chaos.Opts{
-		DuplicateProb:  co.DuplicateProbability,
-		DuplicateDelay: co.DuplicateDelay,
-		DelayProb:      co.DelayProbability,
-		MaxDelay:       co.MaxDelay,
-		LossProb:       co.LossProbability,
-		BurstProb:      co.BurstProbability,
-		BurstLen:       co.BurstLength,
-		MaxFaults:      co.MaxFaults,
-	}
-	for _, cr := range co.Crashes {
-		opts.Crashes = append(opts.Crashes, chaos.Crash{
-			Node: ring.NodeID(cr.Node), At: cr.At, Downtime: cr.Downtime,
-		})
-	}
+// armChaos installs the fault plane: the ring injector, the
+// crash/rejoin schedule, and (tests only) the planted protocol bugs.
+func (c *Cluster) armChaos(opts ChaosOpts) {
 	c.inj = chaos.NewInjector(c.eng, opts, c.cfg.Processors)
 	c.nw.SetInjector(c.inj)
 	if len(opts.Crashes) > 0 {
@@ -241,12 +224,12 @@ func (c *Cluster) armChaos(co ChaosOpts) {
 		}
 		c.inj.ScheduleCrashes(c.nw, eps)
 	}
-	if co.BreakInvalidation {
+	if opts.BreakInvalidation {
 		for _, svm := range c.svms {
 			svm.BreakInvalidation()
 		}
 	}
-	if co.DropWriteNotice {
+	if opts.DropWriteNotice {
 		for _, svm := range c.svms {
 			svm.RC().DropWriteNotices()
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/proc"
@@ -226,52 +227,12 @@ type Config struct {
 // retransmission and ownership-chase paths. Node 0 hosts the central
 // manager and allocator in the default wiring; crashing it stalls any
 // workload that needs them until rejoin.
-type NodeCrash struct {
-	Node     int
-	At       time.Duration
-	Downtime time.Duration
-}
+type NodeCrash = chaos.Crash
 
 // ChaosOpts parameterizes the fault plane (see internal/chaos for the
 // semantics and the failure-model limits). All probabilities apply
 // independently per per-receiver delivery attempt.
-type ChaosOpts struct {
-	// DuplicateProbability duplicates a delivery; the extra copy arrives
-	// up to DuplicateDelay later (point-to-point frames only).
-	DuplicateProbability float64
-	DuplicateDelay       time.Duration
-
-	// DelayProbability postpones a point-to-point delivery by up to
-	// MaxDelay, letting later frames overtake it (bounded reordering).
-	DelayProbability float64
-	MaxDelay         time.Duration
-
-	// LossProbability drops deliveries independently; BurstProbability
-	// starts a burst eating the next BurstLength deliveries to the same
-	// receiver (correlated loss).
-	LossProbability  float64
-	BurstProbability float64
-	BurstLength      int
-
-	// MaxFaults caps injected fault events (0 = unlimited) without
-	// shifting the random schedule — the shrinker's knob.
-	MaxFaults int
-
-	// Crashes lists node outages.
-	Crashes []NodeCrash
-
-	// BreakInvalidation makes every node acknowledge invalidations
-	// WITHOUT revoking its copy — a deliberately broken protocol for
-	// proving the sequential-consistency checker catches real bugs.
-	// Never set outside tests.
-	BreakInvalidation bool
-
-	// DropWriteNotice makes every release-consistency release commit its
-	// diffs but drop the write notices — acquirers keep trusting stale
-	// cached copies, the RC analogue of BreakInvalidation. Only
-	// meaningful with Coherence CoherenceRC. Never set outside tests.
-	DropWriteNotice bool
-}
+type ChaosOpts = chaos.Opts
 
 // maxPages bounds the pages of a shared space: a page number is 32 bits
 // (mmu.PageID, and every page field on the wire), and its largest value
@@ -328,7 +289,7 @@ func (cfg Config) validate() error {
 			}
 		}
 		for _, cr := range co.Crashes {
-			if cr.Node < 0 || cr.Node >= cfg.Processors {
+			if int(cr.Node) < 0 || int(cr.Node) >= cfg.Processors {
 				return fmt.Errorf("ivy: chaos crash of unknown node %d", cr.Node)
 			}
 		}
@@ -355,7 +316,6 @@ func (cfg Config) svmConfig(id int) core.Config {
 		PageSize:              cfg.PageSize,
 		NumPages:              numPages,
 		MemPages:              cfg.MemoryPages,
-		DefaultOwner:          0,
 		Algorithm:             cfg.Algorithm,
 		Costs:                 *cfg.Costs,
 		BroadcastInvalidation: cfg.BroadcastInvalidation,

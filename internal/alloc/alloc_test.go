@@ -127,7 +127,6 @@ func newServiceRig(t *testing.T, n int, twoLevel bool) *serviceRig {
 		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
 		ep := remop.NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil)
 		r.svcs = append(r.svcs, New(ep, Config{
-			Central:  0,
 			Base:     0x8000_0000,
 			Size:     1 << 20,
 			PageSize: 1024,
@@ -234,7 +233,7 @@ func TestOutOfMemory(t *testing.T) {
 	nw := ring.New(eng, costs, 1)
 	cpu := sim.NewResource(eng, "cpu", 1)
 	ep := remop.NewEndpoint(eng, nw, 0, cpu, costs, nil)
-	svc := New(ep, Config{Central: 0, Base: 0, Size: 2048, PageSize: 1024})
+	svc := New(ep, Config{Base: 0, Size: 2048, PageSize: 1024})
 	eng.Go("t", func(f *sim.Fiber) {
 		if _, err := svc.Alloc(f, 2048); err != nil {
 			t.Error(err)

@@ -94,12 +94,6 @@ func (h *Heap) Free(addr uint64) bool {
 	return true
 }
 
-// SizeOf reports the block size allocated at addr.
-func (h *Heap) SizeOf(addr uint64) (uint64, bool) {
-	n, ok := h.allocated[addr]
-	return n, ok
-}
-
 // coalesce merges adjacent free spans (free is sorted by addr).
 func (h *Heap) coalesce() {
 	out := h.free[:0]
@@ -121,9 +115,6 @@ func (h *Heap) FreeBytes() uint64 {
 	}
 	return n
 }
-
-// AllocatedBlocks returns the number of live allocations.
-func (h *Heap) AllocatedBlocks() int { return len(h.allocated) }
 
 // Fragments returns the number of free spans — a fragmentation gauge.
 func (h *Heap) Fragments() int { return len(h.free) }

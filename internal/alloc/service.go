@@ -42,11 +42,10 @@ func (m *fiberMutex) unlock() {
 // gets a chunk of its own size).
 const ChunkSize = 64 * 1024
 
-// Config sets up the allocation module.
+// Config sets up the allocation module. ring.Central is the node
+// appointed central memory manager ("the processor with which the user
+// directly contacts").
 type Config struct {
-	// Central is the node appointed central memory manager ("the
-	// processor with which the user directly contacts").
-	Central ring.NodeID
 	// Base/Size delimit the allocatable shared region.
 	Base, Size uint64
 	// PageSize aligns every block to page boundaries.
@@ -64,10 +63,9 @@ type Config struct {
 
 // Service is one node's view of the allocation module.
 type Service struct {
-	ep      *remop.Endpoint
-	node    ring.NodeID
-	central ring.NodeID
-	mu      fiberMutex
+	ep   *remop.Endpoint
+	node ring.NodeID
+	mu   fiberMutex
 
 	// heap is non-nil only on the central node.
 	heap *Heap
@@ -87,11 +85,10 @@ type Service struct {
 // New wires a node's allocator onto its endpoint.
 func New(ep *remop.Endpoint, cfg Config) *Service {
 	s := &Service{
-		ep:      ep,
-		node:    ep.ID(),
-		central: cfg.Central,
+		ep:   ep,
+		node: ep.ID(),
 	}
-	if s.node == cfg.Central {
+	if s.node == ring.Central {
 		s.heap = NewHeap(cfg.Base, cfg.Size, cfg.PageSize)
 		if cfg.SyncSize > 0 {
 			s.syncHeap = NewHeap(cfg.SyncBase, cfg.SyncSize, cfg.PageSize)
@@ -136,7 +133,7 @@ func (s *Service) Alloc(f *sim.Fiber, n uint64) (uint64, error) {
 func (s *Service) AllocSync(f *sim.Fiber, n uint64) (uint64, error) {
 	s.mu.lock(f)
 	defer s.mu.unlock()
-	if s.node == s.central {
+	if s.node == ring.Central {
 		if s.syncHeap == nil {
 			panic("alloc: sync allocation without a sync arena (Coherence \"sc\"?)")
 		}
@@ -148,7 +145,7 @@ func (s *Service) AllocSync(f *sim.Fiber, n uint64) (uint64, error) {
 		return addr, nil
 	}
 	s.RemoteCalls++
-	reply, err := s.ep.Call(f, s.central, &wire.AllocReq{Size: n, Sync: true})
+	reply, err := s.ep.Call(f, ring.Central, &wire.AllocReq{Size: n, Sync: true})
 	if err != nil {
 		return 0, err
 	}
@@ -184,7 +181,7 @@ func (s *Service) centralAlloc(f *sim.Fiber, n uint64) (uint64, error) {
 		return addr, nil
 	}
 	s.RemoteCalls++
-	reply, err := s.ep.Call(f, s.central, &wire.AllocReq{Size: n})
+	reply, err := s.ep.Call(f, ring.Central, &wire.AllocReq{Size: n})
 	if err != nil {
 		return 0, err
 	}
@@ -216,7 +213,7 @@ func (s *Service) Free(f *sim.Fiber, addr uint64) error {
 		return nil
 	}
 	s.RemoteCalls++
-	reply, err := s.ep.Call(f, s.central, &wire.FreeReq{Addr: addr})
+	reply, err := s.ep.Call(f, ring.Central, &wire.FreeReq{Addr: addr})
 	if err != nil {
 		return err
 	}

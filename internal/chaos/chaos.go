@@ -8,7 +8,7 @@
 // those packets so internal/chaos/check can prove the memory stays
 // sequentially consistent while they fly. It is the ring's only source
 // of injected faults: `ivy run -loss p` (and every tool taking -loss) is
-// the loss-only schedule Opts{LossProb: p}.
+// the loss-only schedule Opts{LossProbability: p}.
 //
 // Two deliberate limits keep injected faults within the failure model
 // the protocol is built for:
@@ -46,28 +46,29 @@ type Crash struct {
 	Downtime time.Duration
 }
 
-// Opts parameterizes the fault plane. All probabilities are per
-// per-receiver delivery attempt and independent.
+// Opts parameterizes the fault plane; the public configuration
+// (ivy.ChaosOpts) is this type. All probabilities are per per-receiver
+// delivery attempt and independent.
 type Opts struct {
-	// DuplicateProb duplicates a delivery; the copy lands up to
+	// DuplicateProbability duplicates a delivery; the copy lands up to
 	// DuplicateDelay later (point-to-point only; broadcast duplicates
 	// land in the same instant).
-	DuplicateProb  float64
-	DuplicateDelay time.Duration
+	DuplicateProbability float64
+	DuplicateDelay       time.Duration
 
-	// DelayProb postpones a delivery by up to MaxDelay — bounded
+	// DelayProbability postpones a delivery by up to MaxDelay — bounded
 	// reordering, since other frames overtake the delayed one.
 	// Broadcast frames are never delayed.
-	DelayProb float64
-	MaxDelay  time.Duration
+	DelayProbability float64
+	MaxDelay         time.Duration
 
-	// LossProb drops a delivery outright. BurstProb starts a burst that
-	// eats the next BurstLen deliveries to that same receiver — the
-	// correlated-loss pattern a ring interface dropping frames under
-	// overrun produces, which independent loss cannot model.
-	LossProb  float64
-	BurstProb float64
-	BurstLen  int
+	// LossProbability drops a delivery outright. BurstProbability starts
+	// a burst that eats the next BurstLength deliveries to that same
+	// receiver — the correlated-loss pattern a ring interface dropping
+	// frames under overrun produces, which independent loss cannot model.
+	LossProbability  float64
+	BurstProbability float64
+	BurstLength      int
 
 	// MaxFaults caps the number of injected fault events (drops, dups,
 	// delays, burst drops); 0 means unlimited. Random-draw consumption
@@ -77,6 +78,19 @@ type Opts struct {
 
 	// Crashes lists node outages to schedule.
 	Crashes []Crash
+
+	// BreakInvalidation makes every node acknowledge invalidations
+	// WITHOUT revoking its copy — a deliberately broken protocol for
+	// proving the sequential-consistency checker catches real bugs.
+	// Never set outside tests. The cluster plants it; the injector
+	// ignores it.
+	BreakInvalidation bool
+
+	// DropWriteNotice makes every release-consistency release commit its
+	// diffs but drop the write notices — acquirers keep trusting stale
+	// cached copies, the RC analogue of BreakInvalidation. Only
+	// meaningful under release consistency. Never set outside tests.
+	DropWriteNotice bool
 }
 
 // Stats counts the faults actually injected.
@@ -107,8 +121,8 @@ type Injector struct {
 
 // NewInjector builds the fault plane for a ring of n stations.
 func NewInjector(eng *sim.Engine, opts Opts, n int) *Injector {
-	if opts.BurstProb > 0 && opts.BurstLen <= 0 {
-		panic("chaos: BurstProb set without a positive BurstLen")
+	if opts.BurstProbability > 0 && opts.BurstLength <= 0 {
+		panic("chaos: BurstProbability set without a positive BurstLength")
 	}
 	return &Injector{eng: eng, opts: opts, burst: make([]int, n), digest: 14695981039346656037}
 }
@@ -152,10 +166,10 @@ func (inj *Injector) spend() bool {
 // attempt.
 func (inj *Injector) Deliver(src, dst ring.NodeID, broadcast bool) ring.Fault {
 	r := inj.eng.Rand()
-	loss := fires(r, inj.opts.LossProb)
-	burst := fires(r, inj.opts.BurstProb)
-	dup := fires(r, inj.opts.DuplicateProb)
-	delay := fires(r, inj.opts.DelayProb)
+	loss := fires(r, inj.opts.LossProbability)
+	burst := fires(r, inj.opts.BurstProbability)
+	dup := fires(r, inj.opts.DuplicateProbability)
+	delay := fires(r, inj.opts.DelayProbability)
 	var delayAmt, dupAmt time.Duration
 	if inj.opts.MaxDelay > 0 {
 		delayAmt = time.Duration(1 + r.Int63n(int64(inj.opts.MaxDelay)))
@@ -178,7 +192,7 @@ func (inj *Injector) Deliver(src, dst ring.NodeID, broadcast bool) ring.Fault {
 		return f
 	}
 	if burst && inj.spend() {
-		inj.burst[dst] = inj.opts.BurstLen - 1
+		inj.burst[dst] = inj.opts.BurstLength - 1
 		inj.stats.BurstDrops++
 		inj.note('B', int64(src), int64(dst))
 		f.Drop = true

@@ -10,13 +10,13 @@ import (
 // hostile is the chaos suite's standard schedule (less its crash, which
 // Deliver never sees): every probability and both amounts are set.
 var hostile = Opts{
-	DuplicateProb:  0.05,
-	DuplicateDelay: 2 * time.Millisecond,
-	DelayProb:      0.05,
-	MaxDelay:       2 * time.Millisecond,
-	LossProb:       0.05,
-	BurstProb:      0.01,
-	BurstLen:       4,
+	DuplicateProbability: 0.05,
+	DuplicateDelay:       2 * time.Millisecond,
+	DelayProbability:     0.05,
+	MaxDelay:             2 * time.Millisecond,
+	LossProbability:      0.05,
+	BurstProbability:     0.01,
+	BurstLength:          4,
 }
 
 // draws reports how many values of the engine's random source n Deliver
@@ -56,8 +56,8 @@ func TestDeliverDrawContract(t *testing.T) {
 		opts Opts
 		per  int
 	}{
-		{"loss only", Opts{LossProb: 0.3}, 1},
-		{"certain loss", Opts{LossProb: 1}, 1},
+		{"loss only", Opts{LossProbability: 0.3}, 1},
+		{"certain loss", Opts{LossProbability: 1}, 1},
 		{"hostile", hostile, 4 + 2},
 		{"hostile, budget 3", budgeted, 4 + 2},
 		{"nothing enabled", Opts{}, 0},

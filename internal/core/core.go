@@ -68,16 +68,12 @@ type Ctx interface {
 
 // Config assembles one node's SVM.
 type Config struct {
-	Node         ring.NodeID
-	PageSize     int // bytes per page; power of two >= 64
-	NumPages     int // shared-space size in pages
-	MemPages     int // physical frames (0 = unconstrained)
-	DefaultOwner ring.NodeID
-	Algorithm    Algorithm
-	Costs        model.Costs
-
-	// Base is the first shared address; 0 selects DefaultBase.
-	Base uint64
+	Node      ring.NodeID
+	PageSize  int // bytes per page; power of two >= 64
+	NumPages  int // shared-space size in pages
+	MemPages  int // physical frames (0 = unconstrained)
+	Algorithm Algorithm
+	Costs     model.Costs
 
 	// BroadcastInvalidation switches the write-fault invalidation from
 	// point-to-point requests to a broadcast with replies-from-all, the
@@ -131,8 +127,7 @@ type SVM struct {
 	dsk  *disk.Disk
 	mgr  manager
 
-	numNodes     int
-	defaultOwner ring.NodeID
+	numNodes int
 
 	bcastInval bool
 	st         *stats.Node
@@ -163,30 +158,25 @@ func New(eng *sim.Engine, ep *remop.Endpoint, cpu *sim.Resource, cfg Config, st 
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	base := cfg.Base
-	if base == 0 {
-		base = DefaultBase
-	}
 	s := &SVM{
-		eng:          eng,
-		ep:           ep,
-		cpu:          cpu,
-		node:         cfg.Node,
-		costs:        cfg.Costs,
-		base:         base,
-		pageSize:     cfg.PageSize,
-		numPages:     cfg.NumPages,
-		numNodes:     ep.ClusterSize(),
-		defaultOwner: cfg.DefaultOwner,
-		table:        mmu.NewTable(cfg.Node, cfg.NumPages, cfg.DefaultOwner),
-		dsk:          disk.New(cfg.Costs),
-		bcastInval:   cfg.BroadcastInvalidation,
-		st:           st,
+		eng:        eng,
+		ep:         ep,
+		cpu:        cpu,
+		node:       cfg.Node,
+		costs:      cfg.Costs,
+		base:       DefaultBase,
+		pageSize:   cfg.PageSize,
+		numPages:   cfg.NumPages,
+		numNodes:   ep.ClusterSize(),
+		table:      mmu.NewTable(cfg.Node, cfg.NumPages, ring.Central),
+		dsk:        disk.New(cfg.Costs),
+		bcastInval: cfg.BroadcastInvalidation,
+		st:         st,
 	}
 	s.pageShift = uint(bits.TrailingZeros(uint(cfg.PageSize)))
 	s.pageMask = cfg.PageSize - 1
-	s.limit = base + uint64(cfg.NumPages)*uint64(cfg.PageSize)
-	s.size = s.limit - base
+	s.limit = DefaultBase + uint64(cfg.NumPages)*uint64(cfg.PageSize)
+	s.size = s.limit - DefaultBase
 	s.pool.Init(cfg.NumPages, cfg.MemPages, s.onEvict, s.canEvict)
 	s.mgr = newManager(cfg.Algorithm, s)
 	s.installHandlers()
@@ -237,11 +227,6 @@ func (s *SVM) PageOf(addr uint64) mmu.PageID {
 	return mmu.PageID((addr - s.base) >> s.pageShift)
 }
 
-// PageAddr returns the first address of page p.
-func (s *SVM) PageAddr(p mmu.PageID) uint64 {
-	return s.base + uint64(p)*uint64(s.pageSize)
-}
-
 // onEvict is the frame pool's eviction callback: owned dirty pages go to
 // the node's paging disk; read copies and clean owned pages are dropped.
 // Either way the page traps on its next local reference.
@@ -282,16 +267,15 @@ func (s *SVM) Costs() model.Costs { return s.costs }
 // ArmRC switches pages [0, dataPages) of this node's shared space to the
 // release-consistency protocol (internal/rc), leaving the pages above —
 // the sync arena holding locks, eventcounts, sequencers, and stacks — on
-// the SC protocol. dir names the node keeping the write-notice
-// directory. Must be called on every node before any process touches
-// shared memory, and panics if a page of the data arena has already
-// been taken.
+// the SC protocol; ring.Central keeps the write-notice directory. Must
+// be called on every node before any process touches shared memory, and
+// panics if a page of the data arena has already been taken.
 //
-// NewTable's rule starts every page owned-and-writable on the default
-// owner; RC data pages have homes instead of owners, so their entries
-// get a rule of their own: no owner, no access, no copyset, ProbOwner
-// pointed at the page's static home purely for diagnostics.
-func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
+// NewTable's rule starts every page owned-and-writable on ring.Central;
+// RC data pages have homes instead of owners, so their entries get a
+// rule of their own: no owner, no access, no copyset, ProbOwner pointed
+// at the page's static home purely for diagnostics.
+func (s *SVM) ArmRC(dataPages int) {
 	if s.rcn != nil {
 		panic("core: ArmRC called twice")
 	}
@@ -305,7 +289,6 @@ func (s *SVM) ArmRC(dataPages int, dir ring.NodeID) {
 	s.rcn = rc.New(s.ep, s.table, &s.pool, rc.Config{
 		DataPages: dataPages,
 		PageSize:  s.pageSize,
-		Dir:       dir,
 		Costs:     s.costs,
 	})
 }

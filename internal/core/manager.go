@@ -243,9 +243,9 @@ func (m *dynamicMgr) handle(ctx *remop.Ctx, env *wire.Envelope, p mmu.PageID, wr
 	dst := e.ProbOwner
 	if dst == s.node || dst == origin {
 		// Useless for routing (self-referential hint, or the requester
-		// itself); re-aim at the initial default owner, whose chain
-		// always leads somewhere real.
-		dst = s.defaultOwner
+		// itself); re-aim at ring.Central, every page's initial owner,
+		// whose chain always leads somewhere real.
+		dst = ring.Central
 	}
 	if dst == s.node || dst == origin {
 		return nil // degenerate; retransmission or the fallback recovers
@@ -299,7 +299,7 @@ func (m *directoryMgr) managerOf(p mmu.PageID) ring.NodeID {
 	if m.fixed {
 		return ring.NodeID(int(p) % m.svm.numNodes)
 	}
-	return m.svm.defaultOwner
+	return ring.Central
 }
 
 func (m *directoryMgr) locate(ctx Ctx, p mmu.PageID, write bool) (wire.Msg, error) {
@@ -392,8 +392,8 @@ func (m *directoryMgr) migrateOwnership(p mmu.PageID, newOwner ring.NodeID) {
 
 func (m *directoryMgr) install() {
 	s := m.svm
-	if m.fixed || s.node == s.defaultOwner {
-		m.dir = mmu.NewOwnerTable(s.node, s.defaultOwner)
+	if m.fixed || s.node == ring.Central {
+		m.dir = mmu.NewOwnerTable(s.node, ring.Central)
 		m.confirmed = make(map[confirmKey]uint32)
 		if m.basic {
 			m.copysets = make(map[mmu.PageID]mmu.Copyset)
@@ -505,7 +505,7 @@ func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) {
 	e := s.table.Entry(p)
 	s.table.Unlock(p)
 	var reply wire.Msg
-	if s.defaultOwner == s.node {
+	if ring.Central == s.node {
 		// Lock order is directory lock BEFORE page lock everywhere on
 		// the manager node: a transfer in flight holds the directory
 		// lock and its inline serve needs our page lock, so an upgrade
@@ -528,7 +528,7 @@ func (m *directoryMgr) upgrade(ctx Ctx, p mmu.PageID) {
 		// can always proceed.
 		reply = s.call(f, m.dir.Owner(p), s.faultReq(p, true))
 	} else {
-		reply = s.call(f, s.defaultOwner, s.faultReq(p, true))
+		reply = s.call(f, ring.Central, s.faultReq(p, true))
 		s.table.Lock(f, p)
 	}
 	r := reply.(*wire.PageWriteReply)

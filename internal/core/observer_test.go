@@ -74,7 +74,7 @@ func TestObserverCountsMatchStats(t *testing.T) {
 		obs := &countObs{t: t, dataPages: dataPages, open: make(map[*sim.Fiber][]openEv)}
 		for _, s := range r.svms {
 			if dataPages > 0 {
-				s.ArmRC(dataPages, 0)
+				s.ArmRC(dataPages)
 			}
 			s.SetObserver(obs)
 		}

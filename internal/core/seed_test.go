@@ -62,12 +62,12 @@ func TestSeedEquivalence(t *testing.T) {
 		r := newRig(t, nodes, 1, cfg)
 		if arena > 0 {
 			for _, s := range r.svms {
-				s.ArmRC(arena, 0)
+				s.ArmRC(arena)
 			}
 		}
 		for _, node := range []int{0, 2} {
 			s := r.svms[node]
-			eager := eagerTable(s.Node(), cfg.NumPages, nodes, arena, cfg.DefaultOwner)
+			eager := eagerTable(s.Node(), cfg.NumPages, nodes, arena, ring.Central)
 			for _, p := range sample {
 				if got := s.Table().Get(p); got != eager[p] {
 					t.Errorf("arena %d node %d page %d: Get = %+v, eager %+v", arena, node, p, got, eager[p])
@@ -97,7 +97,7 @@ func TestArmRCAfterTouchPanics(t *testing.T) {
 	cfg.NumPages = 4 * pagemap.ChunkPages
 	r := newRig(t, 2, 1, cfg)
 	r.svms[0].Table().Entry(3 * pagemap.ChunkPages)
-	r.svms[0].ArmRC(2*pagemap.ChunkPages, 0)
+	r.svms[0].ArmRC(2 * pagemap.ChunkPages)
 
 	r.svms[1].Table().Entry(pagemap.ChunkPages + 7)
 	defer func() {
@@ -106,5 +106,5 @@ func TestArmRCAfterTouchPanics(t *testing.T) {
 			t.Fatalf("ArmRC after a touch panicked with %q", msg)
 		}
 	}()
-	r.svms[1].ArmRC(2*pagemap.ChunkPages, 0)
+	r.svms[1].ArmRC(2 * pagemap.ChunkPages)
 }

@@ -27,11 +27,10 @@ type rig struct {
 
 func testConfig(alg Algorithm) Config {
 	return Config{
-		PageSize:     256,
-		NumPages:     16,
-		DefaultOwner: 0,
-		Algorithm:    alg,
-		Costs:        model.Default1988(),
+		PageSize:  256,
+		NumPages:  16,
+		Algorithm: alg,
+		Costs:     model.Default1988(),
 	}
 }
 
@@ -549,7 +548,7 @@ func TestLossyNetworkStillCoherent(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			r := newRig(t, 3, 99, testConfig(alg))
-			r.nw.SetInjector(chaos.NewInjector(r.eng, chaos.Opts{LossProb: 0.15}, 3))
+			r.nw.SetInjector(chaos.NewInjector(r.eng, chaos.Opts{LossProbability: 0.15}, 3))
 			addr := r.svms[0].Base()
 			for i := 0; i < 3; i++ {
 				i := i
@@ -858,7 +857,7 @@ func TestOwnerQueryFallbackRecoversLostRouting(t *testing.T) {
 	// stale chains; the broadcast query must keep everything live and
 	// exactly-once.
 	r := newRig(t, 4, 17, testConfig(DynamicDistributed))
-	r.nw.SetInjector(chaos.NewInjector(r.eng, chaos.Opts{LossProb: 0.25}, 4))
+	r.nw.SetInjector(chaos.NewInjector(r.eng, chaos.Opts{LossProbability: 0.25}, 4))
 	r.eng.Schedule(2*time.Minute, func() { r.nw.SetInjector(nil) })
 	addr := r.svms[0].Base()
 	for i := 0; i < 4; i++ {

@@ -166,9 +166,6 @@ func (d *Detector) newThread(name string) *Thread {
 	return t
 }
 
-// Root returns the detector's root thread.
-func (d *Detector) Root() *Thread { return d.root }
-
 // Fork creates a new thread whose history includes everything parent
 // did so far (the spawn edge). A nil parent forks from the root thread.
 func (d *Detector) Fork(parent *Thread, name string) *Thread {
@@ -219,12 +216,6 @@ type Thread struct {
 	name string
 	vc   []uint64
 }
-
-// Name returns the thread's display name.
-func (t *Thread) Name() string { return t.name }
-
-// Tid returns the thread's dense ID.
-func (t *Thread) Tid() int { return t.tid }
 
 func (t *Thread) inc() { t.vc[t.tid]++ }
 

@@ -72,9 +72,6 @@ func Init(p *proc.Process, addr uint64, capacity int) *EC {
 // Attach returns a handle to an eventcount initialized elsewhere.
 func Attach(addr uint64, capacity int) *EC { return &EC{addr: addr, cap: capacity} }
 
-// Addr returns the eventcount's shared address.
-func (e *EC) Addr() uint64 { return e.addr }
-
 // lock acquires the test-and-set byte — the paper's "pinning memory
 // pages and using test-and-set instructions". The acquire loop tests
 // with a plain read before attempting test-and-set: a read shares the

@@ -30,12 +30,11 @@ func newRig(t *testing.T, n int, seed int64) *rig {
 		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
 		ep := remop.NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil)
 		cfg := core.Config{
-			Node:         ring.NodeID(i),
-			PageSize:     1024,
-			NumPages:     32,
-			DefaultOwner: 0,
-			Algorithm:    core.DynamicDistributed,
-			Costs:        costs,
+			Node:      ring.NodeID(i),
+			PageSize:  1024,
+			NumPages:  32,
+			Algorithm: core.DynamicDistributed,
+			Costs:     costs,
 		}
 		r.svms = append(r.svms, core.New(eng, ep, cpu, cfg, &stats.Node{}))
 	}

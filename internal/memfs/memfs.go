@@ -141,9 +141,6 @@ func (pl *Pool) moveToFront(fr *Frame) {
 	pl.pushFront(fr)
 }
 
-// Capacity returns the frame limit (0 = unlimited).
-func (pl *Pool) Capacity() int { return pl.capacity }
-
 // Len returns the number of resident pages.
 func (pl *Pool) Len() int { return pl.resident }
 

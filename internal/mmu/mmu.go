@@ -178,9 +178,6 @@ func (t *Table) Reseed(n int, seed func(PageID) Entry) {
 	t.low, t.lowSeed = n, seed
 }
 
-// Node returns the owning node's ID.
-func (t *Table) Node() ring.NodeID { return t.node }
-
 // NumPages returns the size of the shared space in pages.
 func (t *Table) NumPages() int { return t.entries.Len() }
 

@@ -234,9 +234,6 @@ func (n *Node) ID() ring.NodeID { return n.id }
 // SVM returns the node's shared-virtual-memory instance.
 func (n *Node) SVM() *core.SVM { return n.svm }
 
-// Load returns the process count the balancing algorithm uses.
-func (n *Node) Load() int { return n.counted }
-
 // LoadHint is the byte stamped on outgoing messages.
 func (n *Node) LoadHint() uint8 {
 	if n.counted > 255 {

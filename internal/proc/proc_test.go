@@ -42,12 +42,11 @@ func newRig(t *testing.T, n int, seed int64, bal BalanceConfig) *rig {
 		ep := remop.NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, loadFn)
 		st := &stats.Node{}
 		cfg := core.Config{
-			Node:         ring.NodeID(i),
-			PageSize:     256,
-			NumPages:     64,
-			DefaultOwner: 0,
-			Algorithm:    core.DynamicDistributed,
-			Costs:        costs,
+			Node:      ring.NodeID(i),
+			PageSize:  256,
+			NumPages:  64,
+			Algorithm: core.DynamicDistributed,
+			Costs:     costs,
 		}
 		r.svms = append(r.svms, core.New(eng, ep, cpu, cfg, st))
 		r.sts = append(r.sts, st)
@@ -546,7 +545,7 @@ func TestMigrationUnderDirectoryManagers(t *testing.T) {
 				ep := remop.NewEndpoint(eng, nw, ring.NodeID(i), cpu, costs, nil)
 				svms = append(svms, core.New(eng, ep, cpu, core.Config{
 					Node: ring.NodeID(i), PageSize: 256, NumPages: 64,
-					DefaultOwner: 0, Algorithm: alg, Costs: costs,
+					Algorithm: alg, Costs: costs,
 				}, &stats.Node{}))
 			}
 			cluster := NewCluster(eng, svms, BalanceConfig{Interval: 50 * time.Millisecond})

@@ -141,9 +141,6 @@ func (p *Process) SetMigratable(v bool) { p.migratable = v }
 // StackBase returns the stack region's base address (0 if none).
 func (p *Process) StackBase() uint64 { return p.stackBase }
 
-// StackPages returns the stack region's size in pages.
-func (p *Process) StackPages() int { return p.stackPages }
-
 // --- core.Ctx ----------------------------------------------------------
 
 // Fiber returns the fiber executing the process.

@@ -75,8 +75,6 @@ type Config struct {
 	DataPages int
 	// PageSize in bytes.
 	PageSize int
-	// Dir is the node holding the write-notice directory.
-	Dir ring.NodeID
 	// Costs calibrates the virtual-time charges of protocol work.
 	Costs model.Costs
 }
@@ -146,7 +144,6 @@ type Node struct {
 	costs model.Costs
 
 	pageSize int
-	dir      ring.NodeID
 
 	// pages holds each data page's state, seeded with the static home
 	// and no last writer.
@@ -185,7 +182,6 @@ func New(ep *remop.Endpoint, table *mmu.Table, pool *memfs.Pool, cfg Config) *No
 		nodes:    ep.ClusterSize(),
 		costs:    cfg.Costs,
 		pageSize: cfg.PageSize,
-		dir:      cfg.Dir,
 		twins:    make(map[mmu.PageID][]byte),
 	}
 	n.pages = pagemap.New(cfg.DataPages, func(p int) pageState {
@@ -218,9 +214,6 @@ func (n *Node) Twinned(p mmu.PageID) bool {
 	_, ok := n.twins[p]
 	return ok
 }
-
-// TwinCount returns the number of pages currently twinned.
-func (n *Node) TwinCount() int { return len(n.twins) }
 
 // Stats returns a snapshot of the node's protocol counters.
 func (n *Node) Stats() Stats { return n.stats }
@@ -489,11 +482,11 @@ func (n *Node) postNotices(f *sim.Fiber, pages, vers []uint32) {
 		return
 	}
 	n.stats.NoticesPosted += uint64(len(pages))
-	if n.self == n.dir {
+	if n.self == ring.Central {
 		n.logNotices(pages, vers)
 		return
 	}
-	n.call(f, n.dir, &wire.RCNoticePostReq{Pages: pages, Vers: vers})
+	n.call(f, ring.Central, &wire.RCNoticePostReq{Pages: pages, Vers: vers})
 }
 
 // logNotices appends write notices to the directory log.
@@ -522,10 +515,10 @@ func (n *Node) noticesSince(since uint64) (pages, vers []uint32, next uint64) {
 func (n *Node) Acquire(f *sim.Fiber) {
 	n.stats.Acquires++
 	var pages, vers []uint32
-	if n.self == n.dir {
+	if n.self == ring.Central {
 		pages, vers, n.cursor = n.noticesSince(n.cursor)
 	} else {
-		reply := n.call(f, n.dir, &wire.RCAcquireQueryReq{Since: n.cursor})
+		reply := n.call(f, ring.Central, &wire.RCAcquireQueryReq{Since: n.cursor})
 		r := reply.(*wire.RCAcquireQueryReply)
 		pages, vers = r.Pages, r.Vers
 		if r.Next > n.cursor {
@@ -717,7 +710,7 @@ func (n *Node) handleDiffWrite(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 // handleNoticePost appends write notices to the directory log.
 func (n *Node) handleNoticePost(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	m := env.Body.(*wire.RCNoticePostReq)
-	if n.self != n.dir {
+	if n.self != ring.Central {
 		panic(fmt.Sprintf("rc: node %d received notices but is not the directory", n.self))
 	}
 	if len(m.Pages) != len(m.Vers) {
@@ -731,7 +724,7 @@ func (n *Node) handleNoticePost(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 // directory log.
 func (n *Node) handleAcquireQuery(ctx *remop.Ctx, env *wire.Envelope) wire.Msg {
 	m := env.Body.(*wire.RCAcquireQueryReq)
-	if n.self != n.dir {
+	if n.self != ring.Central {
 		panic(fmt.Sprintf("rc: node %d received an acquire query but is not the directory", n.self))
 	}
 	pages, vers, next := n.noticesSince(m.Since)

@@ -29,7 +29,7 @@ func newNode(eng *sim.Engine, nw ring.Transport, id ring.NodeID, pages int) *Nod
 	ep := remop.NewEndpoint(eng, nw, id, cpu, costs, nil)
 	noEvict := func(*sim.Fiber, mmu.PageID, []byte) {} // the pool is unbounded
 	return New(ep, mmu.NewTable(id, pages, 0), memfs.NewPool(pages, 0, noEvict, nil),
-		Config{DataPages: pages, PageSize: testPageSize, Dir: 0, Costs: costs})
+		Config{DataPages: pages, PageSize: testPageSize, Costs: costs})
 }
 
 // soloNode is a one-node cluster's RC state, for tests of the master-copy
@@ -104,7 +104,7 @@ func TestCallFollowsTheSharedSchedule(t *testing.T) {
 	eng := sim.New(1)
 	nw := &sendLog{Network: ring.New(eng, model.Default1988(), 2), eng: eng,
 		index: make(map[uint32]int), lose: failures}
-	nw.SetInjector(chaos.NewInjector(eng, chaos.Opts{LossProb: 1}, 2))
+	nw.SetInjector(chaos.NewInjector(eng, chaos.Opts{LossProbability: 1}, 2))
 	n0 := newNode(eng, nw, 0, 4)
 	newNode(eng, nw, 1, 4)
 	var reply wire.Msg

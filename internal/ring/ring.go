@@ -28,6 +28,11 @@ type NodeID int
 // other station.
 const Broadcast NodeID = -1
 
+// Central is the node that starts as every page's owner and hosts the
+// centralized page managers, the allocator's central heap and the
+// release-consistency write-notice directory.
+const Central NodeID = 0
+
 // Packet is one frame on the ring. Payload is an encoded message from
 // internal/wire; the network only looks at its length.
 type Packet struct {
@@ -288,11 +293,6 @@ func (nw *Network) SetTracer(c *trace.Collector) { nw.trc = c }
 // Close implements Transport. The simulated ring owns no host resources,
 // so there is nothing to release.
 func (nw *Network) Close() error { return nil }
-
-// BusyUntil returns the virtual time through which the wire is reserved —
-// the sampler derives ring utilization from the WireBusy counter, and
-// diagnostics can compare this against now.
-func (nw *Network) BusyUntil() sim.Time { return nw.busyUntil }
 
 // Send transmits pkt. The sender does not block: the call reserves wire
 // time and schedules delivery; waiting for replies is the caller's

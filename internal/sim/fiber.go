@@ -309,9 +309,6 @@ func (f *Fiber) Trace() uint64 { return f.trace }
 // restore the previous value around nested traced regions.
 func (f *Fiber) SetTrace(t uint64) { f.trace = t }
 
-// Engine returns the engine scheduling this fiber.
-func (f *Fiber) Engine() *Engine { return f.eng }
-
 // Done reports whether the fiber is over: its body has returned, panicked
 // or exited, or Close ended it. The answer is about this handle's fiber
 // only until the engine's next Go, which may reuse the struct.

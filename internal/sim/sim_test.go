@@ -267,109 +267,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	e := New(1)
-	c := NewCond("c")
-	woken := 0
-	for i := 0; i < 3; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(f *Fiber) {
-			c.Wait(f)
-			woken++
-		})
-	}
-	e.Go("signaler", func(f *Fiber) {
-		f.Sleep(time.Millisecond)
-		if !c.Signal() {
-			t.Error("Signal with waiters returned false")
-		}
-		f.Sleep(time.Millisecond)
-		if woken != 1 {
-			t.Errorf("after one Signal, woken = %d, want 1", woken)
-		}
-		if n := c.Broadcast(); n != 2 {
-			t.Errorf("Broadcast woke %d, want 2", n)
-		}
-	})
-	err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if woken != 3 {
-		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
-func TestCondSignalEmpty(t *testing.T) {
-	c := NewCond("c")
-	if c.Signal() {
-		t.Fatal("Signal on empty cond returned true")
-	}
-	if n := c.Broadcast(); n != 0 {
-		t.Fatalf("Broadcast on empty cond woke %d", n)
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	e := New(1)
-	q := NewQueue[int]("q")
-	var got []int
-	e.Go("producer", func(f *Fiber) {
-		for i := 0; i < 5; i++ {
-			q.Put(i)
-			f.Sleep(time.Millisecond)
-		}
-	})
-	e.Go("consumer", func(f *Fiber) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(f))
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("queue order = %v", got)
-		}
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	q := NewQueue[string]("q")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put("x")
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", q.Len())
-	}
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q, %v", v, ok)
-	}
-}
-
-func TestQueueBlockingGetWakes(t *testing.T) {
-	e := New(1)
-	q := NewQueue[int]("q")
-	var got int
-	var at Time
-	e.Go("consumer", func(f *Fiber) {
-		got = q.Get(f)
-		at = f.Now()
-	})
-	e.Go("producer", func(f *Fiber) {
-		f.Sleep(7 * time.Millisecond)
-		q.Put(99)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 99 || at != Time(7*time.Millisecond) {
-		t.Fatalf("got %d at %v, want 99 at 7ms", got, at)
-	}
-}
-
 func TestRunUntilHorizon(t *testing.T) {
 	e := New(1)
 	ran := 0
@@ -466,41 +363,6 @@ func TestPropertyResourceMutualExclusion(t *testing.T) {
 			return false
 		}
 		return ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: queue preserves FIFO order for any input sequence.
-func TestPropertyQueueFIFO(t *testing.T) {
-	prop := func(vals []int64) bool {
-		e := New(1)
-		q := NewQueue[int64]("q")
-		var got []int64
-		e.Go("c", func(f *Fiber) {
-			for range vals {
-				got = append(got, q.Get(f))
-			}
-		})
-		e.Go("p", func(f *Fiber) {
-			for _, v := range vals {
-				q.Put(v)
-				f.Sleep(time.Microsecond)
-			}
-		})
-		if err := e.Run(); err != nil {
-			return false
-		}
-		if len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -133,11 +133,6 @@ func New(eng *sim.Engine, drv *Driver, id ring.NodeID, size int, opts Options) *
 	return n
 }
 
-// ID returns the local station's id.
-//
-//ivy:hostworld configuration accessor of the host TCP station
-func (n *Net) ID() ring.NodeID { return n.id }
-
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting inbound
 // connections. Returns the bound address for peers to dial.
 //

@@ -19,9 +19,6 @@ func NewBuffer() *Buffer { return &Buffer{b: make([]byte, 0, 64)} }
 // storage and must not be modified after further Puts.
 func (b *Buffer) Bytes() []byte { return b.b }
 
-// Len returns the number of encoded bytes.
-func (b *Buffer) Len() int { return len(b.b) }
-
 // Grow makes room for n more bytes, so that a body encoding a list
 // element by element regrows the buffer at most once.
 func (b *Buffer) Grow(n int) { b.b = slices.Grow(b.b, n) }
