@@ -51,7 +51,9 @@ type pending struct {
 	trace trace.SpanID
 }
 
-// outcome is how a request's wait ended; settle records it.
+// outcome is how a request's wait ended; settle records it. Only a
+// waiting request is settled, so a reply and a give-up that race within
+// one engine step wake the caller once.
 type outcome uint8
 
 const (
